@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race examples bench daemon-smoke fuzz
+.PHONY: check build vet test race examples bench bench-check daemon-smoke fuzz
 
 check: build vet test race
 
@@ -32,9 +32,16 @@ examples:
 	$(GO) run ./examples/resilver
 
 # Race-enabled loopback smoke for daemon mode: squirreld up, one
-# squirrelctl -addr run end to end, SIGTERM drain.
+# `squirrelctl telemetry -addr` run end to end, SIGTERM drain.
 daemon-smoke:
 	./scripts/daemon_smoke.sh
+
+# The wire-level benchmark is its own module (bench/go.mod, replace
+# repro => ../) and so outside `make check`; vet and test it against
+# this tree so a product-API deletion that breaks it fails here rather
+# than in the perf pipeline.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz burst over the wire-protocol decoders (each target also
 # replays the checked-in seed corpus during plain `make test`).

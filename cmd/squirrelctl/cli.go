@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"repro/internal/version"
@@ -13,13 +12,14 @@ import (
 
 // Main is the testable entry point: it parses args, runs the selected
 // surface against stdout/stderr, and returns the process exit code.
-// args[0] starting with a dash selects the deprecated pre-subcommand
-// flag grammar; anything else is a subcommand name.
+// args[0] is the subcommand name; without one the root usage is the
+// answer.
 func Main(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		return dispatch(args[0], args[1:], stdout, stderr)
+	if len(args) == 0 {
+		rootUsage(stderr)
+		return exitUsage
 	}
-	return legacyMain(args, stdout, stderr)
+	return dispatch(args[0], args[1:], stdout, stderr)
 }
 
 // command is one subcommand: a name, a one-line summary for the root
@@ -75,7 +75,6 @@ func rootUsage(w io.Writer) {
 		fmt.Fprintf(w, "  %-10s %s\n", cmd.name, cmd.summary)
 	}
 	fmt.Fprintf(w, "\nRun 'squirrelctl <command> -h' for the command's flags.\n")
-	fmt.Fprintf(w, "The pre-subcommand flags (squirrelctl -peers -health ...) remain as deprecated aliases.\n")
 }
 
 // newFlagSet builds a subcommand FlagSet that reports parse errors
@@ -198,41 +197,4 @@ func parseWorkload(args []string, stderr io.Writer) (options, error) {
 	// rate would read zero no matter what the cluster does.
 	o.peers = true
 	return o, fs.Parse(args)
-}
-
-// legacyMain parses the deprecated pre-subcommand flag grammar. It
-// reduces to the same options struct execute takes, so every legacy
-// spelling produces output byte-identical to its subcommand.
-func legacyMain(args []string, stdout, stderr io.Writer) int {
-	o := options{verify: true}
-	fs := flag.NewFlagSet("squirrelctl", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: squirrelctl [flags]   (deprecated spelling; prefer 'squirrelctl <command>')\n\nflags:\n")
-		fs.PrintDefaults()
-		fmt.Fprintln(stderr)
-		rootUsage(stderr)
-	}
-	fs.IntVar(&o.images, "images", 16, "images to register (in-process mode; the daemon's corpus governs with -addr)")
-	fs.IntVar(&o.nodes, "nodes", 8, "compute nodes (in-process mode; the daemon's cluster governs with -addr)")
-	fs.IntVar(&o.vms, "vms", 2, "VMs booted per node")
-	fs.StringVar(&o.offline, "offline", "", "node to take offline during registrations")
-	fs.BoolVar(&o.verify, "verify", true, "verify boot data against image content")
-	fs.BoolVar(&o.peers, "peers", false, "enable the peer block exchange, drop one replica to force a peer-served cold boot, and dump the content index")
-	fs.StringVar(&o.index, "index", "", "content-index implementation: central (default) or gossip (decentralized TTL-lease directory; implies -peers)")
-	fs.BoolVar(&o.health, "health", false, "after the boot wave: crash a node, rot another, scrub, resilver, restart, and dump per-node health at each step")
-	fs.BoolVar(&o.telemetry, "telemetry", false, "trace the whole run (implies -peers -health) and dump the unified telemetry snapshot as JSON and Prometheus text")
-	fs.StringVar(&o.trace, "trace", "", "trace the whole run and render the span tree of the slowest operation of this kind (register, boot, scrub, resilver, sync, gc, restart)")
-	fs.IntVar(&o.watchN, "watch", 0, "stream this many live telemetry updates during the run (in-process: implies tracing; with -addr: the daemon must run -traced)")
-	fs.DurationVar(&o.watchIvl, "watch-interval", time.Second, "interval between -watch updates")
-	fs.StringVar(&o.addr, "addr", "", "drive a live squirreld at this TCP address instead of an in-process deployment")
-	fs.BoolVar(&o.showVersion, "version", false, "print version and exit")
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	if o.showVersion {
-		fmt.Fprintln(stdout, version.String())
-		return 0
-	}
-	return execute(o, stdout, stderr)
 }

@@ -23,10 +23,6 @@
 //	squirrelctl workload -arrivals flash -index gossip
 //	squirrelctl run -addr 127.0.0.1:7677      # any subcommand, against a live squirreld
 //	squirrelctl version
-//
-// The pre-subcommand flag spellings (squirrelctl -peers, -health,
-// -telemetry, -trace boot, -watch 3, …) keep working as deprecated
-// aliases and produce byte-identical output.
 package main
 
 import (
@@ -80,10 +76,8 @@ func main() {
 	os.Exit(Main(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// options is the one resolved form every invocation reduces to: both the
-// subcommand parsers and the deprecated flag-soup parser fill this
-// struct and hand it to execute, which is what makes a legacy spelling
-// and its subcommand byte-identical — they are the same code path.
+// options is the one resolved form every invocation reduces to: each
+// subcommand parser fills this struct and hands it to execute.
 type options struct {
 	// Deployment shape (in-process mode; the daemon's corpus and cluster
 	// govern when addr is set).
@@ -106,8 +100,6 @@ type options struct {
 	// Workload engine (the workload subcommand only).
 	workload bool
 	wl       ctlplane.WorkloadArgs
-
-	showVersion bool
 }
 
 // execute resolves flag implications, opens the session, and runs the

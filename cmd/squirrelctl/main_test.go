@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctlplane"
 	"repro/internal/daemon"
+	"repro/internal/version"
 	"repro/internal/wireclient"
 )
 
@@ -64,6 +67,25 @@ var (
 
 func scrubNums(s string) string { return numRE.ReplaceAllString(s, "N") }
 
+var (
+	// A span's wall time prints in whatever unit fits it (µs, ms, s).
+	wallDurRE = regexp.MustCompile(`wall=[^ \n]+`)
+	// The boot span of a rendered trace tree and everything under it.
+	bootSpanRE = regexp.MustCompile(`(?ms)^( *boot node=\S+ image=)\S+([^\n]*\n).*`)
+)
+
+// scrubTrace is scrubNums for `trace boot` output. Which boot was the
+// slowest is a wall-clock race — the peer-served cold boot on an idle
+// machine, any boot under load — so on top of the numbers it scrubs
+// wall-time units and the chosen boot's image, and drops the lanes
+// under the boot span (they differ between warm and cold boots). What
+// stays pinned is the scenario report and the span chain down to the
+// boot: in daemon mode, session → dial → rpc.call → rpc.dispatch → boot.
+func scrubTrace(s string) string {
+	s = scrubNums(wallDurRE.ReplaceAllString(s, "wall=D"))
+	return bootSpanRE.ReplaceAllString(s, "${1}IMG${2}")
+}
+
 // splitWatch separates the interleaved watch-stream lines from the
 // scenario report: the stream races the script, so its lines land at
 // nondeterministic positions and must be compared separately.
@@ -79,131 +101,118 @@ func splitWatch(s string) (script string, watch []string) {
 	return strings.Join(rest, "\n"), watch
 }
 
-// TestGoldenLegacyVsSubcommand pins the deprecation contract: every
-// pre-subcommand flag spelling and its subcommand produce byte-identical
-// stdout and the same exit code, because both reduce to one options
-// struct. The deterministic scenarios compare raw bytes; traced ones
-// compare after scrubbing wall-clock numbers.
-func TestGoldenLegacyVsSubcommand(t *testing.T) {
+// golden compares got against testdata/<name>.golden. The files hold
+// raw stdout for the deterministic scenarios, scrubbed stdout for the
+// traced ones, and splitWatch's script half for the watch runs.
+// They were captured at commit 03adf0a; a behaviour-preserving change
+// must pass against them unchanged.
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("stdout differs from testdata/%s.golden:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
+	}
+}
+
+// checkWatch splits a watch run's stdout, compares the script half
+// against its golden, and asserts the stream delivered exactly n
+// updates (their rows race the script, so only the count is pinned).
+func checkWatch(t *testing.T, name, out string, n int) {
+	t.Helper()
+	script, watch := splitWatch(out)
+	golden(t, name, script)
+	headers := 0
+	for _, l := range watch {
+		if strings.HasPrefix(l, "watch #") {
+			headers++
+		}
+	}
+	if headers != n {
+		t.Fatalf("streamed %d watch updates, want %d:\n%s", headers, n, strings.Join(watch, "\n"))
+	}
+}
+
+// TestGoldenSubcommands pins every in-process scenario's stdout. The
+// deterministic scenarios compare raw bytes; traced ones compare after
+// scrubbing what the wall clock decides.
+func TestGoldenSubcommands(t *testing.T) {
 	cases := []struct {
-		name   string
-		legacy []string
-		sub    []string
-		scrub  bool
+		name  string
+		args  []string
+		scrub func(string) string
 	}{
-		{"run", []string{"-images", "6", "-nodes", "4"}, []string{"run", "-images", "6", "-nodes", "4"}, false},
-		{"offline", []string{"-images", "6", "-nodes", "4", "-offline", "node02"},
-			[]string{"run", "-images", "6", "-nodes", "4", "-offline", "node02"}, false},
-		{"vms-noverify", []string{"-images", "6", "-nodes", "4", "-vms", "3", "-verify=false"},
-			[]string{"run", "-images", "6", "-nodes", "4", "-vms", "3", "-verify=false"}, false},
-		{"peers", []string{"-images", "6", "-nodes", "4", "-peers"},
-			[]string{"peers", "-images", "6", "-nodes", "4"}, false},
-		{"gossip", []string{"-images", "6", "-nodes", "4", "-index", "gossip"},
-			[]string{"run", "-images", "6", "-nodes", "4", "-index", "gossip"}, false},
-		{"health", []string{"-images", "6", "-nodes", "4", "-health"},
-			[]string{"health", "-images", "6", "-nodes", "4"}, false},
-		{"health-peers", []string{"-images", "6", "-nodes", "4", "-health", "-peers"},
-			[]string{"health", "-images", "6", "-nodes", "4", "-peers"}, false},
-		{"telemetry", []string{"-images", "6", "-nodes", "4", "-telemetry"},
-			[]string{"telemetry", "-images", "6", "-nodes", "4"}, true},
-		{"trace", []string{"-images", "6", "-nodes", "4", "-trace", "boot"},
-			[]string{"trace", "-images", "6", "-nodes", "4", "boot"}, true},
-		{"version", []string{"-version"}, []string{"version"}, false},
+		{"run", []string{"run", "-images", "6", "-nodes", "4"}, nil},
+		{"offline", []string{"run", "-images", "6", "-nodes", "4", "-offline", "node02"}, nil},
+		{"vms-noverify", []string{"run", "-images", "6", "-nodes", "4", "-vms", "3", "-verify=false"}, nil},
+		{"peers", []string{"peers", "-images", "6", "-nodes", "4"}, nil},
+		{"gossip", []string{"run", "-images", "6", "-nodes", "4", "-index", "gossip"}, nil},
+		{"health", []string{"health", "-images", "6", "-nodes", "4"}, nil},
+		{"health-peers", []string{"health", "-images", "6", "-nodes", "4", "-peers"}, nil},
+		{"telemetry", []string{"telemetry", "-images", "6", "-nodes", "4"}, scrubNums},
+		{"trace", []string{"trace", "-images", "6", "-nodes", "4", "boot"}, scrubTrace},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legOut, legErr, legCode := runMain(t, tc.legacy...)
-			subOut, _, subCode := runMain(t, tc.sub...)
-			if legCode != subCode {
-				t.Fatalf("exit codes differ: legacy %d, subcommand %d", legCode, subCode)
+			out, errOut, code := runMain(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, errOut)
 			}
-			if legCode != 0 {
-				t.Fatalf("legacy spelling failed (%d): %s", legCode, legErr)
+			if tc.scrub != nil {
+				out = tc.scrub(out)
 			}
-			a, b := legOut, subOut
-			if tc.scrub {
-				a, b = scrubNums(a), scrubNums(b)
-			}
-			if a != b {
-				t.Fatalf("stdout differs between %v and %v:\n--- legacy ---\n%s\n--- subcommand ---\n%s",
-					tc.legacy, tc.sub, legOut, subOut)
-			}
+			golden(t, tc.name, out)
 		})
 	}
 }
 
-// TestGoldenWatchEquivalence: the watch stream interleaves with the
-// script at nondeterministic positions, so the golden compares the
-// script lines byte-for-byte and the stream shape (update count, row
-// format) separately.
-func TestGoldenWatchEquivalence(t *testing.T) {
-	legOut, legErr, legCode := runMain(t, "-images", "6", "-nodes", "4", "-watch", "2", "-watch-interval", "10ms")
-	subOut, _, subCode := runMain(t, "watch", "-images", "6", "-nodes", "4", "-n", "2", "-interval", "10ms")
-	if legCode != 0 || subCode != 0 {
-		t.Fatalf("exit codes: legacy %d (%s), subcommand %d", legCode, legErr, subCode)
+// TestGoldenWatch: the watch stream interleaves with the script at
+// nondeterministic positions, so the golden pins the script lines
+// byte-for-byte and the stream's update count separately.
+func TestGoldenWatch(t *testing.T) {
+	out, errOut, code := runMain(t, "watch", "-images", "6", "-nodes", "4", "-n", "2", "-interval", "10ms")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	legScript, legWatch := splitWatch(legOut)
-	subScript, subWatch := splitWatch(subOut)
-	if legScript != subScript {
-		t.Fatalf("script lines differ:\n--- legacy ---\n%s\n--- subcommand ---\n%s", legScript, subScript)
-	}
-	for name, watch := range map[string][]string{"legacy": legWatch, "subcommand": subWatch} {
-		headers := 0
-		for _, l := range watch {
-			if strings.HasPrefix(l, "watch #") {
-				headers++
-			}
-		}
-		if headers != 2 {
-			t.Fatalf("%s spelling streamed %d watch updates, want 2:\n%s", name, headers, strings.Join(watch, "\n"))
-		}
-	}
+	checkWatch(t, "watch", out, 2)
 }
 
-// TestGoldenDaemonMode repeats the equivalence over the wire: each
+// TestGoldenDaemonMode repeats the goldens over the wire: each
 // invocation gets its own fresh squirreld (Register is not idempotent
-// across runs) and the two spellings must still match byte-for-byte.
+// across runs).
 func TestGoldenDaemonMode(t *testing.T) {
 	opts := ctlplane.Options{Images: 6, Nodes: 4, Peers: true, Traced: true}
-	cases := []struct {
-		name   string
-		legacy []string
-		sub    []string
-		scrub  bool
-	}{
-		{"peers", []string{"-peers", "-addr", "{addr}"}, []string{"peers", "-addr", "{addr}"}, false},
-		{"health", []string{"-health", "-peers", "-addr", "{addr}"}, []string{"health", "-peers", "-addr", "{addr}"}, false},
-		{"trace", []string{"-trace", "boot", "-addr", "{addr}"}, []string{"trace", "-addr", "{addr}", "boot"}, true},
-	}
-	withAddr := func(args []string, addr string) []string {
-		out := append([]string(nil), args...)
-		for i, a := range out {
-			if a == "{addr}" {
-				out[i] = addr
-			}
+	run := func(t *testing.T, sub string, rest ...string) string {
+		t.Helper()
+		args := append([]string{sub, "-addr", startDaemon(t, opts)}, rest...)
+		out, errOut, code := runMain(t, args...)
+		if code != 0 {
+			t.Fatalf("exit %d: %s", code, errOut)
 		}
 		return out
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legAddr := startDaemon(t, opts)
-			subAddr := startDaemon(t, opts)
-			legOut, legErr, legCode := runMain(t, withAddr(tc.legacy, legAddr)...)
-			subOut, _, subCode := runMain(t, withAddr(tc.sub, subAddr)...)
-			if legCode != subCode {
-				t.Fatalf("exit codes differ: legacy %d, subcommand %d", legCode, subCode)
-			}
-			if legCode != 0 {
-				t.Fatalf("legacy spelling failed (%d): %s", legCode, legErr)
-			}
-			a, b := legOut, subOut
-			if tc.scrub {
-				a, b = scrubNums(a), scrubNums(b)
-			}
-			if a != b {
-				t.Fatalf("daemon-mode stdout differs:\n--- legacy ---\n%s\n--- subcommand ---\n%s", legOut, subOut)
-			}
-		})
+	t.Run("peers", func(t *testing.T) {
+		golden(t, "daemon-peers", run(t, "peers"))
+	})
+	t.Run("health", func(t *testing.T) {
+		golden(t, "daemon-health", run(t, "health", "-peers"))
+	})
+	t.Run("trace", func(t *testing.T) {
+		golden(t, "daemon-trace", scrubTrace(run(t, "trace", "boot")))
+	})
+	t.Run("watch", func(t *testing.T) {
+		// Both TWatch stream elements must cross the wire.
+		checkWatch(t, "daemon-watch", run(t, "watch", "-n", "2", "-interval", "10ms"), 2)
+	})
+}
+
+// TestVersion: the version subcommand is the only version spelling.
+func TestVersion(t *testing.T) {
+	out, _, code := runMain(t, "version")
+	if code != 0 || out != version.String()+"\n" {
+		t.Fatalf("version: exit %d, out %q", code, out)
 	}
 }
 
@@ -269,12 +278,7 @@ func TestWorkloadCLIOverWire(t *testing.T) {
 // TestExitCodes walks the documented exit-code table end to end through
 // Main — the contract scripts depend on.
 func TestExitCodes(t *testing.T) {
-	t.Run("unknown-node-legacy", func(t *testing.T) {
-		if _, _, code := runMain(t, "-images", "4", "-nodes", "4", "-offline", "nope"); code != exitUnknownNode {
-			t.Fatalf("exit %d, want %d", code, exitUnknownNode)
-		}
-	})
-	t.Run("unknown-node-subcommand", func(t *testing.T) {
+	t.Run("unknown-node", func(t *testing.T) {
 		if _, _, code := runMain(t, "run", "-images", "4", "-nodes", "4", "-offline", "nope"); code != exitUnknownNode {
 			t.Fatalf("exit %d, want %d", code, exitUnknownNode)
 		}
@@ -297,10 +301,17 @@ func TestExitCodes(t *testing.T) {
 		if _, _, code := runMain(t, "run", "-no-such-flag"); code != exitUsage {
 			t.Fatalf("exit %d, want %d", code, exitUsage)
 		}
-		if _, _, code := runMain(t, "-no-such-flag"); code != exitUsage {
-			t.Fatalf("legacy exit %d, want %d", code, exitUsage)
-		}
 	})
+	// No subcommand, or a leading dash that is not a help spelling: the
+	// root usage on stderr, nothing on stdout, exit 2.
+	for name, args := range map[string][]string{"no-args": nil, "leading-dash": {"-peers"}, "dash-version": {"-version"}} {
+		t.Run(name, func(t *testing.T) {
+			out, errOut, code := runMain(t, args...)
+			if code != exitUsage || out != "" || !strings.Contains(errOut, "usage: squirrelctl <command>") {
+				t.Fatalf("exit %d, want %d with the root usage on stderr;\nstdout: %q\nstderr: %s", code, exitUsage, out, errOut)
+			}
+		})
+	}
 	t.Run("trace-needs-kind", func(t *testing.T) {
 		if _, _, code := runMain(t, "trace"); code != exitUsage {
 			t.Fatalf("exit %d, want %d", code, exitUsage)
@@ -311,12 +322,14 @@ func TestExitCodes(t *testing.T) {
 			t.Fatalf("exit %d, want %d", code, exitUsage)
 		}
 	})
-	t.Run("help", func(t *testing.T) {
-		out, _, code := runMain(t, "help")
-		if code != 0 || !strings.Contains(out, "workload") {
-			t.Fatalf("help: exit %d, out:\n%s", code, out)
-		}
-	})
+	for _, spelling := range []string{"help", "-h", "--help"} {
+		t.Run("help/"+spelling, func(t *testing.T) {
+			out, _, code := runMain(t, spelling)
+			if code != 0 || !strings.Contains(out, "workload") {
+				t.Fatalf("%s: exit %d, out:\n%s", spelling, code, out)
+			}
+		})
+	}
 }
 
 // TestExitCodeMapping covers the sentinel→code table directly,

@@ -52,10 +52,10 @@ func main() {
 		bootLatency = flag.Duration("boot-latency", 0, "wall-clock per-boot device wait (demo/benchmark realism)")
 		maxConns    = flag.Int("max-conns", daemon.DefaultMaxConns, "concurrent connection limit")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget before in-flight requests are cancelled")
-		showVersion = flag.Bool("version", false, "print version and exit")
+		versionOnly = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
-	if *showVersion {
+	if *versionOnly {
 		fmt.Println(version.String())
 		return
 	}

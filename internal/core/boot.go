@@ -187,7 +187,6 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 			return fail(fmt.Errorf("core: boot read at %d: %w", e.Off, err))
 		}
 		rep.ReadBytes += e.Len
-		s.bootReads.Observe(e.Len)
 		if req.Verify {
 			want := make([]byte, e.Len)
 			if _, err := gen.ReadAt(want, e.Off); err != nil && err != io.EOF {

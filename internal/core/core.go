@@ -52,7 +52,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/gossip"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/peer"
 	"repro/internal/qcow"
@@ -192,8 +191,6 @@ type Squirrel struct {
 	// gates holds one admission gate per compute node; built once in New
 	// and immutable, each gate internally locked (a leaf like the index).
 	gates map[string]*bootGate
-	// bootReads records the size of every boot-trace read.
-	bootReads *metrics.Histogram
 	// tel/tr are the observability layer (cfg.Obs); both nil when
 	// disabled, and every use is nil-safe. Set once in New, never
 	// mutated, so they are read without locks.
@@ -258,7 +255,6 @@ func New(cfg Config, cl *cluster.Cluster, pfs *cluster.PFS) (*Squirrel, error) {
 		nodes:      make(map[string]*cluster.Node, len(cl.Compute)),
 		peers:      peer.NewIndex(),
 		gates:      make(map[string]*bootGate, len(cl.Compute)),
-		bootReads:  metrics.MustHistogram(metrics.ByteBuckets()...),
 		tel:        cfg.Obs,
 		tr:         cfg.Obs.Tracer(),
 		imageLocks: newKeyLocks(),
@@ -303,12 +299,8 @@ func New(cfg Config, cl *cluster.Cluster, pfs *cluster.PFS) (*Squirrel, error) {
 func (s *Squirrel) SCVolume() *zvol.Volume { return s.sc }
 
 // PeerIndex exposes the peer block exchange's content index (stats,
-// experiments, and the squirrelctl -peers dump read it).
+// experiments, and the squirrelctl peers dump read it).
 func (s *Squirrel) PeerIndex() *peer.Index { return s.peers }
-
-// BootReadSizes is the histogram of boot-trace read sizes across every
-// boot served by this deployment.
-func (s *Squirrel) BootReadSizes() *metrics.Histogram { return s.bootReads }
 
 // SetFaults swaps the deployment's fault injector. Chaos scenarios use
 // this to bring a deployment up on a clean fabric and then turn it

@@ -235,14 +235,13 @@ func (s *Server) handleConn(c net.Conn) {
 	if err != nil {
 		return
 	}
-	agreed, ok := wireproto.Negotiate(ver)
-	if !ok {
+	if ver != wireproto.Version {
 		_ = wireproto.WriteHelloReply(c, wireproto.HelloVersionMismatch,
-			fmt.Sprintf("protocol version mismatch: server %s speaks v%d (accepts ≥ v%d), client sent v%d",
-				version.Build, wireproto.Version, wireproto.MinVersion, ver))
+			fmt.Sprintf("protocol version mismatch: server %s speaks v%d, client sent v%d",
+				version.Build, wireproto.Version, ver))
 		return
 	}
-	if err := wireproto.WriteHelloReplyVersion(c, agreed, wireproto.HelloOK, ""); err != nil {
+	if err := wireproto.WriteHelloReply(c, wireproto.HelloOK, ""); err != nil {
 		return
 	}
 	_ = c.SetReadDeadline(time.Time{})
@@ -263,11 +262,6 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 		if s.draining.Load() {
 			out <- errorFrame(f, ctlplane.ErrDraining)
-			continue
-		}
-		if agreed < 2 && (f.Type == wireproto.TWatch || f.Type == wireproto.TTraceTree || f.Type == wireproto.TWorkload) {
-			out <- errorFrame(f, fmt.Errorf("%w: frame type %d needs protocol v2 (negotiated v%d)",
-				errBadRequest, f.Type, agreed))
 			continue
 		}
 		if f.Type == wireproto.TWatch {

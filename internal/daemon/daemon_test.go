@@ -369,38 +369,41 @@ func TestGracefulShutdownDrainsBoots(t *testing.T) {
 	}
 }
 
-// TestHandshakeVersionMismatch speaks a future protocol version at the
-// daemon raw: the reply must name both versions, and the client
-// surface must fail fast with ErrHandshake (no retry can fix it).
+// TestHandshakeVersionMismatch speaks an older and a newer protocol
+// version at the daemon raw: each reply must be HelloVersionMismatch
+// with a message naming both versions.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	addr, _ := startServer(t, ctlplane.Options{Images: 1, Nodes: 1}, Config{})
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := make([]byte, 0, 8)
-	hello = append(hello, wireproto.Magic...)
-	hello = binary.LittleEndian.AppendUint16(hello, wireproto.Version+41)
-	hello = binary.LittleEndian.AppendUint16(hello, 0)
-	if _, err := conn.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	_, status, msg, err := wireproto.ReadHelloReply(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != wireproto.HelloVersionMismatch {
-		t.Fatalf("status %d, want HelloVersionMismatch", status)
-	}
-	for _, want := range []string{
-		fmt.Sprintf("v%d", wireproto.Version),
-		fmt.Sprintf("v%d", wireproto.Version+41),
-	} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("mismatch message %q does not name %s", msg, want)
-		}
+	for name, clientVer := range map[string]uint16{"client-older": wireproto.Version - 1, "client-newer": wireproto.Version + 41} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			hello := make([]byte, 0, 8)
+			hello = append(hello, wireproto.Magic...)
+			hello = binary.LittleEndian.AppendUint16(hello, clientVer)
+			hello = binary.LittleEndian.AppendUint16(hello, 0)
+			if _, err := conn.Write(hello); err != nil {
+				t.Fatal(err)
+			}
+			ver, status, msg, err := wireproto.ReadHelloReply(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status != wireproto.HelloVersionMismatch || ver != wireproto.Version {
+				t.Fatalf("reply v%d status %d, want v%d HelloVersionMismatch", ver, status, wireproto.Version)
+			}
+			for _, want := range []string{
+				fmt.Sprintf("v%d", wireproto.Version),
+				fmt.Sprintf("v%d", clientVer),
+			} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("mismatch message %q does not name %s", msg, want)
+				}
+			}
+		})
 	}
 }
 
@@ -504,41 +507,5 @@ func TestWorkloadOverWire(t *testing.T) {
 	}
 	if wire.Arrivals != "flash" || wire.Cold == 0 {
 		t.Fatalf("flash scenario did not exercise cold boots: %+v", wire)
-	}
-}
-
-// TestWorkloadNeedsV2 pins the daemon-side version gate: a connection
-// that negotiated protocol v1 gets an error frame, not a scenario run,
-// when it sends a TWorkload frame.
-func TestWorkloadNeedsV2(t *testing.T) {
-	addr, _ := startServer(t, ctlplane.Options{Images: 1, Nodes: 2}, Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wireproto.WriteHelloVersion(conn, 1); err != nil {
-		t.Fatal(err)
-	}
-	if ver, status, _, err := wireproto.ReadHelloReply(conn); err != nil || status != wireproto.HelloOK || ver != 1 {
-		t.Fatalf("v1 handshake: ver %d status %d err %v", ver, status, err)
-	}
-	if err := wireproto.WriteFrame(conn, wireproto.Frame{Type: wireproto.TWorkload, ReqID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	f, err := wireproto.ReadFrame(conn)
-	if err != nil {
-		t.Fatalf("read response: %v", err)
-	}
-	if !f.IsError() {
-		t.Fatalf("v1 workload frame was served, want version-gate error")
-	}
-	code, msg, err := wireproto.DecodeError(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != wireproto.CodeBadRequest || !strings.Contains(msg, "protocol v2") {
-		t.Fatalf("gate error = code %d %q, want CodeBadRequest naming protocol v2", code, msg)
 	}
 }

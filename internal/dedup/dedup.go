@@ -29,11 +29,11 @@ const (
 // Entry is one unique block in the table.
 type Entry struct {
 	Hash       block.Hash
-	Refs       int64  // number of logical references (objects + snapshots)
-	Addr       uint64 // physical address in the backing store
-	PhysLen    int32  // stored (possibly compressed) length
-	LogLen     int32  // original length
-	Compressed bool   // whether the payload at Addr is compressed
+	Refs       int64      // number of logical references (objects + snapshots)
+	Addr       uint64     // physical address in the backing store
+	PhysLen    int32      // stored (possibly compressed) length
+	LogLen     int32      // original length
+	Compressed bool       // whether the payload at Addr is compressed
 	PhysHash   block.Hash // checksum of the stored payload bytes at Addr
 }
 
@@ -41,9 +41,6 @@ type Entry struct {
 type Table struct {
 	mu      sync.RWMutex
 	entries map[block.Hash]*Entry
-
-	hits   int64 // lookups that found an existing entry
-	misses int64 // lookups that allocated a new entry
 }
 
 // NewTable returns an empty DDT.
@@ -68,13 +65,11 @@ func (t *Table) Reference(h block.Hash, addr uint64, physLen, logLen int32, comp
 	defer t.mu.Unlock()
 	if e, ok := t.entries[h]; ok {
 		e.Refs++
-		t.hits++
 		return e, true
 	}
 	e := &Entry{Hash: h, Refs: 1, Addr: addr, PhysLen: physLen, LogLen: logLen,
 		Compressed: compressed, PhysHash: physHash}
 	t.entries[h] = e
-	t.misses++
 	return e, false
 }
 
@@ -120,7 +115,6 @@ type Stats struct {
 	LogicalBytes  int64 // Σ LogLen × Refs: data as seen by readers
 	DiskBytes     int64 // DDT on-disk footprint (Fig 9)
 	MemBytes      int64 // DDT in-core footprint (Fig 10)
-	Hits, Misses  int64
 }
 
 // DedupRatio is |references| / |unique|, the paper's deduplication ratio
@@ -136,7 +130,7 @@ func (s Stats) DedupRatio() float64 {
 func (t *Table) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := Stats{Hits: t.hits, Misses: t.misses}
+	var s Stats
 	for _, e := range t.entries {
 		s.Entries++
 		s.References += e.Refs

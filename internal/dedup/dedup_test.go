@@ -88,9 +88,6 @@ func TestStatsAccounting(t *testing.T) {
 	if got := s.DedupRatio(); got != 1.5 {
 		t.Fatalf("dedup ratio %v want 1.5", got)
 	}
-	if s.Hits != 1 || s.Misses != 2 {
-		t.Fatalf("hits=%d misses=%d", s.Hits, s.Misses)
-	}
 }
 
 func TestDedupRatioEmpty(t *testing.T) {

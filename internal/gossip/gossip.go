@@ -703,13 +703,6 @@ func (d *Directory) StaleTotal() int {
 	return total
 }
 
-// Alive lists live members, sorted.
-func (d *Directory) Alive() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.aliveSortedLocked()
-}
-
 func (d *Directory) aliveSortedLocked() []string {
 	out := make([]string, 0, len(d.members))
 	for _, n := range d.members {

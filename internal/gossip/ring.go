@@ -123,9 +123,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Has reports ring membership.
-func (r *Ring) Has(node string) bool { return r.nodes[node] }
-
 // Size returns the member count.
 func (r *Ring) Size() int { return len(r.nodes) }
 

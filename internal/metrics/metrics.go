@@ -16,8 +16,8 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/compress"
+	"repro/internal/conc"
 	"repro/internal/corpus"
-	"repro/internal/mapreduce"
 )
 
 // Source is anything that can enumerate its blocks at a given block size.
@@ -166,9 +166,18 @@ func Analyze(sources []Source, bs block.Size, codec compress.Codec) (Result, err
 }
 
 // Sweep runs Analyze at every block size in sizes, in parallel, and
-// returns results in the same order.
+// returns results in the same order; on failure it returns the error of
+// the earliest failing size.
 func Sweep(sources []Source, sizes []block.Size, codec compress.Codec, workers int) ([]Result, error) {
-	return mapreduce.Map(sizes, workers, func(bs block.Size) (Result, error) {
-		return Analyze(sources, bs, codec)
+	results := make([]Result, len(sizes))
+	errs := make([]error, len(sizes))
+	conc.ForEach(len(sizes), workers, func(i int) {
+		results[i], errs[i] = Analyze(sources, sizes[i], codec)
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }

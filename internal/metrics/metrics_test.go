@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/block"
@@ -198,5 +200,21 @@ func TestSweepOrdering(t *testing.T) {
 	}
 	if rs[0].BlockSize != block.Size1K || rs[1].BlockSize != block.Size2K {
 		t.Fatal("sweep results out of order")
+	}
+}
+
+// TestSweepReturnsEarliestError: every size runs, and the error reported
+// is the earliest failing size's, whichever worker finished first.
+func TestSweepReturnsEarliestError(t *testing.T) {
+	failing := Source{ID: "bad", Blocks: func(bs block.Size, _ func(int64, []byte, bool) error) error {
+		if bs == block.Size1K {
+			return nil
+		}
+		return fmt.Errorf("read failed at %v", bs)
+	}}
+	sizes := []block.Size{block.Size1K, block.Size2K, block.Size4K}
+	rs, err := Sweep([]Source{failing}, sizes, nil, 3)
+	if rs != nil || err == nil || !strings.Contains(err.Error(), fmt.Sprint(block.Size2K)) {
+		t.Fatalf("Sweep = (%v, %v), want the %v error", rs, err, block.Size2K)
 	}
 }

@@ -362,20 +362,6 @@ func (s *Span) walk(visit func(*Span) bool) bool {
 	return true
 }
 
-// FindSpan returns the first span of the given kind in s's tree
-// (depth-first, creation order), or nil.
-func (s *Span) FindSpan(kind string) *Span {
-	var found *Span
-	s.walk(func(sp *Span) bool {
-		if sp.Kind() == kind {
-			found = sp
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // Wall returns the wall-clock duration (0 for an unfinished span).
 func (s *Span) Wall() time.Duration {
 	if s == nil {

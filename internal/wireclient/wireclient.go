@@ -9,19 +9,18 @@
 // request in its own goroutine). Streaming replies (the watch op) ride
 // the same connection: the read loop keeps routing FlagStream frames
 // to their parked consumer until the final non-stream frame closes the
-// exchange. Dial retries refused connections with exponential backoff
-// — the daemon may still be starting — and downgrades once to an older
-// protocol version if the server names one; only an unbridgeable
-// version gap (or a peer that is not a squirreld) fails immediately.
+// exchange. Dial retries refused connections and busy handshakes with
+// exponential backoff — the daemon may still be starting; a protocol
+// version mismatch (or a peer that is not a squirreld) fails
+// immediately, after exactly one handshake.
 //
 // When Options.Obs is set the client records its own span tree: one
 // ctl.session root per connection, ctl.dial children for every TCP
-// attempt, and an rpc.call child per request. On connections that
-// negotiated protocol version ≥ 2 each request frame carries the trace
-// context (session trace ID + rpc span ID), which the daemon stamps on
-// its dispatch spans — TraceMerged later fetches those dispatch trees
-// and grafts them back under the rpc.call spans that issued them,
-// rendering one tree that spans both processes.
+// attempt, and an rpc.call child per request. Each traced request frame
+// carries the trace context (session trace ID + rpc span ID), which the
+// daemon stamps on its dispatch spans — TraceMerged later fetches those
+// dispatch trees and grafts them back under the rpc.call spans that
+// issued them, rendering one tree that spans both processes.
 package wireclient
 
 import (
@@ -97,7 +96,6 @@ func (o Options) withDefaults() Options {
 type Client struct {
 	opts Options
 	conn net.Conn
-	ver  uint16 // negotiated protocol version
 
 	tel     *obs.Telemetry
 	session *obs.Span // ctl.session root; finished by Close
@@ -113,15 +111,12 @@ type Client struct {
 
 var _ ctlplane.Session = (*Client)(nil)
 
-// Dial connects and handshakes with the daemon at opts.Addr, offering
-// the newest protocol version and downgrading if the server names an
-// older one this build still speaks.
+// Dial connects and handshakes with the daemon at opts.Addr.
 func Dial(opts Options) (*Client, error) {
 	opts = opts.withDefaults()
 	session := opts.Obs.Tracer().StartOp(obs.OpSession, "", "")
 	var lastErr error
 	backoff := opts.Backoff
-	offer := wireproto.Version
 	for attempt := 0; attempt < opts.Attempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
@@ -129,7 +124,7 @@ func Dial(opts Options) (*Client, error) {
 		}
 		dsp := session.Child(obs.OpDial, "", "")
 		dsp.Annotate("attempt", int64(attempt)+1)
-		dsp.Annotate("proto", int64(offer))
+		dsp.Annotate("proto", int64(wireproto.Version))
 		conn, err := net.DialTimeout("tcp", opts.Addr, opts.DialTimeout)
 		if err != nil {
 			dsp.Fail(err)
@@ -137,7 +132,7 @@ func Dial(opts Options) (*Client, error) {
 			lastErr = err
 			continue
 		}
-		c, srvVer, err := handshake(conn, opts, offer)
+		c, err := handshake(conn, opts)
 		if err == nil {
 			dsp.Finish()
 			c.tel = opts.Obs
@@ -147,23 +142,9 @@ func Dial(opts Options) (*Client, error) {
 		_ = conn.Close()
 		dsp.Fail(err)
 		dsp.Finish()
-		if errors.Is(err, errVersion) {
-			if srvVer >= wireproto.MinVersion && srvVer < offer {
-				// The server speaks an older version this build still
-				// supports: redial immediately offering it (without
-				// consuming the retry budget). The offer only ever
-				// decreases, so the downgrade loop terminates.
-				offer = srvVer
-				lastErr = err
-				attempt--
-				continue
-			}
-			session.Fail(err)
-			session.Finish()
-			return nil, err
-		}
 		if errors.Is(err, ErrHandshake) && !errors.Is(err, errBusy) {
-			// A non-squirreld peer will not heal on retry.
+			// Neither a version mismatch nor a non-squirreld peer heals
+			// on retry.
 			session.Fail(err)
 			session.Finish()
 			return nil, err
@@ -177,58 +158,47 @@ func Dial(opts Options) (*Client, error) {
 }
 
 // errBusy marks a HelloBusy rejection — transient, retried by Dial.
-// errVersion marks a HelloVersionMismatch — retried only as a downgrade
-// to the version the server named.
-var (
-	errBusy    = errors.New("wireclient: daemon busy")
-	errVersion = errors.New("wireclient: protocol version mismatch")
-)
+var errBusy = errors.New("wireclient: daemon busy")
 
-// handshake runs the hello exchange (offering the given version) and
-// brings up the read loop. On a version mismatch the server's version
-// is returned alongside the error so Dial can downgrade.
-func handshake(conn net.Conn, opts Options, offer uint16) (*Client, uint16, error) {
+// handshake runs the hello exchange and brings up the read loop.
+func handshake(conn net.Conn, opts Options) (*Client, error) {
 	deadline := time.Now().Add(opts.DialTimeout)
 	_ = conn.SetDeadline(deadline)
-	if err := wireproto.WriteHelloVersion(conn, offer); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrHandshake, err)
+	if err := wireproto.WriteHello(conn); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
 	ver, status, msg, err := wireproto.ReadHelloReply(conn)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrHandshake, err)
+		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
 	switch status {
 	case wireproto.HelloOK:
+		if ver != wireproto.Version {
+			// A server that accepts but names another version would be
+			// framing a protocol this client does not speak.
+			return nil, fmt.Errorf("%w: server accepted with protocol v%d, client speaks v%d",
+				ErrHandshake, ver, wireproto.Version)
+		}
 	case wireproto.HelloVersionMismatch:
 		if msg == "" {
-			msg = fmt.Sprintf("protocol version mismatch: server v%d, client v%d", ver, offer)
+			msg = fmt.Sprintf("protocol version mismatch: server v%d, client v%d", ver, wireproto.Version)
 		}
-		return nil, ver, fmt.Errorf("%w: %w: %s", ErrHandshake, errVersion, msg)
+		return nil, fmt.Errorf("%w: %s", ErrHandshake, msg)
 	case wireproto.HelloBusy:
-		return nil, 0, fmt.Errorf("%w: %w: %s", ErrHandshake, errBusy, msg)
+		return nil, fmt.Errorf("%w: %w: %s", ErrHandshake, errBusy, msg)
 	default:
-		return nil, 0, fmt.Errorf("%w: unknown handshake status %d", ErrHandshake, status)
-	}
-	if ver > offer {
-		// A well-behaved server echoes the agreed (≤ offered) version;
-		// clamp so a misbehaving one cannot talk the client into
-		// features it never offered.
-		ver = offer
+		return nil, fmt.Errorf("%w: unknown handshake status %d", ErrHandshake, status)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	c := &Client{
 		opts:    opts,
 		conn:    conn,
-		ver:     ver,
 		bw:      bufio.NewWriter(conn),
 		pending: make(map[uint64]chan wireproto.Frame),
 	}
 	go c.readLoop()
-	return c, ver, nil
+	return c, nil
 }
-
-// Version is the protocol version negotiated with the daemon.
-func (c *Client) Version() uint16 { return c.ver }
 
 // readLoop routes response frames to their parked callers until the
 // connection dies, then fails every pending call. A FlagStream frame
@@ -327,9 +297,9 @@ func (c *Client) rpcSpan(typ uint8) *obs.Span {
 }
 
 // stamp attaches the wire trace context to a request frame when the
-// negotiated protocol version carries it and the exchange is traced.
+// exchange is traced.
 func (c *Client) stamp(f *wireproto.Frame, sp *obs.Span) {
-	if sp == nil || c.ver < 2 {
+	if sp == nil {
 		return
 	}
 	f.Flags |= wireproto.FlagTrace
@@ -531,9 +501,6 @@ func (c *Client) TraceSlowest(kind string) (string, error) {
 // the deployment; only the args and the fixed-size summary cross the
 // wire.
 func (c *Client) Workload(ctx context.Context, args ctlplane.WorkloadArgs) (workload.Summary, error) {
-	if c.ver < 2 {
-		return workload.Summary{}, fmt.Errorf("wireclient: workload needs protocol v2; this connection negotiated v%d", c.ver)
-	}
 	var out workload.Summary
 	err := c.call(ctx, wireproto.TWorkload, args, &out)
 	return out, err
@@ -558,9 +525,6 @@ func (c *Client) ComputeRx() (int64, error) {
 func (c *Client) Watch(ctx context.Context, args ctlplane.WatchArgs, fn func(ctlplane.WatchUpdate) error) error {
 	if args.Count < 1 {
 		return fmt.Errorf("wireclient: watch needs Count >= 1")
-	}
-	if c.ver < 2 {
-		return fmt.Errorf("wireclient: watch needs protocol v2; this connection negotiated v%d", c.ver)
 	}
 	sp := c.rpcSpan(wireproto.TWatch)
 	err := c.watchStream(ctx, sp, args, fn)
@@ -641,13 +605,10 @@ func (c *Client) watchStream(ctx context.Context, sp *obs.Span, args ctlplane.Wa
 // session: the client-side ctl.session root with its dial attempts, the
 // rpc.call span that issued the operation, and — grafted under it by
 // span ID — the daemon's rpc.dispatch tree with the core operation's
-// own span lanes. Needs Options.Obs and a protocol ≥ 2 connection.
+// own span lanes. Needs Options.Obs.
 func (c *Client) TraceMerged(kind string) (string, error) {
 	if c.tel == nil || c.session == nil {
 		return "", fmt.Errorf("wireclient: client-side tracing disabled (set Options.Obs)")
-	}
-	if c.ver < 2 {
-		return "", fmt.Errorf("wireclient: trace propagation needs protocol v2; this connection negotiated v%d", c.ver)
 	}
 	var reply ctlplane.TraceTreeReply
 	err := c.call(bg(), wireproto.TTraceTree, ctlplane.TraceTreeArgs{TraceID: c.session.SpanID()}, &reply)

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestTraceExtensionRoundTrip pins the version-2 frame layout: FlagTrace
+// TestTraceExtensionRoundTrip pins the traced frame layout: FlagTrace
 // inserts exactly 16 extension bytes between header and payload, both
-// IDs survive the round trip, and frames without the flag stay at the
-// version-1 length.
+// IDs survive the round trip, and frames without the flag carry no
+// extension.
 func TestTraceExtensionRoundTrip(t *testing.T) {
 	in := Frame{Type: TBoot, Flags: FlagTrace, ReqID: 99, TraceID: 1 << 40, SpanID: 7, Payload: []byte("hello")}
 	enc := AppendFrame(nil, in)
@@ -48,50 +48,30 @@ func TestTraceExtensionCoveredByCRC(t *testing.T) {
 	}
 }
 
-// TestNegotiate pins the server-side version window.
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		client uint16
-		agreed uint16
-		ok     bool
-	}{
-		{MinVersion, MinVersion, true},
-		{Version, Version, true},
-		{MinVersion - 1, 0, false},
-		{Version + 1, 0, false},
-		{Version + 40, 0, false},
-	}
-	for _, c := range cases {
-		agreed, ok := Negotiate(c.client)
-		if agreed != c.agreed || ok != c.ok {
-			t.Fatalf("Negotiate(%d) = (%d,%v), want (%d,%v)", c.client, agreed, ok, c.agreed, c.ok)
-		}
-	}
-}
-
-// TestHelloVersionNegotiationWire walks both handshake directions with
-// explicit versions: the client's offer survives the wire, and the
-// server's reply names the agreed version.
-func TestHelloVersionNegotiationWire(t *testing.T) {
+// TestHelloWireLayout pins the handshake bytes: magic, little-endian
+// version, then two reserved bytes (hello) or status, message length,
+// and message (reply). ReadHello reports a foreign version instead of
+// failing, so the server can name both versions in its rejection.
+func TestHelloWireLayout(t *testing.T) {
 	var hello bytes.Buffer
-	if err := WriteHelloVersion(&hello, MinVersion); err != nil {
+	if err := WriteHello(&hello); err != nil {
 		t.Fatal(err)
 	}
-	ver, err := ReadHello(&hello)
-	if err != nil || ver != MinVersion {
-		t.Fatalf("ReadHello = (%d,%v), want (%d,nil)", ver, err, MinVersion)
-	}
-	agreed, ok := Negotiate(ver)
-	if !ok {
-		t.Fatalf("Negotiate(%d) rejected", ver)
+	if got, want := hello.String(), "SQCP\x02\x00\x00\x00"; got != want {
+		t.Fatalf("hello bytes %q, want %q", got, want)
 	}
 	var reply bytes.Buffer
-	if err := WriteHelloReplyVersion(&reply, agreed, HelloOK, ""); err != nil {
+	if err := WriteHelloReply(&reply, HelloBusy, "hi"); err != nil {
 		t.Fatal(err)
 	}
-	rver, status, _, err := ReadHelloReply(&reply)
-	if err != nil || status != HelloOK || rver != MinVersion {
-		t.Fatalf("reply = (v%d,%d,%v), want (v%d,HelloOK,nil)", rver, status, err, MinVersion)
+	if got, want := reply.String(), "SQCP\x02\x00\x02\x02\x00\x00\x00hi"; got != want {
+		t.Fatalf("reply bytes %q, want %q", got, want)
+	}
+	for _, foreign := range []string{"SQCP\x01\x00\x00\x00", "SQCP\x2b\x00\x00\x00"} {
+		ver, err := ReadHello(strings.NewReader(foreign))
+		if err != nil || ver != uint16(foreign[4]) {
+			t.Fatalf("ReadHello(%q) = (%d,%v), want (%d,nil)", foreign, ver, err, foreign[4])
+		}
 	}
 }
 

@@ -14,19 +14,15 @@
 //	                         u32 msgLen | msg
 //	then both sides exchange frames until either closes the connection.
 //
-// The hello is version-negotiated: a server accepts any client version
-// in [MinVersion, Version] and echoes the agreed (client's) version in
-// its reply, so an old client keeps working against a new daemon. A
-// client offering a NEWER version than the server is rejected with
-// HelloVersionMismatch naming the server's version; the client may then
-// redial offering that version (wireclient does). Version-gated frame
-// features (the trace extension, stream frames) are only used on
-// connections that negotiated a version that has them.
+// There is one protocol version. Both hellos carry it: a server answers
+// a client hello naming any other version with HelloVersionMismatch and
+// a message naming both versions, and a client refuses a HelloOK whose
+// echoed version is not its own.
 //
 // Frame layout (everything little-endian):
 //
 //	u8 type | u8 flags | u64 reqID | u32 payloadLen |
-//	[u64 traceID | u64 spanID — iff FlagTrace, version ≥ 2] |
+//	[u64 traceID | u64 spanID — iff FlagTrace] |
 //	payload [payloadLen] | u32 crc32c over header+extension+payload
 //
 // Request IDs are assigned by the client and echoed by the server, so
@@ -37,14 +33,14 @@
 // so errors.Is identity — and squirrelctl's exit codes 2–5 — survive
 // the wire.
 //
-// FlagTrace (version ≥ 2) marks a request carrying a 16-byte trace
-// context between the header and the payload: the caller's trace ID and
-// the caller-side span the request was issued under. The daemon stamps
-// both on its dispatch span, which is how one operation renders as a
-// single tree across the socket. FlagStream (version ≥ 2) marks a
-// response frame that is one element of a streaming reply (the watch
-// op): stream frames share the request's ID, and the stream ends with a
-// final response frame without FlagStream.
+// FlagTrace marks a request carrying a 16-byte trace context between
+// the header and the payload: the caller's trace ID and the caller-side
+// span the request was issued under. The daemon stamps both on its
+// dispatch span, which is how one operation renders as a single tree
+// across the socket. FlagStream marks a response frame that is one
+// element of a streaming reply (the watch op): stream frames share the
+// request's ID, and the stream ends with a final response frame without
+// FlagStream.
 //
 // This package is framing only: payload semantics (which Go structs
 // ride inside which frame type) belong to internal/ctlplane, and it
@@ -64,15 +60,9 @@ import (
 // protocol versions so a mismatched peer still gets a readable reply.
 const Magic = "SQCP"
 
-// Version is the newest protocol version this build speaks; MinVersion
-// is the oldest it still accepts. Version 2 added the per-frame trace
-// extension (FlagTrace), streaming responses (FlagStream), and the
-// watch/trace-tree ops; version-1 peers negotiate down to the version-1
-// feature set and keep working.
-const (
-	Version    uint16 = 2
-	MinVersion uint16 = 1
-)
+// Version is the protocol version this build speaks, and the only one
+// it accepts from a peer.
+const Version uint16 = 2
 
 // Size bounds. A control-plane payload is a few KB of JSON (telemetry
 // snapshots are the largest); MaxPayload leaves generous headroom while
@@ -114,9 +104,9 @@ const (
 	TTrace
 	TNetReset
 	TNetRx
-	TWatch     // version ≥ 2: streaming telemetry watch
-	TTraceTree // version ≥ 2: fetch dispatch trees for a client trace ID
-	TWorkload  // version ≥ 2: drive a workload scenario on the daemon
+	TWatch     // streaming telemetry watch
+	TTraceTree // fetch dispatch trees for a client trace ID
+	TWorkload  // drive a workload scenario on the daemon
 )
 
 // typeNames backs TypeName; indexed by frame type.
@@ -161,11 +151,11 @@ const (
 	FlagResponse uint8 = 1 << 0
 	// FlagError marks a response whose payload is an error body.
 	FlagError uint8 = 1 << 1
-	// FlagTrace (version ≥ 2) marks a frame carrying the 16-byte trace
-	// extension (TraceID, SpanID) between header and payload.
+	// FlagTrace marks a frame carrying the 16-byte trace extension
+	// (TraceID, SpanID) between header and payload.
 	FlagTrace uint8 = 1 << 2
-	// FlagStream (version ≥ 2) marks a response frame that is one
-	// element of a streaming reply; the stream's final frame clears it.
+	// FlagStream marks a response frame that is one element of a
+	// streaming reply; the stream's final frame clears it.
 	FlagStream uint8 = 1 << 3
 )
 
@@ -310,30 +300,13 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
-// WriteHello sends the client side of the handshake, offering this
-// build's newest version. WriteHelloVersion offers a specific one (the
-// downgrade path after a HelloVersionMismatch names an older server).
+// WriteHello sends the client side of the handshake.
 func WriteHello(w io.Writer) error {
-	return WriteHelloVersion(w, Version)
-}
-
-// WriteHelloVersion sends a client hello offering the given version.
-func WriteHelloVersion(w io.Writer, version uint16) error {
 	var buf [helloLen]byte
 	copy(buf[:4], Magic)
-	binary.LittleEndian.PutUint16(buf[4:6], version)
+	binary.LittleEndian.PutUint16(buf[4:6], Version)
 	_, err := w.Write(buf[:])
 	return err
-}
-
-// Negotiate applies the server-side version rule to a client hello:
-// any version in [MinVersion, Version] is accepted and echoed back as
-// the connection's agreed version; anything else reports false.
-func Negotiate(clientVersion uint16) (agreed uint16, ok bool) {
-	if clientVersion < MinVersion || clientVersion > Version {
-		return 0, false
-	}
-	return clientVersion, true
 }
 
 // ReadHello reads a client hello and returns the version the peer
@@ -351,21 +324,14 @@ func ReadHello(r io.Reader) (version uint16, err error) {
 }
 
 // WriteHelloReply sends the server side of the handshake, naming this
-// build's newest version. WriteHelloReplyVersion names a specific one
-// (the agreed version on acceptance, the server's newest on rejection
-// so the client knows what to downgrade to).
+// build's version.
 func WriteHelloReply(w io.Writer, status uint8, msg string) error {
-	return WriteHelloReplyVersion(w, Version, status, msg)
-}
-
-// WriteHelloReplyVersion sends a handshake reply naming version.
-func WriteHelloReplyVersion(w io.Writer, version uint16, status uint8, msg string) error {
 	if len(msg) > maxHelloMsg {
 		msg = msg[:maxHelloMsg]
 	}
 	buf := make([]byte, 0, 4+2+1+4+len(msg))
 	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint16(buf, Version)
 	buf = append(buf, status)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(msg)))
 	buf = append(buf, msg...)

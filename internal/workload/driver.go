@@ -7,9 +7,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/conc"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -264,7 +264,7 @@ func (d *Driver) driveLogical(ctx context.Context, cfg Config, cold map[int]bool
 	return sum, nil
 }
 
-// driveWall fires real boots from a worker pool and measures real
+// driveWall fires real boots from a bounded pool and measures real
 // elapsed latency; shedding is the deployment's own admission control.
 // Cold nodes need no special handling here: their dropped replicas make
 // the real boots take the peer path on their own.
@@ -273,73 +273,62 @@ func (d *Driver) driveWall(ctx context.Context, cfg Config) (Summary, error) {
 		Arrivals: cfg.Arrivals, Mode: cfg.Mode,
 		Nodes: len(cfg.Nodes), Images: len(cfg.Images),
 	}
+	// The picks are drawn up front, in arrival order, so the boot set
+	// stays a function of the seed whatever the pool's interleaving.
 	gen := newArrivalGen(cfg, rand.New(rand.NewSource(cfg.Seed)))
 	pk := newPicks(cfg)
+	type pick struct{ node, img int }
+	jobs := make([]pick, cfg.Boots)
+	for n := range jobs {
+		jobs[n].node, jobs[n].img = pk.next(gen().storm)
+	}
 
 	latHist := metrics.MustHistogram(metrics.LatencyBuckets()...)
-	type job struct{ node, img int }
-	jobs := make(chan job, 2*cfg.Workers)
 	var (
-		wg                                sync.WaitGroup
-		shed, warm, coldN, peerHits, netB atomic.Int64
-		peerB, executed                   atomic.Int64
-		firstErr                          atomic.Value
+		mu       sync.Mutex // guards sum and firstErr
+		firstErr error
 	)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				t0 := time.Now()
-				rep, err := d.dep.Boot(ctx, core.BootRequest{Image: cfg.Images[j.img], Node: cfg.Nodes[j.node]})
-				if err != nil {
-					if errors.Is(err, core.ErrOverloaded) {
-						shed.Add(1)
-						continue
-					}
-					firstErr.CompareAndSwap(nil, err)
-					continue
-				}
-				executed.Add(1)
-				latHist.Observe(time.Since(t0).Nanoseconds())
-				if rep.Warm {
-					warm.Add(1)
-				} else {
-					coldN.Add(1)
-					if rep.PeerBytes > 0 {
-						peerHits.Add(1)
-					}
-				}
-				netB.Add(rep.NetworkBytes)
-				peerB.Add(rep.PeerBytes)
-			}
-		}()
-	}
-	for n := 0; n < cfg.Boots; n++ {
-		if n%1024 == 0 && ctx.Err() != nil {
-			break
+	conc.ForEach(len(jobs), cfg.Workers, func(n int) {
+		if ctx.Err() != nil {
+			return
 		}
-		ev := gen()
-		node, img := pk.next(ev.storm)
-		jobs <- job{node: node, img: img}
+		j := jobs[n]
+		t0 := time.Now()
+		rep, err := d.dep.Boot(ctx, core.BootRequest{Image: cfg.Images[j.img], Node: cfg.Nodes[j.node]})
+		if err == nil {
+			latHist.Observe(time.Since(t0).Nanoseconds())
+		}
+		mu.Lock()
+		defer mu.Unlock()
 		sum.Boots++
-	}
-	close(jobs)
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return Summary{}, fmt.Errorf("workload: wall drive: %w", err)
+		switch {
+		case errors.Is(err, core.ErrOverloaded):
+			sum.Shed++
+		case err != nil:
+			if firstErr == nil {
+				firstErr = err
+			}
+		default:
+			sum.Executed++
+			if rep.Warm {
+				sum.Warm++
+			} else {
+				sum.Cold++
+				if rep.PeerBytes > 0 {
+					sum.PeerHits++
+				}
+			}
+			sum.NetworkBytes += rep.NetworkBytes
+			sum.PeerBytes += rep.PeerBytes
+		}
+	})
+	if firstErr != nil {
+		return Summary{}, fmt.Errorf("workload: wall drive: %w", firstErr)
 	}
 	if ctx.Err() != nil {
 		return Summary{}, fmt.Errorf("workload: drive cancelled after %d boots: %w", sum.Boots, ctx.Err())
 	}
-	sum.Executed = executed.Load()
 	sum.Admitted = sum.Executed
-	sum.Shed = shed.Load()
-	sum.Warm = warm.Load()
-	sum.Cold = coldN.Load()
-	sum.PeerHits = peerHits.Load()
-	sum.NetworkBytes = netB.Load()
-	sum.PeerBytes = peerB.Load()
 	fold(&sum, latHist, nil)
 	return sum, nil
 }

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +22,7 @@ type fakeDep struct {
 	registered map[string]bool
 	dropped    map[string]bool
 	boots      int64
+	bootErr    func(n int64) error // when set, decides boot n's failure
 }
 
 const fakePeerBytes = 350_000
@@ -41,6 +45,11 @@ func (f *fakeDep) Boot(_ context.Context, req core.BootRequest) (core.BootReport
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.boots++
+	if f.bootErr != nil {
+		if err := f.bootErr(f.boots); err != nil {
+			return core.BootReport{}, err
+		}
+	}
 	rep := core.BootReport{ImageID: req.Image, NodeID: req.Node, Warm: true}
 	if f.dropped[req.Node+"|"+req.Image] {
 		rep.Warm = false
@@ -204,6 +213,31 @@ func TestDriverWallMode(t *testing.T) {
 	}
 	if sum.Warm+sum.Cold != sum.Executed {
 		t.Fatalf("warm %d + cold %d != executed %d", sum.Warm, sum.Cold, sum.Executed)
+	}
+}
+
+// Concurrent wall-mode boots failing with differently-typed errors (a
+// wrapped error next to a bare sentinel, as a wire client and a context
+// would produce) must surface one of them as an error, not panic on the
+// type mismatch.
+func TestDriverWallModeMixedErrorTypes(t *testing.T) {
+	cfg := testCfg(Poisson, 8, 4, 400)
+	cfg.Mode = "wall"
+	cfg.Workers = 4
+	dep := newFakeDep()
+	wrapped := fmt.Errorf("rpc failed: %w", io.ErrUnexpectedEOF)
+	dep.bootErr = func(n int64) error {
+		if n%2 == 0 {
+			return wrapped
+		}
+		return context.DeadlineExceeded
+	}
+	_, err := Run(context.Background(), dep, cfg, nil)
+	if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want one of the boot errors, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "wall drive") {
+		t.Fatalf("boot error lost its drive context: %v", err)
 	}
 }
 

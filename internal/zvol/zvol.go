@@ -70,9 +70,6 @@ type Object struct {
 	ptrs []blockPtr
 }
 
-// NumBlocks returns the number of logical blocks, including holes.
-func (o *Object) NumBlocks() int { return len(o.ptrs) }
-
 // Snapshot is an immutable, named view of a volume's full object set.
 type Snapshot struct {
 	Name    string
