@@ -43,12 +43,15 @@ daemon-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzz burst over the wire-protocol decoders (each target also
-# replays the checked-in seed corpus during plain `make test`).
+# Short fuzz burst over the decoders that take bytes from elsewhere — the
+# wire protocol (off a socket) and the block codecs (off a disk that can
+# rot). Each target also replays its checked-in seed corpus during plain
+# `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/wireproto/
 	$(GO) test -fuzz FuzzReadHelloReply -fuzztime 5s ./internal/wireproto/
 	$(GO) test -fuzz FuzzDecodeError -fuzztime 5s ./internal/wireproto/
+	$(GO) test -fuzz FuzzDecompressInto -fuzztime 10s ./internal/compress/
 
 # Run the benchmarks (experiment regeneration at the repo root, counter
 # and traced-vs-untraced boot-wave benches in internal packages) and

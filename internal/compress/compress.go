@@ -5,6 +5,14 @@
 //
 // All codecs are deterministic, safe for concurrent use, and round-trip
 // exact; properties the test suite checks exhaustively.
+//
+// Each codec has exactly one decode core, decode(dst, src), which writes
+// the decoded block into a caller-supplied slice by index and never
+// outside it. Decompress (allocate, decode, trim) and DecompressInto
+// (decode, require an exact fill) are thin wrappers over that core, so
+// the bounds and corruption checks exist once per format. The cVolume
+// read path uses DecompressInto to inflate a block straight into the
+// reader's buffer.
 package compress
 
 import (
@@ -26,6 +34,55 @@ type Codec interface {
 	Name() string
 	Compress(src []byte) []byte
 	Decompress(src []byte, maxLen int) ([]byte, error)
+	// DecompressInto decodes src into dst, which must be exactly the
+	// block's decoded length: a stream that is corrupt, or decodes to
+	// more or fewer than len(dst) bytes, is an error. Nothing outside
+	// dst[:len(dst)] is written, and on error dst's contents are
+	// unspecified.
+	DecompressInto(dst, src []byte) error
+}
+
+// decodeFunc is a codec's decode core: it decodes src into dst and
+// returns the number of bytes produced. A stream that would decode past
+// len(dst) is an error, one that ends early is not (the wrappers below
+// decide whether short is acceptable).
+type decodeFunc func(dst, src []byte) (int, error)
+
+// decompress is Codec.Decompress over a decode core.
+func decompress(decode decodeFunc, src []byte, maxLen int) ([]byte, error) {
+	dst := make([]byte, maxLen)
+	n, err := decode(dst, src)
+	if err != nil {
+		return nil, err
+	}
+	return dst[:n], nil
+}
+
+// decompressInto is Codec.DecompressInto over a decode core.
+func decompressInto(decode decodeFunc, dst, src []byte) error {
+	n, err := decode(dst, src)
+	if err != nil {
+		return err
+	}
+	if n != len(dst) {
+		return fmt.Errorf("compress: stream decodes to %d bytes, want %d", n, len(dst))
+	}
+	return nil
+}
+
+// copyMatch appends to buf[:d] the n-byte LZ77 match that starts offset
+// bytes behind d, and returns n. A match longer than its offset overlaps
+// its own output and repeats it, so that case copies a byte at a time;
+// the rest is one memmove. The caller has checked 0 < offset <= d and
+// d+n <= len(buf).
+func copyMatch(buf []byte, d, offset, n int) int {
+	if offset >= n {
+		return copy(buf[d:d+n], buf[d-offset:])
+	}
+	for k := d; k < d+n; k++ {
+		buf[k] = buf[k-offset]
+	}
+	return n
 }
 
 var (
@@ -100,22 +157,38 @@ func (Null) Compress(src []byte) []byte {
 
 // Decompress returns a copy of src.
 func (Null) Decompress(src []byte, maxLen int) ([]byte, error) {
-	if len(src) > maxLen {
-		return nil, fmt.Errorf("compress: null payload %d exceeds max %d", len(src), maxLen)
+	return decompress(nullDecode, src, maxLen)
+}
+
+// DecompressInto copies src into dst.
+func (Null) DecompressInto(dst, src []byte) error { return decompressInto(nullDecode, dst, src) }
+
+func nullDecode(dst, src []byte) (int, error) {
+	if len(src) > len(dst) {
+		return 0, fmt.Errorf("compress: null payload %d exceeds max %d", len(src), len(dst))
 	}
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
+	return copy(dst, src), nil
 }
 
 // Gzip wraps compress/gzip at a fixed level. ZFS's gzip-6 is the paper's
 // codec of choice after Fig 3 shows gzip-9 gains almost nothing for extra
-// CPU. Writers are pooled: gzip writer allocation is far more expensive
-// than the window reset.
+// CPU. Writers and readers are pooled: allocating gzip state (the
+// deflate tables, the 32 KB inflate window) is far more expensive than
+// resetting it.
 type Gzip struct {
 	name    string
 	level   int
 	writers sync.Pool
+	readers sync.Pool // *gzipReader
+}
+
+// gzipReader is one pooled decode state. The bytes.Reader is the
+// stream's source and implements io.ByteReader, so gzip reads it
+// directly instead of wrapping it in a fresh bufio.Reader per block.
+type gzipReader struct {
+	zr   gzip.Reader
+	src  bytes.Reader
+	tail [1]byte // probe for output past the expected length
 }
 
 // NewGzip returns a gzip codec at the given level registered under name.
@@ -152,18 +225,45 @@ func (g *Gzip) Compress(src []byte) []byte {
 
 // Decompress implements Codec.
 func (g *Gzip) Decompress(src []byte, maxLen int) ([]byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(src))
-	if err != nil {
-		return nil, fmt.Errorf("compress: gzip header: %w", err)
+	return decompress(g.decode, src, maxLen)
+}
+
+// DecompressInto implements Codec.
+func (g *Gzip) DecompressInto(dst, src []byte) error { return decompressInto(g.decode, dst, src) }
+
+// decode inflates src into dst. The stream is always read to EOF — even
+// once dst is full — because that is where compress/gzip checks the
+// CRC32/ISIZE trailer; output past len(dst) is an error.
+func (g *Gzip) decode(dst, src []byte) (int, error) {
+	r, _ := g.readers.Get().(*gzipReader)
+	if r == nil {
+		r = new(gzipReader)
 	}
-	defer r.Close()
-	out := make([]byte, 0, maxLen)
-	buf := bytes.NewBuffer(out)
-	if _, err := io.Copy(buf, io.LimitReader(r, int64(maxLen)+1)); err != nil {
-		return nil, fmt.Errorf("compress: gzip body: %w", err)
+	defer func() {
+		r.src.Reset(nil) // do not pin the payload while pooled
+		g.readers.Put(r)
+	}()
+	r.src.Reset(src)
+	if err := r.zr.Reset(&r.src); err != nil {
+		return 0, fmt.Errorf("compress: gzip header: %w", err)
 	}
-	if buf.Len() > maxLen {
-		return nil, fmt.Errorf("compress: gzip output %d exceeds max %d", buf.Len(), maxLen)
+	n := 0
+	for {
+		// With dst full, probe one byte past it: only EOF is acceptable.
+		buf := dst[n:]
+		if len(buf) == 0 {
+			buf = r.tail[:]
+		}
+		m, err := r.zr.Read(buf)
+		if m > 0 && n == len(dst) {
+			return n, fmt.Errorf("compress: gzip output exceeds max %d", len(dst))
+		}
+		n += m
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, fmt.Errorf("compress: gzip body: %w", err)
+		}
 	}
-	return buf.Bytes(), nil
 }

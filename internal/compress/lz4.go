@@ -118,8 +118,15 @@ var errLZ4Corrupt = errors.New("compress: corrupt lz4 stream")
 
 // Decompress implements Codec.
 func (LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
-	dst := make([]byte, 0, maxLen)
-	i := 0
+	return decompress(lz4Decode, src, maxLen)
+}
+
+// DecompressInto implements Codec.
+func (LZ4) DecompressInto(dst, src []byte) error { return decompressInto(lz4Decode, dst, src) }
+
+// lz4Decode is the LZ4 decode core; d is the write position in dst.
+func lz4Decode(dst, src []byte) (int, error) {
+	d, i := 0, 0
 	for i < len(src) {
 		tok := src[i]
 		i++
@@ -128,7 +135,7 @@ func (LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
 		if litLen == 15 {
 			for {
 				if i >= len(src) {
-					return nil, errLZ4Corrupt
+					return d, errLZ4Corrupt
 				}
 				b := src[i]
 				i++
@@ -138,28 +145,29 @@ func (LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
 				}
 			}
 		}
-		if i+litLen > len(src) || len(dst)+litLen > maxLen {
-			return nil, errLZ4Corrupt
+		if i+litLen > len(src) || d+litLen > len(dst) {
+			return d, errLZ4Corrupt
 		}
-		dst = append(dst, src[i:i+litLen]...)
+		copy(dst[d:], src[i:i+litLen])
+		d += litLen
 		i += litLen
 		if i >= len(src) {
 			break // final sequence has no match part
 		}
 		// Match.
 		if i+2 > len(src) {
-			return nil, errLZ4Corrupt
+			return d, errLZ4Corrupt
 		}
 		offset := int(src[i]) | int(src[i+1])<<8
 		i += 2
-		if offset == 0 || offset > len(dst) {
-			return nil, errLZ4Corrupt
+		if offset == 0 || offset > d {
+			return d, errLZ4Corrupt
 		}
 		mlen := int(tok&0xF) + lz4MinMatch
 		if tok&0xF == 15 {
 			for {
 				if i >= len(src) {
-					return nil, errLZ4Corrupt
+					return d, errLZ4Corrupt
 				}
 				b := src[i]
 				i++
@@ -169,13 +177,10 @@ func (LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
 				}
 			}
 		}
-		if len(dst)+mlen > maxLen {
-			return nil, fmt.Errorf("compress: lz4 output exceeds max %d", maxLen)
+		if d+mlen > len(dst) {
+			return d, fmt.Errorf("compress: lz4 output exceeds max %d", len(dst))
 		}
-		start := len(dst) - offset
-		for k := 0; k < mlen; k++ {
-			dst = append(dst, dst[start+k])
-		}
+		d += copyMatch(dst, d, offset, mlen)
 	}
-	return dst, nil
+	return d, nil
 }

@@ -88,40 +88,42 @@ var errLZJBCorrupt = errors.New("compress: corrupt lzjb stream")
 
 // Decompress implements Codec.
 func (LZJB) Decompress(src []byte, maxLen int) ([]byte, error) {
-	dst := make([]byte, 0, maxLen)
-	i := 0
+	return decompress(lzjbDecode, src, maxLen)
+}
+
+// DecompressInto implements Codec.
+func (LZJB) DecompressInto(dst, src []byte) error { return decompressInto(lzjbDecode, dst, src) }
+
+// lzjbDecode is the LZJB decode core; d is the write position in dst.
+func lzjbDecode(dst, src []byte) (int, error) {
+	d, i := 0, 0
 	for i < len(src) {
 		ctrl := src[i]
 		i++
 		for bit := uint(0); bit < 8 && i < len(src); bit++ {
 			if ctrl&(1<<bit) != 0 {
 				if i+1 >= len(src) {
-					return nil, errLZJBCorrupt
+					return d, errLZJBCorrupt
 				}
 				length := int(src[i]>>(8-lzjbMatchBits)) + lzjbMatchMin
 				offset := int(src[i]&(1<<(8-lzjbMatchBits)-1))<<8 | int(src[i+1])
 				i += 2
-				start := len(dst) - offset
-				if start < 0 || offset == 0 {
-					return nil, errLZJBCorrupt
+				if offset == 0 || offset > d {
+					return d, errLZJBCorrupt
 				}
-				if len(dst)+length > maxLen {
-					return nil, fmt.Errorf("compress: lzjb output exceeds max %d", maxLen)
+				if d+length > len(dst) {
+					return d, fmt.Errorf("compress: lzjb output exceeds max %d", len(dst))
 				}
-				// Byte-at-a-time copy: source and destination may overlap
-				// (runs shorter than the match length), exactly like LZ77
-				// run-length semantics.
-				for k := 0; k < length; k++ {
-					dst = append(dst, dst[start+k])
-				}
+				d += copyMatch(dst, d, offset, length)
 			} else {
-				if len(dst)+1 > maxLen {
-					return nil, fmt.Errorf("compress: lzjb output exceeds max %d", maxLen)
+				if d+1 > len(dst) {
+					return d, fmt.Errorf("compress: lzjb output exceeds max %d", len(dst))
 				}
-				dst = append(dst, src[i])
+				dst[d] = src[i]
+				d++
 				i++
 			}
 		}
 	}
-	return dst, nil
+	return d, nil
 }

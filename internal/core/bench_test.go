@@ -4,7 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/corpus"
 	"repro/internal/fault"
+	"repro/internal/peer"
 )
 
 // benchBootWave registers a few images once, then times warm boot waves
@@ -37,3 +40,49 @@ func benchBootWave(b *testing.B, traced bool) {
 
 func BenchmarkBootWaveTraced(b *testing.B)   { benchBootWave(b, true) }
 func BenchmarkBootWaveUntraced(b *testing.B) { benchBootWave(b, false) }
+
+// BenchmarkColdBoot times a boot whose every cache range is served by
+// the peer exchange, on the deployment shape the wire-level cold_boot
+// workload uses (paper-default 64 KB blocks and clusters, gzip6, the
+// daemon's corpus scaling): four holders, so least-loaded selection
+// spreads each boot's fetches over several sources. This is the ledger
+// rung for the source-side range read.
+func BenchmarkColdBoot(b *testing.B) {
+	cl, err := cluster.New(cluster.GigE, 4, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Peer = peer.DefaultPolicy()
+	sq, err := New(cfg, cl, pfs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	repo, err := corpus.New(corpus.DefaultSpec().Scale(4.0/607, 0.25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	im := repo.Images[0]
+	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
+		b.Fatal(err)
+	}
+	if err := sq.DropReplica("node00", im.ID); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.PeerBytes == 0 || rep.NetworkBytes != 0 {
+			b.Fatalf("boot was not peer-served: %+v", rep)
+		}
+		b.SetBytes(rep.ReadBytes)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -321,10 +322,102 @@ func TestResilverFallsBackToPFSWhenNoHealthyPeer(t *testing.T) {
 	}
 }
 
+// byteRange is a half-open byte range of a cache object.
+type byteRange struct{ off, n int64 }
+
+func (r byteRange) overlaps(o byteRange) bool { return r.off < o.off+o.n && o.off < r.off+r.n }
+
+// coldFetchRanges lists, in issue order, the cache-object range of every
+// peer fetch a cold boot of im makes: the boot replays its trace, the
+// overlay faults in each cluster under a read whole, and the chain
+// backend asks the peer exchange for every piece of a cluster that lies
+// inside a cache extent. One peerFetch span is recorded per entry.
+func coldFetchRanges(im *corpus.Image, cluster int64) []byteRange {
+	exts := im.CacheExtentsSorted()
+	var out []byteRange
+	for _, e := range im.BootTrace() {
+		for lo := e.Off - e.Off%cluster; lo < e.Off+e.Len; lo += cluster {
+			hi := min(lo+cluster, im.RawSize())
+			base := int64(0)
+			for _, x := range exts {
+				if a, b := max(lo, x.Off), min(hi, x.Off+x.Len); a < b {
+					out = append(out, byteRange{base + a - x.Off, b - a})
+				}
+				base += x.Len
+			}
+		}
+	}
+	return out
+}
+
+// rottedRanges returns the cache-object byte ranges of obj's damaged
+// blocks on nodeID: the blocks InjectRot reported plus whatever else a
+// scrub of the volume finds (dedup aliases of a rotted payload).
+func rottedRanges(t *testing.T, sq *Squirrel, nodeID, obj string, refs []zvol.BlockRef) []byteRange {
+	t.Helper()
+	ccv, err := sq.CCVolume(nodeID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := ccv.BlockInfos(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := make([]int64, len(infos))
+	for i := 1; i < len(infos); i++ {
+		starts[i] = starts[i-1] + int64(infos[i-1].LogLen)
+	}
+	var out []byteRange
+	for _, ref := range slices.Concat(refs, ccv.Scrub().Damaged) {
+		if ref.Object == obj {
+			out = append(out, byteRange{starts[ref.Index], int64(infos[ref.Index].LogLen)})
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("rot plan left %s on %s intact", obj, nodeID)
+	}
+	return out
+}
+
+// checkRottenHolderFetches pairs the last boot's peerFetch spans with
+// the ranges they fetched and asserts per-range verification on
+// rotten: a range overlapping one of its rotted blocks was never served
+// by it, a range clear of them was served by a peer. It returns the
+// bytes rotten served and the bytes the peer path gave up on.
+func checkRottenHolderFetches(t *testing.T, sq *Squirrel, im *corpus.Image, rotten string, rot []byteRange) (fromRotten, fellBack int64) {
+	t.Helper()
+	boots := sq.Telemetry().RootsOf(obs.OpBoot)
+	sp := boots[len(boots)-1]
+	fetches := sp.ChildrenOf(obs.OpPeerFetch)
+	ranges := coldFetchRanges(im, 4096)
+	if len(fetches) != len(ranges) {
+		t.Fatalf("%d peerFetch spans for %d fetch ranges:\n%s", len(fetches), len(ranges), obs.RenderTree(sp))
+	}
+	for i, r := range ranges {
+		src, hitRot := fetches[i].Node(), false
+		for _, bad := range rot {
+			hitRot = hitRot || r.overlaps(bad)
+		}
+		switch {
+		case hitRot && src == rotten:
+			t.Fatalf("range %+v overlaps a rotted block yet %s served it:\n%s", r, rotten, obs.RenderTree(sp))
+		case !hitRot && src == "":
+			t.Fatalf("range %+v is clear of rot yet no peer served it:\n%s", r, obs.RenderTree(sp))
+		case src == rotten:
+			fromRotten += r.n
+		case src == "":
+			fellBack += r.n
+		}
+	}
+	return fromRotten, fellBack
+}
+
 func TestRottenPeerNeverServesBadBytes(t *testing.T) {
-	// Latent (unscrubbed) rot on the only peer holder: the peer read fails
-	// its checksum at the source, the fetch falls back to the PFS, and the
-	// verified boot proves not one corrupt byte reached the VM.
+	// Latent (unscrubbed) rot on the only peer holder. Verification is
+	// per range, as in ZFS: every range overlapping a rotted block fails
+	// its checksum at the source and falls back to the PFS, the holder's
+	// intact blocks are still served, and the verified boot proves not one
+	// corrupt byte reached the VM.
 	sq, _, repo, _ := lifecycleDeployment(t, 2, fault.Plan{Seed: 13, Rot: 0.5})
 	im := repo.Images[0]
 	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
@@ -337,6 +430,7 @@ func TestRottenPeerNeverServesBadBytes(t *testing.T) {
 	if len(refs) == 0 {
 		t.Fatal("rot plan injected nothing")
 	}
+	rot := rottedRanges(t, sq, "node01", im.ID, refs)
 	if err := sq.DropReplica("node00", im.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -347,14 +441,55 @@ func TestRottenPeerNeverServesBadBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.PeerBytes != 0 {
-		t.Fatalf("rotten peer served %d bytes", br.PeerBytes)
+	fromRotten, fellBack := checkRottenHolderFetches(t, sq, im, "node01", rot)
+	if fellBack == 0 || br.NetworkBytes < fellBack {
+		t.Fatalf("rotted ranges (%d bytes) should have fallen back to the PFS: %+v", fellBack, br)
 	}
-	if br.NetworkBytes == 0 {
-		t.Fatal("boot should have fallen back to the PFS")
+	if br.PeerBytes != fromRotten {
+		t.Fatalf("report says %d peer bytes, spans say %d", br.PeerBytes, fromRotten)
 	}
 	if c := sq.PeerIndex().Counters().Snapshot(); c["peer.stale"] == 0 {
 		t.Fatalf("source-side checksum failure not accounted: %v", c)
+	}
+}
+
+func TestRottenRangeFailsOverToCleanHolder(t *testing.T) {
+	// Two holders, one with latent rot: a range that fails its checksum on
+	// the rotten holder is retried on the clean one within the same fetch,
+	// so the peer exchange serves the whole boot, and each failed serve
+	// feeds the rotten holder's circuit breaker.
+	sq, _, repo := resilienceDeployment(t, 3, fault.Plan{Seed: 13, Rot: 0.5}, func(cfg *Config) {
+		cfg.Peer.Breaker = peer.BreakerPolicy{Threshold: 1}
+		cfg.Obs = obs.New(64)
+	})
+	im := repo.Images[0]
+	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
+		t.Fatal(err)
+	}
+	refs, err := sq.InjectRot("node01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot := rottedRanges(t, sq, "node01", im.ID, refs)
+	if err := sq.DropReplica("node00", im.ID); err != nil {
+		t.Fatal(err)
+	}
+	br, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00", Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, fellBack := checkRottenHolderFetches(t, sq, im, "node01", rot); fellBack != 0 || br.PeerFallbacks != 0 {
+		t.Fatalf("%d bytes fell back to the PFS with a clean holder available: %+v", fellBack, br)
+	}
+	if br.PeerBytes != im.CacheSize() {
+		t.Fatalf("peers served %d of the cache's %d bytes: %+v", br.PeerBytes, im.CacheSize(), br)
+	}
+	ctr := sq.PeerIndex().Counters()
+	if ctr.Get("peer.stale") == 0 || ctr.Get("breaker.trip") == 0 || br.BreakerTrips == 0 {
+		t.Fatalf("rotten holder's failed serves not accounted (trips %d): %s", br.BreakerTrips, ctr)
+	}
+	if sq.PeerIndex().BreakerState("node02") != "closed" {
+		t.Fatalf("clean holder's breaker is %s", sq.PeerIndex().BreakerState("node02"))
 	}
 }
 

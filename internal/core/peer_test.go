@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/compress"
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/peer"
@@ -201,6 +203,93 @@ func TestPeerOffloadsConcurrentColdBoots(t *testing.T) {
 	}
 	if peerSum <= pfsSum {
 		t.Fatalf("peers served %d of %d miss bytes — not a majority", peerSum, peerSum+pfsSum)
+	}
+}
+
+// countingCodec is gzip6 under another name that counts the bytes it is
+// asked to decode — a test-side meter for how much inflating a boot
+// causes, so production needs no counter for it.
+type countingCodec struct {
+	compress.Codec
+	decoded atomic.Int64
+}
+
+func (c *countingCodec) Name() string { return "gzip6-counted" }
+
+func (c *countingCodec) Decompress(src []byte, maxLen int) ([]byte, error) {
+	out, err := c.Codec.Decompress(src, maxLen)
+	c.decoded.Add(int64(len(out)))
+	return out, err
+}
+
+func (c *countingCodec) DecompressInto(dst, src []byte) error {
+	c.decoded.Add(int64(len(dst)))
+	return c.Codec.DecompressInto(dst, src)
+}
+
+// countedGzip registers the counting codec on first use (the registry
+// refuses duplicates, and -count reruns tests in one process).
+var countedGzip = sync.OnceValue(func() *countingCodec {
+	c := &countingCodec{Codec: compress.MustGet("gzip6")}
+	compress.Register(c)
+	return c
+})
+
+func TestColdBootDecodesEachRangeOnce(t *testing.T) {
+	// A cold boot scatters its fetches over the holders on purpose
+	// (least-loaded selection). Each source decodes only the blocks under
+	// the ranges it serves, so however many sources take part, the boot
+	// inflates the cache object exactly once in total — not once per
+	// source.
+	codec := countedGzip()
+	sq, _, repo := resilienceDeployment(t, 5, fault.Plan{Seed: 1}, func(cfg *Config) {
+		cfg.Volume.Codec = codec.Name()
+	})
+	im := repo.Images[0]
+	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sq.DropReplica("node00", im.ID); err != nil {
+		t.Fatal(err)
+	}
+	holder, err := sq.CCVolume("node01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := holder.BlockInfos(im.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compressed int64 // logical bytes of the object that sit behind the codec
+	for _, bi := range infos {
+		if bi.Compressed {
+			compressed += int64(bi.LogLen)
+		}
+	}
+	if compressed == 0 {
+		t.Fatal("no block of the cache object is stored compressed: nothing to measure")
+	}
+
+	before := codec.decoded.Load()
+	rep, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00", Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PeerBytes != im.CacheSize() || rep.PeerFallbacks != 0 {
+		t.Fatalf("cold boot did not ride the peer exchange: %+v", rep)
+	}
+	sources := 0
+	for _, l := range sq.Stats().PeerLoads {
+		if l.ServedBytes > 0 {
+			sources++
+		}
+	}
+	if sources < 3 {
+		t.Fatalf("boot drew from %d sources, want at least 3", sources)
+	}
+	if got := codec.decoded.Load() - before; got != compressed {
+		t.Fatalf("boot decoded %d bytes across %d sources, the cache object holds %d compressed",
+			got, sources, compressed)
 	}
 }
 

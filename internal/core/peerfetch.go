@@ -41,11 +41,11 @@ type peerFetcher struct {
 	op       string
 	sp       *obs.Span // the owning boot span; each fetch records a peerFetch child
 
-	seq       int               // transfer attempts so far (fault lane)
-	fetchNo   int               // fetches so far (slow-serve lane)
-	data      map[string][]byte // materialized cache object per source
-	served    map[string]int64  // bytes served per source
-	fallbacks int               // misses the peer path gave up on
+	seq       int              // transfer attempts so far (fault lane)
+	fetchNo   int              // fetches so far (slow-serve lane)
+	buf       []byte           // the range as read at the source, reused across transfers
+	served    map[string]int64 // bytes served per source
+	fallbacks int              // misses the peer path gave up on
 
 	hedgesFired int     // slow serves that cloned a second leg
 	hedgesWon   int     // hedge legs that delivered the range
@@ -63,7 +63,6 @@ func (s *Squirrel) newPeerFetcher(ctx context.Context, im *corpus.Image, node *c
 		policy:   s.cfg.Peer,
 		faults:   inj,
 		op:       "peerfetch:" + im.ID + ":" + node.ID,
-		data:     make(map[string][]byte),
 		served:   make(map[string]int64),
 	}
 }
@@ -243,10 +242,12 @@ func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(
 		}
 		return ok
 	}
-	payload, err := f.sourceRange(src, base, int64(len(dst)))
+	payload, err := f.sourceRange(src, base, len(dst))
 	if err != nil {
-		// The replica vanished between index lookup and read (dropped or
-		// deregistered concurrently): treat as a failed attempt.
+		// The source cannot serve this range: its replica vanished between
+		// index lookup and read (dropped or deregistered concurrently), or
+		// a block under the range failed its checksum there (latent rot —
+		// the source's other ranges stay servable). A failed attempt.
 		ctr.Add("peer.stale", 1)
 		return done(0, false)
 	}
@@ -285,26 +286,22 @@ func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(
 	return done(int64(len(dst)), true)
 }
 
-// sourceRange reads [base, base+n) of the source's cache object,
-// materializing the object once per source per boot.
-func (f *peerFetcher) sourceRange(src string, base, n int64) ([]byte, error) {
-	data, ok := f.data[src]
-	if !ok {
-		ccv := f.s.ccVolume(src)
-		if ccv == nil {
-			return nil, ErrUnknownNode
-		}
-		var err error
-		data, err = ccv.ReadObject(f.imageID)
-		if err != nil {
-			return nil, err
-		}
-		f.data[src] = data
+// sourceRange reads [base, base+n) of the source's cache object into the
+// fetcher's buffer, decoding (and verifying) only the blocks under the
+// range. The returned slice is valid until the next call.
+func (f *peerFetcher) sourceRange(src string, base int64, n int) ([]byte, error) {
+	ccv := f.s.ccVolume(src)
+	if ccv == nil {
+		return nil, ErrUnknownNode
 	}
-	if base < 0 || base+n > int64(len(data)) {
-		return nil, ErrNotRegistered
+	if cap(f.buf) < n {
+		f.buf = make([]byte, n)
 	}
-	return data[base : base+n : base+n], nil
+	buf := f.buf[:n]
+	if err := ccv.ReadAt(f.imageID, buf, base); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // topSource is the peer that served the most bytes this boot, breaking

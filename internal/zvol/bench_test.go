@@ -30,7 +30,7 @@ func benchVolume(b *testing.B, cfgName string, cfg Config) {
 			}
 		}
 	})
-	b.Run(cfgName+"/read", func(b *testing.B) {
+	written := func(b *testing.B) *Volume {
 		v, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -38,6 +38,10 @@ func benchVolume(b *testing.B, cfgName string, cfg Config) {
 		if _, err := v.WriteObject("o", bytes.NewReader(payload)); err != nil {
 			b.Fatal(err)
 		}
+		return v
+	}
+	b.Run(cfgName+"/read", func(b *testing.B) {
+		v := written(b)
 		b.SetBytes(int64(len(payload)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -46,6 +50,30 @@ func benchVolume(b *testing.B, cfgName string, cfg Config) {
 			}
 		}
 	})
+	// Range reads, the peer exchange's source-side read. readat walks the
+	// object in aligned 64 KB ranges (whole blocks decode straight into
+	// the caller's buffer); readat-4K-unaligned asks for 4 KB ranges 1234
+	// bytes past a 4 KB boundary (the covering block decodes into scratch),
+	// so its MB/s is delivered bytes, not decoded bytes.
+	for _, rr := range []struct {
+		name        string
+		size, shift int64
+	}{{"readat", 64 << 10, 0}, {"readat-4K-unaligned", 4 << 10, 1234}} {
+		b.Run(cfgName+"/"+rr.name, func(b *testing.B) {
+			v := written(b)
+			p := make([]byte, rr.size)
+			slots := int64(len(payload))/rr.size - 1 // the shift must not push the last range off the end
+			b.SetBytes(rr.size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := int64(i)*7%slots*rr.size + rr.shift
+				if err := v.ReadAt("o", p, off); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkVolume(b *testing.B) {

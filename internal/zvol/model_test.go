@@ -104,6 +104,15 @@ func runModel(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d: live %s diverged (err %v)", step, name, err)
 			}
 		}
+		// readAt: a random range of a random live object.
+		if name := anyKey(rng, live); name != "" {
+			want := live[name]
+			off := rng.Intn(len(want) + 1)
+			p := make([]byte, rng.Intn(len(want)-off+1))
+			if err := v.ReadAt(name, p, int64(off)); err != nil || !bytes.Equal(p, want[off:off+len(p)]) {
+				t.Fatalf("step %d: range [%d,+%d) of %s diverged (err %v)", step, off, len(p), name, err)
+			}
+		}
 		if len(snapOrder) > 0 {
 			sn := snapOrder[rng.Intn(len(snapOrder))]
 			if name := anyKey(rng, snaps[sn]); name != "" {

@@ -44,16 +44,8 @@ type PreparedBlock struct {
 func (v *Volume) Prepare(st *Stream) *PreparedStream {
 	ps := &PreparedStream{Stream: st, Blocks: make([]PreparedBlock, len(st.Blocks))}
 	for i, data := range st.Blocks {
-		pb := PreparedBlock{Hash: block.HashOf(data), Payload: data, LogLen: int32(len(data))}
-		if v.codec.Name() != "null" {
-			comp := v.codec.Compress(data)
-			gain := 1 - float64(len(comp))/float64(len(data))
-			if gain > v.cfg.MinCompressGain {
-				pb.Payload = comp
-				pb.Compressed = true
-			}
-		}
-		pb.PhysHash = block.HashOf(pb.Payload)
+		pb := PreparedBlock{Hash: block.HashOf(data), LogLen: int32(len(data))}
+		pb.Payload, pb.Compressed, pb.PhysHash = v.encode(data, pb.Hash)
 		ps.Blocks[i] = pb
 	}
 	return ps

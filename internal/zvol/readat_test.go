@@ -1,0 +1,307 @@
+package zvol
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/block"
+	"repro/internal/compress"
+)
+
+// rangePayload builds an object that exercises every block kind a range
+// read can meet: compressible blocks, incompressible ones (stored raw
+// under the minimum-gain rule), runs of whole-block holes, a block that
+// is half zeros, and a short tail block.
+func rangePayload(seed int64, bs int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	text := bytes.Repeat([]byte("boot working set block content "), bs/31+1)[:bs]
+	noise := func() []byte {
+		b := make([]byte, bs)
+		rng.Read(b)
+		return b
+	}
+	var out []byte
+	out = append(out, text...)
+	out = append(out, noise()...)
+	out = append(out, make([]byte, 2*bs)...) // two holes
+	out = append(out, text[:bs/2]...)
+	out = append(out, make([]byte, bs/2)...) // half-zero block: not a hole
+	out = append(out, noise()...)
+	out = append(out, make([]byte, bs)...) // hole
+	out = append(out, text...)             // dedups against block 0
+	out = append(out, noise()[:bs/3]...)   // short tail
+	return out
+}
+
+const fill = 0xEE // what a range buffer holds before the read
+
+func filled(n int) []byte { return bytes.Repeat([]byte{fill}, n) }
+
+func TestReadAtMatchesReadObject(t *testing.T) {
+	for _, codec := range compress.Names() {
+		for _, bs := range []block.Size{block.Size4K, block.Size64K} {
+			t.Run(fmt.Sprintf("%s/%s", codec, bs), func(t *testing.T) {
+				v, err := New(cfg(bs, codec, true))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := rangePayload(7, int(bs))
+				if _, err := v.WriteObject("o", bytes.NewReader(want)); err != nil {
+					t.Fatal(err)
+				}
+				infos, err := v.BlockInfos("o")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var holes, packed, raw int
+				for _, bi := range infos {
+					switch {
+					case bi.Zero:
+						holes++
+					case bi.Compressed:
+						packed++
+					default:
+						raw++
+					}
+				}
+				if holes != 3 || raw == 0 || (codec != "null" && packed == 0) {
+					t.Fatalf("payload misses a block kind: %d holes, %d compressed, %d raw", holes, packed, raw)
+				}
+				whole, err := v.ReadObject("o")
+				if err != nil || !bytes.Equal(whole, want) {
+					t.Fatalf("ReadObject diverged: %v", err)
+				}
+
+				b, size := int64(bs), int64(len(want))
+				ranges := [][2]int64{
+					{0, 0}, {0, 1}, {0, b}, {0, size}, // from the start
+					{b, b}, {b, 3 * b}, // aligned whole blocks
+					{b - 1, 2}, {b / 2, b}, {b + 7, 2*b + 11}, // unaligned, block-crossing
+					{2 * b, 2 * b}, {2*b + 5, b}, {b + b/2, b}, // inside, and into, the holes
+					{4*b + b/4, b / 2},                                            // the half-zero block
+					{size - b/3, b / 3}, {size - b/3 - 9, b/3 + 9}, {size - 1, 1}, // the short tail
+					{size, 0}, {size / 2, 0}, // zero-length
+				}
+				rng := rand.New(rand.NewSource(int64(bs)))
+				for i := 0; i < 200; i++ {
+					off := rng.Int63n(size + 1)
+					ranges = append(ranges, [2]int64{off, rng.Int63n(min(size-off, 3*b) + 1)})
+				}
+				for _, r := range ranges {
+					off, n := r[0], r[1]
+					p := filled(int(n))
+					if err := v.ReadAt("o", p, off); err != nil {
+						t.Fatalf("ReadAt [%d,+%d): %v", off, n, err)
+					}
+					if !bytes.Equal(p, want[off:off+n]) {
+						t.Fatalf("ReadAt [%d,+%d) differs from ReadObject", off, n)
+					}
+				}
+
+				// Outside the object (or no such object): an error, p untouched.
+				for _, r := range [][2]int64{{-1, 1}, {-1, 0}, {size, 1}, {size + 1, 0}, {size - 1, 2}, {0, size + 1}} {
+					p := filled(int(r[1]))
+					err := v.ReadAt("o", p, r[0])
+					if err == nil || errors.Is(err, ErrCorrupt) {
+						t.Fatalf("ReadAt [%d,+%d) of a %d-byte object: %v", r[0], r[1], size, err)
+					}
+					if !bytes.Equal(p, filled(len(p))) {
+						t.Fatalf("failed ReadAt [%d,+%d) wrote to p", r[0], r[1])
+					}
+				}
+				p := filled(8)
+				if err := v.ReadAt("nope", p, 0); !errors.Is(err, ErrNotFound) || !bytes.Equal(p, filled(8)) {
+					t.Fatalf("ReadAt of an unknown object: %v", err)
+				}
+			})
+		}
+	}
+}
+
+func TestReadAtVerifiesPerRange(t *testing.T) {
+	// Rot one compressed and one raw block. Every range clear of them is
+	// still served and correct; every range touching one fails its
+	// checksum; the whole-object read fails.
+	const bs = 4096
+	v, err := New(cfg(bs, "gzip6", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rangePayload(9, bs)
+	if _, err := v.WriteObject("o", bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	infos, _ := v.BlockInfos("o")
+	rotted := map[int]bool{}
+	for i, bi := range infos {
+		// Block 0 is compressed and shared with block 7 through the DDT;
+		// block 5 is incompressible and stored raw.
+		if i == 0 || i == 5 {
+			if bi.Zero || bi.Compressed != (i == 0) {
+				t.Fatalf("block %d is not the kind the test expects: %+v", i, bi)
+			}
+			if err := v.CorruptStoredBlock("o", i, int64(bi.PhysLen)/2, 0x40); err != nil {
+				t.Fatal(err)
+			}
+			rotted[i] = true
+		}
+	}
+	rotted[7] = true // dedup alias of block 0's payload
+	if _, err := v.ReadObject("o"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("whole-object read of a rotted object: %v", err)
+	}
+	size := int64(len(want))
+	for off := int64(0); off < size; off += bs / 2 {
+		for _, n := range []int64{1, bs / 2, bs, bs + 1, 3 * bs} {
+			n = min(n, size-off)
+			touches := false
+			for i := off / bs; i <= (off+n-1)/bs; i++ {
+				touches = touches || rotted[int(i)]
+			}
+			p := filled(int(n))
+			err := v.ReadAt("o", p, off)
+			switch {
+			case touches && !errors.Is(err, ErrCorrupt):
+				t.Fatalf("ReadAt [%d,+%d) touches a rotted block: %v", off, n, err)
+			case !touches && (err != nil || !bytes.Equal(p, want[off:off+n])):
+				t.Fatalf("ReadAt [%d,+%d) is clear of rot yet failed or differs: %v", off, n, err)
+			}
+		}
+	}
+}
+
+func TestRawBlockRotIsCaughtByTheSharedDigest(t *testing.T) {
+	// A block stored uncompressed carries one digest in both checksum
+	// fields (the payload is the data). Reads hash it once and compare
+	// against both; rot must still surface as ErrCorrupt on every read
+	// path and in the scrub.
+	for _, codec := range []string{"null", "gzip6"} {
+		v, err := New(cfg(block.Size4K, codec, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, 3*4096) // incompressible: stored raw under either codec
+		rand.New(rand.NewSource(3)).Read(data)
+		obj, err := v.WriteObject("o", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range obj.ptrs {
+			if p.compressed || p.physHash != p.hash || p.hash != block.HashOf(data[i*4096:(i+1)*4096]) {
+				t.Fatalf("%s: raw block %d: compressed=%v, physHash==hash %v", codec, i, p.compressed, p.physHash == p.hash)
+			}
+		}
+		if err := v.CorruptStoredBlock("o", 1, 17, 0x01); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := v.ReadBlock("o", 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: ReadBlock of a rotted raw block: %v", codec, err)
+		}
+		if err := v.ReadAt("o", make([]byte, 10), 4096+12); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: ReadAt inside a rotted raw block: %v", codec, err)
+		}
+		if _, err := v.ReadObject("o"); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: ReadObject over a rotted raw block: %v", codec, err)
+		}
+		if got, _, _, err := v.ReadBlock("o", 0); err != nil || !bytes.Equal(got, data[:4096]) {
+			t.Fatalf("%s: intact neighbour unreadable: %v", codec, err)
+		}
+		rep := v.Scrub()
+		if rep.CorruptBlocks != 1 || len(rep.Damaged) != 1 || rep.Damaged[0] != (BlockRef{Object: "o", Index: 1}) {
+			t.Fatalf("%s: scrub report: %+v", codec, rep)
+		}
+		// A pointer whose two checksums disagree (possible only through
+		// damage to the pointer itself) fails the logical comparison even
+		// though the payload matches physHash.
+		obj.ptrs[2].hash[0] ^= 1
+		if _, _, _, err := v.ReadBlock("o", 2); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: logical-hash mismatch on a raw block: %v", codec, err)
+		}
+	}
+}
+
+func TestReadAtConcurrent(t *testing.T) {
+	// Range reads share the pooled decode state and the store's lock with
+	// each other and with writers; run under -race.
+	v, err := New(cfg(block.Size4K, "gzip6", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rangePayload(21, 4096)
+	if _, err := v.WriteObject("o", bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 300; i++ {
+				off := rng.Int63n(int64(len(want)))
+				p := make([]byte, rng.Int63n(min(int64(len(want))-off, 3*4096)+1))
+				if err := v.ReadAt("o", p, off); err != nil || !bytes.Equal(p, want[off:off+int64(len(p))]) {
+					t.Errorf("reader %d: ReadAt [%d,+%d): err %v", g, off, len(p), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() { // a writer churning other objects meanwhile
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			name := fmt.Sprintf("churn%d", i)
+			if _, err := v.WriteObject(name, bytes.NewReader(mkData(int64(i), 20000))); err != nil {
+				t.Errorf("writer: %v", err)
+				return
+			}
+			if i%2 == 1 {
+				if err := v.DeleteObject(name); err != nil {
+					t.Errorf("writer: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+func TestReadObjectAllocatesOnlyItsResult(t *testing.T) {
+	// The read path decodes into the result slice: a 1 MB read on the
+	// paper's configuration may allocate the result plus at most 15%
+	// (codec-internal state), where it used to allocate 4.9 MB.
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled codec state at random under the race detector")
+	}
+	v, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := mkData(100, 1<<20)
+	if _, err := v.WriteObject("o", bytes.NewReader(payload)); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		if _, err := v.ReadObject("o"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // warm the codec's pools
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perRead := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := 1.15 * float64(len(payload)); perRead > limit {
+		t.Fatalf("a %d-byte ReadObject allocated %.0f bytes, limit %.0f", len(payload), perRead, limit)
+	}
+}

@@ -57,6 +57,7 @@ func (v *Volume) Scrub() ScrubReport {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	var rep ScrubReport
+	buf := make([]byte, v.cfg.BlockSize) // every block decodes into this one buffer
 	for _, name := range v.objectNamesLocked() {
 		obj := v.objects[name]
 		rep.Objects++
@@ -67,7 +68,10 @@ func (v *Volume) Scrub() ScrubReport {
 			}
 			rep.Blocks++
 			rep.ScannedBytes += int64(p.physLen)
-			if _, err := v.readBlockPtr(p); err != nil {
+			if len(buf) < int(p.logLen) {
+				buf = make([]byte, p.logLen)
+			}
+			if err := v.readBlockInto(p, buf[:p.logLen]); err != nil {
 				if errors.Is(err, ErrCorrupt) {
 					rep.CorruptBlocks++
 				} else {

@@ -113,13 +113,11 @@ func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 				if idx, dup := shipped[p.hash]; dup {
 					sp.Payload = idx
 				} else if !known[p.hash] {
-					data, err := v.readBlockPtr(p)
-					if err != nil {
+					data := make([]byte, p.logLen)
+					if err := v.readBlockInto(p, data); err != nil {
 						return nil, fmt.Errorf("zvol: send %s: %w", name, err)
 					}
-					cp := make([]byte, len(data))
-					copy(cp, data)
-					st.Blocks = append(st.Blocks, cp)
+					st.Blocks = append(st.Blocks, data)
 					idx := len(st.Blocks) - 1
 					shipped[p.hash] = idx
 					sp.Payload = idx

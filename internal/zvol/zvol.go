@@ -10,6 +10,14 @@
 // Squirrel uses to propagate new VMI caches from the scVolume to all
 // ccVolumes, §3.2/§3.5 of the paper), and snapshot garbage collection with
 // a retention window (§3.4).
+//
+// Reads are whole-object (ReadObject, ReadObjectAt, ReadBlock) or by
+// range (ReadAt, which decodes only the blocks a range touches — what the
+// paper's boot path asks of its volume). Both are built on one primitive,
+// readBlockInto, which verifies a block end to end (stored-payload
+// checksum, codec decode, length, logical checksum) while decoding it
+// into the caller's memory, so no read path allocates per block and none
+// can return a byte that skipped a check.
 package zvol
 
 import (
@@ -223,23 +231,28 @@ func (v *Volume) writeBlock(data []byte) blockPtr {
 				logLen: int32(len(data)), compressed: e.Compressed, physHash: e.PhysHash}
 		}
 	}
-	payload := data
-	isCompressed := false
-	if v.codec.Name() != "null" {
-		comp := v.codec.Compress(data)
-		gain := 1 - float64(len(comp))/float64(len(data))
-		if gain > v.cfg.MinCompressGain {
-			payload = comp
-			isCompressed = true
-		}
-	}
+	payload, isCompressed, physHash := v.encode(data, h)
 	addr := v.store.Alloc(payload)
 	ptr := blockPtr{hash: h, addr: addr, physLen: int32(len(payload)),
-		logLen: int32(len(data)), compressed: isCompressed, physHash: block.HashOf(payload)}
+		logLen: int32(len(data)), compressed: isCompressed, physHash: physHash}
 	if v.cfg.Dedup {
 		v.ddt.Reference(h, addr, ptr.physLen, ptr.logLen, isCompressed, ptr.physHash)
 	}
 	return ptr
+}
+
+// encode returns the stored form of a nonzero block whose logical hash
+// is h: compressed when the codec saves more than the minimum gain, the
+// data itself otherwise. Stored raw, the payload is the data, so h is
+// both of the pointer's checksums and nothing is hashed twice.
+func (v *Volume) encode(data []byte, h block.Hash) (payload []byte, compressed bool, physHash block.Hash) {
+	if v.codec.Name() != "null" {
+		comp := v.codec.Compress(data)
+		if gain := 1 - float64(len(comp))/float64(len(data)); gain > v.cfg.MinCompressGain {
+			return comp, true, block.HashOf(comp)
+		}
+	}
+	return data, false, h
 }
 
 // releasePtrsLocked drops references for ptrs, freeing blocks whose last
@@ -262,81 +275,143 @@ func (v *Volume) releasePtrsLocked(ptrs []blockPtr) {
 // ReadObject returns the full content of the named object in the live
 // object table.
 func (v *Volume) ReadObject(name string) ([]byte, error) {
-	v.mu.RLock()
-	obj, ok := v.objects[name]
-	v.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: object %s", ErrNotFound, name)
+	obj, err := v.Object(name)
+	if err != nil {
+		return nil, err
 	}
 	return v.materialize(obj)
 }
 
+// ReadAt fills p with bytes [off, off+len(p)) of the named live object,
+// decoding only the blocks the range touches. The range must lie inside
+// the object: a request outside it (or for an unknown object) is an error
+// and leaves p untouched. Every block that contributes a byte is
+// verified exactly as a whole-object read verifies it, so a rotted block
+// fails the ranges that overlap it with ErrCorrupt — p's contents are
+// then unspecified — while ranges clear of it are served.
+func (v *Volume) ReadAt(name string, p []byte, off int64) error {
+	obj, err := v.Object(name)
+	if err != nil {
+		return err
+	}
+	return v.readRange(obj, p, off)
+}
+
 // materialize reconstructs an object's bytes.
 func (v *Volume) materialize(obj *Object) ([]byte, error) {
-	out := make([]byte, 0, obj.Size)
-	for i, p := range obj.ptrs {
-		if p.zero {
-			out = append(out, make([]byte, p.logLen)...)
-			continue
-		}
-		data, err := v.readBlockPtr(p)
-		if err != nil {
-			return nil, fmt.Errorf("zvol: object %s block %d: %w", obj.Name, i, err)
-		}
-		out = append(out, data...)
+	out := make([]byte, obj.Size)
+	if err := v.readRange(obj, out, 0); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// readBlockPtr fetches, decodes, and checksum-verifies one block. Every
-// read is end-to-end verified against the block pointer's stored hash
-// (ZFS-style): a rotted payload surfaces as ErrCorrupt instead of
-// corrupt bytes, so damage can never be served to a boot or a peer.
-func (v *Volume) readBlockPtr(p blockPtr) ([]byte, error) {
+// readRange is the one object read loop: whole blocks inside the range
+// decode straight into p, a block the range only partly covers decodes
+// into one scratch block and the covered part is copied out, holes are
+// cleared. Block extents come from walking the pointer list rather than
+// dividing by the block size, because a received object keeps its
+// sender's block lengths.
+func (v *Volume) readRange(obj *Object, p []byte, off int64) error {
+	if off < 0 || int64(len(p)) > obj.Size-off {
+		return fmt.Errorf("zvol: read [%d,+%d) outside object %s of %d bytes",
+			off, len(p), obj.Name, obj.Size)
+	}
+	var scratch []byte
+	start := int64(0) // object offset of block i
+	for i := 0; len(p) > 0; i++ {
+		bp := obj.ptrs[i]
+		end := start + int64(bp.logLen)
+		if end <= off {
+			start = end
+			continue
+		}
+		lo := off - start // first wanted byte within the block
+		n := min(int64(len(p)), int64(bp.logLen)-lo)
+		var err error
+		switch {
+		case bp.zero:
+			clear(p[:n])
+		case n == int64(bp.logLen):
+			err = v.readBlockInto(bp, p[:n])
+		default:
+			if len(scratch) < int(bp.logLen) {
+				scratch = make([]byte, max(int(v.cfg.BlockSize), int(bp.logLen)))
+			}
+			if err = v.readBlockInto(bp, scratch[:bp.logLen]); err == nil {
+				copy(p[:n], scratch[lo:])
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("zvol: object %s block %d: %w", obj.Name, i, err)
+		}
+		p, off, start = p[n:], off+n, end
+	}
+	return nil
+}
+
+// readBlockInto fetches, checksum-verifies and decodes one stored block
+// into dst, which must be exactly p.logLen bytes. It is the volume's only
+// block-read primitive, and every read through it is end-to-end verified
+// against the block pointer (ZFS-style): the stored payload must hash to
+// physHash, a compressed payload must decode without error (for gzip
+// that includes its own CRC32/ISIZE trailer) to exactly logLen bytes, and
+// the decoded bytes must hash to the logical hash. A payload stored
+// uncompressed is the logical data, so one digest is compared against
+// both checksums. Any failure surfaces as ErrCorrupt instead of corrupt
+// bytes, so damage can never be served to a boot or a peer; dst's
+// contents are then unspecified.
+func (v *Volume) readBlockInto(p blockPtr, dst []byte) error {
 	payload, err := v.store.Read(p.addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if block.HashOf(payload) != p.physHash {
-		return nil, ErrCorrupt
+	sum := block.HashOf(payload)
+	if sum != p.physHash {
+		return ErrCorrupt
 	}
-	data := payload
-	if p.compressed {
-		data, err = v.codec.Decompress(payload, int(p.logLen))
-		if err != nil {
-			// A rotted compressed payload typically fails to decode at
-			// all; classify that as corruption, not an I/O error.
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if !p.compressed {
+		if int32(len(payload)) != p.logLen {
+			return fmt.Errorf("%w: length %d != %d", ErrCorrupt, len(payload), p.logLen)
 		}
+		if sum != p.hash {
+			return ErrCorrupt
+		}
+		copy(dst, payload)
+		return nil
 	}
-	if int32(len(data)) != p.logLen {
-		return nil, fmt.Errorf("%w: length %d != %d", ErrCorrupt, len(data), p.logLen)
+	if err := v.codec.DecompressInto(dst, payload); err != nil {
+		// A rotted compressed payload typically fails to decode at all
+		// (or to the wrong length); classify that as corruption, not an
+		// I/O error.
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if block.HashOf(data) != p.hash {
-		return nil, ErrCorrupt
+	if block.HashOf(dst) != p.hash {
+		return ErrCorrupt
 	}
-	return data, nil
+	return nil
 }
 
 // ReadBlock returns the idx-th logical block of the named object along
 // with its physical address (0 and zero=true for holes). The boot
 // simulator uses the address to model seeks.
 func (v *Volume) ReadBlock(name string, idx int) (data []byte, addr uint64, zero bool, err error) {
-	v.mu.RLock()
-	obj, ok := v.objects[name]
-	v.mu.RUnlock()
-	if !ok {
-		return nil, 0, false, fmt.Errorf("%w: object %s", ErrNotFound, name)
+	obj, err := v.Object(name)
+	if err != nil {
+		return nil, 0, false, err
 	}
 	if idx < 0 || idx >= len(obj.ptrs) {
 		return nil, 0, false, fmt.Errorf("zvol: block %d out of range for %s", idx, name)
 	}
 	p := obj.ptrs[idx]
+	data = make([]byte, p.logLen)
 	if p.zero {
-		return make([]byte, p.logLen), 0, true, nil
+		return data, 0, true, nil
 	}
-	data, err = v.readBlockPtr(p)
-	return data, p.addr, false, err
+	if err := v.readBlockInto(p, data); err != nil {
+		return nil, p.addr, false, err
+	}
+	return data, p.addr, false, nil
 }
 
 // DeleteObject removes an object from the live table. Blocks remain alive

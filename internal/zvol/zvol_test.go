@@ -39,13 +39,6 @@ func mkData(seed int64, n int) []byte {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{BlockSize: 1000}); err == nil {
 		t.Fatal("expected error for bad block size")
