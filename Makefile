@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race examples bench bench-check daemon-smoke fuzz
+.PHONY: check build vet test race examples bench bench-check daemon-smoke fuzz loc
 
 check: build vet test race
 
@@ -42,6 +42,14 @@ daemon-smoke:
 # than in the perf pipeline.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The line ledger CHANGES.md quotes per PR: non-test Go outside bench/
+# (the number a simplicity PR must move down), then the tests, then
+# bench/ itself.
+loc:
+	@printf 'non-test Go outside bench/: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@printf 'test Go outside bench/:     '; find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@printf 'bench/ Go:                  '; find ./bench -name '*.go' | xargs cat | wc -l
 
 # Short fuzz burst over the decoders that take bytes from elsewhere — the
 # wire protocol (off a socket) and the block codecs (off a disk that can

@@ -181,43 +181,3 @@ func (c *Cluster) Unreachable(id string) bool {
 	defer c.netmu.Unlock()
 	return c.cut[id]
 }
-
-// ---------------------------------------------------------------------------
-// One-to-many transfer schemes (§3.2, §5.2).
-
-// Multicast models IP multicast of n bytes from src to dsts: the source
-// transmits the stream once; every destination receives it. Returns the
-// transfer duration.
-func (c *Cluster) Multicast(src *Node, dsts []*Node, n int64) float64 {
-	src.Send(n)
-	for _, d := range dsts {
-		d.Recv(n)
-	}
-	return c.Fabric.TransferSec(n)
-}
-
-// UnicastFanout sends n bytes to each destination separately (the rsync
-// strategy §3.5 argues against): the source transmits N copies and
-// serializes on its uplink.
-func (c *Cluster) UnicastFanout(src *Node, dsts []*Node, n int64) float64 {
-	src.Send(n * int64(len(dsts)))
-	for _, d := range dsts {
-		d.Recv(n)
-	}
-	return c.Fabric.TransferSec(n * int64(len(dsts)))
-}
-
-// Pipeline models a LANTorrent-style chain: src → d1 → d2 → …; every
-// destination receives and (except the last) retransmits. Total time is
-// one stream plus a per-hop latency epsilon, approximated here as the
-// single-stream time (the chain streams concurrently).
-func (c *Cluster) Pipeline(src *Node, dsts []*Node, n int64) float64 {
-	src.Send(n)
-	for i, d := range dsts {
-		d.Recv(n)
-		if i < len(dsts)-1 {
-			d.Send(n)
-		}
-	}
-	return c.Fabric.TransferSec(n)
-}

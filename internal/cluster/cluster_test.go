@@ -25,7 +25,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestMulticastAccounting(t *testing.T) {
 	c := mkCluster(t, 1, 8)
-	sec := c.Multicast(c.Storage[0], c.Compute, 1000)
+	_, sec := c.MulticastStream("op", c.Storage[0], c.Compute, make([]byte, 1000), nil)
 	if c.Storage[0].TxBytes() != 1000 {
 		t.Fatalf("multicast source tx %d, want 1000", c.Storage[0].TxBytes())
 	}
@@ -41,9 +41,10 @@ func TestMulticastAccounting(t *testing.T) {
 
 func TestUnicastFanoutCostsMore(t *testing.T) {
 	c := mkCluster(t, 1, 8)
-	mSec := c.Multicast(c.Storage[0], c.Compute, 1<<20)
+	wire := make([]byte, 1<<20)
+	_, mSec := c.MulticastStream("op", c.Storage[0], c.Compute, wire, nil)
 	c.ResetCounters()
-	uSec := c.UnicastFanout(c.Storage[0], c.Compute, 1<<20)
+	_, uSec := c.UnicastStream("op", c.Storage[0], c.Compute, wire, nil)
 	if c.Storage[0].TxBytes() != 8<<20 {
 		t.Fatalf("fanout tx %d, want 8 MB", c.Storage[0].TxBytes())
 	}
@@ -54,7 +55,7 @@ func TestUnicastFanoutCostsMore(t *testing.T) {
 
 func TestPipelineAccounting(t *testing.T) {
 	c := mkCluster(t, 1, 4)
-	c.Pipeline(c.Storage[0], c.Compute, 500)
+	c.PipelineStream("op", c.Storage[0], c.Compute, make([]byte, 500), nil)
 	for i, n := range c.Compute {
 		if n.RxBytes() != 500 {
 			t.Fatalf("node %d rx %d", i, n.RxBytes())
@@ -71,7 +72,7 @@ func TestPipelineAccounting(t *testing.T) {
 
 func TestComputeRxTotalAndReset(t *testing.T) {
 	c := mkCluster(t, 1, 3)
-	c.Multicast(c.Storage[0], c.Compute, 100)
+	c.MulticastStream("op", c.Storage[0], c.Compute, make([]byte, 100), nil)
 	if c.ComputeRxTotal() != 300 {
 		t.Fatalf("total %d", c.ComputeRxTotal())
 	}

@@ -40,9 +40,11 @@ func (c *Cluster) deliveries(op string, src *Node, dsts []*Node, wire []byte, in
 	return out
 }
 
-// MulticastStream is the fault-aware form of Multicast: the source
-// transmits the wire stream once; each destination receives whatever the
-// injector lets through. Returns per-destination deliveries and the
+// The one-to-many transfer schemes (§3.2, §5.2).
+
+// MulticastStream models IP multicast of the wire stream from src to
+// dsts: the source transmits it once; each destination receives whatever
+// the injector lets through. Returns per-destination deliveries and the
 // fabric transfer duration.
 func (c *Cluster) MulticastStream(op string, src *Node, dsts []*Node, wire []byte, inj *fault.Injector) ([]Delivery, float64) {
 	n := int64(len(wire))
@@ -50,21 +52,24 @@ func (c *Cluster) MulticastStream(op string, src *Node, dsts []*Node, wire []byt
 	return c.deliveries(op, src, dsts, wire, inj), c.Fabric.TransferSec(n)
 }
 
-// UnicastStream is the fault-aware form of UnicastFanout: the source
-// transmits one copy per destination and serializes on its uplink.
+// UnicastStream sends the stream to each destination separately (the
+// rsync strategy §3.5 argues against): the source transmits one copy per
+// destination and serializes on its uplink.
 func (c *Cluster) UnicastStream(op string, src *Node, dsts []*Node, wire []byte, inj *fault.Injector) ([]Delivery, float64) {
 	n := int64(len(wire))
 	src.Send(n * int64(len(dsts)))
 	return c.deliveries(op, src, dsts, wire, inj), c.Fabric.TransferSec(n * int64(len(dsts)))
 }
 
-// PipelineStream is the fault-aware form of Pipeline: src → d1 → d2 → …
-// A destination that received any bytes (even truncated/corrupted ones)
-// forwards what it got downstream; LANTorrent-style chains re-route
-// around dead members, so a dropped or crashed hop does not starve the
-// rest of the chain — its successors receive the stream from the last
-// healthy predecessor, which is what the per-destination injector draw
-// already models.
+// PipelineStream models a LANTorrent-style chain, src → d1 → d2 → …:
+// every destination receives and (except the last) retransmits, and the
+// chain streams concurrently, so total time is approximated as the
+// single-stream time. A destination that received any bytes (even
+// truncated/corrupted ones) forwards what it got downstream; such chains
+// re-route around dead members, so a dropped or crashed hop does not
+// starve the rest of the chain — its successors receive the stream from
+// the last healthy predecessor, which is what the per-destination
+// injector draw already models.
 func (c *Cluster) PipelineStream(op string, src *Node, dsts []*Node, wire []byte, inj *fault.Injector) ([]Delivery, float64) {
 	src.Send(int64(len(wire)))
 	out := c.deliveries(op, src, dsts, wire, inj)

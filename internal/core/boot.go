@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/disk"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/qcow"
 	"repro/internal/zvol"
@@ -131,7 +132,7 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 		// repair (every source down) is fine — read-time checksums route the
 		// still-damaged ranges to peers or the PFS below.
 		if damaged {
-			if _, err := s.resilverGuarded(sp, nodeID, lastScrub); err != nil {
+			if _, err := s.resilverCtx(context.Background(), sp, nodeID, lastScrub); err != nil {
 				nl.Unlock()
 				return fail(fmt.Errorf("core: resilvering node %s: %w", nodeID, err))
 			}
@@ -150,12 +151,11 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	if err != nil {
 		return fail(err)
 	}
-	// A cold miss (no local replica) may be served by the peer exchange
-	// before falling back to the PFS — unless the caching layer is
-	// bypassed outright.
-	if !req.SkipCache && s.cfg.Peer.Enabled && !cb.local {
-		cb.fetch = s.newPeerFetcher(ctx, im, node)
-		cb.fetch.sp = sp
+	// A range the local replica cannot serve (no replica, or rot under
+	// the range) may be served by the peer exchange before falling back to
+	// the PFS — unless the caching layer is bypassed outright.
+	if !req.SkipCache && s.cfg.Peer.Enabled {
+		cb.fetch = s.newPeerFetcher(ctx, sp, "peerfetch", im.ID, node)
 	}
 	cow, err := qcow.NewOverlay(cb, s.cfg.ClusterSize, false)
 	if err != nil {
@@ -265,26 +265,31 @@ func (s *Squirrel) computeNode(nodeID string) (*cluster.Node, error) {
 }
 
 // chainBackend is the "cache chained to base" layer under the CoW
-// overlay: ranges held by the local ccVolume cache are served locally;
-// ranges inside the image's cache extents but missing locally may be
-// fetched from a peer replica; anything else goes to the PFS over the
-// network.
+// overlay, and the one source ladder a cache object's bytes reach a
+// compute node by, per range: rung zero is the node's own replica
+// (ccv.ReadAt straight into the caller's buffer), rung one the peer
+// exchange, rung two the PFS-hosted base VMI. A boot enters at rung zero
+// (ReadAt); a resilver enters at rung one (readRemote) with a damaged
+// block's range of the object.
+//
+// Every rung verifies per range, as ZFS verifies where it reads: a range
+// overlapping a rotted block of the local replica fails its checksum and
+// continues down the ladder while the intact ranges are still served
+// locally. The rot is left for the next scrub to quarantine.
 type chainBackend struct {
 	id      string
 	rawSize int64
 	node    *cluster.Node
 	pfs     pfsReader
-	fetch   *peerFetcher // nil unless peer exchange is enabled and the replica is missing
+	ccv     *zvol.Volume        // rung zero; nil when the node holds no replica or the caller skips it
+	fetch   *peerFetcher        // rung one; nil unless the peer exchange is enabled
+	ctr     *metrics.CounterSet // nil-safe
 
-	// exts/bases describe the image's cache-object layout: extent i of
-	// the image maps to [bases[i], bases[i]+exts[i].Len) of the cache
-	// object. Identical on every replica, so they double as the map for
-	// peer fetches. cacheData is the locally materialized object; local
-	// says whether this node holds it.
-	local     bool
-	cacheData []byte
-	exts      []corpus.Extent
-	bases     []int64
+	// The cache-object layout: extent i is image range [offs[i],
+	// offs[i]+lens[i]) and cache-object range [bases[i], bases[i]+lens[i]),
+	// extents concatenated in offset order. Identical on every replica, so
+	// it also maps peer fetches and PFS reads of a cache-object range.
+	offs, bases, lens []int64
 
 	networkBytes int64 // pulled from the PFS
 	cacheBytes   int64 // served from the local replica
@@ -297,31 +302,26 @@ type pfsReader interface {
 	ReadAt(client *cluster.Node, name string, buf []byte, off int64) (int, error)
 }
 
+// newChainBackend lays out im's cache object for node; ccv (nil to skip
+// rung zero) is kept only if it holds the object.
 func newChainBackend(s *Squirrel, im *corpus.Image, ccv *zvol.Volume, node *cluster.Node) (*chainBackend, error) {
-	cb := &chainBackend{id: im.ID, rawSize: im.RawSize(), node: node, pfs: s.pfs}
-	var base int64
-	for _, e := range im.CacheExtentsSorted() {
-		cb.exts = append(cb.exts, corpus.Extent{Off: e.Off, Len: e.Len})
-		cb.bases = append(cb.bases, base)
-		base += e.Len
+	exts := im.CacheExtentsSorted()
+	cb := &chainBackend{
+		id: im.ID, rawSize: im.RawSize(), node: node, pfs: s.pfs, ctr: s.peers.Counters(),
+		offs: make([]int64, len(exts)), bases: make([]int64, len(exts)), lens: make([]int64, len(exts)),
 	}
-	if ccv != nil && ccv.HasObject(im.ID) {
-		data, err := ccv.ReadObject(im.ID)
-		switch {
-		case errors.Is(err, zvol.ErrCorrupt):
-			// Undetected (or unrepaired) rot in the local replica: the
-			// checksum fails the read instead of serving bad bytes, and the
-			// boot falls back to the peer/PFS chain as if the replica were
-			// absent. The damage is left for the next scrub to quarantine.
-			s.peers.Counters().Add("boot.corrupt_local", 1)
-		case err != nil:
-			return nil, err
-		case base != int64(len(data)):
-			return nil, fmt.Errorf("core: cache object %s is %d bytes, extents say %d",
-				im.ID, len(data), base)
-		default:
-			cb.local = true
-			cb.cacheData = data
+	var size int64
+	for i, e := range exts {
+		cb.offs[i], cb.bases[i], cb.lens[i] = e.Off, size, e.Len
+		size += e.Len
+	}
+	if ccv != nil {
+		if obj, err := ccv.Object(im.ID); err == nil {
+			if obj.Size != size {
+				return nil, fmt.Errorf("core: cache object %s is %d bytes, extents say %d",
+					im.ID, obj.Size, size)
+			}
+			cb.ccv = ccv
 		}
 	}
 	return cb, nil
@@ -330,9 +330,9 @@ func newChainBackend(s *Squirrel, im *corpus.Image, ccv *zvol.Volume, node *clus
 // Size implements qcow.Backend.
 func (cb *chainBackend) Size() int64 { return cb.rawSize }
 
-// ReadAt implements qcow.Backend: local cache extents first, then the
-// peer exchange for cache-covered ranges the node is missing, then the
-// PFS for everything else (including peer-fetch fallbacks).
+// ReadAt implements qcow.Backend: each range inside a cache extent
+// climbs the ladder from rung zero; ranges between extents exist only on
+// the PFS.
 func (cb *chainBackend) ReadAt(p []byte, off int64) (int, error) {
 	total := 0
 	for len(p) > 0 && off < cb.rawSize {
@@ -340,20 +340,13 @@ func (cb *chainBackend) ReadAt(p []byte, off int64) (int, error) {
 		switch {
 		case served:
 			cb.cacheBytes += n
-		case ext >= 0 && cb.fetch != nil &&
-			cb.fetch.fetch(p[:n], cb.bases[ext]+(off-cb.exts[ext].Off)):
-			cb.peerBytes += n
-		default:
-			read, err := cb.pfs.ReadAt(cb.node, cb.id, p[:n], off)
-			if err != nil && err != io.EOF {
+		case ext >= 0:
+			if err := cb.readRemote(p[:n], cb.bases[ext]+(off-cb.offs[ext])); err != nil {
 				return total, err
 			}
-			cb.networkBytes += int64(read)
-			if ext >= 0 {
-				cb.pfsIndexed += int64(read)
-			}
-			if int64(read) != n {
-				return total + read, io.EOF
+		default:
+			if read, err := cb.pfsRead(p[:n], off); err != nil {
+				return total + read, err
 			}
 		}
 		p = p[n:]
@@ -366,41 +359,79 @@ func (cb *chainBackend) ReadAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// cacheRange resolves the prefix of p against the cache layout. It
-// returns the prefix length n (clamped to the image size, the containing
-// extent, or the gap up to the next extent), the index of the containing
-// extent (-1 when [off, off+n) lies outside every cache extent), and
-// whether the bytes were served from the local replica. When ext >= 0
-// but served is false the range is a cold miss a peer replica could
-// serve; when ext < 0 only the PFS holds the bytes.
+// extentAt is the one walk of the cache-object layout: the index of the
+// first extent ending after off, where starts holds the extents' starts
+// in the space off lives in — cb.offs for an image offset, cb.bases for
+// a cache-object offset. len(starts) when off lies past every extent.
+func (cb *chainBackend) extentAt(starts []int64, off int64) int {
+	return sort.Search(len(starts), func(i int) bool { return starts[i]+cb.lens[i] > off })
+}
+
+// cacheRange resolves the prefix of p against the cache layout and tries
+// rung zero on it. It returns the prefix length n (clamped to the image
+// size, the containing extent, or the gap up to the next extent), the
+// index of the containing extent (-1 when [off, off+n) lies outside
+// every cache extent), and whether the local replica served the bytes,
+// decoded and verified straight into p. When ext >= 0 but served is
+// false the rest of the ladder serves the range — a checksum failure
+// under it counts boot.corrupt_local; any other read error means the
+// object left the replica mid-boot, equally a miss and never a boot
+// error. When ext < 0 only the PFS holds the bytes.
 func (cb *chainBackend) cacheRange(p []byte, off int64) (n int64, ext int, served bool) {
-	n = int64(len(p))
-	if rem := cb.rawSize - off; n > rem {
-		n = rem
+	n = min(int64(len(p)), cb.rawSize-off)
+	i := cb.extentAt(cb.offs, off)
+	switch {
+	case i == len(cb.offs):
+		return n, -1, false // past all extents
+	case cb.offs[i] > off:
+		return min(n, cb.offs[i]-off), -1, false // the gap before extent i
 	}
-	if len(cb.exts) == 0 {
-		return n, -1, false
-	}
-	// First extent ending after off.
-	i := sort.Search(len(cb.exts), func(i int) bool {
-		return cb.exts[i].Off+cb.exts[i].Len > off
-	})
-	if i < len(cb.exts) && cb.exts[i].Off <= off {
-		// Inside extent i.
-		e := cb.exts[i]
-		if rem := e.Off + e.Len - off; n > rem {
-			n = rem
-		}
-		if cb.local {
-			src := cb.bases[i] + (off - e.Off)
-			copy(p[:n], cb.cacheData[src:src+n])
-			return n, i, true
-		}
+	n = min(n, cb.offs[i]+cb.lens[i]-off)
+	if cb.ccv == nil {
 		return n, i, false
 	}
-	// Before extent i (or past all extents): a gap only the PFS holds.
-	if i < len(cb.exts) && cb.exts[i].Off < off+n {
-		n = cb.exts[i].Off - off
+	err := cb.ccv.ReadAt(cb.id, p[:n], cb.bases[i]+(off-cb.offs[i]))
+	if errors.Is(err, zvol.ErrCorrupt) {
+		cb.ctr.Add("boot.corrupt_local", 1)
 	}
-	return n, -1, false
+	return n, i, err == nil
+}
+
+// readRemote fills p with [base, base+len(p)) of the cache object from
+// off the node: the peer exchange, then the PFS, each covered extent
+// slice mapping linearly back to an image range (a boot's range lies in
+// one extent; a resilvered block may span several).
+func (cb *chainBackend) readRemote(p []byte, base int64) error {
+	if cb.fetch != nil && cb.fetch.fetch(p, base) {
+		cb.peerBytes += int64(len(p))
+		return nil
+	}
+	for len(p) > 0 {
+		i := cb.extentAt(cb.bases, base)
+		if i == len(cb.bases) {
+			return fmt.Errorf("core: offset %d is outside cache object %s", base, cb.id)
+		}
+		d := base - cb.bases[i]
+		n := min(int64(len(p)), cb.lens[i]-d)
+		if _, err := cb.pfsRead(p[:n], cb.offs[i]+d); err != nil {
+			return err
+		}
+		cb.pfsIndexed += n
+		p, base = p[n:], base+n
+	}
+	return nil
+}
+
+// pfsRead is rung two: image range [off, off+len(p)) of the base VMI.
+// A read the PFS cuts short returns the bytes it did deliver with io.EOF.
+func (cb *chainBackend) pfsRead(p []byte, off int64) (int, error) {
+	read, err := cb.pfs.ReadAt(cb.node, cb.id, p, off)
+	if err != nil && err != io.EOF {
+		return 0, err
+	}
+	cb.networkBytes += int64(read)
+	if read != len(p) {
+		return read, io.EOF
+	}
+	return read, nil
 }

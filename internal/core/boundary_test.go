@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/corpus"
+	"repro/internal/zvol"
 )
 
 // stubPFS serves deterministic content (byte(off+i)) up to its size and
@@ -35,30 +37,37 @@ func (p *stubPFS) ReadAt(client *cluster.Node, name string, buf []byte, off int6
 }
 
 // boundaryBackend builds a chainBackend by hand: rawSize 80, cache
-// extents [10,20) and [50,70), local replica materialized with the same
-// byte(off) content the stub PFS serves.
+// extents [10,20) and [50,70). With local set, rung zero is a real
+// one-object volume holding the same byte(off) content the stub PFS
+// serves, stored in 8-byte blocks so ranges cross and split blocks.
 func boundaryBackend(local bool) (*chainBackend, *stubPFS) {
 	pfs := &stubPFS{size: 80}
-	exts := []corpus.Extent{{Off: 10, Len: 10}, {Off: 50, Len: 20}}
-	var data []byte
-	bases := make([]int64, len(exts))
-	for i, e := range exts {
-		bases[i] = int64(len(data))
-		for o := e.Off; o < e.Off+e.Len; o++ {
-			data = append(data, byte(o))
-		}
-	}
 	cb := &chainBackend{
 		id:      "img",
 		rawSize: 80,
 		node:    &cluster.Node{ID: "nodeXX"},
 		pfs:     pfs,
-		exts:    exts,
-		bases:   bases,
+		offs:    []int64{10, 50},
+		bases:   []int64{0, 10},
+		lens:    []int64{10, 20},
 	}
 	if local {
-		cb.local = true
-		cb.cacheData = data
+		var data []byte
+		for i, off := range cb.offs {
+			for o := off; o < off+cb.lens[i]; o++ {
+				data = append(data, byte(o))
+			}
+		}
+		cfg := zvol.DefaultConfig()
+		cfg.BlockSize = 8
+		ccv, err := zvol.New(cfg)
+		if err != nil {
+			panic(err)
+		}
+		if _, err := ccv.WriteObject(cb.id, bytes.NewReader(data)); err != nil {
+			panic(err)
+		}
+		cb.ccv = ccv
 	}
 	return cb, pfs
 }

@@ -914,16 +914,31 @@ func (s *Squirrel) applyDelivery(parent *obs.Span, dv cluster.Delivery, st *zvol
 	return ok
 }
 
+// nodeDown is the one "node goes down" transition every crash path
+// shares — a whole-node CrashNode, a replica dying mid-transfer or
+// mid-apply during Register, a source dying mid-serve on the peer
+// ladder: the node drops offline and its index announcements are
+// withdrawn. lagging marks it for SyncNode as well (it died holding a
+// transfer it never finished); at, when known, stamps the downtime the
+// restart audit reports.
+func (s *Squirrel) nodeDown(nodeID string, at time.Time, lagging bool) {
+	s.state.Lock()
+	s.online[nodeID] = false
+	if lagging {
+		s.lagging[nodeID] = true
+	}
+	if !at.IsZero() {
+		s.downSince[nodeID] = at
+	}
+	s.state.Unlock()
+	s.idx.NodeDown(nodeID)
+}
+
 // crashReplica records a mid-transfer node crash: the node drops offline
 // and is marked lagging so its first boot after recovery heals it.
 // Caller holds the node lock.
 func (s *Squirrel) crashReplica(nodeID string, at time.Time, inj *fault.Injector) {
-	s.state.Lock()
-	s.online[nodeID] = false
-	s.lagging[nodeID] = true
-	s.downSince[nodeID] = at
-	s.state.Unlock()
-	s.idx.NodeDown(nodeID)
+	s.nodeDown(nodeID, at, true)
 	inj.Counters().Add("repair.crashed", 1)
 }
 
@@ -937,12 +952,7 @@ func (s *Squirrel) tornReplica(op, nodeID string, st *zvol.Stream, at time.Time,
 	ccv := s.ccVolume(nodeID)
 	ccv.SetReceiveCrashPoint(inj.TornStep(op, nodeID, st.ApplySteps()))
 	_ = ccv.Receive(st) // dies mid-apply: ErrTorn, journal left open
-	s.state.Lock()
-	s.online[nodeID] = false
-	s.lagging[nodeID] = true
-	s.downSince[nodeID] = at
-	s.state.Unlock()
-	s.idx.NodeDown(nodeID)
+	s.nodeDown(nodeID, at, true)
 	inj.Counters().Add("repair.torn", 1)
 }
 

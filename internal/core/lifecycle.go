@@ -36,13 +36,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/corpus"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/zvol"
 )
@@ -57,11 +53,7 @@ func (s *Squirrel) CrashNode(nodeID string, at time.Time) error {
 	if _, ok := s.nodes[nodeID]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
 	}
-	s.state.Lock()
-	s.online[nodeID] = false
-	s.downSince[nodeID] = at
-	s.state.Unlock()
-	s.idx.NodeDown(nodeID)
+	s.nodeDown(nodeID, at, false)
 	s.injector().Counters().Add("life.crash", 1)
 	return nil
 }
@@ -263,10 +255,12 @@ type ResilverReport struct {
 	Clean bool // the closing scrub found the replica spotless
 }
 
-// ResilverNode repairs every quarantined block on nodeID from the
-// cheapest healthy source, using the same source ladder as a cold boot:
-// a peer replica holding the object (read-verified on the source, so a
-// rotten peer can never donate bad bytes) first, the PFS otherwise.
+// ResilverNode repairs every quarantined block on nodeID by asking the
+// source ladder a cold boot climbs (chainBackend, entered below the
+// local replica) for the block's range of its cache object: the peer
+// exchange first — least-loaded eligible holder, serve slots, breakers,
+// never across an open cut — the PFS otherwise. A node stranded from
+// every source repairs nothing and reports it; that is not an error.
 // Each repair is checksum-verified before it is written — RepairBlock
 // rejects a payload that does not hash to the block pointer — and a
 // closing scrub decides whether the node is clean enough to re-announce
@@ -339,12 +333,6 @@ func (s *Squirrel) resilverCtx(ctx context.Context, parent *obs.Span, nodeID str
 	return rep, err
 }
 
-// resilverGuarded is resilverCtx with a background context, for the
-// boot-path heal. Caller holds the node lock.
-func (s *Squirrel) resilverGuarded(parent *obs.Span, nodeID string, at time.Time) (ResilverReport, error) {
-	return s.resilverCtx(context.Background(), parent, nodeID, at)
-}
-
 func (s *Squirrel) resilver(ctx context.Context, sp *obs.Span, nodeID string, at time.Time) (ResilverReport, error) {
 	ccv := s.ccVolume(nodeID)
 	node, err := s.computeNode(nodeID)
@@ -363,20 +351,25 @@ func (s *Squirrel) resilver(ctx context.Context, sp *obs.Span, nodeID string, at
 	scrub := s.scrubGuarded(sp, nodeID, at)
 	rep := ResilverReport{NodeID: nodeID, Blocks: len(scrub.Damaged)}
 	ctr := inj.Counters()
-	seq := 0
+	// One fetcher for the pass: a repair read is a peer read like a boot's
+	// (eligibility, serve slots, breakers, partitions), its faults drawn
+	// under "resilver:<object>:<node>".
+	f := s.newPeerFetcher(ctx, sp, "resilver", "", node)
+	var cb *chainBackend
+	var infos []zvol.BlockInfo // the replica's block layout of cb's object
 	for _, ref := range scrub.Damaged {
 		if err := ctx.Err(); err != nil {
 			return rep, fmt.Errorf("core: resilver %s: %w", nodeID, err)
 		}
-		data, viaPeer := s.fetchTrueBlock(nodeID, node, ccv, ref, inj, &seq, &rep)
-		if data == nil {
-			rep.Failed++
-			ctr.Add("resilver.failed", 1)
-			continue
+		if cb == nil || cb.id != ref.Object {
+			cb = s.resilverSource(f, ref.Object)
+			infos, _ = ccv.BlockInfos(ref.Object) // gone: no block is in range below
 		}
-		if err := ccv.RepairBlock(ref.Object, ref.Index, data); err != nil {
-			// Verified fetch + deterministic re-encode should never be
-			// refused; treat a refusal as a failed block, not a fatal error.
+		data, viaPeer := s.readDamagedBlock(cb, infos, ref.Index, &rep)
+		if data == nil || ccv.RepairBlock(ref.Object, ref.Index, data) != nil {
+			// No source produced verified bytes — or RepairBlock refused
+			// them, which a verified fetch + deterministic re-encode should
+			// never see; either way a failed block, not a fatal error.
 			rep.Failed++
 			ctr.Add("resilver.failed", 1)
 			continue
@@ -406,96 +399,42 @@ func (s *Squirrel) resilver(ctx context.Context, sp *obs.Span, nodeID string, at
 	return rep, nil
 }
 
-// fetchTrueBlock obtains the verified content of one damaged block,
-// trying healthy peer replicas first and the PFS second. Returns nil
-// when no source could produce verified bytes. Caller holds the target
-// node's lock; source replicas are read through their internally locked
-// volumes (read-time checksums make a concurrent writer harmless).
-func (s *Squirrel) fetchTrueBlock(nodeID string, node *cluster.Node, ccv *zvol.Volume,
-	ref zvol.BlockRef, inj *fault.Injector, seq *int, rep *ResilverReport) (data []byte, viaPeer bool) {
-	op := "resilver:" + ref.Object + ":" + nodeID
-	// Peer ladder: sorted holders, minus self, offline, lagging, and
-	// damaged nodes. The source read is checksum-verified on the source
-	// volume, so a latently rotten peer fails the read instead of
-	// donating rot.
-	for _, id := range s.idx.Holders(ref.Object, nodeID) {
-		s.state.RLock()
-		bad := id == nodeID || !s.online[id] || s.lagging[id] || len(s.damaged[id]) > 0
-		srcv := s.cc[id]
-		s.state.RUnlock()
-		if bad || srcv == nil || !srcv.HasObject(ref.Object) {
-			continue
-		}
-		good, _, _, err := srcv.ReadBlock(ref.Object, ref.Index)
-		if err != nil {
-			continue // rotten or missing on the peer too
-		}
-		*seq++
-		kind, got := inj.Strike(op, id, *seq, good)
-		srcNode, err := s.computeNode(id)
-		if err != nil {
-			continue
-		}
-		if kind == fault.Crash || kind == fault.Torn {
-			s.state.Lock()
-			s.online[id] = false
-			s.lagging[id] = true
-			s.state.Unlock()
-			s.idx.NodeDown(id)
-			inj.Counters().Add("repair.crashed", 1)
-			continue
-		}
-		if len(got) > 0 {
-			srcNode.Send(int64(len(got)))
-			node.Recv(int64(len(got)))
-			rep.XferSec += s.cl.Fabric.TransferSec(int64(len(got)))
-		}
-		if kind != fault.None {
-			continue // dropped/truncated/corrupted transfer: next candidate
-		}
-		return got, true
-	}
-	// PFS fallback: map the block's cache-object range back to image
-	// offsets through the cache-extent layout and read the base VMI.
+// resilverSource is the source ladder for one damaged object, entered
+// below rung zero (the local replica is what is being repaired). nil
+// when the object was deregistered while quarantined: unrepairable.
+func (s *Squirrel) resilverSource(f *peerFetcher, object string) *chainBackend {
 	s.state.RLock()
-	im := s.images[ref.Object]
+	im := s.images[object]
 	s.state.RUnlock()
 	if im == nil {
-		return nil, false // deregistered while quarantined: unrepairable
+		return nil
 	}
-	infos, err := ccv.BlockInfos(ref.Object)
-	if err != nil || ref.Index >= len(infos) {
+	cb, err := newChainBackend(s, im, nil, f.bootNode)
+	if err != nil {
+		return nil
+	}
+	f.target(object)
+	cb.fetch = f
+	return cb
+}
+
+// readDamagedBlock obtains the verified content of one damaged block by
+// asking the ladder for the block's range of the cache object: a healthy
+// peer replica first (read-verified on the source, so a rotten peer can
+// never donate bad bytes), the PFS second. Returns nil when no source
+// could produce the bytes. Caller holds the target node's lock.
+func (s *Squirrel) readDamagedBlock(cb *chainBackend, infos []zvol.BlockInfo, idx int, rep *ResilverReport) (data []byte, viaPeer bool) {
+	if cb == nil || idx >= len(infos) {
 		return nil, false
 	}
-	bs := int64(s.cfg.Volume.BlockSize)
-	lo := int64(ref.Index) * bs
-	hi := lo + int64(infos[ref.Index].LogLen)
-	got, err := s.pfsCacheRange(im, node, lo, hi)
+	data = make([]byte, infos[idx].LogLen)
+	moved, peer := cb.fetch.moved+cb.networkBytes, cb.peerBytes
+	err := cb.readRemote(data, int64(idx)*int64(s.cfg.Volume.BlockSize))
+	rep.XferSec += s.cl.Fabric.TransferSec(cb.fetch.moved + cb.networkBytes - moved)
 	if err != nil {
 		return nil, false
 	}
-	rep.XferSec += s.cl.Fabric.TransferSec(hi - lo)
-	return got, false
-}
-
-// pfsCacheRange reads [lo, hi) of an image's cache object out of the
-// PFS-hosted base VMI: cache extents are concatenated in offset order,
-// so each covered extent slice maps linearly back to an image range.
-func (s *Squirrel) pfsCacheRange(im *corpus.Image, node *cluster.Node, lo, hi int64) ([]byte, error) {
-	out := make([]byte, hi-lo)
-	var base int64
-	for _, e := range im.CacheExtentsSorted() {
-		elo, ehi := base, base+e.Len
-		base = ehi
-		if ehi <= lo || elo >= hi {
-			continue
-		}
-		clo, chi := max(lo, elo), min(hi, ehi)
-		if _, err := s.pfs.ReadAt(node, im.ID, out[clo-lo:chi-lo], e.Off+(clo-elo)); err != nil && err != io.EOF {
-			return nil, err
-		}
-	}
-	return out, nil
+	return data, cb.peerBytes > peer
 }
 
 // NodeState is the coarse per-node condition shown by Health.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/fault"
+	"repro/internal/gossip"
 	"repro/internal/obs"
 	"repro/internal/peer"
 	"repro/internal/zvol"
@@ -490,6 +491,145 @@ func TestRottenRangeFailsOverToCleanHolder(t *testing.T) {
 	}
 	if sq.PeerIndex().BreakerState("node02") != "closed" {
 		t.Fatalf("clean holder's breaker is %s", sq.PeerIndex().BreakerState("node02"))
+	}
+}
+
+func TestLocalRotFallsThroughPerRange(t *testing.T) {
+	// Latent (unscrubbed) rot in the booting node's OWN replica. The local
+	// replica is rung zero of the source ladder and is verified per range
+	// like every other rung: ranges clear of the rot are still served
+	// locally, each range overlapping a rotted block fails its checksum
+	// and continues down the ladder — to a peer, or to the PFS when the
+	// peer exchange is off — and the verified boot proves no corrupt byte
+	// reached the VM. Nothing is quarantined: only a scrub does that.
+	for _, peers := range []bool{true, false} {
+		t.Run(map[bool]string{true: "peer", false: "pfs"}[peers], func(t *testing.T) {
+			sq, _, repo := resilienceDeployment(t, 2, fault.Plan{Seed: 13, Rot: 0.5}, func(cfg *Config) {
+				cfg.Peer.Enabled = peers
+			})
+			im := repo.Images[0]
+			if _, err := sq.Register(bg, RegisterRequest{Image: im, At: day(0)}); err != nil {
+				t.Fatal(err)
+			}
+			refs, err := sq.InjectRot("node00")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rot := rottedRanges(t, sq, "node00", im.ID, refs)
+			var intact, rotted, failed int64
+			for _, r := range coldFetchRanges(im, 4096) {
+				if slices.ContainsFunc(rot, r.overlaps) {
+					rotted += r.n
+					failed++
+				} else {
+					intact += r.n
+				}
+			}
+			if intact == 0 || rotted == 0 {
+				t.Fatalf("rot plan must leave both intact (%d) and rotted (%d) ranges", intact, rotted)
+			}
+			br, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node00", Verify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if br.CacheBytes != intact {
+				t.Fatalf("local replica served %d bytes, its intact ranges hold %d: %+v", br.CacheBytes, intact, br)
+			}
+			wantPeer, wantPFS := rotted, br.ReadBytes-intact-rotted
+			if !peers {
+				wantPeer, wantPFS = 0, br.ReadBytes-intact
+			}
+			if br.PeerBytes != wantPeer || br.NetworkBytes != wantPFS {
+				t.Fatalf("rotted ranges: want %d peer / %d PFS bytes: %+v", wantPeer, wantPFS, br)
+			}
+			if br.Warm || br.CacheBytes+br.PeerBytes+br.NetworkBytes != br.ReadBytes {
+				t.Fatalf("provenance must cover the read without calling it warm: %+v", br)
+			}
+			if got := sq.PeerIndex().Counters().Get("boot.corrupt_local"); got != failed {
+				t.Fatalf("boot.corrupt_local = %d, %d ranges overlap rot", got, failed)
+			}
+			if st := nodeStatus(t, sq, "node00"); st.State != StateHealthy || st.CorruptBlocks != 0 {
+				t.Fatalf("a read must not quarantine the node, only a scrub does: %+v", st)
+			}
+		})
+	}
+}
+
+func TestResilverRespectsPartition(t *testing.T) {
+	// A repair read is a peer read: a holder the damaged node cannot reach
+	// is not a holder. Behind an open cut the resilver moves nothing — no
+	// peer bytes, no PFS bytes, every NIC counter in the cluster unchanged
+	// — the blocks stay quarantined, and that is a report, not an error.
+	// Once the cut heals the same call repairs everything from peers.
+	for _, mode := range []IndexMode{IndexCentral, IndexGossip} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sq, cl, repo := resilienceDeployment(t, 4, fault.Plan{Seed: 7, Rot: 0.4}, func(cfg *Config) {
+				cfg.Index = mode
+				// A clock that never advances: leases cannot lapse mid-test.
+				cfg.Gossip = gossip.Config{Seed: 7, Clock: newStepClock().Now}
+			})
+			spread := func() {
+				t.Helper()
+				if mode == IndexGossip {
+					if _, err := sq.GossipTicks(4); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			im := repo.Images[0]
+			if _, err := sq.Register(bg, RegisterRequest{Image: im, At: day(0)}); err != nil {
+				t.Fatal(err)
+			}
+			spread()
+			if _, err := sq.InjectRot("node02"); err != nil {
+				t.Fatal(err)
+			}
+			scrub, err := sq.ScrubNode(bg, "node02", day(1))
+			if err != nil || scrub.Clean() {
+				t.Fatalf("rot plan injected nothing (err %v)", err)
+			}
+			if err := sq.PartitionNodes("node02"); err != nil {
+				t.Fatal(err)
+			}
+			spread()
+			nics := func() (out []int64) {
+				for _, n := range slices.Concat(cl.Storage, cl.Compute) {
+					out = append(out, n.TxBytes(), n.RxBytes())
+				}
+				return out
+			}
+			before := nics()
+			rep, err := sq.ResilverNode(bg, "node02", day(1))
+			if err != nil {
+				t.Fatalf("a stranded resilver must report, not fail: %v", err)
+			}
+			if rep.Blocks != len(scrub.Damaged) || rep.Failed != rep.Blocks || rep.Repaired != 0 ||
+				rep.PeerBytes+rep.PFSBytes != 0 || rep.Clean {
+				t.Fatalf("resilver across an open cut: %+v", rep)
+			}
+			if after := nics(); !slices.Equal(before, after) {
+				t.Fatalf("bytes crossed the cut: NIC tx/rx %v -> %v", before, after)
+			}
+			if st := nodeStatus(t, sq, "node02"); st.CorruptBlocks != rep.Blocks {
+				t.Fatalf("blocks must stay quarantined behind the cut: %+v", st)
+			}
+
+			if _, err := sq.HealPartition(); err != nil {
+				t.Fatal(err)
+			}
+			spread()
+			pfsTx := storageTx(cl)
+			rep, err = sq.ResilverNode(bg, "node02", day(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean || rep.Repaired != rep.Blocks || rep.PeerBlocks != rep.Repaired || storageTx(cl) != pfsTx {
+				t.Fatalf("healed resilver must repair everything from peers: %+v", rep)
+			}
+			if st := nodeStatus(t, sq, "node02"); st.State != StateHealthy || st.Withdrawn {
+				t.Fatalf("node still quarantined after the heal: %+v", st)
+			}
+		})
 	}
 }
 

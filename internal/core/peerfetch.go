@@ -2,23 +2,24 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/peer"
 )
 
-// peerFetcher resolves one boot's cold-cache misses against replicas on
-// neighboring compute nodes: the lookup half of the peer block exchange.
-// For every miss inside the image's cache extents it asks the content
-// index for holders, picks the least-loaded eligible source (never the
-// booting node itself, never offline, lagging, or unreachable nodes,
+// peerFetcher is rung one of the source ladder (chainBackend): it
+// resolves the cache-object ranges one reader — a boot, or a resilver
+// pass — could not serve from its own replica against replicas on
+// neighboring compute nodes. For every range it asks the content index
+// for holders, picks the least-loaded eligible source (never the reading
+// node itself, never offline, lagging, damaged or unreachable nodes,
 // never a node with all serve slots busy), transfers the range over
 // cluster unicast with exact NIC byte accounting, and on a fault fails
 // over to the next candidate. When the attempt budget is spent the
-// caller falls back to the PFS, so a boot always completes.
+// caller falls back to the PFS, so a read always completes.
 //
 // With Policy.Hedge set, a transfer whose source draws a slow serve is
 // cloned to the next-best holder after the hedge threshold: first byte
@@ -28,23 +29,25 @@ import (
 // being selected at all.
 //
 // Transfer faults come from the deployment's fault.Injector under the op
-// key "peerfetch:<image>:<node>" with a per-boot attempt sequence, so a
-// chaos run's peer-fetch outcomes are replayable from the plan seed and
-// the boot order alone.
+// key "<kind>:<object>:<node>" — "peerfetch" for a boot, "resilver" for
+// a repair pass — with a per-reader attempt sequence, so a chaos run's
+// peer-fetch outcomes are replayable from the plan seed and the
+// operation order alone.
 type peerFetcher struct {
 	s        *Squirrel
-	ctx      context.Context // the boot's context; hedge legs derive from it
+	ctx      context.Context // the reader's context; hedge legs derive from it
+	kind     string          // op-key prefix: "peerfetch" | "resilver"
 	imageID  string
-	bootNode *cluster.Node
+	bootNode *cluster.Node // the node the bytes are for
 	policy   peer.Policy
-	faults   *fault.Injector // captured at boot start (SetFaults may swap mid-run)
+	faults   *fault.Injector // captured at the reader's start (SetFaults may swap mid-run)
 	op       string
-	sp       *obs.Span // the owning boot span; each fetch records a peerFetch child
+	sp       *obs.Span // the owning boot/resilver span; each fetch records a peerFetch child
 
 	seq       int              // transfer attempts so far (fault lane)
 	fetchNo   int              // fetches so far (slow-serve lane)
-	buf       []byte           // the range as read at the source, reused across transfers
 	served    map[string]int64 // bytes served per source
+	moved     int64            // bytes that crossed the fabric, delivered or wasted
 	fallbacks int              // misses the peer path gave up on
 
 	hedgesFired int     // slow serves that cloned a second leg
@@ -53,18 +56,26 @@ type peerFetcher struct {
 	stallSec    float64 // simulated stall time slow serves cost this boot
 }
 
-func (s *Squirrel) newPeerFetcher(ctx context.Context, im *corpus.Image, node *cluster.Node) *peerFetcher {
-	inj := s.injector()
-	return &peerFetcher{
+func (s *Squirrel) newPeerFetcher(ctx context.Context, sp *obs.Span, kind, object string, node *cluster.Node) *peerFetcher {
+	f := &peerFetcher{
 		s:        s,
 		ctx:      reqCtx(ctx),
-		imageID:  im.ID,
+		kind:     kind,
 		bootNode: node,
 		policy:   s.cfg.Peer,
-		faults:   inj,
-		op:       "peerfetch:" + im.ID + ":" + node.ID,
-		served:   make(map[string]int64),
+		faults:   s.injector(),
+		sp:       sp,
 	}
+	f.target(object)
+	return f
+}
+
+// target points the fetcher at one cache object. A resilver pass walks
+// several objects under one attempt sequence, so the fault lane's draws
+// stay a function of the pass, not of how its blocks group by object.
+func (f *peerFetcher) target(object string) {
+	f.imageID = object
+	f.op = f.kind + ":" + object + ":" + f.bootNode.ID
 }
 
 // fetch fills dst from a peer replica's cache object at [base,
@@ -97,6 +108,9 @@ func (f *peerFetcher) fetch(dst []byte, base int64) bool {
 		if winner, ok := f.transferHedged(fsp, tried, src, release, dst, base); ok {
 			ctr.Add("peer.hit", 1)
 			ctr.Add("peer.bytes", int64(len(dst)))
+			if f.served == nil {
+				f.served = make(map[string]int64)
+			}
 			f.served[winner] += int64(len(dst))
 			fsp.SetNode(winner)
 			fsp.AddBytes(int64(len(dst)))
@@ -198,10 +212,11 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 }
 
 // acquire reserves a serve slot on the best eligible holder. Holders
-// come from the configured content index as seen from the booting node
+// come from the configured content index as seen from the reading node
 // (exact for central, a bounded-staleness owner view for gossip);
-// deployment eligibility (online, reachable, not lagging, replica
-// actually present) is then snapshotted under the state read-lock, and
+// deployment eligibility — the one predicate for every cross-node read:
+// online, not lagging, no known damage, reachable from the reader,
+// replica actually present — is then snapshotted under the state read-lock, and
 // the serve-slot index is consulted without core locks held, keeping
 // lock order one-way (state before index locks, never the reverse).
 // The eligibility filter is also what makes gossip staleness safe: a
@@ -226,12 +241,13 @@ func (f *peerFetcher) acquire(tried map[string]bool) (string, func(int64), bool,
 		func(id string) bool { return !eligible[id] })
 }
 
-// transfer moves one range from src to the booting node, applying the
-// deployment's fault injector. NIC counters account exactly the bytes
-// that crossed the fabric: the full range on success and on corruption
-// (damage is detected at the receiver), the delivered prefix on
-// truncation, nothing on a drop or source crash. Every outcome feeds
-// src's circuit breaker.
+// transfer moves one range from src to the reading node, applying the
+// deployment's fault injector. The source decodes (and verifies) only
+// the blocks under the range, straight into dst. NIC counters account
+// exactly the bytes that crossed the fabric: the full range on success
+// and on corruption (damage is detected at the receiver), the delivered
+// prefix on truncation, nothing on a drop or source crash. Every outcome
+// feeds src's circuit breaker; on failure dst's contents are unspecified.
 func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(int64)) bool {
 	s := f.s
 	ctr := s.peers.Counters()
@@ -242,8 +258,7 @@ func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(
 		}
 		return ok
 	}
-	payload, err := f.sourceRange(src, base, len(dst))
-	if err != nil {
+	if err := s.ccVolume(src).ReadAt(f.imageID, dst, base); err != nil {
 		// The source cannot serve this range: its replica vanished between
 		// index lookup and read (dropped or deregistered concurrently), or
 		// a block under the range failed its checksum there (latent rot —
@@ -252,29 +267,22 @@ func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(
 		return done(0, false)
 	}
 	f.seq++
-	kind, got := f.faults.Strike(f.op, src, f.seq, payload)
+	kind, got := f.faults.Strike(f.op, src, f.seq, dst)
 	if kind != fault.None {
 		ctr.Add("peer.fault", 1)
-	}
-	srcNode, err := s.computeNode(src)
-	if err != nil {
-		return done(0, false)
 	}
 	if kind == fault.Crash || kind == fault.Torn {
 		// The source dies mid-serve (for a one-way peer read a torn apply
 		// and a plain crash are the same event): it drops offline, its
 		// announcements are withdrawn, and its next boot heals it.
-		s.state.Lock()
-		s.online[src] = false
-		s.lagging[src] = true
-		s.state.Unlock()
-		s.idx.NodeDown(src)
+		s.nodeDown(src, time.Time{}, true)
 		ctr.Add("peer.crash", 1)
 		return done(0, false)
 	}
-	if len(got) > 0 {
-		srcNode.Send(int64(len(got)))
-		f.bootNode.Recv(int64(len(got)))
+	if n := int64(len(got)); n > 0 {
+		s.nodes[src].Send(n)
+		f.bootNode.Recv(n)
+		f.moved += n
 	}
 	if kind != fault.None {
 		// Truncated or corrupted transfers moved bytes but deliver no
@@ -282,26 +290,7 @@ func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(
 		ctr.Add("peer.wasted_bytes", int64(len(got)))
 		return done(0, false)
 	}
-	copy(dst, got)
 	return done(int64(len(dst)), true)
-}
-
-// sourceRange reads [base, base+n) of the source's cache object into the
-// fetcher's buffer, decoding (and verifying) only the blocks under the
-// range. The returned slice is valid until the next call.
-func (f *peerFetcher) sourceRange(src string, base int64, n int) ([]byte, error) {
-	ccv := f.s.ccVolume(src)
-	if ccv == nil {
-		return nil, ErrUnknownNode
-	}
-	if cap(f.buf) < n {
-		f.buf = make([]byte, n)
-	}
-	buf := f.buf[:n]
-	if err := ccv.ReadAt(f.imageID, buf, base); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // topSource is the peer that served the most bytes this boot, breaking

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -76,6 +78,37 @@ func TestExperimentsSmoke(t *testing.T) {
 			}
 			if tb.Render() == "" {
 				t.Fatalf("%s renders empty", e.ID)
+			}
+		})
+	}
+}
+
+// The four experiments that execute core's boot, register and resilver
+// paths are pinned byte for byte at tiny scale (testdata/<id>.golden,
+// rendered at eeb4e30): a refactor of those paths must not move a cell.
+// figpeer runs them too but stays out — its concurrent cold boots race
+// on least-loaded source selection, so two runs of one commit already
+// differ.
+func TestCorePathTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment golden sweep")
+	}
+	for _, id := range []string{"fig18", "fig18prop", "figscrub", "figtrace"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := Find(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, err := e.Run(tiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tb.Render(); got != string(want) {
+				t.Fatalf("table differs from testdata/%s.golden:\n--- got ---\n%s--- want ---\n%s", id, got, want)
 			}
 		})
 	}
