@@ -38,6 +38,12 @@ func NewChunker(r io.Reader, size Size) (*Chunker, error) {
 	return &Chunker{r: r, size: size, buf: make([]byte, size)}, nil
 }
 
+// Reset points the chunker at a new stream, keeping its block buffer, so
+// a writer that chunks many streams in turn allocates the buffer once.
+func (c *Chunker) Reset(r io.Reader) {
+	c.r, c.idx = r, 0
+}
+
 // Next returns the next chunk, or io.EOF when the stream is exhausted.
 func (c *Chunker) Next() (Chunk, error) {
 	n, err := io.ReadFull(c.r, c.buf)

@@ -178,8 +178,17 @@ func nullDecode(dst, src []byte) (int, error) {
 type Gzip struct {
 	name    string
 	level   int
-	writers sync.Pool
+	writers sync.Pool // *gzipWriter
 	readers sync.Pool // *gzipReader
+}
+
+// gzipWriter is one pooled encode state: the deflater and the buffer it
+// writes into. The buffer keeps its capacity across blocks, so Compress
+// allocates only its result, at the result's exact length — a caller
+// that stores the slice (the cVolume does) retains no slack.
+type gzipWriter struct {
+	zw  *gzip.Writer
+	out bytes.Buffer
 }
 
 // gzipReader is one pooled decode state. The bytes.Reader is the
@@ -195,11 +204,11 @@ type gzipReader struct {
 func NewGzip(name string, level int) *Gzip {
 	g := &Gzip{name: name, level: level}
 	g.writers.New = func() any {
-		w, err := gzip.NewWriterLevel(io.Discard, level)
+		zw, err := gzip.NewWriterLevel(io.Discard, level)
 		if err != nil {
 			panic(err) // level is static and valid
 		}
-		return w
+		return &gzipWriter{zw: zw}
 	}
 	return g
 }
@@ -209,18 +218,18 @@ func (g *Gzip) Name() string { return g.name }
 
 // Compress implements Codec.
 func (g *Gzip) Compress(src []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(src)/2 + 64)
-	w := g.writers.Get().(*gzip.Writer)
-	w.Reset(&buf)
-	if _, err := w.Write(src); err != nil {
+	w := g.writers.Get().(*gzipWriter)
+	w.out.Reset()
+	w.zw.Reset(&w.out)
+	if _, err := w.zw.Write(src); err != nil {
 		panic(err) // bytes.Buffer cannot fail
 	}
-	if err := w.Close(); err != nil {
+	if err := w.zw.Close(); err != nil {
 		panic(err)
 	}
+	out := bytes.Clone(w.out.Bytes())
 	g.writers.Put(w)
-	return buf.Bytes()
+	return out
 }
 
 // Decompress implements Codec.

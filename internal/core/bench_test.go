@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/corpus"
@@ -85,4 +87,49 @@ func BenchmarkColdBoot(b *testing.B) {
 		}
 		b.SetBytes(rep.ReadBytes)
 	}
+}
+
+// BenchmarkRegisterStream is the ledger rung for registration: one
+// iteration is the wire-level register_stream round in process — a fresh
+// deployment of the daemon's shape (320 images of the daemon's corpus
+// scaling, 8 compute nodes, paper-default volumes) taking all 320
+// registrations in corpus order. It reports the mean registration, the
+// bytes one allocates, and how much slower the last 64 of a round are
+// than the first 64 — the drift a per-registration cost that grows with
+// the snapshot count shows up as.
+func BenchmarkRegisterStream(b *testing.B) {
+	const images, nodes, edge = 320, 8, 64
+	var first, last, total time.Duration
+	var allocated uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sq, ims := daemonShaped(b, images, nodes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for k, im := range ims {
+			start := time.Now()
+			rep, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: t0.Add(time.Duration(k) * time.Minute)})
+			d := time.Since(start)
+			if err != nil || rep.Nodes != nodes {
+				b.Fatalf("register %s: %+v, %v", im.ID, rep, err)
+			}
+			total += d
+			switch {
+			case k < edge:
+				first += d
+			case k >= images-edge:
+				last += d
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+		b.StartTimer()
+	}
+	regs := float64(b.N * images)
+	b.ReportMetric(total.Seconds()*1e3/regs, "ms/registration")
+	b.ReportMetric(float64(allocated)/regs, "B/registration")
+	b.ReportMetric(float64(last)/float64(first), "last64/first64")
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -174,15 +175,18 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	if req.Verify {
 		gen = corpus.NewGenerator(im)
 	}
-	buf := make([]byte, 0, 64<<10)
-	for _, e := range im.BootTrace() {
+	trace := im.BootTrace()
+	var longest int64
+	for _, e := range trace {
+		longest = max(longest, e.Len)
+	}
+	bp := getReadBuf(longest)
+	defer readBufs.Put(bp)
+	for _, e := range trace {
 		if err := ctx.Err(); err != nil {
 			return fail(fmt.Errorf("core: boot %s on %s: %w", id, nodeID, err))
 		}
-		if int64(cap(buf)) < e.Len {
-			buf = make([]byte, e.Len)
-		}
-		b := buf[:e.Len]
+		b := (*bp)[:e.Len]
 		if _, err := cow.ReadAt(b, e.Off); err != nil && err != io.EOF {
 			return fail(fmt.Errorf("core: boot read at %d: %w", e.Off, err))
 		}
@@ -213,6 +217,21 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	sp.AddBytes(rep.ReadBytes)
 	sp.Finish()
 	return rep, nil
+}
+
+// readBufs recycles the buffer a boot replays its trace into: the VM's
+// reads are checked and counted, never kept, so the bytes are garbage
+// the moment the boot returns.
+var readBufs sync.Pool // *[]byte
+
+// getReadBuf returns a buffer of at least n bytes, contents unspecified;
+// the caller Puts the pointer back into readBufs.
+func getReadBuf(n int64) *[]byte {
+	if bp, _ := readBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= n {
+		return bp
+	}
+	buf := make([]byte, n)
+	return &buf
 }
 
 // recordBootLanes summarizes one boot's byte provenance as per-lane

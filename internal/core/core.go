@@ -353,21 +353,49 @@ func reqCtx(ctx context.Context) context.Context {
 // sets. Routing every (re)announcement through this chokepoint is what
 // keeps GC, sync, and registration merges from resurrecting cut nodes.
 func (s *Squirrel) announceHoldingsLocked(nodeID string) {
+	if ccv := s.announcerLocked(nodeID); ccv != nil {
+		s.idx.SetHoldings(nodeID, s.heldLocked(ccv))
+	}
+}
+
+// announceImageLocked publishes the one thing a registration changed on
+// a synced replica — nodeID now holds imageID — through the same guard
+// as a full reconciliation. Everything else the node holds it announced
+// when it got it, and whatever withdrew it since (deregistration, a
+// dropped replica, damage, a cut, a crash) either removed the object or
+// re-announces in full when it heals, so the one pair leaves the index
+// where SetHoldings would. Callers hold s.state.
+func (s *Squirrel) announceImageLocked(nodeID, imageID string) {
+	if ccv := s.announcerLocked(nodeID); ccv != nil && ccv.HasObject(imageID) {
+		s.idx.Announce(imageID, nodeID, func() []string { return s.heldLocked(ccv) })
+	}
+}
+
+// announcerLocked is the announce guard: nodeID's ccVolume if the node
+// may advertise, nil — after retracting whatever it had advertised — if
+// it is damaged or unreachable. Callers hold s.state.
+func (s *Squirrel) announcerLocked(nodeID string) *zvol.Volume {
 	ccv := s.cc[nodeID]
 	if ccv == nil {
-		return
+		return nil
 	}
 	if len(s.damaged[nodeID]) > 0 || s.cl.Unreachable(nodeID) {
 		s.idx.Retract(nodeID)
-		return
+		return nil
 	}
+	return ccv
+}
+
+// heldLocked lists the registered images ccv holds, in no particular
+// order (both indexes take it as a set). Callers hold s.state.
+func (s *Squirrel) heldLocked(ccv *zvol.Volume) []string {
 	var held []string
-	for _, obj := range ccv.Objects() {
-		if _, ok := s.images[obj]; ok {
-			held = append(held, obj)
+	for id := range s.images {
+		if ccv.HasObject(id) {
+			held = append(held, id)
 		}
 	}
-	s.idx.SetHoldings(nodeID, held)
+	return held
 }
 
 // CCVolume returns a compute node's cVolume.
@@ -622,8 +650,15 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 	}
 	// Encode once: the wire stream is both the multicast payload and the
 	// unit fault injection mutates.
-	var wireBuf bytes.Buffer
-	if _, err := stream.Encode(&wireBuf); err != nil {
+	// The buffer is given its exact final size: growing by doubling would
+	// allocate about as much again as the cache itself.
+	wireSize := stream.WireSize()
+	wireBuf := bytes.NewBuffer(make([]byte, 0, wireSize))
+	n, err := stream.Encode(wireBuf)
+	if err == nil && n != wireSize {
+		err = fmt.Errorf("core: register %s: stream encoded to %d bytes, its lengths say %d", im.ID, n, wireSize)
+	}
+	if err != nil {
 		rollback(true)
 		s.commitMu.Unlock()
 		return RegisterReport{}, err
@@ -807,10 +842,10 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 	}
 	s.state.Lock()
 	s.images[im.ID] = im
-	// Replicas that applied the snapshot announce their (updated) holdings
+	// Replicas that applied the snapshot announce the image they gained
 	// to the peer index — the publish half of the peer block exchange.
 	for _, nodeID := range synced {
-		s.announceHoldingsLocked(nodeID)
+		s.announceImageLocked(nodeID, im.ID)
 	}
 	// Skipped legs missed the snapshot exactly like an exhausted repair
 	// budget: mark them lagging for SyncNode to heal.

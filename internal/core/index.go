@@ -46,6 +46,13 @@ type contentIndex interface {
 	Source() string
 	// SetHoldings reconciles node's advertised set with what it holds.
 	SetHoldings(node string, objs []string)
+	// Announce publishes that node gained obj and changed nothing else;
+	// held lists node's whole set for an index that wants it. Central
+	// adds the one pair. Gossip re-leases the whole set exactly as
+	// SetHoldings does: a lease is refreshed by re-advertising it anyway,
+	// and its sequence numbers and seeded drop draws stay where a full
+	// reconciliation per registration put them.
+	Announce(obj, node string, held func() []string)
 	// Retract withdraws node's advertisements at node's own initiative
 	// (damage self-detected, polite exit). Gossip can only spread the
 	// retraction as far as the network allows.
@@ -92,6 +99,8 @@ func (c centralIndex) AnnouncedBy(node string) int            { return c.ix.Anno
 func (c centralIndex) Objects() int                           { return c.ix.Objects() }
 func (c centralIndex) Entries() int                           { return c.ix.Entries() }
 
+func (c centralIndex) Announce(obj, node string, _ func() []string) { c.ix.Announce(obj, node) }
+
 // gossipIndex adapts the decentralized directory.
 type gossipIndex struct{ d *gossip.Directory }
 
@@ -107,6 +116,8 @@ func (g gossipIndex) Holders(obj, from string) []string      { return g.d.Lookup
 func (g gossipIndex) AnnouncedBy(node string) int            { return g.d.AnnouncedBy(node) }
 func (g gossipIndex) Objects() int                           { return g.d.Objects() }
 func (g gossipIndex) Entries() int                           { return g.d.Entries() }
+
+func (g gossipIndex) Announce(_, node string, held func() []string) { g.d.SetHoldings(node, held()) }
 
 // Gossip exposes the decentralized directory when Index is IndexGossip
 // (nil otherwise) — soaks and squirrelctl read rounds and view sizes

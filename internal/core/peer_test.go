@@ -207,14 +207,21 @@ func TestPeerOffloadsConcurrentColdBoots(t *testing.T) {
 }
 
 // countingCodec is gzip6 under another name that counts the bytes it is
-// asked to decode — a test-side meter for how much inflating a boot
-// causes, so production needs no counter for it.
+// asked to decode and the blocks it is asked to encode — a test-side
+// meter for how much inflating a boot causes and how much deflating a
+// registration does, so production needs no counter for either.
 type countingCodec struct {
 	compress.Codec
-	decoded atomic.Int64
+	decoded    atomic.Int64
+	compressed atomic.Int64 // Compress calls
 }
 
 func (c *countingCodec) Name() string { return "gzip6-counted" }
+
+func (c *countingCodec) Compress(src []byte) []byte {
+	c.compressed.Add(1)
+	return c.Codec.Compress(src)
+}
 
 func (c *countingCodec) Decompress(src []byte, maxLen int) ([]byte, error) {
 	out, err := c.Codec.Decompress(src, maxLen)

@@ -29,7 +29,7 @@ const (
 // Entry is one unique block in the table.
 type Entry struct {
 	Hash       block.Hash
-	Refs       int64      // number of logical references (objects + snapshots)
+	Refs       int64      // number of logical references: block pointers of the objects the volume holds
 	Addr       uint64     // physical address in the backing store
 	PhysLen    int32      // stored (possibly compressed) length
 	LogLen     int32      // original length

@@ -89,7 +89,11 @@ type NodeLoad struct {
 type Index struct {
 	mu      sync.Mutex
 	holders map[string]map[string]struct{} // objID → nodeID set
-	loads   map[string]*load               // nodeID → serve load
+	// held is the inverse of holders, nodeID → objID set, kept in step
+	// with it so the per-node operations (SetHoldings, WithdrawNode,
+	// AnnouncedBy) cost what that node announces, not the whole index.
+	held  map[string]map[string]struct{}
+	loads map[string]*load // nodeID → serve load
 
 	// Circuit-breaker state, under its own mutex so the selection path
 	// can consult it while holding mu (one-way order: mu → bmu).
@@ -105,6 +109,7 @@ type Index struct {
 func NewIndex() *Index {
 	return &Index{
 		holders:  make(map[string]map[string]struct{}),
+		held:     make(map[string]map[string]struct{}),
 		loads:    make(map[string]*load),
 		breakers: make(map[string]*breaker),
 		counters: metrics.NewCounterSet(),
@@ -155,12 +160,8 @@ func (ix *Index) Announce(obj, node string) {
 }
 
 func (ix *Index) announceLocked(obj, node string) {
-	set, ok := ix.holders[obj]
-	if !ok {
-		set = make(map[string]struct{})
-		ix.holders[obj] = set
-	}
-	set[node] = struct{}{}
+	link(ix.holders, obj, node)
+	link(ix.held, node, obj)
 }
 
 // Withdraw removes node's announcement for obj (replica dropped).
@@ -171,10 +172,26 @@ func (ix *Index) Withdraw(obj, node string) {
 }
 
 func (ix *Index) withdrawLocked(obj, node string) {
-	if set, ok := ix.holders[obj]; ok {
-		delete(set, node)
+	unlink(ix.holders, obj, node)
+	unlink(ix.held, node, obj)
+}
+
+// link adds b to a's set in m; unlink removes it, dropping a set that
+// empties.
+func link(m map[string]map[string]struct{}, a, b string) {
+	set, ok := m[a]
+	if !ok {
+		set = make(map[string]struct{})
+		m[a] = set
+	}
+	set[b] = struct{}{}
+}
+
+func unlink(m map[string]map[string]struct{}, a, b string) {
+	if set, ok := m[a]; ok {
+		delete(set, b)
 		if len(set) == 0 {
-			delete(ix.holders, obj)
+			delete(m, a)
 		}
 	}
 }
@@ -184,40 +201,36 @@ func (ix *Index) withdrawLocked(obj, node string) {
 // holdings but does not forget what it already served.
 func (ix *Index) WithdrawNode(node string) {
 	ix.mu.Lock()
-	for obj, set := range ix.holders {
-		delete(set, node)
-		if len(set) == 0 {
-			delete(ix.holders, obj)
-		}
+	for obj := range ix.held[node] {
+		unlink(ix.holders, obj, node)
 	}
+	delete(ix.held, node)
 	ix.mu.Unlock()
 }
 
 // WithdrawObject removes obj from the index entirely (deregistration).
 func (ix *Index) WithdrawObject(obj string) {
 	ix.mu.Lock()
+	for node := range ix.holders[obj] {
+		unlink(ix.held, node, obj)
+	}
 	delete(ix.holders, obj)
 	ix.mu.Unlock()
 }
 
 // SetHoldings reconciles node's announcements to exactly objs: new
 // objects are announced, missing ones withdrawn. This is the
-// announcement form used after snapshot application, healing, and
-// garbage collection, where the replica's object set is authoritative.
+// announcement form used after healing, restart and garbage collection,
+// where the replica's object set is authoritative.
 func (ix *Index) SetHoldings(node string, objs []string) {
 	want := make(map[string]struct{}, len(objs))
 	for _, o := range objs {
 		want[o] = struct{}{}
 	}
 	ix.mu.Lock()
-	for obj, set := range ix.holders {
+	for obj := range ix.held[node] {
 		if _, keep := want[obj]; !keep {
-			if _, held := set[node]; held {
-				delete(set, node)
-				if len(set) == 0 {
-					delete(ix.holders, obj)
-				}
-			}
+			ix.withdrawLocked(obj, node) // deleting during range is safe
 		}
 	}
 	for obj := range want {
@@ -257,13 +270,7 @@ func (ix *Index) Holds(obj, node string) bool {
 func (ix *Index) AnnouncedBy(node string) int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	n := 0
-	for _, set := range ix.holders {
-		if _, held := set[node]; held {
-			n++
-		}
-	}
-	return n
+	return len(ix.held[node])
 }
 
 // Objects returns the number of distinct objects indexed.

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -193,6 +194,81 @@ func TestIndexConcurrent(t *testing.T) {
 	for _, l := range ix.Loads() {
 		if l.Active != 0 {
 			t.Fatalf("leaked serve slot: %+v", l)
+		}
+	}
+}
+
+func TestIndexMatchesNaiveModel(t *testing.T) {
+	// The index keeps two maps in step (object → holders and its
+	// inverse). A seeded run of every mutation, checked after each step
+	// against one plain set of (object, node) pairs, catches either map
+	// drifting from the other.
+	rng := rand.New(rand.NewSource(5))
+	ix := NewIndex()
+	type pair struct{ obj, node string }
+	model := map[pair]bool{}
+	name := func(kind string, n int) string { return fmt.Sprintf("%s%d", kind, rng.Intn(n)) }
+	for step := 0; step < 2000; step++ {
+		obj, node := name("obj", 6), name("node", 4)
+		switch rng.Intn(6) {
+		case 0, 1:
+			ix.Announce(obj, node)
+			model[pair{obj, node}] = true
+		case 2:
+			ix.Withdraw(obj, node)
+			delete(model, pair{obj, node})
+		case 3:
+			ix.WithdrawNode(node)
+			for p := range model {
+				if p.node == node {
+					delete(model, p)
+				}
+			}
+		case 4:
+			ix.WithdrawObject(obj)
+			for p := range model {
+				if p.obj == obj {
+					delete(model, p)
+				}
+			}
+		default:
+			var objs []string
+			for i := rng.Intn(4); i > 0; i-- {
+				objs = append(objs, name("obj", 6))
+			}
+			ix.SetHoldings(node, objs)
+			for p := range model {
+				if p.node == node {
+					delete(model, p)
+				}
+			}
+			for _, o := range objs {
+				model[pair{o, node}] = true
+			}
+		}
+		objects := map[string]bool{}
+		for p := range model {
+			objects[p.obj] = true
+		}
+		if ix.Entries() != len(model) || ix.Objects() != len(objects) {
+			t.Fatalf("step %d: index has %d entries over %d objects, model %d over %d",
+				step, ix.Entries(), ix.Objects(), len(model), len(objects))
+		}
+		for n := 0; n < 4; n++ {
+			node := fmt.Sprintf("node%d", n)
+			want := 0
+			for o := 0; o < 6; o++ {
+				obj := fmt.Sprintf("obj%d", o)
+				if model[pair{obj, node}] {
+					want++
+				}
+				if ix.Holds(obj, node) != model[pair{obj, node}] {
+					t.Fatalf("step %d: Holds(%s, %s) = %v", step, obj, node, !model[pair{obj, node}])
+				}
+			}
+			if got := ix.AnnouncedBy(node); got != want {
+				t.Fatalf("step %d: AnnouncedBy(%s) = %d, model %d", step, node, got, want)
+			}
 		}
 	}
 }

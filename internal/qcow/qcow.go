@@ -96,11 +96,14 @@ func (o *Overlay) ReadAt(p []byte, off int64) (int, error) {
 		if rem := o.size - off; n > rem {
 			n = rem
 		}
-		data, err := o.clusterFor(ci)
+		data, loan, err := o.clusterFor(ci)
 		if err != nil {
 			return total, err
 		}
 		copy(p[:n], data[cOff:cOff+n])
+		if loan != nil {
+			clusterBufs.Put(loan)
+		}
 		p = p[n:]
 		off += n
 		total += int(n)
@@ -112,7 +115,11 @@ func (o *Overlay) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // clusterFor returns cluster ci's payload, fetching from backing on miss.
-func (o *Overlay) clusterFor(ci int64) ([]byte, error) {
+// A cluster the overlay holds (local, or just cached by copy-on-read)
+// comes with a nil loan; one fetched without copy-on-read is only lent —
+// loan is its pooled buffer, which the caller Puts back into clusterBufs
+// once it has read data.
+func (o *Overlay) clusterFor(ci int64) (data []byte, loan *[]byte, err error) {
 	o.mu.RLock()
 	data, ok := o.clusters[ci]
 	o.mu.RUnlock()
@@ -120,42 +127,59 @@ func (o *Overlay) clusterFor(ci int64) ([]byte, error) {
 		o.mu.Lock()
 		o.LocalReads += int64(len(data))
 		o.mu.Unlock()
-		return data, nil
+		return data, nil, nil
 	}
-	buf, err := o.fetchCluster(ci)
+	bp, err := o.fetchCluster(ci)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	o.mu.Lock()
-	o.BackingReads += int64(len(buf))
-	if o.cor {
-		// Copy-on-read: the fetched cluster becomes part of the cache.
-		if dup, ok := o.clusters[ci]; ok {
-			buf = dup // raced with another reader; keep the first copy
-		} else {
-			o.clusters[ci] = buf
-		}
+	defer o.mu.Unlock()
+	o.BackingReads += int64(len(*bp))
+	if !o.cor {
+		return *bp, bp, nil
 	}
-	o.mu.Unlock()
-	return buf, nil
+	// Copy-on-read: the fetched cluster becomes part of the cache.
+	if dup, ok := o.clusters[ci]; ok {
+		clusterBufs.Put(bp)
+		return dup, nil, nil // raced with another reader; keep the first copy
+	}
+	o.clusters[ci] = *bp
+	return *bp, nil, nil
 }
 
-// fetchCluster reads one whole cluster from backing (short at EOF).
-func (o *Overlay) fetchCluster(ci int64) ([]byte, error) {
+// clusterBufs recycles cluster buffers between fetches, across overlays:
+// a boot's CoW overlay fetches a whole cluster per read and keeps none
+// of them, which without reuse is the boot path's largest source of
+// garbage.
+var clusterBufs sync.Pool // *[]byte
+
+// fetchCluster reads one whole cluster from backing (short at EOF) into
+// a buffer from clusterBufs. The buffer has whole-cluster capacity even
+// for the short tail, so every buffer is reusable; its owner either keeps
+// it for good or Puts it back.
+func (o *Overlay) fetchCluster(ci int64) (*[]byte, error) {
 	start := ci * o.cluster
 	l := o.cluster
 	if start+l > o.size {
 		l = o.size - start
 	}
-	buf := make([]byte, l)
-	n, err := o.backing.ReadAt(buf, start)
+	bp, _ := clusterBufs.Get().(*[]byte)
+	if bp == nil || int64(cap(*bp)) < o.cluster {
+		buf := make([]byte, o.cluster)
+		bp = &buf
+	}
+	*bp = (*bp)[:l]
+	n, err := o.backing.ReadAt(*bp, start)
 	if err != nil && err != io.EOF {
+		clusterBufs.Put(bp)
 		return nil, fmt.Errorf("qcow: backing read cluster %d: %w", ci, err)
 	}
 	if int64(n) != l {
+		clusterBufs.Put(bp)
 		return nil, fmt.Errorf("qcow: short backing read: %d of %d", n, l)
 	}
-	return buf, nil
+	return bp, nil
 }
 
 // WriteAt implements copy-on-write: partial cluster writes first fault in
@@ -177,17 +201,18 @@ func (o *Overlay) WriteAt(p []byte, off int64) (int, error) {
 		data, ok := o.clusters[ci]
 		o.mu.Unlock()
 		if !ok {
-			fetched, err := o.fetchCluster(ci)
+			bp, err := o.fetchCluster(ci)
 			if err != nil {
 				return total, err
 			}
 			o.mu.Lock()
 			if dup, present := o.clusters[ci]; present {
+				clusterBufs.Put(bp)
 				data = dup
 			} else {
-				o.clusters[ci] = fetched
-				data = fetched
-				o.BackingReads += int64(len(fetched))
+				o.clusters[ci] = *bp
+				data = *bp
+				o.BackingReads += int64(len(data))
 			}
 			o.mu.Unlock()
 		}

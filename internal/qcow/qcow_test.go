@@ -242,3 +242,45 @@ func TestFuncBackend(t *testing.T) {
 		t.Fatalf("backend called %d times, want 1", calls)
 	}
 }
+
+func TestRecycledClusterBuffersAreNeverKeptOnes(t *testing.T) {
+	// An overlay without copy-on-read hands each fetched cluster back for
+	// reuse once it has copied out of it; clusters an overlay keeps (a
+	// copy-on-read cache, a written cluster) must never be among them, or
+	// a later fetch anywhere would scribble over held data.
+	const cluster = 4096
+	base := mkBase(9, 10*cluster+100) // short tail cluster
+	cor, _ := NewOverlay(base, cluster, true)
+	cow, _ := NewOverlay(base, cluster, false)
+	patch := []byte("written before the churn")
+	if _, err := cow.WriteAt(patch, 2*cluster+7); err != nil {
+		t.Fatal(err)
+	}
+	warm := make([]byte, len(base.Data))
+	if _, err := cor.ReadAt(warm, 0); err != nil { // every cluster now cached
+		t.Fatal(err)
+	}
+	// Churn the recycled buffers with other content, tail included.
+	other := mkBase(10, len(base.Data))
+	churn, _ := NewOverlay(other, cluster, false)
+	buf := make([]byte, len(other.Data))
+	for i := 0; i < 3; i++ {
+		if _, err := churn.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, other.Data) {
+			t.Fatalf("pass %d over recycled buffers misread the base (%v)", i, err)
+		}
+	}
+	if churn.BackingReads != 3*int64(len(other.Data)) || churn.CachedClusters() != 0 {
+		t.Fatalf("churn overlay: %d backing bytes, %d kept clusters", churn.BackingReads, churn.CachedClusters())
+	}
+	if _, err := cor.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, base.Data) {
+		t.Fatalf("the copy-on-read cache changed under recycling (%v)", err)
+	}
+	if cor.BackingReads != int64(len(base.Data)) {
+		t.Fatalf("copy-on-read overlay refetched: %d backing bytes", cor.BackingReads)
+	}
+	want := append([]byte(nil), base.Data...)
+	copy(want[2*cluster+7:], patch)
+	if _, err := cow.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, want) {
+		t.Fatalf("the written cluster changed under recycling (%v)", err)
+	}
+}

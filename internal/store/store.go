@@ -7,6 +7,14 @@
 // image end up physically scattered because their single stored copies
 // were allocated whenever the *first* writer of each block arrived. The
 // boot simulator derives seek behaviour directly from these addresses.
+//
+// Ownership. The store owns the slice at an address unless the address is
+// marked shared. Alloc copies the caller's bytes; AllocOwned takes the
+// caller's slice as is (a codec's fresh output, referenced by nothing
+// else). A shared address holds a slice other stores hold too — borrowed
+// through AllocShared, or lent out through Share — and nobody may write
+// it: Corrupt and Rewrite first replace it with a private copy, which is
+// the only time a shared payload is copied.
 package store
 
 import (
@@ -19,7 +27,7 @@ import (
 type Store struct {
 	mu     sync.RWMutex
 	blocks map[uint64][]byte
-	shared map[uint64]struct{} // addresses whose payload aliases a slice shared across stores
+	shared map[uint64]struct{} // addresses whose payload is aliased by, or aliases, a slice in other stores
 	next   uint64              // bump allocation pointer (bytes)
 	free   []extent            // freed extents eligible for reuse, address-ordered
 
@@ -47,6 +55,13 @@ func (s *Store) Alloc(payload []byte) uint64 {
 	return s.place(cp, false)
 }
 
+// AllocOwned is Alloc without the copy: the caller hands over a slice
+// nothing else references (a codec's fresh output), and the store owns it
+// from here on exactly as it owns Alloc's private copy.
+func (s *Store) AllocOwned(payload []byte) uint64 {
+	return s.place(payload, false)
+}
+
 // AllocShared stores payload WITHOUT copying it: the store aliases the
 // caller's slice. The caller promises never to mutate it afterwards. This
 // is the bulk-provisioning path — when the same prepared stream is
@@ -58,6 +73,22 @@ func (s *Store) Alloc(payload []byte) uint64 {
 // before touching it, so damage stays local to this store.
 func (s *Store) AllocShared(payload []byte) uint64 {
 	return s.place(payload, true)
+}
+
+// Share is the sending side of AllocShared: it returns the payload
+// stored at addr for other stores to alias and marks this store's slot
+// copy-on-write, so the lender's own Corrupt or Rewrite copies first and
+// never reaches the borrowers' bytes (nor theirs its own). Freeing the
+// slot afterwards only drops this store's reference to the slice.
+func (s *Store) Share(addr uint64) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.blocks[addr]
+	if !ok {
+		return nil, fmt.Errorf("store: share of unallocated address %d", addr)
+	}
+	s.markSharedLocked(addr)
+	return b, nil
 }
 
 func (s *Store) place(payload []byte, shared bool) uint64 {
@@ -86,12 +117,16 @@ func (s *Store) place(payload []byte, shared bool) uint64 {
 	}
 	s.blocks[addr] = payload
 	if shared {
-		if s.shared == nil {
-			s.shared = make(map[uint64]struct{})
-		}
-		s.shared[addr] = struct{}{}
+		s.markSharedLocked(addr)
 	}
 	return addr
+}
+
+func (s *Store) markSharedLocked(addr uint64) {
+	if s.shared == nil {
+		s.shared = make(map[uint64]struct{})
+	}
+	s.shared[addr] = struct{}{}
 }
 
 // unshareLocked gives addr a private copy of its payload if it currently

@@ -244,3 +244,79 @@ func TestAllocSharedCopyOnWrite(t *testing.T) {
 		t.Fatal("freed payload still counted shared")
 	}
 }
+
+// Share is the lender's half of AllocShared: the lent slice is the stored
+// one (no copy), the lender's slot turns copy-on-write so neither side's
+// rot or repair reaches the other, and freeing the lender's slot leaves
+// the borrower's bytes alone.
+func TestShareCopyOnWrite(t *testing.T) {
+	want := []byte("stored once, held by both")
+	lender, borrower := New(), New()
+	la := lender.Alloc(want)
+	lent, err := lender.Share(la)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored, _ := lender.Read(la); &stored[0] != &lent[0] {
+		t.Fatal("Share copied the payload")
+	}
+	if lender.Stats().Shared != 1 {
+		t.Fatalf("lender's shared count = %d, want 1", lender.Stats().Shared)
+	}
+	ba := borrower.AllocShared(lent)
+
+	// Lender rots, then is repaired: the borrower sees neither.
+	if err := lender.Corrupt(la, 0, 0xFF); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := borrower.Read(ba); !bytes.Equal(got, want) {
+		t.Fatal("the lender's rot reached the borrower")
+	}
+	if err := lender.Rewrite(la, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := lender.Read(la); !bytes.Equal(got, want) {
+		t.Fatal("rewrite did not heal the lender")
+	}
+
+	// The reverse: lend again, rot the borrower.
+	if lent, err = lender.Share(la); err != nil {
+		t.Fatal(err)
+	}
+	b2 := borrower.AllocShared(lent)
+	if err := borrower.Corrupt(b2, 1, 0x0F); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := lender.Read(la); !bytes.Equal(got, want) {
+		t.Fatal("the borrower's rot reached the lender")
+	}
+
+	// Freeing the lender's slot drops only its own reference.
+	b3 := borrower.AllocShared(lent)
+	if err := lender.Free(la); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := borrower.Read(b3); !bytes.Equal(got, want) {
+		t.Fatal("freeing the lender's slot disturbed the borrower")
+	}
+	if _, err := lender.Share(la); err == nil {
+		t.Fatal("Share of a freed address succeeded")
+	}
+}
+
+// AllocOwned stores the caller's slice itself — no copy, and no
+// copy-on-write marking either: the store owns it outright.
+func TestAllocOwnedTakesTheSlice(t *testing.T) {
+	s := New()
+	p := []byte("fresh codec output")
+	a := s.AllocOwned(p)
+	if got, _ := s.Read(a); &got[0] != &p[0] {
+		t.Fatal("AllocOwned copied the payload")
+	}
+	if s.Stats().Shared != 0 {
+		t.Fatal("an owned payload is marked shared")
+	}
+	if plain := New(); plain.Alloc(p) != a {
+		t.Fatal("AllocOwned placement differs from Alloc")
+	}
+}

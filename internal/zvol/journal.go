@@ -74,6 +74,10 @@ func (v *Volume) Recover() RecoverReport {
 	for i := len(j.undo) - 1; i >= 0; i-- {
 		rec := j.undo[i]
 		if rec.upsert {
+			// The staged object was only ever on the live table (the
+			// snapshot comes with the commit), so dropping its one set of
+			// block references is the whole undo; a displaced object kept
+			// its holders and goes back as it was.
 			v.releasePtrsLocked(rec.newPtrs)
 			if rec.old != nil {
 				v.objects[rec.name] = rec.old

@@ -15,15 +15,52 @@ func TestModelBasedLifecycle(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runModel(t, seed, 120)
+			runModel(t, seed, 120, true)
 		})
 	}
 }
 
-func runModel(t *testing.T, seed int64, steps int) {
+// TestModelBasedLifecycleNoDedup is the same model on a volume without a
+// DDT, where every pointer owns its block and only the objects' holder
+// counts keep a snapshotted block alive.
+func TestModelBasedLifecycleNoDedup(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			runModel(t, seed, 120, false)
+		})
+	}
+}
+
+// heldReferences counts the nonzero block pointers of the distinct
+// objects v still holds — in the live table or any snapshot.
+func heldReferences(v *Volume) int64 {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	held := map[*Object]bool{}
+	for _, o := range v.objects {
+		held[o] = true
+	}
+	for _, s := range v.snaps {
+		for _, o := range s.objects {
+			held[o] = true
+		}
+	}
+	var n int64
+	for o := range held {
+		for _, p := range o.ptrs {
+			if !p.zero {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func runModel(t *testing.T, seed int64, steps int, dedup bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	v, err := New(Config{BlockSize: 4096, Codec: "gzip6", Dedup: true, MinCompressGain: 0.125})
+	v, err := New(Config{BlockSize: 4096, Codec: "gzip6", Dedup: dedup, MinCompressGain: 0.125})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +170,11 @@ func runModel(t *testing.T, seed int64, steps int) {
 		}
 		if st.Objects != int64(len(live)) || st.Snapshots != int64(len(snapOrder)) {
 			t.Fatalf("step %d: objects/snapshots drifted: %+v", step, st)
+		}
+		// Every held object references its blocks exactly once, however
+		// many tables list it.
+		if want := heldReferences(v); st.References != want {
+			t.Fatalf("step %d: %d block references, held objects have %d nonzero pointers", step, st.References, want)
 		}
 	}
 

@@ -17,7 +17,10 @@ import (
 // O(n²)-ish setup work that dominates a 10k-node cluster bring-up. A
 // prepared stream pays the CPU once and lets every receiver alias the
 // same immutable stored payload via store.AllocShared; per-receiver work
-// collapses to DDT/object-table map updates.
+// collapses to DDT/object-table map updates. And "once" includes the
+// sender: a payload the preparing volume already stores is lent out, not
+// encoded again, so a registration's codec work is the scVolume's one
+// gzip per new block (see Prepare).
 //
 // The resulting replicas are bit-identical to ones built by plain
 // Receive: block pointers carry the same hashes, lengths, compression
@@ -31,24 +34,61 @@ type PreparedStream struct {
 // PreparedBlock is the precomputed stored form of one shipped payload.
 type PreparedBlock struct {
 	Hash       block.Hash // logical content hash (drives dedup)
-	Payload    []byte     // stored form: compressed iff Compressed; aliased by receivers, never mutated
+	Payload    []byte     // stored form: compressed iff Compressed; the sender's own stored slice when it holds one; aliased by receivers, never mutated
 	LogLen     int32
 	Compressed bool
 	PhysHash   block.Hash // checksum of Payload (what a scrub verifies)
 }
 
-// Prepare hashes and (per the volume's codec and minimum-gain rule)
-// compresses every shipped payload of st exactly once. The receiver
-// volumes must share this volume's Config — in Squirrel they always do:
-// the scVolume and every ccVolume are created from one cfg.Volume.
+// Prepare hashes every shipped payload of st exactly once and finds its
+// stored form. The raw block is always hashed — that digest is what a
+// receiver's stream verification compares with the stream's pointer —
+// and the DDT is then asked before the codec, as writeBlock asks it: a
+// block this volume already stores (every block of a stream it sent
+// itself) is not compressed a second time. Its stored payload is checked
+// against the entry's PhysHash and lent out through store.Share, so the
+// sender and all receivers hold one copy of the bytes, each behind its
+// own copy-on-write slot. Only a block the volume does not hold, holds
+// at another length, or holds rotted is encoded afresh (per the codec
+// and minimum-gain rule) — a rotted payload is never shipped.
+//
+// The receiver volumes must share this volume's Config — in Squirrel they
+// always do: the scVolume and every ccVolume are created from one
+// cfg.Volume.
 func (v *Volume) Prepare(st *Stream) *PreparedStream {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	ps := &PreparedStream{Stream: st, Blocks: make([]PreparedBlock, len(st.Blocks))}
 	for i, data := range st.Blocks {
 		pb := PreparedBlock{Hash: block.HashOf(data), LogLen: int32(len(data))}
-		pb.Payload, pb.Compressed, pb.PhysHash = v.encode(data, pb.Hash)
+		if !v.lendStoredLocked(&pb) {
+			pb.Payload, pb.Compressed, pb.PhysHash = v.encode(data, pb.Hash)
+		}
 		ps.Blocks[i] = pb
 	}
 	return ps
+}
+
+// lendStoredLocked completes pb from this volume's own stored copy of
+// the block, when it holds an intact one. Caller holds v.mu, which keeps
+// the slot from being freed or rewritten between the check and the loan.
+func (v *Volume) lendStoredLocked(pb *PreparedBlock) bool {
+	if !v.cfg.Dedup {
+		return false
+	}
+	e := v.ddt.Lookup(pb.Hash)
+	if e == nil || e.LogLen != pb.LogLen {
+		return false
+	}
+	payload, err := v.store.Read(e.Addr)
+	if err != nil || block.HashOf(payload) != e.PhysHash {
+		return false
+	}
+	if _, err := v.store.Share(e.Addr); err != nil { // lends the slice just checked
+		return false
+	}
+	pb.Payload, pb.Compressed, pb.PhysHash = payload, e.Compressed, e.PhysHash
+	return true
 }
 
 // ReceivePrepared applies a prepared stream. Semantics are identical to

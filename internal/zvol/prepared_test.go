@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/block"
+	"repro/internal/compress"
 )
 
 // prepPair builds a source volume with several objects (dedup'd shared
@@ -204,6 +209,227 @@ func TestReceivePreparedTornApplyRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain, _ := pair(t)
+	if err := plain.Receive(st); err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalReplicas(t, plain, dst)
+}
+
+// compressCounter is gzip6 under another name that counts Compress calls
+// — a test-side meter for how often a block is encoded, so production
+// needs no counter for it.
+type compressCounter struct {
+	compress.Codec
+	calls atomic.Int64
+}
+
+func (c *compressCounter) Name() string { return "gzip6-compress-counted" }
+
+func (c *compressCounter) Compress(src []byte) []byte {
+	c.calls.Add(1)
+	return c.Codec.Compress(src)
+}
+
+// countedCompress registers the counting codec on first use (the
+// registry refuses duplicates, and -count reruns tests in one process).
+var countedCompress = sync.OnceValue(func() *compressCounter {
+	c := &compressCounter{Codec: compress.MustGet("gzip6")}
+	compress.Register(c)
+	return c
+})
+
+// countedPair is prepPair on the counting codec, plus the codec.
+func countedPair(t *testing.T) (*compressCounter, *Volume, *Stream) {
+	t.Helper()
+	codec := countedCompress()
+	src, err := New(cfg(4096, codec.Name(), true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []struct {
+		name string
+		seed int64
+	}{{"base", 7}, {"clone", 7}, {"other", 11}} {
+		if _, err := src.WriteObject(o.name, bytes.NewReader(mkData(o.seed, 96*1024))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := src.Snapshot("s1", day(0)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := src.Send("", "s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return codec, src, st
+}
+
+func TestPrepareCompressesNothingTheSenderStores(t *testing.T) {
+	// Every block of a stream the volume sent itself is in its DDT and
+	// its store: Prepare lends those payloads out and never calls the
+	// codec, and each unique block was compressed exactly once, when it
+	// was written.
+	codec, src, st := countedPair(t)
+	start := codec.calls.Load()
+	ps := src.Prepare(st)
+	if got := codec.calls.Load() - start; got != 0 {
+		t.Fatalf("Prepare compressed %d of %d shipped blocks; the sender stores every one", got, len(st.Blocks))
+	}
+	if got, want := src.StoreStats().Shared, int64(len(st.Blocks)); got != want {
+		t.Fatalf("sender lent %d payloads, the stream ships %d", got, want)
+	}
+	src.mu.RLock()
+	for i, pb := range ps.Blocks {
+		e := src.ddt.Lookup(pb.Hash)
+		stored, err := src.store.Read(e.Addr)
+		if err != nil || len(stored) == 0 || &stored[0] != &pb.Payload[0] {
+			t.Errorf("block %d: the prepared payload is not the sender's stored slice (%v)", i, err)
+		}
+		if pb.PhysHash != e.PhysHash || pb.Compressed != e.Compressed || pb.PhysHash != block.HashOf(pb.Payload) {
+			t.Errorf("block %d: prepared form disagrees with the DDT entry", i)
+		}
+	}
+	src.mu.RUnlock()
+
+	// The replicas are still what a plain verifying Receive builds.
+	plain, err := New(src.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepped, err := New(src.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Receive(st); err != nil {
+		t.Fatal(err)
+	}
+	before := codec.calls.Load()
+	if err := prepped.ReceivePrepared(ps); err != nil {
+		t.Fatal(err)
+	}
+	if got := codec.calls.Load() - before; got != 0 {
+		t.Fatalf("ReceivePrepared compressed %d blocks", got)
+	}
+	assertIdenticalReplicas(t, plain, prepped)
+}
+
+func TestPrepareIsolatesRotBetweenSenderAndReplicas(t *testing.T) {
+	// Sender and replicas hold one copy of each payload, each behind its
+	// own copy-on-write slot: rot, and its repair, stay where they happen.
+	_, src, st := countedPair(t)
+	ps := src.Prepare(st)
+	var replicas [2]*Volume
+	for i := range replicas {
+		v, err := New(src.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.ReceivePrepared(ps); err != nil {
+			t.Fatal(err)
+		}
+		replicas[i] = v
+	}
+	want, err := src.ReadObject("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := func(when string, vols ...*Volume) {
+		t.Helper()
+		for _, v := range vols {
+			if rep := v.Scrub(); !rep.Clean() {
+				t.Fatalf("%s: scrub found %+v", when, rep.Damaged)
+			}
+			if got, err := v.ReadObject("base"); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: base diverged (%v)", when, err)
+			}
+		}
+	}
+	firstStored := func(v *Volume) int {
+		infos, err := v.BlockInfos("base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, bi := range infos {
+			if !bi.Zero {
+				return i
+			}
+		}
+		t.Fatal("base has no stored block")
+		return -1
+	}
+	idx := firstStored(src)
+	bs := int(src.Config().BlockSize)
+	repair := want[idx*bs : min((idx+1)*bs, len(want))]
+
+	if err := src.CorruptStoredBlock("base", idx, 0, 0xFF); err != nil {
+		t.Fatal(err)
+	}
+	if src.Scrub().Clean() {
+		t.Fatal("rot on the sender vanished")
+	}
+	intact("sender rotted", replicas[:]...)
+	if err := src.RepairBlock("base", idx, repair); err != nil {
+		t.Fatal(err)
+	}
+	intact("sender repaired", src, replicas[0], replicas[1])
+
+	if err := replicas[0].CorruptStoredBlock("base", idx, 1, 0x0F); err != nil {
+		t.Fatal(err)
+	}
+	if replicas[0].Scrub().Clean() {
+		t.Fatal("rot on the replica vanished")
+	}
+	intact("replica rotted", src, replicas[1])
+	if err := replicas[0].RepairBlock("base", idx, repair); err != nil {
+		t.Fatal(err)
+	}
+	intact("replica repaired", src, replicas[0], replicas[1])
+}
+
+func TestPrepareNeverShipsARottedPayload(t *testing.T) {
+	// The stream is cut while the sender is intact; one stored payload
+	// rots before Prepare runs. Prepare checks the stored bytes against
+	// the entry's PhysHash, finds them bad, and encodes that one block
+	// afresh from the (verified) raw bytes of the stream.
+	codec, src, st := countedPair(t)
+	infos, err := src.BlockInfos("other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotted := -1
+	for i, bi := range infos {
+		if !bi.Zero {
+			rotted = i
+			break
+		}
+	}
+	if err := src.CorruptStoredBlock("other", rotted, 0, 0xFF); err != nil {
+		t.Fatal(err)
+	}
+	start := codec.calls.Load()
+	ps := src.Prepare(st)
+	if got := codec.calls.Load() - start; got != 1 {
+		t.Fatalf("Prepare compressed %d blocks, want exactly the rotted one", got)
+	}
+	for i, pb := range ps.Blocks {
+		if block.HashOf(pb.Payload) != pb.PhysHash {
+			t.Fatalf("prepared block %d carries a payload that fails its own checksum", i)
+		}
+	}
+	dst, err := New(src.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ReceivePrepared(ps); err != nil {
+		t.Fatal(err)
+	}
+	if rep := dst.Scrub(); !rep.Clean() {
+		t.Fatalf("the sender's rot reached the replica: %+v", rep.Damaged)
+	}
+	plain, err := New(src.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := plain.Receive(st); err != nil {
 		t.Fatal(err)
 	}

@@ -183,10 +183,11 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 	// Upserts land before any release, so a hash-only pointer that
 	// resolved during verification cannot watch its block vanish when
 	// this same stream replaces or deletes the object that held it.
-	var release [][]blockPtr
+	var release []*Object
 	for _, so := range st.Upserts {
 		rec := undoRec{upsert: true, name: so.Name}
-		obj := &Object{Name: so.Name, Size: so.Size, ptrs: make([]blockPtr, 0, len(so.Ptrs))}
+		obj := &Object{Name: so.Name, Size: so.Size, holders: 1, // the live table
+			ptrs: make([]blockPtr, 0, len(so.Ptrs))}
 		for _, sp := range so.Ptrs {
 			switch {
 			case sp.Zero:
@@ -210,9 +211,9 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 			rec.logical += int64(sp.LogLen)
 		}
 		if old, ok := v.objects[so.Name]; ok {
-			// Replace (idempotent receive): the old object's references go
-			// only at commit, after every upsert is in.
-			release = append(release, old.ptrs)
+			// Replace (idempotent receive): the live table lets go of the
+			// old object only at commit, after every upsert is in.
+			release = append(release, old)
 			rec.old = old
 		}
 		rec.newPtrs = obj.ptrs
@@ -226,7 +227,7 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 	for _, name := range st.Deletes {
 		if obj, ok := v.objects[name]; ok {
 			delete(v.objects, name)
-			release = append(release, obj.ptrs)
+			release = append(release, obj)
 			j.undo = append(j.undo, undoRec{name: name, old: obj})
 		}
 		j.steps++
@@ -237,15 +238,10 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 	// Commit: releases, snapshot, journal clear — atomic (no crash
 	// points; a real implementation orders this behind one journal
 	// commit-mark write).
-	for _, ptrs := range release {
-		v.releasePtrsLocked(ptrs)
+	for _, old := range release {
+		v.dropHolderLocked(old)
 	}
-	objs := make(map[string]*Object, len(v.objects))
-	for n, o := range v.objects {
-		objs[n] = o
-		v.addRefsLocked(o.ptrs)
-	}
-	v.snaps = append(v.snaps, &Snapshot{Name: st.ToSnap, Created: st.Created, objects: objs})
+	v.snapshotLocked(st.ToSnap, st.Created)
 	v.journal = nil
 	v.counters.Add("zvol.recv.streams", 1)
 	v.counters.Add("zvol.recv.bytes", st.SizeBytes())

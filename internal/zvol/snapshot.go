@@ -6,10 +6,11 @@ import (
 )
 
 // Snapshot creates a named, immutable view of the volume's current object
-// table at the given time. Every block referenced by the snapshot gains a
-// reference, so deleting live objects cannot free data a snapshot still
-// needs — the property that makes ZFS snapshots "cheap as long as they do
-// not reference data that no longer exists" (§3.2).
+// table at the given time. The snapshot becomes one more holder of every
+// object it lists, so deleting live objects cannot free data a snapshot
+// still needs — the property that makes ZFS snapshots "cheap as long as
+// they do not reference data that no longer exists" (§3.2). Cost is one
+// counter per object: block pointers and the DDT are not touched.
 //
 // The timestamp is injected (not read from the wall clock) so garbage
 // collection windows are testable and simulations are deterministic.
@@ -19,25 +20,27 @@ func (v *Volume) Snapshot(name string, at time.Time) (*Snapshot, error) {
 	if v.findSnapLocked(name) != nil {
 		return nil, fmt.Errorf("%w: %s", ErrSnapExists, name)
 	}
+	return v.snapshotLocked(name, at), nil
+}
+
+// snapshotLocked captures the live table as snapshot name: Snapshot and
+// the commit of a receive both end here.
+func (v *Volume) snapshotLocked(name string, at time.Time) *Snapshot {
 	objs := make(map[string]*Object, len(v.objects))
 	for n, o := range v.objects {
 		objs[n] = o // objects are immutable once written
-		v.addRefsLocked(o.ptrs)
+		o.holders++
 	}
 	s := &Snapshot{Name: name, Created: at, objects: objs}
 	v.snaps = append(v.snaps, s)
-	return s, nil
+	return s
 }
 
-// addRefsLocked bumps references for every nonzero block in ptrs.
-func (v *Volume) addRefsLocked(ptrs []blockPtr) {
-	if !v.cfg.Dedup {
-		return // without a DDT, snapshots share the object structs only
-	}
-	for _, p := range ptrs {
-		if !p.zero {
-			v.ddt.AddRef(p.hash)
-		}
+// destroySnapLocked lets go of every object s lists; the caller has
+// already taken s off v.snaps.
+func (v *Volume) destroySnapLocked(s *Snapshot) {
+	for _, o := range s.objects {
+		v.dropHolderLocked(o)
 	}
 }
 
@@ -80,18 +83,14 @@ func (v *Volume) LatestSnapshot() *Snapshot {
 	return v.snaps[len(v.snaps)-1]
 }
 
-// DeleteSnapshot destroys a snapshot, releasing its block references.
+// DeleteSnapshot destroys a snapshot, releasing the objects only it held.
 func (v *Volume) DeleteSnapshot(name string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for i, s := range v.snaps {
 		if s.Name == name {
 			v.snaps = append(v.snaps[:i], v.snaps[i+1:]...)
-			if v.cfg.Dedup {
-				for _, o := range s.objects {
-					v.releasePtrsLocked(o.ptrs)
-				}
-			}
+			v.destroySnapLocked(s)
 			return nil
 		}
 	}
@@ -119,11 +118,7 @@ func (v *Volume) GarbageCollect(now time.Time, window time.Duration) []string {
 			continue
 		}
 		destroyed = append(destroyed, s.Name)
-		if v.cfg.Dedup {
-			for _, o := range s.objects {
-				v.releasePtrsLocked(o.ptrs)
-			}
-		}
+		v.destroySnapLocked(s)
 	}
 	v.snaps = kept
 	return destroyed

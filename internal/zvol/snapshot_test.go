@@ -3,6 +3,7 @@ package zvol
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -141,5 +142,65 @@ func TestSnapshotObjectsListing(t *testing.T) {
 	got := s.Objects()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("snapshot objects %v", got)
+	}
+}
+
+func TestDedupRatioCountsObjectsNotSnapshots(t *testing.T) {
+	// The dedup ratio is the paper's: nonzero block references of the
+	// objects the volume holds over unique blocks. A snapshot holds the
+	// same objects again, not more references — the ratio used to grow
+	// with every snapshot taken.
+	v, _ := New(cfg(block.Size4K, "gzip6", true))
+	shared := mkData(21, 64*1024)
+	v.WriteObject("a", bytes.NewReader(shared))
+	v.WriteObject("b", bytes.NewReader(shared))
+	v.WriteObject("c", bytes.NewReader(mkData(22, 32*1024)))
+	before := v.Stats()
+	if before.DedupRatio <= 1 {
+		t.Fatalf("fixture does not dedup: %+v", before)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := v.Snapshot(fmt.Sprintf("s%d", i), day(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := v.Stats()
+	if after.References != before.References || after.DedupRatio != before.DedupRatio ||
+		after.UniqueBlocks != before.UniqueBlocks || after.DataBytes != before.DataBytes {
+		t.Fatalf("snapshots moved the block accounting:\n  before %+v\n  after  %+v", before, after)
+	}
+	// What a snapshot does cost is its own copy of the pointer metadata.
+	if want := 4 * before.MetaBytes; after.MetaBytes != want {
+		t.Fatalf("meta bytes %d after three snapshots, want %d", after.MetaBytes, want)
+	}
+	// A deleted object the snapshots still list keeps its references.
+	v.DeleteObject("c")
+	if got := v.Stats(); got.References != before.References {
+		t.Fatalf("references %d after deleting a snapshotted object, want %d", got.References, before.References)
+	}
+}
+
+func TestSnapshotPinsBlocksWithoutDedup(t *testing.T) {
+	// Without a DDT every pointer owns its block, and deleting the live
+	// object used to free blocks a snapshot still listed ("store: read of
+	// unallocated address"). The snapshot is a holder like the live table.
+	v, _ := New(cfg(block.Size4K, "gzip6", false))
+	data := mkData(23, 80*1024)
+	v.WriteObject("a", bytes.NewReader(data))
+	if _, err := v.Snapshot("s1", day(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.DeleteObject("a"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := v.ReadObjectAt("s1", "a")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("snapshot lost content: %v", err)
+	}
+	if err := v.DeleteSnapshot("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if st := v.Stats(); st.DataBytes != 0 || st.UniqueBlocks != 0 {
+		t.Fatalf("the last holder left storage behind: %+v", st)
 	}
 }

@@ -24,7 +24,7 @@ type Stats struct {
 
 	UniqueBlocks int64
 	References   int64
-	DedupRatio   float64 // references / unique, nonzero blocks only
+	DedupRatio   float64 // references / unique, nonzero blocks only; an object counts once however many snapshots list it
 }
 
 // bytesPerBlockPtr models ZFS's on-disk block pointer (a 128-byte blkptr_t,

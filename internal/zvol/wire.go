@@ -43,6 +43,28 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// WireSize returns exactly how many bytes Encode writes, computed from
+// the stream's lengths alone, so a caller can give the wire buffer its
+// final size up front. (SizeBytes is the coarser figure the network
+// accounting charges; this one follows the format above field by field.)
+func (st *Stream) WireSize() int64 {
+	str := func(s string) int64 { return 4 + int64(len(s)) }
+	n := int64(len(wireMagic)) + 2 + str(st.FromSnap) + str(st.ToSnap) + 8
+	n += 4
+	for _, d := range st.Deletes {
+		n += str(d)
+	}
+	n += 4
+	for _, b := range st.Blocks {
+		n += 4 + int64(len(b))
+	}
+	n += 4
+	for _, o := range st.Upserts {
+		n += str(o.Name) + 8 + 4 + int64(len(o.Ptrs))*(1+4+4+32)
+	}
+	return n + 4 // trailing CRC
+}
+
 // Encode writes the stream in wire format. The returned byte count is the
 // exact on-wire size.
 func (st *Stream) Encode(w io.Writer) (int64, error) {

@@ -2,6 +2,7 @@ package zvol
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,6 +37,15 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if n != int64(buf.Len()) {
 		t.Fatalf("Encode reported %d bytes, wrote %d", n, buf.Len())
+	}
+	for _, s := range []*Stream{st, {Created: day(0)}} {
+		wrote, err := s.Encode(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.WireSize(); got != wrote {
+			t.Fatalf("WireSize says %d bytes, Encode wrote %d", got, wrote)
+		}
 	}
 	got, err := DecodeStream(&buf)
 	if err != nil {

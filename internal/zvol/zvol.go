@@ -11,6 +11,22 @@
 // ccVolumes, §3.2/§3.5 of the paper), and snapshot garbage collection with
 // a retention window (§3.4).
 //
+// Who holds what. An object's blocks are referenced once — in the DDT, or
+// owned outright without dedup — when the object is written or received.
+// The object itself is then held by the live table and by every snapshot
+// that lists it (Object.holders); the last holder to let go releases the
+// blocks. Snapshots therefore cost one counter per object, and the DDT's
+// reference count is the paper's: block pointers of held objects over
+// unique blocks, the same before and after a snapshot.
+//
+// Who owns a payload. The store owns the bytes at an address: a copy of
+// the caller's data when a block is stored raw, the codec's fresh output
+// itself when it is stored compressed. A registration's payloads exist
+// once across the deployment: Prepare lends the sender's stored slices
+// out (store.Share) and prepared receivers alias them
+// (store.AllocShared), every slot involved copy-on-write, so a payload is
+// copied exactly when one side rots or repairs its own (see prepared.go).
+//
 // Reads are whole-object (ReadObject, ReadObjectAt, ReadBlock) or by
 // range (ReadAt, which decodes only the blocks a range touches — what the
 // paper's boot path asks of its volume). Both are built on one primitive,
@@ -71,11 +87,20 @@ type blockPtr struct {
 	physHash block.Hash
 }
 
-// Object is a named block sequence stored in a volume.
+// Object is a named block sequence stored in a volume. Objects are
+// immutable once written, so the live table and every snapshot that
+// lists an object share the one struct.
 type Object struct {
 	Name string
 	Size int64 // logical size in bytes
 	ptrs []blockPtr
+	// holders counts the tables listing the object: the live table plus
+	// each snapshot. The object's blocks are referenced (in the DDT, or
+	// owned outright without dedup) once, when it is written or received,
+	// and released when the last holder lets go — so taking or destroying
+	// a snapshot touches one counter per object, never a block pointer.
+	// Guarded by the volume's mu.
+	holders int
 }
 
 // Snapshot is an immutable, named view of a volume's full object set.
@@ -105,6 +130,10 @@ type Volume struct {
 
 	objects map[string]*Object
 	snaps   []*Snapshot // creation-ordered
+
+	// chunker splits WriteObject's input; kept across calls (under mu) so
+	// its block-sized buffer is allocated once per volume.
+	chunker *block.Chunker
 
 	logicalWritten int64 // bytes accepted by WriteObject (incl. zeros)
 	zeroBytes      int64 // bytes suppressed as holes
@@ -194,12 +223,17 @@ func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 	if _, dup := v.objects[name]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	ch, err := block.NewChunker(r, v.cfg.BlockSize)
-	if err != nil {
-		return nil, err
+	if v.chunker == nil { // on first write: a replica that only receives never needs the buffer
+		ch, err := block.NewChunker(nil, v.cfg.BlockSize)
+		if err != nil {
+			return nil, err
+		}
+		v.chunker = ch
 	}
-	obj := &Object{Name: name}
-	err = ch.ForEach(func(c block.Chunk) error {
+	v.chunker.Reset(r)
+	defer v.chunker.Reset(nil)             // do not pin the caller's reader
+	obj := &Object{Name: name, holders: 1} // the live table
+	err := v.chunker.ForEach(func(c block.Chunk) error {
 		obj.Size += int64(len(c.Data))
 		v.logicalWritten += int64(len(c.Data))
 		if c.Zero {
@@ -232,7 +266,12 @@ func (v *Volume) writeBlock(data []byte) blockPtr {
 		}
 	}
 	payload, isCompressed, physHash := v.encode(data, h)
-	addr := v.store.Alloc(payload)
+	var addr uint64
+	if isCompressed {
+		addr = v.store.AllocOwned(payload) // the codec's fresh output: nothing else holds it
+	} else {
+		addr = v.store.Alloc(payload) // payload is the caller's data: copy
+	}
 	ptr := blockPtr{hash: h, addr: addr, physLen: int32(len(payload)),
 		logLen: int32(len(data)), compressed: isCompressed, physHash: physHash}
 	if v.cfg.Dedup {
@@ -253,6 +292,15 @@ func (v *Volume) encode(data []byte, h block.Hash) (payload []byte, compressed b
 		}
 	}
 	return data, false, h
+}
+
+// dropHolderLocked takes obj off one table (the live table or a
+// snapshot); the last holder to let go releases the object's blocks.
+func (v *Volume) dropHolderLocked(obj *Object) {
+	obj.holders--
+	if obj.holders == 0 {
+		v.releasePtrsLocked(obj.ptrs)
+	}
 }
 
 // releasePtrsLocked drops references for ptrs, freeing blocks whose last
@@ -414,8 +462,8 @@ func (v *Volume) ReadBlock(name string, idx int) (data []byte, addr uint64, zero
 	return data, p.addr, false, nil
 }
 
-// DeleteObject removes an object from the live table. Blocks remain alive
-// while any snapshot still references them.
+// DeleteObject removes an object from the live table. Its blocks remain
+// alive while any snapshot still lists it.
 func (v *Volume) DeleteObject(name string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -424,7 +472,7 @@ func (v *Volume) DeleteObject(name string) error {
 		return fmt.Errorf("%w: object %s", ErrNotFound, name)
 	}
 	delete(v.objects, name)
-	v.releasePtrsLocked(obj.ptrs)
+	v.dropHolderLocked(obj)
 	return nil
 }
 
