@@ -133,3 +133,48 @@ func BenchmarkRegisterStream(b *testing.B) {
 	b.ReportMetric(float64(allocated)/regs, "B/registration")
 	b.ReportMetric(float64(last)/float64(first), "last64/first64")
 }
+
+// statsSink keeps the compiler from dropping BenchmarkStats' calls.
+var statsSink DeploymentStats
+
+// BenchmarkStats is the ledger rung for the monitoring poll: Stats on a
+// daemon-shaped deployment (8 compute nodes, so nine volumes) with 32 and
+// then 320 images registered. A poll should cost what its answer costs —
+// one fixed-size struct — so the figure to watch is the 320/32 ratio: a
+// Stats that walks objects, snapshots or the DDT grows with history
+// (every snapshot lists every earlier object, so the walk is quadratic
+// and the ratio was ≈ 90); one that reads running totals stays near 1.
+func BenchmarkStats(b *testing.B) {
+	const small, large, nodes, calls = 32, 320, 8, 256
+	sq, ims := daemonShaped(b, large, nodes)
+	registered := 0
+	registerTo := func(n int) {
+		for ; registered < n; registered++ {
+			at := t0.Add(time.Duration(registered) * time.Minute)
+			if _, err := sq.Register(context.Background(), RegisterRequest{Image: ims[registered], At: at}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	poll := func() time.Duration {
+		start := time.Now()
+		for i := 0; i < b.N*calls; i++ {
+			statsSink = sq.Stats()
+		}
+		if statsSink.RegisteredImages != registered {
+			b.Fatalf("Stats reports %d images, %d registered", statsSink.RegisteredImages, registered)
+		}
+		return time.Since(start)
+	}
+	registerTo(small)
+	b.ResetTimer()
+	atSmall := poll()
+	b.StopTimer()
+	registerTo(large)
+	b.StartTimer()
+	atLarge := poll()
+	perCall := func(d time.Duration) float64 { return float64(d.Microseconds()) / float64(b.N*calls) }
+	b.ReportMetric(perCall(atSmall), "us/stats@32")
+	b.ReportMetric(perCall(atLarge), "us/stats@320")
+	b.ReportMetric(float64(atLarge)/float64(atSmall), "320/32")
+}

@@ -1,0 +1,310 @@
+package daemon
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/ctlplane"
+	"repro/internal/wireproto"
+)
+
+// serveSession brings up a daemon over sess on a loopback port; it is
+// drained when the test or benchmark ends.
+func serveSession(tb testing.TB, sess ctlplane.Session, cfg Config) *Server {
+	tb.Helper()
+	cfg.Addr = "127.0.0.1:0"
+	srv := New(sess, cfg)
+	if err := srv.Listen(); err != nil {
+		tb.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			tb.Errorf("Shutdown: %v", err)
+		}
+		if err := <-served; err != nil {
+			tb.Errorf("Serve: %v", err)
+		}
+	})
+	return srv
+}
+
+// rawDial opens a connection and shakes hands, for tests that need to
+// put frames on the wire in an exact order.
+func rawDial(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if err := wireproto.WriteHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, status, msg, err := wireproto.ReadHelloReply(conn); err != nil || status != wireproto.HelloOK {
+		t.Fatalf("handshake: status %d %q err %v", status, msg, err)
+	}
+	return conn
+}
+
+// request builds request frame id of type typ with args as its body.
+func request(t *testing.T, typ uint8, id uint64, args any) wireproto.Frame {
+	t.Helper()
+	f := wireproto.Frame{Type: typ, ReqID: id}
+	if args != nil {
+		body, err := json.Marshal(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Payload = body
+	}
+	return f
+}
+
+// spawnedOps is the complement of inlineOps, written out: the frame
+// types that take a context, mutate the deployment, or walk the
+// telemetry registry or the span ring, and so get a goroutine each.
+var spawnedOps = map[uint8]bool{
+	wireproto.TRegister: true, wireproto.TBoot: true, wireproto.TSync: true,
+	wireproto.TScrubAll: true, wireproto.TResilverAll: true, wireproto.TWorkload: true, wireproto.TWatch: true,
+	wireproto.TSetOnline: true, wireproto.TDropReplica: true, wireproto.TCrash: true, wireproto.TRestart: true,
+	wireproto.TRot: true, wireproto.TSetFaults: true, wireproto.TGC: true, wireproto.TNetReset: true,
+	wireproto.TTelemetry: true, wireproto.TTrace: true, wireproto.TTraceTree: true,
+}
+
+// TestEveryFrameTypeIsClassified walks the frame types: each one this
+// build names is deliberately either inline (daemon.go's inlineOps) or
+// spawned (the list above) — exactly one of the two — so a new frame type
+// cannot fall into a serving mode by default, and nothing that is not a
+// frame type is in either set.
+func TestEveryFrameTypeIsClassified(t *testing.T) {
+	named := 0
+	for i := 0; i < 256; i++ {
+		typ := uint8(i)
+		name := wireproto.TypeName(typ)
+		if name == fmt.Sprintf("type%d", typ) {
+			if inlineOps[typ] || spawnedOps[typ] {
+				t.Errorf("frame type %d is classified but is not a frame type", typ)
+			}
+			continue
+		}
+		named++
+		switch {
+		case inlineOps[typ] && spawnedOps[typ]:
+			t.Errorf("frame type %s is both inline and spawned", name)
+		case !inlineOps[typ] && !spawnedOps[typ]:
+			t.Errorf("frame type %s is neither inline nor spawned: add it to inlineOps in daemon.go or to spawnedOps here", name)
+		}
+	}
+	if named != int(wireproto.TWorkload) {
+		t.Errorf("walked %d named frame types, want %d (TInfo..TWorkload)", named, wireproto.TWorkload)
+	}
+}
+
+// A short query sent after a slow boot on the same connection is
+// answered first: the boot runs on its own goroutine and the reader goes
+// on to the next frame.
+func TestHealthOvertakesSlowBoot(t *testing.T) {
+	addr, _ := startServer(t, ctlplane.Options{Images: 1, Nodes: 1, BootLatency: 150 * time.Millisecond}, Config{})
+	c := dial(t, addr)
+	info, err := c.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Register(context.Background(), info.Images[0], sessionT0); err != nil {
+		t.Fatal(err)
+	}
+	conn := rawDial(t, addr)
+	boot := request(t, wireproto.TBoot, 1, core.BootRequest{Image: info.Images[0], Node: info.ComputeNodes[0]})
+	health := request(t, wireproto.THealth, 2, nil)
+	if _, err := conn.Write(wireproto.AppendFrame(wireproto.AppendFrame(nil, boot), health)); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []wireproto.Frame{health, boot} {
+		got, err := wireproto.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ReqID != want.ReqID || got.Type != want.Type || got.IsError() {
+			t.Fatalf("reply %d is %s #%d (error=%v), want %s #%d", i,
+				wireproto.TypeName(got.Type), got.ReqID, got.IsError(), wireproto.TypeName(want.Type), want.ReqID)
+		}
+	}
+}
+
+// Short queries pipelined on one connection are served by the reader in
+// arrival order, so their replies come back in request order, each under
+// its own request ID and type.
+func TestPipelinedShortQueriesKeepOrder(t *testing.T) {
+	addr, _ := startServer(t, ctlplane.Options{Images: 2, Nodes: 2}, Config{})
+	conn := rawDial(t, addr)
+	types := []uint8{wireproto.TStats, wireproto.TNetRx, wireproto.THealth, wireproto.TInfo,
+		wireproto.TPeers, wireproto.TStats, wireproto.THealth, wireproto.TNetRx}
+	var wire []byte
+	for i, typ := range types {
+		wire = wireproto.AppendFrame(wire, request(t, typ, uint64(100+i), nil))
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i, typ := range types {
+		got, err := wireproto.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ReqID != uint64(100+i) || got.Type != typ || got.IsError() || got.Flags&wireproto.FlagResponse == 0 {
+			t.Fatalf("reply %d is %s #%d flags %#x, want %s #%d", i,
+				wireproto.TypeName(got.Type), got.ReqID, got.Flags, wireproto.TypeName(typ), 100+i)
+		}
+		// The body is the one this request's type answers with.
+		var health []core.NodeStatus
+		var info ctlplane.Info
+		switch typ {
+		case wireproto.THealth:
+			if err := json.Unmarshal(got.Payload, &health); err != nil || len(health) != 2 {
+				t.Fatalf("reply %d: health body %q (err %v) does not describe 2 nodes", i, got.Payload, err)
+			}
+		case wireproto.TInfo:
+			if err := json.Unmarshal(got.Payload, &info); err != nil || len(info.Images) != 2 {
+				t.Fatalf("reply %d: info body %q (err %v) does not list 2 images", i, got.Payload, err)
+			}
+		}
+	}
+}
+
+// panicSession answers Info and blows up in Health: a stub for what a
+// bug inside an inline handler would do to the reader goroutine.
+type panicSession struct{ ctlplane.Session }
+
+func (panicSession) Info() (ctlplane.Info, error)       { return ctlplane.Info{Version: "stub"}, nil }
+func (panicSession) Health() ([]core.NodeStatus, error) { panic("boom") }
+
+// A panic inside an inline handler is recovered on the reader goroutine:
+// the request gets an error frame and the connection keeps serving.
+func TestInlineHandlerPanicIsAnErrorFrame(t *testing.T) {
+	if !inlineOps[wireproto.THealth] || !inlineOps[wireproto.TInfo] {
+		t.Fatal("Health and Info are expected to be inline ops")
+	}
+	srv := serveSession(t, panicSession{}, Config{})
+	c := dial(t, srv.Addr().String())
+	for i := 0; i < 3; i++ {
+		if _, err := c.Health(); err == nil || !strings.Contains(err.Error(), "panic serving frame") {
+			t.Fatalf("Health on a panicking session returned %v, want the panic as an error", err)
+		}
+		if info, err := c.Info(); err != nil || info.Version != "stub" {
+			t.Fatalf("connection stopped serving after a handler panic: %+v, %v", info, err)
+		}
+	}
+}
+
+// A client that drops its connection in the middle of a watch breaks the
+// reply writer on the next send, which ends the watch; handleConn then
+// unwinds — the graceful Shutdown below returns without having to cancel
+// anything, long before the watch would have run out on its own.
+func TestDroppedConnectionEndsWatch(t *testing.T) {
+	local, err := ctlplane.NewLocal(ctlplane.Options{Images: 1, Nodes: 1, Traced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serveSession(t, local, Config{Tel: local.Squirrel().Telemetry()})
+	conn := rawDial(t, srv.Addr().String())
+	watch := request(t, wireproto.TWatch, 1, ctlplane.WatchArgs{Every: time.Millisecond, Count: 600_000}) // ten minutes of updates
+	if err := wireproto.WriteFrame(conn, watch); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wireproto.ReadFrame(conn); err != nil || !f.IsStream() {
+		t.Fatalf("first watch frame: %+v, %v", f, err)
+	}
+	conn.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("a watch streaming to a dropped connection outlived it: Shutdown returned %v", err)
+	}
+}
+
+// countingConn counts the writes that reach the connection.
+type countingConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+// After one failed write the reply writer is broken: the failing send
+// and every later one return the error, and nothing more is written.
+func TestReplyWriterBreaksOnce(t *testing.T) {
+	near, far := net.Pipe()
+	far.Close()
+	defer near.Close()
+	cc := &countingConn{Conn: near}
+	w := &replyWriter{conn: cc, fw: wireproto.NewWriter(cc)}
+	reply := wireproto.Frame{Type: wireproto.THealth, Flags: wireproto.FlagResponse, ReqID: 1, Payload: []byte("{}")}
+	first := w.send(reply)
+	if first == nil {
+		t.Fatal("send on a closed pipe succeeded")
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.send(reply); !errors.Is(err, first) {
+			t.Fatalf("send %d after the break returned %v, want %v", i, err, first)
+		}
+	}
+	if cc.writes != 1 {
+		t.Fatalf("%d writes reached the connection, want only the one that failed", cc.writes)
+	}
+}
+
+// A steady stream of replies allocates nothing: the frame is encoded into
+// the connection's buffer and written from there.
+func TestReplySendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		peer, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer peer.Close()
+		_, _ = io.Copy(io.Discard, peer)
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	w := &replyWriter{conn: conn, fw: wireproto.NewWriter(conn)}
+	reply := wireproto.Frame{Type: wireproto.THealth, Flags: wireproto.FlagResponse, ReqID: 7, Payload: make([]byte, 200)}
+	if err := w.send(reply); err != nil { // grows the buffer once
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := w.send(reply); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a 200-byte reply allocates %.1f times per send, want 0", allocs)
+	}
+}

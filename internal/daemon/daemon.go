@@ -7,14 +7,17 @@
 // graceful-shutdown tests can drive a real listening server inside
 // `go test -race`.
 //
-// Concurrency model: one goroutine per connection reads frames and
-// spawns one goroutine per request (clients pipeline by request ID), a
-// second per-connection goroutine serializes response writes. Graceful
-// shutdown (SIGTERM in squirreld, or Server.Shutdown) stops accepting
-// connections and reading new frames but lets every in-flight request
-// — boots included — run to completion and flush its response before
-// the connections close; only when the Shutdown context expires are
-// request contexts cancelled and connections torn down.
+// Concurrency model: one goroutine per connection reads frames. It serves
+// a short read-only query (a frame type in inlineOps) itself, between two
+// reads, and starts a goroutine for every other request, so a slow boot
+// never delays the frames behind it and clients pipeline by request ID.
+// Whoever produced a reply writes it, under the connection's replyWriter
+// mutex; there is no writer goroutine. Graceful shutdown (SIGTERM in
+// squirreld, or Server.Shutdown) stops accepting connections and reading
+// new frames but lets every in-flight request — boots included — run to
+// completion and write its response before the connections close; only
+// when the Shutdown context expires are request contexts cancelled and
+// connections torn down.
 package daemon
 
 import (
@@ -218,8 +221,8 @@ func (s *Server) rejectBusy(c net.Conn) {
 }
 
 // handleConn runs one connection: handshake, then a read loop that
-// fans requests out to handler goroutines and a write loop that
-// serializes their responses.
+// serves short queries itself and hands every other request to a
+// goroutine of its own.
 func (s *Server) handleConn(c net.Conn) {
 	defer func() {
 		_ = c.Close()
@@ -246,10 +249,7 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 	_ = c.SetReadDeadline(time.Time{})
 
-	out := make(chan wireproto.Frame, 32)
-	writerDone := make(chan struct{})
-	go s.writeLoop(c, out, writerDone)
-
+	out := &replyWriter{conn: c, fw: wireproto.NewWriter(c)}
 	var pending sync.WaitGroup
 	for {
 		f, err := wireproto.ReadFrame(br)
@@ -260,52 +260,49 @@ func (s *Server) handleConn(c net.Conn) {
 			// sync), so closing is the only safe answer.
 			break
 		}
-		if s.draining.Load() {
-			out <- errorFrame(f, ctlplane.ErrDraining)
-			continue
-		}
-		if f.Type == wireproto.TWatch {
-			// Streaming reply: the handler pushes FlagStream elements onto
-			// the shared write channel itself, then a final plain response.
+		switch {
+		case s.draining.Load():
+			out.send(errorFrame(f, ctlplane.ErrDraining))
+		case inlineOps[f.Type]:
+			out.send(s.dispatch(f))
+		default:
 			pending.Add(1)
-			go func(f wireproto.Frame) {
+			go func() {
 				defer pending.Done()
-				s.serveWatch(f, out)
-			}(f)
-			continue
+				if f.Type == wireproto.TWatch {
+					s.serveWatch(f, out) // a stream of replies
+					return
+				}
+				out.send(s.dispatch(f))
+			}()
 		}
-		pending.Add(1)
-		go func(f wireproto.Frame) {
-			defer pending.Done()
-			out <- s.dispatch(f)
-		}(f)
 	}
-	// Drain: every accepted request finishes and flushes before close.
+	// Drain: every accepted request finishes and writes its reply before
+	// the connection closes.
 	pending.Wait()
-	close(out)
-	<-writerDone
 }
 
-// writeLoop serializes response frames onto the connection. After a
-// write error it keeps draining the channel (discarding frames) so
-// handler goroutines never block on a dead connection.
-func (s *Server) writeLoop(c net.Conn, out <-chan wireproto.Frame, done chan<- struct{}) {
-	defer close(done)
-	bw := bufio.NewWriter(c)
-	broken := false
-	for f := range out {
-		if broken {
-			continue
-		}
-		_ = c.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := wireproto.WriteFrame(bw, f); err != nil {
-			broken = true
-			continue
-		}
-		if err := bw.Flush(); err != nil {
-			broken = true
-		}
+// replyWriter puts reply frames on one connection. Whoever produced a
+// reply — the read loop, a request's goroutine, a watch stream — writes it
+// under mu: a write deadline, one encode into the connection's buffer, one
+// conn.Write. After a failed write the connection is broken and sends
+// return that error at once; only a stream needs the result (to stop
+// producing) — the read loop finds a dead peer on its next read.
+type replyWriter struct {
+	mu     sync.Mutex
+	conn   net.Conn
+	fw     *wireproto.Writer
+	broken error // first write error; nil while the connection is good
+}
+
+func (w *replyWriter) send(f wireproto.Frame) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.broken == nil {
+		_ = w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		w.broken = w.fw.WriteFrame(f)
 	}
+	return w.broken
 }
 
 // dispatchSpan opens the daemon-side span for one request frame. A
@@ -341,9 +338,9 @@ func (s *Server) dispatch(f wireproto.Frame) (resp wireproto.Frame) {
 		if resp.IsError() {
 			sp.Annotate("error", 1)
 		}
-		// Finished before the response frame is handed to the write loop,
-		// so by the time the client sees the reply the dispatch tree is in
-		// the telemetry ring and a TraceMerged fetch will find it.
+		// Finished before the response frame is written, so by the time
+		// the client sees the reply the dispatch tree is in the telemetry
+		// ring and a TraceMerged fetch will find it.
 		sp.Finish()
 	}()
 	result, err := s.handle(obs.ContextWithSpan(s.ctx, sp), f.Type, f.Payload)
@@ -366,7 +363,7 @@ func (s *Server) dispatch(f wireproto.Frame) (resp wireproto.Frame) {
 // ships every update as a FlagStream frame, then terminates the stream
 // with a final plain response — or an error frame if the watch failed
 // before completing.
-func (s *Server) serveWatch(f wireproto.Frame, out chan<- wireproto.Frame) {
+func (s *Server) serveWatch(f wireproto.Frame, out *replyWriter) {
 	sp := s.dispatchSpan(f)
 	args, err := decode[ctlplane.WatchArgs](f.Payload)
 	if err == nil {
@@ -376,23 +373,22 @@ func (s *Server) serveWatch(f wireproto.Frame, out chan<- wireproto.Frame) {
 				return fmt.Errorf("daemon: encode watch update: %w", merr)
 			}
 			sp.Annotate("updates", 1)
-			out <- wireproto.Frame{
+			// A failed send ends the watch: nobody is left to stream to.
+			return out.send(wireproto.Frame{
 				Type:    wireproto.TWatch,
 				Flags:   wireproto.FlagResponse | wireproto.FlagStream,
 				ReqID:   f.ReqID,
 				Payload: payload,
-			}
-			return nil
+			})
 		})
 	}
+	sp.Fail(err)
+	sp.Finish()
 	if err != nil {
-		sp.Fail(err)
-		sp.Finish()
-		out <- errorFrame(f, err)
+		out.send(errorFrame(f, err))
 		return
 	}
-	sp.Finish()
-	out <- wireproto.Frame{Type: wireproto.TWatch, Flags: wireproto.FlagResponse, ReqID: f.ReqID}
+	out.send(wireproto.Frame{Type: wireproto.TWatch, Flags: wireproto.FlagResponse, ReqID: f.ReqID})
 }
 
 // errorFrame wraps err as the error response to frame f, mapping the
@@ -422,6 +418,18 @@ func decode[T any](body []byte) (T, error) {
 		return v, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	return v, nil
+}
+
+// inlineOps is the set of frame types the connection's reader serves
+// itself: ops whose Session method takes no context, mutates nothing and
+// answers in microseconds at any deployment size, where starting a
+// goroutine costs more than the answer. Every other type can run long —
+// it takes a context, mutates, or walks the telemetry registry or the span
+// ring — and gets a goroutine (DESIGN §12).
+// TestEveryFrameTypeIsClassified makes a new frame type choose.
+var inlineOps = [256]bool{
+	wireproto.TInfo: true, wireproto.THealth: true, wireproto.TStats: true,
+	wireproto.TNetRx: true, wireproto.TPeers: true,
 }
 
 // handle maps one frame type onto the session call it names.

@@ -41,6 +41,12 @@ type Entry struct {
 type Table struct {
 	mu      sync.RWMutex
 	entries map[block.Hash]*Entry
+
+	// Running totals over entries, kept by Reference, AddRef and Release
+	// under mu so Stats never walks the table.
+	refs     int64 // Σ Refs
+	physical int64 // Σ PhysLen
+	logical  int64 // Σ LogLen × Refs
 }
 
 // NewTable returns an empty DDT.
@@ -64,13 +70,23 @@ func (t *Table) Reference(h block.Hash, addr uint64, physLen, logLen int32, comp
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.entries[h]; ok {
-		e.Refs++
+		t.addRefLocked(e, 1)
 		return e, true
 	}
-	e := &Entry{Hash: h, Refs: 1, Addr: addr, PhysLen: physLen, LogLen: logLen,
+	e := &Entry{Hash: h, Addr: addr, PhysLen: physLen, LogLen: logLen,
 		Compressed: compressed, PhysHash: physHash}
 	t.entries[h] = e
+	t.physical += int64(physLen)
+	t.addRefLocked(e, 1)
 	return e, false
+}
+
+// addRefLocked moves e's refcount by d (±1) and the reference totals with
+// it; every refcount change goes through here.
+func (t *Table) addRefLocked(e *Entry, d int64) {
+	e.Refs += d
+	t.refs += d
+	t.logical += d * int64(e.LogLen)
 }
 
 // AddRef bumps the refcount of an existing entry. It returns an error if
@@ -82,7 +98,7 @@ func (t *Table) AddRef(h block.Hash) error {
 	if !ok {
 		return fmt.Errorf("dedup: AddRef on unknown hash %v", h)
 	}
-	e.Refs++
+	t.addRefLocked(e, 1)
 	return nil
 }
 
@@ -96,12 +112,13 @@ func (t *Table) Release(h block.Hash) (*Entry, bool, error) {
 	if !ok {
 		return nil, false, fmt.Errorf("dedup: Release on unknown hash %v", h)
 	}
-	e.Refs--
-	if e.Refs < 0 {
+	if e.Refs <= 0 {
 		return nil, false, fmt.Errorf("dedup: negative refcount for %v", h)
 	}
+	t.addRefLocked(e, -1)
 	if e.Refs == 0 {
 		delete(t.entries, h)
+		t.physical -= int64(e.PhysLen)
 		return e, true, nil
 	}
 	return e, false, nil
@@ -126,20 +143,20 @@ func (s Stats) DedupRatio() float64 {
 	return float64(s.References) / float64(s.Entries)
 }
 
-// Stats computes current table statistics. O(entries).
+// Stats returns current table statistics. O(1): the sums are running
+// totals.
 func (t *Table) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var s Stats
-	for _, e := range t.entries {
-		s.Entries++
-		s.References += e.Refs
-		s.PhysicalBytes += int64(e.PhysLen)
-		s.LogicalBytes += int64(e.LogLen) * e.Refs
+	n := int64(len(t.entries))
+	return Stats{
+		Entries:       n,
+		References:    t.refs,
+		PhysicalBytes: t.physical,
+		LogicalBytes:  t.logical,
+		DiskBytes:     n * DiskBytesPerEntry,
+		MemBytes:      n * MemBytesPerEntry,
 	}
-	s.DiskBytes = s.Entries * DiskBytesPerEntry
-	s.MemBytes = s.Entries * MemBytesPerEntry
-	return s
 }
 
 // Len returns the number of unique entries.

@@ -185,3 +185,83 @@ func BenchmarkReferenceHit(b *testing.B) {
 		tab.Reference(hh, 0, 4, 8, false, block.Hash{})
 	}
 }
+
+// statsByWalk is Stats the way it was computed before the running totals:
+// one pass over every entry. It is the oracle for Stats.
+func statsByWalk(t *Table) Stats {
+	var s Stats
+	t.ForEach(func(e *Entry) {
+		s.Entries++
+		s.References += e.Refs
+		s.PhysicalBytes += int64(e.PhysLen)
+		s.LogicalBytes += int64(e.LogLen) * e.Refs
+	})
+	s.DiskBytes = s.Entries * DiskBytesPerEntry
+	s.MemBytes = s.Entries * MemBytesPerEntry
+	return s
+}
+
+// A seeded random Reference/AddRef/Release schedule over a small hash
+// space — so entries are released to zero and the same hash re-inserted
+// with different lengths — keeps the running totals equal to the walk
+// after every operation, failed ones included, and ends at zero.
+func TestStatsMatchWalk(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab := NewTable()
+		refs := map[byte]int{}
+		check := func(op string, step int) {
+			t.Helper()
+			if got, want := tab.Stats(), statsByWalk(tab); got != want {
+				t.Fatalf("seed %d step %d (%s): Stats %+v, walk %+v", seed, step, op, got, want)
+			}
+		}
+		reinserted := 0
+		for step := 0; step < 4000; step++ {
+			k := byte(rng.Intn(24))
+			switch op := rng.Intn(10); {
+			case op < 4:
+				// A hash that went to zero comes back with fresh lengths: the
+				// totals must have forgotten the old ones.
+				if n, seen := refs[k]; seen && n == 0 {
+					reinserted++
+				}
+				tab.Reference(h(k), uint64(step), int32(1+rng.Intn(4096)), int32(1+rng.Intn(8192)), rng.Intn(2) == 0, block.Hash{})
+				refs[k]++
+				check("reference", step)
+			case op < 6:
+				if err := tab.AddRef(h(k)); (err == nil) != (refs[k] > 0) {
+					t.Fatalf("seed %d step %d: AddRef err %v with %d refs", seed, step, err, refs[k])
+				} else if err == nil {
+					refs[k]++
+				}
+				check("addref", step)
+			default:
+				_, freed, err := tab.Release(h(k))
+				if (err == nil) != (refs[k] > 0) {
+					t.Fatalf("seed %d step %d: Release err %v with %d refs", seed, step, err, refs[k])
+				}
+				if err == nil {
+					refs[k]--
+					if freed != (refs[k] == 0) {
+						t.Fatalf("seed %d step %d: freed=%v with %d refs left", seed, step, freed, refs[k])
+					}
+				}
+				check("release", step)
+			}
+		}
+		if reinserted == 0 {
+			t.Fatalf("seed %d: schedule never re-inserted a released hash", seed)
+		}
+		for k, n := range refs {
+			for ; n > 0; n-- {
+				if _, _, err := tab.Release(h(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got := tab.Stats(); got != (Stats{}) {
+			t.Fatalf("seed %d: teardown left totals behind: %+v", seed, got)
+		}
+	}
+}

@@ -280,12 +280,13 @@ func (ix *Index) Objects() int {
 	return len(ix.holders)
 }
 
-// Entries returns the total number of (object, node) announcements.
+// Entries returns the total number of (object, node) announcements,
+// summed over the per-node inverse: O(nodes), not O(objects).
 func (ix *Index) Entries() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	n := 0
-	for _, set := range ix.holders {
+	for _, set := range ix.held {
 		n += len(set)
 	}
 	return n

@@ -30,6 +30,7 @@ type Store struct {
 	shared map[uint64]struct{} // addresses whose payload is aliased by, or aliases, a slice in other stores
 	next   uint64              // bump allocation pointer (bytes)
 	free   []extent            // freed extents eligible for reuse, address-ordered
+	used   int64               // Σ len of the payloads in blocks; place and Free keep it (Rewrite and Corrupt preserve lengths)
 
 	allocs int64
 	frees  int64
@@ -116,6 +117,7 @@ func (s *Store) place(payload []byte, shared bool) uint64 {
 		s.next += uint64(need)
 	}
 	s.blocks[addr] = payload
+	s.used += int64(len(payload))
 	if shared {
 		s.markSharedLocked(addr)
 	}
@@ -207,6 +209,7 @@ func (s *Store) Free(addr uint64) error {
 	delete(s.blocks, addr)
 	delete(s.shared, addr)
 	size := int64(len(b))
+	s.used -= size
 	if size == 0 {
 		size = 1
 	}
@@ -226,20 +229,18 @@ type Stats struct {
 	Shared     int64 // payloads aliased to a slice shared across stores
 }
 
-// Stats returns current occupancy numbers. O(blocks).
+// Stats returns current occupancy numbers. O(1): UsedBytes is a running
+// total, everything else a length or a counter.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := Stats{
+	return Stats{
 		Blocks:     int64(len(s.blocks)),
+		UsedBytes:  s.used,
 		SpanBytes:  int64(s.next),
 		Allocs:     s.allocs,
 		Frees:      s.frees,
 		FreeChunks: int64(len(s.free)),
 		Shared:     int64(len(s.shared)),
 	}
-	for _, b := range s.blocks {
-		st.UsedBytes += int64(len(b))
-	}
-	return st
 }

@@ -320,3 +320,94 @@ func TestAllocOwnedTakesTheSlice(t *testing.T) {
 		t.Fatal("AllocOwned placement differs from Alloc")
 	}
 }
+
+// usedByWalk is Stats().UsedBytes the way it was computed before the
+// running total: the sum of every stored payload's length.
+func usedByWalk(s *Store) int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var n int64
+	for _, b := range s.blocks {
+		n += int64(len(b))
+	}
+	return n
+}
+
+// A seeded random schedule of every operation that stores, lends, writes
+// or frees a payload — all three allocation forms, Share, Rewrite,
+// Corrupt (both copy a shared slot first) and Free, with empty payloads
+// and extent reuse in the mix — keeps UsedBytes equal to the walk after
+// every step and at zero once everything is freed.
+func TestUsedBytesMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := New()
+	var live []uint64
+	check := func(op string, step int) {
+		t.Helper()
+		st := s.Stats()
+		if want := usedByWalk(s); st.UsedBytes != want {
+			t.Fatalf("step %d (%s): UsedBytes %d, walk %d", step, op, st.UsedBytes, want)
+		}
+		if st.Blocks != int64(len(live)) {
+			t.Fatalf("step %d (%s): %d blocks, %d live", step, op, st.Blocks, len(live))
+		}
+	}
+	for step := 0; step < 3000; step++ {
+		op := rng.Intn(8)
+		if len(live) == 0 {
+			op = rng.Intn(3)
+		}
+		payload := make([]byte, rng.Intn(300)) // zero-length payloads included
+		rng.Read(payload)
+		pick := func() (int, uint64) { i := rng.Intn(len(live)); return i, live[i] }
+		switch op {
+		case 0:
+			live = append(live, s.Alloc(payload))
+			check("alloc", step)
+		case 1:
+			live = append(live, s.AllocOwned(payload))
+			check("allocOwned", step)
+		case 2:
+			live = append(live, s.AllocShared(payload))
+			check("allocShared", step)
+		case 3:
+			_, addr := pick()
+			if _, err := s.Share(addr); err != nil {
+				t.Fatal(err)
+			}
+			check("share", step)
+		case 4:
+			_, addr := pick()
+			b, _ := s.Read(addr)
+			if err := s.Rewrite(addr, make([]byte, len(b))); err != nil {
+				t.Fatal(err)
+			}
+			check("rewrite", step)
+		case 5:
+			_, addr := pick()
+			if b, _ := s.Read(addr); len(b) > 0 {
+				if err := s.Corrupt(addr, int64(rng.Intn(len(b))), 0x40); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("corrupt", step)
+		default:
+			i, addr := pick()
+			if err := s.Free(addr); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+			check("free", step)
+		}
+	}
+	for _, addr := range live {
+		if err := s.Free(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live = nil
+	check("teardown", -1)
+	if st := s.Stats(); st.UsedBytes != 0 || st.Shared != 0 {
+		t.Fatalf("teardown left %+v", st)
+	}
+}

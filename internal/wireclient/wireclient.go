@@ -5,14 +5,24 @@
 // The client pipelines: every call is assigned a request ID, written
 // to the shared connection, and parked until the matching response
 // frame arrives, so concurrent callers share one connection without
-// head-of-line blocking on the daemon side (the daemon handles each
-// request in its own goroutine). Streaming replies (the watch op) ride
-// the same connection: the read loop keeps routing FlagStream frames
-// to their parked consumer until the final non-stream frame closes the
-// exchange. Dial retries refused connections and busy handshakes with
-// exponential backoff — the daemon may still be starting; a protocol
-// version mismatch (or a peer that is not a squirreld) fails
-// immediately, after exactly one handshake.
+// head-of-line blocking on the daemon side (the daemon runs every
+// request that can take long in its own goroutine). Streaming replies
+// (the watch op) ride the same connection: the read loop keeps routing
+// FlagStream frames to their parked consumer until the final non-stream
+// frame closes the exchange.
+//
+// Channel ownership: a parked call's channel is written by the read loop
+// alone and is never closed. Connection death is announced on one stop
+// channel, done, closed exactly once by fail; the read loop selects its
+// hand-off against done, and every consumer (a unary call, a watch, the
+// drainer of an abandoned watch) selects on its channel, done and its
+// context — so Close during a stream whose consumer is slower than the
+// daemon cannot race a send against a close.
+//
+// Dial retries refused connections and busy handshakes with exponential
+// backoff — the daemon may still be starting; a protocol version
+// mismatch (or a peer that is not a squirreld) fails immediately, after
+// exactly one handshake.
 //
 // When Options.Obs is set the client records its own span tree: one
 // ctl.session root per connection, ctl.dial children for every TCP
@@ -100,13 +110,14 @@ type Client struct {
 	tel     *obs.Telemetry
 	session *obs.Span // ctl.session root; finished by Close
 
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
+	wmu sync.Mutex        // serializes frame writes
+	fw  *wireproto.Writer // one reused buffer, one conn.Write per request
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan wireproto.Frame
-	err     error // terminal connection error; set once
+	err     error         // terminal connection error; set once, with done
+	done    chan struct{} // closed by fail when the connection dies
 }
 
 var _ ctlplane.Session = (*Client)(nil)
@@ -193,18 +204,21 @@ func handshake(conn net.Conn, opts Options) (*Client, error) {
 	c := &Client{
 		opts:    opts,
 		conn:    conn,
-		bw:      bufio.NewWriter(conn),
+		fw:      wireproto.NewWriter(conn),
 		pending: make(map[uint64]chan wireproto.Frame),
+		done:    make(chan struct{}),
 	}
 	go c.readLoop()
 	return c, nil
 }
 
 // readLoop routes response frames to their parked callers until the
-// connection dies, then fails every pending call. A FlagStream frame
-// leaves its pending entry registered — more elements follow — and the
-// exchange is unregistered by its final non-stream frame. Frames with
-// no pending entry (responses whose caller gave up) are discarded.
+// connection dies. A FlagStream frame leaves its pending entry
+// registered — more elements follow — and the exchange is unregistered
+// by its final non-stream frame. Frames with no pending entry (responses
+// whose caller gave up) are discarded. A hand-off can block only on a
+// stream whose consumer is behind; it gives up when the connection is
+// failed under it.
 func (c *Client) readLoop() {
 	br := bufio.NewReader(c.conn)
 	for {
@@ -220,23 +234,24 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- f
+			select {
+			case ch <- f:
+			case <-c.done:
+				return
+			}
 		}
 	}
 }
 
-// fail marks the connection dead and unparks every pending call.
+// fail marks the connection dead and unparks every pending call. Only
+// the first call's error is kept.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
+		close(c.done)
 	}
-	pending := c.pending
-	c.pending = make(map[uint64]chan wireproto.Frame)
 	c.mu.Unlock()
-	for _, ch := range pending {
-		close(ch)
-	}
 }
 
 // Close implements Session. It also finishes the ctl.session span, which
@@ -264,19 +279,22 @@ func (c *Client) register(bufcap int) (uint64, chan wireproto.Frame, error) {
 	return id, ch, nil
 }
 
-// writeRequest serializes and flushes one request frame; a write error
-// kills the connection and unregisters the request.
+// unregister forgets a parked request whose caller is leaving; a late
+// response to it is discarded by the read loop.
+func (c *Client) unregister(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
+}
+
+// writeRequest writes one request frame; a write error kills the
+// connection and unregisters the request.
 func (c *Client) writeRequest(f wireproto.Frame) error {
 	c.wmu.Lock()
-	err := wireproto.WriteFrame(c.bw, f)
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	err := c.fw.WriteFrame(f)
 	c.wmu.Unlock()
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, f.ReqID)
-		c.mu.Unlock()
+		c.unregister(f.ReqID)
 		c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 		return fmt.Errorf("wireclient: write: %w", err)
 	}
@@ -343,37 +361,50 @@ func (c *Client) exchange(ctx context.Context, sp *obs.Span, typ uint8, args any
 		return err
 	}
 
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
-			}
-			return err
-		}
-		if f.IsError() {
-			code, msg, derr := wireproto.DecodeError(f.Payload)
-			if derr != nil {
-				return fmt.Errorf("wireclient: undecodable error frame: %w", derr)
-			}
-			return ctlplane.ErrFromCode(code, msg)
-		}
-		if out == nil || len(f.Payload) == 0 {
-			return nil
-		}
-		if err := json.Unmarshal(f.Payload, out); err != nil {
-			return fmt.Errorf("wireclient: decode response: %w", err)
-		}
-		return nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return ctx.Err()
+	resp, err := c.recv(ctx, ch)
+	if err != nil {
+		c.unregister(id)
+		return err
 	}
+	if resp.IsError() {
+		return decodeErrorFrame(resp)
+	}
+	if out == nil || len(resp.Payload) == 0 {
+		return nil
+	}
+	if err := json.Unmarshal(resp.Payload, out); err != nil {
+		return fmt.Errorf("wireclient: decode response: %w", err)
+	}
+	return nil
+}
+
+// recv parks on a registered call's channel until the read loop hands it
+// a frame, ctx expires, or the connection dies. A frame handed over
+// before the connection died is still delivered: a daemon that replies
+// and then closes (a drain) has answered.
+func (c *Client) recv(ctx context.Context, ch <-chan wireproto.Frame) (wireproto.Frame, error) {
+	select {
+	case f := <-ch:
+		return f, nil
+	case <-ctx.Done():
+		return wireproto.Frame{}, ctx.Err()
+	case <-c.done:
+		select {
+		case f := <-ch:
+			return f, nil
+		default:
+			return wireproto.Frame{}, c.err // set before done closed, never again
+		}
+	}
+}
+
+// decodeErrorFrame rebuilds the error an error frame carries.
+func decodeErrorFrame(f wireproto.Frame) error {
+	code, msg, err := wireproto.DecodeError(f.Payload)
+	if err != nil {
+		return fmt.Errorf("wireclient: undecodable error frame: %w", err)
+	}
+	return ctlplane.ErrFromCode(code, msg)
 }
 
 // bg is the context for Session methods that have no caller context.
@@ -549,53 +580,44 @@ func (c *Client) watchStream(ctx context.Context, sp *obs.Span, args ctlplane.Wa
 	}
 	// abandon hands the rest of the stream to a background drainer: the
 	// pending entry stays registered (the read loop still needs a live
-	// consumer) until the final non-stream frame — or connection death —
-	// unregisters it.
+	// consumer) until the final non-stream frame unregisters it, or the
+	// connection dies.
 	abandon := func() {
 		go func() {
-			for f := range ch {
-				if !f.IsStream() {
+			for {
+				select {
+				case f := <-ch:
+					if !f.IsStream() {
+						return
+					}
+				case <-c.done:
 					return
 				}
 			}
 		}()
 	}
 	for {
-		select {
-		case f, ok := <-ch:
-			if !ok {
-				c.mu.Lock()
-				err := c.err
-				c.mu.Unlock()
-				if err == nil {
-					err = ErrClosed
-				}
-				return err
-			}
-			if f.IsError() {
-				code, msg, derr := wireproto.DecodeError(f.Payload)
-				if derr != nil {
-					return fmt.Errorf("wireclient: undecodable error frame: %w", derr)
-				}
-				return ctlplane.ErrFromCode(code, msg)
-			}
-			if !f.IsStream() {
-				// Final frame: the stream completed.
-				return nil
-			}
-			var u ctlplane.WatchUpdate
-			if err := json.Unmarshal(f.Payload, &u); err != nil {
-				abandon()
-				return fmt.Errorf("wireclient: decode watch update: %w", err)
-			}
-			sp.Annotate("updates", 1)
-			if err := fn(u); err != nil {
-				abandon()
-				return err
-			}
-		case <-ctx.Done():
+		f, err := c.recv(ctx, ch)
+		if err != nil {
+			abandon() // exits at once if the connection is what died
+			return err
+		}
+		if f.IsError() {
+			return decodeErrorFrame(f)
+		}
+		if !f.IsStream() {
+			// Final frame: the stream completed.
+			return nil
+		}
+		var u ctlplane.WatchUpdate
+		if err := json.Unmarshal(f.Payload, &u); err != nil {
 			abandon()
-			return ctx.Err()
+			return fmt.Errorf("wireclient: decode watch update: %w", err)
+		}
+		sp.Annotate("updates", 1)
+		if err := fn(u); err != nil {
+			abandon()
+			return err
 		}
 	}
 }

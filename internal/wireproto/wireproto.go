@@ -226,7 +226,7 @@ func (f Frame) IsError() bool { return f.Flags&FlagError != 0 }
 func (f Frame) IsStream() bool { return f.Flags&FlagStream != 0 }
 
 // AppendFrame appends f's wire encoding to dst and returns the extended
-// slice. WriteFrame is the io.Writer form.
+// slice. It does not bound the payload; Writer and WriteFrame do.
 func AppendFrame(dst []byte, f Frame) []byte {
 	start := len(dst)
 	dst = append(dst, f.Type, f.Flags)
@@ -241,17 +241,37 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
-// WriteFrame encodes one frame to w. The caller serializes concurrent
-// writers; a frame is a single Write so a buffered writer flushes it
-// atomically.
-func WriteFrame(w io.Writer, f Frame) error {
+// Writer sends frames down one stream through one reused buffer: each
+// frame is encoded into the buffer and handed to the underlying writer in
+// a single Write — one syscall per frame on a net.Conn, no second copy,
+// and no allocation once the buffer has grown to the stream's largest
+// frame. It is not safe for concurrent use: the owner serializes senders,
+// as it must anyway to keep frames whole.
+type Writer struct {
+	w   io.Writer
+	buf []byte
+}
+
+// NewWriter returns a Writer sending to w.
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+
+// WriteFrame encodes f and writes it. A payload over MaxPayload is
+// refused before anything is encoded.
+func (fw *Writer) WriteFrame(f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("%w: payload %d > %d", ErrTooLarge, len(f.Payload), MaxPayload)
 	}
-	buf := AppendFrame(make([]byte, 0, headerLen+traceLen+len(f.Payload)+4), f)
-	_, err := w.Write(buf)
+	if need := headerLen + traceLen + len(f.Payload) + 4; cap(fw.buf) < need {
+		fw.buf = make([]byte, 0, need)
+	}
+	fw.buf = AppendFrame(fw.buf[:0], f)
+	_, err := fw.w.Write(fw.buf)
 	return err
 }
+
+// WriteFrame encodes one frame to w in a single Write: the one-shot form
+// of Writer, for callers that send a frame or two.
+func WriteFrame(w io.Writer, f Frame) error { return NewWriter(w).WriteFrame(f) }
 
 // ReadFrame decodes one frame from r, verifying bounds before any
 // allocation and the CRC trailer after. Any violation is an error;

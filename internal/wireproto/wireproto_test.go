@@ -151,3 +151,45 @@ func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 		t.Fatalf("oversized write: got %v", err)
 	}
 }
+
+// writeCounter records each Write it receives.
+type writeCounter struct{ writes [][]byte }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// A Writer hands each frame to the stream in exactly one Write, reusing
+// its buffer across frames of different sizes (a long one, then a short
+// one must not drag the long one's tail along), and refuses an oversized
+// payload without writing anything.
+func TestWriterOneWritePerFrame(t *testing.T) {
+	var sink writeCounter
+	fw := NewWriter(&sink)
+	frames := []Frame{
+		{Type: TStats, Flags: FlagResponse, ReqID: 1, Payload: bytes.Repeat([]byte("x"), 4000)},
+		{Type: TNetRx, Flags: FlagResponse | FlagTrace, ReqID: 2, TraceID: 7, SpanID: 9, Payload: []byte(`{"Bytes":1}`)},
+		{Type: TInfo, ReqID: 3},
+	}
+	for _, f := range frames {
+		if err := fw.WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.WriteFrame(Frame{Type: TInfo, Payload: make([]byte, MaxPayload+1)}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized write: got %v", err)
+	}
+	if len(sink.writes) != len(frames) {
+		t.Fatalf("%d writes for %d frames", len(sink.writes), len(frames))
+	}
+	for i, want := range frames {
+		if !bytes.Equal(sink.writes[i], AppendFrame(nil, want)) {
+			t.Fatalf("frame %d: the write is not the frame's encoding", i)
+		}
+		got, err := ReadFrame(bytes.NewReader(sink.writes[i]))
+		if err != nil || got.ReqID != want.ReqID || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frame %d: decoded %+v, %v", i, got, err)
+		}
+	}
+}

@@ -79,16 +79,12 @@ func (v *Volume) Recover() RecoverReport {
 			// block references is the whole undo; a displaced object kept
 			// its holders and goes back as it was.
 			v.releasePtrsLocked(rec.newPtrs)
-			if rec.old != nil {
-				v.objects[rec.name] = rec.old
-			} else {
-				delete(v.objects, rec.name)
-			}
+			v.setObjectLocked(rec.name, rec.old) // nil when the upsert created the name
 			v.logicalWritten -= rec.logical
 			v.zeroBytes -= rec.zeros
 			rep.UndoneUpserts++
 		} else {
-			v.objects[rec.name] = rec.old
+			v.setObjectLocked(rec.name, rec.old)
 			rep.UndoneDeletes++
 		}
 	}

@@ -159,7 +159,9 @@ func runModel(t *testing.T, seed int64, steps int, dedup bool) {
 				}
 			}
 		}
-		// Accounting invariants.
+		// Accounting invariants: the running totals equal the walk, and the
+		// walk equals the model.
+		checkStats(t, v, fmt.Sprintf("step %d", step))
 		st := v.Stats()
 		var logical int64
 		for _, d := range live {
@@ -189,10 +191,7 @@ func runModel(t *testing.T, seed int64, steps int, dedup bool) {
 			t.Fatal(err)
 		}
 	}
-	st := v.Stats()
-	if st.DataBytes != 0 || st.UniqueBlocks != 0 {
-		t.Fatalf("teardown leaked storage: %+v", st)
-	}
+	checkEmptied(t, v)
 }
 
 func anyKey[V any](rng *rand.Rand, m map[string]V) string {
@@ -231,6 +230,7 @@ func TestReplicationModelBased(t *testing.T) {
 				t.Fatal(err)
 			}
 			delete(live, name)
+			checkStats(t, src, fmt.Sprintf("round %d source delete", round))
 		}
 		name := fmt.Sprintf("cache%03d", round)
 		data := append([]byte(nil), frag...)
@@ -241,11 +241,13 @@ func TestReplicationModelBased(t *testing.T) {
 			t.Fatal(err)
 		}
 		live[name] = data
+		checkStats(t, src, fmt.Sprintf("round %d source write", round))
 
 		snap := fmt.Sprintf("s%03d", round)
 		if _, err := src.Snapshot(snap, clock); err != nil {
 			t.Fatal(err)
 		}
+		checkStats(t, src, fmt.Sprintf("round %d source snapshot", round))
 		stream, err := src.Send(lastSnap, snap)
 		if err != nil {
 			t.Fatal(err)
@@ -254,6 +256,7 @@ func TestReplicationModelBased(t *testing.T) {
 			t.Fatalf("round %d receive: %v", round, err)
 		}
 		lastSnap = snap
+		checkStats(t, dst, fmt.Sprintf("round %d replica receive", round))
 
 		// Replica must hold exactly the live set with identical bytes.
 		if got, want := len(dst.Objects()), len(live); got != want {
@@ -264,5 +267,19 @@ func TestReplicationModelBased(t *testing.T) {
 		if err != nil || !bytes.Equal(got, live[probe]) {
 			t.Fatalf("round %d: replica %s diverged (err %v)", round, probe, err)
 		}
+	}
+	// Teardown: both sides let go of everything and every total is zero.
+	for _, v := range []*Volume{src, dst} {
+		for _, name := range v.Objects() {
+			if err := v.DeleteObject(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range v.Snapshots() {
+			if err := v.DeleteSnapshot(s.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkEmptied(t, v)
 	}
 }

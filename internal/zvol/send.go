@@ -217,7 +217,7 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 			rec.old = old
 		}
 		rec.newPtrs = obj.ptrs
-		v.objects[so.Name] = obj
+		v.setObjectLocked(so.Name, obj)
 		j.undo = append(j.undo, rec)
 		j.steps++
 		if crashed() {
@@ -226,7 +226,7 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 	}
 	for _, name := range st.Deletes {
 		if obj, ok := v.objects[name]; ok {
-			delete(v.objects, name)
+			v.setObjectLocked(name, nil)
 			release = append(release, obj)
 			j.undo = append(j.undo, undoRec{name: name, old: obj})
 		}

@@ -31,14 +31,16 @@ func (v *Volume) snapshotLocked(name string, at time.Time) *Snapshot {
 		objs[n] = o // objects are immutable once written
 		o.holders++
 	}
-	s := &Snapshot{Name: name, Created: at, objects: objs}
+	s := &Snapshot{Name: name, Created: at, objects: objs, ptrs: v.livePtrs}
 	v.snaps = append(v.snaps, s)
+	v.snapPtrs += s.ptrs
 	return s
 }
 
 // destroySnapLocked lets go of every object s lists; the caller has
 // already taken s off v.snaps.
 func (v *Volume) destroySnapLocked(s *Snapshot) {
+	v.snapPtrs -= s.ptrs
 	for _, o := range s.objects {
 		v.dropHolderLocked(o)
 	}

@@ -108,6 +108,7 @@ type Snapshot struct {
 	Name    string
 	Created time.Time
 	objects map[string]*Object // object table at snapshot time
+	ptrs    int64              // Σ len(ptrs) over objects, fixed at creation (Stats' metadata term)
 }
 
 // Objects lists the object names captured by the snapshot, sorted.
@@ -130,6 +131,13 @@ type Volume struct {
 
 	objects map[string]*Object
 	snaps   []*Snapshot // creation-ordered
+
+	// Running totals Stats reads instead of walking the tables, guarded by
+	// mu: setObjectLocked moves the live pair, snapshotLocked and
+	// destroySnapLocked the snapshot sum.
+	liveBytes int64 // Σ Size over objects
+	livePtrs  int64 // Σ len(ptrs) over objects
+	snapPtrs  int64 // Σ Snapshot.ptrs over snaps
 
 	// chunker splits WriteObject's input; kept across calls (under mu) so
 	// its block-sized buffer is allocated once per volume.
@@ -250,8 +258,25 @@ func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 		v.releasePtrsLocked(obj.ptrs)
 		return nil, err
 	}
-	v.objects[name] = obj
+	v.setObjectLocked(name, obj)
 	return obj, nil
+}
+
+// setObjectLocked is the one place the live table changes: it puts obj
+// under name, replacing what was there, or with a nil obj removes name,
+// and moves the live totals by the difference.
+func (v *Volume) setObjectLocked(name string, obj *Object) {
+	if old, ok := v.objects[name]; ok {
+		v.liveBytes -= old.Size
+		v.livePtrs -= int64(len(old.ptrs))
+	}
+	if obj == nil {
+		delete(v.objects, name)
+		return
+	}
+	v.objects[name] = obj
+	v.liveBytes += obj.Size
+	v.livePtrs += int64(len(obj.ptrs))
 }
 
 // writeBlock stores one nonzero block and returns its pointer. Caller
@@ -471,7 +496,7 @@ func (v *Volume) DeleteObject(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: object %s", ErrNotFound, name)
 	}
-	delete(v.objects, name)
+	v.setObjectLocked(name, nil)
 	v.dropHolderLocked(obj)
 	return nil
 }
