@@ -115,11 +115,6 @@ type Config struct {
 	// and zvol volumes account into one shared counter registry. nil
 	// (the default) disables all of it with zero behavioral difference.
 	Obs *obs.Telemetry
-	// ObsRingSize bounds the completed-span ring. When Obs is set it
-	// must already carry its ring and this field is ignored; when Obs is
-	// nil and ObsRingSize is positive, New builds a Telemetry with a
-	// ring of that size — the config-only way to enable tracing.
-	ObsRingSize int
 }
 
 // RepairPolicy bounds per-replica registration repair.
@@ -244,9 +239,6 @@ func New(cfg Config, cl *cluster.Cluster, pfs *cluster.PFS) (*Squirrel, error) {
 		return nil, err
 	}
 	cfg.Peer = cfg.Peer.Normalize()
-	if cfg.Obs == nil && cfg.ObsRingSize > 0 {
-		cfg.Obs = obs.New(cfg.ObsRingSize)
-	}
 	s := &Squirrel{
 		cfg:        cfg,
 		cl:         cl,

@@ -395,7 +395,15 @@ func TestConcurrentRegisterAndBootInterleaving(t *testing.T) {
 // the /1 case is the serialized baseline (exactly what the old global
 // manager mutex produced at any concurrency), and scaling shows as
 // ns/op dropping with the worker count as the waits overlap.
+//
+// The scaling bar is asserted here: when /1 and /16 both ran, /16 must
+// beat /1 by stormScalingBar or the benchmark fails. A filtered run that
+// skips either side (-bench 'BootStorm/64') is not judged.
+//
+//	go test -run '^$' -bench BenchmarkBootStorm ./internal/core/
 func BenchmarkBootStorm(b *testing.B) {
+	const stormScalingBar = 4        // x, /1 ns/op over /16 ns/op
+	nsPerOp := make(map[int]float64) // workers → ns/op of the sub-benchmark's last (longest) run
 	for _, workers := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprint(workers), func(b *testing.B) {
 			sq, cl, repo := bootStormDeployment(b, 16, time.Millisecond)
@@ -430,6 +438,16 @@ func BenchmarkBootStorm(b *testing.B) {
 				}()
 			}
 			wg.Wait()
+			nsPerOp[workers] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if serial, ok := nsPerOp[1]; ok && workers == 16 {
+				b.ReportMetric(serial/nsPerOp[16], "speedup-x")
+			}
 		})
+	}
+	serial, ok1 := nsPerOp[1]
+	storm, ok16 := nsPerOp[16]
+	if ok1 && ok16 && serial/storm < stormScalingBar {
+		b.Fatalf("boot-storm scaling: /16 is %.1fx faster than /1 (%.0f vs %.0f ns/op), bar is >= %vx",
+			serial/storm, storm, serial, stormScalingBar)
 	}
 }

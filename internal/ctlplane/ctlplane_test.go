@@ -125,3 +125,39 @@ func TestMessagesRoundTripJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestRingSizeNeedsTraced pins what `squirreld -obs-ring` promises: a
+// ring size alone turns nothing on, and with Traced it is the number of
+// completed root operations the ring holds.
+func TestRingSizeNeedsTraced(t *testing.T) {
+	const ring = 3
+	l, err := NewLocal(Options{Images: 2, Nodes: 2, ObsRingSize: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tel := l.Squirrel().Telemetry(); tel != nil {
+		t.Fatalf("ObsRingSize without Traced built a Telemetry holding %d roots", len(tel.Roots()))
+	}
+	l, err = NewLocal(Options{Images: 2, Nodes: 2, ObsRingSize: ring, Traced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := l.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, im := range info.Images {
+		if _, err := l.Register(context.Background(), im, time.Unix(int64(k), 0)); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range info.ComputeNodes {
+			if _, err := l.Boot(context.Background(), core.BootRequest{Image: im, Node: n}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ops := len(info.Images) * (1 + len(info.ComputeNodes))
+	if got := len(l.Squirrel().Telemetry().Roots()); got != ring || ops <= ring {
+		t.Fatalf("ring holds %d roots after %d operations, want %d", got, ops, ring)
+	}
+}

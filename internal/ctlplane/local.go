@@ -99,7 +99,6 @@ func NewLocal(opts Options) (*Local, error) {
 	if opts.Traced {
 		cfg.Obs = obs.NewWith(obs.Config{RingSize: opts.ObsRingSize, SampleEvery: opts.SampleEvery})
 	}
-	cfg.ObsRingSize = opts.ObsRingSize
 	cfg.BootLatency = opts.BootLatency
 	sq, err := core.New(cfg, cl, pfs)
 	if err != nil {

@@ -10,64 +10,23 @@ import (
 // BenchmarkIndexChurn measures announce + lookup throughput while the
 // membership churns: every iteration refreshes one node's holdings and
 // resolves one object, and every 64th iteration crashes or restarts a
-// node and runs a gossip round. The converge-rounds metric is the
-// measured bound the CI churn job gates: rounds from a cold owner crash
-// until every live view answers every object exactly.
+// node and runs a gossip round. How many rounds the same deployment
+// takes to reconverge after an owner crash is a function of the seed,
+// so TestChurnOwnerCrashConvergence asserts it.
 func BenchmarkIndexChurn(b *testing.B) {
-	const (
-		nodes   = 32
-		objects = 128
-	)
-	clk := newFakeClock()
-	ids := nodeIDs(nodes)
-	objs := make([]string, objects)
-	for i := range objs {
-		objs[i] = fmt.Sprintf("img%03d", i)
-	}
-	build := func(ttl time.Duration) *Directory {
-		d := New(Config{Seed: 1337, TTL: ttl, Fanout: 3, Owners: 2, Clock: clk.Now}, ids, nil)
-		for i, n := range ids {
-			held := make([]string, 0, objects/4)
-			for j := i; j < objects; j += nodes / 8 {
-				held = append(held, objs[j])
-			}
-			d.SetHoldings(n, held)
-		}
-		return d
-	}
-
-	// Measured convergence bound: crash the busiest primary owner plus a
-	// random member, then count rounds to exact convergence. The bound
-	// decomposes as TTL rounds (the dead holders' own leases must age
-	// out) plus ownership hand-off; an 8-tick TTL keeps the hand-off
-	// share visible instead of drowning it in lease decay.
-	d := build(8 * time.Second)
-	d.MarkDown(d.Owners(objs[0])[0])
-	d.MarkDown("cc17")
-	convergeRounds := 0
-	for ; convergeRounds < 64 && !converged(d, objs); convergeRounds++ {
-		clk.Advance(time.Second)
-		d.Tick()
-	}
-	if !converged(d, objs) {
-		b.Fatal("benchmark deployment failed to converge")
-	}
-
-	d = build(30 * time.Second)
+	d, ids, objs := churnDirectory(newFakeClock(), 30*time.Second)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := ids[i%nodes]
-		d.SetHoldings(n, []string{objs[i%objects], objs[(i*7)%objects]})
-		d.Lookup(n, objs[(i*13)%objects])
+		n := ids[i%len(ids)]
+		d.SetHoldings(n, []string{objs[i%len(objs)], objs[(i*7)%len(objs)]})
+		d.Lookup(n, objs[(i*13)%len(objs)])
 		if i%64 == 63 {
-			victim := ids[(i/64)%nodes]
+			victim := ids[(i/64)%len(ids)]
 			d.MarkDown(victim)
 			d.Tick()
 			d.MarkUp(victim)
 		}
 	}
-	// After ResetTimer, or it would be cleared with the timer state.
-	b.ReportMetric(float64(convergeRounds), "converge-rounds")
 }
 
 // BenchmarkGossipScale charts the directory's cost curve from 1k nodes
@@ -78,8 +37,19 @@ func BenchmarkIndexChurn(b *testing.B) {
 // one full gossip round — advertise + fanout-k exchange + prune across
 // every live node — and converge-rounds is the owner-crash convergence
 // bound measured at that scale before the timer starts.
+//
+// The linearity bar is asserted here: when nodes=1000 and nodes=10000
+// both ran, a round's cost per node at 10k must stay within
+// scaleCostBar of its cost per node at 1k or the benchmark fails. A
+// filtered run that skips either side is not judged.
+//
+//	go test -run '^$' -bench BenchmarkGossipScale -benchtime 1x ./internal/gossip/
 func BenchmarkGossipScale(b *testing.B) {
-	const objects = 256
+	const (
+		objects      = 256
+		scaleCostBar = 3 // x
+	)
+	nsPerNode := make(map[int]float64) // nodes → per-node round cost of the sub-benchmark's last run
 	for _, nodes := range []int{1000, 4000, 10000} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			clk := newFakeClock()
@@ -121,7 +91,17 @@ func BenchmarkGossipScale(b *testing.B) {
 				d.Tick()
 			}
 			b.ReportMetric(float64(rounds), "converge-rounds")
+			nsPerNode[nodes] = float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(nodes)
+			if small, ok := nsPerNode[1000]; ok && nodes == 10000 {
+				b.ReportMetric(nsPerNode[10000]/small, "per-node-cost-x")
+			}
 		})
+	}
+	small, okS := nsPerNode[1000]
+	big, okB := nsPerNode[10000]
+	if okS && okB && big/small > scaleCostBar {
+		b.Fatalf("gossip round cost per node: %.2fx at 10k nodes vs 1k (%.0f vs %.0f ns), bar is <= %vx",
+			big/small, big, small, scaleCostBar)
 	}
 }
 

@@ -244,6 +244,51 @@ func TestOwnerCrashReReplicates(t *testing.T) {
 	t.Logf("re-replicated after %d owner crashes in %d rounds", len(owners), rounds)
 }
 
+// churnDirectory is the deployment BenchmarkIndexChurn churns: 32 nodes
+// each holding a quarter of a 128-object catalog, fanout 3, two owners
+// per object.
+func churnDirectory(clk *fakeClock, ttl time.Duration) (d *Directory, ids, objs []string) {
+	const nodes, objects = 32, 128
+	ids = nodeIDs(nodes)
+	objs = make([]string, objects)
+	for i := range objs {
+		objs[i] = fmt.Sprintf("img%03d", i)
+	}
+	d = New(Config{Seed: 1337, TTL: ttl, Fanout: 3, Owners: 2, Clock: clk.Now}, ids, nil)
+	for i, n := range ids {
+		held := make([]string, 0, objects/4)
+		for j := i; j < objects; j += nodes / 8 {
+			held = append(held, objs[j])
+		}
+		d.SetHoldings(n, held)
+	}
+	return d, ids, objs
+}
+
+// TestChurnOwnerCrashConvergence holds the decentralized index's
+// convergence bar on the churn benchmark's deployment: crash the busiest
+// primary owner plus one more member, then count rounds until every live
+// view answers every object exactly. The bound decomposes as TTL rounds
+// (the dead holders' own leases must age out) plus ownership hand-off;
+// an 8-tick TTL keeps the hand-off share visible instead of drowning it
+// in lease decay.
+func TestChurnOwnerCrashConvergence(t *testing.T) {
+	const maxRounds = 12
+	clk := newFakeClock()
+	d, _, objs := churnDirectory(clk, 8*time.Second)
+	d.MarkDown(d.Owners(objs[0])[0])
+	d.MarkDown("cc17")
+	rounds := 0
+	for ; rounds < 64 && !converged(d, objs); rounds++ {
+		clk.Advance(time.Second)
+		d.Tick()
+	}
+	if ok := converged(d, objs); !ok || rounds > maxRounds {
+		t.Fatalf("gossip index ran %d rounds after owner crash (converged: %v), bar is <= %d", rounds, ok, maxRounds)
+	}
+	t.Logf("gossip index converged %d rounds after owner crash, bar is <= %d", rounds, maxRounds)
+}
+
 // TestPartitionDivergenceHeals: both sides of a cut keep serving their
 // own side's holders; after the heal the views reconcile within a
 // bounded number of rounds.

@@ -43,9 +43,9 @@ type PreparedBlock struct {
 // Prepare hashes every shipped payload of st exactly once and finds its
 // stored form. The raw block is always hashed — that digest is what a
 // receiver's stream verification compares with the stream's pointer —
-// and the DDT is then asked before the codec, as writeBlock asks it: a
-// block this volume already stores (every block of a stream it sent
-// itself) is not compressed a second time. Its stored payload is checked
+// and the DDT is then asked before the codec, as writeBlockHashed asks
+// it: a block this volume already stores (every block of a stream it
+// sent itself) is not compressed a second time. Its stored payload is checked
 // against the entry's PhysHash and lent out through store.Share, so the
 // sender and all receivers hold one copy of the bytes, each behind its
 // own copy-on-write slot. Only a block the volume does not hold, holds
@@ -104,7 +104,7 @@ func (v *Volume) ReceivePrepared(ps *PreparedStream) error {
 }
 
 // writeBlockPrepared stores one nonzero block from its prepared form and
-// returns its pointer. Mirrors writeBlock exactly, minus the hash and
+// returns its pointer. Mirrors writeBlockHashed exactly, minus the
 // compression work. Caller holds v.mu.
 func (v *Volume) writeBlockPrepared(pb *PreparedBlock) blockPtr {
 	if v.cfg.Dedup {

@@ -168,7 +168,8 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 	if v.journal != nil {
 		return ErrNeedsRecovery
 	}
-	if err := v.verifyStreamLocked(st, ps); err != nil {
+	hashes, err := v.verifyStreamLocked(st, ps)
+	if err != nil {
 		return err
 	}
 	// Intent record: from here until commit, a crash leaves the journal
@@ -198,7 +199,7 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 				if ps != nil {
 					obj.ptrs = append(obj.ptrs, v.writeBlockPrepared(&ps.Blocks[sp.Payload]))
 				} else {
-					obj.ptrs = append(obj.ptrs, v.writeBlock(st.Blocks[sp.Payload]))
+					obj.ptrs = append(obj.ptrs, v.writeBlockHashed(hashes[sp.Payload], st.Blocks[sp.Payload]))
 				}
 			default:
 				e := v.ddt.Lookup(sp.Hash)
@@ -262,22 +263,25 @@ func (st *Stream) ApplySteps() int { return len(st.Upserts) + len(st.Deletes) }
 // consistent with their pointers, and every hash-only reference present
 // in the local DDT. With a prepared stream the per-payload checksums were
 // computed once by Prepare and are reused instead of re-hashed here.
-func (v *Volume) verifyStreamLocked(st *Stream, ps *PreparedStream) error {
+// It returns the content hash of each shipped payload, indexed as
+// st.Blocks, so the apply phase stores the blocks without hashing them
+// again.
+func (v *Volume) verifyStreamLocked(st *Stream, ps *PreparedStream) ([]block.Hash, error) {
 	if st.FromSnap != "" && v.findSnapLocked(st.FromSnap) == nil {
-		return fmt.Errorf("%w: %s", ErrNotAncestor, st.FromSnap)
+		return nil, fmt.Errorf("%w: %s", ErrNotAncestor, st.FromSnap)
 	}
 	if v.findSnapLocked(st.ToSnap) != nil {
-		return fmt.Errorf("%w: %s", ErrSnapExists, st.ToSnap)
+		return nil, fmt.Errorf("%w: %s", ErrSnapExists, st.ToSnap)
 	}
 	if !v.cfg.Dedup {
-		return fmt.Errorf("zvol: receive requires a dedup volume")
+		return nil, fmt.Errorf("zvol: receive requires a dedup volume")
 	}
 	// Checksum every shipped payload once up front (or reuse the hashes
 	// Prepare computed when receiving a prepared stream).
 	var hashes []block.Hash
 	if ps != nil {
 		if len(ps.Blocks) != len(st.Blocks) {
-			return fmt.Errorf("%w: prepared stream carries %d blocks, stream %d",
+			return nil, fmt.Errorf("%w: prepared stream carries %d blocks, stream %d",
 				ErrBadStream, len(ps.Blocks), len(st.Blocks))
 		}
 		hashes = make([]block.Hash, len(ps.Blocks))
@@ -298,28 +302,28 @@ func (v *Volume) verifyStreamLocked(st *Stream, ps *PreparedStream) error {
 			case sp.Zero:
 			case sp.Payload >= 0:
 				if sp.Payload >= len(st.Blocks) {
-					return fmt.Errorf("%w: %s payload index %d out of range",
+					return nil, fmt.Errorf("%w: %s payload index %d out of range",
 						ErrBadStream, so.Name, sp.Payload)
 				}
 				if int32(len(st.Blocks[sp.Payload])) != sp.LogLen {
-					return fmt.Errorf("%w: %s block %d is %d bytes, pointer says %d",
+					return nil, fmt.Errorf("%w: %s block %d is %d bytes, pointer says %d",
 						ErrBadStream, so.Name, sp.Payload, len(st.Blocks[sp.Payload]), sp.LogLen)
 				}
 				if hashes[sp.Payload] != block.Hash(sp.Hash) {
-					return fmt.Errorf("%w: %s block %d checksum mismatch",
+					return nil, fmt.Errorf("%w: %s block %d checksum mismatch",
 						ErrBadStream, so.Name, sp.Payload)
 				}
 			default:
 				if v.ddt.Lookup(sp.Hash) == nil {
-					return fmt.Errorf("%w: %s references unknown block %x",
+					return nil, fmt.Errorf("%w: %s references unknown block %x",
 						ErrBadStream, so.Name, sp.Hash[:8])
 				}
 			}
 		}
 		if size != so.Size {
-			return fmt.Errorf("%w: %s pointers cover %d bytes, object says %d",
+			return nil, fmt.Errorf("%w: %s pointers cover %d bytes, object says %d",
 				ErrBadStream, so.Name, size, so.Size)
 		}
 	}
-	return nil
+	return hashes, nil
 }

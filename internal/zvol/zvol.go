@@ -249,7 +249,7 @@ func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 			obj.ptrs = append(obj.ptrs, blockPtr{zero: true, logLen: int32(len(c.Data))})
 			return nil
 		}
-		obj.ptrs = append(obj.ptrs, v.writeBlock(c.Data))
+		obj.ptrs = append(obj.ptrs, v.writeBlockHashed(block.HashOf(c.Data), c.Data))
 		return nil
 	})
 	if err != nil {
@@ -279,10 +279,9 @@ func (v *Volume) setObjectLocked(name string, obj *Object) {
 	v.livePtrs += int64(len(obj.ptrs))
 }
 
-// writeBlock stores one nonzero block and returns its pointer. Caller
-// holds v.mu.
-func (v *Volume) writeBlock(data []byte) blockPtr {
-	h := block.HashOf(data)
+// writeBlockHashed stores one nonzero block whose content hash is h and
+// returns its pointer. Caller holds v.mu.
+func (v *Volume) writeBlockHashed(h block.Hash, data []byte) blockPtr {
 	if v.cfg.Dedup {
 		if e := v.ddt.Lookup(h); e != nil {
 			v.ddt.AddRef(h)
