@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race examples bench-check daemon-smoke fuzz loc gates gate-bootstorm gate-tracing gate-gossip-scale rungs
+.PHONY: check build vet test race examples bench-check daemon-smoke fuzz loc gates gate-bootstorm gate-tracing gate-gossip-scale gate-inflate rungs
 
 check: build vet test race
 
@@ -60,15 +60,18 @@ fuzz:
 	$(GO) test -fuzz FuzzReadHelloReply -fuzztime 5s ./internal/wireproto/
 	$(GO) test -fuzz FuzzDecodeError -fuzztime 5s ./internal/wireproto/
 	$(GO) test -fuzz FuzzDecompressInto -fuzztime 10s ./internal/compress/
+	$(GO) test -fuzz FuzzInflate -fuzztime 10s ./internal/compress/
 
-# The three bars that depend on the machine, each asserted by the
+# The four bars that depend on the machine, each asserted by the
 # benchmark that measures it (the exit status is the verdict): /16 boot
 # storm >= 4x the serialized /1; span recording <= 5% on interleaved
 # traced and untraced boot waves, 2000 per side; a gossip round's
-# per-node cost at 10k nodes <= 3x its cost at 1k. The bars that depend
-# only on the seed (hedged p99, owner-crash convergence, flash-crowd
-# tail) are ordinary tests and run under `make test`.
-gates: gate-bootstorm gate-tracing gate-gossip-scale
+# per-node cost at 10k nodes <= 3x its cost at 1k; the gzip decode core
+# >= 1.3x compress/gzip on the deployment's own cache blocks, interleaved
+# passes of one run. The bars that depend only on the seed (hedged p99,
+# owner-crash convergence, flash-crowd tail) are ordinary tests and run
+# under `make test`.
+gates: gate-bootstorm gate-tracing gate-gossip-scale gate-inflate
 
 gate-bootstorm:
 	$(GO) test -run '^$$' -bench BenchmarkBootStorm ./internal/core/
@@ -78,6 +81,9 @@ gate-tracing:
 
 gate-gossip-scale:
 	$(GO) test -run '^$$' -bench BenchmarkGossipScale -benchtime 1x ./internal/gossip/
+
+gate-inflate:
+	$(GO) test -run '^$$' -bench BenchmarkInflateCorpus -benchtime 1x ./internal/compress/
 
 # The ledger rungs CHANGES.md quotes (registration stream, Stats poll,
 # control-RPC mix), one iteration each so they cannot rot between the

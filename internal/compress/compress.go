@@ -1,7 +1,8 @@
 // Package compress provides the block codecs the paper evaluates for
-// cVolumes (Fig 3): gzip at levels 6 and 9 (via the standard library), and
-// from-scratch implementations of the two fast codecs shipped with ZFS,
-// LZJB and LZ4. A null codec is included for ablations.
+// cVolumes (Fig 3): gzip at levels 6 and 9 — encoded by the standard
+// library, decoded by this package's own one-shot inflate (inflate.go) —
+// and from-scratch implementations of the two fast codecs shipped with
+// ZFS, LZJB and LZ4. A null codec is included for ablations.
 //
 // All codecs are deterministic, safe for concurrent use, and round-trip
 // exact; properties the test suite checks exhaustively.
@@ -170,16 +171,18 @@ func nullDecode(dst, src []byte) (int, error) {
 	return copy(dst, src), nil
 }
 
-// Gzip wraps compress/gzip at a fixed level. ZFS's gzip-6 is the paper's
-// codec of choice after Fig 3 shows gzip-9 gains almost nothing for extra
-// CPU. Writers and readers are pooled: allocating gzip state (the
-// deflate tables, the 32 KB inflate window) is far more expensive than
-// resetting it.
+// Gzip is gzip at a fixed level. ZFS's gzip-6 is the paper's codec of
+// choice after Fig 3 shows gzip-9 gains almost nothing for extra CPU.
+// Compress is compress/gzip's writer, so stored bytes are the standard
+// library's; decoding is gzipDecode, which verifies everything that
+// package's reader does (header, stream, CRC32/ISIZE trailer) on a
+// payload it has whole. Both sides' state is pooled — the deflater here,
+// the inflater's ≈ 12 KB of Huffman tables package-wide: allocating it is
+// far more expensive than reusing it.
 type Gzip struct {
 	name    string
 	level   int
 	writers sync.Pool // *gzipWriter
-	readers sync.Pool // *gzipReader
 }
 
 // gzipWriter is one pooled encode state: the deflater and the buffer it
@@ -189,15 +192,6 @@ type Gzip struct {
 type gzipWriter struct {
 	zw  *gzip.Writer
 	out bytes.Buffer
-}
-
-// gzipReader is one pooled decode state. The bytes.Reader is the
-// stream's source and implements io.ByteReader, so gzip reads it
-// directly instead of wrapping it in a fresh bufio.Reader per block.
-type gzipReader struct {
-	zr   gzip.Reader
-	src  bytes.Reader
-	tail [1]byte // probe for output past the expected length
 }
 
 // NewGzip returns a gzip codec at the given level registered under name.
@@ -234,45 +228,8 @@ func (g *Gzip) Compress(src []byte) []byte {
 
 // Decompress implements Codec.
 func (g *Gzip) Decompress(src []byte, maxLen int) ([]byte, error) {
-	return decompress(g.decode, src, maxLen)
+	return decompress(gzipDecode, src, maxLen)
 }
 
 // DecompressInto implements Codec.
-func (g *Gzip) DecompressInto(dst, src []byte) error { return decompressInto(g.decode, dst, src) }
-
-// decode inflates src into dst. The stream is always read to EOF — even
-// once dst is full — because that is where compress/gzip checks the
-// CRC32/ISIZE trailer; output past len(dst) is an error.
-func (g *Gzip) decode(dst, src []byte) (int, error) {
-	r, _ := g.readers.Get().(*gzipReader)
-	if r == nil {
-		r = new(gzipReader)
-	}
-	defer func() {
-		r.src.Reset(nil) // do not pin the payload while pooled
-		g.readers.Put(r)
-	}()
-	r.src.Reset(src)
-	if err := r.zr.Reset(&r.src); err != nil {
-		return 0, fmt.Errorf("compress: gzip header: %w", err)
-	}
-	n := 0
-	for {
-		// With dst full, probe one byte past it: only EOF is acceptable.
-		buf := dst[n:]
-		if len(buf) == 0 {
-			buf = r.tail[:]
-		}
-		m, err := r.zr.Read(buf)
-		if m > 0 && n == len(dst) {
-			return n, fmt.Errorf("compress: gzip output exceeds max %d", len(dst))
-		}
-		n += m
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, fmt.Errorf("compress: gzip body: %w", err)
-		}
-	}
-}
+func (g *Gzip) DecompressInto(dst, src []byte) error { return decompressInto(gzipDecode, dst, src) }

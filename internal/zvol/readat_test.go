@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/compress"
+	"repro/internal/corpus"
 )
 
 // rangePayload builds an object that exercises every block kind a range
@@ -303,5 +304,72 @@ func TestReadObjectAllocatesOnlyItsResult(t *testing.T) {
 	perRead := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	if limit := 1.15 * float64(len(payload)); perRead > limit {
 		t.Fatalf("a %d-byte ReadObject allocated %.0f bytes, limit %.0f", len(payload), perRead, limit)
+	}
+}
+
+func TestReadAtNeverServesABitRottedGzipBlock(t *testing.T) {
+	// The volume-level half of compress's bit-rot test: the same flips —
+	// every bit of the stored payload's first 256 bytes (gzip header,
+	// first block's code lengths) and of its trailer, a seeded sample of
+	// the body — made in the store, must each surface from ReadAt as
+	// ErrCorrupt, whole-block and part-block reads alike, never as data.
+	repo, err := corpus.New(corpus.DefaultSpec().Scale(32.0/607, 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	errFound := errors.New("found")
+	err = repo.Images[0].CacheBlocks(block.Size64K, func(_ int64, b []byte, zero bool) error {
+		if zero {
+			return nil
+		}
+		data = bytes.Clone(b)
+		return errFound
+	})
+	if err != errFound {
+		t.Fatalf("no nonzero cache block: %v", err)
+	}
+	v, err := New(cfg(block.Size64K, "gzip6", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.WriteObject("o", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := v.BlockInfos("o")
+	if err != nil || len(infos) != 1 || !infos[0].Compressed {
+		t.Fatalf("want one compressed block, got %+v, %v", infos, err)
+	}
+	physLen := int(infos[0].PhysLen)
+	var flips []int
+	for bit := 0; bit < 256*8; bit++ {
+		flips = append(flips, bit)
+	}
+	for bit := (physLen - 8) * 8; bit < physLen*8; bit++ {
+		flips = append(flips, bit)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for k := 0; k < 256; k++ {
+		flips = append(flips, 256*8+rng.Intn((physLen-8-256)*8))
+	}
+	whole, part := make([]byte, len(data)), make([]byte, 1000)
+	for i, bit := range flips {
+		if err := v.CorruptStoredBlock("o", 0, int64(bit/8), 1<<(bit%8)); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			err = v.ReadAt("o", whole, 0)
+		} else {
+			err = v.ReadAt("o", part, 4321)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("payload bit %d flipped: ReadAt returned %v, want ErrCorrupt", bit, err)
+		}
+		if err := v.CorruptStoredBlock("o", 0, int64(bit/8), 1<<(bit%8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.ReadAt("o", whole, 0); err != nil || !bytes.Equal(whole, data) {
+		t.Fatalf("every flip undone, yet the block reads back wrong: %v", err)
 	}
 }
