@@ -156,13 +156,6 @@ func (c *Cluster) Heal() []string {
 	return ids
 }
 
-// Partitioned reports whether a cut is currently open.
-func (c *Cluster) Partitioned() bool {
-	c.netmu.Lock()
-	defer c.netmu.Unlock()
-	return len(c.cut) > 0
-}
-
 // Reachable reports whether nodes a and b can currently exchange bytes:
 // both on the same side of the cut (or no cut open).
 func (c *Cluster) Reachable(a, b string) bool {

@@ -14,9 +14,6 @@ type Delivery struct {
 	Fault fault.Kind
 }
 
-// OK reports whether the destination received the stream intact.
-func (d Delivery) OK() bool { return d.Fault == fault.None }
-
 // deliveries applies the reachability map and the injector to each
 // destination and accounts the bytes that actually arrived on its NIC.
 // A destination across an open cut gets a Partition delivery — nothing

@@ -24,7 +24,7 @@ func TestMulticastStreamCleanMatchesMulticast(t *testing.T) {
 		t.Fatalf("%d deliveries", len(deliv))
 	}
 	for _, d := range deliv {
-		if !d.OK() || !bytes.Equal(d.Wire, wire) {
+		if d.Fault != fault.None || !bytes.Equal(d.Wire, wire) {
 			t.Fatalf("clean delivery mangled: %+v", d.Fault)
 		}
 		if d.Node.RxBytes() != 1000 {

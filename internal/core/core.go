@@ -503,6 +503,11 @@ type RegisterReport struct {
 // the legs ran serially or fanned out across the worker pool.
 type legResult struct {
 	node *cluster.Node
+	// wait and done are the leg's per-node FIFO ticket (see applyTail):
+	// it applies after wait closes and closes done when settled. sp is
+	// its propagate span.
+	wait, done chan struct{}
+	sp         *obs.Span
 
 	synced     bool
 	crashed    bool
@@ -515,6 +520,13 @@ type legResult struct {
 	retries     int
 	repairBytes int64
 	repairSec   float64
+}
+
+// finish releases the next registration's leg on this node and closes
+// the leg's span.
+func (l *legResult) finish() {
+	close(l.done)
+	l.sp.Finish()
 }
 
 // Register runs the paper's registration workflow (Fig 6) for a VMI that
@@ -579,39 +591,40 @@ func (s *Squirrel) Register(ctx context.Context, req RegisterRequest) (RegisterR
 	return rep, err
 }
 
-// register is the Register body. Caller holds the image lock.
-func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image, at time.Time) (RegisterReport, error) {
-	inj := s.injector()
-
-	// ---- Commit phase: storage-side registration, serialized under
-	// commitMu so the snapshot sequence and the scVolume snapshot chain
-	// advance atomically. Errors here roll back cleanly.
+// commit is the storage-side half of a registration: publish the base
+// VMI, first-boot the image into the scVolume, snapshot, send, encode and
+// prepare the diff, and queue one leg per destination. It runs under
+// commitMu, so the snapshot sequence, the scVolume's snapshot chain and
+// the per-node apply order advance atomically. An error — or a
+// cancellation, which can still land here because nothing has left the
+// storage node — rolls the storage side back, so a retry starts from
+// clean state instead of duplicate-object errors; past commit the
+// registration stands. Caller holds the image lock.
+func (s *Squirrel) commit(ctx context.Context, im *corpus.Image, at time.Time) (sh *shipment, legs []legResult, rep RegisterReport, err error) {
 	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	// A previously failed attempt may have left the cache object behind
 	// without registering the image; clear it so the retry does not hit
 	// duplicate-object state.
 	if s.sc.HasObject(im.ID) {
-		if err := s.sc.DeleteObject(im.ID); err != nil {
-			s.commitMu.Unlock()
-			return RegisterReport{}, err
+		if err = s.sc.DeleteObject(im.ID); err != nil {
+			return
 		}
 	}
 	// Publish the base VMI on the parallel file system if not present
 	// (uploads are the provider's existing mechanism, §3.2).
-	if _, err := s.pfs.Size(im.ID); err != nil {
+	if _, missing := s.pfs.Size(im.ID); missing != nil {
 		// ReadAtFunc, not a bare Generator: the PFS serves concurrent
 		// boots of the same image.
-		if err := s.pfs.AddFile(im.ID, im.RawSize(), im.ReadAtFunc()); err != nil {
-			s.commitMu.Unlock()
-			return RegisterReport{}, err
+		if err = s.pfs.AddFile(im.ID, im.RawSize(), im.ReadAtFunc()); err != nil {
+			return
 		}
 	}
 	// First boot happens on a storage node: the cache is created from
 	// local reads, with no compute-node traffic.
 	obj, err := s.sc.WriteObject(im.ID, im.CacheReader())
 	if err != nil {
-		s.commitMu.Unlock()
-		return RegisterReport{}, err
+		return
 	}
 	prev := ""
 	if snap := s.sc.LatestSnapshot(); snap != nil {
@@ -619,26 +632,24 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 	}
 	s.snapSeq++
 	snapName := fmt.Sprintf("cVol@%06d-%s", s.snapSeq, im.ID)
-	// rollback undoes the storage-side half of a failed registration so a
-	// retry starts from clean state instead of duplicate-object errors.
-	// Only valid under commitMu, before any replica saw the snapshot.
-	rollback := func(snapTaken bool) {
+	snapTaken := false
+	defer func() { // still under commitMu, before any replica saw the snapshot
+		if err == nil {
+			return
+		}
 		if snapTaken {
 			s.sc.DeleteSnapshot(snapName)
 		}
 		s.sc.DeleteObject(im.ID)
 		s.snapSeq--
+	}()
+	if _, err = s.sc.Snapshot(snapName, at); err != nil {
+		return
 	}
-	if _, err := s.sc.Snapshot(snapName, at); err != nil {
-		rollback(false)
-		s.commitMu.Unlock()
-		return RegisterReport{}, err
-	}
+	snapTaken = true
 	stream, err := s.sc.Send(prev, snapName)
 	if err != nil {
-		rollback(true)
-		s.commitMu.Unlock()
-		return RegisterReport{}, err
+		return
 	}
 	// Encode once: the wire stream is both the multicast payload and the
 	// unit fault injection mutates.
@@ -650,56 +661,63 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 	if err == nil && n != wireSize {
 		err = fmt.Errorf("core: register %s: stream encoded to %d bytes, its lengths say %d", im.ID, n, wireSize)
 	}
+	if err == nil && ctx.Err() != nil {
+		err = fmt.Errorf("core: register %s: %w", im.ID, ctx.Err())
+	}
 	if err != nil {
-		rollback(true)
-		s.commitMu.Unlock()
-		return RegisterReport{}, err
+		return
 	}
-	// A cancellation that lands before anything left the storage node
-	// still rolls back; past this point the commit stands.
-	if err := ctx.Err(); err != nil {
-		rollback(true)
-		s.commitMu.Unlock()
-		return RegisterReport{}, fmt.Errorf("core: register %s: %w", im.ID, err)
-	}
-	wire := wireBuf.Bytes()
 	// Prepare the stream once: per-payload hashing and compression are
 	// paid here instead of once per replica, and every clean leg's
 	// receive collapses to map updates that alias these stored bytes
-	// (zvol/prepared.go). Faulted legs re-decode their mutated wire bytes
-	// and take the full verifying Receive path as before.
-	prep := s.sc.Prepare(stream)
-	rep := RegisterReport{
+	// (zvol/prepared.go). Only a delivery the fabric damaged is decoded
+	// from its wire bytes and prepared again by its receiver.
+	sh = &shipment{op: "register:" + snapName, snap: snapName, at: at,
+		wire: wireBuf.Bytes(), prep: s.sc.Prepare(stream), inj: s.injector()}
+	rep = RegisterReport{
 		ImageID:    im.ID,
 		Snapshot:   snapName,
 		CacheBytes: obj.Size,
-		DiffBytes:  int64(len(wire)),
+		DiffBytes:  int64(len(sh.wire)),
 	}
 	// Propagate to every online, in-sync node. Lagging nodes are skipped:
 	// they lack the previous snapshot, so the incremental stream cannot
 	// apply — SyncNode will catch them up wholesale instead.
-	var dsts []*cluster.Node
 	s.state.RLock()
 	for _, n := range s.cl.Compute {
 		if s.online[n.ID] && !s.lagging[n.ID] {
-			dsts = append(dsts, n)
+			legs = append(legs, legResult{node: n})
 		}
 	}
 	s.state.RUnlock()
 	// Per-node FIFO tickets, allocated in commit order: a leg waits for
 	// the previous registration's leg on the same node before applying,
 	// so incremental snapshots land on every replica in snapshot order.
-	type ticket struct{ wait, done chan struct{} }
-	tickets := make([]ticket, len(dsts))
-	for i, d := range dsts {
-		done := make(chan struct{})
-		tickets[i] = ticket{wait: s.applyTail[d.ID], done: done}
-		s.applyTail[d.ID] = done
+	for i := range legs {
+		leg := &legs[i]
+		leg.wait, leg.done = s.applyTail[leg.node.ID], make(chan struct{})
+		s.applyTail[leg.node.ID] = leg.done
 	}
-	s.commitMu.Unlock()
+	return sh, legs, rep, nil
+}
 
+// register is the Register body: commit, then the one-to-many transfer,
+// the parallel apply phase, the serial repair phase, and the merge.
+// Caller holds the image lock.
+func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image, at time.Time) (RegisterReport, error) {
+	sh, legs, rep, err := s.commit(ctx, im, at)
+	if err != nil {
+		return RegisterReport{}, err
+	}
+	inj := sh.inj
 	src := s.cl.Storage[0]
-	op := "register:" + snapName
+	dsts := make([]*cluster.Node, len(legs))
+	for i := range legs {
+		dsts[i] = legs[i].node
+		// Created serially, so the span tree's child order matches
+		// destination order regardless of worker timing.
+		legs[i].sp = sp.Child(obs.OpPropagate, dsts[i].ID, im.ID)
+	}
 	// The one-to-many transfer draws every leg's attempt-0 fault verdict
 	// serially in destination order (the only order-sensitive injector
 	// state is the shared crash budget), so the parallel apply phase
@@ -707,79 +725,38 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 	var deliv []cluster.Delivery
 	switch s.cfg.Propagation {
 	case UnicastFanout:
-		deliv, rep.XferSec = s.cl.UnicastStream(op, src, dsts, wire, inj)
+		deliv, rep.XferSec = s.cl.UnicastStream(sh.op, src, dsts, sh.wire, inj)
 	case Pipeline:
-		deliv, rep.XferSec = s.cl.PipelineStream(op, src, dsts, wire, inj)
+		deliv, rep.XferSec = s.cl.PipelineStream(sh.op, src, dsts, sh.wire, inj)
 	default:
-		deliv, rep.XferSec = s.cl.MulticastStream(op, src, dsts, wire, inj)
+		deliv, rep.XferSec = s.cl.MulticastStream(sh.op, src, dsts, sh.wire, inj)
 	}
-	// Pre-create the per-leg propagate spans serially so the span tree's
-	// child order matches destination order regardless of worker timing.
-	dsps := make([]*obs.Span, len(deliv))
-	for i, dv := range deliv {
-		dsps[i] = sp.Child(obs.OpPropagate, dv.Node.ID, im.ID)
-	}
-	legs := make([]legResult, len(deliv))
 
 	// ---- Apply phase (parallel): each leg locks only its own node and
-	// applies the pre-decided delivery. No fault draws happen here, so
-	// scheduling cannot change any outcome.
-	conc.ForEach(len(deliv), s.cfg.Workers, func(i int) {
-		dv, leg, dsp := deliv[i], &legs[i], dsps[i]
-		leg.node = dv.Node
-		if t := tickets[i].wait; t != nil {
+	// takes the delivery step on its pre-decided attempt-0 verdict. No
+	// fault draws happen here, so scheduling cannot change any outcome.
+	conc.ForEach(len(legs), s.cfg.Workers, func(i int) {
+		dv, leg := deliv[i], &legs[i]
+		if leg.wait != nil {
 			select {
-			case <-t:
+			case <-leg.wait:
 			case <-ctx.Done():
-				leg.skipped = true
-				close(tickets[i].done)
-				dsp.Annotate("cancelled", 1)
-				dsp.Finish()
-				return
 			}
 		}
 		if ctx.Err() != nil {
 			leg.skipped = true
-			close(tickets[i].done)
-			dsp.Annotate("cancelled", 1)
-			dsp.Finish()
+			leg.sp.Annotate("cancelled", 1)
+			leg.finish()
 			return
 		}
-		nl := s.nodeLocks.lock(dv.Node.ID)
-		if !dv.OK() {
-			leg.faults++
-			dsp.Annotate("fault."+dv.Fault.String(), 1)
-		}
-		switch {
-		case dv.Fault == fault.Partition:
-			// The replica sits across an open cut: the stream never
-			// reached it and unicast repair cannot either. Skip the retry
-			// ladder outright and mark it lagging — the post-heal
-			// anti-entropy SyncNode pass catches it up.
-			s.markLagging(dv.Node.ID)
-			leg.lagging = true
-			inj.Counters().Add("repair.partitioned", 1)
-			dsp.Annotate("partitioned", 1)
-		case dv.Fault == fault.Crash:
-			s.crashReplica(dv.Node.ID, at, inj)
-			leg.crashed = true
-		case dv.Fault == fault.Torn:
-			s.tornReplica(op, dv.Node.ID, stream, at, inj)
-			leg.torn = true
-		case s.replicaCaughtUp(dv.Node.ID, snapName):
-			// A concurrent SyncNode already delivered this snapshot
-			// wholesale; the leg's work is done.
-			leg.synced = true
-		case s.applyDelivery(dsp, dv, stream, prep):
-			dsp.AddBytes(int64(len(wire)))
-			leg.synced = true
-		default:
-			leg.needRepair = true
-		}
+		nl := s.nodeLocks.lock(leg.node.ID)
+		leg.needRepair = !s.deliver(sh, leg, leg.sp, dv.Fault, dv.Wire)
 		nl.Unlock()
 		if !leg.needRepair {
-			close(tickets[i].done)
-			dsp.Finish()
+			if leg.synced {
+				leg.sp.AddBytes(int64(len(sh.wire)))
+			}
+			leg.finish()
 		}
 	})
 
@@ -792,21 +769,17 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 		if !leg.needRepair {
 			continue
 		}
-		dsp := dsps[i]
 		nl := s.nodeLocks.lock(leg.node.ID)
-		if s.replicaCaughtUp(leg.node.ID, snapName) {
+		if s.replicaCaughtUp(leg.node.ID, sh.snap) {
 			leg.synced = true
-		} else if s.repairReplica(dsp, op, leg.node, stream, prep, wire, at, inj, leg) {
-			leg.synced = true
-		} else if s.isOnline(leg.node.ID) {
+		} else if s.repair(sh, leg); !leg.synced && s.isOnline(leg.node.ID) {
 			s.markLagging(leg.node.ID)
 			leg.lagging = true
 			inj.Counters().Add("repair.lagging", 1)
-			dsp.Annotate("exhausted", 1)
+			leg.sp.Annotate("exhausted", 1)
 		}
 		nl.Unlock()
-		close(tickets[i].done)
-		dsp.Finish()
+		leg.finish()
 	}
 
 	// ---- Merge phase: fold per-leg results into the report in
@@ -883,9 +856,6 @@ func snapSeqOf(name string) int {
 // chaos runs byte-identical. Caller holds the node lock.
 func (s *Squirrel) replicaCaughtUp(nodeID, snapName string) bool {
 	ccv := s.ccVolume(nodeID)
-	if ccv == nil {
-		return false
-	}
 	if _, err := ccv.FindSnapshot(snapName); err == nil {
 		return true
 	}
@@ -908,39 +878,6 @@ func (s *Squirrel) markLagging(nodeID string) {
 	s.state.Unlock()
 }
 
-// applyDelivery tries to apply one delivery to its replica: an intact
-// delivery applies the prepared stream (hashing and compression already
-// done, stored payloads aliased); a damaged one is decoded from its wire
-// bytes, which the stream CRC and Receive's per-block checksums almost
-// always reject. Caller holds the node lock.
-func (s *Squirrel) applyDelivery(parent *obs.Span, dv cluster.Delivery, st *zvol.Stream, prep *zvol.PreparedStream) bool {
-	rst, rprep := st, prep
-	if dv.Fault != fault.None {
-		if len(dv.Wire) == 0 {
-			return false
-		}
-		decoded, err := zvol.DecodeStream(bytes.NewReader(dv.Wire))
-		if err != nil {
-			return false
-		}
-		rst, rprep = decoded, nil
-	}
-	rsp := parent.Child(obs.OpReceive, dv.Node.ID, "")
-	var ok bool
-	if rprep != nil {
-		ok = s.ccVolume(dv.Node.ID).ReceivePrepared(rprep) == nil
-	} else {
-		ok = s.ccVolume(dv.Node.ID).Receive(rst) == nil
-	}
-	if ok {
-		rsp.AddBytes(rst.SizeBytes())
-	} else {
-		rsp.Annotate("rejected", 1)
-	}
-	rsp.Finish()
-	return ok
-}
-
 // nodeDown is the one "node goes down" transition every crash path
 // shares — a whole-node CrashNode, a replica dying mid-transfer or
 // mid-apply during Register, a source dying mid-serve on the peer
@@ -961,38 +898,123 @@ func (s *Squirrel) nodeDown(nodeID string, at time.Time, lagging bool) {
 	s.idx.NodeDown(nodeID)
 }
 
-// crashReplica records a mid-transfer node crash: the node drops offline
-// and is marked lagging so its first boot after recovery heals it.
-// Caller holds the node lock.
-func (s *Squirrel) crashReplica(nodeID string, at time.Time, inj *fault.Injector) {
-	s.nodeDown(nodeID, at, true)
-	inj.Counters().Add("repair.crashed", 1)
+// shipment is what the legs of one registration share: the snapshot
+// they deliver, in the two forms it travels in.
+type shipment struct {
+	op   string    // fault-draw key: "register:<snapshot>"
+	snap string    // the snapshot the stream creates
+	at   time.Time // registration time; stamps a dying replica's downtime
+	// wire is the encoded stream — what the fabric carries and a fault
+	// mutates; prep the same stream in stored form — what a replica is
+	// handed when its copy of wire arrived intact.
+	wire []byte
+	prep *zvol.PreparedStream
+	inj  *fault.Injector
 }
 
-// tornReplica records a torn apply: the replica received the stream
-// intact but the node crashed partway through `zfs recv`. The injected
-// crash offset is a pure function of (seed, op, node), so a chaos run
-// tears the same replicas at the same step every time. The node goes
-// down with its receive journal open; the restart audit (or SyncNode)
-// rolls it back. Caller holds the node lock.
-func (s *Squirrel) tornReplica(op, nodeID string, st *zvol.Stream, at time.Time, inj *fault.Injector) {
-	ccv := s.ccVolume(nodeID)
-	ccv.SetReceiveCrashPoint(inj.TornStep(op, nodeID, st.ApplySteps()))
-	_ = ccv.Receive(st) // dies mid-apply: ErrTorn, journal left open
-	s.nodeDown(nodeID, at, true)
-	inj.Counters().Add("repair.torn", 1)
+// deliver is the one delivery step of a registration: it is handed the
+// verdict drawn for one (replica, attempt) — the fault that struck and
+// the bytes that got through — and acts on it, the same way for the
+// one-to-many leg (attempt 0, verdict pre-drawn by cluster.*Stream) and
+// for every unicast repair (attempts 1..N, verdict drawn by repair). It
+// reports whether the leg is settled — leg says how — or the attempt was
+// lost or rejected and another is due. sp is the attempt's span: the
+// leg's propagate span, then its repair span. Caller holds the node lock.
+func (s *Squirrel) deliver(sh *shipment, leg *legResult, sp *obs.Span, kind fault.Kind, got []byte) bool {
+	id := leg.node.ID
+	if kind != fault.None {
+		leg.faults++
+		sp.Annotate("fault."+kind.String(), 1)
+	}
+	var raw *zvol.Stream
+	switch {
+	case kind == fault.Partition:
+		// The replica sits across an open cut: nothing reached it and no
+		// retransmission can. No retry ladder — it is lagging, and the
+		// post-heal anti-entropy SyncNode pass catches it up.
+		s.markLagging(id)
+		leg.lagging = true
+		sh.inj.Counters().Add("repair.partitioned", 1)
+		sp.Annotate("partitioned", 1)
+		return true
+	case kind == fault.Crash:
+		// The node died mid-transfer: offline, and lagging so that its
+		// first boot after recovery heals it.
+		s.nodeDown(id, sh.at, true)
+		sh.inj.Counters().Add("repair.crashed", 1)
+		leg.crashed = true
+		return true
+	case kind == fault.Torn:
+		// The stream arrives intact and the node dies partway through
+		// `zfs recv`. The crash offset is a pure function of (seed, op,
+		// node), so a chaos run tears the same replicas at the same step
+		// every time.
+		s.ccVolume(id).SetReceiveCrashPoint(sh.inj.TornStep(sh.op, id, sh.prep.Stream.ApplySteps()))
+	case s.replicaCaughtUp(id, sh.snap):
+		// A concurrent SyncNode already delivered this snapshot
+		// wholesale; the leg's work is done.
+		leg.synced = true
+		return true
+	case kind != fault.None:
+		// Dropped, truncated or corrupted: the replica is handed what
+		// still decodes from the bytes that arrived — nothing at all,
+		// unless the damage slipped past the wire CRC.
+		var err error
+		if raw, err = zvol.DecodeStream(bytes.NewReader(got)); err != nil {
+			return false
+		}
+	}
+	err := handOver(sp, id, s.ccVolume(id), sh.prep, raw)
+	if kind == fault.Torn {
+		// The apply died with ErrTorn and its receive journal open; the
+		// node goes down with it, and the restart audit (or SyncNode)
+		// rolls it back.
+		s.nodeDown(id, sh.at, true)
+		sh.inj.Counters().Add("repair.torn", 1)
+		leg.torn = true
+		return true
+	}
+	leg.synced = err == nil
+	return leg.synced
 }
 
-// repairReplica retries one failed replica over unicast with bounded
-// exponential backoff — the NACK path of reliable multicast. Backoff is
-// simulated into the report, never slept. Returns true once the replica
-// holds the snapshot; false when the node crashed or the budget ran out.
-// Caller holds the node lock; accounting goes into leg, not the shared
-// report.
-func (s *Squirrel) repairReplica(parent *obs.Span, op string, node *cluster.Node, st *zvol.Stream, prep *zvol.PreparedStream, wire []byte, at time.Time, inj *fault.Injector, leg *legResult) bool {
-	rsp := parent.Child(obs.OpRepair, node.ID, "")
+// handOver is the one place a replica is given a stream — by a
+// registration's delivery step and by SyncNode alike: the sender-prepared
+// stream (hashing and compression done once, stored payloads aliased)
+// when it arrived intact, and raw, the stream decoded from damaged wire
+// bytes, when it did not — which Receive's own per-block verification
+// rejects unless the damage was harmless. The apply is recorded as a
+// zvol.receive span under parent (a nil parent records none). Caller
+// holds the node lock.
+func handOver(parent *obs.Span, nodeID string, ccv *zvol.Volume, prep *zvol.PreparedStream, raw *zvol.Stream) error {
+	rsp := parent.Child(obs.OpReceive, nodeID, "")
 	defer rsp.Finish()
-	ccv := s.ccVolume(node.ID)
+	st := prep.Stream
+	var err error
+	if raw == nil {
+		err = ccv.ReceivePrepared(prep)
+	} else {
+		st, err = raw, ccv.Receive(raw)
+	}
+	if err != nil {
+		rsp.Annotate("rejected", 1)
+		return err
+	}
+	rsp.AddBytes(st.SizeBytes())
+	return nil
+}
+
+// repair retries one replica that missed or rejected the one-to-many
+// stream over unicast with bounded exponential backoff — the NACK path of
+// reliable multicast. It draws each attempt's verdict, charges the
+// retransmission, and hands the verdict to the delivery step until the
+// leg is settled or the budget is spent. Backoff is simulated into the
+// report, never slept. Caller holds the node lock; accounting goes into
+// leg, not the shared report.
+func (s *Squirrel) repair(sh *shipment, leg *legResult) {
+	node := leg.node
+	rsp := leg.sp.Child(obs.OpRepair, node.ID, "")
+	defer rsp.Finish()
 	pol := s.cfg.Repair
 	if pol.MaxAttempts <= 0 {
 		pol.MaxAttempts = DefaultRepairPolicy().MaxAttempts
@@ -1004,63 +1026,39 @@ func (s *Squirrel) repairReplica(parent *obs.Span, op string, node *cluster.Node
 	backoff := pol.Backoff
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		// A cut that opened mid-registration makes further NACKs
-		// pointless: stop retrying and let the caller mark the node
-		// lagging for the post-heal sync.
+		// pointless: the verdict is Partition, no draw consumed.
 		if !s.cl.Reachable(src.ID, node.ID) {
-			inj.Counters().Add("repair.partitioned", 1)
-			rsp.Annotate("partitioned", 1)
-			return false
+			s.deliver(sh, leg, rsp, fault.Partition, nil)
+			return
 		}
 		leg.retries++
 		leg.repairSec += backoff.Seconds()
 		rsp.Annotate("attempts", 1)
 		rsp.AddSim(backoff.Seconds())
 		backoff *= 2
-		inj.Counters().Add("repair.retries", 1)
-		kind, got := inj.Strike(op, node.ID, attempt, wire)
-		if kind != fault.None {
-			leg.faults++
-			rsp.Annotate("fault."+kind.String(), 1)
-		}
-		if kind == fault.Crash {
-			s.crashReplica(node.ID, at, inj)
-			leg.crashed = true
-			return false
-		}
-		if kind == fault.Torn {
-			s.tornReplica(op, node.ID, st, at, inj)
-			leg.torn = true
-			return false
-		}
-		src.Send(int64(len(wire))) // the source retransmits in full
-		if got == nil {
-			continue // lost entirely; back off and renack
-		}
-		node.Recv(int64(len(got)))
-		leg.repairBytes += int64(len(got))
-		leg.repairSec += s.cl.Fabric.TransferSec(int64(len(got)))
-		rsp.AddBytes(int64(len(got)))
-		rsp.AddSim(s.cl.Fabric.TransferSec(int64(len(got))))
-		inj.Counters().Add("repair.bytes", int64(len(got)))
-		var rerr error
-		if kind == fault.None && prep != nil {
-			// Clean retransmission: reuse the prepared stream, same as an
-			// intact multicast leg.
-			rerr = ccv.ReceivePrepared(prep)
-		} else {
-			decoded, err := zvol.DecodeStream(bytes.NewReader(got))
-			if err != nil {
-				continue // truncation/corruption caught by the stream CRC
+		sh.inj.Counters().Add("repair.retries", 1)
+		kind, got := sh.inj.Strike(sh.op, node.ID, attempt, sh.wire)
+		// A replica that dies on this attempt is charged no transfer;
+		// otherwise the source retransmits in full and the replica takes
+		// whatever got through.
+		if kind != fault.Crash && kind != fault.Torn {
+			src.Send(int64(len(sh.wire)))
+			if got != nil {
+				n := int64(len(got))
+				sec := s.cl.Fabric.TransferSec(n)
+				node.Recv(n)
+				leg.repairBytes += n
+				leg.repairSec += sec
+				rsp.AddBytes(n)
+				rsp.AddSim(sec)
+				sh.inj.Counters().Add("repair.bytes", n)
 			}
-			rerr = ccv.Receive(decoded)
 		}
-		if rerr != nil {
-			continue
+		if s.deliver(sh, leg, rsp, kind, got) {
+			return
 		}
-		return true
 	}
 	rsp.Annotate("exhausted", 1)
-	return false
 }
 
 // Deregister removes a VMI: the original image and its scVolume cache are

@@ -252,7 +252,7 @@ func TestTelemetrySnapshotRace(t *testing.T) {
 			for _, r := range tel.Roots() {
 				_ = obs.RenderTree(r)
 			}
-			_ = tel.SlowestRoot(obs.OpBoot)
+			_ = tel.SlowestSpan(obs.OpBoot)
 		}
 	}()
 	var work sync.WaitGroup

@@ -13,45 +13,115 @@ import (
 )
 
 func TestRegistrationCompressesEachNewBlockOnce(t *testing.T) {
-	// A registration's codec work is its diff's: every block no volume
-	// held before is compressed exactly once — by the scVolume's write —
-	// and neither preparing the stream nor any of the replicas' receives
-	// compresses anything. (Prepare used to gzip every shipped block a
-	// second time.)
+	// A deployment's codec work is its registrations' diffs: every block
+	// no volume held before is compressed exactly once — by the scVolume's
+	// write — and nothing that later moves it to a replica compresses it
+	// again: not preparing the stream, not a clean leg's receive, not a
+	// leg torn mid-apply, not an incremental SyncNode, not a full
+	// re-replication. And however a replica got a block, it holds the
+	// scVolume's copy of the payload, not one of its own.
 	codec := countedGzip()
 	sq, cl, repo := resilienceDeployment(t, 4, fault.Plan{Seed: 1}, func(cfg *Config) {
 		cfg.Volume.Codec = codec.Name()
 	})
+	bg := context.Background()
 	start := codec.compressed.Load()
-	var unique int64
-	for i, im := range repo.Images[:8] {
-		rep, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(i)})
-		if err != nil || rep.Nodes != len(cl.Compute) {
+	next := 0
+	register := func(wantNodes int) RegisterReport {
+		t.Helper()
+		im := repo.Images[next]
+		rep, err := sq.Register(bg, RegisterRequest{Image: im, At: day(next)})
+		next++
+		if err != nil || rep.Nodes != wantNodes {
 			t.Fatalf("register %s: %+v, %v", im.ID, rep, err)
 		}
-		now := sq.SCVolume().Stats().UniqueBlocks
-		if got, want := codec.compressed.Load()-start, now; got != want {
-			t.Fatalf("after %s: %d Compress calls for %d unique blocks (%d new)", im.ID, got, want, now-unique)
-		}
-		unique = now
+		return rep
 	}
-	if unique == 0 {
+	// compressedOnce holds after every step; replicas names the nodes in
+	// step with the scVolume, which must alias every payload they store.
+	compressedOnce := func(step string, replicas ...string) int64 {
+		t.Helper()
+		unique := sq.SCVolume().Stats().UniqueBlocks
+		if got := codec.compressed.Load() - start; got != unique {
+			t.Fatalf("%s: %d Compress calls for %d unique blocks", step, got, unique)
+		}
+		for _, id := range replicas {
+			ccv, err := sq.CCVolume(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ccv.Stats().UniqueBlocks; got != unique {
+				t.Fatalf("%s: %s holds %d unique blocks, the scVolume %d", step, id, got, unique)
+			}
+			// One copy of each payload: every replica slot aliases the
+			// scVolume's.
+			if got := ccv.StoreStats().Shared; got != unique {
+				t.Fatalf("%s: %s aliases %d payloads, want all %d", step, id, got, unique)
+			}
+		}
+		return unique
+	}
+	syncNode := func(id string, want SyncMode) {
+		t.Helper()
+		rep, err := sq.SyncNode(bg, id)
+		if err != nil || rep.Mode != want {
+			t.Fatalf("sync %s: %+v, %v; want mode %s", id, rep, err, want)
+		}
+	}
+	all := make([]string, len(cl.Compute))
+	for i, n := range cl.Compute {
+		all[i] = n.ID
+	}
+
+	for next < 8 {
+		im := repo.Images[next].ID
+		register(len(all))
+		compressedOnce("after " + im)
+	}
+	if compressedOnce("eight registrations", all...) == 0 {
 		t.Fatal("nothing was stored: nothing measured")
 	}
-	for _, n := range cl.Compute {
-		ccv, err := sq.CCVolume(n.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ccv.Stats().UniqueBlocks; got != unique {
-			t.Fatalf("%s holds %d unique blocks, the scVolume %d", n.ID, got, unique)
-		}
-		// One copy of each payload: every replica slot aliases the
-		// scVolume's.
-		if got := ccv.StoreStats().Shared; got != unique {
-			t.Fatalf("%s aliases %d payloads, want all %d", n.ID, got, unique)
-		}
+
+	// Offline across two registrations, then the diff since its snapshot.
+	sq.SetOnline(all[0], false)
+	register(len(all) - 1)
+	register(len(all) - 1)
+	sq.SetOnline(all[0], true)
+	syncNode(all[0], SyncIncremental)
+	compressedOnce("incremental sync", all...)
+
+	// Offline while retention destroys the snapshot it would catch up
+	// from: the whole scVolume, into a fresh replica.
+	sq.SetOnline(all[1], false)
+	register(len(all) - 1)
+	if sq.GarbageCollect(day(next+30)) == 0 {
+		t.Fatal("retention destroyed nothing")
 	}
+	sq.SetOnline(all[1], true)
+	syncNode(all[1], SyncFull)
+	compressedOnce("full re-replication", all...)
+
+	// One leg torn mid-apply (Torn shares the crash budget: the first
+	// destination tears, the others lose the stream on every attempt and
+	// are left lagging), rolled back on restart, healed by sync.
+	hostile, err := fault.New(fault.Plan{Seed: 1, Torn: 1, MaxCrashes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq.SetFaults(hostile)
+	rep := register(0)
+	if len(rep.Torn) != 1 || len(rep.Lagging) != len(all)-1 {
+		t.Fatalf("want one torn apply and the rest lagging: %+v", rep)
+	}
+	compressedOnce("torn leg")
+	sq.SetFaults(nil)
+	if rec, err := sq.RestartNode(rep.Torn[0], day(next)); err != nil || !rec.RolledBack {
+		t.Fatalf("restart of the torn node: %+v, %v", rec, err)
+	}
+	for _, id := range all {
+		syncNode(id, SyncIncremental)
+	}
+	compressedOnce("healed", all...)
 }
 
 // reconcile does for every node that may advertise — and, with

@@ -68,14 +68,10 @@ func (s *Squirrel) SyncNode(ctx context.Context, nodeID string) (SyncReport, err
 
 // syncNodeGuarded wraps the sync body in a span: a root "sync" operation
 // when called directly, a child of the boot that triggered the heal
-// otherwise. Caller holds the node lock.
+// otherwise. Caller holds the node lock and has checked the node exists.
 func (s *Squirrel) syncNodeGuarded(parent *obs.Span, nodeID string) (SyncReport, error) {
-	ccv := s.ccVolume(nodeID)
-	if ccv == nil {
-		return SyncReport{}, fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
-	}
 	sp := s.tr.Op(parent, obs.OpSync, nodeID, "")
-	rep, err := s.syncGuarded(ccv, nodeID)
+	rep, err := s.syncGuarded(s.ccVolume(nodeID), nodeID)
 	sp.AddBytes(rep.Bytes)
 	sp.AddSim(rep.XferSec)
 	sp.Annotate("mode."+rep.Mode.String(), 1)
@@ -127,10 +123,6 @@ func (s *Squirrel) syncGuarded(ccv *zvol.Volume, nodeID string) (SyncReport, err
 			return heal(SyncReport{NodeID: nodeID, Mode: SyncNone, Snapshot: local}), nil
 		}
 	}
-	node, err := s.computeNode(nodeID)
-	if err != nil {
-		return SyncReport{}, err
-	}
 	// The catch-up stream comes from the storage side; a node across an
 	// open cut cannot receive it. Fail fast — the post-heal anti-entropy
 	// pass retries the sync once the fabric is whole again.
@@ -138,49 +130,45 @@ func (s *Squirrel) syncGuarded(ccv *zvol.Volume, nodeID string) (SyncReport, err
 		inj.Counters().Add("sync.partitioned", 1)
 		return SyncReport{}, fmt.Errorf("core: sync %s: %w", nodeID, cluster.ErrUnreachable)
 	}
-	rep := SyncReport{NodeID: nodeID, Snapshot: latest.Name}
-
-	if local != "" {
-		stream, err := s.sc.Send(local, latest.Name)
-		switch {
-		case err == nil:
-			if err := ccv.Receive(stream); err != nil {
-				return SyncReport{}, fmt.Errorf("core: sync receive on %s: %w", nodeID, err)
-			}
-			rep.Mode = SyncIncremental
-			rep.Bytes = stream.SizeBytes()
-			rep.XferSec = s.cl.Unicast(s.cl.Storage[0], node, stream.SizeBytes())
-			return heal(rep), nil
-		case errors.Is(err, zvol.ErrNotAncestor):
-			// The node's snapshot fell out of the retention window: fall
-			// through to full re-replication.
-		default:
+	// The diff since the node's latest snapshot, applied to its replica
+	// — or, when the scVolume no longer retains that snapshot (or
+	// the node never had one), the whole scVolume, applied to a fresh
+	// replica. Either way the stream is prepared by the scVolume and
+	// handed over as a registration's is: nothing the scVolume stores is
+	// compressed again, and the replica aliases the stored payloads.
+	rep := SyncReport{NodeID: nodeID, Snapshot: latest.Name, Mode: SyncIncremental}
+	target := ccv
+	stream, err := s.sc.Send(local, latest.Name)
+	if errors.Is(err, zvol.ErrNotAncestor) {
+		// The node's snapshot fell out of the retention window.
+		local = ""
+		stream, err = s.sc.Send("", latest.Name)
+	}
+	if err != nil {
+		return SyncReport{}, err
+	}
+	if local == "" {
+		// Full re-replication: the node starts from an empty replica.
+		rep.Mode = SyncFull
+		if target, err = zvol.New(s.cfg.Volume); err != nil {
 			return SyncReport{}, err
 		}
+		if s.tel != nil {
+			target.SetCounters(s.tel.Counters())
+		}
 	}
-	// Full re-replication: the node starts from an empty replica.
-	fresh, err := zvol.New(s.cfg.Volume)
-	if err != nil {
-		return SyncReport{}, err
+	if err := handOver(nil, nodeID, target, s.sc.Prepare(stream), nil); err != nil {
+		return SyncReport{}, fmt.Errorf("core: %s sync receive on %s: %w", rep.Mode, nodeID, err)
 	}
-	if s.tel != nil {
-		fresh.SetCounters(s.tel.Counters())
+	if rep.Mode == SyncFull {
+		s.state.Lock()
+		s.cc[nodeID] = target
+		// The damaged replica was thrown away wholesale; the fresh one is
+		// clean by construction (the receive verified every block).
+		delete(s.damaged, nodeID)
+		s.state.Unlock()
 	}
-	stream, err := s.sc.Send("", latest.Name)
-	if err != nil {
-		return SyncReport{}, err
-	}
-	if err := fresh.Receive(stream); err != nil {
-		return SyncReport{}, fmt.Errorf("core: full sync on %s: %w", nodeID, err)
-	}
-	s.state.Lock()
-	s.cc[nodeID] = fresh
-	// The damaged replica was thrown away wholesale; the fresh one is
-	// clean by construction (Receive verified every block).
-	delete(s.damaged, nodeID)
-	s.state.Unlock()
-	rep.Mode = SyncFull
 	rep.Bytes = stream.SizeBytes()
-	rep.XferSec = s.cl.Unicast(s.cl.Storage[0], node, stream.SizeBytes())
+	rep.XferSec = s.cl.Unicast(s.cl.Storage[0], s.nodes[nodeID], rep.Bytes)
 	return heal(rep), nil
 }

@@ -223,8 +223,8 @@ func (l *Local) TraceSlowest(kind string) (string, error) {
 	if tel == nil {
 		return "", fmt.Errorf("ctlplane: telemetry disabled on this deployment (enable tracing)")
 	}
-	// SlowestSpan (not SlowestRoot): under a daemon, operations live as
-	// children of rpc.dispatch roots, so the search walks whole trees.
+	// Under a daemon, operations live as children of rpc.dispatch roots,
+	// so the search walks whole trees.
 	sp := tel.SlowestSpan(kind)
 	if sp == nil {
 		return "", fmt.Errorf("no completed %q operation in the trace ring (kinds: register, boot, scrub, resilver, sync, gc, restart)", kind)

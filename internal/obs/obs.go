@@ -235,28 +235,12 @@ func (t *Telemetry) FailedRoots() []*Span {
 	return out
 }
 
-// SlowestRoot picks the operation `squirrelctl -trace <kind>` dumps:
-// the first failed root of that kind if any operation failed, otherwise
-// the root with the longest wall duration. Returns nil when the ring
-// holds no such operation.
-func (t *Telemetry) SlowestRoot(kind string) *Span {
-	var slowest *Span
-	for _, s := range t.RootsOf(kind) {
-		if s.Err() != "" {
-			return s
-		}
-		if slowest == nil || s.Wall() > slowest.Wall() {
-			slowest = s
-		}
-	}
-	return slowest
-}
-
-// SlowestSpan generalizes SlowestRoot to spans anywhere inside the
-// ring's trees: the first failed span of that kind if any failed,
-// otherwise the one with the longest wall duration. Daemon-dispatched
-// operations live as children of rpc.dispatch roots, so the trace
-// surface searches whole trees, not just roots.
+// SlowestSpan picks the operation `squirrelctl trace <kind>` dumps, from
+// anywhere inside the ring's trees: the first failed span of that kind if
+// any failed, otherwise the one with the longest wall duration. Returns
+// nil when the ring holds no such operation. Daemon-dispatched operations
+// live as children of rpc.dispatch roots, so the trace surface searches
+// whole trees, not just roots.
 func (t *Telemetry) SlowestSpan(kind string) *Span {
 	var slowest *Span
 	for _, root := range t.Roots() {

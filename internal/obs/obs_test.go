@@ -50,8 +50,8 @@ func TestNilSafety(t *testing.T) {
 	if roots := tel.Roots(); len(roots) != 0 {
 		t.Fatal("nil telemetry must have no roots")
 	}
-	if tel.SlowestRoot(OpBoot) != nil {
-		t.Fatal("nil telemetry SlowestRoot must be nil")
+	if tel.SlowestSpan(OpBoot) != nil {
+		t.Fatal("nil telemetry SlowestSpan must be nil")
 	}
 	snap := tel.Snapshot()
 	if len(snap.Ops) != 0 || snap.SpansRecorded != 0 {
@@ -102,11 +102,11 @@ func TestSpanTreeAndAggregation(t *testing.T) {
 	if fr := tel.FailedRoots(); len(fr) != 1 || fr[0].Kind() != OpScrub {
 		t.Fatalf("failed roots %v", fr)
 	}
-	if s := tel.SlowestRoot(OpScrub); s == nil || s.Err() == "" {
-		t.Fatal("SlowestRoot must prefer the failed op")
+	if s := tel.SlowestSpan(OpScrub); s == nil || s.Err() == "" {
+		t.Fatal("SlowestSpan must prefer the failed op")
 	}
-	if tel.SlowestRoot(OpBoot) != roots[0] {
-		t.Fatal("SlowestRoot(boot) must find the boot root")
+	if tel.SlowestSpan(OpBoot) != roots[0] {
+		t.Fatal("SlowestSpan(boot) must find the boot root")
 	}
 
 	snap := tel.Snapshot()

@@ -23,7 +23,7 @@ import (
 // Span objects are pooled: when the completed-operation ring evicts a
 // tree that no snapshot reader was ever handed, every span in it goes
 // back to the pool and is reused by a later operation. A tree returned
-// by Roots/RootsOf/SlowestRoot/SlowestSpan is pinned (the exposed flag)
+// by Roots/RootsOf/SlowestSpan is pinned (the exposed flag)
 // and ages out to the garbage collector instead, so callers can hold
 // snapshot results indefinitely.
 type Span struct {

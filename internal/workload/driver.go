@@ -265,7 +265,9 @@ func (d *Driver) driveLogical(ctx context.Context, cfg Config, cold map[int]bool
 }
 
 // driveWall fires real boots from a bounded pool and measures real
-// elapsed latency; shedding is the deployment's own admission control.
+// elapsed latency. It counts a shed when the deployment's own admission
+// gate refuses a boot; no shipped deployment has that gate on (see the
+// package comment), so today it counts none.
 // Cold nodes need no special handling here: their dropped replicas make
 // the real boots take the peer path on their own.
 func (d *Driver) driveWall(ctx context.Context, cfg Config) (Summary, error) {

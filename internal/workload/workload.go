@@ -13,8 +13,11 @@
 //     same Summary byte for byte. This is the mode tests gate on.
 //
 //   - wall: a worker pool fires real boots and measures real elapsed
-//     latency; sheds come from the deployment's own admission control.
-//     This is the mode benches run.
+//     latency. A shed here would be the deployment's own admission gate
+//     refusing a boot (core.ErrOverloaded) — which cannot happen today:
+//     no shipped binary sets core.Config.Admission (ctlplane.NewLocal
+//     never does, squirreld has no flag), so wall mode reports zero
+//     sheds. This is the mode benches run.
 //
 // Memory is bounded by construction: arrivals are generated on the fly
 // (never materialized), results stream into fixed-bucket histograms

@@ -22,16 +22,20 @@ import (
 // encoded again, so a registration's codec work is the scVolume's one
 // gzip per new block (see Prepare).
 //
-// The resulting replicas are bit-identical to ones built by plain
-// Receive: block pointers carry the same hashes, lengths, compression
-// flags, physical checksums, and — because AllocShared uses Alloc's exact
-// placement logic — the same disk addresses.
+// A prepared stream is also the only thing a volume applies: Receive
+// prepares a raw stream for itself (hashStream) and takes the same path.
+// The replicas the two build are bit-identical: block pointers carry the
+// same hashes, lengths, compression flags, physical checksums, and —
+// because AllocShared uses Alloc's exact placement logic — the same disk
+// addresses.
 type PreparedStream struct {
 	Stream *Stream
 	Blocks []PreparedBlock // parallel to Stream.Blocks
 }
 
 // PreparedBlock is the precomputed stored form of one shipped payload.
+// A receiver preparing a raw stream for itself fills in Hash and LogLen
+// only: with Payload nil the block write encodes the stored form itself.
 type PreparedBlock struct {
 	Hash       block.Hash // logical content hash (drives dedup)
 	Payload    []byte     // stored form: compressed iff Compressed; the sender's own stored slice when it holds one; aliased by receivers, never mutated
@@ -40,10 +44,22 @@ type PreparedBlock struct {
 	PhysHash   block.Hash // checksum of Payload (what a scrub verifies)
 }
 
+// hashStream is the half of preparation every receive needs: one
+// PreparedBlock per shipped payload carrying its content hash and length,
+// no stored form yet. It is all a receiver does to prepare a raw stream
+// for itself (receive), and where Prepare starts.
+func hashStream(st *Stream) *PreparedStream {
+	ps := &PreparedStream{Stream: st, Blocks: make([]PreparedBlock, len(st.Blocks))}
+	for i, data := range st.Blocks {
+		ps.Blocks[i] = PreparedBlock{Hash: block.HashOf(data), LogLen: int32(len(data))}
+	}
+	return ps
+}
+
 // Prepare hashes every shipped payload of st exactly once and finds its
 // stored form. The raw block is always hashed — that digest is what a
 // receiver's stream verification compares with the stream's pointer —
-// and the DDT is then asked before the codec, as writeBlockHashed asks
+// and the DDT is then asked before the codec, as writeBlockLocked asks
 // it: a block this volume already stores (every block of a stream it
 // sent itself) is not compressed a second time. Its stored payload is checked
 // against the entry's PhysHash and lent out through store.Share, so the
@@ -58,13 +74,11 @@ type PreparedBlock struct {
 func (v *Volume) Prepare(st *Stream) *PreparedStream {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	ps := &PreparedStream{Stream: st, Blocks: make([]PreparedBlock, len(st.Blocks))}
-	for i, data := range st.Blocks {
-		pb := PreparedBlock{Hash: block.HashOf(data), LogLen: int32(len(data))}
-		if !v.lendStoredLocked(&pb) {
-			pb.Payload, pb.Compressed, pb.PhysHash = v.encode(data, pb.Hash)
+	ps := hashStream(st)
+	for i := range ps.Blocks {
+		if pb := &ps.Blocks[i]; !v.lendStoredLocked(pb) {
+			pb.Payload, pb.Compressed, pb.PhysHash = v.encode(st.Blocks[i], pb.Hash)
 		}
-		ps.Blocks[i] = pb
 	}
 	return ps
 }
@@ -73,10 +87,7 @@ func (v *Volume) Prepare(st *Stream) *PreparedStream {
 // the block, when it holds an intact one. Caller holds v.mu, which keeps
 // the slot from being freed or rewritten between the check and the loan.
 func (v *Volume) lendStoredLocked(pb *PreparedBlock) bool {
-	if !v.cfg.Dedup {
-		return false
-	}
-	e := v.ddt.Lookup(pb.Hash)
+	e := v.ddt.Lookup(pb.Hash) // nil without dedup: the table stays empty
 	if e == nil || e.LogLen != pb.LogLen {
 		return false
 	}
@@ -91,34 +102,15 @@ func (v *Volume) lendStoredLocked(pb *PreparedBlock) bool {
 	return true
 }
 
-// ReceivePrepared applies a prepared stream. Semantics are identical to
-// Receive(ps.Stream) — same verification guarantees, same journaling and
-// crash behaviour, same resulting replica down to disk addresses — but
-// shipped payloads are neither re-hashed nor re-compressed, and stored
-// bytes are aliased (copy-on-write) rather than copied.
+// ReceivePrepared applies a prepared stream. It is Receive(ps.Stream) —
+// the same apply path, verification, journaling and crash behaviour, the
+// same resulting replica down to disk addresses — entered with the
+// preparation already done: shipped payloads are neither re-hashed nor
+// re-compressed, and stored bytes are aliased (copy-on-write) rather than
+// copied.
 func (v *Volume) ReceivePrepared(ps *PreparedStream) error {
 	if ps == nil || ps.Stream == nil {
 		return fmt.Errorf("%w: nil prepared stream", ErrBadStream)
 	}
-	return v.receive(ps.Stream, ps)
-}
-
-// writeBlockPrepared stores one nonzero block from its prepared form and
-// returns its pointer. Mirrors writeBlockHashed exactly, minus the
-// compression work. Caller holds v.mu.
-func (v *Volume) writeBlockPrepared(pb *PreparedBlock) blockPtr {
-	if v.cfg.Dedup {
-		if e := v.ddt.Lookup(pb.Hash); e != nil {
-			v.ddt.AddRef(pb.Hash)
-			return blockPtr{hash: pb.Hash, addr: e.Addr, physLen: e.PhysLen,
-				logLen: pb.LogLen, compressed: e.Compressed, physHash: e.PhysHash}
-		}
-	}
-	addr := v.store.AllocShared(pb.Payload)
-	ptr := blockPtr{hash: pb.Hash, addr: addr, physLen: int32(len(pb.Payload)),
-		logLen: pb.LogLen, compressed: pb.Compressed, physHash: pb.PhysHash}
-	if v.cfg.Dedup {
-		v.ddt.Reference(pb.Hash, addr, ptr.physLen, ptr.logLen, pb.Compressed, ptr.physHash)
-	}
-	return ptr
+	return v.receive(ps, true)
 }

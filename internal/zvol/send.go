@@ -152,13 +152,18 @@ func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 // the journal open; Recover rolls the volume back to its exact
 // pre-receive state. A volume with an open journal refuses further
 // receives until recovered.
-func (v *Volume) Receive(st *Stream) error { return v.receive(st, nil) }
+func (v *Volume) Receive(st *Stream) error { return v.receive(hashStream(st), false) }
 
-// receive is the shared apply path behind Receive and ReceivePrepared.
-// With ps == nil every shipped payload is hashed and compressed locally;
-// with a prepared stream those results are reused and stored payloads are
-// aliased into the block store (see prepared.go).
-func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
+// receive is the one apply path, behind Receive and ReceivePrepared:
+// verify, journal, stage, commit, always over a prepared stream. A raw
+// stream (decoded off a wire, nothing about it trusted) was prepared by
+// this receiver for itself — every shipped block hashed, which is what
+// verification compares with the stream's pointers; its blocks' stored
+// forms are left for writeBlockLocked to produce, after the DDT has been
+// asked, once verification has passed. arrived says the stream came
+// prepared by its sender, which only the accounting cares about.
+func (v *Volume) receive(ps *PreparedStream, arrived bool) error {
+	st := ps.Stream
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	// Consume the one-shot crash point whether or not verification
@@ -168,8 +173,7 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 	if v.journal != nil {
 		return ErrNeedsRecovery
 	}
-	hashes, err := v.verifyStreamLocked(st, ps)
-	if err != nil {
+	if err := v.verifyStreamLocked(ps); err != nil {
 		return err
 	}
 	// Intent record: from here until commit, a crash leaves the journal
@@ -190,24 +194,18 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 		obj := &Object{Name: so.Name, Size: so.Size, holders: 1, // the live table
 			ptrs: make([]blockPtr, 0, len(so.Ptrs))}
 		for _, sp := range so.Ptrs {
+			var ptr blockPtr
 			switch {
 			case sp.Zero:
-				obj.ptrs = append(obj.ptrs, blockPtr{zero: true, logLen: sp.LogLen})
+				ptr = blockPtr{zero: true, logLen: sp.LogLen}
 				v.zeroBytes += int64(sp.LogLen)
 				rec.zeros += int64(sp.LogLen)
 			case sp.Payload >= 0:
-				if ps != nil {
-					obj.ptrs = append(obj.ptrs, v.writeBlockPrepared(&ps.Blocks[sp.Payload]))
-				} else {
-					obj.ptrs = append(obj.ptrs, v.writeBlockHashed(hashes[sp.Payload], st.Blocks[sp.Payload]))
-				}
+				ptr = v.writeBlockLocked(&ps.Blocks[sp.Payload], st.Blocks[sp.Payload])
 			default:
-				e := v.ddt.Lookup(sp.Hash)
-				v.ddt.AddRef(sp.Hash)
-				obj.ptrs = append(obj.ptrs, blockPtr{hash: sp.Hash, addr: e.Addr,
-					physLen: e.PhysLen, logLen: sp.LogLen, compressed: e.Compressed,
-					physHash: e.PhysHash})
+				ptr, _ = v.refStoredLocked(sp.Hash, sp.LogLen) // verified resolvable
 			}
+			obj.ptrs = append(obj.ptrs, ptr)
 			v.logicalWritten += int64(sp.LogLen)
 			rec.logical += int64(sp.LogLen)
 		}
@@ -246,7 +244,7 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 	v.journal = nil
 	v.counters.Add("zvol.recv.streams", 1)
 	v.counters.Add("zvol.recv.bytes", st.SizeBytes())
-	if ps != nil {
+	if arrived {
 		v.counters.Add("zvol.recv.prepared", 1)
 	}
 	return nil
@@ -256,43 +254,28 @@ func (v *Volume) receive(st *Stream, ps *PreparedStream) error {
 // for st — the valid range of torn-apply crash offsets is [0, ApplySteps].
 func (st *Stream) ApplySteps() int { return len(st.Upserts) + len(st.Deletes) }
 
-// verifyStreamLocked checks a stream end to end without touching the
-// volume. Everything Receive's apply phase relies on is proven here:
-// ancestry and snapshot-name freshness, payload indexes in range, shipped
-// payloads matching their declared length and content hash, object sizes
+// verifyStreamLocked checks a prepared stream end to end without touching
+// the volume. Everything receive's apply phase relies on is proven here:
+// ancestry and snapshot-name freshness, one prepared block per shipped
+// payload, payload indexes in range, shipped payloads matching their
+// declared length and — by the hash their preparer computed, sender or
+// this receiver alike — their pointer's content hash, object sizes
 // consistent with their pointers, and every hash-only reference present
-// in the local DDT. With a prepared stream the per-payload checksums were
-// computed once by Prepare and are reused instead of re-hashed here.
-// It returns the content hash of each shipped payload, indexed as
-// st.Blocks, so the apply phase stores the blocks without hashing them
-// again.
-func (v *Volume) verifyStreamLocked(st *Stream, ps *PreparedStream) ([]block.Hash, error) {
+// in the local DDT.
+func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
+	st := ps.Stream
 	if st.FromSnap != "" && v.findSnapLocked(st.FromSnap) == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotAncestor, st.FromSnap)
+		return fmt.Errorf("%w: %s", ErrNotAncestor, st.FromSnap)
 	}
 	if v.findSnapLocked(st.ToSnap) != nil {
-		return nil, fmt.Errorf("%w: %s", ErrSnapExists, st.ToSnap)
+		return fmt.Errorf("%w: %s", ErrSnapExists, st.ToSnap)
 	}
 	if !v.cfg.Dedup {
-		return nil, fmt.Errorf("zvol: receive requires a dedup volume")
+		return fmt.Errorf("zvol: receive requires a dedup volume")
 	}
-	// Checksum every shipped payload once up front (or reuse the hashes
-	// Prepare computed when receiving a prepared stream).
-	var hashes []block.Hash
-	if ps != nil {
-		if len(ps.Blocks) != len(st.Blocks) {
-			return nil, fmt.Errorf("%w: prepared stream carries %d blocks, stream %d",
-				ErrBadStream, len(ps.Blocks), len(st.Blocks))
-		}
-		hashes = make([]block.Hash, len(ps.Blocks))
-		for i := range ps.Blocks {
-			hashes[i] = ps.Blocks[i].Hash
-		}
-	} else {
-		hashes = make([]block.Hash, len(st.Blocks))
-		for i, b := range st.Blocks {
-			hashes[i] = block.HashOf(b)
-		}
+	if len(ps.Blocks) != len(st.Blocks) {
+		return fmt.Errorf("%w: prepared stream carries %d blocks, stream %d",
+			ErrBadStream, len(ps.Blocks), len(st.Blocks))
 	}
 	for _, so := range st.Upserts {
 		var size int64
@@ -302,28 +285,28 @@ func (v *Volume) verifyStreamLocked(st *Stream, ps *PreparedStream) ([]block.Has
 			case sp.Zero:
 			case sp.Payload >= 0:
 				if sp.Payload >= len(st.Blocks) {
-					return nil, fmt.Errorf("%w: %s payload index %d out of range",
+					return fmt.Errorf("%w: %s payload index %d out of range",
 						ErrBadStream, so.Name, sp.Payload)
 				}
 				if int32(len(st.Blocks[sp.Payload])) != sp.LogLen {
-					return nil, fmt.Errorf("%w: %s block %d is %d bytes, pointer says %d",
+					return fmt.Errorf("%w: %s block %d is %d bytes, pointer says %d",
 						ErrBadStream, so.Name, sp.Payload, len(st.Blocks[sp.Payload]), sp.LogLen)
 				}
-				if hashes[sp.Payload] != block.Hash(sp.Hash) {
-					return nil, fmt.Errorf("%w: %s block %d checksum mismatch",
+				if ps.Blocks[sp.Payload].Hash != block.Hash(sp.Hash) {
+					return fmt.Errorf("%w: %s block %d checksum mismatch",
 						ErrBadStream, so.Name, sp.Payload)
 				}
 			default:
 				if v.ddt.Lookup(sp.Hash) == nil {
-					return nil, fmt.Errorf("%w: %s references unknown block %x",
+					return fmt.Errorf("%w: %s references unknown block %x",
 						ErrBadStream, so.Name, sp.Hash[:8])
 				}
 			}
 		}
 		if size != so.Size {
-			return nil, fmt.Errorf("%w: %s pointers cover %d bytes, object says %d",
+			return fmt.Errorf("%w: %s pointers cover %d bytes, object says %d",
 				ErrBadStream, so.Name, size, so.Size)
 		}
 	}
-	return hashes, nil
+	return nil
 }

@@ -27,6 +27,14 @@
 // (store.AllocShared), every slot involved copy-on-write, so a payload is
 // copied exactly when one side rots or repairs its own (see prepared.go).
 //
+// How a block gets in. There is one block write (writeBlockLocked: ask
+// the DDT, else place the stored form) under WriteObject and under the
+// one stream apply path (receive: verify, journal, stage, commit). A
+// stream always reaches that path prepared — by its sender (Prepare +
+// ReceivePrepared: hashes and stored forms computed once for all
+// receivers) or, for a raw stream decoded off a wire, by the receiver
+// for itself (Receive: hashes now, stored forms at the block write).
+//
 // Reads are whole-object (ReadObject, ReadObjectAt, ReadBlock) or by
 // range (ReadAt, which decodes only the blocks a range touches — what the
 // paper's boot path asks of its volume). Both are built on one primitive,
@@ -249,7 +257,8 @@ func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 			obj.ptrs = append(obj.ptrs, blockPtr{zero: true, logLen: int32(len(c.Data))})
 			return nil
 		}
-		obj.ptrs = append(obj.ptrs, v.writeBlockHashed(block.HashOf(c.Data), c.Data))
+		pb := PreparedBlock{Hash: block.HashOf(c.Data), LogLen: int32(len(c.Data))}
+		obj.ptrs = append(obj.ptrs, v.writeBlockLocked(&pb, c.Data))
 		return nil
 	})
 	if err != nil {
@@ -279,27 +288,45 @@ func (v *Volume) setObjectLocked(name string, obj *Object) {
 	v.livePtrs += int64(len(obj.ptrs))
 }
 
-// writeBlockHashed stores one nonzero block whose content hash is h and
-// returns its pointer. Caller holds v.mu.
-func (v *Volume) writeBlockHashed(h block.Hash, data []byte) blockPtr {
-	if v.cfg.Dedup {
-		if e := v.ddt.Lookup(h); e != nil {
-			v.ddt.AddRef(h)
-			return blockPtr{hash: h, addr: e.Addr, physLen: e.PhysLen,
-				logLen: int32(len(data)), compressed: e.Compressed, physHash: e.PhysHash}
-		}
+// refStoredLocked is the DDT-hit branch every block write opens with: when
+// the DDT already stores a block under h, it takes one more reference and
+// returns a pointer to that stored copy. ok is false when the DDT does not
+// know h — always, without dedup: nothing is ever entered in the table.
+// Caller holds v.mu.
+func (v *Volume) refStoredLocked(h block.Hash, logLen int32) (ptr blockPtr, ok bool) {
+	e := v.ddt.Lookup(h)
+	if e == nil {
+		return blockPtr{}, false
 	}
-	payload, isCompressed, physHash := v.encode(data, h)
+	v.ddt.AddRef(h)
+	return blockPtr{hash: h, addr: e.Addr, physLen: e.PhysLen, logLen: logLen,
+		compressed: e.Compressed, physHash: e.PhysHash}, true
+}
+
+// writeBlockLocked stores one nonzero block and returns its pointer. pb
+// carries the block's content hash and, when the block arrived in a
+// sender-prepared stream, its stored form. The DDT is asked before
+// anything else; a block it does not hold is placed from the prepared
+// stored form (aliased, not copied) when there is one, and otherwise
+// encoded here from data — the logical bytes, which only that last case
+// reads. Caller holds v.mu.
+func (v *Volume) writeBlockLocked(pb *PreparedBlock, data []byte) blockPtr {
+	if ptr, ok := v.refStoredLocked(pb.Hash, pb.LogLen); ok {
+		return ptr
+	}
+	payload, isCompressed, physHash := pb.Payload, pb.Compressed, pb.PhysHash
 	var addr uint64
-	if isCompressed {
+	if payload != nil {
+		addr = v.store.AllocShared(payload) // other volumes hold the slice too
+	} else if payload, isCompressed, physHash = v.encode(data, pb.Hash); isCompressed {
 		addr = v.store.AllocOwned(payload) // the codec's fresh output: nothing else holds it
 	} else {
 		addr = v.store.Alloc(payload) // payload is the caller's data: copy
 	}
-	ptr := blockPtr{hash: h, addr: addr, physLen: int32(len(payload)),
-		logLen: int32(len(data)), compressed: isCompressed, physHash: physHash}
+	ptr := blockPtr{hash: pb.Hash, addr: addr, physLen: int32(len(payload)),
+		logLen: pb.LogLen, compressed: isCompressed, physHash: physHash}
 	if v.cfg.Dedup {
-		v.ddt.Reference(h, addr, ptr.physLen, ptr.logLen, isCompressed, ptr.physHash)
+		v.ddt.Reference(pb.Hash, addr, ptr.physLen, ptr.logLen, isCompressed, physHash)
 	}
 	return ptr
 }
