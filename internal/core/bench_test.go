@@ -116,13 +116,15 @@ func BenchmarkColdBoot(b *testing.B) {
 // deployment of the daemon's shape (320 images of the daemon's corpus
 // scaling, 8 compute nodes, paper-default volumes) taking all 320
 // registrations in corpus order. It reports the mean registration, the
-// bytes one allocates, and how much slower the last 64 of a round are
-// than the first 64 — the drift a per-registration cost that grows with
-// the snapshot count shows up as.
+// bytes one allocates, how much slower the last 64 of a round are than
+// the first 64 — the drift a per-registration cost that grows with the
+// snapshot count shows up as — and the heap the deployment keeps alive
+// once the round is over, which is where metadata that grows with
+// history ends up.
 func BenchmarkRegisterStream(b *testing.B) {
 	const images, nodes, edge = 320, 8, 64
 	var first, last, total time.Duration
-	var allocated uint64
+	var allocated, live uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -148,12 +150,17 @@ func BenchmarkRegisterStream(b *testing.B) {
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
 		allocated += after.TotalAlloc - before.TotalAlloc
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live += after.HeapAlloc
+		runtime.KeepAlive(sq)
 		b.StartTimer()
 	}
 	regs := float64(b.N * images)
 	b.ReportMetric(total.Seconds()*1e3/regs, "ms/registration")
 	b.ReportMetric(float64(allocated)/regs, "B/registration")
 	b.ReportMetric(float64(last)/float64(first), "last64/first64")
+	b.ReportMetric(float64(live)/float64(b.N)/1e6, "live-heap-MB")
 }
 
 // statsSink keeps the compiler from dropping BenchmarkStats' calls.

@@ -14,10 +14,10 @@ package zvol
 type undoRec struct {
 	upsert  bool
 	name    string
-	newPtrs []blockPtr // pointers created by an upsert (released on undo)
-	old     *Object    // object displaced by the step (restored on undo)
-	logical int64      // logicalWritten delta to reverse
-	zeros   int64      // zeroBytes delta to reverse
+	staged  *Object // object created by an upsert (released on undo)
+	old     *Object // object displaced by the step (restored on undo)
+	logical int64   // logicalWritten delta to reverse
+	zeros   int64   // zeroBytes delta to reverse
 }
 
 // receiveJournal is the intent record of one in-flight Receive plus the
@@ -75,10 +75,12 @@ func (v *Volume) Recover() RecoverReport {
 		rec := j.undo[i]
 		if rec.upsert {
 			// The staged object was only ever on the live table (the
-			// snapshot comes with the commit), so dropping its one set of
-			// block references is the whole undo; a displaced object kept
-			// its holders and goes back as it was.
-			v.releasePtrsLocked(rec.newPtrs)
+			// snapshot comes with the commit), so no stamp lists it: it
+			// leaves the held list and drops its one set of block
+			// references. A displaced object dies only at commit, so it
+			// goes back as it was, still live.
+			v.unholdLocked(rec.staged)
+			v.releasePtrsLocked(rec.staged.ptrs)
 			v.setObjectLocked(rec.name, rec.old) // nil when the upsert created the name
 			v.logicalWritten -= rec.logical
 			v.zeroBytes -= rec.zeros

@@ -73,53 +73,86 @@ func (st *Stream) SizeBytes() int64 {
 // A block payload is shipped iff its hash is not referenced anywhere in
 // fromSnap; otherwise the stream carries only the hash. This mirrors ZFS's
 // incremental send, which ships blocks born after the origin snapshot.
+// Upserts, and so the shipped blocks, go in birth order and deletes in the
+// birth order of what they remove: one commit always encodes to the same
+// bytes. fromSnap must not be the later of the two.
 func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	to := v.findSnapLocked(toSnap)
+	to := v.snapByName[toSnap]
 	if to == nil {
 		return nil, fmt.Errorf("%w: snapshot %s", ErrNotFound, toSnap)
 	}
-	var fromObjs map[string]*Object
-	known := map[[32]byte]bool{}
+	from := &Snapshot{} // a full stream's origin: stamp 0 precedes every birth and lists nothing
 	if fromSnap != "" {
-		from := v.findSnapLocked(fromSnap)
-		if from == nil {
+		if from = v.snapByName[fromSnap]; from == nil || from.txg > to.txg {
 			return nil, fmt.Errorf("%w: %s", ErrNotAncestor, fromSnap)
 		}
-		fromObjs = from.objects
-		for _, o := range from.objects {
-			for _, p := range o.ptrs {
-				if !p.zero {
-					known[p.hash] = true
-				}
+	}
+	origin := v.held[:v.bornThroughLocked(from.txg)] // every object from can list
+	// The objects from lists and to does not left the table in between:
+	// their names in birth order, and as a set whose entry turns false when
+	// a later object that to lists brings the name back.
+	var dropped []string
+	gone := map[string]bool{}
+	for _, o := range origin {
+		if from.lists(o) && !to.lists(o) {
+			dropped = append(dropped, o.Name)
+			gone[o.Name] = true
+		}
+	}
+	// The upserts are the objects born after from that to lists, less those
+	// that bring back a name from lists already: objects are immutable, so
+	// same name ⇒ same content, and the name is neither sent nor deleted.
+	var upserts []*Object
+	ship := map[block.Hash]int{} // block hash → index in st.Blocks, -1 until read; the blocks from does not reference
+	for _, o := range v.held[len(origin):v.bornThroughLocked(to.txg)] {
+		if !to.lists(o) {
+			continue
+		}
+		if gone[o.Name] {
+			gone[o.Name] = false
+			continue
+		}
+		upserts = append(upserts, o)
+		for _, p := range o.ptrs {
+			if !p.zero {
+				ship[p.hash] = -1
+			}
+		}
+	}
+	// A candidate from references is known to the receiver: probe the few
+	// candidates with the origin's pointers rather than index them all.
+	for _, o := range origin {
+		if len(ship) == 0 {
+			break
+		}
+		if !from.lists(o) {
+			continue
+		}
+		for _, p := range o.ptrs {
+			if !p.zero {
+				delete(ship, p.hash)
 			}
 		}
 	}
 	st := &Stream{FromSnap: fromSnap, ToSnap: toSnap, Created: to.Created}
-	shipped := map[[32]byte]int{} // hash → index in st.Blocks
-	for name, obj := range to.objects {
-		if fromObjs != nil {
-			if _, unchanged := fromObjs[name]; unchanged {
-				// Objects are immutable; same name ⇒ same content.
-				continue
-			}
-		}
-		so := StreamObject{Name: name, Size: obj.Size, Ptrs: make([]StreamPtr, 0, len(obj.ptrs))}
+	for _, obj := range upserts {
+		so := StreamObject{Name: obj.Name, Size: obj.Size, Ptrs: make([]StreamPtr, 0, len(obj.ptrs))}
 		for _, p := range obj.ptrs {
 			sp := StreamPtr{Zero: p.zero, LogLen: p.logLen, Payload: -1}
 			if !p.zero {
 				sp.Hash = p.hash
-				if idx, dup := shipped[p.hash]; dup {
-					sp.Payload = idx
-				} else if !known[p.hash] {
-					data := make([]byte, p.logLen)
-					if err := v.readBlockInto(p, data); err != nil {
-						return nil, fmt.Errorf("zvol: send %s: %w", name, err)
+				if idx, unknown := ship[p.hash]; unknown {
+					if idx < 0 {
+						data := make([]byte, p.logLen)
+						if err := v.readBlockInto(p, data); err != nil {
+							return nil, fmt.Errorf("zvol: send %s: %w", obj.Name, err)
+						}
+						st.Blocks = append(st.Blocks, data)
+						idx = len(st.Blocks) - 1
+						ship[p.hash] = idx
 					}
-					st.Blocks = append(st.Blocks, data)
-					idx := len(st.Blocks) - 1
-					shipped[p.hash] = idx
 					sp.Payload = idx
 				}
 			}
@@ -127,8 +160,8 @@ func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 		}
 		st.Upserts = append(st.Upserts, so)
 	}
-	for name := range fromObjs {
-		if _, still := to.objects[name]; !still {
+	for _, name := range dropped {
+		if gone[name] {
 			st.Deletes = append(st.Deletes, name)
 		}
 	}
@@ -191,8 +224,7 @@ func (v *Volume) receive(ps *PreparedStream, arrived bool) error {
 	var release []*Object
 	for _, so := range st.Upserts {
 		rec := undoRec{upsert: true, name: so.Name}
-		obj := &Object{Name: so.Name, Size: so.Size, holders: 1, // the live table
-			ptrs: make([]blockPtr, 0, len(so.Ptrs))}
+		obj := &Object{Name: so.Name, Size: so.Size, ptrs: make([]blockPtr, 0, len(so.Ptrs))}
 		for _, sp := range so.Ptrs {
 			var ptr blockPtr
 			switch {
@@ -210,13 +242,13 @@ func (v *Volume) receive(ps *PreparedStream, arrived bool) error {
 			rec.logical += int64(sp.LogLen)
 		}
 		if old, ok := v.objects[so.Name]; ok {
-			// Replace (idempotent receive): the live table lets go of the
-			// old object only at commit, after every upsert is in.
+			// Replace (idempotent receive): the old object leaves the live
+			// table now and dies only at commit, after every upsert is in.
 			release = append(release, old)
 			rec.old = old
 		}
-		rec.newPtrs = obj.ptrs
-		v.setObjectLocked(so.Name, obj)
+		rec.staged = obj
+		v.addObjectLocked(obj)
 		j.undo = append(j.undo, rec)
 		j.steps++
 		if crashed() {
@@ -238,7 +270,7 @@ func (v *Volume) receive(ps *PreparedStream, arrived bool) error {
 	// points; a real implementation orders this behind one journal
 	// commit-mark write).
 	for _, old := range release {
-		v.dropHolderLocked(old)
+		v.retireLocked(old)
 	}
 	v.snapshotLocked(st.ToSnap, st.Created)
 	v.journal = nil
@@ -264,10 +296,10 @@ func (st *Stream) ApplySteps() int { return len(st.Upserts) + len(st.Deletes) }
 // in the local DDT.
 func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
 	st := ps.Stream
-	if st.FromSnap != "" && v.findSnapLocked(st.FromSnap) == nil {
+	if st.FromSnap != "" && v.snapByName[st.FromSnap] == nil {
 		return fmt.Errorf("%w: %s", ErrNotAncestor, st.FromSnap)
 	}
-	if v.findSnapLocked(st.ToSnap) != nil {
+	if v.snapByName[st.ToSnap] != nil {
 		return fmt.Errorf("%w: %s", ErrSnapExists, st.ToSnap)
 	}
 	if !v.cfg.Dedup {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -183,7 +184,7 @@ func TestDedupRatioCountsObjectsNotSnapshots(t *testing.T) {
 func TestSnapshotPinsBlocksWithoutDedup(t *testing.T) {
 	// Without a DDT every pointer owns its block, and deleting the live
 	// object used to free blocks a snapshot still listed ("store: read of
-	// unallocated address"). The snapshot is a holder like the live table.
+	// unallocated address"). A snapshot that lists the object keeps it held.
 	v, _ := New(cfg(block.Size4K, "gzip6", false))
 	data := mkData(23, 80*1024)
 	v.WriteObject("a", bytes.NewReader(data))
@@ -201,6 +202,48 @@ func TestSnapshotPinsBlocksWithoutDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := v.Stats(); st.DataBytes != 0 || st.UniqueBlocks != 0 {
-		t.Fatalf("the last holder left storage behind: %+v", st)
+		t.Fatalf("the last snapshot listing it left storage behind: %+v", st)
 	}
+}
+
+// Taking and destroying a snapshot costs the same whatever the volume
+// holds: allocations and bytes of the pair are equal on a volume of 10
+// objects and one of 1000 (a snapshot used to copy the object table).
+func TestSnapshotCostIndependentOfHistory(t *testing.T) {
+	cost := func(objects int) (allocs float64, bytesPerRun uint64) {
+		v, _ := New(cfg(block.Size4K, "null", true))
+		for i := 0; i < objects; i++ {
+			if _, err := v.WriteObject(fmt.Sprintf("obj%04d", i), bytes.NewReader([]byte{byte(i), 1})); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 { // history: a snapshot per two objects, half of them dead but listed
+				v.Snapshot(fmt.Sprintf("base%04d", i), day(0))
+				v.DeleteObject(fmt.Sprintf("obj%04d", i))
+			}
+		}
+		pair := func() {
+			if _, err := v.Snapshot("s", day(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.DeleteSnapshot("s"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(100, pair)
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			pair()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := cost(10)
+	largeAllocs, largeBytes := cost(1000)
+	if smallAllocs != largeAllocs || smallBytes != largeBytes {
+		t.Fatalf("snapshot+destroy costs %v allocs / %d B on 10 objects, %v allocs / %d B on 1000",
+			smallAllocs, smallBytes, largeAllocs, largeBytes)
+	}
+	t.Logf("snapshot+destroy: %v allocs, %d B", smallAllocs, smallBytes)
 }

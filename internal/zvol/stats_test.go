@@ -24,16 +24,15 @@ func statsByWalk(v *Volume) Stats {
 	st.ZeroBytes = v.zeroBytes
 
 	var nptrs int64
-	held := map[*Object]bool{}
 	for _, o := range v.objects {
 		st.LogicalBytes += o.Size
 		nptrs += int64(len(o.ptrs))
-		held[o] = true
 	}
 	for _, s := range v.snaps {
-		for _, o := range s.objects {
-			nptrs += int64(len(o.ptrs))
-			held[o] = true
+		for _, o := range v.held {
+			if s.lists(o) {
+				nptrs += int64(len(o.ptrs))
+			}
 		}
 	}
 	st.MetaBytes = nptrs * bytesPerBlockPtr
@@ -52,7 +51,7 @@ func statsByWalk(v *Volume) Stats {
 		st.References = ds.References
 		st.DedupRatio = ds.DedupRatio()
 	} else {
-		for o := range held {
+		for _, o := range v.held {
 			for _, p := range o.ptrs {
 				if !p.zero {
 					st.DataBytes += int64(p.physLen)

@@ -12,12 +12,18 @@
 // a retention window (§3.4).
 //
 // Who holds what. An object's blocks are referenced once — in the DDT, or
-// owned outright without dedup — when the object is written or received.
-// The object itself is then held by the live table and by every snapshot
-// that lists it (Object.holders); the last holder to let go releases the
-// blocks. Snapshots therefore cost one counter per object, and the DDT's
-// reference count is the paper's: block pointers of held objects over
-// unique blocks, the same before and after a snapshot.
+// owned outright without dedup — when the object is written or received,
+// and the volume holds the object once, in birth order (Volume.held),
+// until it releases those blocks. Time is counted in transaction groups,
+// as in ZFS: the volume keeps one open (Volume.txg), an object records the
+// interval [born, died) during which the live table listed it, and a
+// snapshot is the stamp of the group it closed — it lists exactly the
+// objects with born ≤ stamp < died. Nothing is copied or counted per
+// object when a snapshot is taken or destroyed: an object is released
+// exactly when it is dead and no surviving snapshot's stamp lies in
+// [born, died). The DDT's reference count is therefore the paper's: block
+// pointers of held objects over unique blocks, the same before and after
+// a snapshot.
 //
 // Who owns a payload. The store owns the bytes at an address: a copy of
 // the caller's data when a block is stored raw, the codec's fresh output
@@ -48,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -102,28 +109,43 @@ type Object struct {
 	Name string
 	Size int64 // logical size in bytes
 	ptrs []blockPtr
-	// holders counts the tables listing the object: the live table plus
-	// each snapshot. The object's blocks are referenced (in the DDT, or
-	// owned outright without dedup) once, when it is written or received,
-	// and released when the last holder lets go — so taking or destroying
-	// a snapshot touches one counter per object, never a block pointer.
-	// Guarded by the volume's mu.
-	holders int
+	// born is the transaction group that was open when the object entered
+	// the live table, died the one open when it left (0 while live). The
+	// snapshots whose stamp lies in [born, died) list the object; once it
+	// is dead and none survives, its blocks are released. Guarded by the
+	// volume's mu.
+	born, died uint64
 }
 
-// Snapshot is an immutable, named view of a volume's full object set.
+// Snapshot is an immutable, named view of a volume's full object set: the
+// stamp of the transaction group it closed. It lists the objects that
+// were on the live table at that moment, which the volume finds by their
+// [born, died) intervals rather than by a copy of the table.
 type Snapshot struct {
 	Name    string
 	Created time.Time
-	objects map[string]*Object // object table at snapshot time
-	ptrs    int64              // Σ len(ptrs) over objects, fixed at creation (Stats' metadata term)
+	txg     uint64  // the transaction group the snapshot closed
+	ptrs    int64   // Σ len(ptrs) over the listed objects, fixed at creation (Stats' metadata term)
+	vol     *Volume // holds the objects the stamp lists
 }
 
-// Objects lists the object names captured by the snapshot, sorted.
+// lists reports whether o was on the live table when s was taken.
+func (s *Snapshot) lists(o *Object) bool {
+	return o.born <= s.txg && (o.died == 0 || s.txg < o.died)
+}
+
+// Objects lists the object names captured by the snapshot, sorted. It
+// answers for a snapshot its volume still has; a destroyed one lists what
+// outlived it.
 func (s *Snapshot) Objects() []string {
-	names := make([]string, 0, len(s.objects))
-	for n := range s.objects {
-		names = append(names, n)
+	v := s.vol
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	names := []string{}
+	for _, o := range v.held[:v.bornThroughLocked(s.txg)] {
+		if s.lists(o) {
+			names = append(names, o.Name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -138,7 +160,17 @@ type Volume struct {
 	ddt   *dedup.Table
 
 	objects map[string]*Object
-	snaps   []*Snapshot // creation-ordered
+	// held is every object whose blocks the volume still references — the
+	// live table's and the dead ones some snapshot lists — each once, in
+	// birth order, so the objects a stamp can list are a prefix and the
+	// ones born between two stamps a range, both found by binary search.
+	held []*Object
+	// txg is the open transaction group: births and deaths are stamped
+	// with it, a snapshot closes it. It starts at 1, so 0 precedes every
+	// birth and marks a live object's death.
+	txg        uint64
+	snaps      []*Snapshot          // creation-ordered, so ascending by txg
+	snapByName map[string]*Snapshot // the same snapshots by name
 
 	// Running totals Stats reads instead of walking the tables, guarded by
 	// mu: setObjectLocked moves the live pair, snapshotLocked and
@@ -194,11 +226,13 @@ func New(cfg Config) (*Volume, error) {
 		return nil, err
 	}
 	return &Volume{
-		cfg:     cfg,
-		codec:   codec,
-		store:   store.New(),
-		ddt:     dedup.NewTable(),
-		objects: make(map[string]*Object),
+		cfg:        cfg,
+		codec:      codec,
+		store:      store.New(),
+		ddt:        dedup.NewTable(),
+		objects:    make(map[string]*Object),
+		txg:        1,
+		snapByName: make(map[string]*Snapshot),
 	}, nil
 }
 
@@ -247,8 +281,8 @@ func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 		v.chunker = ch
 	}
 	v.chunker.Reset(r)
-	defer v.chunker.Reset(nil)             // do not pin the caller's reader
-	obj := &Object{Name: name, holders: 1} // the live table
+	defer v.chunker.Reset(nil) // do not pin the caller's reader
+	obj := &Object{Name: name}
 	err := v.chunker.ForEach(func(c block.Chunk) error {
 		obj.Size += int64(len(c.Data))
 		v.logicalWritten += int64(len(c.Data))
@@ -267,8 +301,17 @@ func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 		v.releasePtrsLocked(obj.ptrs)
 		return nil, err
 	}
-	v.setObjectLocked(name, obj)
+	v.addObjectLocked(obj)
 	return obj, nil
+}
+
+// addObjectLocked is an object's birth: stamped with the open transaction
+// group, held, and put on the live table under its name (displacing what
+// was there, which the caller retires).
+func (v *Volume) addObjectLocked(obj *Object) {
+	obj.born = v.txg
+	v.held = append(v.held, obj)
+	v.setObjectLocked(obj.Name, obj)
 }
 
 // setObjectLocked is the one place the live table changes: it puts obj
@@ -345,13 +388,32 @@ func (v *Volume) encode(data []byte, h block.Hash) (payload []byte, compressed b
 	return data, false, h
 }
 
-// dropHolderLocked takes obj off one table (the live table or a
-// snapshot); the last holder to let go releases the object's blocks.
-func (v *Volume) dropHolderLocked(obj *Object) {
-	obj.holders--
-	if obj.holders == 0 {
-		v.releasePtrsLocked(obj.ptrs)
+// retireLocked is the death of obj, which the caller has taken off the
+// live table: stamped with the open transaction group, and released at
+// once unless a snapshot lists it. Every snapshot's stamp is below the
+// open group, so that is the latest snapshot or none.
+func (v *Volume) retireLocked(obj *Object) {
+	obj.died = v.txg
+	if n := len(v.snaps); n > 0 && v.snaps[n-1].txg >= obj.born {
+		return
 	}
+	v.unholdLocked(obj)
+	v.releasePtrsLocked(obj.ptrs)
+}
+
+// unholdLocked takes obj off the held list.
+func (v *Volume) unholdLocked(obj *Object) {
+	i := v.bornThroughLocked(obj.born - 1)
+	for v.held[i] != obj { // among the objects born in the same group
+		i++
+	}
+	v.held = slices.Delete(v.held, i, i+1)
+}
+
+// bornThroughLocked counts the held objects born in or before txg:
+// held[:n] is every object a snapshot stamped txg can list.
+func (v *Volume) bornThroughLocked(txg uint64) int {
+	return sort.Search(len(v.held), func(i int) bool { return v.held[i].born > txg })
 }
 
 // releasePtrsLocked drops references for ptrs, freeing blocks whose last
@@ -523,7 +585,7 @@ func (v *Volume) DeleteObject(name string) error {
 		return fmt.Errorf("%w: object %s", ErrNotFound, name)
 	}
 	v.setObjectLocked(name, nil)
-	v.dropHolderLocked(obj)
+	v.retireLocked(obj)
 	return nil
 }
 
