@@ -74,7 +74,8 @@ fuzz:
 # benchmark that measures it (the exit status is the verdict): /16 boot
 # storm >= 4x the serialized /1; span recording <= 5% on interleaved
 # traced and untraced boot waves, 2000 per side; a gossip round's
-# per-node cost at 10k nodes <= 3x its cost at 1k; the gzip decode core
+# per-node cost at 10k nodes <= 3x its cost at 1k, on the Links a
+# deployment runs, with and without a cut open; the gzip decode core
 # >= 1.3x compress/gzip on the deployment's own cache blocks, interleaved
 # passes of one run. The bars that depend only on the seed (hedged p99,
 # owner-crash convergence, flash-crowd tail) are ordinary tests and run

@@ -199,7 +199,7 @@ func TestCrashedNodeRecoversAndConverges(t *testing.T) {
 // means: SetOnline errors only for unknown nodes, so track via boot.
 func sqOnline(sq *core.Squirrel, node string) bool {
 	_, err := sq.Boot(context.Background(), core.BootRequest{Image: "definitely-missing-image", Node: node, Verify: false})
-	// ErrNotRegistered means the node path was reachable → online.
+	// ErrUnknownImage means the node path was reachable → online.
 	return err != nil && err.Error() == "core: image not registered: definitely-missing-image"
 }
 

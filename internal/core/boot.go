@@ -73,7 +73,6 @@ type BootReport struct {
 // the trace replay between reads and returns the context error; no
 // deployment state is left half-changed.
 func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error) {
-	ctx = reqCtx(ctx)
 	id, nodeID := req.Image, req.Node
 	if err := ctx.Err(); err != nil {
 		return BootReport{}, fmt.Errorf("core: boot %s on %s: %w", id, nodeID, err)
@@ -246,31 +245,19 @@ func (s *Squirrel) recordBootLanes(sp *obs.Span, cb *chainBackend) {
 	if sp == nil {
 		return
 	}
-	// Lane children are built detached and adopted in one batch: a single
-	// parent-lock acquisition instead of one per lane on the boot path.
-	var lanes [2]*obs.Span
-	n := 0
 	if cb.cacheBytes > 0 {
-		c := sp.NewDetached(obs.OpCacheRead, cb.node.ID, cb.id)
+		c := sp.Child(obs.OpCacheRead, cb.node.ID, cb.id)
 		c.AddBytes(cb.cacheBytes)
 		c.AddSim(float64(cb.cacheBytes) / disk.DAS4Model().ReadBps)
-		lanes[n] = c
-		n++
+		c.Finish()
 	}
 	if cb.networkBytes > 0 {
-		c := sp.NewDetached(obs.OpPFSRead, cb.node.ID, cb.id)
+		c := sp.Child(obs.OpPFSRead, cb.node.ID, cb.id)
 		c.AddBytes(cb.networkBytes)
 		c.AddSim(s.cl.Fabric.TransferSec(cb.networkBytes))
 		c.Annotate("indexed_bytes", cb.pfsIndexed)
 		c.Annotate("gap_bytes", cb.networkBytes-cb.pfsIndexed)
-		lanes[n] = c
-		n++
-	}
-	if n > 0 {
-		sp.Adopt(lanes[:n]...)
-		for _, c := range lanes[:n] {
-			c.Finish()
-		}
+		c.Finish()
 	}
 }
 

@@ -317,15 +317,6 @@ func (s *Squirrel) injector() *fault.Injector { return s.faults.Load() }
 // read snapshots and span trees through it.
 func (s *Squirrel) Telemetry() *obs.Telemetry { return s.tel }
 
-// reqCtx normalizes a request context: nil means Background, so the
-// deprecated wrappers and tests can pass nothing.
-func reqCtx(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
 // announceHoldingsLocked reconciles the peer index with what nodeID's
 // ccVolume actually holds, restricted to registered images (a replica
 // may still physically hold a deregistered object until the next
@@ -555,7 +546,6 @@ func (l *legResult) finish() {
 // registered, and the partial report is returned alongside the context
 // error.
 func (s *Squirrel) Register(ctx context.Context, req RegisterRequest) (RegisterReport, error) {
-	ctx = reqCtx(ctx)
 	im, at := req.Image, req.At
 	if im == nil {
 		return RegisterReport{}, fmt.Errorf("%w: registration without an image", ErrUnknownImage)

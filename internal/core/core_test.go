@@ -165,7 +165,7 @@ func TestColdBootUsesNetwork(t *testing.T) {
 func TestBootErrors(t *testing.T) {
 	sq, _, repo := deployment(t, 2)
 	im := repo.Images[0]
-	if _, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00", Verify: false}); !errors.Is(err, ErrNotRegistered) {
+	if _, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00", Verify: false}); !errors.Is(err, ErrUnknownImage) {
 		t.Fatalf("unregistered boot: %v", err)
 	}
 	sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)})
@@ -188,7 +188,7 @@ func TestDeregisterPropagatesWithNextSnapshot(t *testing.T) {
 	if err := sq.Deregister(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := sq.Deregister(a.ID); !errors.Is(err, ErrNotRegistered) {
+	if err := sq.Deregister(a.ID); !errors.Is(err, ErrUnknownImage) {
 		t.Fatalf("double deregister: %v", err)
 	}
 	// Replicas still hold the dead cache until the next registration.

@@ -34,9 +34,3 @@ var (
 // errors.Is matches whichever layer callers import; the condition clears
 // when the partition heals.
 var ErrPartitioned = cluster.ErrUnreachable
-
-// ErrNotRegistered is the pre-redesign name of ErrUnknownImage, kept as
-// an alias so existing errors.Is checks keep matching.
-//
-// Deprecated: use ErrUnknownImage.
-var ErrNotRegistered = ErrUnknownImage

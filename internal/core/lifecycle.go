@@ -168,7 +168,6 @@ func (s *Squirrel) InjectRot(nodeID string) ([]zvol.BlockRef, error) {
 // Damage is quarantined in the deployment's damage set and the node is
 // withdrawn from the peer index until a resilver clears it.
 func (s *Squirrel) ScrubNode(ctx context.Context, nodeID string, at time.Time) (zvol.ScrubReport, error) {
-	ctx = reqCtx(ctx)
 	if err := ctx.Err(); err != nil {
 		return zvol.ScrubReport{}, fmt.Errorf("core: scrub %s: %w", nodeID, err)
 	}
@@ -183,7 +182,6 @@ func (s *Squirrel) ScrubNode(ctx context.Context, nodeID string, at time.Time) (
 // node order, returning reports keyed by node ID. Cancellation between
 // nodes returns the partial map alongside the context error.
 func (s *Squirrel) ScrubAll(ctx context.Context, at time.Time) (map[string]zvol.ScrubReport, error) {
-	ctx = reqCtx(ctx)
 	ids := make([]string, 0, len(s.nodes))
 	for id := range s.nodes {
 		ids = append(ids, id)
@@ -267,7 +265,6 @@ type ResilverReport struct {
 // to the peer index. Cancellation between blocks stops the pass; the
 // blocks already repaired stay repaired and the rest stay quarantined.
 func (s *Squirrel) ResilverNode(ctx context.Context, nodeID string, at time.Time) (ResilverReport, error) {
-	ctx = reqCtx(ctx)
 	if err := ctx.Err(); err != nil {
 		return ResilverReport{}, fmt.Errorf("core: resilver %s: %w", nodeID, err)
 	}
@@ -281,7 +278,6 @@ func (s *Squirrel) ResilverNode(ctx context.Context, nodeID string, at time.Time
 // ResilverAll resilvers every node with a non-empty damage set (the
 // background repair pass that follows a scrub cycle), in node order.
 func (s *Squirrel) ResilverAll(ctx context.Context, at time.Time) ([]ResilverReport, error) {
-	ctx = reqCtx(ctx)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: resilver pass: %w", err)
 	}

@@ -59,7 +59,7 @@ type peerFetcher struct {
 func (s *Squirrel) newPeerFetcher(ctx context.Context, sp *obs.Span, kind, object string, node *cluster.Node) *peerFetcher {
 	f := &peerFetcher{
 		s:        s,
-		ctx:      reqCtx(ctx),
+		ctx:      ctx,
 		kind:     kind,
 		bootNode: node,
 		policy:   s.cfg.Peer,

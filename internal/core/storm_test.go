@@ -124,10 +124,6 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node00"}); !errors.Is(err, ErrNodeOffline) {
 		t.Fatalf("boot on offline node: want ErrNodeOffline, got %v", err)
 	}
-	// The deprecated alias keeps old errors.Is checks working.
-	if !errors.Is(ErrNotRegistered, ErrUnknownImage) {
-		t.Fatal("ErrNotRegistered must alias ErrUnknownImage")
-	}
 }
 
 // TestParallelLegsMatchSerial registers the same fault-seeded images on

@@ -55,7 +55,6 @@ type SyncReport struct {
 // syncs of different nodes run concurrently. A context cancelled before
 // the transfer begins aborts with the node unchanged.
 func (s *Squirrel) SyncNode(ctx context.Context, nodeID string) (SyncReport, error) {
-	ctx = reqCtx(ctx)
 	if err := ctx.Err(); err != nil {
 		return SyncReport{}, fmt.Errorf("core: sync %s: %w", nodeID, err)
 	}

@@ -40,7 +40,9 @@ type Clock func() time.Time
 
 // Links is the reachability oracle gossip traffic obeys — satisfied by
 // *cluster.Cluster, so gossip messages respect the same network cuts
-// the data plane does.
+// the data plane does. Reachable must be an equivalence relation
+// (reflexive, symmetric, transitive): a cut splits the membership into
+// sides, and a round asks each node which side it is on, not each pair.
 type Links interface {
 	Reachable(a, b string) bool
 }
@@ -373,9 +375,9 @@ func (d *Directory) Tick() RoundReport {
 	}
 
 	// 2. Fanout-k push/pull with seeded peer choice.
-	for _, n := range live {
-		peers := d.pickPeersLocked(n, live)
-		for _, p := range peers {
+	sides, of := d.sidesLocked(live)
+	for i, n := range live {
+		for _, p := range d.pickPeersLocked(n, sides[of[i]]) {
 			if d.inj.DropGossip("gossip:xchg", n, p, d.round) {
 				rep.Dropped++
 				continue
@@ -400,47 +402,42 @@ func (d *Directory) Tick() RoundReport {
 	return rep
 }
 
-// pickPeersLocked draws up to Fanout distinct exchange partners for n:
-// live, reachable, not n, chosen by a pure hash of (seed, round, n, i)
-// so a soak replays from its seed.
-func (d *Directory) pickPeersLocked(n string, live []string) []string {
-	if _, full := d.links.(fullMesh); full {
-		return d.pickPeersFullMeshLocked(n, live)
-	}
-	cand := make([]string, 0, len(live))
-	for _, p := range live {
-		if p != n && d.links.Reachable(n, p) {
-			cand = append(cand, p)
+// sidesLocked splits live into reachability sides, once per round: a
+// node joins the first side whose first member it can reach, which is
+// sound because Reachable is an equivalence relation. One side when
+// nothing is cut, two under cluster.Partition — O(live × sides)
+// Reachable calls where asking every pair would be O(live²). Sides keep
+// live's order; of[i] is the side live[i] is on.
+func (d *Directory) sidesLocked(live []string) (sides [][]string, of []int) {
+	of = make([]int, len(live))
+	for i, n := range live {
+		s := 0
+		for s < len(sides) && !d.links.Reachable(sides[s][0], n) {
+			s++
 		}
+		if s == len(sides) {
+			sides = append(sides, nil)
+		}
+		sides[s] = append(sides[s], n)
+		of[i] = s
 	}
-	k := d.cfg.Fanout
-	if k > len(cand) {
-		k = len(cand)
-	}
-	out := make([]string, 0, k)
-	for i := 0; i < k; i++ {
-		h := splitmix(fnv1a(n) ^ splitmix(uint64(d.cfg.Seed)^uint64(d.round)*0x9e3779b97f4a7c15^uint64(i)<<32))
-		j := int(h % uint64(len(cand)))
-		out = append(out, cand[j])
-		cand = append(cand[:j], cand[j+1:]...)
-	}
-	return out
+	return sides, of
 }
 
-// pickPeersFullMeshLocked is pickPeersLocked for the no-partitions
-// Links: every live node except n is a candidate, so instead of
-// materializing an O(live) candidate slice per caller (which makes a
-// gossip round quadratic in the membership — the dominant cost at the
-// workload engine's 10k-node scale) it draws the same seeded indices
-// and maps each into the virtual candidate list by adjusting for the
-// self slot and for earlier removals. The peers returned are
-// byte-identical to the generic path's.
-func (d *Directory) pickPeersFullMeshLocked(n string, live []string) []string {
-	self := sort.SearchStrings(live, n)
-	if self == len(live) || live[self] != n {
-		self = -1 // n itself is down; every live node is a candidate
+// pickPeersLocked draws up to Fanout distinct exchange partners for n
+// from side — n's side of the live membership, sorted — by a pure hash
+// of (seed, round, n, i), so a soak replays from its seed. The
+// candidates are side minus n, in order, but the list is never built (a
+// slice per caller makes a round quadratic in the membership, the
+// dominant cost at the workload engine's 10k-node scale): each seeded
+// index is mapped into it by adjusting for earlier draws and for the
+// self slot.
+func (d *Directory) pickPeersLocked(n string, side []string) []string {
+	self := sort.SearchStrings(side, n)
+	if self == len(side) || side[self] != n {
+		self = -1 // n itself is down; its whole side is candidates
 	}
-	size := len(live)
+	size := len(side)
 	if self >= 0 {
 		size--
 	}
@@ -468,12 +465,12 @@ func (d *Directory) pickPeersFullMeshLocked(n string, live []string) []string {
 		removed = append(removed, 0)
 		copy(removed[at+1:], removed[at:])
 		removed[at] = j
-		// Candidate index → live index: candidates are live minus n.
-		li := j
+		// Candidate index → side index: candidates are side minus n.
+		si := j
 		if self >= 0 && j >= self {
-			li++
+			si++
 		}
-		out = append(out, live[li])
+		out = append(out, side[si])
 	}
 	return out
 }

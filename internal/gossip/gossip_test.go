@@ -429,39 +429,84 @@ func TestRestartRejoinsEmpty(t *testing.T) {
 	}
 }
 
-// TestPickPeersFullMeshMatchesGeneric pins the full-mesh fast path to
-// the generic candidate-list algorithm: a directory with default links
-// and one whose Links is a custom always-reachable type (forcing the
-// generic path) must draw identical peers for every node, every round,
-// fanout by fanout — the fast path is an optimization, never a behavior
-// change.
+// pickPeersGeneric is the peer pick as first written, kept as the
+// oracle the positional pick is held to: materialise n's candidates —
+// live, reachable, not n — and draw Fanout seeded indices from the
+// shrinking list. One Reachable call per pair and one slice per caller
+// make a round quadratic in the membership, which is why it lives here.
+func (d *Directory) pickPeersGeneric(n string, live []string) []string {
+	cand := make([]string, 0, len(live))
+	for _, p := range live {
+		if p != n && d.links.Reachable(n, p) {
+			cand = append(cand, p)
+		}
+	}
+	k := d.cfg.Fanout
+	if k > len(cand) {
+		k = len(cand)
+	}
+	out := make([]string, 0, k)
+	for i := 0; i < k; i++ {
+		h := splitmix(fnv1a(n) ^ splitmix(uint64(d.cfg.Seed)^uint64(d.round)*0x9e3779b97f4a7c15^uint64(i)<<32))
+		j := int(h % uint64(len(cand)))
+		out = append(out, cand[j])
+		cand = append(cand[:j], cand[j+1:]...)
+	}
+	return out
+}
+
+// TestPickPeersFullMeshMatchesGeneric holds the one peer pick — sides
+// once per round, positional draws over the asker's side — to the
+// generic candidate-list loop above: over the default nil links and
+// over cutLinks (the cluster's reachability model), with nothing cut, a
+// minority cut open and the cut healed, three nodes down, it must draw
+// identical peers for every node, every round, fanout by fanout. The
+// last case asks for a node that is itself down.
 func TestPickPeersFullMeshMatchesGeneric(t *testing.T) {
 	clk := newFakeClock()
 	ids := nodeIDs(61)
+	minority := []string{"cc02", "cc07", "cc19", "cc20", "cc33", "cc48", "cc60"} // cc07 is down
 	for _, fanout := range []int{1, 3, 5} {
 		cfg := Config{Seed: 7, Fanout: fanout, Owners: 2, Clock: clk.Now}
-		fast := New(cfg, ids, nil)         // fullMesh → fast path
-		slow := New(cfg, ids, &cutLinks{}) // no cuts, but generic path
-		for _, down := range []string{"cc07", "cc23", "cc61"} {
-			fast.MarkDown(down)
-			slow.MarkDown(down)
-		}
-		for round := 0; round < 8; round++ {
-			fast.Tick()
-			slow.Tick()
-			fast.mu.Lock()
-			live := fast.aliveSortedLocked()
-			fast.mu.Unlock()
-			for _, n := range live {
-				fast.mu.Lock()
-				a := fast.pickPeersLocked(n, live)
-				fast.mu.Unlock()
-				slow.mu.Lock()
-				b := slow.pickPeersLocked(n, live)
-				slow.mu.Unlock()
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("fanout %d round %d node %s: fast path picked %v, generic picked %v",
-						fanout, round, n, a, b)
+		cut := &cutLinks{}
+		for _, tc := range []struct {
+			name  string
+			links Links
+		}{{"nil links", nil}, {"cutLinks", cut}} {
+			name, links := tc.name, tc.links
+			d := New(cfg, ids, links)
+			for _, down := range []string{"cc07", "cc23", "cc61"} {
+				d.MarkDown(down)
+			}
+			for phase, set := range []func(){func() {}, func() { cut.partition(minority...) }, cut.heal} {
+				set()
+				for round := 0; round < 8; round++ {
+					d.Tick()
+					d.mu.Lock()
+					live := d.aliveSortedLocked()
+					sides, of := d.sidesLocked(live)
+					if want := 1 + phase%2; links != nil && len(sides) != want {
+						t.Fatalf("%s phase %d: %d sides, want %d", name, phase, len(sides), want)
+					}
+					for i, n := range live {
+						got, want := d.pickPeersLocked(n, sides[of[i]]), d.pickPeersGeneric(n, live)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s fanout %d phase %d round %d node %s: picked %v, generic picked %v",
+								name, fanout, phase, round, n, got, want)
+						}
+					}
+					// A down node asks too (nothing in Tick does, the pick
+					// allows it): its side is the one it can reach.
+					for _, side := range sides {
+						if d.links.Reachable(side[0], "cc07") {
+							got, want := d.pickPeersLocked("cc07", side), d.pickPeersGeneric("cc07", live)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s fanout %d phase %d round %d down asker: picked %v, generic picked %v",
+									name, fanout, phase, round, got, want)
+							}
+						}
+					}
+					d.mu.Unlock()
 				}
 			}
 		}

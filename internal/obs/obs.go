@@ -1,7 +1,7 @@
 // Package obs is Squirrel's observability layer: hierarchical operation
-// spans, a bounded ring of completed operation trees with pooled-span
-// recycling, striped per-op and per-node aggregation, and a unified
-// telemetry export surface (JSON + Prometheus-style text).
+// spans, a bounded ring of completed operation trees, striped per-op and
+// per-node aggregation, and a unified telemetry export surface (JSON +
+// Prometheus-style text).
 //
 // The paper's evaluation (§5) is entirely about where time and bytes go
 // — cold-boot CDFs, network transfer breakdowns, gain-factor
@@ -12,10 +12,9 @@
 // image, byte counts, fault/retry annotations, and simulated network
 // time alongside wall time.
 //
-// The layer is built for always-on operation. Span objects come from a
-// sync.Pool and are recycled when the completed-operation ring evicts
-// their tree (unless a snapshot reader has been handed the tree, in
-// which case it is left to the garbage collector). Aggregation is
+// The layer is built for always-on operation. A span is one allocation,
+// the ring bounds how many completed trees stay reachable, and an
+// evicted tree is left to the garbage collector. Aggregation is
 // striped across mutex shards folded together only at Snapshot time, so
 // concurrent span finishes touch disjoint cache lines instead of one
 // global registry lock. An optional seeded head-sampling knob
@@ -201,9 +200,9 @@ func (t *Telemetry) Counters() *metrics.CounterSet {
 }
 
 // Roots returns the completed root spans currently held by the ring,
-// oldest first. Spans are immutable once completed; the slice is fresh.
-// Handing a tree out pins it: the ring will no longer recycle it into
-// the span pool when it ages out.
+// oldest first. Spans are immutable once completed; the slice is fresh,
+// and a tree stays valid after the ring evicts it for as long as the
+// caller holds it.
 func (t *Telemetry) Roots() []*Span {
 	if t == nil {
 		return nil

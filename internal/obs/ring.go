@@ -7,15 +7,9 @@ import (
 
 // ring is the bounded buffer of completed root spans, in the
 // scatter-hoarding spirit: appenders claim the next slot and overwrite
-// whatever operation aged out. The evicted tree is recycled into the
-// span pool — unless a snapshot reader was handed it (the exposed
-// flag), in which case it is left to the garbage collector.
-//
-// The RWMutex replaces the earlier lock-free atomic-slot scheme: slot
-// claims must now be mutually exclusive with snapshot's exposure
-// marking, or an evictor could recycle a tree a reader is walking. The
-// write section is a few stores; root finishes are rare next to the
-// striped aggregation the children take.
+// whatever operation aged out; the evicted tree is simply dropped. The
+// write section is a few stores, and root finishes are rare next to the
+// striped aggregation their children take.
 type ring struct {
 	mu    sync.RWMutex
 	slots []*Span
@@ -28,21 +22,13 @@ func newRing(size int) *ring {
 
 // add appends a completed root span, claiming the next slot. The
 // claimed sequence number is stamped on the span so snapshots can order
-// survivors oldest-first after wraparound. The evicted occupant, if
-// any, is recycled when no snapshot ever exposed it: snapshot marks
-// exposure under the read lock, so after add's write section the flag
-// is stable — a later snapshot can no longer reach the evicted span.
+// survivors oldest-first after wraparound.
 func (r *ring) add(s *Span) {
 	r.mu.Lock()
 	s.seq = r.next
 	r.next++
-	i := int(s.seq % uint64(len(r.slots)))
-	old := r.slots[i]
-	r.slots[i] = s
+	r.slots[s.seq%uint64(len(r.slots))] = s
 	r.mu.Unlock()
-	if old != nil && !old.exposed.Load() {
-		recycleTree(old)
-	}
 }
 
 // appended reports how many root spans were ever added (not how many
@@ -53,14 +39,12 @@ func (r *ring) appended() uint64 {
 	return r.next
 }
 
-// snapshot collects the spans currently held, oldest first, pinning
-// each against pool recycling before releasing the lock.
+// snapshot collects the spans currently held, oldest first.
 func (r *ring) snapshot() []*Span {
 	r.mu.RLock()
 	out := make([]*Span, 0, len(r.slots))
 	for _, s := range r.slots {
 		if s != nil {
-			s.exposed.Store(true)
 			out = append(out, s)
 		}
 	}

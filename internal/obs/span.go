@@ -20,18 +20,14 @@ import (
 // no-ops every method and hands out nil children, so a disabled tracer
 // costs instrumented code only nil checks.
 //
-// Span objects are pooled: when the completed-operation ring evicts a
-// tree that no snapshot reader was ever handed, every span in it goes
-// back to the pool and is reused by a later operation. A tree returned
-// by Roots/RootsOf/SlowestSpan is pinned (the exposed flag)
-// and ages out to the garbage collector instead, so callers can hold
-// snapshot results indefinitely.
+// A span belongs to whoever holds it: the ring drops a tree it evicts
+// and the garbage collector frees it once no caller holds a handle, so
+// a finished span reads the same for as long as anyone can read it.
 type Span struct {
-	tr      *Tracer
-	parent  *Span
-	seq     uint64      // ring slot ordering, assigned at append time
-	id      uint64      // process-unique span ID (wire trace context)
-	exposed atomic.Bool // handed to a snapshot reader; never recycle
+	tr     *Tracer
+	parent *Span
+	seq    uint64 // ring slot ordering, assigned at append time
+	id     uint64 // process-unique span ID (wire trace context)
 
 	// Remote trace linkage: the trace/parent span IDs carried in by a
 	// wire request frame (zero for locally rooted operations).
@@ -53,48 +49,14 @@ type Span struct {
 	finished bool
 }
 
-// spanPool recycles Span objects evicted from the ring. spanID hands
-// out process-unique span IDs; pooled reuse must re-stamp the ID so a
-// recycled object never aliases a live wire trace reference.
-var (
-	spanPool = sync.Pool{New: func() any { return new(Span) }}
-	spanID   atomic.Uint64
-)
+// spanID hands out process-unique span IDs.
+var spanID atomic.Uint64
 
 func newSpan(tr *Tracer, parent *Span, kind, node, image string) *Span {
-	s := spanPool.Get().(*Span)
-	s.tr, s.parent, s.seq = tr, parent, 0
-	s.id = spanID.Add(1)
-	s.exposed.Store(false)
-	s.rtrace, s.rparent = 0, 0
-	s.kind, s.start = kind, time.Now()
-	s.node, s.image = node, image
-	s.end = time.Time{}
-	s.bytes, s.simSec, s.err = 0, 0, ""
-	clear(s.annots)
-	s.children = s.children[:0]
-	s.finished = false
-	return s
-}
-
-// recycleTree returns an evicted, unexposed span tree to the pool. Only
-// finished spans recycle; an unfinished straggler (a child whose parent
-// finished first) is left to the garbage collector.
-func recycleTree(s *Span) {
-	s.mu.Lock()
-	done := s.finished
-	kids := s.children
-	s.children = nil // detach before pooling so no pooled span aliases another's slice
-	s.mu.Unlock()
-	for _, c := range kids {
-		recycleTree(c)
+	return &Span{
+		tr: tr, parent: parent, id: spanID.Add(1),
+		kind: kind, start: time.Now(), node: node, image: image,
 	}
-	if !done {
-		return
-	}
-	s.tr, s.parent = nil, nil
-	s.children = kids[:0] // keep the allocation for the next tree
-	spanPool.Put(s)
 }
 
 // SpanID returns the span's process-unique ID — the value the wire
@@ -126,33 +88,6 @@ func (s *Span) Child(kind, node, image string) *Span {
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
-}
-
-// NewDetached starts a child span that is NOT yet linked into s's child
-// list — the batch-attachment half of Adopt. The detached span still
-// aggregates normally when finished; Adopt links a whole batch under
-// one parent lock acquisition instead of one per child.
-func (s *Span) NewDetached(kind, node, image string) *Span {
-	if s == nil {
-		return nil
-	}
-	return newSpan(s.tr, s, kind, node, image)
-}
-
-// Adopt links a batch of NewDetached children into s's child list with
-// a single lock acquisition. Nil children (from a nil parent's
-// NewDetached) are skipped.
-func (s *Span) Adopt(children ...*Span) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	for _, c := range children {
-		if c != nil {
-			s.children = append(s.children, c)
-		}
-	}
-	s.mu.Unlock()
 }
 
 // SetNode records (or revises) the node the span concerns — peer

@@ -13,7 +13,7 @@ import (
 // one lock, so no snapshot may ever observe a span half-applied. Every
 // span below contributes exactly 1 byte, so in every coherent view
 // bytes == count, per op kind and per node. Run under -race this also
-// exercises the pool recycle / snapshot exposure handshake.
+// exercises ring eviction against snapshot readers.
 func TestSnapshotNeverHalfMerged(t *testing.T) {
 	tel := New(64)
 	tr := tel.Tracer()
@@ -80,10 +80,35 @@ func TestSnapshotNeverHalfMerged(t *testing.T) {
 	}
 }
 
-// TestExposedTreeSurvivesWraparound pins the pool-safety contract: a
-// tree handed out by Roots is never recycled, even after the ring
-// evicts it. The evicted-but-exposed spans must keep their values while
-// new spans (drawn from the pool) churn past them.
+// TestFinishedSpanHandleSurvivesEviction pins what a caller may assume
+// of a span it still holds: once finished it reads the same forever,
+// whatever the ring has evicted since. (A recycling pool broke this: the
+// held boot span read kind="scrub" node="node01" once the ring wrapped.)
+func TestFinishedSpanHandleSurvivesEviction(t *testing.T) {
+	tel := New(2)
+	tr := tel.Tracer()
+
+	held := tr.StartOp("boot", "node00", "im0")
+	held.Child("lane", "node00", "im0").Finish()
+	held.Finish()
+	for i := 0; i < 8; i++ {
+		sp := tr.StartOp("scrub", "node01", "im1")
+		sp.Child("lane", "node01", "im1").Finish()
+		sp.Finish()
+	}
+
+	if held.Kind() != "boot" || held.Node() != "node00" {
+		t.Fatalf("held span reads as another operation: kind=%q node=%q", held.Kind(), held.Node())
+	}
+	kids := held.Children()
+	if len(kids) != 1 || kids[0].Kind() != "lane" || kids[0].Node() != "node00" {
+		t.Fatalf("held span's children mutated: %d children", len(kids))
+	}
+}
+
+// TestExposedTreeSurvivesWraparound is the same contract for trees
+// handed out by Roots: evicted from the ring, they keep their values
+// while new operations churn past them.
 func TestExposedTreeSurvivesWraparound(t *testing.T) {
 	tel := New(4)
 	tr := tel.Tracer()
@@ -99,8 +124,7 @@ func TestExposedTreeSurvivesWraparound(t *testing.T) {
 		t.Fatalf("pinned %d roots, want 4", len(pinned))
 	}
 
-	// Wrap the ring several times over; evicted unexposed spans recycle
-	// through the pool, but the pinned ones may not.
+	// Wrap the ring several times over.
 	for i := 0; i < 40; i++ {
 		sp := tr.StartOp("scrub", "node01", "im1")
 		sp.Child("lane", "node01", "im1").Finish()

@@ -88,9 +88,8 @@ func (d *Driver) Run(ctx context.Context) (Summary, error) {
 func (d *Driver) provision(ctx context.Context, cfg Config, parent *obs.Span) (map[int]bool, error) {
 	sp := parent.Child(obs.OpWorkloadProvision, "", "")
 	defer sp.Finish()
-	at := cfg.At
 	for i, id := range cfg.Images {
-		_, err := d.dep.Register(ctx, id, at.Add(time.Duration(i)*time.Minute))
+		_, err := d.dep.Register(ctx, id, provisionAt.Add(time.Duration(i)*time.Minute))
 		if err != nil && !errors.Is(err, core.ErrRegistered) {
 			return nil, fmt.Errorf("workload: provision %s: %w", id, err)
 		}
@@ -157,12 +156,12 @@ func (p *picks) next(storm bool) (node, img int) {
 // bootMemo caches deterministic BootReports in logical mode. Keys
 // distinguish only what changes the report: the image for warm boots
 // (identical on every warm node), the (node, image) pair for cold ones.
-// Every Resample replays of a key, the boot re-executes through the real
-// machinery so admission gates, peer fetches, and hedges stay exercised.
+// Every defaultResample replays of a key, the boot re-executes through
+// the real machinery so admission gates, peer fetches, and hedges stay
+// exercised.
 type bootMemo struct {
-	reports  map[uint64]core.BootReport
-	hits     map[uint64]int64
-	resample int64
+	reports map[uint64]core.BootReport
+	hits    map[uint64]int64
 }
 
 func memoKey(node, img int, coldBoot bool) uint64 {
@@ -183,9 +182,8 @@ func (d *Driver) driveLogical(ctx context.Context, cfg Config, cold map[int]bool
 	gen := newArrivalGen(cfg, rand.New(rand.NewSource(cfg.Seed)))
 	pk := newPicks(cfg)
 	memo := bootMemo{
-		reports:  make(map[uint64]core.BootReport),
-		hits:     make(map[uint64]int64),
-		resample: int64(cfg.Resample),
+		reports: make(map[uint64]core.BootReport),
+		hits:    make(map[uint64]int64),
 	}
 
 	// slotFree[n] holds, per virtual boot slot of node n, the virtual
@@ -229,7 +227,7 @@ func (d *Driver) driveLogical(ctx context.Context, cfg Config, cold map[int]bool
 		key := memoKey(node, img, coldBoot)
 		rep, cached := memo.reports[key]
 		memo.hits[key]++
-		if !cached || memo.hits[key]%memo.resample == 0 {
+		if !cached || memo.hits[key]%defaultResample == 0 {
 			var err error
 			rep, err = d.dep.Boot(ctx, core.BootRequest{Image: cfg.Images[img], Node: cfg.Nodes[node]})
 			if err != nil {
@@ -243,7 +241,7 @@ func (d *Driver) driveLogical(ctx context.Context, cfg Config, cold map[int]bool
 			memo.reports[key] = rep
 		}
 
-		svc := cfg.DeviceMs/1e3 + float64(rep.NetworkBytes)/cfg.Bandwidth + rep.PeerStallSec
+		svc := cfg.DeviceMs/1e3 + float64(rep.NetworkBytes)/defaultBandwidth + rep.PeerStallSec
 		slots[minIdx] = ev.t + wait + svc
 
 		sum.Admitted++

@@ -298,7 +298,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
-	if cfg.Arrivals != Poisson || cfg.Mode != "logical" || cfg.Slots != 2 || cfg.Resample != defaultResample {
+	if cfg.Arrivals != Poisson || cfg.Mode != "logical" || cfg.Seed != 1 || cfg.Tenants != 8 || cfg.ZipfS != 1.2 ||
+		cfg.ColdFrac != 0.05 || cfg.Slots != 2 || cfg.DeviceMs != 400 || cfg.ShedMs != 2000 || cfg.HorizonSec != 3600 || cfg.Workers != 8 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }

@@ -25,7 +25,7 @@
 // is `Slots` float64s of virtual queue depth. Driving 1M boots costs the
 // same heap as driving 10k. In logical mode, repeated identical boots
 // (same node temperature, same image) are memoized from the first real
-// execution and re-executed every Resample hits — valid because
+// execution and re-executed every defaultResample hits — valid because
 // BootReports are deterministic for a fault-free deployment — which is
 // what makes a million-boot drive complete in seconds.
 package workload
@@ -76,19 +76,9 @@ type Config struct {
 	DeviceMs   float64 // fixed device/hypervisor service time per boot (default 400)
 	ShedMs     float64 // virtual admission deadline: queue waits beyond it shed (default 2000)
 	HorizonSec float64 // arrival window the rate curves are shaped over (default 3600)
-	Bandwidth  float64 // bytes/sec converting BootReport transfer bytes to time (default 110e6)
-
-	// Resample re-executes a memoized boot through the real machinery
-	// every N replays (default 2048; every boot is real when Boots is
-	// small). Wall mode never memoizes.
-	Resample int
 
 	// Workers sizes the wall-mode pool (default 8).
 	Workers int
-
-	// At is the simulated base time for provisioning registrations
-	// (default 2014-06-23 09:00 UTC, the corpus epoch).
-	At time.Time
 }
 
 // storm shape: fraction of all arrivals compressed into the burst, where
@@ -97,9 +87,13 @@ const (
 	stormFrac        = 0.7
 	stormStartFrac   = 1.0 / 3.0
 	stormWindowDiv   = 120.0 // window = horizon/120 (30s for a 1h horizon)
-	defaultResample  = 2048
-	defaultBandwidth = 110e6 // matches cluster.GigE
+	defaultResample  = 2048  // a memoized boot re-executes through the real machinery every N replays
+	defaultBandwidth = 110e6 // bytes/sec converting BootReport transfer bytes to time; matches cluster.GigE
 )
+
+// provisionAt is the simulated base time of the provisioning
+// registrations: the corpus epoch.
+var provisionAt = time.Date(2014, 6, 23, 9, 0, 0, 0, time.UTC)
 
 func (c Config) normalize() (Config, error) {
 	if len(c.Images) == 0 || len(c.Nodes) == 0 {
@@ -149,17 +143,8 @@ func (c Config) normalize() (Config, error) {
 	if c.HorizonSec <= 0 {
 		c.HorizonSec = 3600
 	}
-	if c.Bandwidth <= 0 {
-		c.Bandwidth = defaultBandwidth
-	}
-	if c.Resample <= 0 {
-		c.Resample = defaultResample
-	}
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.At.IsZero() {
-		c.At = time.Date(2014, 6, 23, 9, 0, 0, 0, time.UTC)
 	}
 	return c, nil
 }
