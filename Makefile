@@ -1,18 +1,22 @@
-# Tier-1 verification is `make check`: build, vet, plain tests, and the
-# race detector over the whole module (the chaos tests are written to be
-# race-detector-clean).
+# Tier-1 verification is `make check`: build, vet, gofmt, plain tests, and
+# the race detector over the whole module (the chaos tests are written to
+# be race-detector-clean).
 
 GO ?= go
 
-.PHONY: check build vet test race examples pin-experiments bench-check daemon-smoke fuzz loc gates gate-bootstorm gate-tracing gate-gossip-scale gate-inflate rungs
+.PHONY: check build vet fmt test race examples pin-experiments bench-check daemon-smoke fuzz loc gates gate-bootstorm gate-tracing gate-gossip-scale gate-inflate rungs
 
-check: build vet test race
+check: build vet fmt test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing them, if any file is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "not gofmt-clean:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -237,8 +238,13 @@ func healthDrama(ctx context.Context, sess ctlplane.Session, nodes []string, t0 
 	if err != nil {
 		return err
 	}
-	for id, rep := range scrubs {
-		if rep.CorruptBlocks+rep.MissingBlocks > 0 {
+	scrubbed := make([]string, 0, len(scrubs))
+	for id := range scrubs {
+		scrubbed = append(scrubbed, id)
+	}
+	sort.Strings(scrubbed) // a map's order would flip the output run to run
+	for _, id := range scrubbed {
+		if rep := scrubs[id]; rep.CorruptBlocks+rep.MissingBlocks > 0 {
 			fmt.Fprintf(w, "  %s: %d/%d blocks failed verification — quarantined and withdrawn\n",
 				id, rep.CorruptBlocks+rep.MissingBlocks, rep.Blocks)
 		}

@@ -99,15 +99,14 @@ func (g *bootGate) release() {
 	g.mu.Unlock()
 }
 
-// admit runs one boot through nodeID's admission gate. With admission
-// control disabled (or an unknown node) it admits immediately with a
-// no-op release. Sheds are counted in telemetry (admit.shed for a full
-// queue, admit.expired for a deadline met while queued) and annotated on
-// the boot span; both wrap ErrOverloaded.
-func (s *Squirrel) admit(ctx context.Context, nodeID string, sp *obs.Span) (func(), error) {
-	pol := s.cfg.Admission
-	g := s.gates[nodeID]
-	if pol.MaxInFlight <= 0 || g == nil {
+// admit runs one boot through r's admission gate. With admission
+// control disabled it admits immediately with a no-op release. Sheds
+// are counted in telemetry (admit.shed for a full queue, admit.expired
+// for a deadline met while queued) and annotated on the boot span; both
+// wrap ErrOverloaded.
+func (s *Squirrel) admit(ctx context.Context, r *replica, sp *obs.Span) (func(), error) {
+	pol, nodeID := s.cfg.Admission, r.node.ID
+	if pol.MaxInFlight <= 0 {
 		return func() {}, nil
 	}
 	maxQueue := pol.MaxQueue
@@ -115,7 +114,7 @@ func (s *Squirrel) admit(ctx context.Context, nodeID string, sp *obs.Span) (func
 		maxQueue = 0
 	}
 	ctr := s.injector().Counters()
-	release, queued, err := g.admit(ctx, pol.MaxInFlight, maxQueue)
+	release, queued, err := r.gate.admit(ctx, pol.MaxInFlight, maxQueue)
 	if queued {
 		ctr.Add("admit.queued", 1)
 		sp.Annotate("queued", 1)

@@ -43,9 +43,7 @@ func TestWarmBootAllocatesNoBuffers(t *testing.T) {
 	}
 	sq, ims := daemonShaped(t, 4, 2)
 	for i, im := range ims {
-		if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(i)}); err != nil {
-			t.Fatal(err)
-		}
+		mustRegister(t, sq, im, day(i))
 	}
 	boot := func() {
 		for _, im := range ims {

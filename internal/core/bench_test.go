@@ -36,9 +36,7 @@ func BenchmarkBootWaveTracingOverhead(b *testing.B) {
 	for side := range wave {
 		sq, cl, repo := obsScriptDeployment(b, 8, fault.Plan{Seed: 7}, side == 1)
 		for i := 0; i < images; i++ {
-			if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[i], At: day(i)}); err != nil {
-				b.Fatal(err)
-			}
+			mustRegister(b, sq, repo.Images[i], day(i))
 		}
 		wave[side] = func() {
 			start := time.Now()
@@ -91,9 +89,7 @@ func BenchmarkColdBoot(b *testing.B) {
 		b.Fatal(err)
 	}
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		b.Fatal(err)
-	}
+	mustRegister(b, sq, im, day(0))
 	if err := sq.DropReplica("node00", im.ID); err != nil {
 		b.Fatal(err)
 	}
@@ -180,9 +176,7 @@ func BenchmarkStats(b *testing.B) {
 	registerTo := func(n int) {
 		for ; registered < n; registered++ {
 			at := t0.Add(time.Duration(registered) * time.Minute)
-			if _, err := sq.Register(context.Background(), RegisterRequest{Image: ims[registered], At: at}); err != nil {
-				b.Fatal(err)
-			}
+			mustRegister(b, sq, ims[registered], at)
 		}
 	}
 	poll := func() time.Duration {

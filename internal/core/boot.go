@@ -79,16 +79,17 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	}
 	s.state.RLock()
 	im, ok := s.images[id]
-	lagging, damaged := s.lagging[nodeID], len(s.damaged[nodeID]) > 0
-	online := s.online[nodeID]
 	s.state.RUnlock()
 	if !ok {
 		return BootReport{}, fmt.Errorf("%w: %s", ErrUnknownImage, id)
 	}
-	node, err := s.computeNode(nodeID)
+	r, err := s.replica(nodeID)
 	if err != nil {
 		return BootReport{}, err
 	}
+	s.state.RLock()
+	lagging, damaged, online := r.lagging, len(r.damaged) > 0, r.online
+	s.state.RUnlock()
 	if !online {
 		return BootReport{}, fmt.Errorf("%w: %s", ErrNodeOffline, nodeID)
 	}
@@ -104,7 +105,7 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	// Admission control: take (or queue for) one of the node's boot
 	// slots before touching any replica state. A shed boot fails with
 	// ErrOverloaded well inside its deadline.
-	release, err := s.admit(ctx, nodeID, sp)
+	release, err := s.admit(ctx, r, sp)
 	if err != nil {
 		return fail(err)
 	}
@@ -114,14 +115,14 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 		// Healing is a compound replica operation; serialize it against
 		// other operations on this node and re-check the flags under the
 		// lock — a concurrent boot may have healed the node already.
-		nl := s.nodeLocks.lock(nodeID)
+		r.mu.Lock()
 		s.state.RLock()
-		lagging, damaged = s.lagging[nodeID], len(s.damaged[nodeID]) > 0
-		lastScrub := s.lastScrub[nodeID]
+		lagging, damaged = r.lagging, len(r.damaged) > 0
+		lastScrub := r.lastScrub
 		s.state.RUnlock()
 		if lagging {
-			if _, err := s.syncNodeGuarded(sp, nodeID); err != nil {
-				nl.Unlock()
+			if _, err := s.syncNodeGuarded(sp, r); err != nil {
+				r.mu.Unlock()
 				return fail(fmt.Errorf("core: healing lagging node %s: %w", nodeID, err))
 			}
 			healed = true
@@ -132,22 +133,22 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 		// repair (every source down) is fine — read-time checksums route the
 		// still-damaged ranges to peers or the PFS below.
 		if damaged {
-			if _, err := s.resilverCtx(context.Background(), sp, nodeID, lastScrub); err != nil {
-				nl.Unlock()
+			if _, err := s.resilverCtx(context.Background(), sp, r, lastScrub); err != nil {
+				r.mu.Unlock()
 				return fail(fmt.Errorf("core: resilvering node %s: %w", nodeID, err))
 			}
 			healed = true
 		}
-		nl.Unlock()
+		r.mu.Unlock()
 	}
 	var ccv *zvol.Volume
 	if !req.SkipCache {
-		ccv = s.ccVolume(nodeID) // after healing: a full sync swaps the volume
+		ccv = s.ccVolume(r) // after healing: a full sync swaps the volume
 	} else {
 		sp.Annotate("uncached", 1)
 	}
 
-	cb, err := newChainBackend(s, im, ccv, node)
+	cb, err := newChainBackend(s, im, ccv, r.node)
 	if err != nil {
 		return fail(err)
 	}
@@ -155,7 +156,7 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	// the range) may be served by the peer exchange before falling back to
 	// the PFS — unless the caching layer is bypassed outright.
 	if !req.SkipCache && s.cfg.Peer.Enabled {
-		cb.fetch = s.newPeerFetcher(ctx, sp, "peerfetch", im.ID, node)
+		cb.fetch = s.newPeerFetcher(ctx, sp, "peerfetch", im.ID, r.node)
 	}
 	cow, err := qcow.NewOverlay(cb, s.cfg.ClusterSize, false)
 	if err != nil {
@@ -259,15 +260,6 @@ func (s *Squirrel) recordBootLanes(sp *obs.Span, cb *chainBackend) {
 		c.Annotate("gap_bytes", cb.networkBytes-cb.pfsIndexed)
 		c.Finish()
 	}
-}
-
-// computeNode finds the cluster node struct for a compute node ID.
-// Lock-free: the node map is immutable after New.
-func (s *Squirrel) computeNode(nodeID string) (*cluster.Node, error) {
-	if n, ok := s.nodes[nodeID]; ok {
-		return n, nil
-	}
-	return nil, fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
 }
 
 // chainBackend is the "cache chained to base" layer under the CoW

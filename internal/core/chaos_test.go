@@ -14,32 +14,7 @@ import (
 
 // chaosDeployment builds a deployment with a fault injector wired in.
 func chaosDeployment(t testing.TB, computeNodes int, plan fault.Plan) (*Squirrel, *cluster.Cluster, *corpus.Repository, *fault.Injector) {
-	t.Helper()
-	inj, err := fault.New(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := cluster.New(cluster.GigE, 4, computeNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.ClusterSize = 4096
-	cfg.Volume.BlockSize = 4096
-	cfg.Faults = inj
-	sq, err := New(cfg, cl, pfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := corpus.New(corpus.TestSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sq, cl, repo, inj
+	return deploymentWith(t, computeNodes, func(c *Config) { c.Faults = seeded(t, plan) })
 }
 
 // TestChaosSoakConvergence is the acceptance soak: a seeded fault plan
@@ -249,12 +224,8 @@ func TestSyncNewbornNode(t *testing.T) {
 	sq, _, repo := deployment(t, 3)
 	sq.SetOnline("node02", false) // offline from birth
 	a, b := repo.Images[0], repo.Images[1]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: a, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: b, At: day(1)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, a, day(0))
+	mustRegister(t, sq, b, day(1))
 	sq.SetOnline("node02", true)
 	rep, err := sq.SyncNode(bg, "node02")
 	if err != nil {
@@ -279,9 +250,7 @@ func TestSyncNewbornNode(t *testing.T) {
 // registrations must stay race-free (run under -race) and converge.
 func TestSyncRacesConcurrentRegister(t *testing.T) {
 	sq, _, repo := deployment(t, 3)
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, repo.Images[0], day(0))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -300,9 +269,7 @@ func TestSyncRacesConcurrentRegister(t *testing.T) {
 		}
 	}()
 	for i := 1; i <= 5; i++ {
-		if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[i], At: day(i)}); err != nil {
-			t.Fatal(err)
-		}
+		mustRegister(t, sq, repo.Images[i], day(i))
 	}
 	close(stop)
 	wg.Wait()
@@ -320,9 +287,7 @@ func TestSyncRacesConcurrentRegister(t *testing.T) {
 // Stats from many goroutines at once; the race detector is the oracle.
 func TestConcurrentOperations(t *testing.T) {
 	sq, cl, repo := deployment(t, 4)
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, repo.Images[0], day(0))
 	var wg sync.WaitGroup
 	for i := 1; i <= 4; i++ {
 		wg.Add(1)

@@ -44,12 +44,11 @@ func gossipTruth(sq *Squirrel, obj string) []string {
 	sq.state.RLock()
 	defer sq.state.RUnlock()
 	var out []string
-	for id, v := range sq.cc {
-		if sq.online[id] && len(sq.damaged[id]) == 0 && !sq.cl.Unreachable(id) && v.HasObject(obj) {
+	for _, r := range sq.order {
+		if id := r.node.ID; r.online && len(r.damaged) == 0 && !sq.cl.Unreachable(id) && r.ccv.HasObject(obj) {
 			out = append(out, id)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -60,13 +59,12 @@ func gossipTruth(sq *Squirrel, obj string) []string {
 func gossipConverged(sq *Squirrel) (bool, string) {
 	sq.state.RLock()
 	var queriers []string
-	for id := range sq.cc {
-		if sq.online[id] {
-			queriers = append(queriers, id)
+	for _, r := range sq.order {
+		if r.online {
+			queriers = append(queriers, r.node.ID)
 		}
 	}
 	sq.state.RUnlock()
-	sort.Strings(queriers)
 	for _, obj := range sq.Registered() {
 		truth := gossipTruth(sq, obj)
 		for _, q := range queriers {
@@ -140,9 +138,7 @@ func TestGossipChurnSoak(t *testing.T) {
 			}
 
 			for i := 0; i < 3; i++ {
-				if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[i], At: day(i)}); err != nil {
-					t.Fatal(err)
-				}
+				mustRegister(t, sq, repo.Images[i], day(i))
 			}
 			// Even the clean announcements cross a lossy gossip plane
 			// (25% message drop); anti-entropy repairs them within the
@@ -180,9 +176,7 @@ func TestGossipChurnSoak(t *testing.T) {
 			if err := sq.PartitionNodes(minority...); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[3], At: day(4)}); err != nil {
-				t.Fatal(err)
-			}
+			mustRegister(t, sq, repo.Images[3], day(4))
 			// Event 3: a majority replica is dropped mid-cut (capacity
 			// reclaim) — its tombstone must beat the old lease.
 			var dropOn string
@@ -265,9 +259,7 @@ func TestGossipIndexBootParity(t *testing.T) {
 			cfg.Gossip = gossip.Config{Seed: 7, TTL: time.Hour, Clock: clk.Now}
 		})
 		im := repo.Images[0]
-		if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-			t.Fatal(err)
-		}
+		mustRegister(t, sq, im, day(0))
 		if err := sq.DropReplica("node03", im.ID); err != nil {
 			t.Fatal(err)
 		}

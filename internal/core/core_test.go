@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/corpus"
+	"repro/internal/fault"
 )
 
 // bg is the context used by tests that don't exercise cancellation.
@@ -17,8 +18,10 @@ var t0 = time.Date(2014, 6, 23, 0, 0, 0, 0, time.UTC)
 
 func day(n int) time.Time { return t0.Add(time.Duration(n) * 24 * time.Hour) }
 
-// deployment builds a small cluster + PFS + Squirrel + corpus.
-func deployment(t testing.TB, computeNodes int) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
+// deploymentWith builds a small cluster + PFS + Squirrel + corpus; tweak
+// (nil for none) adjusts the config before New. The injector returned is
+// whatever tweak put in cfg.Faults.
+func deploymentWith(t testing.TB, computeNodes int, tweak func(*Config)) (*Squirrel, *cluster.Cluster, *corpus.Repository, *fault.Injector) {
 	t.Helper()
 	cl, err := cluster.New(cluster.GigE, 4, computeNodes)
 	if err != nil {
@@ -36,6 +39,9 @@ func deployment(t testing.TB, computeNodes int) (*Squirrel, *cluster.Cluster, *c
 	cfg := DefaultConfig()
 	cfg.ClusterSize = 4096
 	cfg.Volume.BlockSize = 4096
+	if tweak != nil {
+		tweak(&cfg)
+	}
 	sq, err := New(cfg, cl, pfs)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +50,31 @@ func deployment(t testing.TB, computeNodes int) (*Squirrel, *cluster.Cluster, *c
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sq, cl, repo, cfg.Faults
+}
+
+// deployment is deploymentWith and no tweak.
+func deployment(t testing.TB, computeNodes int) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
+	sq, cl, repo, _ := deploymentWith(t, computeNodes, nil)
 	return sq, cl, repo
+}
+
+// mustRegister registers im at time at, failing the test on any error.
+func mustRegister(t testing.TB, sq *Squirrel, im *corpus.Image, at time.Time) {
+	t.Helper()
+	if _, err := sq.Register(bg, RegisterRequest{Image: im, At: at}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// seeded is the injector of a fault plan.
+func seeded(t testing.TB, plan fault.Plan) *fault.Injector {
+	t.Helper()
+	inj, err := fault.New(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
 }
 
 func TestRegisterPropagatesToAllNodes(t *testing.T) {
@@ -115,9 +145,7 @@ func TestSecondRegistrationDiffIsSmall(t *testing.T) {
 func TestWarmBootZeroNetwork(t *testing.T) {
 	sq, cl, repo := deployment(t, 2)
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	cl.ResetCounters() // discard registration traffic; Fig 18 counts boots
 	rep, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node01", Verify: true})
 	if err != nil {
@@ -143,9 +171,7 @@ func TestColdBootUsesNetwork(t *testing.T) {
 	sq, cl, repo := deployment(t, 2)
 	im := repo.Images[0]
 	sq.SetOnline("node01", false)
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	sq.SetOnline("node01", true)
 	cl.ResetCounters()
 	rep, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node01", Verify: true})
@@ -196,9 +222,7 @@ func TestDeregisterPropagatesWithNextSnapshot(t *testing.T) {
 	if !ccv.HasObject(a.ID) {
 		t.Fatal("deregistration should not reach replicas before next snapshot")
 	}
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: b, At: day(1)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, b, day(1))
 	if ccv.HasObject(a.ID) {
 		t.Fatal("dead cache survived the next snapshot")
 	}

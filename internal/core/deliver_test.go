@@ -34,9 +34,7 @@ func stagedDelivery(t *testing.T, kind fault.Kind) (*Squirrel, *cluster.Cluster,
 	sq, cl, repo := resilienceDeployment(t, 1, fault.Plan{Seed: 7}, func(cfg *Config) {
 		cfg.Repair.MaxAttempts = 1
 	})
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, repo.Images[0], day(0))
 	setFaults(sq, plan, t)
 	sh, legs, _, err := sq.commit(context.Background(), repo.Images[1], day(1))
 	if err != nil || len(legs) != 1 {
@@ -45,7 +43,7 @@ func stagedDelivery(t *testing.T, kind fault.Kind) (*Squirrel, *cluster.Cluster,
 	// Cut after the commit, as a cut that opens mid-registration would
 	// be: the leg is already queued.
 	if kind == fault.Partition {
-		if err := sq.PartitionNodes(legs[0].node.ID); err != nil {
+		if err := sq.PartitionNodes(legs[0].r.node.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,9 +68,9 @@ func TestDeliveryStepIsTheSameAtEveryAttempt(t *testing.T) {
 		Faults                            int
 	}
 	observe := func(sq *Squirrel, leg *legResult) outcome {
-		ccv := sq.ccVolume(leg.node.ID)
+		ccv := sq.ccVolume(leg.r)
 		o := outcome{Stats: ccv.Stats(), NeedsRecovery: ccv.NeedsRecovery(),
-			Online: sq.isOnline(leg.node.ID), Lagging: slices.Contains(sq.Lagging(), leg.node.ID),
+			Online: sq.isOnline(leg.r), Lagging: slices.Contains(sq.Lagging(), leg.r.node.ID),
 			Synced: leg.synced, Crashed: leg.crashed, Torn: leg.torn, LegLagging: leg.lagging,
 			Faults: leg.faults}
 		for _, snap := range ccv.Snapshots() {
@@ -96,20 +94,20 @@ func TestDeliveryStepIsTheSameAtEveryAttempt(t *testing.T) {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			// Attempt 0: the verdict cluster.MulticastStream pre-draws.
 			sq0, cl0, sh0, leg0 := stagedDelivery(t, tc.kind)
-			deliv, _ := cl0.MulticastStream(sh0.op, cl0.Storage[0], []*cluster.Node{leg0.node}, sh0.wire, sh0.inj)
+			deliv, _ := cl0.MulticastStream(sh0.op, cl0.Storage[0], []*cluster.Node{leg0.r.node}, sh0.wire, sh0.inj)
 			if deliv[0].Fault != tc.kind {
 				t.Fatalf("attempt 0 drew %s", deliv[0].Fault)
 			}
-			nl := sq0.nodeLocks.lock(leg0.node.ID)
+			leg0.r.mu.Lock()
 			settled := sq0.deliver(sh0, leg0, nil, deliv[0].Fault, deliv[0].Wire)
-			nl.Unlock()
+			leg0.r.mu.Unlock()
 			first := observe(sq0, leg0)
 
 			// Attempt 1: the verdict repair draws, budget of one.
 			sq1, _, sh1, leg1 := stagedDelivery(t, tc.kind)
-			nl = sq1.nodeLocks.lock(leg1.node.ID)
+			leg1.r.mu.Lock()
 			sq1.repair(sh1, leg1)
-			nl.Unlock()
+			leg1.r.mu.Unlock()
 			retry := observe(sq1, leg1)
 
 			if !reflect.DeepEqual(first, retry) {

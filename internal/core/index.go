@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gossip"
 	"repro/internal/obs"
@@ -164,11 +163,10 @@ func buildIndex(s *Squirrel) {
 		s.idx = centralIndex{ix: s.peers}
 		return
 	}
-	ids := make([]string, 0, len(s.cl.Compute))
-	for _, n := range s.cl.Compute {
-		ids = append(ids, n.ID)
+	ids := make([]string, len(s.order))
+	for i, r := range s.order {
+		ids[i] = r.node.ID
 	}
-	sort.Strings(ids)
 	s.gossip = gossip.New(s.cfg.Gossip, ids, s.cl)
 	s.gossip.SetInjector(s.cfg.Faults)
 	if s.tel != nil {

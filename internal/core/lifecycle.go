@@ -28,7 +28,7 @@
 //
 // Scrub and resilver serialize per node (the node lock), not per
 // deployment: scrubbing node A never blocks a boot on node B. ScrubAll
-// and ResilverAll walk nodes in sorted order, taking one node lock at a
+// and ResilverAll walk nodes in node-ID order, taking one node lock at a
 // time, and honor context cancellation between nodes (resilver also
 // between blocks).
 package core
@@ -36,7 +36,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -50,10 +49,11 @@ import (
 // (or SyncNode) rolls it back. Whether the node comes back lagging is
 // decided by the restart audit, not here.
 func (s *Squirrel) CrashNode(nodeID string, at time.Time) error {
-	if _, ok := s.nodes[nodeID]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
+	r, err := s.replica(nodeID)
+	if err != nil {
+		return err
 	}
-	s.nodeDown(nodeID, at, false)
+	s.nodeDown(r, at, false)
 	s.injector().Counters().Add("life.crash", 1)
 	return nil
 }
@@ -85,45 +85,47 @@ type RecoveryReport struct {
 // marks it lagging. A clean, current node re-announces its holdings and
 // is immediately eligible to serve peers again.
 func (s *Squirrel) RestartNode(nodeID string, at time.Time) (RecoveryReport, error) {
-	if _, ok := s.nodes[nodeID]; !ok {
-		return RecoveryReport{}, fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
+	r, err := s.replica(nodeID)
+	if err != nil {
+		return RecoveryReport{}, err
 	}
-	defer s.nodeLocks.lock(nodeID).Unlock()
-	ccv := s.ccVolume(nodeID)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	inj := s.injector()
 	sp := s.tr.StartOp(obs.OpRestart, nodeID, "")
 	defer sp.Finish()
 	rep := RecoveryReport{NodeID: nodeID}
 	s.state.RLock()
-	if down, ok := s.downSince[nodeID]; ok && at.After(down) {
+	ccv, down := r.ccv, r.downSince
+	s.state.RUnlock()
+	if !down.IsZero() && at.After(down) {
 		rep.Downtime = at.Sub(down)
 	}
-	s.state.RUnlock()
 	if rr := ccv.Recover(); rr.RolledBack {
 		rep.RolledBack = true
 		rep.RolledBackSnap = rr.Snapshot
-		s.markLagging(nodeID)
+		s.markLagging(r)
 		inj.Counters().Add("recover.rollback", 1)
 		sp.Annotate("rolled_back", 1)
 	}
-	rep.Scrub = s.scrubGuarded(sp, nodeID, at)
+	rep.Scrub = s.scrubGuarded(sp, r, at)
 	s.state.Lock()
-	rep.Damaged = len(s.damaged[nodeID])
+	rep.Damaged = len(r.damaged)
 	// Staleness check: missed registrations while down mean SyncNode.
 	if latest := s.sc.LatestSnapshot(); latest != nil {
 		local := ccv.LatestSnapshot()
 		if local == nil || local.Name != latest.Name {
-			s.lagging[nodeID] = true
+			r.lagging = true
 		}
 	}
-	rep.Lagging = s.lagging[nodeID]
+	rep.Lagging = r.lagging
 	if rep.Lagging {
 		sp.Annotate("lagging", 1)
 	}
-	s.online[nodeID] = true
-	delete(s.downSince, nodeID)
+	r.online = true
+	r.downSince = time.Time{}
 	s.idx.NodeUp(nodeID)
-	s.announceHoldingsLocked(nodeID) // no-op withdrawal if damaged
+	s.announceHoldingsLocked(r) // no-op withdrawal if damaged
 	s.state.Unlock()
 	inj.Counters().Add("life.restart", 1)
 	return rep, nil
@@ -138,11 +140,13 @@ func (s *Squirrel) RestartNode(nodeID string, at time.Time) (RecoveryReport, err
 // refs of the blocks rotted (a scrub must report at least these; dedup
 // aliases of a rotted payload surface additionally).
 func (s *Squirrel) InjectRot(nodeID string) ([]zvol.BlockRef, error) {
-	if _, ok := s.nodes[nodeID]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
+	r, err := s.replica(nodeID)
+	if err != nil {
+		return nil, err
 	}
-	defer s.nodeLocks.lock(nodeID).Unlock()
-	ccv := s.ccVolume(nodeID)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ccv := s.ccVolume(r)
 	inj := s.injector()
 	var rotted []zvol.BlockRef
 	for _, obj := range ccv.Objects() {
@@ -171,30 +175,27 @@ func (s *Squirrel) ScrubNode(ctx context.Context, nodeID string, at time.Time) (
 	if err := ctx.Err(); err != nil {
 		return zvol.ScrubReport{}, fmt.Errorf("core: scrub %s: %w", nodeID, err)
 	}
-	if _, ok := s.nodes[nodeID]; !ok {
-		return zvol.ScrubReport{}, fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
+	r, err := s.replica(nodeID)
+	if err != nil {
+		return zvol.ScrubReport{}, err
 	}
-	defer s.nodeLocks.lock(nodeID).Unlock()
-	return s.scrubGuarded(nil, nodeID, at), nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return s.scrubGuarded(nil, r, at), nil
 }
 
 // ScrubAll scrubs every compute node (the nightly cron pass) in sorted
 // node order, returning reports keyed by node ID. Cancellation between
 // nodes returns the partial map alongside the context error.
 func (s *Squirrel) ScrubAll(ctx context.Context, at time.Time) (map[string]zvol.ScrubReport, error) {
-	ids := make([]string, 0, len(s.nodes))
-	for id := range s.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make(map[string]zvol.ScrubReport, len(ids))
-	for _, id := range ids {
+	out := make(map[string]zvol.ScrubReport, len(s.order))
+	for _, r := range s.order {
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("core: scrub pass: %w", err)
 		}
-		nl := s.nodeLocks.lock(id)
-		out[id] = s.scrubGuarded(obs.SpanFromContext(ctx), id, at)
-		nl.Unlock()
+		r.mu.Lock()
+		out[r.node.ID] = s.scrubGuarded(obs.SpanFromContext(ctx), r, at)
+		r.mu.Unlock()
 	}
 	return out, nil
 }
@@ -203,21 +204,19 @@ func (s *Squirrel) ScrubAll(ctx context.Context, at time.Time) (map[string]zvol.
 // peer index honest. The span roots when parent is nil (a direct or
 // cron scrub) and nests otherwise (restart audit, resilver rescrub).
 // Caller holds the node lock.
-func (s *Squirrel) scrubGuarded(parent *obs.Span, nodeID string, at time.Time) zvol.ScrubReport {
-	sp := s.tr.Op(parent, obs.OpScrub, nodeID, "")
-	rep := s.ccVolume(nodeID).Scrub()
+func (s *Squirrel) scrubGuarded(parent *obs.Span, r *replica, at time.Time) zvol.ScrubReport {
+	sp := s.tr.Op(parent, obs.OpScrub, r.node.ID, "")
+	rep := s.ccVolume(r).Scrub()
 	s.state.Lock()
 	if !at.IsZero() {
-		s.lastScrub[nodeID] = at
+		r.lastScrub = at
 	}
-	if rep.Clean() {
-		delete(s.damaged, nodeID)
-	} else {
-		s.damaged[nodeID] = append([]zvol.BlockRef(nil), rep.Damaged...)
+	r.damaged = append([]zvol.BlockRef(nil), rep.Damaged...)
+	if !rep.Clean() {
 		// A rotten node must not serve peers until resilvered; it knows
 		// its own damage, so this retraction is self-initiated and works
 		// in both index modes.
-		s.idx.Retract(nodeID)
+		s.idx.Retract(r.node.ID)
 	}
 	s.state.Unlock()
 	ctr := s.injector().Counters()
@@ -268,11 +267,13 @@ func (s *Squirrel) ResilverNode(ctx context.Context, nodeID string, at time.Time
 	if err := ctx.Err(); err != nil {
 		return ResilverReport{}, fmt.Errorf("core: resilver %s: %w", nodeID, err)
 	}
-	if _, ok := s.nodes[nodeID]; !ok {
-		return ResilverReport{}, fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
+	r, err := s.replica(nodeID)
+	if err != nil {
+		return ResilverReport{}, err
 	}
-	defer s.nodeLocks.lock(nodeID).Unlock()
-	return s.resilverCtx(ctx, nil, nodeID, at)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return s.resilverCtx(ctx, nil, r, at)
 }
 
 // ResilverAll resilvers every node with a non-empty damage set (the
@@ -281,21 +282,22 @@ func (s *Squirrel) ResilverAll(ctx context.Context, at time.Time) ([]ResilverRep
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: resilver pass: %w", err)
 	}
+	var damaged []*replica
 	s.state.RLock()
-	ids := make([]string, 0, len(s.damaged))
-	for id := range s.damaged {
-		ids = append(ids, id)
+	for _, r := range s.order {
+		if len(r.damaged) > 0 {
+			damaged = append(damaged, r)
+		}
 	}
 	s.state.RUnlock()
-	sort.Strings(ids)
-	out := make([]ResilverReport, 0, len(ids))
-	for _, id := range ids {
+	out := make([]ResilverReport, 0, len(damaged))
+	for _, r := range damaged {
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("core: resilver pass: %w", err)
 		}
-		nl := s.nodeLocks.lock(id)
-		rep, err := s.resilverCtx(ctx, obs.SpanFromContext(ctx), id, at)
-		nl.Unlock()
+		r.mu.Lock()
+		rep, err := s.resilverCtx(ctx, obs.SpanFromContext(ctx), r, at)
+		r.mu.Unlock()
 		if err != nil {
 			return out, err
 		}
@@ -307,9 +309,9 @@ func (s *Squirrel) ResilverAll(ctx context.Context, at time.Time) ([]ResilverRep
 // resilverCtx wraps the resilver body in a span: a root "resilver"
 // when run directly or by the background pass, a child of the boot that
 // triggered it otherwise. Caller holds the node lock.
-func (s *Squirrel) resilverCtx(ctx context.Context, parent *obs.Span, nodeID string, at time.Time) (ResilverReport, error) {
-	sp := s.tr.Op(parent, obs.OpResilver, nodeID, "")
-	rep, err := s.resilver(ctx, sp, nodeID, at)
+func (s *Squirrel) resilverCtx(ctx context.Context, parent *obs.Span, r *replica, at time.Time) (ResilverReport, error) {
+	sp := s.tr.Op(parent, obs.OpResilver, r.node.ID, "")
+	rep, err := s.resilver(ctx, sp, r, at)
 	sp.AddBytes(rep.PeerBytes + rep.PFSBytes)
 	sp.AddSim(rep.XferSec)
 	if rep.Repaired > 0 {
@@ -329,28 +331,24 @@ func (s *Squirrel) resilverCtx(ctx context.Context, parent *obs.Span, nodeID str
 	return rep, err
 }
 
-func (s *Squirrel) resilver(ctx context.Context, sp *obs.Span, nodeID string, at time.Time) (ResilverReport, error) {
-	ccv := s.ccVolume(nodeID)
-	node, err := s.computeNode(nodeID)
-	if err != nil {
-		return ResilverReport{}, err
-	}
+func (s *Squirrel) resilver(ctx context.Context, sp *obs.Span, r *replica, at time.Time) (ResilverReport, error) {
+	ccv, nodeID := s.ccVolume(r), r.node.ID
 	inj := s.injector()
 	// A torn journal would make block indexes ambiguous; roll back first.
 	if ccv.NeedsRecovery() {
 		ccv.Recover()
-		s.markLagging(nodeID)
+		s.markLagging(r)
 		inj.Counters().Add("recover.rollback", 1)
 	}
 	// Rescrub for the authoritative damage list (the quarantined set may
 	// predate deletes, GC, or a partial earlier resilver).
-	scrub := s.scrubGuarded(sp, nodeID, at)
+	scrub := s.scrubGuarded(sp, r, at)
 	rep := ResilverReport{NodeID: nodeID, Blocks: len(scrub.Damaged)}
 	ctr := inj.Counters()
 	// One fetcher for the pass: a repair read is a peer read like a boot's
 	// (eligibility, serve slots, breakers, partitions), its faults drawn
 	// under "resilver:<object>:<node>".
-	f := s.newPeerFetcher(ctx, sp, "resilver", "", node)
+	f := s.newPeerFetcher(ctx, sp, "resilver", "", r.node)
 	var cb *chainBackend
 	var infos []zvol.BlockInfo // the replica's block layout of cb's object
 	for _, ref := range scrub.Damaged {
@@ -383,13 +381,11 @@ func (s *Squirrel) resilver(ctx context.Context, sp *obs.Span, nodeID string, at
 		}
 	}
 	// Closing scrub: only a spotless replica rejoins the peer exchange.
-	closing := s.scrubGuarded(sp, nodeID, at)
+	closing := s.scrubGuarded(sp, r, at)
 	rep.Clean = closing.Clean()
 	if rep.Clean {
 		s.state.Lock()
-		if s.online[nodeID] {
-			s.announceHoldingsLocked(nodeID)
-		}
+		s.announceHoldingsLocked(r)
 		s.state.Unlock()
 	}
 	return rep, nil
@@ -479,15 +475,16 @@ type NodeStatus struct {
 func (s *Squirrel) Health() []NodeStatus {
 	s.state.RLock()
 	defer s.state.RUnlock()
-	out := make([]NodeStatus, 0, len(s.cc))
-	for id, v := range s.cc {
+	out := make([]NodeStatus, 0, len(s.order))
+	for _, r := range s.order {
+		id := r.node.ID
 		st := NodeStatus{
 			NodeID:        id,
-			Online:        s.online[id],
-			Lagging:       s.lagging[id],
-			CorruptBlocks: len(s.damaged[id]),
-			LastScrub:     s.lastScrub[id],
-			DownSince:     s.downSince[id],
+			Online:        r.online,
+			Lagging:       r.lagging,
+			CorruptBlocks: len(r.damaged),
+			LastScrub:     r.lastScrub,
+			DownSince:     r.downSince,
 			Withdrawn:     s.idx.AnnouncedBy(id) == 0,
 			Breaker:       s.peers.BreakerState(id),
 			Unreachable:   s.cl.Unreachable(id),
@@ -495,7 +492,7 @@ func (s *Squirrel) Health() []NodeStatus {
 		if s.gossip != nil {
 			st.ViewLeases, st.ViewStale = s.gossip.ViewStats(id)
 		}
-		if snap := v.LatestSnapshot(); snap != nil {
+		if snap := r.ccv.LatestSnapshot(); snap != nil {
 			st.Snapshot = snap.Name
 		}
 		switch {
@@ -510,6 +507,5 @@ func (s *Squirrel) Health() []NodeStatus {
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
 	return out
 }

@@ -21,39 +21,16 @@ import (
 // lifecycleDeployment is chaosDeployment with the peer exchange enabled:
 // the resilver's source ladder and the withdrawal invariant need it.
 func lifecycleDeployment(t testing.TB, computeNodes int, plan fault.Plan) (*Squirrel, *cluster.Cluster, *corpus.Repository, *fault.Injector) {
-	t.Helper()
-	inj, err := fault.New(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := cluster.New(cluster.GigE, 4, computeNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.ClusterSize = 4096
-	cfg.Volume.BlockSize = 4096
-	cfg.Faults = inj
-	cfg.Peer = peer.DefaultPolicy()
-	// Telemetry rides along on every lifecycle scenario: the chaos soak
-	// asserts no traced operation ends in an unrecovered error state.
-	// The ring is sized far beyond any soak's op count — the FailedRoots
-	// gate is only as strong as the ring is deep, so eviction must never
-	// hide a failed root (the always-on default is deliberately small).
-	cfg.Obs = obs.New(8192)
-	sq, err := New(cfg, cl, pfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := corpus.New(corpus.TestSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sq, cl, repo, inj
+	return deploymentWith(t, computeNodes, func(c *Config) {
+		c.Faults = seeded(t, plan)
+		c.Peer = peer.DefaultPolicy()
+		// Telemetry rides along on every lifecycle scenario: the chaos soak
+		// asserts no traced operation ends in an unrecovered error state.
+		// The ring is sized far beyond any soak's op count — the FailedRoots
+		// gate is only as strong as the ring is deep, so eviction must never
+		// hide a failed root (the always-on default is deliberately small).
+		c.Obs = obs.New(8192)
+	})
 }
 
 func nodeStatus(t *testing.T, sq *Squirrel, nodeID string) NodeStatus {
@@ -70,9 +47,7 @@ func nodeStatus(t *testing.T, sq *Squirrel, nodeID string) NodeStatus {
 func TestCrashRestartLifecycle(t *testing.T) {
 	sq, _, repo, _ := lifecycleDeployment(t, 3, fault.Plan{Seed: 1})
 	for i := 0; i < 2; i++ {
-		if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[i], At: day(i)}); err != nil {
-			t.Fatal(err)
-		}
+		mustRegister(t, sq, repo.Images[i], day(i))
 	}
 	if err := sq.CrashNode("node01", day(2)); err != nil {
 		t.Fatal(err)
@@ -126,15 +101,9 @@ func TestTornRegistrationRollsBackOnRestart(t *testing.T) {
 	// Bring the deployment up clean, then make the fabric tear exactly one
 	// apply (Torn shares the crash budget).
 	sq, _, repo, _ := lifecycleDeployment(t, 3, fault.Plan{Seed: 4})
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, repo.Images[0], day(0))
 	firstSnap := sq.SCVolume().LatestSnapshot().Name
-	hostile, err := fault.New(fault.Plan{Seed: 4, Torn: 1, MaxCrashes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq.SetFaults(hostile)
+	setFaults(sq, fault.Plan{Seed: 4, Torn: 1, MaxCrashes: 1}, t)
 	rep, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[1], At: day(1)})
 	if err != nil {
 		t.Fatalf("torn replicas must not fail the registration: %v", err)
@@ -185,9 +154,7 @@ func TestInjectRotIsDeterministicAndScrubDetectsAll(t *testing.T) {
 	mk := func() (*Squirrel, []zvol.BlockRef) {
 		sq, _, repo, _ := lifecycleDeployment(t, 3, plan)
 		for i := 0; i < 3; i++ {
-			if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[i], At: day(i)}); err != nil {
-				t.Fatal(err)
-			}
+			mustRegister(t, sq, repo.Images[i], day(i))
 		}
 		refs, err := sq.InjectRot("node01")
 		if err != nil {
@@ -244,9 +211,7 @@ func TestInjectRotIsDeterministicAndScrubDetectsAll(t *testing.T) {
 func TestResilverPrefersPeersOverPFS(t *testing.T) {
 	sq, cl, repo, _ := lifecycleDeployment(t, 4, fault.Plan{Seed: 7, Rot: 0.4})
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	refs, err := sq.InjectRot("node02")
 	if err != nil {
 		t.Fatal(err)
@@ -289,9 +254,7 @@ func TestResilverFallsBackToPFSWhenNoHealthyPeer(t *testing.T) {
 	// peer again and must prefer it.
 	sq, _, repo, _ := lifecycleDeployment(t, 2, fault.Plan{Seed: 11, Rot: 0.6})
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	for _, n := range []string{"node00", "node01"} {
 		refs, err := sq.InjectRot(n)
 		if err != nil {
@@ -421,9 +384,7 @@ func TestRottenPeerNeverServesBadBytes(t *testing.T) {
 	// corrupt byte reached the VM.
 	sq, _, repo, _ := lifecycleDeployment(t, 2, fault.Plan{Seed: 13, Rot: 0.5})
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	refs, err := sq.InjectRot("node01")
 	if err != nil {
 		t.Fatal(err)
@@ -464,9 +425,7 @@ func TestRottenRangeFailsOverToCleanHolder(t *testing.T) {
 		cfg.Obs = obs.New(64)
 	})
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	refs, err := sq.InjectRot("node01")
 	if err != nil {
 		t.Fatal(err)
@@ -508,9 +467,7 @@ func TestLocalRotFallsThroughPerRange(t *testing.T) {
 				cfg.Peer.Enabled = peers
 			})
 			im := repo.Images[0]
-			if _, err := sq.Register(bg, RegisterRequest{Image: im, At: day(0)}); err != nil {
-				t.Fatal(err)
-			}
+			mustRegister(t, sq, im, day(0))
 			refs, err := sq.InjectRot("node00")
 			if err != nil {
 				t.Fatal(err)
@@ -577,9 +534,7 @@ func TestResilverRespectsPartition(t *testing.T) {
 				}
 			}
 			im := repo.Images[0]
-			if _, err := sq.Register(bg, RegisterRequest{Image: im, At: day(0)}); err != nil {
-				t.Fatal(err)
-			}
+			mustRegister(t, sq, im, day(0))
 			spread()
 			if _, err := sq.InjectRot("node02"); err != nil {
 				t.Fatal(err)
@@ -636,9 +591,7 @@ func TestResilverRespectsPartition(t *testing.T) {
 func TestBootAutoResilversDamagedNode(t *testing.T) {
 	sq, _, repo, _ := lifecycleDeployment(t, 3, fault.Plan{Seed: 17, Rot: 0.4})
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	refs, err := sq.InjectRot("node01")
 	if err != nil {
 		t.Fatal(err)

@@ -2,22 +2,12 @@ package core
 
 import "sync"
 
-// keyLocks is a lazily populated set of per-key mutexes — the lock
-// shards that replaced the old deployment-wide Squirrel mutex. One
-// instance holds the per-image locks, another the per-node locks, so
-// operations on distinct images or distinct nodes never serialize
-// against each other.
-//
-// Deployment-wide lock order (outermost first); any prefix may be
-// skipped, but locks are never taken against this order:
-//
-//	image lock → commitMu → node lock → state → leaf locks
-//
-// where "leaf locks" are the internally locked subsystems (zvol.Volume,
-// peer.Index, metrics, NIC atomics) that never call back into core.
-// Operations hold at most one image lock and one node lock at a time;
-// multi-node passes (ScrubAll, GC, resilver's peer ladder) take node
-// locks sequentially, never nested.
+// keyLocks is a lazily populated set of per-key mutexes. Its one
+// instance, Squirrel.imageLocks, hands out the per-image locks: images
+// are registered and deregistered for as long as the deployment runs,
+// so their key set is open. Compute nodes are fixed at New and each
+// carries its own lock (replica.mu); the deployment-wide lock order is
+// written there.
 type keyLocks struct {
 	mu sync.Mutex
 	m  map[string]*sync.Mutex
@@ -27,10 +17,11 @@ func newKeyLocks() *keyLocks {
 	return &keyLocks{m: make(map[string]*sync.Mutex)}
 }
 
-// get returns the mutex for key, creating it on first use. Keys are
-// image IDs or node IDs, both small closed sets per deployment, so the
-// map only grows to cluster size and entries are never evicted.
-func (k *keyLocks) get(key string) *sync.Mutex {
+// lock acquires and returns the mutex for key, creating it on first
+// use, so callers can write `defer s.imageLocks.lock(id).Unlock()`.
+// Entries are never evicted: the map grows to the number of image IDs
+// ever named.
+func (k *keyLocks) lock(key string) *sync.Mutex {
 	k.mu.Lock()
 	l, ok := k.m[key]
 	if !ok {
@@ -38,13 +29,6 @@ func (k *keyLocks) get(key string) *sync.Mutex {
 		k.m[key] = l
 	}
 	k.mu.Unlock()
-	return l
-}
-
-// lock acquires and returns the per-key mutex so callers can write
-// `defer s.nodeLocks.lock(id).Unlock()`.
-func (k *keyLocks) lock(key string) *sync.Mutex {
-	l := k.get(key)
 	l.Lock()
 	return l
 }

@@ -18,35 +18,13 @@ import (
 // obsScriptDeployment is lifecycleDeployment with tracing switchable,
 // for the traced-vs-untraced boundary test.
 func obsScriptDeployment(t testing.TB, computeNodes int, plan fault.Plan, traced bool) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	t.Helper()
-	inj, err := fault.New(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := cluster.New(cluster.GigE, 4, computeNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.ClusterSize = 4096
-	cfg.Volume.BlockSize = 4096
-	cfg.Faults = inj
-	cfg.Peer = peer.DefaultPolicy()
-	if traced {
-		cfg.Obs = obs.New(0)
-	}
-	sq, err := New(cfg, cl, pfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := corpus.New(corpus.TestSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sq, cl, repo, _ := deploymentWith(t, computeNodes, func(c *Config) {
+		c.Faults = seeded(t, plan)
+		c.Peer = peer.DefaultPolicy()
+		if traced {
+			c.Obs = obs.New(0)
+		}
+	})
 	return sq, cl, repo
 }
 
@@ -59,9 +37,7 @@ func TestTraceColdBootPeerExchange(t *testing.T) {
 	sq, cl, repo, _ := lifecycleDeployment(t, 6, fault.Plan{Seed: 1})
 	tel := sq.Telemetry()
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	cold := cl.Compute[len(cl.Compute)-1].ID
 	if err := sq.DropReplica(cold, im.ID); err != nil {
 		t.Fatal(err)
@@ -231,9 +207,7 @@ func TestTelemetrySnapshotRace(t *testing.T) {
 	tel := sq.Telemetry()
 	// Seed a couple of images so boots have something to read.
 	for i := 0; i < 2; i++ {
-		if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[i], At: day(i)}); err != nil {
-			t.Fatal(err)
-		}
+		mustRegister(t, sq, repo.Images[i], day(i))
 	}
 	stop := make(chan struct{})
 	var reader sync.WaitGroup

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Network partition lifecycle. PartitionNodes opens a cut that strands a
 // minority of compute nodes: streams and unicast repairs across the cut
@@ -30,7 +25,7 @@ type HealReport struct {
 	// the peer index (online, undamaged nodes).
 	Reannounced int
 	// Lagging lists healed nodes that missed registrations while cut off
-	// and still need offline propagation (SyncNode), sorted.
+	// and still need offline propagation (SyncNode), sorted like Healed.
 	Lagging []string
 }
 
@@ -39,8 +34,8 @@ type HealReport struct {
 // remain on the majority side. Calling it again replaces the cut.
 func (s *Squirrel) PartitionNodes(ids ...string) error {
 	for _, id := range ids {
-		if _, ok := s.nodes[id]; !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownNode, id)
+		if _, err := s.replica(id); err != nil {
+			return err
 		}
 	}
 	sp := s.tr.Op(nil, obs.OpPartition, "", "")
@@ -72,20 +67,19 @@ func (s *Squirrel) HealPartition() (HealReport, error) {
 	}
 	s.state.Lock()
 	for _, id := range rep.Healed {
-		if _, ok := s.nodes[id]; !ok {
+		r := s.replicas[id]
+		if r == nil {
 			continue // storage node listed in the cut: nothing to announce
 		}
-		if s.lagging[id] {
+		if r.lagging {
 			rep.Lagging = append(rep.Lagging, id)
 		}
-		if s.online[id] && len(s.damaged[id]) == 0 {
-			s.announceHoldingsLocked(id)
+		if s.announceHoldingsLocked(r) {
 			rep.Reannounced++
 			sp.Annotate("heal."+id, 1)
 		}
 	}
 	s.state.Unlock()
-	sort.Strings(rep.Lagging)
 	s.injector().Counters().Add("partition.heal", 1)
 	return rep, nil
 }

@@ -15,27 +15,7 @@ import (
 
 // peerDeployment is deployment with the peer block exchange enabled.
 func peerDeployment(t testing.TB, computeNodes int) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	t.Helper()
-	cl, err := cluster.New(cluster.GigE, 4, computeNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.ClusterSize = 4096
-	cfg.Volume.BlockSize = 4096
-	cfg.Peer = peer.DefaultPolicy()
-	sq, err := New(cfg, cl, pfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := corpus.New(corpus.TestSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sq, cl, repo, _ := deploymentWith(t, computeNodes, func(c *Config) { c.Peer = peer.DefaultPolicy() })
 	return sq, cl, repo
 }
 
@@ -50,9 +30,7 @@ func storageTx(cl *cluster.Cluster) int64 {
 func TestPeerServesColdBootMiss(t *testing.T) {
 	sq, cl, repo := peerDeployment(t, 4)
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	if !sq.PeerIndex().Holds(im.ID, "node03") {
 		t.Fatal("registration did not announce node03's replica")
 	}
@@ -122,31 +100,12 @@ func TestPeerOffloadsConcurrentColdBoots(t *testing.T) {
 	// majority of miss bytes off the storage nodes.
 	const nodes, images, holders = 8, 3, 2
 	run := func(enabled bool) (peerSum, pfsSum, tx int64) {
-		cl, err := cluster.New(cluster.GigE, 4, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.ClusterSize = 4096
-		cfg.Volume.BlockSize = 4096
-		cfg.Peer = peer.DefaultPolicy()
-		cfg.Peer.Enabled = enabled
-		sq, err := New(cfg, cl, pfs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repo, err := corpus.New(corpus.TestSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
+		sq, cl, repo, _ := deploymentWith(t, nodes, func(c *Config) {
+			c.Peer = peer.DefaultPolicy()
+			c.Peer.Enabled = enabled
+		})
 		for i := 0; i < images; i++ {
-			if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[i], At: day(i)}); err != nil {
-				t.Fatal(err)
-			}
+			mustRegister(t, sq, repo.Images[i], day(i))
 		}
 		// Scatter-hoard partial state: only the first `holders` nodes
 		// keep replicas; everyone else cold-boots.
@@ -253,9 +212,7 @@ func TestColdBootDecodesEachRangeOnce(t *testing.T) {
 		cfg.Volume.Codec = codec.Name()
 	})
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	if err := sq.DropReplica("node00", im.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +259,9 @@ func TestColdBootDecodesEachRangeOnce(t *testing.T) {
 
 // setFaults swaps the deployment's injector after registration so tests
 // can fault only the peer-fetch path.
-func setFaults(sq *Squirrel, plan fault.Plan, t *testing.T) *fault.Injector {
+func setFaults(sq *Squirrel, plan fault.Plan, t testing.TB) *fault.Injector {
 	t.Helper()
-	inj, err := fault.New(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj := seeded(t, plan)
 	sq.SetFaults(inj)
 	return inj
 }
@@ -320,9 +274,7 @@ func TestPeerFetchFaultFailoverDeterministic(t *testing.T) {
 	boot := func() (BootReport, map[string]int64, int64) {
 		sq, cl, repo := peerDeployment(t, 4)
 		im := repo.Images[0]
-		if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-			t.Fatal(err)
-		}
+		mustRegister(t, sq, im, day(0))
 		if err := sq.DropReplica("node03", im.ID); err != nil {
 			t.Fatal(err)
 		}
@@ -365,9 +317,7 @@ func TestPeerFetchFaultFailoverDeterministic(t *testing.T) {
 func TestPeerSourceCrashFailsOverToPFS(t *testing.T) {
 	sq, _, repo := peerDeployment(t, 4)
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	if err := sq.DropReplica("node03", im.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -414,9 +364,7 @@ func TestPeerSourceCrashFailsOverToPFS(t *testing.T) {
 func TestPeerNeverPicksIneligibleSources(t *testing.T) {
 	sq, cl, repo := peerDeployment(t, 4)
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	// Strip all but one replica; take that sole holder offline. The cold
 	// boot must fall back to the PFS (never the booting node itself, an
 	// offline node, or a node without the object).
@@ -451,12 +399,8 @@ func TestPeerIndexMaintenance(t *testing.T) {
 	sq, _, repo := peerDeployment(t, 4)
 	ix := sq.PeerIndex()
 	a, b := repo.Images[0], repo.Images[1]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: a, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: b, At: day(1)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, a, day(0))
+	mustRegister(t, sq, b, day(1))
 	if ix.Objects() != 2 || ix.Entries() != 8 {
 		t.Fatalf("after 2 registrations: objects=%d entries=%d", ix.Objects(), ix.Entries())
 	}
@@ -483,9 +427,7 @@ func TestPeerIndexMaintenance(t *testing.T) {
 	// A later registration must not resurrect the deregistered object on
 	// replicas that still physically hold it pending snapshot cleanup.
 	c := repo.Images[2]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: c, At: day(2)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, c, day(2))
 	if ix.Holds(a.ID, "node00") {
 		t.Fatal("deregistered object re-announced")
 	}

@@ -228,11 +228,12 @@ func (f *peerFetcher) acquire(tried map[string]bool) (string, func(int64), bool,
 	s.state.RLock()
 	eligible := make(map[string]bool)
 	for _, id := range holders {
-		if tried[id] || id == f.bootNode.ID || !s.online[id] || s.lagging[id] ||
-			len(s.damaged[id]) > 0 || !s.cl.Reachable(f.bootNode.ID, id) {
+		r := s.replicas[id]
+		if r == nil || tried[id] || id == f.bootNode.ID || !r.online || r.lagging ||
+			len(r.damaged) > 0 || !s.cl.Reachable(f.bootNode.ID, id) {
 			continue
 		}
-		if ccv := s.cc[id]; ccv != nil && ccv.HasObject(f.imageID) {
+		if r.ccv.HasObject(f.imageID) {
 			eligible[id] = true
 		}
 	}
@@ -249,7 +250,7 @@ func (f *peerFetcher) acquire(tried map[string]bool) (string, func(int64), bool,
 // prefix on truncation, nothing on a drop or source crash. Every outcome
 // feeds src's circuit breaker; on failure dst's contents are unspecified.
 func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(int64)) bool {
-	s := f.s
+	s, r := f.s, f.s.replicas[src]
 	ctr := s.peers.Counters()
 	done := func(served int64, ok bool) bool {
 		release(served)
@@ -258,7 +259,7 @@ func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(
 		}
 		return ok
 	}
-	if err := s.ccVolume(src).ReadAt(f.imageID, dst, base); err != nil {
+	if err := s.ccVolume(r).ReadAt(f.imageID, dst, base); err != nil {
 		// The source cannot serve this range: its replica vanished between
 		// index lookup and read (dropped or deregistered concurrently), or
 		// a block under the range failed its checksum there (latent rot —
@@ -275,12 +276,12 @@ func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(
 		// The source dies mid-serve (for a one-way peer read a torn apply
 		// and a plain crash are the same event): it drops offline, its
 		// announcements are withdrawn, and its next boot heals it.
-		s.nodeDown(src, time.Time{}, true)
+		s.nodeDown(r, time.Time{}, true)
 		ctr.Add("peer.crash", 1)
 		return done(0, false)
 	}
 	if n := int64(len(got)); n > 0 {
-		s.nodes[src].Send(n)
+		r.node.Send(n)
 		f.bootNode.Recv(n)
 		f.moved += n
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/fault"
@@ -104,11 +103,7 @@ func TestRegistrationCompressesEachNewBlockOnce(t *testing.T) {
 	// One leg torn mid-apply (Torn shares the crash budget: the first
 	// destination tears, the others lose the stream on every attempt and
 	// are left lagging), rolled back on restart, healed by sync.
-	hostile, err := fault.New(fault.Plan{Seed: 1, Torn: 1, MaxCrashes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq.SetFaults(hostile)
+	setFaults(sq, fault.Plan{Seed: 1, Torn: 1, MaxCrashes: 1}, t)
 	rep := register(0)
 	if len(rep.Torn) != 1 || len(rep.Lagging) != len(all)-1 {
 		t.Fatalf("want one torn apply and the rest lagging: %+v", rep)
@@ -133,15 +128,10 @@ func TestRegistrationCompressesEachNewBlockOnce(t *testing.T) {
 func reconcile(sq *Squirrel, syncedOnly bool) {
 	sq.state.Lock()
 	defer sq.state.Unlock()
-	ids := make([]string, 0, len(sq.cc))
-	for id := range sq.cc {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if sq.online[id] && len(sq.damaged[id]) == 0 && !sq.cl.Unreachable(id) &&
-			!(syncedOnly && sq.lagging[id]) {
-			sq.announceHoldingsLocked(id)
+	for _, r := range sq.order {
+		if r.online && len(r.damaged) == 0 && !sq.cl.Unreachable(r.node.ID) &&
+			!(syncedOnly && r.lagging) {
+			sq.announceHoldingsLocked(r)
 		}
 	}
 }
@@ -225,7 +215,7 @@ func TestIncrementalAnnouncementsMatchReconciliation(t *testing.T) {
 					default:
 						op = func(sq *Squirrel) error {
 							for _, id := range sq.Lagging() {
-								if sq.isOnline(id) {
+								if sq.isOnline(sq.replicas[id]) {
 									sq.SyncNode(bg, id) // a cut-off node stays lagging
 								}
 							}

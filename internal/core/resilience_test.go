@@ -20,35 +20,13 @@ import (
 // whose config the caller can mutate before construction.
 func resilienceDeployment(t testing.TB, computeNodes int, plan fault.Plan,
 	mutate func(*Config)) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	t.Helper()
-	inj, err := fault.New(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := cluster.New(cluster.GigE, 4, computeNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.ClusterSize = 4096
-	cfg.Volume.BlockSize = 4096
-	cfg.Peer = peer.DefaultPolicy()
-	cfg.Faults = inj
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	sq, err := New(cfg, cl, pfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := corpus.New(corpus.TestSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sq, cl, repo, _ := deploymentWith(t, computeNodes, func(c *Config) {
+		c.Peer = peer.DefaultPolicy()
+		c.Faults = seeded(t, plan)
+		if mutate != nil {
+			mutate(c)
+		}
+	})
 	return sq, cl, repo
 }
 
@@ -76,9 +54,7 @@ func TestPartitionSoak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	sq, cl, repo := resilienceDeployment(t, 6, fault.Plan{Seed: 31}, nil)
 	im0, im1 := repo.Images[0], repo.Images[1]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im0, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im0, day(0))
 
 	// The minority is drawn from the fault seed, so the whole scenario
 	// replays from the plan alone.
@@ -222,9 +198,7 @@ func hedgeDeployment(t *testing.T, images int) (*Squirrel, []*corpus.Image, []st
 	for i := 0; i < images; i++ {
 		im := repo.Images[i]
 		ims = append(ims, im)
-		if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(i)}); err != nil {
-			t.Fatal(err)
-		}
+		mustRegister(t, sq, im, day(i))
 		// Keep replicas only on the triple's two holder nodes.
 		keep := map[int]bool{3*i + 1: true, 3*i + 2: true}
 		for j, n := range cl.Compute {
@@ -310,18 +284,12 @@ func TestBreakerDegradesBootToPFS(t *testing.T) {
 		cfg.Peer.Breaker = peer.DefaultBreakerPolicy()
 	})
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	if err := sq.DropReplica("node03", im.ID); err != nil {
 		t.Fatal(err)
 	}
 	// All peer serves fail from here on; registration already happened.
-	broken, err := fault.New(fault.Plan{Seed: 3, Drop: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq.SetFaults(broken)
+	setFaults(sq, fault.Plan{Seed: 3, Drop: 1}, t)
 
 	rep, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node03", Verify: true})
 	if err != nil {
@@ -353,11 +321,7 @@ func TestBreakerDegradesBootToPFS(t *testing.T) {
 	}
 	// Faults clear; within a few boots a half-open probe succeeds, the
 	// breakers close, and the peer path serves again.
-	healthy, err := fault.New(fault.Plan{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq.SetFaults(healthy)
+	setFaults(sq, fault.Plan{Seed: 3}, t)
 	for i := 0; i < 6; i++ {
 		rep, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node03", Verify: true})
 		if err != nil {
@@ -380,9 +344,7 @@ func TestBootAdmissionShedsOverload(t *testing.T) {
 		cfg.BootLatency = 30 * time.Millisecond
 	})
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	const storm = 4
 	start := make(chan struct{})
 	errs := make(chan error, storm)
@@ -435,9 +397,7 @@ func TestBootAdmissionDeadlineWhileQueued(t *testing.T) {
 		cfg.BootLatency = 80 * time.Millisecond
 	})
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	holder := make(chan error, 1)
 	go func() {
 		_, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node01"})
@@ -494,11 +454,7 @@ func slowPeerBooter(tb testing.TB, hedge bool) func(i int) (BootReport, float64)
 		tb.Fatal(err)
 	}
 	return func(i int) (BootReport, float64) {
-		inj, err := fault.New(fault.Plan{Seed: int64(i + 1), Slow: 0.35, SlowSec: 0.04})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		sq.SetFaults(inj)
+		setFaults(sq, fault.Plan{Seed: int64(i + 1), Slow: 0.35, SlowSec: 0.04}, tb)
 		rep, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node03", Verify: true})
 		if err != nil {
 			tb.Fatal(err)

@@ -56,9 +56,7 @@ func (s *Squirrel) Stats() DeploymentStats {
 	defer s.state.RUnlock()
 	ds := DeploymentStats{
 		RegisteredImages: len(s.images),
-		ComputeNodes:     len(s.cc),
-		LaggingNodes:     len(s.lagging),
-		DamagedNodes:     len(s.damaged),
+		ComputeNodes:     len(s.order),
 		SCVolume:         s.sc.Stats(),
 		PeerIndexObjects: s.idx.Objects(),
 		PeerIndexEntries: s.idx.Entries(),
@@ -74,11 +72,17 @@ func (s *Squirrel) Stats() DeploymentStats {
 		latest = snap.Name
 	}
 	var maxDisk, maxMem int64
-	for id, v := range s.cc {
-		if s.online[id] {
+	for _, r := range s.order {
+		if r.online {
 			ds.OnlineNodes++
 		}
-		st := v.Stats()
+		if r.lagging {
+			ds.LaggingNodes++
+		}
+		if len(r.damaged) > 0 {
+			ds.DamagedNodes++
+		}
+		st := r.ccv.Stats()
 		if st.DiskBytes > maxDisk {
 			maxDisk = st.DiskBytes
 		}
@@ -86,10 +90,10 @@ func (s *Squirrel) Stats() DeploymentStats {
 			maxMem = st.DDTMemBytes
 		}
 		local := ""
-		if snap := v.LatestSnapshot(); snap != nil {
+		if snap := r.ccv.LatestSnapshot(); snap != nil {
 			local = snap.Name
 		}
-		if s.online[id] && local != latest {
+		if r.online && local != latest {
 			ds.StaleReplicas++
 		}
 	}

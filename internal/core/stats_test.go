@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 )
 
@@ -15,13 +14,9 @@ func TestDeploymentStats(t *testing.T) {
 		t.Fatalf("no snapshots yet, nobody stale: %+v", ds)
 	}
 
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, repo.Images[0], day(0))
 	sq.SetOnline("node02", false)
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[1], At: day(1)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, repo.Images[1], day(1))
 	sq.SetOnline("node02", true)
 
 	ds = sq.Stats()

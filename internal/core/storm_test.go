@@ -37,32 +37,10 @@ func (c *countdownCtx) Err() error {
 // stormDeployment builds a deployment with an explicit apply-worker
 // count, for comparing parallel propagation against the serial baseline.
 func stormDeployment(t testing.TB, computeNodes, workers int, plan fault.Plan) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	t.Helper()
-	inj, err := fault.New(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := cluster.New(cluster.GigE, 4, computeNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.ClusterSize = 4096
-	cfg.Volume.BlockSize = 4096
-	cfg.Faults = inj
-	cfg.Workers = workers
-	sq, err := New(cfg, cl, pfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := corpus.New(corpus.TestSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sq, cl, repo, _ := deploymentWith(t, computeNodes, func(c *Config) {
+		c.Faults = seeded(t, plan)
+		c.Workers = workers
+	})
 	return sq, cl, repo
 }
 
@@ -70,27 +48,7 @@ func stormDeployment(t testing.TB, computeNodes, workers int, plan fault.Plan) (
 // whose boots carry a simulated device wait, so throughput is I/O-bound
 // the way a real storm is.
 func bootStormDeployment(b *testing.B, computeNodes int, latency time.Duration) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	b.Helper()
-	cl, err := cluster.New(cluster.GigE, 4, computeNodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.ClusterSize = 4096
-	cfg.Volume.BlockSize = 4096
-	cfg.BootLatency = latency
-	sq, err := New(cfg, cl, pfs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	repo, err := corpus.New(corpus.TestSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
+	sq, cl, repo, _ := deploymentWith(b, computeNodes, func(c *Config) { c.BootLatency = latency })
 	return sq, cl, repo
 }
 
@@ -103,9 +61,7 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node00"}); !errors.Is(err, ErrUnknownImage) {
 		t.Fatalf("boot of unregistered image: want ErrUnknownImage, got %v", err)
 	}
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); !errors.Is(err, ErrRegistered) {
 		t.Fatalf("duplicate register: want ErrRegistered, got %v", err)
 	}
@@ -160,9 +116,7 @@ func TestParallelLegsMatchSerial(t *testing.T) {
 func TestConcurrentSameNodeBoots(t *testing.T) {
 	sq, _, repo := deployment(t, 2)
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -281,9 +235,7 @@ func TestRegisterCancelledMidPropagation(t *testing.T) {
 func TestBootCancelledMidReplay(t *testing.T) {
 	sq, _, repo := deployment(t, 2)
 	im := repo.Images[0]
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, im, day(0))
 	// One Err call at entry, one per trace entry: k=2 cancels at the
 	// second read.
 	ctx := &countdownCtx{k: 2}
@@ -301,9 +253,7 @@ func TestBootCancelledMidReplay(t *testing.T) {
 // context without touching any replica.
 func TestMaintenanceCancellation(t *testing.T) {
 	sq, _, repo := deployment(t, 2)
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, repo.Images[0], day(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := sq.ScrubNode(ctx, "node00", day(1)); !errors.Is(err, context.Canceled) {
@@ -331,9 +281,7 @@ func TestMaintenanceCancellation(t *testing.T) {
 func TestConcurrentRegisterAndBootInterleaving(t *testing.T) {
 	plan := fault.Plan{Seed: 7, Drop: 0.1, Corrupt: 0.05, MaxCrashes: 1, Crash: 0.02}
 	sq, cl, repo := stormDeployment(t, 4, 0, plan)
-	if _, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRegister(t, sq, repo.Images[0], day(0))
 	var wg sync.WaitGroup
 	for i := 1; i <= 4; i++ {
 		wg.Add(1)
@@ -404,9 +352,7 @@ func BenchmarkBootStorm(b *testing.B) {
 		b.Run(fmt.Sprint(workers), func(b *testing.B) {
 			sq, cl, repo := bootStormDeployment(b, 16, time.Millisecond)
 			im := repo.Images[0]
-			if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
-				b.Fatal(err)
-			}
+			mustRegister(b, sq, im, day(0))
 			// One warm-up boot per node so the storm measures steady state.
 			for _, n := range cl.Compute {
 				if _, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: n.ID, Verify: false}); err != nil {

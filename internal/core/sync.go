@@ -58,19 +58,21 @@ func (s *Squirrel) SyncNode(ctx context.Context, nodeID string) (SyncReport, err
 	if err := ctx.Err(); err != nil {
 		return SyncReport{}, fmt.Errorf("core: sync %s: %w", nodeID, err)
 	}
-	if _, ok := s.nodes[nodeID]; !ok {
-		return SyncReport{}, fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
+	r, err := s.replica(nodeID)
+	if err != nil {
+		return SyncReport{}, err
 	}
-	defer s.nodeLocks.lock(nodeID).Unlock()
-	return s.syncNodeGuarded(obs.SpanFromContext(ctx), nodeID)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return s.syncNodeGuarded(obs.SpanFromContext(ctx), r)
 }
 
 // syncNodeGuarded wraps the sync body in a span: a root "sync" operation
 // when called directly, a child of the boot that triggered the heal
-// otherwise. Caller holds the node lock and has checked the node exists.
-func (s *Squirrel) syncNodeGuarded(parent *obs.Span, nodeID string) (SyncReport, error) {
-	sp := s.tr.Op(parent, obs.OpSync, nodeID, "")
-	rep, err := s.syncGuarded(s.ccVolume(nodeID), nodeID)
+// otherwise. Caller holds the node lock.
+func (s *Squirrel) syncNodeGuarded(parent *obs.Span, r *replica) (SyncReport, error) {
+	sp := s.tr.Op(parent, obs.OpSync, r.node.ID, "")
+	rep, err := s.syncGuarded(r)
 	sp.AddBytes(rep.Bytes)
 	sp.AddSim(rep.XferSec)
 	sp.Annotate("mode."+rep.Mode.String(), 1)
@@ -82,8 +84,11 @@ func (s *Squirrel) syncNodeGuarded(parent *obs.Span, nodeID string) (SyncReport,
 	return rep, err
 }
 
-func (s *Squirrel) syncGuarded(ccv *zvol.Volume, nodeID string) (SyncReport, error) {
-	inj := s.injector()
+func (s *Squirrel) syncGuarded(r *replica) (SyncReport, error) {
+	inj, nodeID := s.injector(), r.node.ID
+	s.state.RLock()
+	ccv, wasLagging := r.ccv, r.lagging
+	s.state.RUnlock()
 	// A torn apply is rolled back before anything else: sync cannot stack
 	// a new receive on an open journal, and the rolled-back replica simply
 	// looks like it missed the registration this sync now delivers.
@@ -91,14 +96,11 @@ func (s *Squirrel) syncGuarded(ccv *zvol.Volume, nodeID string) (SyncReport, err
 		ccv.Recover()
 		inj.Counters().Add("recover.rollback", 1)
 	}
-	s.state.RLock()
-	wasLagging := s.lagging[nodeID]
-	s.state.RUnlock()
 	heal := func(rep SyncReport) SyncReport {
 		s.state.Lock()
 		defer s.state.Unlock()
 		if wasLagging {
-			delete(s.lagging, nodeID)
+			r.lagging = false
 			rep.Healed = true
 			inj.Counters().Add("repair.healed", 1)
 		}
@@ -106,9 +108,7 @@ func (s *Squirrel) syncGuarded(ccv *zvol.Volume, nodeID string) (SyncReport, err
 		// them so the peer exchange can route misses here. (If the node
 		// still has damaged blocks, announceHoldingsLocked keeps it
 		// withdrawn — sync fixes staleness, resilver fixes rot.)
-		if s.online[nodeID] {
-			s.announceHoldingsLocked(nodeID)
-		}
+		s.announceHoldingsLocked(r)
 		return rep
 	}
 	latest := s.sc.LatestSnapshot()
@@ -161,13 +161,13 @@ func (s *Squirrel) syncGuarded(ccv *zvol.Volume, nodeID string) (SyncReport, err
 	}
 	if rep.Mode == SyncFull {
 		s.state.Lock()
-		s.cc[nodeID] = target
+		r.ccv = target
 		// The damaged replica was thrown away wholesale; the fresh one is
 		// clean by construction (the receive verified every block).
-		delete(s.damaged, nodeID)
+		r.damaged = nil
 		s.state.Unlock()
 	}
 	rep.Bytes = stream.SizeBytes()
-	rep.XferSec = s.cl.Unicast(s.cl.Storage[0], s.nodes[nodeID], rep.Bytes)
+	rep.XferSec = s.cl.Unicast(s.cl.Storage[0], r.node, rep.Bytes)
 	return heal(rep), nil
 }

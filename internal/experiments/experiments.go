@@ -12,11 +12,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/block"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/corpus"
 )
 
@@ -67,6 +71,38 @@ func NetworkSpec(s Scale) corpus.Spec {
 	spec.ImageNonzero = int64(2 << 20 * s.Size)
 	spec.CacheFrac = 0.12
 	return spec
+}
+
+// epoch is when every experiment's first registration happens.
+var epoch = time.Date(2014, 6, 23, 0, 0, 0, 0, time.UTC)
+
+// deploy builds the deployment the core-path experiments start from: four
+// storage nodes and computeNodes compute nodes on fabric, a 2×2-striped
+// PFS, the paper's configuration adjusted by tweak (nil for none), and
+// images registered a minute apart from epoch.
+func deploy(fabric cluster.Fabric, computeNodes int, tweak func(*core.Config), images []*corpus.Image) (*core.Squirrel, *cluster.Cluster, error) {
+	cl, err := cluster.New(fabric, 4, computeNodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := core.DefaultConfig()
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	sq, err := core.New(cfg, cl, pfs)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, im := range images {
+		if _, err := sq.Register(context.Background(), core.RegisterRequest{Image: im, At: epoch.Add(time.Duration(i) * time.Minute)}); err != nil {
+			return nil, nil, err
+		}
+	}
+	return sq, cl, nil
 }
 
 // Series is one labelled line of a figure.

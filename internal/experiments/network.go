@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -25,27 +24,8 @@ func fig18Deployment(s Scale, propagation core.Propagation) (*core.Squirrel, *cl
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cl, err := cluster.New(cluster.QDR, 4, 64)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cfg := core.DefaultConfig()
-	cfg.Propagation = propagation
-	sq, err := core.New(cfg, cl, pfs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	t0 := time.Date(2014, 6, 23, 0, 0, 0, 0, time.UTC)
-	for i, im := range repo.Images {
-		if _, err := sq.Register(context.Background(), core.RegisterRequest{Image: im, At: t0.Add(time.Duration(i) * time.Minute)}); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return sq, cl, repo, nil
+	sq, cl, err := deploy(cluster.QDR, 64, func(c *core.Config) { c.Propagation = propagation }, repo.Images)
+	return sq, cl, repo, err
 }
 
 // Fig18 measures cumulative compute-node network transfer during VM
@@ -124,21 +104,11 @@ func Fig18Propagation(s Scale) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		cl, err := cluster.New(cluster.GigE, 4, 64)
+		sq, cl, err := deploy(cluster.GigE, 64, func(c *core.Config) { c.Propagation = p.prop }, nil)
 		if err != nil {
 			return Table{}, err
 		}
-		pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-		if err != nil {
-			return Table{}, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Propagation = p.prop
-		sq, err := core.New(cfg, cl, pfs)
-		if err != nil {
-			return Table{}, err
-		}
-		rep, err := sq.Register(context.Background(), core.RegisterRequest{Image: repo.Images[0], At: time.Date(2014, 6, 23, 0, 0, 0, 0, time.UTC)})
+		rep, err := sq.Register(context.Background(), core.RegisterRequest{Image: repo.Images[0], At: epoch})
 		if err != nil {
 			return Table{}, err
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -41,30 +40,15 @@ func FigPeer(s Scale) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	t0 := time.Date(2014, 6, 23, 0, 0, 0, 0, time.UTC)
-
 	// run boots every image on every replica-less node concurrently and
 	// returns (PFS bytes, peer bytes, storage-node tx bytes).
 	run := func(nodes int, enabled bool) (pfsB, peerB, tx int64, err error) {
-		cl, err := cluster.New(cluster.GigE, 4, nodes)
+		sq, cl, err := deploy(cluster.GigE, nodes, func(c *core.Config) {
+			c.Peer = peer.DefaultPolicy()
+			c.Peer.Enabled = enabled
+		}, repo.Images)
 		if err != nil {
 			return 0, 0, 0, err
-		}
-		pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Peer = peer.DefaultPolicy()
-		cfg.Peer.Enabled = enabled
-		sq, err := core.New(cfg, cl, pfs)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		for i, im := range repo.Images {
-			if _, err := sq.Register(context.Background(), core.RegisterRequest{Image: im, At: t0.Add(time.Duration(i) * time.Minute)}); err != nil {
-				return 0, 0, 0, err
-			}
 		}
 		for _, im := range repo.Images {
 			for n := peerHolders; n < nodes; n++ {

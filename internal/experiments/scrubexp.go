@@ -43,8 +43,6 @@ func FigScrub(s Scale) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	t0 := time.Date(2014, 6, 23, 0, 0, 0, 0, time.UTC)
-
 	t := Table{
 		Title: "At-rest bit rot: scrub detection and resilver repair source",
 		Header: []string{"rot rate", "rotted blocks", "scrub-detected", "detected (%)",
@@ -53,24 +51,9 @@ func FigScrub(s Scale) (Table, error) {
 			"repairs prefer healthy peer replicas over the PFS",
 	}
 	for i, rate := range rotAxis {
-		cl, err := cluster.New(cluster.GigE, 4, scrubNodes)
+		sq, cl, err := deploy(cluster.GigE, scrubNodes, func(c *core.Config) { c.Peer = peer.DefaultPolicy() }, repo.Images)
 		if err != nil {
 			return Table{}, err
-		}
-		pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-		if err != nil {
-			return Table{}, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Peer = peer.DefaultPolicy()
-		sq, err := core.New(cfg, cl, pfs)
-		if err != nil {
-			return Table{}, err
-		}
-		for j, im := range repo.Images {
-			if _, err := sq.Register(context.Background(), core.RegisterRequest{Image: im, At: t0.Add(time.Duration(j) * time.Minute)}); err != nil {
-				return Table{}, err
-			}
 		}
 		inj, err := fault.New(fault.Plan{Seed: int64(1000 + i), Rot: rate})
 		if err != nil {
@@ -87,7 +70,7 @@ func FigScrub(s Scale) (Table, error) {
 			rotted += len(refs)
 		}
 		detected := 0
-		scrubs, err := sq.ScrubAll(context.Background(), t0.Add(time.Hour))
+		scrubs, err := sq.ScrubAll(context.Background(), epoch.Add(time.Hour))
 		if err != nil {
 			return Table{}, err
 		}
@@ -96,7 +79,7 @@ func FigScrub(s Scale) (Table, error) {
 		}
 		var repaired, peerBlocks int
 		var resilverSec float64
-		reps, err := sq.ResilverAll(context.Background(), t0.Add(2*time.Hour))
+		reps, err := sq.ResilverAll(context.Background(), epoch.Add(2*time.Hour))
 		if err != nil {
 			return Table{}, err
 		}

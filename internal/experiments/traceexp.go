@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -30,30 +29,15 @@ func FigTrace(s Scale) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	t0 := time.Date(2014, 6, 23, 0, 0, 0, 0, time.UTC)
-
-	cl, err := cluster.New(cluster.GigE, 4, nodes)
+	sq, cl, err := deploy(cluster.GigE, nodes, func(c *core.Config) {
+		c.Peer = peer.DefaultPolicy()
+		// The table is rebuilt from every boot's span tree, so the ring must
+		// hold the full wave — the small always-on default would evict the
+		// early boots and silently undercount the lanes.
+		c.Obs = obs.New(len(repo.Images)*nodes + 16)
+	}, repo.Images)
 	if err != nil {
 		return Table{}, err
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		return Table{}, err
-	}
-	cfg := core.DefaultConfig()
-	cfg.Peer = peer.DefaultPolicy()
-	// The table is rebuilt from every boot's span tree, so the ring must
-	// hold the full wave — the small always-on default would evict the
-	// early boots and silently undercount the lanes.
-	cfg.Obs = obs.New(len(repo.Images)*nodes + 16)
-	sq, err := core.New(cfg, cl, pfs)
-	if err != nil {
-		return Table{}, err
-	}
-	for i, im := range repo.Images {
-		if _, err := sq.Register(context.Background(), core.RegisterRequest{Image: im, At: t0.Add(time.Duration(i) * time.Minute)}); err != nil {
-			return Table{}, err
-		}
 	}
 	// The first peerHolders nodes keep every replica; the rest cold-boot
 	// and pull their misses from those holders (or the PFS for gaps).

@@ -29,7 +29,7 @@ type Store struct {
 	blocks map[uint64][]byte
 	shared map[uint64]struct{} // addresses whose payload is aliased by, or aliases, a slice in other stores
 	next   uint64              // bump allocation pointer (bytes)
-	free   []extent            // freed extents eligible for reuse, address-ordered
+	free   []extent            // freed extents eligible for reuse, release-ordered (Free appends): first-fit walks them in that order, and deterministic placement depends on it
 	used   int64               // Σ len of the payloads in blocks; place and Free keep it (Rewrite and Corrupt preserve lengths)
 
 	allocs int64
