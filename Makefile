@@ -44,7 +44,8 @@ pin-experiments:
 	./scripts/pin_experiments.sh
 
 # Race-enabled loopback smoke for daemon mode: squirreld up, one
-# `squirrelctl telemetry -addr` run end to end, SIGTERM drain.
+# `squirrelctl telemetry -addr` run end to end, a gossip-index daemon's
+# round ticker under one `squirrelctl peers -addr`, SIGTERM drain.
 daemon-smoke:
 	./scripts/daemon_smoke.sh
 

@@ -177,7 +177,7 @@ func parseWatch(args []string, stderr io.Writer) (options, error) {
 
 func parseWorkload(args []string, stderr io.Writer) (options, error) {
 	var o options
-	fs := newFlagSet("workload [flags]", "Provision the catalog and drive a seeded arrival-process scenario through the deployment's admission/peer machinery, reporting the boot-latency tail.", stderr)
+	fs := newFlagSet("workload [flags]", "Provision the catalog and drive a seeded arrival-process scenario through virtual per-node boot slots and the deployment's peer machinery, reporting the boot-latency tail.", stderr)
 	addDeployment(fs, &o, 16, 64)
 	fs.StringVar(&o.wl.Arrivals, "arrivals", "poisson", "arrival process: poisson, diurnal, or flash (the 9am new-image storm)")
 	fs.Int64Var(&o.wl.Seed, "seed", 1, "seed driving arrivals, tenant popularity, and cold-node placement")

@@ -44,7 +44,7 @@ func main() {
 		nNodes      = flag.Int("nodes", 8, "compute nodes")
 		peers       = flag.Bool("peers", false, "enable the peer block exchange (with circuit breakers)")
 		index       = flag.String("index", "", "content-index implementation: central (default) or gossip (decentralized TTL-lease directory; implies -peers)")
-		gossipEvery = flag.Duration("gossip-interval", 2*time.Second, "wall-clock gossip round interval when -index gossip")
+		gossipEvery = flag.Duration("gossip-interval", 2*time.Second, "wall-clock gossip round interval when -index gossip; a lease lives 15 rounds, and 0 runs no rounds, so nothing expires")
 		traced      = flag.Bool("traced", false, "enable span tracing and unified telemetry")
 		obsRing     = flag.Int("obs-ring", 0, "completed-operation trace ring size (default obs.DefaultRingSize; needs -traced)")
 		sampleEvery = flag.Int("sample-every", 0, "head-sample tracing: trace every Nth root operation (0 or 1 traces everything; needs -traced)")
@@ -84,8 +84,9 @@ func run(logger *log.Logger, addr, metricsAddr string, nImages, nNodes, obsRing,
 		return err
 	}
 	// Under the decentralized index a live daemon runs gossip rounds on
-	// a wall-clock ticker (tests and soaks drive rounds explicitly via
-	// GossipTicks instead, so churn scenarios replay deterministically).
+	// a wall-clock ticker, and rounds are what expire leases (tests and
+	// soaks drive rounds explicitly via GossipTicks instead, so churn
+	// scenarios replay deterministically).
 	if local.Squirrel().Gossip() != nil && gossipEvery > 0 {
 		stopGossip := make(chan struct{})
 		defer close(stopGossip)

@@ -5,36 +5,12 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gossip"
 )
-
-// stepClock drives gossip lease time deterministically: one Advance per
-// round makes rounds the only clock the soak has.
-type stepClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newStepClock() *stepClock {
-	return &stepClock{t: time.Date(2014, 6, 23, 9, 0, 0, 0, time.UTC)}
-}
-
-func (c *stepClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *stepClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
 
 // gossipTruth is the authoritative holder set for obj: online,
 // undamaged nodes whose replica physically holds it. Lagging nodes
@@ -93,26 +69,16 @@ func TestGossipChurnSoak(t *testing.T) {
 	)
 	for _, seed := range []int64{1337, 31337, 777} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			clk := newStepClock()
 			plan := fault.Plan{Seed: seed, GossipDrop: 0.25}
 			sq, cl, repo := resilienceDeployment(t, 8, plan, func(cfg *Config) {
 				cfg.Index = IndexGossip
-				cfg.Gossip = gossip.Config{
-					Seed:   seed,
-					TTL:    ttlRounds * time.Second,
-					Fanout: 2,
-					Owners: 2,
-					Clock:  clk.Now,
-				}
+				cfg.Gossip = gossip.Config{Seed: seed, TTL: ttlRounds, Fanout: 2, Owners: 2}
 			})
 			bg := context.Background()
 			rounds := func(n int) {
 				t.Helper()
-				for i := 0; i < n; i++ {
-					clk.Advance(time.Second)
-					if _, err := sq.GossipTicks(1); err != nil {
-						t.Fatal(err)
-					}
+				if _, err := sq.GossipTicks(n); err != nil {
+					t.Fatal(err)
 				}
 			}
 			var ids []string
@@ -253,10 +219,9 @@ func TestGossipChurnSoak(t *testing.T) {
 // run keeps breakers and serve slots on the shared peer.Index.
 func TestGossipIndexBootParity(t *testing.T) {
 	boot := func(mode IndexMode) BootReport {
-		clk := newStepClock()
 		sq, _, repo := resilienceDeployment(t, 6, fault.Plan{Seed: 7}, func(cfg *Config) {
 			cfg.Index = mode
-			cfg.Gossip = gossip.Config{Seed: 7, TTL: time.Hour, Clock: clk.Now}
+			cfg.Gossip = gossip.Config{Seed: 7}
 		})
 		im := repo.Images[0]
 		mustRegister(t, sq, im, day(0))
@@ -281,5 +246,31 @@ func TestGossipIndexBootParity(t *testing.T) {
 	if central.PeerBytes != decentralized.PeerBytes {
 		t.Fatalf("peer bytes diverge across index modes: central %d, gossip %d",
 			central.PeerBytes, decentralized.PeerBytes)
+	}
+}
+
+// TestGossipLeaseOutlivesWallTime: a lease lives TTL rounds, so with a
+// one-round TTL and no round run, wall time passing between
+// registration and boot cannot expire it — the miss is still
+// peer-served. (When leases expired on time.Now, the TTL below was one
+// nanosecond and the boot read every byte from the PFS.)
+func TestGossipLeaseOutlivesWallTime(t *testing.T) {
+	sq, _, repo := resilienceDeployment(t, 6, fault.Plan{Seed: 7}, func(cfg *Config) {
+		cfg.Index = IndexGossip
+		cfg.Gossip = gossip.Config{Seed: 7, TTL: 1}
+	})
+	im := repo.Images[0]
+	mustRegister(t, sq, im, day(0))
+	time.Sleep(5 * time.Millisecond)
+	if err := sq.DropReplica("node03", im.ID); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node03", Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PeerBytes == 0 || rep.NetworkBytes != 0 {
+		t.Fatalf("cold boot not peer-served after wall time passed: %d peer bytes, %d PFS bytes",
+			rep.PeerBytes, rep.NetworkBytes)
 	}
 }

@@ -103,8 +103,9 @@ type Config struct {
 	// serve slots, hedges, and circuit breakers behave identically.
 	Index IndexMode
 	// Gossip parameterizes the decentralized index when Index is
-	// IndexGossip (seed, fanout, lease TTL, ring owners, clock). Ignored
-	// for IndexCentral.
+	// IndexGossip (seed, fanout, lease TTL in rounds, ring owners).
+	// Leases expire only as GossipTicks runs rounds. Ignored for
+	// IndexCentral.
 	Gossip gossip.Config
 	// Obs enables operation tracing and unified telemetry: every
 	// long-running operation records a span tree, per-op-kind and

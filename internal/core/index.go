@@ -124,9 +124,10 @@ func (g gossipIndex) Announce(_, node string, held func() []string) { g.d.SetHol
 func (s *Squirrel) Gossip() *gossip.Directory { return s.gossip }
 
 // GossipTicks advances the decentralized index n gossip rounds,
-// returning one report per round. Rounds are the logical clock of the
-// convergence bound: tests and soaks drive them explicitly so a churn
-// scenario replays deterministically from its seeds. Each round records
+// returning one report per round. Rounds are the directory's only clock,
+// for lease expiry and the convergence bound alike: tests and soaks
+// drive them explicitly so a churn scenario replays deterministically
+// from its seeds, and nothing expires between calls. Each round records
 // an obs span with its advert/exchange/prune accounting.
 func (s *Squirrel) GossipTicks(n int) ([]gossip.RoundReport, error) {
 	if s.gossip == nil {

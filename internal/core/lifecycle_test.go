@@ -522,8 +522,7 @@ func TestResilverRespectsPartition(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			sq, cl, repo := resilienceDeployment(t, 4, fault.Plan{Seed: 7, Rot: 0.4}, func(cfg *Config) {
 				cfg.Index = mode
-				// A clock that never advances: leases cannot lapse mid-test.
-				cfg.Gossip = gossip.Config{Seed: 7, Clock: newStepClock().Now}
+				cfg.Gossip = gossip.Config{Seed: 7}
 			})
 			spread := func() {
 				t.Helper()

@@ -152,10 +152,10 @@ func TestIncrementalAnnouncementsMatchReconciliation(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/seed%d", mode, seed), func(t *testing.T) {
 				build := func() (*Squirrel, []string) {
-					clk := newStepClock() // never advanced: no lease expires mid-test
+					// No round runs, so no lease expires mid-test.
 					sq, cl, _ := resilienceDeployment(t, 5, fault.Plan{Seed: seed, Rot: 0.05}, func(cfg *Config) {
 						cfg.Index = mode
-						cfg.Gossip = gossip.Config{Seed: seed, Clock: clk.Now}
+						cfg.Gossip = gossip.Config{Seed: seed}
 					})
 					var ids []string
 					for _, n := range cl.Compute {

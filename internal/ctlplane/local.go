@@ -88,7 +88,7 @@ func NewLocal(opts Options) (*Local, error) {
 	case core.IndexGossip.String():
 		cfg.Index = core.IndexGossip
 		// Zero-valued gossip.Config: the directory applies its own
-		// defaults (fanout 2, TTL 30s, 2 owners, wall clock).
+		// defaults (fanout 2, TTL 15 rounds, 2 owners).
 	default:
 		return nil, fmt.Errorf("ctlplane: unknown index mode %q (want central or gossip)", opts.Index)
 	}

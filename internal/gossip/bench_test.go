@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // BenchmarkIndexChurn measures announce + lookup throughput while the
@@ -15,7 +14,7 @@ import (
 // takes to reconverge after an owner crash is a function of the seed,
 // so TestChurnOwnerCrashConvergence asserts it.
 func BenchmarkIndexChurn(b *testing.B) {
-	d, ids, objs := churnDirectory(newFakeClock(), 30*time.Second)
+	d, ids, objs := churnDirectory(30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := ids[i%len(ids)]
@@ -57,15 +56,14 @@ func BenchmarkGossipScale(b *testing.B) {
 		nsPerNode := make(map[int]float64) // nodes → per-node round cost of the sub-benchmark's last run
 		for _, nodes := range []int{1000, 4000, 10000} {
 			b.Run(fmt.Sprintf("cut=%v/nodes=%d", cutOpen, nodes), func(b *testing.B) {
-				clk := newFakeClock()
 				links := &cutLinks{}
 				ids := nodeIDs(nodes)
 				objs := make([]string, objects)
 				for i := range objs {
 					objs[i] = fmt.Sprintf("img%03d", i)
 				}
-				build := func(ttl time.Duration) *Directory {
-					d := New(Config{Seed: 1337, TTL: ttl, Fanout: 3, Owners: 2, Clock: clk.Now}, ids, links)
+				build := func(ttl int64) *Directory {
+					d := New(Config{Seed: 1337, TTL: ttl, Fanout: 3, Owners: 2}, ids, links)
 					for i, n := range ids {
 						d.SetHoldings(n, []string{objs[i%objects], objs[(i*7+3)%objects]})
 					}
@@ -79,12 +77,11 @@ func BenchmarkGossipScale(b *testing.B) {
 					// count rounds until a sampled slice of the membership
 					// resolves every object exactly (querying all 10k views
 					// per round would dwarf the rounds being measured).
-					d := build(8 * time.Second)
+					d := build(8)
 					d.MarkDown(d.Owners(objs[0])[0])
 					d.MarkDown(ids[nodes/2])
 					stride := nodes/64 + 1
 					for ; rounds < 96 && !convergedSampled(d, objs, stride); rounds++ {
-						clk.Advance(time.Second)
 						d.Tick()
 					}
 					if !convergedSampled(d, objs, stride) {
@@ -92,7 +89,7 @@ func BenchmarkGossipScale(b *testing.B) {
 					}
 				}
 
-				d := build(30 * time.Second)
+				d := build(30)
 				if cutOpen {
 					var minority []string
 					for _, i := range rand.New(rand.NewSource(1337)).Perm(nodes)[:nodes/10] {
@@ -102,7 +99,6 @@ func BenchmarkGossipScale(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					clk.Advance(time.Second)
 					d.Tick()
 				}
 				if !cutOpen {

@@ -11,32 +11,29 @@
 // The two robustness invariants the churn soak measures:
 //
 //   - No stale entry survives past its lease: a lease is valid for TTL
-//     after its last refresh, lookups filter expired leases
+//     rounds after its last refresh, lookups filter expired leases
 //     unconditionally, and rounds prune them. A crashed holder's
-//     entries decay everywhere within TTL without any coordination.
+//     entries decay everywhere within TTL rounds without any
+//     coordination.
 //   - No live replica stays unadvertised beyond a bounded number of
 //     rounds: every round each live node re-advertises its holdings
 //     directly to the current owners, and the push/pull exchange
 //     repairs owner views that missed refreshes (dropped messages,
 //     ownership moved by a crash, partition healed).
 //
-// Everything is deterministic in (seed, round, call order): peer
-// selection and message drops are pure hash functions, and the clock is
-// injectable so lease expiry is steppable in tests.
+// Rounds are the directory's only clock. Everything is deterministic in
+// (seed, round, call order): peer selection and message drops are pure
+// hash functions and a lease expires at a round, so no result depends
+// on how fast the machine runs. With no rounds at all nothing expires.
 package gossip
 
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
 )
-
-// Clock tells the directory the current time; injectable so tests step
-// lease expiry deterministically.
-type Clock func() time.Time
 
 // Links is the reachability oracle gossip traffic obeys — satisfied by
 // *cluster.Cluster, so gossip messages respect the same network cuts
@@ -60,17 +57,16 @@ type Config struct {
 	// Fanout is how many peers each node exchanges views with per round
 	// (default 2).
 	Fanout int
-	// TTL is the lease duration granted by one advertisement refresh
-	// (default 30s). Entries older than TTL are never served.
-	TTL time.Duration
+	// TTL is how many rounds one advertisement refresh keeps a lease
+	// valid (default 15: 30 s at squirreld's 2 s round interval). A
+	// lease not refreshed for TTL rounds is never served.
+	TTL int64
 	// Owners is how many ring successors hold each object's
 	// advertisement set (default 2): one crash never loses a set.
 	Owners int
 	// VNodes is the virtual-node count per member on the consistent-hash
 	// ring (default 16).
 	VNodes int
-	// Clock supplies the current time (default time.Now).
-	Clock Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -78,7 +74,7 @@ func (c Config) withDefaults() Config {
 		c.Fanout = 2
 	}
 	if c.TTL <= 0 {
-		c.TTL = 30 * time.Second
+		c.TTL = 15
 	}
 	if c.Owners <= 0 {
 		c.Owners = 2
@@ -86,28 +82,28 @@ func (c Config) withDefaults() Config {
 	if c.VNodes <= 0 {
 		c.VNodes = 16
 	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
 	return c
 }
 
 // lease is one (object, holder) advertisement as stored in a view.
 //
-// Lease state machine:
+// Lease state machine, in rounds (R is the directory's round count):
 //
-//	active    seq S, expires E > now: served by lookups
-//	refreshed holder re-advertises: seq' > S, expires pushed out one TTL
+//	active    seq S, expires E > R: served by lookups
+//	refreshed holder re-advertises: seq' > S, E' = R + TTL
 //	retracted holder withdraws: tombstone (gone) with fresher seq wins
 //	          over the active lease it retracts, then ages out like any
 //	          other entry
-//	expired   now ≥ E: invisible to lookups immediately, pruned by the
-//	          next round
+//	expired   R ≥ E: invisible to lookups immediately, pruned by the
+//	          round that reaches E
 type lease struct {
 	seq     uint64
-	expires time.Time
+	expires int64 // first round in which the lease is no longer valid
 	gone    bool
 }
+
+// live reports whether l is an unexpired advertisement at round r.
+func (l lease) live(r int64) bool { return !l.gone && r < l.expires }
 
 // view is one node's local slice of the index: obj → holder → lease.
 // Ring ownership decides which objects a view retains — entries for
@@ -231,13 +227,12 @@ func (d *Directory) SetHoldings(node string, objs []string) {
 	if !d.alive[node] {
 		return // recorded; advertised when the node comes back
 	}
-	now := d.cfg.Clock()
 	for _, o := range sortedKeys(next) {
-		d.advertiseLocked(node, o, now, false)
+		d.advertiseLocked(node, o, false)
 	}
 	for _, o := range sortedKeys(prev) {
 		if !next[o] {
-			d.advertiseLocked(node, o, now, true)
+			d.advertiseLocked(node, o, true)
 		}
 	}
 }
@@ -250,7 +245,7 @@ func (d *Directory) Withdraw(obj, node string) {
 		delete(h, obj)
 	}
 	if d.alive[node] {
-		d.advertiseLocked(node, obj, d.cfg.Clock(), true)
+		d.advertiseLocked(node, obj, true)
 	}
 }
 
@@ -279,17 +274,17 @@ func (d *Directory) Retract(node string) {
 	if !d.alive[node] {
 		return
 	}
-	now := d.cfg.Clock()
 	for _, o := range sortedKeys(d.holdings[node]) {
-		d.advertiseLocked(node, o, now, true)
+		d.advertiseLocked(node, o, true)
 	}
 }
 
 // MarkDown records a node crash or stop: it leaves the ring and the
 // gossip exchange, and its view — process memory — is wiped. Nobody
 // retracts its leases for it: they sit in the surviving owners' views
-// until their TTL runs out, which is exactly the bounded staleness a
-// decentralized index trades for having no single registry to crash.
+// until their TTL rounds run out, which is exactly the bounded
+// staleness a decentralized index trades for having no single registry
+// to crash.
 func (d *Directory) MarkDown(node string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -320,9 +315,9 @@ func (d *Directory) MarkUp(node string) {
 // the views that should carry it: the advertiser's own view plus every
 // reachable live owner. Each owner message rolls the GossipDrop lane
 // independently.
-func (d *Directory) advertiseLocked(node, obj string, now time.Time, gone bool) (planted, dropped int) {
+func (d *Directory) advertiseLocked(node, obj string, gone bool) (planted, dropped int) {
 	d.seq++
-	l := lease{seq: d.seq, expires: now.Add(d.cfg.TTL), gone: gone}
+	l := lease{seq: d.seq, expires: d.round + d.cfg.TTL, gone: gone}
 	d.views[node].set(obj, node, l)
 	planted++
 	for _, owner := range d.ring.Owners(obj, d.cfg.Owners) {
@@ -345,7 +340,7 @@ func (d *Directory) advertiseLocked(node, obj string, now time.Time, gone bool) 
 // Tick runs one gossip round:
 //
 //  1. refresh — every live node re-leases its holdings to the current
-//     owners (push; TTL extended one lease).
+//     owners (push; expiry pushed out to this round + TTL).
 //  2. push/pull — every live node exchanges views with Fanout seeded
 //     peers: each side sends a digest (per-(obj,holder) max seq over
 //     the entries the receiver owns), the other replies with exactly
@@ -354,13 +349,13 @@ func (d *Directory) advertiseLocked(node, obj string, now time.Time, gone bool) 
 //  3. prune — expired leases and entries for ranges a view's node no
 //     longer owns are dropped.
 //
-// Rounds are the logical clock of the convergence bound: the churn soak
-// counts Ticks between "events stop" and "views converged".
+// Rounds are the directory's clock: lease expiry, and the convergence
+// bound the churn soak counts between "events stop" and "views
+// converged", are both measured in Ticks.
 func (d *Directory) Tick() RoundReport {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.round++
-	now := d.cfg.Clock()
 	rep := RoundReport{Round: d.round}
 
 	live := d.aliveSortedLocked()
@@ -368,7 +363,7 @@ func (d *Directory) Tick() RoundReport {
 	// 1. Refresh leases at the owners.
 	for _, n := range live {
 		for _, o := range sortedKeys(d.holdings[n]) {
-			p, dr := d.advertiseLocked(n, o, now, false)
+			p, dr := d.advertiseLocked(n, o, false)
 			rep.Adverts += p
 			rep.Dropped += dr
 		}
@@ -383,14 +378,14 @@ func (d *Directory) Tick() RoundReport {
 				continue
 			}
 			rep.Exchanges++
-			rep.Transferred += d.reconcileLocked(p, n, now) // push: n's entries p owns
-			rep.Transferred += d.reconcileLocked(n, p, now) // pull: p's entries n owns
+			rep.Transferred += d.reconcileLocked(p, n) // push: n's entries p owns
+			rep.Transferred += d.reconcileLocked(n, p) // pull: p's entries n owns
 		}
 	}
 
 	// 3. Prune expiry and disowned ranges.
 	for _, n := range live {
-		rep.Pruned += d.pruneLocked(n, now)
+		rep.Pruned += d.pruneLocked(n)
 	}
 
 	d.counters.Add("gossip.rounds", 1)
@@ -481,7 +476,7 @@ func (d *Directory) pickPeersLocked(n string, side []string) []string {
 // digest step collapsed in-process: the digest dst would send is its
 // per-(obj,holder) max seq, and exactly the entries that beat it are
 // transferred. Expired entries are never transferred.
-func (d *Directory) reconcileLocked(dst, src string, now time.Time) int {
+func (d *Directory) reconcileLocked(dst, src string) int {
 	sv, dv := d.views[src], d.views[dst]
 	moved := 0
 	for obj, hs := range sv.leases {
@@ -489,7 +484,7 @@ func (d *Directory) reconcileLocked(dst, src string, now time.Time) int {
 			continue
 		}
 		for holder, l := range hs {
-			if !l.expires.After(now) {
+			if l.expires <= d.round {
 				continue
 			}
 			if cur, ok := dv.leases[obj][holder]; ok && cur.seq >= l.seq {
@@ -506,13 +501,13 @@ func (d *Directory) reconcileLocked(dst, src string, now time.Time) int {
 // n's view. An entry is kept while its lease is live and either n owns
 // the object or n is the holder (a node always remembers its own
 // adverts).
-func (d *Directory) pruneLocked(n string, now time.Time) int {
+func (d *Directory) pruneLocked(n string) int {
 	v := d.views[n]
 	pruned := 0
 	for obj, hs := range v.leases {
 		owns := d.ownsLocked(n, obj)
 		for holder, l := range hs {
-			if !l.expires.After(now) || (!owns && holder != n) {
+			if l.expires <= d.round || (!owns && holder != n) {
 				delete(hs, holder)
 				pruned++
 			}
@@ -548,7 +543,6 @@ func (d *Directory) Lookup(from, obj string) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.counters.Add("gossip.lookups", 1)
-	now := d.cfg.Clock()
 	for _, owner := range d.ring.Owners(obj, d.cfg.Owners) {
 		if !d.alive[owner] {
 			continue
@@ -556,7 +550,7 @@ func (d *Directory) Lookup(from, obj string) []string {
 		if from != "" && owner != from && !d.links.Reachable(from, owner) {
 			continue
 		}
-		if hs := liveHolders(d.views[owner], obj, now); len(hs) > 0 {
+		if hs := d.liveHoldersLocked(d.views[owner], obj); len(hs) > 0 {
 			if owner != from {
 				d.counters.Add("gossip.lookup_hops", 1)
 			}
@@ -565,23 +559,22 @@ func (d *Directory) Lookup(from, obj string) []string {
 	}
 	if from != "" {
 		d.counters.Add("gossip.lookup_fallback", 1)
-		return liveHolders(d.views[from], obj, now)
+		return d.liveHoldersLocked(d.views[from], obj)
 	}
 	return nil
 }
 
-// liveHolders lists the unexpired, unretracted holders for obj in v,
-// sorted.
-func liveHolders(v *view, obj string, now time.Time) []string {
+// liveHoldersLocked lists the unexpired, unretracted holders for obj in
+// v, sorted.
+func (d *Directory) liveHoldersLocked(v *view, obj string) []string {
 	if v == nil {
 		return nil
 	}
 	var out []string
 	for holder, l := range v.leases[obj] {
-		if l.gone || !l.expires.After(now) {
-			continue
+		if l.live(d.round) {
+			out = append(out, holder)
 		}
-		out = append(out, holder)
 	}
 	sort.Strings(out)
 	return out
@@ -618,12 +611,11 @@ func (d *Directory) Entries() int {
 func (d *Directory) unionLocked() (objs, entries int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	now := d.cfg.Clock()
 	seen := make(map[string]map[string]bool)
 	for _, v := range d.views {
 		for obj, hs := range v.leases {
 			for holder, l := range hs {
-				if l.gone || !l.expires.After(now) {
+				if !l.live(d.round) {
 					continue
 				}
 				if seen[obj] == nil {
@@ -644,11 +636,10 @@ func (d *Directory) unionLocked() (objs, entries int) {
 func (d *Directory) AnnouncedBy(node string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	now := d.cfg.Clock()
 	seen := make(map[string]bool)
 	for _, v := range d.views {
 		for obj, hs := range v.leases {
-			if l, ok := hs[node]; ok && !l.gone && l.expires.After(now) {
+			if l, ok := hs[node]; ok && l.live(d.round) {
 				seen[obj] = true
 			}
 		}
@@ -662,17 +653,16 @@ func (d *Directory) AnnouncedBy(node string) int {
 func (d *Directory) ViewStats(node string) (leases, stale int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	now := d.cfg.Clock()
 	v := d.views[node]
 	if v == nil {
 		return 0, 0
 	}
 	for _, hs := range v.leases {
 		for _, l := range hs {
-			if l.gone || !l.expires.After(now) {
-				stale++
-			} else {
+			if l.live(d.round) {
 				leases++
+			} else {
+				stale++
 			}
 		}
 	}
@@ -683,7 +673,6 @@ func (d *Directory) ViewStats(node string) (leases, stale int) {
 func (d *Directory) StaleTotal() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	now := d.cfg.Clock()
 	total := 0
 	for n, v := range d.views {
 		if !d.alive[n] {
@@ -691,7 +680,7 @@ func (d *Directory) StaleTotal() int {
 		}
 		for _, hs := range v.leases {
 			for _, l := range hs {
-				if l.gone || !l.expires.After(now) {
+				if !l.live(d.round) {
 					total++
 				}
 			}

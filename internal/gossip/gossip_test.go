@@ -5,32 +5,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 )
-
-// fakeClock steps lease time deterministically.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2014, 6, 23, 9, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
 
 func nodeIDs(n int) []string {
 	out := make([]string, n)
@@ -68,65 +45,51 @@ func (c *cutLinks) heal() {
 	c.mu.Unlock()
 }
 
-// TestLeaseExpiryFakeClock is the lease state machine under a stepped
-// clock: an unrefreshed entry is gone from lookups the instant its TTL
-// passes, and one refresh buys exactly one more TTL — no more.
+// TestLeaseExpiryFakeClock is the lease state machine on the round
+// clock: a holder that goes down is still served for TTL-1 rounds, is
+// gone from every lookup and pruned from every view at round TTL, and
+// one refresh buys exactly one more TTL — no more.
 func TestLeaseExpiryFakeClock(t *testing.T) {
-	clk := newFakeClock()
-	ttl := 10 * time.Second
-	d := New(Config{Seed: 1, TTL: ttl, Clock: clk.Now}, nodeIDs(4), nil)
+	const ttl = 10
+	d := New(Config{Seed: 1, TTL: ttl}, nodeIDs(4), nil)
+	// decay ticks TTL rounds with cc01 down, checking it is served until
+	// the last one and neither served nor stored after it.
+	decay := func(phase string) {
+		t.Helper()
+		d.MarkDown("cc01") // nobody refreshes its lease any more
+		for i := 1; i <= ttl; i++ {
+			d.Tick()
+			got := d.Lookup("cc02", "imgA")
+			if i < ttl && !reflect.DeepEqual(got, []string{"cc01"}) {
+				t.Fatalf("%s: lease gone after %d of %d rounds: Lookup = %v", phase, i, ttl, got)
+			}
+			if i == ttl && len(got) != 0 {
+				t.Fatalf("%s: lease outlived its %d rounds: Lookup = %v", phase, ttl, got)
+			}
+		}
+		if stale := d.StaleTotal(); stale != 0 {
+			t.Fatalf("%s: round %d left %d expired entries unpruned", phase, ttl, stale)
+		}
+	}
 
 	d.SetHoldings("cc01", []string{"imgA"})
 	if got := d.Lookup("cc02", "imgA"); !reflect.DeepEqual(got, []string{"cc01"}) {
 		t.Fatalf("fresh lease invisible: Lookup = %v", got)
 	}
+	decay("first lease")
 
-	// Step to one instant before expiry: still served.
-	clk.Advance(ttl - time.Nanosecond)
-	if got := d.Lookup("cc02", "imgA"); !reflect.DeepEqual(got, []string{"cc01"}) {
-		t.Fatalf("lease expired early: Lookup = %v", got)
-	}
-	// Cross the TTL with no refresh: gone from every lookup, no round
-	// needed.
-	clk.Advance(time.Nanosecond)
-	if got := d.Lookup("cc02", "imgA"); len(got) != 0 {
-		t.Fatalf("expired lease served: Lookup = %v", got)
-	}
-	if got := d.Lookup("cc01", "imgA"); len(got) != 0 {
-		t.Fatalf("expired lease served from own view: Lookup = %v", got)
-	}
-
-	// Refresh: the entry comes back and survives exactly one more TTL.
+	// One refresh, and the holder is down again before the next round.
+	d.MarkUp("cc01")
 	d.SetHoldings("cc01", []string{"imgA"})
-	refreshed := clk.Now()
-	clk.Advance(ttl - time.Millisecond)
-	if got := d.Lookup("cc02", "imgA"); !reflect.DeepEqual(got, []string{"cc01"}) {
-		t.Fatalf("refreshed lease gone before its TTL: Lookup = %v", got)
-	}
-	clk.Advance(time.Millisecond)
-	if got := d.Lookup("cc02", "imgA"); len(got) != 0 {
-		t.Fatalf("refreshed lease outlived its TTL (refreshed %v, now %v): Lookup = %v",
-			refreshed, clk.Now(), got)
-	}
-
-	// Rounds prune what expiry already hid.
-	if stale := d.StaleTotal(); stale == 0 {
-		t.Fatal("expected stale (expired, unpruned) entries before the round")
-	}
-	d.Tick()
-	if stale := d.StaleTotal(); stale != 0 {
-		t.Fatalf("round left %d stale entries unpruned", stale)
-	}
+	decay("refreshed lease")
 }
 
 // TestTickRefreshExtendsLease: a holder that stays up never loses its
 // advertisement — each round's refresh pushes expiry out one TTL.
 func TestTickRefreshExtendsLease(t *testing.T) {
-	clk := newFakeClock()
-	d := New(Config{Seed: 2, TTL: 3 * time.Second, Clock: clk.Now}, nodeIDs(4), nil)
+	d := New(Config{Seed: 2, TTL: 3}, nodeIDs(4), nil)
 	d.SetHoldings("cc03", []string{"imgB"})
-	for i := 0; i < 10; i++ {
-		clk.Advance(time.Second) // 10s total, far past one TTL
+	for i := 0; i < 10; i++ { // 10 rounds, far past one TTL
 		d.Tick()
 		if got := d.Lookup("cc01", "imgB"); !reflect.DeepEqual(got, []string{"cc03"}) {
 			t.Fatalf("round %d: refreshed holder lost: Lookup = %v", i+1, got)
@@ -135,8 +98,7 @@ func TestTickRefreshExtendsLease(t *testing.T) {
 }
 
 func TestWithdrawTombstone(t *testing.T) {
-	clk := newFakeClock()
-	d := New(Config{Seed: 3, TTL: 30 * time.Second, Clock: clk.Now}, nodeIDs(4), nil)
+	d := New(Config{Seed: 3, TTL: 30}, nodeIDs(4), nil)
 	d.SetHoldings("cc01", []string{"imgA", "imgB"})
 	d.SetHoldings("cc02", []string{"imgA"})
 	d.Withdraw("imgA", "cc01")
@@ -160,9 +122,7 @@ func TestWithdrawTombstone(t *testing.T) {
 // TestCrashLeasesDecayByTTL: nobody retracts a crashed holder's leases;
 // they expire on schedule and rounds prune them.
 func TestCrashLeasesDecayByTTL(t *testing.T) {
-	clk := newFakeClock()
-	ttl := 5 * time.Second
-	d := New(Config{Seed: 4, TTL: ttl, Clock: clk.Now}, nodeIDs(6), nil)
+	d := New(Config{Seed: 4, TTL: 5}, nodeIDs(6), nil)
 	for _, n := range nodeIDs(6) {
 		d.SetHoldings(n, []string{"imgA"})
 	}
@@ -174,7 +134,6 @@ func TestCrashLeasesDecayByTTL(t *testing.T) {
 	}
 	// Rounds advance and refresh the live five; the dead lease ages out.
 	for i := 0; i < 6; i++ {
-		clk.Advance(time.Second)
 		d.Tick()
 	}
 	want := []string{"cc01", "cc02", "cc03", "cc05", "cc06"}
@@ -211,13 +170,12 @@ func converged(d *Directory, objs []string) bool {
 // ownership to the ring successor, and refresh + anti-entropy re-warm
 // the new owner within a couple of rounds.
 func TestOwnerCrashReReplicates(t *testing.T) {
-	clk := newFakeClock()
 	ids := nodeIDs(8)
-	// TTL of 4 ticks: the crashed owners are holders too, so their own
+	// TTL of 4 rounds: the crashed owners are holders too, so their own
 	// leases must age out before lookups match the live truth — the
 	// convergence bound is TTL rounds for decay plus ~2 for ownership
 	// hand-off.
-	d := New(Config{Seed: 5, TTL: 4 * time.Second, Fanout: 2, Clock: clk.Now}, ids, nil)
+	d := New(Config{Seed: 5, TTL: 4, Fanout: 2}, ids, nil)
 	objs := []string{"imgA", "imgB", "imgC", "imgD"}
 	for i, n := range ids {
 		d.SetHoldings(n, objs[:1+i%len(objs)])
@@ -235,7 +193,6 @@ func TestOwnerCrashReReplicates(t *testing.T) {
 	}
 	rounds := 0
 	for ; rounds < 8 && !converged(d, objs); rounds++ {
-		clk.Advance(time.Second)
 		d.Tick()
 	}
 	if !converged(d, objs) {
@@ -247,14 +204,14 @@ func TestOwnerCrashReReplicates(t *testing.T) {
 // churnDirectory is the deployment BenchmarkIndexChurn churns: 32 nodes
 // each holding a quarter of a 128-object catalog, fanout 3, two owners
 // per object.
-func churnDirectory(clk *fakeClock, ttl time.Duration) (d *Directory, ids, objs []string) {
+func churnDirectory(ttl int64) (d *Directory, ids, objs []string) {
 	const nodes, objects = 32, 128
 	ids = nodeIDs(nodes)
 	objs = make([]string, objects)
 	for i := range objs {
 		objs[i] = fmt.Sprintf("img%03d", i)
 	}
-	d = New(Config{Seed: 1337, TTL: ttl, Fanout: 3, Owners: 2, Clock: clk.Now}, ids, nil)
+	d = New(Config{Seed: 1337, TTL: ttl, Fanout: 3, Owners: 2}, ids, nil)
 	for i, n := range ids {
 		held := make([]string, 0, objects/4)
 		for j := i; j < objects; j += nodes / 8 {
@@ -270,17 +227,15 @@ func churnDirectory(clk *fakeClock, ttl time.Duration) (d *Directory, ids, objs 
 // primary owner plus one more member, then count rounds until every live
 // view answers every object exactly. The bound decomposes as TTL rounds
 // (the dead holders' own leases must age out) plus ownership hand-off;
-// an 8-tick TTL keeps the hand-off share visible instead of drowning it
-// in lease decay.
+// an 8-round TTL keeps the hand-off share visible instead of drowning
+// it in lease decay.
 func TestChurnOwnerCrashConvergence(t *testing.T) {
 	const maxRounds = 12
-	clk := newFakeClock()
-	d, _, objs := churnDirectory(clk, 8*time.Second)
+	d, _, objs := churnDirectory(8)
 	d.MarkDown(d.Owners(objs[0])[0])
 	d.MarkDown("cc17")
 	rounds := 0
 	for ; rounds < 64 && !converged(d, objs); rounds++ {
-		clk.Advance(time.Second)
 		d.Tick()
 	}
 	if ok := converged(d, objs); !ok || rounds > maxRounds {
@@ -293,10 +248,9 @@ func TestChurnOwnerCrashConvergence(t *testing.T) {
 // own side's holders; after the heal the views reconcile within a
 // bounded number of rounds.
 func TestPartitionDivergenceHeals(t *testing.T) {
-	clk := newFakeClock()
 	links := &cutLinks{}
 	ids := nodeIDs(8)
-	d := New(Config{Seed: 6, TTL: 20 * time.Second, Fanout: 2, Clock: clk.Now}, ids, links)
+	d := New(Config{Seed: 6, TTL: 20, Fanout: 2}, ids, links)
 	for _, n := range ids {
 		d.SetHoldings(n, []string{"imgA"})
 	}
@@ -305,7 +259,6 @@ func TestPartitionDivergenceHeals(t *testing.T) {
 	d.SetHoldings("cc07", []string{"imgA", "imgCut"})
 	d.SetHoldings("cc01", []string{"imgA", "imgMaj"})
 	for i := 0; i < 3; i++ {
-		clk.Advance(time.Second)
 		d.Tick()
 	}
 	// Minority lookups see minority holders (own view fallback at
@@ -316,7 +269,6 @@ func TestPartitionDivergenceHeals(t *testing.T) {
 	links.heal()
 	rounds := 0
 	for ; rounds < 10 && !converged(d, []string{"imgA", "imgCut", "imgMaj"}); rounds++ {
-		clk.Advance(time.Second)
 		d.Tick()
 	}
 	if !converged(d, []string{"imgA", "imgCut", "imgMaj"}) {
@@ -329,13 +281,12 @@ func TestPartitionDivergenceHeals(t *testing.T) {
 // exchange still converges — anti-entropy re-sends until every owner
 // has the freshest lease — and the drop lane accounts its losses.
 func TestGossipDropLaneBoundedRepair(t *testing.T) {
-	clk := newFakeClock()
 	inj, err := fault.New(fault.Plan{Seed: 1337, GossipDrop: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := nodeIDs(8)
-	d := New(Config{Seed: 7, TTL: 30 * time.Second, Fanout: 2, Clock: clk.Now}, ids, nil)
+	d := New(Config{Seed: 7, TTL: 30, Fanout: 2}, ids, nil)
 	d.SetInjector(inj)
 	objs := []string{"imgA", "imgB", "imgC"}
 	for i, n := range ids {
@@ -343,7 +294,6 @@ func TestGossipDropLaneBoundedRepair(t *testing.T) {
 	}
 	rounds := 0
 	for ; rounds < 12 && !converged(d, objs); rounds++ {
-		clk.Advance(time.Second)
 		d.Tick()
 	}
 	if !converged(d, objs) {
@@ -358,13 +308,12 @@ func TestGossipDropLaneBoundedRepair(t *testing.T) {
 // byte-identical lookups and round accounting.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() ([]RoundReport, map[string][]string) {
-		clk := newFakeClock()
 		inj, err := fault.New(fault.Plan{Seed: 99, GossipDrop: 0.3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids := nodeIDs(6)
-		d := New(Config{Seed: 42, TTL: 10 * time.Second, Fanout: 2, Clock: clk.Now}, ids, nil)
+		d := New(Config{Seed: 42, TTL: 10, Fanout: 2}, ids, nil)
 		d.SetInjector(inj)
 		objs := []string{"imgA", "imgB"}
 		for i, n := range ids {
@@ -373,13 +322,11 @@ func TestDeterministicReplay(t *testing.T) {
 		d.MarkDown("cc03")
 		var reps []RoundReport
 		for i := 0; i < 5; i++ {
-			clk.Advance(time.Second)
 			reps = append(reps, d.Tick())
 		}
 		d.MarkUp("cc03")
 		d.SetHoldings("cc03", []string{"imgA"})
 		for i := 0; i < 3; i++ {
-			clk.Advance(time.Second)
 			reps = append(reps, d.Tick())
 		}
 		looks := make(map[string][]string)
@@ -404,9 +351,8 @@ func TestDeterministicReplay(t *testing.T) {
 // view and is re-warmed by refresh + anti-entropy, not by ghosts of its
 // pre-crash memory.
 func TestRestartRejoinsEmpty(t *testing.T) {
-	clk := newFakeClock()
 	ids := nodeIDs(6)
-	d := New(Config{Seed: 8, TTL: 10 * time.Second, Fanout: 2, Clock: clk.Now}, ids, nil)
+	d := New(Config{Seed: 8, TTL: 10, Fanout: 2}, ids, nil)
 	for _, n := range ids {
 		d.SetHoldings(n, []string{"imgA"})
 	}
@@ -420,7 +366,6 @@ func TestRestartRejoinsEmpty(t *testing.T) {
 	d.SetHoldings("cc02", []string{"imgA"})
 	rounds := 0
 	for ; rounds < 6 && !converged(d, []string{"imgA"}); rounds++ {
-		clk.Advance(time.Second)
 		d.Tick()
 	}
 	want := []string{"cc01", "cc02", "cc03", "cc04", "cc06"}
@@ -463,11 +408,10 @@ func (d *Directory) pickPeersGeneric(n string, live []string) []string {
 // identical peers for every node, every round, fanout by fanout. The
 // last case asks for a node that is itself down.
 func TestPickPeersFullMeshMatchesGeneric(t *testing.T) {
-	clk := newFakeClock()
 	ids := nodeIDs(61)
 	minority := []string{"cc02", "cc07", "cc19", "cc20", "cc33", "cc48", "cc60"} // cc07 is down
 	for _, fanout := range []int{1, 3, 5} {
-		cfg := Config{Seed: 7, Fanout: fanout, Owners: 2, Clock: clk.Now}
+		cfg := Config{Seed: 7, Fanout: fanout, Owners: 2}
 		cut := &cutLinks{}
 		for _, tc := range []struct {
 			name  string

@@ -61,7 +61,7 @@ func (t *Telemetry) Snapshot() Snapshot {
 	}
 	t.mu.Unlock()
 
-	ops, nodes := t.tracer.reg.merge()
+	ops, nodes := t.tracer.reg.rollups()
 	for node, agg := range nodes {
 		snap.Nodes = append(snap.Nodes, NodeSummary{Node: node, Count: agg.count, Errors: agg.errors, Bytes: agg.bytes})
 	}

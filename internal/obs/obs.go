@@ -1,5 +1,5 @@
 // Package obs is Squirrel's observability layer: hierarchical operation
-// spans, a bounded ring of completed operation trees, striped per-op and
+// spans, a bounded ring of completed operation trees, per-op and
 // per-node aggregation, and a unified telemetry export surface (JSON +
 // Prometheus-style text).
 //
@@ -14,10 +14,8 @@
 //
 // The layer is built for always-on operation. A span is one allocation,
 // the ring bounds how many completed trees stay reachable, and an
-// evicted tree is left to the garbage collector. Aggregation is
-// striped across mutex shards folded together only at Snapshot time, so
-// concurrent span finishes touch disjoint cache lines instead of one
-// global registry lock. An optional seeded head-sampling knob
+// evicted tree is left to the garbage collector. Aggregation is a few
+// map updates under one mutex. An optional seeded head-sampling knob
 // (Config.SampleEvery) traces every Nth root operation for deployments
 // where even that overhead matters; the default of 1 traces everything.
 //
@@ -109,7 +107,7 @@ type Config struct {
 }
 
 // Telemetry is one deployment's observability state: a tracer feeding a
-// striped registry of per-kind/per-node aggregates, a bounded ring of
+// registry of per-kind/per-node aggregates, a bounded ring of
 // completed root spans, and the deployment-wide counter set that the
 // fault injector, peer index, and zvol volumes share when observability
 // is enabled (the "one registry" replacing bespoke counter threading).

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,8 +8,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// Tracer hands out spans and owns where they land: the striped per-kind
-// and per-node aggregates (registry) and the completed-operation ring.
+// Tracer hands out spans and owns where they land: the per-kind and
+// per-node aggregates (registry) and the completed-operation ring.
 // A nil *Tracer hands out nil spans, so disabled tracing is free.
 type Tracer struct {
 	reg  *Registry
@@ -64,26 +63,13 @@ func (tr *Tracer) Op(parent *Span, kind, node, image string) *Span {
 // Registry aggregates every finished span — roots and children alike —
 // into per-op-kind rollups (count, errors, bytes, simulated seconds,
 // wall-latency histogram) and per-node rollups. This is the "one
-// registry" the telemetry snapshot renders.
-//
-// The rollups are striped: each finish folds into one of GOMAXPROCS
-// (rounded up to a power of two) independent mutex shards selected by
-// the span's ID, and Snapshot merges the shards into one coherent view.
-// A span's whole contribution lands in a single shard under a single
-// lock section, so a merged view can never show one span half-applied.
+// registry" the telemetry snapshot renders. A span's whole contribution
+// lands under one lock section, so a snapshot can never show one span
+// half-applied.
 type Registry struct {
-	shards []regShard
-	mask   uint64
-}
-
-// regShard is one aggregation stripe. The trailing pad keeps adjacent
-// shards' mutexes off one cache line; the maps are per-shard so finish
-// paths on different stripes share no written memory at all.
-type regShard struct {
 	mu    sync.Mutex
 	ops   map[string]*opAgg
 	nodes map[string]*nodeAgg
-	_     [40]byte
 }
 
 type opAgg struct {
@@ -101,31 +87,16 @@ type nodeAgg struct {
 }
 
 func newRegistry() *Registry {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) {
-		n <<= 1
-	}
-	if n > 64 {
-		n = 64
-	}
-	r := &Registry{shards: make([]regShard, n), mask: uint64(n - 1)}
-	for i := range r.shards {
-		r.shards[i].ops = make(map[string]*opAgg)
-		r.shards[i].nodes = make(map[string]*nodeAgg)
-	}
-	return r
+	return &Registry{ops: make(map[string]*opAgg), nodes: make(map[string]*nodeAgg)}
 }
 
-// record folds one finished span into its stripe. The stripe is picked
-// by span ID, so concurrent finishes scatter across shards no matter
-// which op kind or node they belong to.
-func (r *Registry) record(spanID uint64, kind, node string, bytes int64, simSec float64, wall time.Duration, failed bool) {
-	sh := &r.shards[spanID&r.mask]
-	sh.mu.Lock()
-	op := sh.ops[kind]
+// record folds one finished span into the rollups.
+func (r *Registry) record(kind, node string, bytes int64, simSec float64, wall time.Duration, failed bool) {
+	r.mu.Lock()
+	op := r.ops[kind]
 	if op == nil {
 		op = &opAgg{lat: metrics.MustHistogram(metrics.LatencyBuckets()...)}
-		sh.ops[kind] = op
+		r.ops[kind] = op
 	}
 	op.count++
 	op.bytes += bytes
@@ -135,10 +106,10 @@ func (r *Registry) record(spanID uint64, kind, node string, bytes int64, simSec 
 	}
 	lat := op.lat
 	if node != "" {
-		na := sh.nodes[node]
+		na := r.nodes[node]
 		if na == nil {
 			na = &nodeAgg{}
-			sh.nodes[node] = na
+			r.nodes[node] = na
 		}
 		na.count++
 		na.bytes += bytes
@@ -146,60 +117,24 @@ func (r *Registry) record(spanID uint64, kind, node string, bytes int64, simSec 
 			na.errors++
 		}
 	}
-	sh.mu.Unlock()
-	// The histogram has its own lock; observe outside the shard lock.
+	r.mu.Unlock()
+	// The histogram has its own lock; observe outside the registry lock.
 	lat.Observe(wall.Nanoseconds())
 }
 
-// mergedOp is one op kind's shard-merged rollup, with the latency
-// histograms of every stripe folded into one.
-type mergedOp struct {
-	count  int64
-	errors int64
-	bytes  int64
-	simSec float64
-	lat    *metrics.Histogram
-}
-
-// merge folds all stripes into coherent per-op and per-node maps. Each
-// shard is copied under its own lock; a span's contribution is entirely
-// inside one shard, so no span is ever seen half-applied.
-func (r *Registry) merge() (map[string]*mergedOp, map[string]nodeAgg) {
-	ops := make(map[string]*mergedOp)
-	nodes := make(map[string]nodeAgg)
-	type latPair struct {
-		dst *metrics.Histogram
-		src *metrics.Histogram
+// rollups copies the per-op and per-node rollups under the lock, so no
+// span is ever seen half-applied. Each op's latency histogram is shared,
+// not copied: it carries its own lock.
+func (r *Registry) rollups() (map[string]opAgg, map[string]nodeAgg) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ops := make(map[string]opAgg, len(r.ops))
+	for kind, agg := range r.ops {
+		ops[kind] = *agg
 	}
-	var lats []latPair
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for kind, agg := range sh.ops {
-			m := ops[kind]
-			if m == nil {
-				m = &mergedOp{lat: metrics.MustHistogram(metrics.LatencyBuckets()...)}
-				ops[kind] = m
-			}
-			m.count += agg.count
-			m.errors += agg.errors
-			m.bytes += agg.bytes
-			m.simSec += agg.simSec
-			lats = append(lats, latPair{m.lat, agg.lat})
-		}
-		for node, agg := range sh.nodes {
-			na := nodes[node]
-			na.count += agg.count
-			na.errors += agg.errors
-			na.bytes += agg.bytes
-			nodes[node] = na
-		}
-		sh.mu.Unlock()
-	}
-	// Histograms carry their own locks; merging outside the shard locks
-	// keeps finish paths unblocked during snapshot assembly.
-	for _, p := range lats {
-		_ = p.dst.Merge(p.src)
+	nodes := make(map[string]nodeAgg, len(r.nodes))
+	for node, agg := range r.nodes {
+		nodes[node] = *agg
 	}
 	return ops, nodes
 }

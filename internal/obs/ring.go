@@ -9,7 +9,7 @@ import (
 // scatter-hoarding spirit: appenders claim the next slot and overwrite
 // whatever operation aged out; the evicted tree is simply dropped. The
 // write section is a few stores, and root finishes are rare next to the
-// striped aggregation their children take.
+// aggregation their children take.
 type ring struct {
 	mu    sync.RWMutex
 	slots []*Span

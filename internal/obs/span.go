@@ -169,7 +169,7 @@ func (s *Span) Finish() {
 	if s.tr == nil {
 		return
 	}
-	s.tr.reg.record(s.id, kind, node, bytes, simSec, wall, failed)
+	s.tr.reg.record(kind, node, bytes, simSec, wall, failed)
 	if s.parent == nil {
 		s.tr.ring.add(s)
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // TestSnapshotNeverHalfMerged hammers Snapshot while spans finish
-// concurrently and checks the striping invariant: a span's whole
-// contribution (count, bytes, node rollup) folds into one shard under
-// one lock, so no snapshot may ever observe a span half-applied. Every
+// concurrently and checks the registry invariant: a span's whole
+// contribution (count, bytes, node rollup) folds in under one lock
+// section, so no snapshot may ever observe a span half-applied. Every
 // span below contributes exactly 1 byte, so in every coherent view
 // bytes == count, per op kind and per node. Run under -race this also
 // exercises ring eviction against snapshot readers.

@@ -150,8 +150,8 @@ func (p *picks) next(storm bool) (node, img int) {
 // distinguish only what changes the report: the image for warm boots
 // (identical on every warm node), the (node, image) pair for cold ones.
 // Every defaultResample replays of a key, the boot re-executes through
-// the real machinery so admission gates, peer fetches, and hedges stay
-// exercised.
+// the real machinery so peer fetches and hedges stay exercised (the
+// virtual slots in drive are the admission model).
 type bootMemo struct {
 	reports map[uint64]core.BootReport
 	hits    map[uint64]int64

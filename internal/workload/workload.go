@@ -1,12 +1,14 @@
 // Package workload is Squirrel's traffic engine: seeded arrival-process
 // generators (Poisson, diurnal, flash-crowd), multi-tenant image
 // popularity skew (Zipf over the corpus catalog), and a memory-bounded
-// driver that schedules boots through a deployment's real admission /
-// hedge / peer machinery at ~10k nodes and ~1M boots on one machine.
+// driver that executes boots through a deployment's real hedge / peer /
+// replica machinery at ~10k nodes and ~1M boots on one machine.
 //
 // The driver runs on one clock, a logical one: a single-threaded event
-// loop over virtual time. Every arrival queues on its node's fixed set of
-// virtual boot slots; waiting, service, and shedding are computed from
+// loop over virtual time. Admission is the drive's own model, not the
+// deployment's gate (which a one-at-a-time caller never queues at):
+// every arrival queues on its node's fixed set of virtual boot slots;
+// waiting, service, and shedding are computed from
 // the deterministic BootReports the deployment returns, so the same seed
 // produces the same Summary byte for byte. Boots over the wire on a wall
 // clock are bench/'s job, not this package's.

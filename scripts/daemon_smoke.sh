@@ -5,12 +5,16 @@
 # health drama, and telemetry scrape — a second run against the same
 # long-lived daemon would hit ErrRegistered by design), then SIGTERM
 # and assert a clean drain. The TWatch stream over the wire is pinned
-# by squirrelctl's daemon-mode watch golden test instead.
+# by squirrelctl's daemon-mode watch golden test instead. A second
+# daemon runs the gossip index with its round ticker on, and one
+# `squirrelctl peers` run must see rounds advance and a cold boot
+# served entirely by peers.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 bin="$(mktemp -d)"
-trap 'rm -rf "$bin"' EXIT
+pids=()
+trap 'rm -rf "$bin"; kill "${pids[@]}" 2>/dev/null || true' EXIT
 
 go build -race -o "$bin/squirreld" ./cmd/squirreld
 go build -race -o "$bin/squirrelctl" ./cmd/squirrelctl
@@ -18,27 +22,33 @@ go build -race -o "$bin/squirrelctl" ./cmd/squirrelctl
 "$bin/squirreld" -version
 "$bin/squirrelctl" version
 
-# Bind an ephemeral port — ask the kernel with :0, then parse the bound
-# address out of the daemon's "listening on" log line. A fixed port
-# would collide with a concurrent run (or anything else) on a shared CI
-# host.
+# Bind ephemeral ports — ask the kernel with :0, then parse the bound
+# address out of the daemon's log. A fixed port would collide with a
+# concurrent run (or anything else) on a shared CI host.
+#
+# logged_addr LOG PID PATTERN prints the 127.0.0.1:port that PATTERN's
+# sed expression extracts from LOG, waiting for PID to log it.
+logged_addr() {
+  local log=$1 pid=$2 expr=$3 a=
+  for _ in $(seq 100); do
+    a="$(sed -n "$expr" "$log" | head -n1)"
+    [ -n "$a" ] && { echo "$a"; return; }
+    kill -0 "$pid" 2>/dev/null || { echo "squirreld died before listening:" >&2; cat "$log" >&2; return 1; }
+    sleep 0.1
+  done
+  echo "no listening line in squirreld log:" >&2; cat "$log" >&2; return 1
+}
+ctl_expr='/metrics listening/!s/.*listening on \(127\.0\.0\.1:[0-9]*\).*/\1/p'
+
 log="$bin/squirreld.log"
 "$bin/squirreld" -addr 127.0.0.1:0 -peers -traced -metrics-addr 127.0.0.1:0 2>"$log" &
 daemon=$!
-trap 'rm -rf "$bin"; kill "$daemon" 2>/dev/null || true' EXIT
+pids+=("$daemon")
 
 # Two listeners log their bound addresses: the control plane's
 # "listening on" line and the HTTP surface's "metrics listening on".
-addr= maddr=
-for _ in $(seq 100); do
-  addr="$(sed -n '/metrics listening/!s/.*listening on \(127\.0\.0\.1:[0-9]*\).*/\1/p' "$log" | head -n1)"
-  maddr="$(sed -n 's/.*metrics listening on \(127\.0\.0\.1:[0-9]*\).*/\1/p' "$log" | head -n1)"
-  [ -n "$addr" ] && [ -n "$maddr" ] && break
-  kill -0 "$daemon" 2>/dev/null || { echo "squirreld died before listening:"; cat "$log"; exit 1; }
-  sleep 0.1
-done
-[ -n "$addr" ] || { echo "no 'listening on' line in squirreld log:"; cat "$log"; exit 1; }
-[ -n "$maddr" ] || { echo "no 'metrics listening on' line in squirreld log:"; cat "$log"; exit 1; }
+addr="$(logged_addr "$log" "$daemon" "$ctl_expr")"
+maddr="$(logged_addr "$log" "$daemon" 's/.*metrics listening on \(127\.0\.0\.1:[0-9]*\).*/\1/p')"
 echo "squirreld bound $addr (metrics $maddr)"
 
 out="$("$bin/squirrelctl" telemetry -addr "$addr" -vms 2)"
@@ -63,6 +73,21 @@ code=$?
 set -e
 [ "$code" -eq 6 ] || { echo "expected exit 6 for connect failure, got $code"; exit 1; }
 
-kill -TERM "$daemon"
+# The gossip daemon's ticker runs rounds (the only thing that ages a
+# lease) while the scenario registers and boots; live holders re-lease
+# every round, so the cold boot still reads nothing from the PFS.
+glog="$bin/squirreld-gossip.log"
+"$bin/squirreld" -addr 127.0.0.1:0 -index gossip -gossip-interval 20ms 2>"$glog" &
+gdaemon=$!
+pids+=("$gdaemon")
+gaddr="$(logged_addr "$glog" "$gdaemon" "$ctl_expr")"
+echo "gossip squirreld bound $gaddr"
+gout="$("$bin/squirrelctl" peers -addr "$gaddr")"
+echo "$gout"
+grep -q 'index source: gossip (round [1-9]' <<<"$gout" || { echo "gossip daemon ran no rounds"; exit 1; }
+grep -q 'COLD (0 PFS bytes' <<<"$gout" || { echo "gossip cold boot not peer-served"; exit 1; }
+
+kill -TERM "$daemon" "$gdaemon"
 wait "$daemon"
+wait "$gdaemon"
 echo "daemon smoke OK: clean SIGTERM drain"
