@@ -65,13 +65,15 @@ loc:
 	@printf 'bench/ Go:                  '; find ./bench -name '*.go' | xargs cat | wc -l
 
 # Short fuzz burst over the decoders that take bytes from elsewhere — the
-# wire protocol (off a socket) and the block codecs (off a disk that can
+# wire protocol (off a socket), the snapshot stream format (off the
+# registration multicast) and the block codecs (off a disk that can
 # rot). Each target also replays its checked-in seed corpus during plain
 # `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 20s ./internal/wireproto/
 	$(GO) test -fuzz FuzzReadHelloReply -fuzztime 5s ./internal/wireproto/
 	$(GO) test -fuzz FuzzDecodeError -fuzztime 5s ./internal/wireproto/
+	$(GO) test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/zvol/
 	$(GO) test -fuzz FuzzDecompressInto -fuzztime 10s ./internal/compress/
 	$(GO) test -fuzz FuzzInflate -fuzztime 10s ./internal/compress/
 
@@ -99,10 +101,11 @@ gate-gossip-scale:
 gate-inflate:
 	$(GO) test -run '^$$' -bench BenchmarkInflateCorpus -benchtime 1x ./internal/compress/
 
-# The ledger rungs CHANGES.md quotes (registration stream, Stats poll,
-# control-RPC mix), one iteration each so they cannot rot between the
-# PRs that read them.
+# The ledger rungs CHANGES.md quotes (warm boots, registration stream,
+# Stats poll, control-RPC mix), one iteration each so they cannot rot
+# between the PRs that read them.
 rungs:
+	$(GO) test -run '^$$' -bench BenchmarkWarmBoot -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkRegisterStream -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkStats -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkControlRPC -benchtime 1x ./internal/daemon/

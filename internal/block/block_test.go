@@ -47,6 +47,24 @@ func TestHashOfDeterministic(t *testing.T) {
 	}
 }
 
+func TestChecksumIsCRC32CAndCatchesEveryBitFlip(t *testing.T) {
+	// The known CRC32C check value, held big-endian in the first four
+	// bytes and nothing after them.
+	if got := Checksum([]byte("123456789")); got != (Hash{0xe3, 0x06, 0x92, 0x83}) {
+		t.Fatalf("Checksum(\"123456789\") = %x, want e3069283 then zeros", got[:])
+	}
+	data := make([]byte, 4096)
+	rand.New(rand.NewSource(5)).Read(data)
+	sum := Checksum(data)
+	for bit := 0; bit < len(data)*8; bit++ {
+		data[bit/8] ^= 1 << (bit % 8)
+		if Checksum(data) == sum {
+			t.Fatalf("flip of bit %d went unseen", bit)
+		}
+		data[bit/8] ^= 1 << (bit % 8)
+	}
+}
+
 func TestIsZero(t *testing.T) {
 	if !IsZero(nil) {
 		t.Error("empty slice is zero")
@@ -212,5 +230,14 @@ func BenchmarkHashOf64K(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 	for i := 0; i < b.N; i++ {
 		HashOf(buf)
+	}
+}
+
+func BenchmarkChecksum64K(b *testing.B) {
+	buf := make([]byte, Size64K)
+	rand.New(rand.NewSource(1)).Read(buf)
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		Checksum(buf)
 	}
 }

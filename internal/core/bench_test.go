@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -61,6 +62,38 @@ func BenchmarkBootWaveTracingOverhead(b *testing.B) {
 		b.Fatalf("tracing overhead on the boot wave: %.1f%% over %d waves per side, bar is <= %v%%",
 			overhead, b.N, tracingOverheadBar)
 	}
+}
+
+// BenchmarkWarmBoot is the ledger rung for the paper's common case, the
+// in-process twin of the wire-level warm_boot workload: a daemon-shaped
+// deployment (32 images, all registered, 8 compute nodes) and one seeded
+// sequence of 1000 boots, Zipf 1.2 over images and uniform over nodes,
+// replayed every iteration. Every boot is served by the node's own
+// replica, so the figure is the local read path — store, checksum,
+// decode, CoW chain — and a CPU profile of it
+// (-cpuprofile, -benchtime 15x) attributes that path layer by layer.
+func BenchmarkWarmBoot(b *testing.B) {
+	const images, nodes, boots = 32, 8, 1000
+	sq, ims := daemonShaped(b, images, nodes)
+	for i, im := range ims {
+		mustRegister(b, sq, im, day(i))
+	}
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.2, 1, images-1)
+	seq := make([]BootRequest, boots)
+	for i := range seq {
+		seq[i] = BootRequest{Image: ims[zipf.Uint64()].ID, Node: sq.cl.Compute[r.Intn(nodes)].ID}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, req := range seq {
+			rep, err := sq.Boot(context.Background(), req)
+			if err != nil || !rep.Warm {
+				b.Fatalf("boot %s on %s: %+v, %v", req.Image, req.Node, rep, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*boots), "us/boot")
 }
 
 // BenchmarkColdBoot times a boot whose every cache range is served by

@@ -34,7 +34,7 @@ type Entry struct {
 	PhysLen    int32      // stored (possibly compressed) length
 	LogLen     int32      // original length
 	Compressed bool       // whether the payload at Addr is compressed
-	PhysHash   block.Hash // checksum of the stored payload bytes at Addr
+	PhysHash   block.Hash // block.Checksum (CRC32C) of the stored payload bytes at Addr
 }
 
 // Table is a thread-safe refcounted DDT.

@@ -66,8 +66,7 @@ const Version uint16 = 2
 
 // Size bounds. A control-plane payload is a few KB of JSON (telemetry
 // snapshots are the largest); MaxPayload leaves generous headroom while
-// keeping the worst-case allocation a hostile length prefix can force
-// well under the snapshot-stream codec's own 64 MB block bound.
+// bounding the worst-case allocation a hostile length prefix can force.
 const (
 	// MaxPayload bounds one frame's payload.
 	MaxPayload = 8 << 20

@@ -41,7 +41,7 @@ type PreparedBlock struct {
 	Payload    []byte     // stored form: compressed iff Compressed; the sender's own stored slice when it holds one; aliased by receivers, never mutated
 	LogLen     int32
 	Compressed bool
-	PhysHash   block.Hash // checksum of Payload (what a scrub verifies)
+	PhysHash   block.Hash // block.Checksum of Payload (what every read verifies)
 }
 
 // hashStream is the half of preparation every receive needs: one
@@ -77,7 +77,7 @@ func (v *Volume) Prepare(st *Stream) *PreparedStream {
 	ps := hashStream(st)
 	for i := range ps.Blocks {
 		if pb := &ps.Blocks[i]; !v.lendStoredLocked(pb) {
-			pb.Payload, pb.Compressed, pb.PhysHash = v.encode(st.Blocks[i], pb.Hash)
+			pb.Payload, pb.Compressed, pb.PhysHash = v.encode(st.Blocks[i])
 		}
 	}
 	return ps
@@ -92,7 +92,7 @@ func (v *Volume) lendStoredLocked(pb *PreparedBlock) bool {
 		return false
 	}
 	payload, err := v.store.Read(e.Addr)
-	if err != nil || block.HashOf(payload) != e.PhysHash {
+	if err != nil || int32(len(payload)) != e.PhysLen || block.Checksum(payload) != e.PhysHash {
 		return false
 	}
 	if _, err := v.store.Share(e.Addr); err != nil { // lends the slice just checked

@@ -285,7 +285,7 @@ func TestPrepareCompressesNothingTheSenderStores(t *testing.T) {
 		if err != nil || len(stored) == 0 || &stored[0] != &pb.Payload[0] {
 			t.Errorf("block %d: the prepared payload is not the sender's stored slice (%v)", i, err)
 		}
-		if pb.PhysHash != e.PhysHash || pb.Compressed != e.Compressed || pb.PhysHash != block.HashOf(pb.Payload) {
+		if pb.PhysHash != e.PhysHash || pb.Compressed != e.Compressed || pb.PhysHash != block.Checksum(pb.Payload) {
 			t.Errorf("block %d: prepared form disagrees with the DDT entry", i)
 		}
 	}
@@ -389,8 +389,8 @@ func TestPrepareIsolatesRotBetweenSenderAndReplicas(t *testing.T) {
 func TestPrepareNeverShipsARottedPayload(t *testing.T) {
 	// The stream is cut while the sender is intact; one stored payload
 	// rots before Prepare runs. Prepare checks the stored bytes against
-	// the entry's PhysHash, finds them bad, and encodes that one block
-	// afresh from the (verified) raw bytes of the stream.
+	// the entry's PhysHash (CRC32C), finds them bad, and encodes that one
+	// block afresh from the (verified) raw bytes of the stream.
 	codec, src, st := countedPair(t)
 	infos, err := src.BlockInfos("other")
 	if err != nil {
@@ -412,7 +412,7 @@ func TestPrepareNeverShipsARottedPayload(t *testing.T) {
 		t.Fatalf("Prepare compressed %d blocks, want exactly the rotted one", got)
 	}
 	for i, pb := range ps.Blocks {
-		if block.HashOf(pb.Payload) != pb.PhysHash {
+		if block.Checksum(pb.Payload) != pb.PhysHash {
 			t.Fatalf("prepared block %d carries a payload that fails its own checksum", i)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -176,11 +177,11 @@ func TestReadAtVerifiesPerRange(t *testing.T) {
 	}
 }
 
-func TestRawBlockRotIsCaughtByTheSharedDigest(t *testing.T) {
-	// A block stored uncompressed carries one digest in both checksum
-	// fields (the payload is the data). Reads hash it once and compare
-	// against both; rot must still surface as ErrCorrupt on every read
-	// path and in the scrub.
+func TestRawBlockRotIsCaughtByThePayloadChecksum(t *testing.T) {
+	// A block stored uncompressed is its logical data, yet its pointer
+	// keeps two checksums: the payload's CRC32C, which every read checks,
+	// and the logical SHA-256 dedup keys on. Rot must surface as
+	// ErrCorrupt on every read path and in the scrub.
 	for _, codec := range []string{"null", "gzip6"} {
 		v, err := New(cfg(block.Size4K, codec, true))
 		if err != nil {
@@ -193,8 +194,10 @@ func TestRawBlockRotIsCaughtByTheSharedDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, p := range obj.ptrs {
-			if p.compressed || p.physHash != p.hash || p.hash != block.HashOf(data[i*4096:(i+1)*4096]) {
-				t.Fatalf("%s: raw block %d: compressed=%v, physHash==hash %v", codec, i, p.compressed, p.physHash == p.hash)
+			chunk := data[i*4096 : (i+1)*4096]
+			if p.compressed || p.physHash != block.Checksum(chunk) || p.hash != block.HashOf(chunk) {
+				t.Fatalf("%s: raw block %d: compressed=%v, checksums %v/%v", codec, i, p.compressed,
+					p.physHash == block.Checksum(chunk), p.hash == block.HashOf(chunk))
 			}
 		}
 		if err := v.CorruptStoredBlock("o", 1, 17, 0x01); err != nil {
@@ -216,12 +219,71 @@ func TestRawBlockRotIsCaughtByTheSharedDigest(t *testing.T) {
 		if rep.CorruptBlocks != 1 || len(rep.Damaged) != 1 || rep.Damaged[0] != (BlockRef{Object: "o", Index: 1}) {
 			t.Fatalf("%s: scrub report: %+v", codec, rep)
 		}
-		// A pointer whose two checksums disagree (possible only through
-		// damage to the pointer itself) fails the logical comparison even
-		// though the payload matches physHash.
-		obj.ptrs[2].hash[0] ^= 1
-		if _, _, _, err := v.ReadBlock("o", 2); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: logical-hash mismatch on a raw block: %v", codec, err)
+	}
+}
+
+// rawAndPacked writes one object under gzip6 whose block 0 is stored
+// compressed and block 1 raw (incompressible), and returns it with its
+// content.
+func rawAndPacked(t *testing.T) (*Volume, *Object, []byte) {
+	t.Helper()
+	v, err := New(cfg(block.Size4K, "gzip6", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := rangePayload(5, 4096)[:2*4096]
+	obj, err := v.WriteObject("o", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !obj.ptrs[0].compressed || obj.ptrs[1].compressed || obj.ptrs[1].zero {
+		t.Fatalf("want block 0 compressed and block 1 raw, got %+v", obj.ptrs)
+	}
+	return v, obj, data
+}
+
+func TestScrubChecksTheLogicalHashEndToEnd(t *testing.T) {
+	// A read stops at the payload's CRC32C and an exact-length decode; the
+	// pointer's logical SHA-256 is Scrub's to check. A pointer whose
+	// logical hash no longer matches its intact payload (damage to the
+	// pointer itself) still reads back what was written, but the scrub
+	// reports the block corrupt, and a repair cannot paper over it: the
+	// true bytes fail the damaged hash with ErrBadRepair.
+	for i, kind := range []string{"compressed", "raw"} {
+		v, obj, data := rawAndPacked(t)
+		obj.ptrs[i].hash[0] ^= 1
+		want := data[i*4096 : (i+1)*4096]
+		if got, _, _, err := v.ReadBlock("o", i); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: intact payload under a damaged pointer: %v", kind, err)
+		}
+		rep := v.Scrub()
+		if rep.CorruptBlocks != 1 || len(rep.Damaged) != 1 || rep.Damaged[0] != (BlockRef{Object: "o", Index: i}) {
+			t.Fatalf("%s: scrub missed a logical-hash mismatch: %+v", kind, rep)
+		}
+		if err := v.RepairBlock("o", i, want); !errors.Is(err, ErrBadRepair) {
+			t.Fatalf("%s: repair against a damaged logical hash: %v", kind, err)
+		}
+	}
+}
+
+func TestReadChecksTheStoredLength(t *testing.T) {
+	// A pointer whose physLen disagrees with what the store holds at its
+	// address fails on the length, before any checksum, compressed or raw,
+	// on every read path.
+	for i, kind := range []string{"compressed", "raw"} {
+		for _, d := range []int32{-1, 1} {
+			v, obj, _ := rawAndPacked(t)
+			obj.ptrs[i].physLen += d
+			_, _, _, err := v.ReadBlock("o", i)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "pointer says") {
+				t.Fatalf("%s, physLen off by %d: ReadBlock returned %v", kind, d, err)
+			}
+			if err := v.ReadAt("o", make([]byte, 100), int64(i)*4096+7); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s, physLen off by %d: ReadAt returned %v", kind, d, err)
+			}
+			if rep := v.Scrub(); rep.CorruptBlocks != 1 {
+				t.Fatalf("%s, physLen off by %d: scrub %+v", kind, d, rep)
+			}
 		}
 	}
 }
@@ -273,6 +335,58 @@ func TestReadAtConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+func TestReadNeverRacesDeleteObject(t *testing.T) {
+	// A writer deletes and rewrites one object while readers read it
+	// whole. Raw blocks of one length and no dedup make every rewrite
+	// reuse the extents the delete freed, at the same length. A read
+	// holds the volume from lookup to last decode, so it sees one
+	// version whole or none (ErrNotFound) — never a reused extent, which
+	// would fail its checksum (ErrCorrupt) or be unallocated.
+	const size = 4 * 4096
+	v, err := New(cfg(block.Size4K, "null", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := func(k int) []byte { return bytes.Repeat([]byte{byte(1 + k%255)}, size) }
+	if _, err := v.WriteObject("o", bytes.NewReader(version(0))); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(done)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := make([]byte, size)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				err := v.ReadAt("o", p, 0)
+				if errors.Is(err, ErrNotFound) {
+					continue
+				}
+				if err != nil || !bytes.Equal(p, bytes.Repeat(p[:1], size)) {
+					t.Errorf("read racing delete: err %v, bytes %d..%d", err, p[0], p[size-1])
+					return
+				}
+			}
+		}()
+	}
+	for k := 1; k <= 2000; k++ {
+		if err := v.DeleteObject("o"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.WriteObject("o", bytes.NewReader(version(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestReadObjectAllocatesOnlyItsResult(t *testing.T) {
 	// The read path decodes into the result slice: a 1 MB read on the
 	// paper's configuration may allocate the result plus at most 15%
@@ -307,69 +421,105 @@ func TestReadObjectAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
-func TestReadAtNeverServesABitRottedGzipBlock(t *testing.T) {
-	// The volume-level half of compress's bit-rot test: the same flips —
-	// every bit of the stored payload's first 256 bytes (gzip header,
-	// first block's code lengths) and of its trailer, a seeded sample of
-	// the body — made in the store, must each surface from ReadAt as
-	// ErrCorrupt, whole-block and part-block reads alike, never as data.
+func TestReadAtNeverServesABitRottedBlock(t *testing.T) {
+	// The volume-level half of compress's bit-rot test, over every way the
+	// deployment stores a block: gzip6, lz4 and lzjb payloads and a raw
+	// one. Each rot — one flip of every bit of the stored payload's first
+	// 256 bytes (codec header, first tokens or code lengths) and of its
+	// last 8 (gzip's trailer), of a seeded sample of 256 body bits, and a
+	// seeded burst of 32 bits — made in the store, must surface from
+	// ReadAt as ErrCorrupt, whole-block and part-block reads alike, never
+	// as data. This is what lets a read skip the logical re-hash.
 	repo, err := corpus.New(corpus.DefaultSpec().Scale(32.0/607, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var data []byte
+	// The first cache block even lzjb, the weakest codec, stores
+	// compressed under the minimum-gain rule.
+	var text []byte
 	errFound := errors.New("found")
 	err = repo.Images[0].CacheBlocks(block.Size64K, func(_ int64, b []byte, zero bool) error {
-		if zero {
+		if zero || len(compress.LZJB{}.Compress(b)) > len(b)*7/8 {
 			return nil
 		}
-		data = bytes.Clone(b)
+		text = bytes.Clone(b)
 		return errFound
 	})
 	if err != errFound {
-		t.Fatalf("no nonzero cache block: %v", err)
+		t.Fatalf("no cache block lzjb compresses: %v", err)
 	}
-	v, err := New(cfg(block.Size64K, "gzip6", true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.WriteObject("o", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	infos, err := v.BlockInfos("o")
-	if err != nil || len(infos) != 1 || !infos[0].Compressed {
-		t.Fatalf("want one compressed block, got %+v, %v", infos, err)
-	}
-	physLen := int(infos[0].PhysLen)
-	var flips []int
-	for bit := 0; bit < 256*8; bit++ {
-		flips = append(flips, bit)
-	}
-	for bit := (physLen - 8) * 8; bit < physLen*8; bit++ {
-		flips = append(flips, bit)
-	}
-	rng := rand.New(rand.NewSource(23))
-	for k := 0; k < 256; k++ {
-		flips = append(flips, 256*8+rng.Intn((physLen-8-256)*8))
-	}
-	whole, part := make([]byte, len(data)), make([]byte, 1000)
-	for i, bit := range flips {
-		if err := v.CorruptStoredBlock("o", 0, int64(bit/8), 1<<(bit%8)); err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			err = v.ReadAt("o", whole, 0)
-		} else {
-			err = v.ReadAt("o", part, 4321)
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("payload bit %d flipped: ReadAt returned %v, want ErrCorrupt", bit, err)
-		}
-		if err := v.CorruptStoredBlock("o", 0, int64(bit/8), 1<<(bit%8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := v.ReadAt("o", whole, 0); err != nil || !bytes.Equal(whole, data) {
-		t.Fatalf("every flip undone, yet the block reads back wrong: %v", err)
+	noise := make([]byte, block.Size64K)
+	rand.New(rand.NewSource(29)).Read(noise)
+	for _, c := range []struct {
+		name, codec string
+		data        []byte
+	}{
+		{"gzip6", "gzip6", text},
+		{"lz4", "lz4", text},
+		{"lzjb", "lzjb", text},
+		{"raw", "gzip6", noise}, // incompressible: stored as is
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v, err := New(cfg(block.Size64K, c.codec, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.WriteObject("o", bytes.NewReader(c.data)); err != nil {
+				t.Fatal(err)
+			}
+			infos, err := v.BlockInfos("o")
+			if err != nil || len(infos) != 1 || infos[0].Compressed != (c.name != "raw") {
+				t.Fatalf("want one block stored %s, got %+v, %v", c.name, infos, err)
+			}
+			physLen := int(infos[0].PhysLen)
+			// A rot is a set of bit flips; applying it twice undoes it.
+			var rots [][]int
+			for bit := 0; bit < 256*8; bit++ {
+				rots = append(rots, []int{bit})
+			}
+			for bit := (physLen - 8) * 8; bit < physLen*8; bit++ {
+				rots = append(rots, []int{bit})
+			}
+			rng := rand.New(rand.NewSource(23))
+			for k := 0; k < 256; k++ {
+				rots = append(rots, []int{256*8 + rng.Intn((physLen-8-256)*8)})
+			}
+			for k := 0; k < 64; k++ {
+				start := rng.Intn(physLen*8 - 32)
+				pattern := rng.Uint32() | 1 | 1<<31 // spans exactly 32 bits
+				var burst []int
+				for b := 0; b < 32; b++ {
+					if pattern&(1<<b) != 0 {
+						burst = append(burst, start+b)
+					}
+				}
+				rots = append(rots, burst)
+			}
+			flip := func(bits []int) {
+				masks := map[int]byte{}
+				for _, bit := range bits {
+					masks[bit/8] ^= 1 << (bit % 8)
+				}
+				for off, xor := range masks {
+					if err := v.CorruptStoredBlock("o", 0, int64(off), xor); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			whole, part := make([]byte, len(c.data)), make([]byte, 1000)
+			for _, bits := range rots {
+				flip(bits)
+				if err := v.ReadAt("o", whole, 0); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("payload bits %v flipped: whole-block ReadAt returned %v, want ErrCorrupt", bits, err)
+				}
+				if err := v.ReadAt("o", part, 4321); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("payload bits %v flipped: part-block ReadAt returned %v, want ErrCorrupt", bits, err)
+				}
+				flip(bits)
+			}
+			if err := v.ReadAt("o", whole, 0); err != nil || !bytes.Equal(whole, c.data) {
+				t.Fatalf("every flip undone, yet the block reads back wrong: %v", err)
+			}
+		})
 	}
 }

@@ -1,11 +1,12 @@
 // Scrub and block repair: the volume-level half of Squirrel's answer to
 // at-rest bit-rot. The paper delegates on-disk integrity to ZFS
 // (checksummed blocks, `zpool scrub`, resilvering); this file is that
-// substitution. Every block pointer already carries the content hash of
-// its logical data, so a scrub walks the live object table, re-reads and
-// re-hashes every stored payload, and enumerates the blocks that no
-// longer verify. RepairBlock heals one damaged block in place from
-// verified replacement data without disturbing the physical layout.
+// substitution. Every block pointer carries a CRC32C of its stored
+// payload and the SHA-256 of its logical data, so a scrub walks the live
+// object table, re-reads every stored payload, checks both, and
+// enumerates the blocks that no longer verify. RepairBlock heals one
+// damaged block in place from verified replacement data without
+// disturbing the physical layout.
 package zvol
 
 import (
@@ -30,7 +31,7 @@ type ScrubReport struct {
 	Blocks     int // nonzero blocks verified
 	ZeroBlocks int // holes (nothing stored, nothing to verify)
 
-	ScannedBytes int64 // physical payload bytes read and re-hashed
+	ScannedBytes int64 // physical payload bytes read and re-checked
 
 	CorruptBlocks int // payload present but failed checksum/decode
 	MissingBlocks int // payload unreadable (unallocated address)
@@ -45,12 +46,15 @@ type ScrubReport struct {
 // Clean reports whether the scrub found no damage.
 func (r ScrubReport) Clean() bool { return r.CorruptBlocks == 0 && r.MissingBlocks == 0 }
 
-// Scrub verifies every stored block of every live object against its
-// block pointer's checksums and reports the damage. It detects 100% of
-// at-rest corruption by construction: the pointer records a hash of the
-// exact stored payload bytes (physHash) at write time, so any byte
-// change to the payload — even one a codec would silently tolerate —
-// fails verification.
+// Scrub verifies every stored block of every live object against both of
+// its block pointer's checksums and reports the damage. It reads each
+// block as every reader does (length, the payload's CRC32C, exact-length
+// decode), so a flipped byte — even one a codec would silently tolerate —
+// fails it, and then alone re-hashes the decoded bytes against the
+// pointer's logical SHA-256: the end-to-end check a read leaves out, which
+// also catches a pointer whose logical hash no longer matches its intact
+// payload. The CRC32C catches every single-bit error and every burst of
+// up to 32 bits, so the fault plan's one-byte rot is always found.
 // Snapshot-only blocks share physical storage with live objects through
 // the DDT, so live coverage is what replica serving requires.
 func (v *Volume) Scrub() ScrubReport {
@@ -71,7 +75,12 @@ func (v *Volume) Scrub() ScrubReport {
 			if len(buf) < int(p.logLen) {
 				buf = make([]byte, p.logLen)
 			}
-			if err := v.readBlockInto(p, buf[:p.logLen]); err != nil {
+			dst := buf[:p.logLen]
+			err := v.readBlockInto(p, dst)
+			if err == nil && block.HashOf(dst) != p.hash {
+				err = ErrCorrupt
+			}
+			if err != nil {
 				if errors.Is(err, ErrCorrupt) {
 					rep.CorruptBlocks++
 				} else {
@@ -118,7 +127,7 @@ func (v *Volume) CorruptStoredBlock(name string, idx int, off int64, xor byte) e
 
 // RepairBlock heals the idx-th logical block of name from replacement
 // data fetched elsewhere (a peer replica or the PFS). The data is
-// verified against the block pointer's recorded checksum before anything
+// verified against the block pointer's logical SHA-256 before anything
 // is written — a corrupt source is rejected with ErrBadRepair — then
 // re-encoded exactly as the original write encoded it and rewritten in
 // place, leaving the volume bit-identical to its pre-rot state. A shared
@@ -149,7 +158,7 @@ func (v *Volume) RepairBlock(name string, idx int, data []byte) error {
 	if p.compressed {
 		payload = v.codec.Compress(data)
 	}
-	if int32(len(payload)) != p.physLen || block.HashOf(payload) != p.physHash {
+	if int32(len(payload)) != p.physLen || block.Checksum(payload) != p.physHash {
 		return fmt.Errorf("zvol: repair re-encode of %s block %d does not match stored form",
 			name, idx)
 	}

@@ -136,6 +136,7 @@ func (v *Volume) GarbageCollect(now time.Time, window time.Duration) []string {
 // which may differ from (or be absent in) the live table.
 func (v *Volume) ReadObjectAt(snapName, objName string) ([]byte, error) {
 	v.mu.RLock()
+	defer v.mu.RUnlock()
 	s := v.snapByName[snapName]
 	var obj *Object
 	if s != nil {
@@ -144,7 +145,6 @@ func (v *Volume) ReadObjectAt(snapName, objName string) ([]byte, error) {
 			obj = listable[i]
 		}
 	}
-	v.mu.RUnlock()
 	if s == nil {
 		return nil, fmt.Errorf("%w: snapshot %s", ErrNotFound, snapName)
 	}

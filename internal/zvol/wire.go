@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"time"
+
+	"repro/internal/block"
 )
 
 // Wire format for snapshot streams. Squirrel multicasts streams across
@@ -168,14 +170,22 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 }
 
 // maxWireStrings bounds decoded counts and lengths so a corrupt or
-// malicious stream cannot trigger huge allocations.
+// malicious stream cannot trigger huge allocations. A shipped block is
+// logical data, so it is never longer than the largest block size a
+// volume accepts.
 const (
 	maxWireName  = 4096
 	maxWireCount = 16 << 20
-	maxWireBlock = 64 << 20
+	maxWireBlock = uint32(block.Size1024K)
 )
 
 // DecodeStream parses a wire-format stream, verifying the trailing CRC.
+// Memory is bounded by the input: every count and length is checked
+// against its bound before anything is allocated for it, so no
+// allocation runs more than one block ahead of the bytes read. The
+// stream it accepts re-encodes to exactly the bytes it read, a prefix of
+// its input: bytes after the trailer are ignored (FuzzDecodeStream holds
+// it to both).
 func DecodeStream(r io.Reader) (*Stream, error) {
 	cr := &crcReader{r: bufio.NewReader(r)}
 	read := func(vs ...any) error {
@@ -292,6 +302,9 @@ func DecodeStream(r io.Reader) (*Stream, error) {
 			}
 			if _, err := io.ReadFull(cr, p.Hash[:]); err != nil {
 				return nil, err
+			}
+			if flags&^1 != 0 { // Encode sets no other bit: refuse what it cannot have written
+				return nil, fmt.Errorf("zvol: wire pointer flags %#x", flags)
 			}
 			p.Zero = flags&1 != 0
 			p.Payload = int(payload)

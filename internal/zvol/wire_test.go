@@ -2,10 +2,16 @@ package zvol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"repro/internal/block"
 )
 
 // mkStream builds a source volume with two snapshots and returns its
@@ -154,6 +160,111 @@ func TestWireRejectsGarbage(t *testing.T) {
 			t.Fatalf("case %d: garbage accepted", i)
 		}
 	}
+}
+
+// seedStream is a real incremental Send carrying every record kind — a
+// delete, shipped blocks, a hash-only reference and a hole — kept under
+// a KB so the fuzzer's mutations and minimization stay fast.
+func seedStream(t testing.TB) []byte {
+	src, err := New(cfg(block.Size1K, "gzip6", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := mkData(50, 2*1024)
+	src.WriteObject("a", bytes.NewReader(base))
+	src.Snapshot("s1", day(0))
+	src.WriteObject("b", bytes.NewReader(append(base[:1024:1024], make([]byte, 1024)...)))
+	src.WriteObject("c", bytes.NewReader(mkData(51, 300)))
+	src.DeleteObject("a")
+	src.Snapshot("s2", day(1))
+	st, err := src.Send("s1", "s2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := st.Upserts[0].Ptrs; len(st.Deletes) != 1 || len(st.Blocks) != 1 || b[0].Payload != -1 || !b[1].Zero {
+		t.Fatalf("seed stream lacks a record kind: %+v", st)
+	}
+	var sent bytes.Buffer
+	if _, err := st.Encode(&sent); err != nil {
+		t.Fatal(err)
+	}
+	return sent.Bytes()
+}
+
+// claimBlock is the start of a stream whose one block claims n bytes:
+// an empty stream's header and delete count, then the block count and
+// the claimed length, and nothing of the block itself.
+func claimBlock(t testing.TB, n uint32) []byte {
+	var empty bytes.Buffer
+	if _, err := (&Stream{ToSnap: "s1", Created: day(0)}).Encode(&empty); err != nil {
+		t.Fatal(err)
+	}
+	head := empty.Bytes()[:empty.Len()-12] // less block count, upsert count, trailer
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(head, 1), n)
+}
+
+func TestWireHostileLengthCostsOnlyItsInput(t *testing.T) {
+	// A few dozen bytes claiming a block longer than any volume writes
+	// must be refused before the decoder allocates what they claim.
+	for _, n := range []uint32{maxWireBlock + 1, math.MaxUint32} {
+		in := claimBlock(t, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeStream(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("a %d-byte claim with no bytes behind it decoded", n)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+			t.Fatalf("%d bytes claiming a %d-byte block allocated %d bytes", len(in), n, got)
+		}
+	}
+}
+
+// FuzzDecodeStream throws arbitrary bytes at the stream decoder, held to
+// the frame decoder's standard (wireproto's FuzzReadFrame): never panic,
+// allocate nothing a length or count claims before checking it against
+// its bound (TestWireHostileLengthCostsOnlyItsInput), and re-encode any
+// stream it accepts to a prefix of its input (bytes after the trailer
+// are ignored). A receiver trusts the logical
+// hashes a stream carries — reads no longer re-hash what a stream wrote —
+// so the format must have one reading. Each input is also tried sealed
+// with its own trailing CRC, so mutations reach past the checksum into
+// the structure.
+//
+// Run with `go test -fuzz FuzzDecodeStream ./internal/zvol/`; the seeds
+// below plus testdata/fuzz are exercised on every plain `go test`.
+func FuzzDecodeStream(f *testing.F) {
+	whole := seedStream(f)
+	f.Add(whole)
+	body := whole[:len(whole)-4]
+	f.Add(body) // the body alone: the harness seals it
+	// A pointer flag Encode never sets, in the last pointer record (flags
+	// u8 | logLen i32 | payload i32 | hash [32]byte), sealed by the harness.
+	flagged := bytes.Clone(body)
+	flagged[len(flagged)-41] |= 0x02
+	f.Add(flagged)
+	f.Add(claimBlock(f, maxWireBlock))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sealed := binary.LittleEndian.AppendUint32(bytes.Clone(data), crc32.Checksum(data, crcTable))
+		for _, in := range [][]byte{data, sealed} {
+			st, err := DecodeStream(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			var re bytes.Buffer
+			n, err := st.Encode(&re)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != st.WireSize() || !bytes.HasPrefix(in, re.Bytes()) {
+				t.Fatalf("accepted stream re-encodes to %d bytes (WireSize %d) that are not a prefix of the %d-byte input",
+					n, st.WireSize(), len(in))
+			}
+		}
+	})
 }
 
 func BenchmarkWireEncode(b *testing.B) {

@@ -44,10 +44,12 @@
 // Reads are whole-object (ReadObject, ReadObjectAt, ReadBlock) or by
 // range (ReadAt, which decodes only the blocks a range touches — what the
 // paper's boot path asks of its volume). Both are built on one primitive,
-// readBlockInto, which verifies a block end to end (stored-payload
-// checksum, codec decode, length, logical checksum) while decoding it
-// into the caller's memory, so no read path allocates per block and none
-// can return a byte that skipped a check.
+// readBlockInto, which verifies a block (stored length, the stored
+// payload's CRC32C, an exact-length codec decode) while decoding it into
+// the caller's memory, so no read path allocates per block and none can
+// return a byte that skipped a check. As in ZFS, SHA-256 is the dedup
+// key, computed once at write: a read never recomputes it, and Scrub
+// alone checks the decoded bytes against it (see scrub.go).
 package zvol
 
 import (
@@ -94,11 +96,12 @@ type blockPtr struct {
 	logLen     int32
 	zero       bool
 	compressed bool
-	// physHash checksums the stored payload bytes themselves (the
-	// possibly-compressed on-disk form), like a ZFS blkptr. hash covers
-	// the logical content and drives dedup; physHash is what a scrub
-	// verifies, so even a flip in a codec header byte that decodes to the
-	// same content is caught.
+	// physHash is block.Checksum (CRC32C) of the stored payload bytes
+	// themselves (the possibly-compressed on-disk form), like a ZFS
+	// blkptr's checksum. It is the one checksum a read computes, so even
+	// a flip in a codec header byte that decodes to the same content is
+	// caught. hash is the SHA-256 of the logical content: it drives
+	// dedup, and only Scrub and RepairBlock compute it again.
 	physHash block.Hash
 }
 
@@ -361,7 +364,7 @@ func (v *Volume) writeBlockLocked(pb *PreparedBlock, data []byte) blockPtr {
 	var addr uint64
 	if payload != nil {
 		addr = v.store.AllocShared(payload) // other volumes hold the slice too
-	} else if payload, isCompressed, physHash = v.encode(data, pb.Hash); isCompressed {
+	} else if payload, isCompressed, physHash = v.encode(data); isCompressed {
 		addr = v.store.AllocOwned(payload) // the codec's fresh output: nothing else holds it
 	} else {
 		addr = v.store.Alloc(payload) // payload is the caller's data: copy
@@ -374,18 +377,18 @@ func (v *Volume) writeBlockLocked(pb *PreparedBlock, data []byte) blockPtr {
 	return ptr
 }
 
-// encode returns the stored form of a nonzero block whose logical hash
-// is h: compressed when the codec saves more than the minimum gain, the
-// data itself otherwise. Stored raw, the payload is the data, so h is
-// both of the pointer's checksums and nothing is hashed twice.
-func (v *Volume) encode(data []byte, h block.Hash) (payload []byte, compressed bool, physHash block.Hash) {
+// encode returns the stored form of a nonzero block and its checksum:
+// compressed when the codec saves more than the minimum gain, the data
+// itself otherwise.
+func (v *Volume) encode(data []byte) (payload []byte, compressed bool, physHash block.Hash) {
+	payload = data
 	if v.codec.Name() != "null" {
 		comp := v.codec.Compress(data)
 		if gain := 1 - float64(len(comp))/float64(len(data)); gain > v.cfg.MinCompressGain {
-			return comp, true, block.HashOf(comp)
+			payload, compressed = comp, true
 		}
 	}
-	return data, false, h
+	return payload, compressed, block.Checksum(payload)
 }
 
 // retireLocked is the death of obj, which the caller has taken off the
@@ -436,7 +439,9 @@ func (v *Volume) releasePtrsLocked(ptrs []blockPtr) {
 // ReadObject returns the full content of the named object in the live
 // object table.
 func (v *Volume) ReadObject(name string) ([]byte, error) {
-	obj, err := v.Object(name)
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	obj, err := v.objectLocked(name)
 	if err != nil {
 		return nil, err
 	}
@@ -451,14 +456,16 @@ func (v *Volume) ReadObject(name string) ([]byte, error) {
 // fails the ranges that overlap it with ErrCorrupt — p's contents are
 // then unspecified — while ranges clear of it are served.
 func (v *Volume) ReadAt(name string, p []byte, off int64) error {
-	obj, err := v.Object(name)
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	obj, err := v.objectLocked(name)
 	if err != nil {
 		return err
 	}
 	return v.readRange(obj, p, off)
 }
 
-// materialize reconstructs an object's bytes.
+// materialize reconstructs an object's bytes. Caller holds v.mu.
 func (v *Volume) materialize(obj *Object) ([]byte, error) {
 	out := make([]byte, obj.Size)
 	if err := v.readRange(obj, out, 0); err != nil {
@@ -472,7 +479,7 @@ func (v *Volume) materialize(obj *Object) ([]byte, error) {
 // into one scratch block and the covered part is copied out, holes are
 // cleared. Block extents come from walking the pointer list rather than
 // dividing by the block size, because a received object keeps its
-// sender's block lengths.
+// sender's block lengths. Caller holds v.mu.
 func (v *Volume) readRange(obj *Object, p []byte, off int64) error {
 	if off < 0 || int64(len(p)) > obj.Size-off {
 		return fmt.Errorf("zvol: read [%d,+%d) outside object %s of %d bytes",
@@ -513,42 +520,34 @@ func (v *Volume) readRange(obj *Object, p []byte, off int64) error {
 
 // readBlockInto fetches, checksum-verifies and decodes one stored block
 // into dst, which must be exactly p.logLen bytes. It is the volume's only
-// block-read primitive, and every read through it is end-to-end verified
-// against the block pointer (ZFS-style): the stored payload must hash to
-// physHash, a compressed payload must decode without error (for gzip
-// that includes its own CRC32/ISIZE trailer) to exactly logLen bytes, and
-// the decoded bytes must hash to the logical hash. A payload stored
-// uncompressed is the logical data, so one digest is compared against
-// both checksums. Any failure surfaces as ErrCorrupt instead of corrupt
-// bytes, so damage can never be served to a boot or a peer; dst's
-// contents are then unspecified.
+// block-read primitive, one path for every codec and for raw blocks: the
+// stored payload must be physLen bytes long and match physHash (CRC32C),
+// then decode without error to exactly logLen bytes (for gzip that
+// includes its own CRC32/ISIZE trailer; a raw payload decodes by copy).
+// The logical SHA-256 is not recomputed: an intact payload decodes to
+// the bytes it was encoded from, and Scrub is where the pointer's
+// logical hash is checked end to end. Any failure surfaces as ErrCorrupt
+// instead of corrupt bytes, so damage can never be served to a boot or a
+// peer; dst's contents are then unspecified. Caller holds v.mu from the
+// lookup that produced p, so p's extent cannot be freed and reused
+// under the read.
 func (v *Volume) readBlockInto(p blockPtr, dst []byte) error {
 	payload, err := v.store.Read(p.addr)
 	if err != nil {
 		return err
 	}
-	sum := block.HashOf(payload)
-	if sum != p.physHash {
+	if int32(len(payload)) != p.physLen {
+		return fmt.Errorf("%w: %d bytes stored, pointer says %d", ErrCorrupt, len(payload), p.physLen)
+	}
+	if block.Checksum(payload) != p.physHash {
 		return ErrCorrupt
 	}
+	codec := v.codec
 	if !p.compressed {
-		if int32(len(payload)) != p.logLen {
-			return fmt.Errorf("%w: length %d != %d", ErrCorrupt, len(payload), p.logLen)
-		}
-		if sum != p.hash {
-			return ErrCorrupt
-		}
-		copy(dst, payload)
-		return nil
+		codec = compress.Null{}
 	}
-	if err := v.codec.DecompressInto(dst, payload); err != nil {
-		// A rotted compressed payload typically fails to decode at all
-		// (or to the wrong length); classify that as corruption, not an
-		// I/O error.
+	if err := codec.DecompressInto(dst, payload); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if block.HashOf(dst) != p.hash {
-		return ErrCorrupt
 	}
 	return nil
 }
@@ -557,7 +556,9 @@ func (v *Volume) readBlockInto(p blockPtr, dst []byte) error {
 // with its physical address (0 and zero=true for holes). The boot
 // simulator uses the address to model seeks.
 func (v *Volume) ReadBlock(name string, idx int) (data []byte, addr uint64, zero bool, err error) {
-	obj, err := v.Object(name)
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	obj, err := v.objectLocked(name)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -640,6 +641,13 @@ func (v *Volume) BlockInfos(name string) ([]BlockInfo, error) {
 func (v *Volume) Object(name string) (*Object, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
+	return v.objectLocked(name)
+}
+
+// objectLocked is Object for a caller that holds v.mu. A read keeps the
+// lock until its last block is decoded: DeleteObject cannot free the
+// object's extents, nor a write reuse them, under it.
+func (v *Volume) objectLocked(name string) (*Object, error) {
 	obj, ok := v.objects[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: object %s", ErrNotFound, name)
