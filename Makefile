@@ -102,10 +102,12 @@ gate-inflate:
 	$(GO) test -run '^$$' -bench BenchmarkInflateCorpus -benchtime 1x ./internal/compress/
 
 # The ledger rungs CHANGES.md quotes (warm boots, registration stream,
-# Stats poll, control-RPC mix), one iteration each so they cannot rot
-# between the PRs that read them.
+# Stats poll, control-RPC mix, a 64 KB ReadAt served by the decoded-block
+# cache and one that always decodes), one iteration each so they cannot
+# rot between the PRs that read them.
 rungs:
 	$(GO) test -run '^$$' -bench BenchmarkWarmBoot -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkRegisterStream -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkStats -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkControlRPC -benchtime 1x ./internal/daemon/
+	$(GO) test -run '^$$' -bench BenchmarkReadAtDecoded -benchtime 1x ./internal/zvol/

@@ -38,6 +38,10 @@ func TestWarmBootAllocatesNoBuffers(t *testing.T) {
 	// clusters nor the VM's read buffer outlive it, so both are pooled and
 	// a boot allocates only bookkeeping (layout slices, report, overlay) —
 	// it used to allocate 334 KB, and the garbage paced the collector.
+	// The warm-up boot also fills zvol's decoded-block cache, and the four
+	// images' blocks fit in its budget, so every later block read is a hit
+	// copied into the pooled cluster; a miss would allocate the 64 KB
+	// decoded copy the cache keeps, and show here.
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
 	}

@@ -460,7 +460,9 @@ func TestLocalRotFallsThroughPerRange(t *testing.T) {
 	// locally, each range overlapping a rotted block fails its checksum
 	// and continues down the ladder — to a peer, or to the PFS when the
 	// peer exchange is off — and the verified boot proves no corrupt byte
-	// reached the VM. Nothing is quarantined: only a scrub does that.
+	// reached the VM. Nothing is quarantined: only a scrub does that. A
+	// warm boot first leaves every block the boot reads in zvol's
+	// decoded-block cache, which must not serve a block that rotted since.
 	for _, peers := range []bool{true, false} {
 		t.Run(map[bool]string{true: "peer", false: "pfs"}[peers], func(t *testing.T) {
 			sq, _, repo := resilienceDeployment(t, 2, fault.Plan{Seed: 13, Rot: 0.5}, func(cfg *Config) {
@@ -468,6 +470,9 @@ func TestLocalRotFallsThroughPerRange(t *testing.T) {
 			})
 			im := repo.Images[0]
 			mustRegister(t, sq, im, day(0))
+			if br, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node00", Verify: true}); err != nil || !br.Warm {
+				t.Fatalf("boot before the rot: %+v, %v", br, err)
+			}
 			refs, err := sq.InjectRot("node00")
 			if err != nil {
 				t.Fatal(err)

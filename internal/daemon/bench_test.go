@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ctlplane"
 	"repro/internal/wireclient"
 )
@@ -78,4 +79,61 @@ func BenchmarkControlRPC(b *testing.B) {
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/op")
+}
+
+// BenchmarkDaemonBootWaveTracingOverhead is core's
+// BenchmarkBootWaveTracingOverhead over the wire: the same deployment
+// served twice, traced and untraced, each behind its own daemon and
+// wireclient connection on loopback TCP, configured as squirreld
+// configures itself (the traced daemon opens an rpc.dispatch span per
+// request). Every iteration runs one warm boot wave across the whole
+// cluster on each side, alternating which side goes first. overhead-% is
+// the traced waves' total time over the untraced waves', minus one;
+// span-ns/boot is the same difference per boot. It reports and does not
+// judge: the 5% bar is core's, on the in-process boot.
+//
+//	go test -run '^$' -bench BenchmarkDaemonBootWaveTracingOverhead -benchtime 2000x ./internal/daemon/
+func BenchmarkDaemonBootWaveTracingOverhead(b *testing.B) {
+	const images, nodes = 4, 8
+	var spent [2]time.Duration // untraced, traced
+	var wave [2]func()
+	for side := range wave {
+		local, err := ctlplane.NewLocal(ctlplane.Options{Images: images, Nodes: nodes, Traced: side == 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		info, err := local.Info()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, id := range info.Images {
+			if _, err := local.Register(context.Background(), id, sessionT0.Add(time.Duration(i)*time.Minute)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		srv := serveSession(b, local, Config{Tel: local.Squirrel().Telemetry()})
+		c, err := wireclient.Dial(wireclient.Options{Addr: srv.Addr().String()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		wave[side] = func() {
+			start := time.Now()
+			for _, im := range info.Images {
+				for _, n := range info.ComputeNodes {
+					if rep, err := c.Boot(context.Background(), core.BootRequest{Image: im, Node: n}); err != nil || !rep.Warm {
+						b.Fatalf("boot %s on %s: %+v, %v", im, n, rep, err)
+					}
+				}
+			}
+			spent[side] += time.Since(start)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wave[i%2]()
+		wave[1-i%2]()
+	}
+	b.ReportMetric(100*(float64(spent[1])/float64(spent[0])-1), "overhead-%")
+	b.ReportMetric(float64(spent[1]-spent[0])/float64(b.N*images*nodes), "span-ns/boot")
 }

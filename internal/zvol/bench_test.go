@@ -84,6 +84,44 @@ func BenchmarkVolume(b *testing.B) {
 	benchVolume(b, "dedup+gzip6/4K", Config{BlockSize: block.Size4K, Codec: "gzip6", Dedup: true, MinCompressGain: 0.125})
 }
 
+// BenchmarkReadAtDecoded times a whole-block 64 KB ReadAt on the paper's
+// configuration at both ends of the decoded-block cache: hot reads one
+// block, so every read after the first is a hit (checks and a copy);
+// miss cycles in order over one block more than the budget holds, so
+// the LRU always evicts the block read next and every read decodes. The
+// cache has no off switch, and miss is the floor it would have measured.
+func BenchmarkReadAtDecoded(b *testing.B) {
+	const bs = 64 << 10
+	for _, c := range []struct {
+		name   string
+		blocks int
+	}{{"hot", 1}, {"miss", decodeBudget/bs + 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			v, err := New(DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var data []byte
+			for i := 0; i < c.blocks; i++ {
+				data = append(data, benchPayload(bs)...)
+				copy(data[i*bs:], fmt.Sprintf("block %d", i)) // distinct: no dedup
+			}
+			if _, err := v.WriteObject("o", bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+			p := make([]byte, bs)
+			b.SetBytes(bs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := v.ReadAt("o", p, int64(i%c.blocks)*bs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSnapshotSendReceive(b *testing.B) {
 	src, _ := New(DefaultConfig())
 	payload := benchPayload(1 << 20)

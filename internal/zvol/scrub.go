@@ -76,7 +76,7 @@ func (v *Volume) Scrub() ScrubReport {
 				buf = make([]byte, p.logLen)
 			}
 			dst := buf[:p.logLen]
-			err := v.readBlockInto(p, dst)
+			err := v.readBlockInto(p, dst, nil) // from the disk, never the decoded-block cache
 			if err == nil && block.HashOf(dst) != p.hash {
 				err = ErrCorrupt
 			}

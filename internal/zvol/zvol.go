@@ -49,10 +49,15 @@
 // the caller's memory, so no read path allocates per block and none can
 // return a byte that skipped a check. As in ZFS, SHA-256 is the dedup
 // key, computed once at write: a read never recomputes it, and Scrub
-// alone checks the decoded bytes against it (see scrub.go).
+// alone checks the decoded bytes against it (see scrub.go). What a read
+// does not repeat is the inflate: once a compressed block has passed its
+// checks, its decode may be copied from the process's one decoded-block
+// cache, keyed by the stored payload so that every replica aliasing it
+// shares the entry (see decoded.go). Scrub and Send always decode.
 package zvol
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -501,12 +506,12 @@ func (v *Volume) readRange(obj *Object, p []byte, off int64) error {
 		case bp.zero:
 			clear(p[:n])
 		case n == int64(bp.logLen):
-			err = v.readBlockInto(bp, p[:n])
+			err = v.readBlockInto(bp, p[:n], decoded)
 		default:
 			if len(scratch) < int(bp.logLen) {
 				scratch = make([]byte, max(int(v.cfg.BlockSize), int(bp.logLen)))
 			}
-			if err = v.readBlockInto(bp, scratch[:bp.logLen]); err == nil {
+			if err = v.readBlockInto(bp, scratch[:bp.logLen], decoded); err == nil {
 				copy(p[:n], scratch[lo:])
 			}
 		}
@@ -531,7 +536,12 @@ func (v *Volume) readRange(obj *Object, p []byte, off int64) error {
 // peer; dst's contents are then unspecified. Caller holds v.mu from the
 // lookup that produced p, so p's extent cannot be freed and reused
 // under the read.
-func (v *Volume) readBlockInto(p blockPtr, dst []byte) error {
+//
+// With a cache, a compressed block that passed both checks is copied from
+// the cache's decode of this very payload when it holds one, and otherwise
+// decoded and entered; a nil cache (Scrub, Send) always decodes. Raw
+// blocks are never cached: their decode is already a copy.
+func (v *Volume) readBlockInto(p blockPtr, dst []byte, cache *decodeCache) error {
 	payload, err := v.store.Read(p.addr)
 	if err != nil {
 		return err
@@ -544,10 +554,21 @@ func (v *Volume) readBlockInto(p blockPtr, dst []byte) error {
 	}
 	codec := v.codec
 	if !p.compressed {
-		codec = compress.Null{}
+		codec, cache = compress.Null{}, nil
+	}
+	if cache != nil {
+		if data := cache.get(&payload[0], p.physHash, p.logLen); data != nil {
+			v.counters.Add("zvol.decode.hit", 1)
+			copy(dst, data)
+			return nil
+		}
+		v.counters.Add("zvol.decode.miss", 1)
 	}
 	if err := codec.DecompressInto(dst, payload); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if cache != nil {
+		cache.put(&payload[0], p.physHash, bytes.Clone(dst))
 	}
 	return nil
 }
@@ -570,7 +591,7 @@ func (v *Volume) ReadBlock(name string, idx int) (data []byte, addr uint64, zero
 	if p.zero {
 		return data, 0, true, nil
 	}
-	if err := v.readBlockInto(p, data); err != nil {
+	if err := v.readBlockInto(p, data, decoded); err != nil {
 		return nil, p.addr, false, err
 	}
 	return data, p.addr, false, nil
