@@ -65,14 +65,15 @@ loc:
 	@printf 'bench/ Go:                  '; find ./bench -name '*.go' | xargs cat | wc -l
 
 # Short fuzz burst over the decoders that take bytes from elsewhere — the
-# wire protocol (off a socket), the snapshot stream format (off the
-# registration multicast) and the block codecs (off a disk that can
-# rot). Each target also replays its checked-in seed corpus during plain
-# `make test`.
+# wire protocol and the control-plane request bodies (off a socket), the
+# snapshot stream format (off the registration multicast) and the block
+# codecs (off a disk that can rot). Each target also replays its seed
+# corpus during plain `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 20s ./internal/wireproto/
 	$(GO) test -fuzz FuzzReadHelloReply -fuzztime 5s ./internal/wireproto/
 	$(GO) test -fuzz FuzzDecodeError -fuzztime 5s ./internal/wireproto/
+	$(GO) test -fuzz FuzzHandle -fuzztime 10s ./internal/daemon/
 	$(GO) test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/zvol/
 	$(GO) test -fuzz FuzzDecompressInto -fuzztime 10s ./internal/compress/
 	$(GO) test -fuzz FuzzInflate -fuzztime 10s ./internal/compress/

@@ -47,7 +47,6 @@ func main() {
 		gossipEvery = flag.Duration("gossip-interval", 2*time.Second, "wall-clock gossip round interval when -index gossip; a lease lives 15 rounds, and 0 runs no rounds, so nothing expires")
 		traced      = flag.Bool("traced", false, "enable span tracing and unified telemetry")
 		obsRing     = flag.Int("obs-ring", 0, "completed-operation trace ring size (default obs.DefaultRingSize; needs -traced)")
-		sampleEvery = flag.Int("sample-every", 0, "head-sample tracing: trace every Nth root operation (0 or 1 traces everything; needs -traced)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live telemetry over HTTP at this address (/metrics Prometheus, /telemetry JSON; needs -traced)")
 		bootLatency = flag.Duration("boot-latency", 0, "wall-clock per-boot device wait (demo/benchmark realism)")
 		maxConns    = flag.Int("max-conns", daemon.DefaultMaxConns, "concurrent connection limit")
@@ -63,13 +62,13 @@ func main() {
 	if *index == "gossip" {
 		*peers = true
 	}
-	if err := run(logger, *addr, *metricsAddr, *nImages, *nNodes, *obsRing, *sampleEvery, *peers, *traced, *index, *gossipEvery, *bootLatency, *maxConns, *drain); err != nil {
+	if err := run(logger, *addr, *metricsAddr, *nImages, *nNodes, *obsRing, *peers, *traced, *index, *gossipEvery, *bootLatency, *maxConns, *drain); err != nil {
 		logger.Println(err)
 		os.Exit(1)
 	}
 }
 
-func run(logger *log.Logger, addr, metricsAddr string, nImages, nNodes, obsRing, sampleEvery int, peers, traced bool, index string, gossipEvery, bootLatency time.Duration, maxConns int, drain time.Duration) error {
+func run(logger *log.Logger, addr, metricsAddr string, nImages, nNodes, obsRing int, peers, traced bool, index string, gossipEvery, bootLatency time.Duration, maxConns int, drain time.Duration) error {
 	local, err := ctlplane.NewLocal(ctlplane.Options{
 		Images:      nImages,
 		Nodes:       nNodes,
@@ -78,7 +77,6 @@ func run(logger *log.Logger, addr, metricsAddr string, nImages, nNodes, obsRing,
 		Index:       index,
 		BootLatency: bootLatency,
 		ObsRingSize: obsRing,
-		SampleEvery: sampleEvery,
 	})
 	if err != nil {
 		return err

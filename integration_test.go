@@ -134,7 +134,7 @@ func TestCacheContentMatchesCorpusThroughVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []zvol.Config{
-		{BlockSize: block.Size4K, Codec: "gzip6", Dedup: true, MinCompressGain: 0.125},
+		{BlockSize: block.Size4K, Codec: "gzip6", Dedup: true},
 		{BlockSize: block.Size1K, Codec: "lz4", Dedup: true},
 		{BlockSize: block.Size64K, Codec: "lzjb", Dedup: false},
 	} {

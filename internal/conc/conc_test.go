@@ -1,6 +1,7 @@
 package conc
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -18,16 +19,22 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 	}
 }
 
+// TestForEachSerialOrder: one worker, or the GOMAXPROCS default at
+// GOMAXPROCS 1 (how core's tests serialize Register's legs), is the
+// in-order walk on the calling goroutine.
 func TestForEachSerialOrder(t *testing.T) {
-	var order []int
-	ForEach(5, 1, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial walk out of order: %v", order)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, workers := range []int{1, 0} {
+		var order []int
+		ForEach(5, workers, func(i int) { order = append(order, i) })
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("workers=%d: serial walk out of order: %v", workers, order)
+			}
 		}
-	}
-	if len(order) != 5 {
-		t.Fatalf("serial walk covered %d of 5", len(order))
+		if len(order) != 5 {
+			t.Fatalf("workers=%d: serial walk covered %d of 5", workers, len(order))
+		}
 	}
 }
 

@@ -60,9 +60,6 @@ type Config struct {
 	// Volume is the cVolume policy (block size, codec, dedup); the paper
 	// settles on 64 KB + gzip6 + dedup.
 	Volume zvol.Config
-	// RetentionDays is the paper's n: how long snapshots are kept for
-	// offline propagation.
-	RetentionDays int
 	// ClusterSize is the QCOW2 cluster granularity of CoW/cache images.
 	ClusterSize int64
 	// Propagation selects the one-to-many diff transfer scheme.
@@ -73,12 +70,6 @@ type Config struct {
 	// Repair bounds the NACK-style unicast retry loop for replicas that
 	// missed or rejected a registration stream.
 	Repair RepairPolicy
-	// Workers bounds the goroutines Register uses to apply one
-	// registration's propagation legs to replicas in parallel. 0 (the
-	// default) means GOMAXPROCS; 1 applies legs serially. Parallel legs
-	// and serial legs produce byte-identical reports — every
-	// order-dependent fault draw happens outside the parallel phase.
-	Workers int
 	// BootLatency is a real (wall-clock) per-boot device wait applied
 	// during trace replay, modelling the hypervisor/disk latency that
 	// makes real boot storms I/O-bound. Zero (the default) disables it;
@@ -142,14 +133,17 @@ const (
 	Pipeline
 )
 
+// retentionDays is the paper's n: how many days snapshots are kept for
+// offline propagation.
+const retentionDays = 7
+
 // DefaultConfig is the paper's configuration.
 func DefaultConfig() Config {
 	return Config{
-		Volume:        zvol.DefaultConfig(),
-		RetentionDays: 7,
-		ClusterSize:   qcow.DefaultClusterSize,
-		Propagation:   Multicast,
-		Repair:        DefaultRepairPolicy(),
+		Volume:      zvol.DefaultConfig(),
+		ClusterSize: qcow.DefaultClusterSize,
+		Propagation: Multicast,
+		Repair:      DefaultRepairPolicy(),
 		// The paper's boot path is cache-or-PFS; the peer exchange is this
 		// repo's extension and stays opt-in (peer.DefaultPolicy enables it).
 		Peer: peer.Policy{}.Normalize(),
@@ -359,7 +353,7 @@ func (s *Squirrel) Deregister(id string) error {
 // latest snapshot. Returns the number of snapshots destroyed.
 func (s *Squirrel) GarbageCollect(now time.Time) int {
 	sp := s.tr.StartOp(obs.OpGC, "", "")
-	window := time.Duration(s.cfg.RetentionDays) * 24 * time.Hour
+	const window = retentionDays * 24 * time.Hour
 	s.commitMu.Lock()
 	n := len(s.sc.GarbageCollect(now, window))
 	s.commitMu.Unlock()

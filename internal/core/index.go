@@ -151,8 +151,8 @@ func (s *Squirrel) GossipTicks(n int) ([]gossip.RoundReport, error) {
 
 // IndexHolders resolves obj's advertised holders as seen from `from`
 // ("" = operator view) through whichever index is configured — the
-// read squirrelctl, experiments, and the churn soak share with the boot
-// path.
+// lookup the boot path makes. Only tests call it: the churn soak and
+// the replica and registration tests check holder sets through it.
 func (s *Squirrel) IndexHolders(obj, from string) []string {
 	return s.idx.Holders(obj, from)
 }

@@ -79,15 +79,15 @@ func (f *peerFetcher) target(object string) {
 }
 
 // fetch fills dst from a peer replica's cache object at [base,
-// base+len(dst)), trying up to MaxAttempts candidate sources. It returns
-// false when no peer could serve the range — the caller then reads the
-// PFS.
+// base+len(dst)), trying up to peer.DefaultMaxAttempts candidate
+// sources. It returns false when no peer could serve the range — the
+// caller then reads the PFS.
 func (f *peerFetcher) fetch(dst []byte, base int64) bool {
 	ctr := f.s.peers.Counters()
 	fsp := f.sp.Child(obs.OpPeerFetch, "", f.imageID)
 	f.fetchNo++
 	tried := make(map[string]bool)
-	for attempt := 0; attempt < f.policy.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < peer.DefaultMaxAttempts; attempt++ {
 		src, release, ok, busy := f.acquire(tried)
 		if !ok {
 			if busy {

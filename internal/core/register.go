@@ -88,10 +88,10 @@ func (l *legResult) finish() {
 // as a Register error — only storage-side failures do, and those roll
 // back cleanly so the registration can be retried.
 //
-// Propagation legs fan out across a bounded worker pool (Config.Workers)
-// and contend only on their own node's replica; unicast repair of the
-// failed minority runs serially in destination order, which keeps every
-// order-dependent fault draw in the same sequence as a serial run.
+// Propagation legs fan out across GOMAXPROCS workers and contend only
+// on their own node's replica; unicast repair of the failed minority
+// runs serially in destination order, which keeps every order-dependent
+// fault draw in the same sequence as a serial run.
 //
 // Cancellation: a context cancelled before the storage-side commit
 // aborts with nothing changed. Cancelled mid-propagation, the commit
@@ -280,7 +280,7 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 	// ---- Apply phase (parallel): each leg locks only its own node and
 	// takes the delivery step on its pre-decided attempt-0 verdict. No
 	// fault draws happen here, so scheduling cannot change any outcome.
-	conc.ForEach(len(legs), s.cfg.Workers, func(i int) {
+	conc.ForEach(len(legs), 0, func(i int) {
 		dv, leg := deliv[i], &legs[i]
 		if leg.wait != nil {
 			select {

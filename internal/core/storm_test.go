@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,14 +35,12 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// stormDeployment builds a deployment with an explicit apply-worker
-// count, for comparing parallel propagation against the serial baseline.
-func stormDeployment(t testing.TB, computeNodes, workers int, plan fault.Plan) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	sq, cl, repo, _ := deploymentWith(t, computeNodes, func(c *Config) {
-		c.Faults = seeded(t, plan)
-		c.Workers = workers
-	})
-	return sq, cl, repo
+// registerAt runs one Register at GOMAXPROCS procs: at 1 its legs apply
+// in order on the calling goroutine (TestForEachSerialOrder). No core
+// test calls t.Parallel, so the setting reaches only this call.
+func registerAt(ctx context.Context, procs int, sq *Squirrel, req RegisterRequest) (RegisterReport, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return sq.Register(ctx, req)
 }
 
 // bootStormDeployment is the benchmark fixture: a fault-free deployment
@@ -83,20 +82,21 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 // TestParallelLegsMatchSerial registers the same fault-seeded images on
-// two identical deployments — one applying propagation legs serially,
-// one with maximum parallelism — and requires byte-identical reports.
-// All order-dependent fault draws happen outside the parallel phase, so
-// worker scheduling must not be observable.
+// two identical deployments — one applying propagation legs serially
+// (GOMAXPROCS 1), one on a worker per leg (GOMAXPROCS 8, 6 legs) — and
+// requires byte-identical reports. All order-dependent fault draws
+// happen outside the parallel phase, so worker scheduling must not be
+// observable.
 func TestParallelLegsMatchSerial(t *testing.T) {
 	plan := fault.Plan{
 		Seed: 4242, Drop: 0.2, Truncate: 0.05, Corrupt: 0.1,
 		Crash: 0.04, Torn: 0.05, MaxCrashes: 2,
 	}
-	serial, _, repoS := stormDeployment(t, 6, 1, plan)
-	parallel, _, repoP := stormDeployment(t, 6, 8, plan)
+	serial, _, repoS, _ := chaosDeployment(t, 6, plan)
+	parallel, _, repoP, _ := chaosDeployment(t, 6, plan)
 	for i := 0; i < 4; i++ {
-		repS, errS := serial.Register(context.Background(), RegisterRequest{Image: repoS.Images[i], At: day(i)})
-		repP, errP := parallel.Register(context.Background(), RegisterRequest{Image: repoP.Images[i], At: day(i)})
+		repS, errS := registerAt(context.Background(), 1, serial, RegisterRequest{Image: repoS.Images[i], At: day(i)})
+		repP, errP := registerAt(context.Background(), 8, parallel, RegisterRequest{Image: repoP.Images[i], At: day(i)})
 		if (errS == nil) != (errP == nil) {
 			t.Fatalf("register %d: serial err=%v parallel err=%v", i, errS, errP)
 		}
@@ -189,17 +189,17 @@ func TestRegisterCancelledBeforeCommit(t *testing.T) {
 }
 
 // TestRegisterCancelledMidPropagation cancels after the storage-side
-// commit but before all legs applied (serial workers make the cut
+// commit but before all legs applied (serial legs make the cut
 // deterministic): the commit stands, the image is registered, skipped
 // nodes are marked lagging, and SyncNode heals them.
 func TestRegisterCancelledMidPropagation(t *testing.T) {
-	sq, cl, repo := stormDeployment(t, 4, 1, fault.Plan{Seed: 1})
+	sq, cl, repo, _ := chaosDeployment(t, 4, fault.Plan{Seed: 1})
 	im := repo.Images[0]
 	// Err call sites on this path: one at entry, one pre-propagation
 	// inside the commit section, then one per leg. k=3 lets the first
 	// leg through and cancels from the second leg on.
 	ctx := &countdownCtx{k: 3}
-	rep, err := sq.Register(ctx, RegisterRequest{Image: im, At: day(0)})
+	rep, err := registerAt(ctx, 1, sq, RegisterRequest{Image: im, At: day(0)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -280,7 +280,7 @@ func TestMaintenanceCancellation(t *testing.T) {
 // convergence loop is the oracle for liveness.
 func TestConcurrentRegisterAndBootInterleaving(t *testing.T) {
 	plan := fault.Plan{Seed: 7, Drop: 0.1, Corrupt: 0.05, MaxCrashes: 1, Crash: 0.02}
-	sq, cl, repo := stormDeployment(t, 4, 0, plan)
+	sq, cl, repo, _ := chaosDeployment(t, 4, plan)
 	mustRegister(t, sq, repo.Images[0], day(0))
 	var wg sync.WaitGroup
 	for i := 1; i <= 4; i++ {

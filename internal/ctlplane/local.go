@@ -41,9 +41,6 @@ type Options struct {
 	// ObsRingSize bounds the completed-span ring when tracing is on
 	// (obs.DefaultRingSize when <= 0).
 	ObsRingSize int
-	// SampleEvery head-samples root operations when tracing is on: only
-	// every Nth operation is traced (0 or 1 traces everything).
-	SampleEvery int
 }
 
 // Local is the in-process Session: a deployment owned by the calling
@@ -97,7 +94,7 @@ func NewLocal(opts Options) (*Local, error) {
 		cfg.Peer.Breaker = peer.DefaultBreakerPolicy()
 	}
 	if opts.Traced {
-		cfg.Obs = obs.NewWith(obs.Config{RingSize: opts.ObsRingSize, SampleEvery: opts.SampleEvery})
+		cfg.Obs = obs.New(opts.ObsRingSize)
 	}
 	cfg.BootLatency = opts.BootLatency
 	sq, err := core.New(cfg, cl, pfs)

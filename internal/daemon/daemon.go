@@ -48,9 +48,6 @@ type Config struct {
 	// the limit are rejected with a HelloBusy handshake reply. 0 means
 	// DefaultMaxConns.
 	MaxConns int
-	// HandshakeTimeout bounds how long a fresh connection may take to
-	// complete the hello exchange. 0 means DefaultHandshakeTimeout.
-	HandshakeTimeout time.Duration
 	// Logf, when set, receives one line per lifecycle event (listen,
 	// serve, drain). nil is silent — tests want quiet servers.
 	Logf func(format string, args ...any)
@@ -61,7 +58,8 @@ type Config struct {
 	Tel *obs.Telemetry
 }
 
-// Defaults for Config zero values.
+// DefaultMaxConns is MaxConns when unset; DefaultHandshakeTimeout bounds
+// how long a fresh connection may take to complete the hello exchange.
 const (
 	DefaultMaxConns         = 64
 	DefaultHandshakeTimeout = 10 * time.Second
@@ -94,9 +92,6 @@ type Server struct {
 func New(sess ctlplane.Session, cfg Config) *Server {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = DefaultMaxConns
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = DefaultHandshakeTimeout
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{cfg: cfg, sess: sess, ctx: ctx, cancel: cancel, conns: make(map[net.Conn]struct{})}
@@ -213,7 +208,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // HelloBusy and closes it.
 func (s *Server) rejectBusy(c net.Conn) {
 	defer c.Close()
-	_ = c.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	_ = c.SetDeadline(time.Now().Add(DefaultHandshakeTimeout))
 	if _, err := wireproto.ReadHello(c); err != nil {
 		return
 	}
@@ -234,7 +229,7 @@ func (s *Server) handleConn(c net.Conn) {
 	}()
 
 	br := bufio.NewReader(c)
-	_ = c.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	_ = c.SetReadDeadline(time.Now().Add(DefaultHandshakeTimeout))
 	ver, err := wireproto.ReadHello(br)
 	if err != nil {
 		return
@@ -309,8 +304,8 @@ func (w *replyWriter) send(f wireproto.Frame) error {
 // dispatchSpan opens the daemon-side span for one request frame. A
 // frame carrying FlagTrace continues the client's trace (the dispatch
 // tree records the client's trace ID and issuing span, so TTraceTree
-// can ship it back for grafting); an untraced frame opens an ordinary —
-// head-sampled — root. The TTraceTree op itself is never spanned: its
+// can ship it back for grafting); an untraced frame opens an ordinary
+// root. The TTraceTree op itself is never spanned: its
 // dispatches must not appear inside the traces they retrieve.
 func (s *Server) dispatchSpan(f wireproto.Frame) *obs.Span {
 	tr := s.cfg.Tel.Tracer()

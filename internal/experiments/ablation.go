@@ -36,7 +36,7 @@ func AblateStorage(s Scale) (Table, error) {
 		{"gzip6 only", "gzip6", false},
 		{"dedup + gzip6 (Squirrel)", "gzip6", true},
 	} {
-		cfg := zvol.Config{BlockSize: block.Size64K, Codec: c.codec, Dedup: c.dedup, MinCompressGain: 0.125}
+		cfg := zvol.Config{BlockSize: block.Size64K, Codec: c.codec, Dedup: c.dedup}
 		v, err := zvol.New(cfg)
 		if err != nil {
 			return Table{}, err

@@ -64,10 +64,11 @@ type Config struct {
 	// Owners is how many ring successors hold each object's
 	// advertisement set (default 2): one crash never loses a set.
 	Owners int
-	// VNodes is the virtual-node count per member on the consistent-hash
-	// ring (default 16).
-	VNodes int
 }
+
+// vnodes is the virtual-node count per member on the consistent-hash
+// ring.
+const vnodes = 16
 
 func (c Config) withDefaults() Config {
 	if c.Fanout <= 0 {
@@ -78,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Owners <= 0 {
 		c.Owners = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 16
 	}
 	return c
 }
@@ -173,7 +171,7 @@ func New(cfg Config, nodes []string, links Links) *Directory {
 		alive:    make(map[string]bool, len(nodes)),
 		views:    make(map[string]*view, len(nodes)),
 		holdings: make(map[string]map[string]bool, len(nodes)),
-		ring:     NewRing(cfg.VNodes),
+		ring:     NewRing(vnodes),
 		counters: metrics.NewCounterSet(),
 	}
 	sort.Strings(d.members)

@@ -15,14 +15,11 @@
 // The layer is built for always-on operation. A span is one allocation,
 // the ring bounds how many completed trees stay reachable, and an
 // evicted tree is left to the garbage collector. Aggregation is a few
-// map updates under one mutex. An optional seeded head-sampling knob
-// (Config.SampleEvery) traces every Nth root operation for deployments
-// where even that overhead matters; the default of 1 traces everything.
+// map updates under one mutex. Every operation is traced.
 //
 // Everything is nil-safe in the style of metrics.CounterSet: a nil
 // *Telemetry, *Tracer, or *Span no-ops every method, so instrumented
-// code paths never branch on "is tracing on". A head-sampled-out root
-// span is a nil *Span too, which makes its whole subtree free.
+// code paths never branch on "is tracing on".
 package obs
 
 import (
@@ -83,28 +80,8 @@ const (
 // enough to hold the recent operations an operator inspects after an
 // incident, shallow enough that a traced boot wave stays within the 5%
 // overhead bar. Consumers that replay whole histories from the ring
-// (chaos soaks, the figtrace experiment) size it explicitly via
-// Config.RingSize.
+// (chaos soaks, the figtrace experiment) size it explicitly via New.
 const DefaultRingSize = 64
-
-// Config tunes a Telemetry. The zero value is valid: DefaultRingSize
-// ring, trace everything.
-type Config struct {
-	// RingSize bounds the completed-root-operation ring
-	// (DefaultRingSize when <= 0).
-	RingSize int
-
-	// SampleEvery head-samples root operations: only every Nth StartOp
-	// returns a live span; the rest return nil, which makes the whole
-	// operation subtree free. 0 or 1 traces everything. Sampling is
-	// deterministic for a given (SampleEvery, SampleSeed) and call
-	// order. Aggregates and the ring then describe the sampled subset.
-	SampleEvery int
-
-	// SampleSeed offsets which residue class of root operations is
-	// kept, so replicated deployments can sample disjoint phases.
-	SampleSeed int64
-}
 
 // Telemetry is one deployment's observability state: a tracer feeding a
 // registry of per-kind/per-node aggregates, a bounded ring of
@@ -151,30 +128,12 @@ func (t *Telemetry) SetWorkloadStats(ws WorkloadStats) {
 
 // New builds a Telemetry whose ring keeps the last ringSize completed
 // root operations (DefaultRingSize when ringSize <= 0) and traces every
-// operation. Shorthand for NewWith(Config{RingSize: ringSize}).
+// operation.
 func New(ringSize int) *Telemetry {
-	return NewWith(Config{RingSize: ringSize})
-}
-
-// NewWith builds a Telemetry from a Config.
-func NewWith(cfg Config) *Telemetry {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
+	if ringSize <= 0 {
+		ringSize = DefaultRingSize
 	}
-	every := uint64(1)
-	if cfg.SampleEvery > 1 {
-		every = uint64(cfg.SampleEvery)
-	}
-	tr := &Tracer{
-		reg:         newRegistry(),
-		ring:        newRing(cfg.RingSize),
-		sampleEvery: every,
-	}
-	if every > 1 {
-		// Offset the kept residue class by the seed so two telemetries
-		// with different seeds keep different (deterministic) subsets.
-		tr.sampleTick.Store(uint64(cfg.SampleSeed) % every)
-	}
+	tr := &Tracer{reg: newRegistry(), ring: newRing(ringSize)}
 	return &Telemetry{tracer: tr, counters: metrics.NewCounterSet()}
 }
 

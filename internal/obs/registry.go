@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -14,21 +13,11 @@ import (
 type Tracer struct {
 	reg  *Registry
 	ring *ring
-
-	// Head sampling: StartOp keeps one root operation in sampleEvery
-	// (every one when <= 1). sampleTick is pre-offset by the seed.
-	sampleEvery uint64
-	sampleTick  atomic.Uint64
 }
 
-// StartOp opens a root span for one operation. Nil-safe. When head
-// sampling is configured, all but every Nth call return nil — a no-op
-// span whose whole subtree costs only nil checks.
+// StartOp opens a root span for one operation. Nil-safe.
 func (tr *Tracer) StartOp(kind, node, image string) *Span {
 	if tr == nil {
-		return nil
-	}
-	if tr.sampleEvery > 1 && tr.sampleTick.Add(1)%tr.sampleEvery != 0 {
 		return nil
 	}
 	return newSpan(tr, nil, kind, node, image)
@@ -38,8 +27,6 @@ func (tr *Tracer) StartOp(kind, node, image string) *Span {
 // trace begun in another process: the wire trace context's
 // (traceID, parentSpanID) pair is recorded on the span so the remote
 // caller can later fetch this tree and graft it under its own span.
-// Remote continuations are never head-sampled — the caller already
-// decided this operation is traced.
 func (tr *Tracer) StartRemoteOp(kind, node, image string, traceID, parentID uint64) *Span {
 	if tr == nil {
 		return nil

@@ -149,61 +149,14 @@ func TestExposedTreeSurvivesWraparound(t *testing.T) {
 	}
 }
 
-// TestHeadSamplingDeterministic checks the SampleEvery contract: with
-// SampleEvery=N exactly one in N StartOp calls yields a live span, the
-// kept subset depends only on (seed, call order), and different seeds
-// keep different residue classes. Remote continuations bypass sampling.
-func TestHeadSamplingDeterministic(t *testing.T) {
-	keptWith := func(seed int64) []int {
-		tel := NewWith(Config{RingSize: 16, SampleEvery: 4, SampleSeed: seed})
-		var kept []int
-		for i := 0; i < 100; i++ {
-			if sp := tel.Tracer().StartOp("boot", "", ""); sp != nil {
-				sp.Finish()
-				kept = append(kept, i)
-			}
-		}
-		return kept
-	}
-
-	a := keptWith(0)
-	if len(a) != 25 {
-		t.Fatalf("SampleEvery=4 kept %d of 100, want 25", len(a))
-	}
-	b := keptWith(0)
-	if len(b) != 25 {
-		t.Fatalf("second run kept %d, want 25", len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sampling not deterministic: run1[%d]=%d run2[%d]=%d", i, a[i], i, b[i])
-		}
-	}
-	c := keptWith(1)
-	if len(c) != 25 {
-		t.Fatalf("seeded run kept %d, want 25", len(c))
-	}
-	if a[0] == c[0] {
-		t.Fatalf("seeds 0 and 1 kept the same residue class (first index %d)", a[0])
-	}
-
-	// Aggregates describe the sampled subset only.
-	tel := NewWith(Config{RingSize: 16, SampleEvery: 4})
-	for i := 0; i < 100; i++ {
-		if sp := tel.Tracer().StartOp("boot", "", ""); sp != nil {
-			sp.Finish()
-		}
-	}
-	if op, _ := tel.Snapshot().Op("boot"); op.Count != 25 {
-		t.Fatalf("sampled aggregate count = %d, want 25", op.Count)
-	}
-
-	// A remote continuation is never dropped: the originating client
-	// already decided this trace is kept.
+// TestRemoteOpsLandInRing: every remote continuation is a live root in
+// the ring, and RemoteDumps returns what a 16-slot ring still holds.
+func TestRemoteOpsLandInRing(t *testing.T) {
+	tel := New(16)
 	for i := 0; i < 20; i++ {
 		sp := tel.Tracer().StartRemoteOp("rpc.dispatch", "", "", 77, uint64(i+1))
 		if sp == nil {
-			t.Fatalf("StartRemoteOp sampled away at call %d", i)
+			t.Fatalf("StartRemoteOp returned no span at call %d", i)
 		}
 		sp.Finish()
 	}

@@ -32,10 +32,6 @@ type Policy struct {
 	// cannot melt a single peer; a node at capacity is skipped by
 	// selection. Zero or negative means DefaultMaxServeSlots.
 	MaxServeSlots int
-	// MaxAttempts is how many candidate peers one miss tries before
-	// falling back to the PFS. Zero or negative means
-	// DefaultMaxAttempts.
-	MaxAttempts int
 	// Hedge enables hedged cold-miss fetches on the boot path: when the
 	// primary source draws a slow serve, the fetch is cloned to the
 	// next-best holder and the first byte wins. Off by default — the
@@ -46,7 +42,9 @@ type Policy struct {
 	Breaker BreakerPolicy
 }
 
-// Defaults for Policy's knobs.
+// DefaultMaxServeSlots is MaxServeSlots when unset; DefaultMaxAttempts
+// is how many candidate peers one miss tries before falling back to the
+// PFS.
 const (
 	DefaultMaxServeSlots = 4
 	DefaultMaxAttempts   = 3
@@ -54,16 +52,13 @@ const (
 
 // DefaultPolicy returns the enabled peer exchange with default bounds.
 func DefaultPolicy() Policy {
-	return Policy{Enabled: true, MaxServeSlots: DefaultMaxServeSlots, MaxAttempts: DefaultMaxAttempts}
+	return Policy{Enabled: true, MaxServeSlots: DefaultMaxServeSlots}
 }
 
 // Normalize fills unset bounds with defaults.
 func (p Policy) Normalize() Policy {
 	if p.MaxServeSlots <= 0 {
 		p.MaxServeSlots = DefaultMaxServeSlots
-	}
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = DefaultMaxAttempts
 	}
 	return p
 }

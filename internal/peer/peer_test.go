@@ -156,11 +156,11 @@ func TestReleaseIdempotentAndLoads(t *testing.T) {
 
 func TestPolicyNormalize(t *testing.T) {
 	p := Policy{Enabled: true}.Normalize()
-	if p.MaxServeSlots != DefaultMaxServeSlots || p.MaxAttempts != DefaultMaxAttempts {
+	if p.MaxServeSlots != DefaultMaxServeSlots {
 		t.Fatalf("normalize: %+v", p)
 	}
-	q := Policy{MaxServeSlots: 9, MaxAttempts: 1}.Normalize()
-	if q.MaxServeSlots != 9 || q.MaxAttempts != 1 {
+	q := Policy{MaxServeSlots: 9}.Normalize()
+	if q.MaxServeSlots != 9 {
 		t.Fatalf("normalize clobbered set values: %+v", q)
 	}
 }

@@ -1,5 +1,5 @@
 // Package qcow implements the image chain of Figure 1 in the paper: a
-// cluster-granular copy-on-write overlay (the QCOW2 role), a copy-on-read
+// cluster-granular read-through overlay (the QCOW2 role), a copy-on-read
 // VMI cache layer in the middle, and a pluggable backing store at the
 // bottom (the base VMI).
 //
@@ -7,10 +7,11 @@
 //	Cold cache:  VM → CoW → cache (CoR, filling) → base
 //	Warm cache:  VM → CoW → cache (complete)      [base never touched]
 //
-// The overlay fetches whole clusters from its backing store (QCOW2's
-// default cluster size is 64 KB), which is the mechanism behind both the
-// paper's "free prefetching" boot speedup (§4.2.3) and the 128 KB cVolume
-// anomaly in Fig 11.
+// No replayed VM writes, so the overlay has no write path: the CoW layer
+// is the read-through half of QCOW2, which fetches whole clusters from
+// its backing store (QCOW2's default cluster size is 64 KB). That is the
+// mechanism behind both the paper's "free prefetching" boot speedup
+// (§4.2.3) and the 128 KB cVolume anomaly in Fig 11.
 package qcow
 
 import (
@@ -28,9 +29,9 @@ type Backend interface {
 	Size() int64
 }
 
-// Overlay is a copy-on-write (and optionally copy-on-read) image over a
-// backing store. It stores written or cached clusters in memory, which
-// stands in for the compute node's local CoW file.
+// Overlay is a read-through (and optionally copy-on-read) image over a
+// backing store. It keeps copied-on-read clusters in memory, which
+// stands in for the compute node's local cache file.
 type Overlay struct {
 	mu       sync.RWMutex
 	cluster  int64
@@ -39,14 +40,12 @@ type Overlay struct {
 	clusters map[int64][]byte // cluster index → cluster payload
 	cor      bool             // copy-on-read: cache clusters fetched from backing
 
-	// Counters for the paper's transfer accounting: how many bytes were
-	// fetched from the backing store (the network, for a PFS-mounted
-	// base) and how many were served locally.
-	BackingReads int64 // bytes fetched from backing
-	LocalReads   int64 // bytes served from local clusters
+	// BackingReads counts the bytes fetched from the backing store (the
+	// network, for a PFS-mounted base): the paper's transfer accounting.
+	BackingReads int64
 }
 
-// NewOverlay returns a CoW overlay over backing. cor enables copy-on-read
+// NewOverlay returns an overlay over backing. cor enables copy-on-read
 // (the VMI cache behaviour). clusterSize must be positive; the backing
 // size is inherited.
 func NewOverlay(backing Backend, clusterSize int64, cor bool) (*Overlay, error) {
@@ -67,16 +66,6 @@ func NewOverlay(backing Backend, clusterSize int64, cor bool) (*Overlay, error) 
 
 // Size implements Backend.
 func (o *Overlay) Size() int64 { return o.size }
-
-// ClusterSize returns the overlay's cluster granularity.
-func (o *Overlay) ClusterSize() int64 { return o.cluster }
-
-// CachedClusters returns how many clusters are locally present.
-func (o *Overlay) CachedClusters() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.clusters)
-}
 
 // ReadAt implements io.ReaderAt. Reads are resolved cluster by cluster:
 // local clusters are served directly; missing ones are fetched whole from
@@ -115,18 +104,15 @@ func (o *Overlay) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // clusterFor returns cluster ci's payload, fetching from backing on miss.
-// A cluster the overlay holds (local, or just cached by copy-on-read)
-// comes with a nil loan; one fetched without copy-on-read is only lent —
-// loan is its pooled buffer, which the caller Puts back into clusterBufs
-// once it has read data.
+// A cluster the overlay holds (cached by copy-on-read) comes with a nil
+// loan; one fetched without copy-on-read is only lent — loan is its
+// pooled buffer, which the caller Puts back into clusterBufs once it has
+// read data.
 func (o *Overlay) clusterFor(ci int64) (data []byte, loan *[]byte, err error) {
 	o.mu.RLock()
 	data, ok := o.clusters[ci]
 	o.mu.RUnlock()
 	if ok {
-		o.mu.Lock()
-		o.LocalReads += int64(len(data))
-		o.mu.Unlock()
 		return data, nil, nil
 	}
 	bp, err := o.fetchCluster(ci)
@@ -181,84 +167,3 @@ func (o *Overlay) fetchCluster(ci int64) (*[]byte, error) {
 	}
 	return bp, nil
 }
-
-// WriteAt implements copy-on-write: partial cluster writes first fault in
-// the cluster from below, then modify the local copy. The backing store
-// is never written.
-func (o *Overlay) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > o.size {
-		return 0, fmt.Errorf("qcow: write out of range [%d,%d)", off, off+int64(len(p)))
-	}
-	total := 0
-	for len(p) > 0 {
-		ci := off / o.cluster
-		cOff := off % o.cluster
-		n := int64(len(p))
-		if rem := o.cluster - cOff; n > rem {
-			n = rem
-		}
-		o.mu.Lock()
-		data, ok := o.clusters[ci]
-		o.mu.Unlock()
-		if !ok {
-			bp, err := o.fetchCluster(ci)
-			if err != nil {
-				return total, err
-			}
-			o.mu.Lock()
-			if dup, present := o.clusters[ci]; present {
-				clusterBufs.Put(bp)
-				data = dup
-			} else {
-				o.clusters[ci] = *bp
-				data = *bp
-				o.BackingReads += int64(len(data))
-			}
-			o.mu.Unlock()
-		}
-		o.mu.Lock()
-		copy(data[cOff:], p[:n])
-		o.mu.Unlock()
-		p = p[n:]
-		off += n
-		total += int(n)
-	}
-	return total, nil
-}
-
-// ---------------------------------------------------------------------------
-// Simple backends.
-
-// MemBackend is an in-memory flat image, useful for tests and for fully
-// materialized base images.
-type MemBackend struct {
-	Data []byte
-}
-
-// ReadAt implements Backend.
-func (m *MemBackend) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off >= int64(len(m.Data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, m.Data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// Size implements Backend.
-func (m *MemBackend) Size() int64 { return int64(len(m.Data)) }
-
-// FuncBackend adapts a ReadAt function, letting callers charge network or
-// disk costs per fetch (the cluster simulator wraps PFS reads this way).
-type FuncBackend struct {
-	ReadAtFn func(p []byte, off int64) (int, error)
-	SizeFn   func() int64
-}
-
-// ReadAt implements Backend.
-func (f *FuncBackend) ReadAt(p []byte, off int64) (int, error) { return f.ReadAtFn(p, off) }
-
-// Size implements Backend.
-func (f *FuncBackend) Size() int64 { return f.SizeFn() }

@@ -71,28 +71,22 @@ var (
 type Options struct {
 	// Addr is the daemon's TCP address (host:port).
 	Addr string
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
 	// Attempts is the dial retry budget (default 5); only transient
 	// failures (refused connections, busy handshakes) are retried.
 	Attempts int
 	// Backoff is the initial retry delay, doubling per attempt
 	// (default 100ms).
 	Backoff time.Duration
-	// CallTimeout bounds each request that arrives without its own
-	// context deadline. 0 means no per-call deadline. Watch streams are
-	// exempt: they run on the caller's context alone.
-	CallTimeout time.Duration
 	// Obs, when set, receives the client-side span tree: a ctl.session
 	// root for the connection, ctl.dial attempts and rpc.call exchanges
 	// as its children. Required for TraceSlowest.
 	Obs *obs.Telemetry
 }
 
+// dialTimeout bounds each connection attempt and its handshake.
+const dialTimeout = 2 * time.Second
+
 func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
 	if o.Attempts <= 0 {
 		o.Attempts = 5
 	}
@@ -136,7 +130,7 @@ func Dial(opts Options) (*Client, error) {
 		dsp := session.Child(obs.OpDial, "", "")
 		dsp.Annotate("attempt", int64(attempt)+1)
 		dsp.Annotate("proto", int64(wireproto.Version))
-		conn, err := net.DialTimeout("tcp", opts.Addr, opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", opts.Addr, dialTimeout)
 		if err != nil {
 			dsp.Fail(err)
 			dsp.Finish()
@@ -173,8 +167,7 @@ var errBusy = errors.New("wireclient: daemon busy")
 
 // handshake runs the hello exchange and brings up the read loop.
 func handshake(conn net.Conn, opts Options) (*Client, error) {
-	deadline := time.Now().Add(opts.DialTimeout)
-	_ = conn.SetDeadline(deadline)
+	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := wireproto.WriteHello(conn); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
@@ -302,9 +295,8 @@ func (c *Client) writeRequest(f wireproto.Frame) error {
 }
 
 // rpcSpan opens the client-side span for one exchange. Nil (free) when
-// tracing is off, when the session root was head-sampled out, or for
-// the trace-fetch op itself — TTraceTree dispatches must not appear
-// inside the very trace they retrieve.
+// tracing is off, or for the trace-fetch op itself — TTraceTree
+// dispatches must not appear inside the very trace they retrieve.
 func (c *Client) rpcSpan(typ uint8) *obs.Span {
 	if c.tel == nil || typ == wireproto.TTraceTree {
 		return nil
@@ -337,13 +329,6 @@ func (c *Client) call(ctx context.Context, typ uint8, args any, out any) error {
 }
 
 func (c *Client) exchange(ctx context.Context, sp *obs.Span, typ uint8, args any, out any) error {
-	if c.opts.CallTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
-			defer cancel()
-		}
-	}
 	var payload []byte
 	if args != nil {
 		var err error

@@ -77,11 +77,11 @@ func benchVolume(b *testing.B, cfgName string, cfg Config) {
 }
 
 func BenchmarkVolume(b *testing.B) {
-	benchVolume(b, "dedup+gzip6/64K", Config{BlockSize: block.Size64K, Codec: "gzip6", Dedup: true, MinCompressGain: 0.125})
-	benchVolume(b, "dedup+lz4/64K", Config{BlockSize: block.Size64K, Codec: "lz4", Dedup: true, MinCompressGain: 0.125})
+	benchVolume(b, "dedup+gzip6/64K", Config{BlockSize: block.Size64K, Codec: "gzip6", Dedup: true})
+	benchVolume(b, "dedup+lz4/64K", Config{BlockSize: block.Size64K, Codec: "lz4", Dedup: true})
 	benchVolume(b, "dedup-only/64K", Config{BlockSize: block.Size64K, Codec: "null", Dedup: true})
 	benchVolume(b, "raw/64K", Config{BlockSize: block.Size64K, Codec: "null", Dedup: false})
-	benchVolume(b, "dedup+gzip6/4K", Config{BlockSize: block.Size4K, Codec: "gzip6", Dedup: true, MinCompressGain: 0.125})
+	benchVolume(b, "dedup+gzip6/4K", Config{BlockSize: block.Size4K, Codec: "gzip6", Dedup: true})
 }
 
 // BenchmarkReadAtDecoded times a whole-block 64 KB ReadAt on the paper's

@@ -449,7 +449,7 @@ func TestStampsAgreeWithTableCopies(t *testing.T) {
 
 func runReference(t *testing.T, seed int64, steps int, dedup bool) {
 	rng := rand.New(rand.NewSource(seed))
-	src, err := New(Config{BlockSize: refBlock, Codec: "gzip6", Dedup: dedup, MinCompressGain: 0.125})
+	src, err := New(Config{BlockSize: refBlock, Codec: "gzip6", Dedup: dedup})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,17 +79,17 @@ type Config struct {
 	BlockSize block.Size // record size; the paper settles on 64 KB
 	Codec     string     // compress codec name; "" or "null" disables
 	Dedup     bool       // deduplicate through the DDT
-	// MinCompressGain is the fraction of a block that compression must
-	// save for the compressed form to be stored (ZFS requires 12.5%).
-	// Zero means "any gain".
-	MinCompressGain float64
 }
 
 // DefaultConfig is the configuration the paper converges on for cVolumes:
-// 64 KB blocks, gzip-6, dedup on, ZFS's 12.5% minimum compression gain.
+// 64 KB blocks, gzip-6, dedup on.
 func DefaultConfig() Config {
-	return Config{BlockSize: block.Default, Codec: "gzip6", Dedup: true, MinCompressGain: 0.125}
+	return Config{BlockSize: block.Default, Codec: "gzip6", Dedup: true}
 }
+
+// minCompressGain is ZFS's rule: a block is stored compressed only when
+// compression saves more than this fraction of it (12.5%).
+const minCompressGain = 0.125
 
 // blockPtr locates one logical block of an object. Zero blocks are holes:
 // they carry no address and never touch the DDT or the store, which is how
@@ -389,7 +389,7 @@ func (v *Volume) encode(data []byte) (payload []byte, compressed bool, physHash 
 	payload = data
 	if v.codec.Name() != "null" {
 		comp := v.codec.Compress(data)
-		if gain := 1 - float64(len(comp))/float64(len(data)); gain > v.cfg.MinCompressGain {
+		if gain := 1 - float64(len(comp))/float64(len(data)); gain > minCompressGain {
 			payload, compressed = comp, true
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // cfg64 is the paper's chosen configuration with a smaller block size to
 // keep tests fast when they need many blocks.
 func cfg(bs block.Size, codec string, dd bool) Config {
-	return Config{BlockSize: bs, Codec: codec, Dedup: dd, MinCompressGain: 0.125}
+	return Config{BlockSize: bs, Codec: codec, Dedup: dd}
 }
 
 // mkData builds a payload of n bytes: a compressible repeated phrase with
