@@ -102,12 +102,14 @@ gate-gossip-scale:
 gate-inflate:
 	$(GO) test -run '^$$' -bench BenchmarkInflateCorpus -benchtime 1x ./internal/compress/
 
-# The ledger rungs CHANGES.md quotes (warm boots, registration stream,
-# Stats poll, control-RPC mix, a 64 KB ReadAt served by the decoded-block
-# cache and one that always decodes), one iteration each so they cannot
-# rot between the PRs that read them.
+# The ledger rungs CHANGES.md quotes (warm boots, first boots of a new
+# image stormed 1/8/32 at once, registration stream, Stats poll,
+# control-RPC mix, a 64 KB ReadAt served by the decoded-block cache and
+# one that always decodes), one iteration each so they cannot rot between
+# the PRs that read them.
 rungs:
 	$(GO) test -run '^$$' -bench BenchmarkWarmBoot -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkStormFirstBoot -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkRegisterStream -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkStats -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkControlRPC -benchtime 1x ./internal/daemon/

@@ -34,14 +34,18 @@ func daemonShaped(t testing.TB, images, nodes int) (*Squirrel, []*corpus.Image) 
 }
 
 func TestWarmBootAllocatesNoBuffers(t *testing.T) {
-	// A warm boot reads ~200 KB through whole-cluster fetches; neither the
-	// clusters nor the VM's read buffer outlive it, so both are pooled and
-	// a boot allocates only bookkeeping (layout slices, report, overlay) —
-	// it used to allocate 334 KB, and the garbage paced the collector.
-	// The warm-up boot also fills zvol's decoded-block cache, and the four
-	// images' blocks fit in its budget, so every later block read is a hit
-	// copied into the pooled cluster; a miss would allocate the 64 KB
-	// decoded copy the cache keeps, and show here.
+	// A warm boot reads ~200 KB through whole-cluster fetches into the
+	// VM's read buffer, which is pooled: a cluster the read covers whole
+	// is fetched straight into it, and the rare one covered in part
+	// through a pooled cluster buffer. So a boot allocates only
+	// bookkeeping (layout slices, report, overlay), ≈ 0.5 KB — it used to
+	// allocate 334 KB, and the garbage paced the collector. The limit
+	// leaves room for a GC emptying the pools mid-run, after which a read
+	// buffer is allocated again. The warm-up boot also
+	// fills zvol's decoded-block cache, and the four images' blocks fit in
+	// its budget, so every later block read is a hit copied into the read
+	// buffer; a miss would allocate the 64 KB decoded copy the cache
+	// keeps, and show here.
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
 	}
@@ -70,4 +74,41 @@ func TestWarmBootAllocatesNoBuffers(t *testing.T) {
 		t.Fatalf("a warm boot allocated %.0f bytes, limit %.0f", perBoot, limit)
 	}
 	t.Logf("a warm boot allocates %.0f bytes", perBoot)
+}
+
+func TestWarmWorkingSetFitsDecodeBudget(t *testing.T) {
+	// BenchmarkWarmBoot's 1000 boots, replayed twice. The first pass
+	// decodes each block the mix touches; they all fit zvol's 4 MiB decode
+	// budget, so the second pass is served by the decoded-block cache
+	// without one decode. A corpus or mix that outgrows the budget fails
+	// here, naming the working set it needs.
+	sq, seq := warmBootMix(t)
+	ctr := decodeCounted(sq)
+	bootAllWarm(t, sq, seq)
+	first := ctr.Get("zvol.decode.miss")
+	bootAllWarm(t, sq, seq)
+	again := ctr.Get("zvol.decode.miss") - first
+
+	payloads := map[uint64]int32{}
+	seen := map[string]bool{}
+	for _, req := range seq {
+		if !seen[req.Image] {
+			seen[req.Image] = true
+			sq.state.RLock()
+			im := sq.images[req.Image]
+			sq.state.RUnlock()
+			bootPayloads(t, sq, im, "node00", payloads)
+		}
+	}
+	var bytes int64
+	for _, n := range payloads {
+		bytes += int64(n)
+	}
+	mib := float64(bytes) / (1 << 20)
+	t.Logf("%d images booted, %d distinct payloads, %.2f MiB decoded; %d decodes in the first pass",
+		len(seen), len(payloads), mib, first)
+	if again != 0 {
+		t.Fatalf("the second pass decoded %d blocks: the mix's working set is %d distinct payloads, %.2f MiB decoded, over zvol's decode budget",
+			again, len(payloads), mib)
+	}
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/peer"
 )
 
@@ -73,10 +75,21 @@ func BenchmarkBootWaveTracingOverhead(b *testing.B) {
 // decode, CoW chain — and a CPU profile of it
 // (-cpuprofile, -benchtime 15x) attributes that path layer by layer.
 func BenchmarkWarmBoot(b *testing.B) {
+	sq, seq := warmBootMix(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bootAllWarm(b, sq, seq)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(seq)), "us/boot")
+}
+
+// warmBootMix is BenchmarkWarmBoot's deployment, every image registered,
+// and its boot sequence.
+func warmBootMix(t testing.TB) (*Squirrel, []BootRequest) {
 	const images, nodes, boots = 32, 8, 1000
-	sq, ims := daemonShaped(b, images, nodes)
+	sq, ims := daemonShaped(t, images, nodes)
 	for i, im := range ims {
-		mustRegister(b, sq, im, day(i))
+		mustRegister(t, sq, im, day(i))
 	}
 	r := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(r, 1.2, 1, images-1)
@@ -84,16 +97,76 @@ func BenchmarkWarmBoot(b *testing.B) {
 	for i := range seq {
 		seq[i] = BootRequest{Image: ims[zipf.Uint64()].ID, Node: sq.cl.Compute[r.Intn(nodes)].ID}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, req := range seq {
-			rep, err := sq.Boot(context.Background(), req)
-			if err != nil || !rep.Warm {
-				b.Fatalf("boot %s on %s: %+v, %v", req.Image, req.Node, rep, err)
-			}
+	return sq, seq
+}
+
+// bootAllWarm boots seq in order and fails unless every boot is warm.
+func bootAllWarm(t testing.TB, sq *Squirrel, seq []BootRequest) {
+	t.Helper()
+	for _, req := range seq {
+		rep, err := sq.Boot(context.Background(), req)
+		if err != nil || !rep.Warm {
+			t.Fatalf("boot %s on %s: %+v, %v", req.Image, req.Node, rep, err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*boots), "us/boot")
+}
+
+// decodeCounted points every volume of sq at a fresh counter set, which
+// then counts zvol.decode.hit and zvol.decode.miss without the tracing
+// cfg.Obs would switch on.
+func decodeCounted(sq *Squirrel) *metrics.CounterSet {
+	c := metrics.NewCounterSet()
+	sq.sc.SetCounters(c)
+	for _, r := range sq.order {
+		sq.ccVolume(r).SetCounters(c)
+	}
+	return c
+}
+
+// bootPayloads records in into each compressed block a warm boot of im
+// decodes — the blocks under the cache extents of every cluster its trace
+// touches — keyed by its address in node's replica, valued by its decoded
+// length. Replicas alias the same stored payloads, deduplicated within
+// each replica, so over all images one node's addresses count the
+// deployment's distinct payloads.
+func bootPayloads(t testing.TB, sq *Squirrel, im *corpus.Image, node string, into map[uint64]int32) {
+	t.Helper()
+	v, err := sq.CCVolume(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := v.BlockInfos(im.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := make([]int64, len(infos)) // cache-object offset where block i ends
+	var end int64
+	for i, bi := range infos {
+		end += int64(bi.LogLen)
+		ends[i] = end
+	}
+	c, size := sq.cfg.ClusterSize, im.RawSize()
+	clusters := map[int64]bool{}
+	for _, e := range im.BootTrace() {
+		for ci := e.Off / c; ci*c < min(e.Off+e.Len, size); ci++ {
+			clusters[ci] = true
+		}
+	}
+	for ci := range clusters {
+		lo, hi := ci*c, min((ci+1)*c, size)
+		var base int64 // cache-object offset of extent x
+		for _, x := range im.CacheExtentsSorted() {
+			if a, z := max(lo, x.Off), min(hi, x.Off+x.Len); a < z {
+				from, to := base+a-x.Off, base+z-x.Off
+				for i := sort.Search(len(ends), func(i int) bool { return ends[i] > from }); i < len(infos) && ends[i]-int64(infos[i].LogLen) < to; i++ {
+					if infos[i].Compressed {
+						into[infos[i].Addr] = infos[i].LogLen
+					}
+				}
+			}
+			base += x.Len
+		}
+	}
 }
 
 // BenchmarkColdBoot times a boot whose every cache range is served by

@@ -393,3 +393,50 @@ func BenchmarkBootStorm(b *testing.B) {
 			serial/storm, storm, serial, stormScalingBar)
 	}
 }
+
+// BenchmarkStormFirstBoot is a boot storm on an image's arrival: N
+// concurrent first boots, N in {1, 8, 32}, of one image just registered
+// on a one-node daemon-shaped deployment. Every iteration builds its
+// deployment and registers the image outside the timer; the stored
+// payloads are new slices, so the decoded-block cache starts cold for the
+// image. It reports µs per boot and the decodes per distinct block the
+// boot touches (zvol.decode.miss over bootPayloads): a cache that fills
+// each block once reads 1.00 at every N, one whose concurrent misses each
+// decode reads up to N.
+//
+//	go test -run '^$' -bench BenchmarkStormFirstBoot -benchtime 20x ./internal/core/
+func BenchmarkStormFirstBoot(b *testing.B) {
+	for _, n := range []int{1, 8, 32} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var decodes, blocks int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sq, ims := daemonShaped(b, 1, 1)
+				im := ims[0]
+				mustRegister(b, sq, im, day(0))
+				ctr := decodeCounted(sq)
+				payloads := map[uint64]int32{}
+				bootPayloads(b, sq, im, "node00", payloads)
+				var wg sync.WaitGroup
+				b.StartTimer()
+				for g := 0; g < n; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						rep, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00"})
+						if err != nil || !rep.Warm {
+							b.Errorf("boot %s: %+v, %v", im.ID, rep, err)
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				decodes += ctr.Get("zvol.decode.miss")
+				blocks += int64(len(payloads))
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/boot")
+			b.ReportMetric(float64(decodes)/float64(blocks), "decodes/block")
+		})
+	}
+}

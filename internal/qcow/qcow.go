@@ -76,22 +76,10 @@ func (o *Overlay) ReadAt(p []byte, off int64) (int, error) {
 	}
 	total := 0
 	for len(p) > 0 && off < o.size {
-		ci := off / o.cluster
-		cOff := off % o.cluster
-		n := int64(len(p))
-		if rem := o.cluster - cOff; n > rem {
-			n = rem
-		}
-		if rem := o.size - off; n > rem {
-			n = rem
-		}
-		data, loan, err := o.clusterFor(ci)
-		if err != nil {
+		ci, cOff := off/o.cluster, off%o.cluster
+		n := min(int64(len(p)), o.cluster-cOff, o.size-off)
+		if err := o.readCluster(p[:n], ci, cOff); err != nil {
 			return total, err
-		}
-		copy(p[:n], data[cOff:cOff+n])
-		if loan != nil {
-			clusterBufs.Put(loan)
 		}
 		p = p[n:]
 		off += n
@@ -103,67 +91,72 @@ func (o *Overlay) ReadAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// clusterFor returns cluster ci's payload, fetching from backing on miss.
-// A cluster the overlay holds (cached by copy-on-read) comes with a nil
-// loan; one fetched without copy-on-read is only lent — loan is its
-// pooled buffer, which the caller Puts back into clusterBufs once it has
-// read data.
-func (o *Overlay) clusterFor(ci int64) (data []byte, loan *[]byte, err error) {
+// readCluster fills p with cluster ci's bytes from cOff on. A cluster the
+// overlay holds (cached by copy-on-read) is copied out. A missing one is
+// fetched whole: straight into p when p is the whole cluster and
+// copy-on-read is off — the backing store sees the very read a staged
+// fetch would make, and the bytes land once, in the caller's buffer —
+// otherwise into a buffer from clusterBufs, which copy-on-read keeps and
+// a plain overlay recycles once p has its part.
+func (o *Overlay) readCluster(p []byte, ci, cOff int64) error {
 	o.mu.RLock()
 	data, ok := o.clusters[ci]
 	o.mu.RUnlock()
 	if ok {
-		return data, nil, nil
+		copy(p, data[cOff:])
+		return nil
 	}
-	bp, err := o.fetchCluster(ci)
-	if err != nil {
-		return nil, nil, err
+	l := min(o.cluster, o.size-ci*o.cluster) // short at EOF
+	if !o.cor && int64(len(p)) == l {
+		return o.fetch(p, ci)
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.BackingReads += int64(len(*bp))
-	if !o.cor {
-		return *bp, bp, nil
-	}
-	// Copy-on-read: the fetched cluster becomes part of the cache.
-	if dup, ok := o.clusters[ci]; ok {
-		clusterBufs.Put(bp)
-		return dup, nil, nil // raced with another reader; keep the first copy
-	}
-	o.clusters[ci] = *bp
-	return *bp, nil, nil
-}
-
-// clusterBufs recycles cluster buffers between fetches, across overlays:
-// a boot's CoW overlay fetches a whole cluster per read and keeps none
-// of them, which without reuse is the boot path's largest source of
-// garbage.
-var clusterBufs sync.Pool // *[]byte
-
-// fetchCluster reads one whole cluster from backing (short at EOF) into
-// a buffer from clusterBufs. The buffer has whole-cluster capacity even
-// for the short tail, so every buffer is reusable; its owner either keeps
-// it for good or Puts it back.
-func (o *Overlay) fetchCluster(ci int64) (*[]byte, error) {
-	start := ci * o.cluster
-	l := o.cluster
-	if start+l > o.size {
-		l = o.size - start
-	}
+	// Every buffer has whole-cluster capacity, even for the short tail, so
+	// every one is reusable.
 	bp, _ := clusterBufs.Get().(*[]byte)
 	if bp == nil || int64(cap(*bp)) < o.cluster {
 		buf := make([]byte, o.cluster)
 		bp = &buf
 	}
-	*bp = (*bp)[:l]
-	n, err := o.backing.ReadAt(*bp, start)
+	buf := (*bp)[:l]
+	if err := o.fetch(buf, ci); err != nil {
+		clusterBufs.Put(bp)
+		return err
+	}
+	copy(p, buf[cOff:])
+	if !o.cor {
+		clusterBufs.Put(bp)
+		return nil
+	}
+	// Copy-on-read: the fetched cluster becomes part of the cache.
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if _, ok := o.clusters[ci]; ok {
+		clusterBufs.Put(bp) // raced with another reader; keep the first copy
+		return nil
+	}
+	o.clusters[ci] = buf
+	return nil
+}
+
+// clusterBufs recycles cluster buffers between fetches, across overlays:
+// a plain overlay fetches a whole cluster for every read that covers it
+// only in part and keeps none of them, which without reuse is the boot
+// path's largest source of garbage.
+var clusterBufs sync.Pool // *[]byte
+
+// fetch reads cluster ci from backing into buf, which is exactly the
+// cluster's length, and counts the bytes in BackingReads. On error buf's
+// contents are unspecified.
+func (o *Overlay) fetch(buf []byte, ci int64) error {
+	n, err := o.backing.ReadAt(buf, ci*o.cluster)
 	if err != nil && err != io.EOF {
-		clusterBufs.Put(bp)
-		return nil, fmt.Errorf("qcow: backing read cluster %d: %w", ci, err)
+		return fmt.Errorf("qcow: backing read cluster %d: %w", ci, err)
 	}
-	if int64(n) != l {
-		clusterBufs.Put(bp)
-		return nil, fmt.Errorf("qcow: short backing read: %d of %d", n, l)
+	if n != len(buf) {
+		return fmt.Errorf("qcow: short backing read: %d of %d", n, len(buf))
 	}
-	return bp, nil
+	o.mu.Lock()
+	o.BackingReads += int64(n)
+	o.mu.Unlock()
+	return nil
 }

@@ -2,8 +2,10 @@ package qcow
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -163,4 +165,105 @@ func TestRecycledClusterBuffersAreNeverKeptOnes(t *testing.T) {
 	if cor.BackingReads != int64(len(base.Data)) {
 		t.Fatalf("copy-on-read overlay refetched: %d backing bytes", cor.BackingReads)
 	}
+}
+
+// recordingBackend is a memBackend that logs every read it serves and
+// fails any read that overlaps failAt (when failAt >= 0).
+type recordingBackend struct {
+	*memBackend
+	reads  [][2]int64 // (off, len) per ReadAt
+	failAt int64
+}
+
+var errBackend = errors.New("backend read failed")
+
+func (r *recordingBackend) ReadAt(p []byte, off int64) (int, error) {
+	r.reads = append(r.reads, [2]int64{off, int64(len(p))})
+	if r.failAt >= off && r.failAt < off+int64(len(p)) {
+		return 0, errBackend
+	}
+	return r.memBackend.ReadAt(p, off)
+}
+
+func TestOverlayDirectFillMatchesStaged(t *testing.T) {
+	// A plain overlay fetches a cluster that the read covers whole straight
+	// into the caller's buffer and stages one it covers in part. Either
+	// way the reader sees the base's bytes and the backing store sees one
+	// whole-cluster read per touched cluster — the same reads, and the
+	// same BackingReads, whatever the range: exact clusters, runs of them,
+	// unaligned spans, the short last cluster.
+	const cluster = 4096
+	base := mkBase(11, 9*cluster+1000) // short last cluster
+	size := int64(len(base.Data))
+	rng := rand.New(rand.NewSource(12))
+	type span struct{ off, n int64 }
+	spans := []span{
+		{0, cluster}, {3 * cluster, cluster}, {cluster, 4 * cluster}, // exact clusters
+		{9 * cluster, 1000}, {8 * cluster, cluster + 1000}, {0, size}, // the short tail
+		{100, cluster}, {cluster - 1, 2}, {5*cluster + 7, 3 * cluster},
+	}
+	for i := 0; i < 200; i++ {
+		off := rng.Int63n(size)
+		spans = append(spans, span{off, 1 + rng.Int63n(size-off)})
+		ci := rng.Int63n(10) // a run of whole clusters
+		spans = append(spans, span{ci * cluster, min(size, (ci+1+rng.Int63n(3))*cluster) - ci*cluster})
+	}
+	for _, s := range spans {
+		rb := &recordingBackend{memBackend: base, failAt: -1}
+		ov, err := NewOverlay(rb, cluster, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, s.n)
+		if n, err := ov.ReadAt(got, s.off); err != nil || int64(n) != s.n {
+			t.Fatalf("[%d,+%d): %d bytes, %v", s.off, s.n, n, err)
+		}
+		if !bytes.Equal(got, base.Data[s.off:s.off+s.n]) {
+			t.Fatalf("[%d,+%d): bytes differ from the base", s.off, s.n)
+		}
+		var want [][2]int64
+		var wantBytes int64
+		for ci := s.off / cluster; ci*cluster < s.off+s.n; ci++ {
+			l := min(cluster, size-ci*cluster)
+			want = append(want, [2]int64{ci * cluster, l})
+			wantBytes += l
+		}
+		if !slices.Equal(rb.reads, want) || ov.BackingReads != wantBytes {
+			t.Fatalf("[%d,+%d): backing reads %v (%d bytes), want whole clusters %v (%d bytes)",
+				s.off, s.n, rb.reads, ov.BackingReads, want, wantBytes)
+		}
+	}
+
+	t.Run("backend error", func(t *testing.T) {
+		// A failed fetch of a cluster the read covers whole is the read's
+		// error, counted nowhere; the clusters before it were delivered.
+		rb := &recordingBackend{memBackend: base, failAt: 2*cluster + 5}
+		ov, _ := NewOverlay(rb, cluster, false)
+		got := make([]byte, 4*cluster)
+		n, err := ov.ReadAt(got, 0)
+		if !errors.Is(err, errBackend) || n != 2*cluster {
+			t.Fatalf("read over a failing cluster: %d bytes, %v", n, err)
+		}
+		if ov.BackingReads != 2*cluster {
+			t.Fatalf("BackingReads %d, want the two delivered clusters", ov.BackingReads)
+		}
+	})
+
+	t.Run("copy-on-read still caches", func(t *testing.T) {
+		// With copy-on-read a whole-cluster read is staged and kept: the
+		// second read is served without the backing store, and scribbling
+		// over the first read's buffer does not reach the kept cluster.
+		rb := &recordingBackend{memBackend: base, failAt: -1}
+		ov, _ := NewOverlay(rb, cluster, true)
+		got := make([]byte, cluster)
+		for i := 0; i < 2; i++ {
+			if _, err := ov.ReadAt(got, cluster); err != nil || !bytes.Equal(got, base.Data[cluster:2*cluster]) {
+				t.Fatalf("read %d: %v", i, err)
+			}
+			clear(got)
+		}
+		if len(rb.reads) != 1 || ov.BackingReads != cluster {
+			t.Fatalf("copy-on-read fetched %d times (%d bytes), want once", len(rb.reads), ov.BackingReads)
+		}
+	})
 }

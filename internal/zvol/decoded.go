@@ -11,13 +11,15 @@ import (
 	"repro/internal/block"
 )
 
-// decodeBudget bounds the decoded bytes the cache holds: 32 blocks at the
+// decodeBudget bounds the decoded bytes the cache holds: 64 blocks at the
 // paper's 64 KB. It is a constant because the cache cannot change any
-// output, only the CPU and memory a read costs. At 2 MiB it serves 91 % of
-// the block reads of a Zipf-1.2 warm-boot mix over 32 images and adds
-// 19 % to a daemon's peak RSS; 3 MiB would serve 98 % for 26 % (CHANGES.md
+// output, only the CPU and memory a read costs. A Zipf-1.2 warm-boot mix
+// over 32 images touches 58 distinct payloads, 3.62 MiB decoded: 4 MiB is
+// the smallest power of two that holds them, so once each has been
+// decoded every read is a hit (2 MiB missed 9 % of reads). The RSS it
+// costs is only what gets filled: +10 % on a daemon's peak (CHANGES.md
 // has the curve).
-const decodeBudget = 2 << 20
+const decodeBudget = 4 << 20
 
 // decoded is the one cache every volume in the process reads through. A
 // cache per volume would decode a registration's blocks once per replica;
@@ -25,9 +27,12 @@ const decodeBudget = 2 << 20
 // receivers alias the sender's payloads (store.AllocShared). Like a
 // sync.Pool it is shared state no caller can observe except through the
 // zvol.decode.hit and zvol.decode.miss counters.
-var decoded = &decodeCache{entries: make(map[*byte]*list.Element)}
+var decoded = &decodeCache{entries: make(map[*byte]*decodedBlock)}
 
-// decodeCache is a byte-bounded LRU of decoded compressed blocks.
+// decodeCache is a byte-bounded LRU of decoded compressed blocks whose
+// misses are single-flight: the first reader of a key decodes it, later
+// readers wait for that decode, as ZFS's ARC holds a header with I/O in
+// progress.
 //
 // An entry is keyed by the first byte of the stored payload it was decoded
 // from. The key is a real pointer, so while an entry names a payload the
@@ -38,54 +43,76 @@ var decoded = &decodeCache{entries: make(map[*byte]*list.Element)}
 // key, which is why the CRC32C is checked before the lookup.
 type decodeCache struct {
 	mu      sync.Mutex
-	bytes   int                     // Σ len(data) over the entries, ≤ decodeBudget
-	entries map[*byte]*list.Element // payload key → element of lru
-	lru     list.List               // of *decodedBlock, most recently used first
+	bytes   int                     // Σ len(data) over the filled entries, ≤ decodeBudget
+	entries map[*byte]*decodedBlock // payload key → entry, filled or in flight
+	lru     list.List               // of the filled *decodedBlock, most recently used first
 }
 
-// decodedBlock is one cache entry. data is never written after the fill
-// and an evicted entry's data is dropped, not reused, because a reader may
-// still be copying from it outside the lock.
+// decodedBlock is one cache entry. While its fill is in flight el and
+// data are nil and done is open; the filler sets data, closes done, and
+// never writes data again. An evicted entry's data is dropped, not
+// reused, because a reader may still be copying from it outside the lock.
 type decodedBlock struct {
 	key      *byte
 	physHash block.Hash // the checksum the payload had when data was decoded
-	data     []byte     // the decoded block, logLen bytes
+	logLen   int32
+	data     []byte        // the decoded block, logLen bytes; nil until filled, or for good if the fill failed
+	done     chan struct{} // closed when the fill ends, filled or not
+	el       *list.Element // in lru once filled
+	waiters  int           // readers blocked on done, under mu
 }
 
-// get returns the decoded bytes filled under key, physHash and logLen, or
-// nil. The result must not be written.
-func (c *decodeCache) get(key *byte, physHash block.Hash, logLen int32) []byte {
+// get looks key up under physHash and logLen. A filled entry is a hit:
+// data is its decoded bytes, which must not be written. On a miss fill is
+// an in-flight entry the caller now owns: it decodes the block and then
+// ends the fill with finish, and every reader of key meanwhile waits for
+// it. A miss that returns neither (the key is held under another
+// checksum or length, or the block exceeds the budget) decodes without
+// the cache, as does a reader whose wait ends in a failed fill.
+func (c *decodeCache) get(key *byte, physHash block.Hash, logLen int32) (data []byte, fill *decodedBlock) {
+	if logLen > decodeBudget { // no block is (the largest is 1 MB), but eviction could not make room
+		return nil, nil
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil
+	e, ok := c.entries[key]
+	switch {
+	case !ok:
+		e = &decodedBlock{key: key, physHash: physHash, logLen: logLen, done: make(chan struct{})}
+		c.entries[key] = e
+		c.mu.Unlock()
+		return nil, e
+	case e.physHash != physHash || e.logLen != logLen:
+		c.mu.Unlock()
+		return nil, nil
+	case e.el != nil:
+		c.lru.MoveToFront(e.el)
+		c.mu.Unlock()
+		return e.data, nil
 	}
-	e := el.Value.(*decodedBlock)
-	if e.physHash != physHash || len(e.data) != int(logLen) {
-		return nil
-	}
-	c.lru.MoveToFront(el)
-	return e.data
+	e.waiters++
+	c.mu.Unlock()
+	<-e.done
+	return e.data, nil
 }
 
-// put enters data, which the cache then owns, as key's decode, evicting
-// least recently used entries to stay within the budget. Two concurrent
-// misses on one block both decode it; the first fill wins.
-func (c *decodeCache) put(key *byte, physHash block.Hash, data []byte) {
-	if len(data) > decodeBudget { // no block is (the largest is 1 MB), but eviction could not make room
-		return
-	}
+// finish ends e's fill. With data (which the cache then owns) the entry
+// joins the LRU, evicting least recently used entries to stay within the
+// budget; with nil, the decode failed and the entry is removed. Either
+// way its waiters are released.
+func (c *decodeCache) finish(e *decodedBlock, data []byte) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	for c.bytes+len(data) > decodeBudget {
-		e := c.lru.Remove(c.lru.Back()).(*decodedBlock)
+	if data == nil {
 		delete(c.entries, e.key)
-		c.bytes -= len(e.data)
+	} else {
+		for c.bytes+len(data) > decodeBudget {
+			old := c.lru.Remove(c.lru.Back()).(*decodedBlock)
+			delete(c.entries, old.key)
+			c.bytes -= len(old.data)
+		}
+		e.data = data
+		e.el = c.lru.PushFront(e)
+		c.bytes += len(data)
 	}
-	c.entries[key] = c.lru.PushFront(&decodedBlock{key: key, physHash: physHash, data: data})
-	c.bytes += len(data)
+	c.mu.Unlock()
+	close(e.done)
 }

@@ -8,8 +8,10 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/block"
+	"repro/internal/compress"
 	"repro/internal/metrics"
 )
 
@@ -375,5 +377,129 @@ func TestDecodedCacheConcurrentRotRepairAndReuse(t *testing.T) {
 	readers.Wait()
 	if hit, _ := decodeCounts(ctr); hit == 0 {
 		t.Fatal("no read was served by the cache")
+	}
+}
+
+// gateCodec holds every decode until release is closed, announcing each
+// on entered first, so a test can stop a cache fill mid-decode.
+type gateCodec struct {
+	compress.Codec
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateCodec) DecompressInto(dst, src []byte) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Codec.DecompressInto(dst, src)
+}
+
+// stormOneBlock has n goroutines read v's one-block object o through a
+// cold cache. The first decode is held in the codec until the other n-1
+// readers wait on its fill (a reader that decoded instead would never
+// let the count get there); then it goes on. It returns each reader's
+// error and how many decodes ran, checking the bytes of every read that
+// succeeded against want.
+func stormOneBlock(t *testing.T, v *Volume, addr uint64, n int, want []byte) (errs []error, decodes int) {
+	t.Helper()
+	payload, err := v.store.Read(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := &payload[0]
+	gate := &gateCodec{Codec: v.codec, entered: make(chan struct{}, n), release: make(chan struct{})}
+	v.codec = gate
+	defer func() { v.codec = gate.Codec }()
+	errs = make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got := make([]byte, len(want))
+			if errs[i] = v.ReadAt("o", got, 0); errs[i] == nil && !bytes.Equal(got, want) {
+				t.Errorf("reader %d read back wrong bytes", i)
+			}
+		}(i)
+	}
+	<-gate.entered
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		decoded.mu.Lock()
+		waiters := decoded.entries[key].waiters
+		decoded.mu.Unlock()
+		if waiters == n-1 {
+			break
+		}
+		if time.Now().After(deadline) || len(gate.entered) > 0 {
+			close(gate.release)
+			wg.Wait()
+			t.Fatalf("%d of %d readers wait on the fill, %d more decoded", waiters, n-1, len(gate.entered))
+		}
+	}
+	close(gate.release)
+	wg.Wait()
+	return errs, 1 + len(gate.entered)
+}
+
+func TestDecodedCacheSingleFlight(t *testing.T) {
+	// 32 readers of one compressed block through a cold cache: one decodes,
+	// the other 31 wait for its fill and count as hits, and every read
+	// returns the written bytes.
+	v, err := New(cfg(block.Size4K, "gzip6", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := counted(v)
+	addr := oneBlock(t, v, "o", 's')
+	errs, decodes := stormOneBlock(t, v, addr, 32, blockOf('s'))
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("reader %d: %v", i, err)
+		}
+	}
+	if hit, miss := decodeCounts(ctr); decodes != 1 || hit != 31 || miss != 1 {
+		t.Fatalf("%d decodes, %d hits, %d misses; want 1 decode, 31 hits, 1 miss", decodes, hit, miss)
+	}
+}
+
+func TestDecodedCacheFailedFillWaitersDecode(t *testing.T) {
+	// A payload whose CRC32C matches its pointer but whose decode fails (a
+	// broken gzip magic, with the checksum recomputed over it): the fill
+	// fails, its entry is removed, and each of the 31 readers waiting on it
+	// decodes the block itself and fails with ErrCorrupt. Nothing is cached
+	// and no read counts as a hit.
+	v, err := New(cfg(block.Size4K, "gzip6", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := counted(v)
+	addr := oneBlock(t, v, "o", 'f')
+	payload, err := v.store.Read(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(payload)
+	bad[0] ^= 0xff
+	if err := v.store.Rewrite(addr, bad); err != nil {
+		t.Fatal(err)
+	}
+	v.mu.Lock()
+	v.objects["o"].ptrs[0].physHash = block.Checksum(bad)
+	v.mu.Unlock()
+
+	errs, decodes := stormOneBlock(t, v, addr, 32, blockOf('f'))
+	for i, err := range errs {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("reader %d: %v, want ErrCorrupt", i, err)
+		}
+	}
+	if hit, miss := decodeCounts(ctr); decodes != 32 || hit != 0 || miss != 32 {
+		t.Fatalf("%d decodes, %d hits, %d misses; want every reader's own decode and no hit", decodes, hit, miss)
+	}
+	decoded.mu.Lock()
+	_, left := decoded.entries[&payload[0]]
+	decoded.mu.Unlock()
+	if left {
+		t.Fatal("the failed fill left its entry behind")
 	}
 }

@@ -53,7 +53,10 @@
 // does not repeat is the inflate: once a compressed block has passed its
 // checks, its decode may be copied from the process's one decoded-block
 // cache, keyed by the stored payload so that every replica aliasing it
-// shares the entry (see decoded.go). Scrub and Send always decode.
+// shares the entry (see decoded.go). The cache is sized to hold a warm
+// deployment's working set and fills each entry once, concurrent readers
+// of a block waiting for the one decode, so a block is inflated once per
+// process for as long as it stays cached. Scrub and Send always decode.
 package zvol
 
 import (
@@ -538,8 +541,9 @@ func (v *Volume) readRange(obj *Object, p []byte, off int64) error {
 // under the read.
 //
 // With a cache, a compressed block that passed both checks is copied from
-// the cache's decode of this very payload when it holds one, and otherwise
-// decoded and entered; a nil cache (Scrub, Send) always decodes. Raw
+// the cache's decode of this very payload when it holds one, or when
+// another reader's decode of it is in flight, once that ends; otherwise it
+// is decoded and entered. A nil cache (Scrub, Send) always decodes. Raw
 // blocks are never cached: their decode is already a copy.
 func (v *Volume) readBlockInto(p blockPtr, dst []byte, cache *decodeCache) error {
 	payload, err := v.store.Read(p.addr)
@@ -556,19 +560,26 @@ func (v *Volume) readBlockInto(p blockPtr, dst []byte, cache *decodeCache) error
 	if !p.compressed {
 		codec, cache = compress.Null{}, nil
 	}
+	var fill *decodedBlock
 	if cache != nil {
-		if data := cache.get(&payload[0], p.physHash, p.logLen); data != nil {
+		var data []byte
+		if data, fill = cache.get(&payload[0], p.physHash, p.logLen); data != nil {
 			v.counters.Add("zvol.decode.hit", 1)
 			copy(dst, data)
 			return nil
 		}
 		v.counters.Add("zvol.decode.miss", 1)
 	}
-	if err := codec.DecompressInto(dst, payload); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	err = codec.DecompressInto(dst, payload)
+	if fill != nil {
+		var data []byte
+		if err == nil {
+			data = bytes.Clone(dst)
+		}
+		cache.finish(fill, data)
 	}
-	if cache != nil {
-		cache.put(&payload[0], p.physHash, bytes.Clone(dst))
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return nil
 }
