@@ -305,7 +305,7 @@ type pfsReader interface {
 func newChainBackend(s *Squirrel, im *corpus.Image, ccv *zvol.Volume, node *cluster.Node) (*chainBackend, error) {
 	exts := im.CacheExtentsSorted()
 	cb := &chainBackend{
-		id: im.ID, rawSize: im.RawSize(), node: node, pfs: s.pfs, ctr: s.peers.Counters(),
+		id: im.ID, rawSize: im.RawSize(), node: node, pfs: s.pfs, ctr: s.ledger.Counters(),
 		offs: make([]int64, len(exts)), bases: make([]int64, len(exts)), lens: make([]int64, len(exts)),
 	}
 	var size int64

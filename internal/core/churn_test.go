@@ -216,7 +216,7 @@ func TestGossipChurnSoak(t *testing.T) {
 
 // TestGossipIndexBootParity: the same cold-miss boot serves peer bytes
 // whichever index implementation resolves the holders, and the gossip
-// run keeps breakers and serve slots on the shared peer.Index.
+// run keeps breakers and serve slots on the same peer.Ledger.
 func TestGossipIndexBootParity(t *testing.T) {
 	boot := func(mode IndexMode) BootReport {
 		sq, _, repo := resilienceDeployment(t, 6, fault.Plan{Seed: 7}, func(cfg *Config) {
@@ -232,8 +232,8 @@ func TestGossipIndexBootParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sq.PeerIndex().Loads()) == 0 {
-			t.Fatalf("mode %s: no serve-load accounting on the shared peer index", mode)
+		if len(sq.Stats().PeerLoads) == 0 {
+			t.Fatalf("mode %s: no serve-load accounting on the peer ledger", mode)
 		}
 		return rep
 	}

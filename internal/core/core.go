@@ -166,15 +166,15 @@ type Squirrel struct {
 	replicas map[string]*replica
 	order    []*replica
 
-	// peers is the serve-slot/load/breaker half of the peer block
-	// exchange and (in IndexCentral mode) its content index; internally
+	// ledger is the serve side of the peer block exchange — serve slots,
+	// load and circuit breakers — for either index mode; internally
 	// locked (a leaf in the lock order — core may call it while holding
-	// state, but index callbacks never re-enter core).
-	peers *peer.Index
+	// state, but it never calls back into core).
+	ledger *peer.Ledger
 	// idx is the content-index chokepoint every announce, retraction,
-	// and holder lookup routes through: centralIndex over peers, or
-	// gossipIndex over the decentralized directory. Leaf-locked like
-	// peers.
+	// and holder lookup routes through: centralIndex over a
+	// peer.Directory, or gossipIndex over the decentralized directory.
+	// Leaf-locked like ledger.
 	idx contentIndex
 	// gossip is the decentralized directory when cfg.Index is
 	// IndexGossip, nil otherwise.
@@ -224,22 +224,22 @@ func New(cfg Config, cl *cluster.Cluster, pfs *cluster.PFS) (*Squirrel, error) {
 		pfs:        pfs,
 		sc:         sc,
 		replicas:   make(map[string]*replica, len(cl.Compute)),
-		peers:      peer.NewIndex(),
 		tel:        cfg.Obs,
 		tr:         cfg.Obs.Tracer(),
 		imageLocks: newKeyLocks(),
 		images:     make(map[string]*corpus.Image),
 	}
 	s.faults.Store(cfg.Faults)
-	s.peers.SetBreakerPolicy(cfg.Peer.Breaker)
+	peerCtr := metrics.NewCounterSet()
 	if s.tel != nil {
-		// One registry: the peer index, the fault injector, and every
+		// One registry: the peer ledger, the fault injector, and every
 		// volume account into the telemetry counter set instead of
 		// bespoke per-subsystem sets.
-		s.peers.SetCounters(s.tel.Counters())
+		peerCtr = s.tel.Counters()
 		cfg.Faults.SetCounters(s.tel.Counters())
 		s.sc.SetCounters(s.tel.Counters())
 	}
+	s.ledger = peer.NewLedger(cfg.Peer.Breaker, peerCtr)
 	for _, n := range cl.Compute {
 		v, err := zvol.New(cfg.Volume)
 		if err != nil {
@@ -260,9 +260,25 @@ func New(cfg Config, cl *cluster.Cluster, pfs *cluster.PFS) (*Squirrel, error) {
 // SCVolume exposes the storage-side cVolume (for stats and tests).
 func (s *Squirrel) SCVolume() *zvol.Volume { return s.sc }
 
-// PeerIndex exposes the peer block exchange's content index (stats,
-// experiments, and the squirrelctl peers dump read it).
-func (s *Squirrel) PeerIndex() *peer.Index { return s.peers }
+// PeerCounters is the peer block exchange's accounting (peer.*,
+// breaker.*): the telemetry registry when tracing is on, the ledger's
+// own set otherwise. The squirrelctl peers dump prints it.
+func (s *Squirrel) PeerCounters() *metrics.CounterSet { return s.ledger.Counters() }
+
+// PeerIndex exists only for the benchmark's traced cold boot
+// (bench/trace.go), which replays the exchange's source selection
+// through it; it goes when a benchmark change moves that call to
+// IndexHolders and the ledger.
+func (s *Squirrel) PeerIndex() peerIndex { return peerIndex{s} }
+
+// peerIndex is PeerIndex's one-method view.
+type peerIndex struct{ s *Squirrel }
+
+// Acquire reserves a serve slot on obj's least-loaded eligible holder in
+// the configured index's operator view; see peer.Ledger.Acquire.
+func (p peerIndex) Acquire(obj string, maxSlots int, exclude func(node string) bool) (string, func(int64), bool, bool) {
+	return p.s.ledger.Acquire(p.s.idx.Holders(obj, ""), maxSlots, exclude)
+}
 
 // SetFaults swaps the deployment's fault injector. Chaos scenarios use
 // this to bring a deployment up on a clean fabric and then turn it

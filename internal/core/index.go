@@ -14,7 +14,7 @@ type IndexMode int
 
 const (
 	// IndexCentral is the paper-faithful single registry: the manager
-	// owns one peer.Index and every announce/withdraw lands there
+	// owns one peer.Directory and every announce/withdraw lands there
 	// synchronously.
 	IndexCentral IndexMode = iota
 	// IndexGossip is the decentralized directory: nodes advertise TTL'd
@@ -81,9 +81,8 @@ type contentIndex interface {
 	Entries() int
 }
 
-// centralIndex adapts the in-process peer.Index (which also keeps the
-// serve-slot and breaker state for both modes).
-type centralIndex struct{ ix *peer.Index }
+// centralIndex adapts the in-process peer.Directory.
+type centralIndex struct{ ix *peer.Directory }
 
 func (c centralIndex) Source() string                         { return IndexCentral.String() }
 func (c centralIndex) SetHoldings(node string, objs []string) { c.ix.SetHoldings(node, objs) }
@@ -161,7 +160,7 @@ func (s *Squirrel) IndexHolders(obj, from string) []string {
 // deployment.
 func buildIndex(s *Squirrel) {
 	if s.cfg.Index != IndexGossip {
-		s.idx = centralIndex{ix: s.peers}
+		s.idx = centralIndex{ix: peer.NewDirectory()}
 		return
 	}
 	ids := make([]string, len(s.order))

@@ -486,7 +486,7 @@ func (s *Squirrel) Health() []NodeStatus {
 			LastScrub:     r.lastScrub,
 			DownSince:     r.downSince,
 			Withdrawn:     s.idx.AnnouncedBy(id) == 0,
-			Breaker:       s.peers.BreakerState(id),
+			Breaker:       s.ledger.BreakerState(id),
 			Unreachable:   s.cl.Unreachable(id),
 		}
 		if s.gossip != nil {

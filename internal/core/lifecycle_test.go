@@ -236,7 +236,7 @@ func TestResilverPrefersPeersOverPFS(t *testing.T) {
 		t.Fatalf("peer-sourced resilver moved %d bytes off storage nodes", tx-pfsTx)
 	}
 	// The repaired node rejoins the exchange and boots warm and verified.
-	if !sq.PeerIndex().Holds(im.ID, "node02") {
+	if !indexHolds(sq, im.ID, "node02") {
 		t.Fatal("clean node not re-announced")
 	}
 	br, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node02", Verify: true})
@@ -396,7 +396,7 @@ func TestRottenPeerNeverServesBadBytes(t *testing.T) {
 	if err := sq.DropReplica("node00", im.ID); err != nil {
 		t.Fatal(err)
 	}
-	if !sq.PeerIndex().Holds(im.ID, "node01") {
+	if !indexHolds(sq, im.ID, "node01") {
 		t.Fatal("latent rot must not be withdrawn yet (nothing detected it)")
 	}
 	br, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00", Verify: true})
@@ -410,7 +410,7 @@ func TestRottenPeerNeverServesBadBytes(t *testing.T) {
 	if br.PeerBytes != fromRotten {
 		t.Fatalf("report says %d peer bytes, spans say %d", br.PeerBytes, fromRotten)
 	}
-	if c := sq.PeerIndex().Counters().Snapshot(); c["peer.stale"] == 0 {
+	if c := sq.PeerCounters().Snapshot(); c["peer.stale"] == 0 {
 		t.Fatalf("source-side checksum failure not accounted: %v", c)
 	}
 }
@@ -444,12 +444,12 @@ func TestRottenRangeFailsOverToCleanHolder(t *testing.T) {
 	if br.PeerBytes != im.CacheSize() {
 		t.Fatalf("peers served %d of the cache's %d bytes: %+v", br.PeerBytes, im.CacheSize(), br)
 	}
-	ctr := sq.PeerIndex().Counters()
+	ctr := sq.PeerCounters()
 	if ctr.Get("peer.stale") == 0 || ctr.Get("breaker.trip") == 0 || br.BreakerTrips == 0 {
 		t.Fatalf("rotten holder's failed serves not accounted (trips %d): %s", br.BreakerTrips, ctr)
 	}
-	if sq.PeerIndex().BreakerState("node02") != "closed" {
-		t.Fatalf("clean holder's breaker is %s", sq.PeerIndex().BreakerState("node02"))
+	if sq.ledger.BreakerState("node02") != "closed" {
+		t.Fatalf("clean holder's breaker is %s", sq.ledger.BreakerState("node02"))
 	}
 }
 
@@ -507,7 +507,7 @@ func TestLocalRotFallsThroughPerRange(t *testing.T) {
 			if br.Warm || br.CacheBytes+br.PeerBytes+br.NetworkBytes != br.ReadBytes {
 				t.Fatalf("provenance must cover the read without calling it warm: %+v", br)
 			}
-			if got := sq.PeerIndex().Counters().Get("boot.corrupt_local"); got != failed {
+			if got := sq.PeerCounters().Get("boot.corrupt_local"); got != failed {
 				t.Fatalf("boot.corrupt_local = %d, %d ranges overlap rot", got, failed)
 			}
 			if st := nodeStatus(t, sq, "node00"); st.State != StateHealthy || st.CorruptBlocks != 0 {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,12 @@ func peerDeployment(t testing.TB, computeNodes int) (*Squirrel, *cluster.Cluster
 	return sq, cl, repo
 }
 
+// indexHolds reports whether node announces obj in the configured
+// index's operator view.
+func indexHolds(sq *Squirrel, obj, node string) bool {
+	return slices.Contains(sq.IndexHolders(obj, ""), node)
+}
+
 func storageTx(cl *cluster.Cluster) int64 {
 	var n int64
 	for _, sn := range cl.Storage {
@@ -31,13 +39,13 @@ func TestPeerServesColdBootMiss(t *testing.T) {
 	sq, cl, repo := peerDeployment(t, 4)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
-	if !sq.PeerIndex().Holds(im.ID, "node03") {
+	if !indexHolds(sq, im.ID, "node03") {
 		t.Fatal("registration did not announce node03's replica")
 	}
 	if err := sq.DropReplica("node03", im.ID); err != nil {
 		t.Fatal(err)
 	}
-	if sq.PeerIndex().Holds(im.ID, "node03") {
+	if indexHolds(sq, im.ID, "node03") {
 		t.Fatal("DropReplica left the announcement behind")
 	}
 	cl.ResetCounters()
@@ -66,7 +74,7 @@ func TestPeerServesColdBootMiss(t *testing.T) {
 		t.Fatalf("compute NICs saw %d bytes, report says %d", rx, rep.PeerBytes)
 	}
 	// The exchange's own accounting agrees.
-	ctr := sq.PeerIndex().Counters()
+	ctr := sq.PeerCounters()
 	if ctr.Get("peer.bytes") != rep.PeerBytes || ctr.Get("peer.hit") == 0 {
 		t.Fatalf("peer counters: %s", ctr)
 	}
@@ -89,8 +97,8 @@ func TestPeerServesColdBootMiss(t *testing.T) {
 	if sum != rep.PeerBytes {
 		t.Fatalf("serve loads sum to %d, report says %d", sum, rep.PeerBytes)
 	}
-	if sq.PeerIndex().TransferSizes().Sum() != rep.PeerBytes {
-		t.Fatal("transfer-size histogram disagrees with the report")
+	if sq.PeerCounters().Get("peer.bytes") != rep.PeerBytes {
+		t.Fatal("peer.bytes counter disagrees with the report")
 	}
 }
 
@@ -284,7 +292,7 @@ func TestPeerFetchFaultFailoverDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, sq.PeerIndex().Counters().Snapshot(), cl.ComputeRxTotal()
+		return rep, sq.PeerCounters().Snapshot(), cl.ComputeRxTotal()
 	}
 	rep, ctr, rx := boot()
 	if ctr["peer.fault"] == 0 {
@@ -332,7 +340,7 @@ func TestPeerSourceCrashFailsOverToPFS(t *testing.T) {
 	if rep.PeerBytes != 0 || rep.NetworkBytes == 0 {
 		t.Fatalf("crash-looped boot should finish off the PFS: %+v", rep)
 	}
-	ctr := sq.PeerIndex().Counters()
+	ctr := sq.PeerCounters()
 	if ctr.Get("peer.crash") != 1 {
 		t.Fatalf("want exactly one source crash, got %d", ctr.Get("peer.crash"))
 	}
@@ -341,7 +349,7 @@ func TestPeerSourceCrashFailsOverToPFS(t *testing.T) {
 	if got := sq.Lagging(); len(got) != 1 || got[0] != "node00" {
 		t.Fatalf("lagging: %v", got)
 	}
-	if sq.PeerIndex().Holds(im.ID, "node00") {
+	if indexHolds(sq, im.ID, "node00") {
 		t.Fatal("crashed source still announced")
 	}
 	// Recovery: the crashed node comes back, heals on first boot, and
@@ -356,7 +364,7 @@ func TestPeerSourceCrashFailsOverToPFS(t *testing.T) {
 	if !br.Healed || !br.Warm {
 		t.Fatalf("crashed source did not heal: %+v", br)
 	}
-	if !sq.PeerIndex().Holds(im.ID, "node00") {
+	if !indexHolds(sq, im.ID, "node00") {
 		t.Fatal("healed node did not re-announce")
 	}
 }
@@ -387,7 +395,7 @@ func TestPeerNeverPicksIneligibleSources(t *testing.T) {
 	if rep.PeerBytes != 0 || rep.NetworkBytes == 0 {
 		t.Fatalf("boot should have used the PFS only: %+v", rep)
 	}
-	if sq.PeerIndex().Counters().Get("peer.hit") != 0 {
+	if sq.PeerCounters().Get("peer.hit") != 0 {
 		t.Fatal("an ineligible source served a fetch")
 	}
 	if node00 := cl.Compute[0]; node00.TxBytes() != 0 {
@@ -397,7 +405,7 @@ func TestPeerNeverPicksIneligibleSources(t *testing.T) {
 
 func TestPeerIndexMaintenance(t *testing.T) {
 	sq, _, repo := peerDeployment(t, 4)
-	ix := sq.PeerIndex()
+	ix := sq.idx
 	a, b := repo.Images[0], repo.Images[1]
 	mustRegister(t, sq, a, day(0))
 	mustRegister(t, sq, b, day(1))
@@ -408,35 +416,79 @@ func TestPeerIndexMaintenance(t *testing.T) {
 	if err := sq.SetOnline("node02", false); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Entries() != 6 || ix.Holds(a.ID, "node02") {
+	if ix.Entries() != 6 || indexHolds(sq, a.ID, "node02") {
 		t.Fatalf("offline withdraw: entries=%d", ix.Entries())
 	}
 	if err := sq.SetOnline("node02", true); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Entries() != 8 || !ix.Holds(a.ID, "node02") {
+	if ix.Entries() != 8 || !indexHolds(sq, a.ID, "node02") {
 		t.Fatalf("online re-announce: entries=%d", ix.Entries())
 	}
 	// Deregistration withdraws the object everywhere, immediately.
 	if err := sq.Deregister(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Objects() != 1 || ix.Holders(a.ID) != nil && len(ix.Holders(a.ID)) != 0 {
-		t.Fatalf("deregister: objects=%d holders=%v", ix.Objects(), ix.Holders(a.ID))
+	if ix.Objects() != 1 || ix.Holders(a.ID, "") != nil && len(ix.Holders(a.ID, "")) != 0 {
+		t.Fatalf("deregister: objects=%d holders=%v", ix.Objects(), ix.Holders(a.ID, ""))
 	}
 	// A later registration must not resurrect the deregistered object on
 	// replicas that still physically hold it pending snapshot cleanup.
 	c := repo.Images[2]
 	mustRegister(t, sq, c, day(2))
-	if ix.Holds(a.ID, "node00") {
+	if indexHolds(sq, a.ID, "node00") {
 		t.Fatal("deregistered object re-announced")
 	}
-	if !ix.Holds(c.ID, "node00") || ix.Objects() != 2 {
+	if !indexHolds(sq, c.ID, "node00") || ix.Objects() != 2 {
 		t.Fatalf("post-deregister registration: objects=%d", ix.Objects())
 	}
 	// GC reconciles without inventing entries.
 	sq.GarbageCollect(day(40))
 	if ix.Objects() != 2 || ix.Entries() != 8 {
 		t.Fatalf("after GC: objects=%d entries=%d", ix.Objects(), ix.Entries())
+	}
+}
+
+// TestPeerIndexFacadeIsOneMethod: PeerIndex is a view kept for one
+// benchmark call, not a second way into the exchange.
+func TestPeerIndexFacadeIsOneMethod(t *testing.T) {
+	sq, _, _ := peerDeployment(t, 2)
+	if n := reflect.TypeOf(sq.PeerIndex()).NumMethod(); n != 1 {
+		t.Fatalf("PeerIndex has %d methods, want 1", n)
+	}
+}
+
+// TestPeerIndexFacadeResolvesConfiguredIndex: in both index modes the
+// facade picks a holder the configured index lists, and its release
+// lands on the ledger Stats reports.
+func TestPeerIndexFacadeResolvesConfiguredIndex(t *testing.T) {
+	for _, mode := range []IndexMode{IndexCentral, IndexGossip} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sq, _, repo, _ := deploymentWith(t, 4, func(c *Config) {
+				c.Peer = peer.DefaultPolicy()
+				c.Index = mode
+			})
+			im := repo.Images[0]
+			mustRegister(t, sq, im, day(0))
+			for round := 0; mode == IndexGossip && len(sq.IndexHolders(im.ID, "")) == 0; round++ {
+				if round == 32 {
+					t.Fatal("leases did not spread in 32 gossip rounds")
+				}
+				if _, err := sq.GossipTicks(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			src, release, ok, _ := sq.PeerIndex().Acquire(im.ID, peer.DefaultMaxServeSlots, nil)
+			if !ok || !slices.Contains(sq.IndexHolders(im.ID, ""), src) {
+				t.Fatalf("facade picked %q (ok=%v), holders %v", src, ok, sq.IndexHolders(im.ID, ""))
+			}
+			release(777)
+			for _, l := range sq.Stats().PeerLoads {
+				if l.NodeID == src && l.Active == 0 && l.ServedBytes == 777 {
+					return
+				}
+			}
+			t.Fatalf("release on %s missing from PeerLoads %+v", src, sq.Stats().PeerLoads)
+		})
 	}
 }

@@ -25,7 +25,7 @@ import (
 // cloned to the next-best holder after the hedge threshold: first byte
 // wins, and the losing leg is cancelled through the boot's context
 // before it moves a payload byte. Every serve outcome also feeds the
-// index's per-peer circuit breakers, so a peer that keeps failing stops
+// ledger's per-peer circuit breakers, so a peer that keeps failing stops
 // being selected at all.
 //
 // Transfer faults come from the deployment's fault.Injector under the op
@@ -83,7 +83,7 @@ func (f *peerFetcher) target(object string) {
 // sources. It returns false when no peer could serve the range — the
 // caller then reads the PFS.
 func (f *peerFetcher) fetch(dst []byte, base int64) bool {
-	ctr := f.s.peers.Counters()
+	ctr := f.s.ledger.Counters()
 	fsp := f.sp.Child(obs.OpPeerFetch, "", f.imageID)
 	f.fetchNo++
 	tried := make(map[string]bool)
@@ -134,7 +134,7 @@ func (f *peerFetcher) fetch(dst []byte, base int64) bool {
 // matter how many boots run concurrently.
 func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 	src string, release func(int64), dst []byte, base int64) (string, bool) {
-	ctr := f.s.peers.Counters()
+	ctr := f.s.ledger.Counters()
 	slow := f.faults.SlowServe(f.op, src, f.fetchNo)
 	stall := func() {
 		f.stallSec += f.faults.Plan().SlowSec
@@ -217,8 +217,8 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 // deployment eligibility — the one predicate for every cross-node read:
 // online, not lagging, no known damage, reachable from the reader,
 // replica actually present — is then snapshotted under the state read-lock, and
-// the serve-slot index is consulted without core locks held, keeping
-// lock order one-way (state before index locks, never the reverse).
+// the serve ledger is consulted without core locks held, keeping lock
+// order one-way (state before ledger lock, never the reverse).
 // The eligibility filter is also what makes gossip staleness safe: a
 // lease whose holder crashed a moment ago resolves here, fails the
 // online check, and is never fetched from.
@@ -238,7 +238,7 @@ func (f *peerFetcher) acquire(tried map[string]bool) (string, func(int64), bool,
 		}
 	}
 	s.state.RUnlock()
-	return s.peers.AcquireFrom(holders, f.policy.MaxServeSlots,
+	return s.ledger.Acquire(holders, f.policy.MaxServeSlots,
 		func(id string) bool { return !eligible[id] })
 }
 
@@ -251,10 +251,10 @@ func (f *peerFetcher) acquire(tried map[string]bool) (string, func(int64), bool,
 // feeds src's circuit breaker; on failure dst's contents are unspecified.
 func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(int64)) bool {
 	s, r := f.s, f.s.replicas[src]
-	ctr := s.peers.Counters()
+	ctr := s.ledger.Counters()
 	done := func(served int64, ok bool) bool {
 		release(served)
-		if s.peers.RecordServe(src, ok) {
+		if s.ledger.RecordServe(src, ok) {
 			f.trips++
 		}
 		return ok

@@ -19,8 +19,8 @@ import (
 //	image lock → commitMu → node lock (mu) → state → leaf locks
 //
 // Leaves are the internally locked subsystems that never call back into
-// core (zvol.Volume, peer.Index, the gossip directory, bootGate, metrics,
-// NIC atomics). An operation holds at most one image lock and one node
+// core (zvol.Volume, peer.Directory, peer.Ledger, the gossip directory,
+// bootGate, metrics, NIC atomics). An operation holds at most one image lock and one node
 // lock; passes over many nodes (ScrubAll, GC, ResilverAll) take node
 // locks one after another, never nested.
 type replica struct {

@@ -146,10 +146,10 @@ func TestPartitionSoak(t *testing.T) {
 		t.Fatalf("reannounced %d nodes, want 2", hrep.Reannounced)
 	}
 	for _, id := range minority {
-		if !sq.PeerIndex().Holds(im0.ID, id) {
+		if !indexHolds(sq, im0.ID, id) {
 			t.Fatalf("healed node %s not re-announced for %s", id, im0.ID)
 		}
-		if sq.PeerIndex().Holds(im1.ID, id) {
+		if indexHolds(sq, im1.ID, id) {
 			t.Fatalf("healed node %s announced for %s it never received", id, im1.ID)
 		}
 	}
@@ -265,7 +265,7 @@ func TestHedgeDeterminismSerialVsParallel(t *testing.T) {
 	if fired == 0 || won == 0 {
 		t.Fatalf("seed exercised no hedges: fired=%d won=%d", fired, won)
 	}
-	ctr := serial.PeerIndex().Counters()
+	ctr := serial.PeerCounters()
 	if ctr.Get("peer.hedge_fired") != int64(fired) || ctr.Get("peer.hedge_won") != int64(won) {
 		t.Fatalf("hedge counters disagree with reports: %s", ctr)
 	}
@@ -301,7 +301,7 @@ func TestBreakerDegradesBootToPFS(t *testing.T) {
 	if rep.BreakerTrips == 0 {
 		t.Fatalf("no breakers tripped: %+v", rep)
 	}
-	ctr := sq.PeerIndex().Counters()
+	ctr := sq.PeerCounters()
 	if ctr.Get("breaker.trip") == 0 || ctr.Get("peer.fallback") == 0 {
 		t.Fatalf("breaker counters: %s", ctr)
 	}

@@ -61,7 +61,7 @@ func (s *Squirrel) Stats() DeploymentStats {
 		PeerIndexObjects: s.idx.Objects(),
 		PeerIndexEntries: s.idx.Entries(),
 		IndexSource:      s.idx.Source(),
-		PeerLoads:        s.peers.Loads(),
+		PeerLoads:        s.ledger.Loads(),
 	}
 	if s.gossip != nil {
 		ds.GossipRound = s.gossip.Round()

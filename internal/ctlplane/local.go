@@ -201,7 +201,7 @@ func (l *Local) Health() ([]core.NodeStatus, error) { return l.sq.Health(), nil 
 
 // PeerCounters implements Session.
 func (l *Local) PeerCounters() (string, error) {
-	return l.sq.PeerIndex().Counters().String(), nil
+	return l.sq.PeerCounters().String(), nil
 }
 
 // Telemetry implements Session.

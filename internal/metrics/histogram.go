@@ -11,8 +11,8 @@ import (
 // into buckets delimited by a fixed ascending list of inclusive upper
 // bounds, with one implicit overflow bucket past the last bound. Like
 // CounterSet it is race-safe and nil-safe, so callers can observe
-// unconditionally from any goroutine. The boot path records per-read
-// sizes through one, and the peer exchange records transfer sizes.
+// unconditionally from any goroutine. The telemetry registry and the
+// workload driver record per-operation latency through one.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []int64 // ascending inclusive upper bounds
@@ -21,12 +21,6 @@ type Histogram struct {
 	sum    int64
 	min    int64
 	max    int64
-}
-
-// ByteBuckets is the default power-of-four size ladder (1 KB … 16 MB),
-// wide enough for boot-trace reads and peer transfers alike.
-func ByteBuckets() []int64 {
-	return []int64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 }
 
 // LatencyBuckets is a 1-2-5 ladder of nanosecond bounds from 1 µs to

@@ -79,7 +79,7 @@ func TestHistogramSnapshotIsolated(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := MustHistogram(ByteBuckets()...)
+	h := MustHistogram(LatencyBuckets()...)
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {

@@ -3,7 +3,7 @@ package peer
 // Per-peer circuit breakers. A holder that keeps failing serves (cut
 // behind a partition, crashed mid-serve, persistently flaky fabric) stops
 // being selected after Threshold consecutive failures: its breaker opens
-// and Acquire skips it via the same exclusion path callers use, so a
+// and Ledger.Acquire skips it right after the caller's exclusions, so a
 // booting node degrades straight to the PFS instead of burning its
 // attempt budget on a dead peer. After Cooldown skipped selections the
 // breaker moves to half-open and lets one probe through; a successful
@@ -76,32 +76,16 @@ type breaker struct {
 	cool  int // skipped selections remaining before a half-open probe
 }
 
-// SetBreakerPolicy installs (or, with a zero policy, removes) per-peer
-// circuit breakers, resetting all circuit state. Call before handing the
-// index to a deployment.
-func (ix *Index) SetBreakerPolicy(p BreakerPolicy) {
-	if ix == nil {
-		return
-	}
-	ix.bmu.Lock()
-	ix.bpol = p
-	ix.breakers = make(map[string]*breaker)
-	ix.bmu.Unlock()
-}
-
 // BreakerState reports a node's circuit state: "closed", "open", or
 // "half-open" — or "" when breakers are disabled. What
 // `squirrelctl -health` prints per peer.
-func (ix *Index) BreakerState(node string) string {
-	if ix == nil {
+func (l *Ledger) BreakerState(node string) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.bpol.Enabled() {
 		return ""
 	}
-	ix.bmu.Lock()
-	defer ix.bmu.Unlock()
-	if !ix.bpol.Enabled() {
-		return ""
-	}
-	b := ix.breakers[node]
+	b := l.breakers[node]
 	if b == nil {
 		return breakerClosed.String()
 	}
@@ -114,70 +98,34 @@ func (ix *Index) BreakerState(node string) string {
 // streak, trips a closed breaker at Threshold, and sends a failed
 // half-open probe straight back to open. No-op while breakers are
 // disabled.
-func (ix *Index) RecordServe(node string, ok bool) (tripped bool) {
-	if ix == nil {
+func (l *Ledger) RecordServe(node string, ok bool) (tripped bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.bpol.Enabled() {
 		return false
 	}
-	ix.bmu.Lock()
-	defer ix.bmu.Unlock()
-	if !ix.bpol.Enabled() {
-		return false
-	}
-	b := ix.breakers[node]
+	b := l.breakers[node]
 	if b == nil {
 		b = &breaker{}
-		ix.breakers[node] = b
+		l.breakers[node] = b
 	}
 	switch {
 	case ok:
 		if b.state != breakerClosed {
-			ix.counters.Add("breaker.close", 1)
+			l.counters.Add("breaker.close", 1)
 		}
 		b.state, b.fails = breakerClosed, 0
 	case b.state == breakerHalfOpen:
 		// Failed probe: straight back to open for another cooldown.
-		b.state, b.cool = breakerOpen, ix.bpol.cooldown()
-		ix.counters.Add("breaker.reopen", 1)
+		b.state, b.cool = breakerOpen, l.bpol.cooldown()
+		l.counters.Add("breaker.reopen", 1)
 	default:
 		b.fails++
-		if b.state == breakerClosed && b.fails >= ix.bpol.Threshold {
-			b.state, b.cool, b.fails = breakerOpen, ix.bpol.cooldown(), 0
-			ix.counters.Add("breaker.trip", 1)
+		if b.state == breakerClosed && b.fails >= l.bpol.Threshold {
+			b.state, b.cool, b.fails = breakerOpen, l.bpol.cooldown(), 0
+			l.counters.Add("breaker.trip", 1)
 			return true
 		}
 	}
 	return false
-}
-
-// bpolEnabled reads whether breakers are on (selection checks it before
-// composing the breaker predicate onto the caller's exclusion hook).
-func (ix *Index) bpolEnabled() bool {
-	ix.bmu.Lock()
-	defer ix.bmu.Unlock()
-	return ix.bpol.Enabled()
-}
-
-// breakerSkip decides, during source selection, whether node must be
-// skipped because its breaker is open. Each skip counts against the
-// cooldown; the selection that exhausts it becomes the half-open probe
-// and is allowed through. Called with ix.mu held — the lock order is
-// one-way (ix.mu → bmu), and bmu sections never touch ix.mu.
-func (ix *Index) breakerSkip(node string) bool {
-	ix.bmu.Lock()
-	defer ix.bmu.Unlock()
-	if !ix.bpol.Enabled() {
-		return false
-	}
-	b := ix.breakers[node]
-	if b == nil || b.state != breakerOpen {
-		return false
-	}
-	b.cool--
-	if b.cool <= 0 {
-		b.state = breakerHalfOpen
-		ix.counters.Add("breaker.probe", 1)
-		return false
-	}
-	ix.counters.Add("breaker.skip", 1)
-	return true
 }
