@@ -65,7 +65,8 @@ loc:
 	@printf 'bench/ Go:                  '; find ./bench -name '*.go' | xargs cat | wc -l
 
 # Short fuzz burst over the decoders that take bytes from elsewhere — the
-# wire protocol and the control-plane request bodies (off a socket), the
+# wire protocol, the control-plane request bodies and the binary boot
+# request and report (off a socket), the
 # snapshot stream format (off the registration multicast) and the block
 # codecs (off a disk that can rot). Each target also replays its seed
 # corpus during plain `make test`.
@@ -74,6 +75,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReadHelloReply -fuzztime 5s ./internal/wireproto/
 	$(GO) test -fuzz FuzzDecodeError -fuzztime 5s ./internal/wireproto/
 	$(GO) test -fuzz FuzzHandle -fuzztime 10s ./internal/daemon/
+	$(GO) test -fuzz FuzzBootRequest -fuzztime 5s ./internal/ctlplane/
+	$(GO) test -fuzz FuzzBootReport -fuzztime 5s ./internal/ctlplane/
 	$(GO) test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/zvol/
 	$(GO) test -fuzz FuzzDecompressInto -fuzztime 10s ./internal/compress/
 	$(GO) test -fuzz FuzzInflate -fuzztime 10s ./internal/compress/
@@ -104,13 +107,14 @@ gate-inflate:
 
 # The ledger rungs CHANGES.md quotes (warm boots, first boots of a new
 # image stormed 1/8/32 at once, registration stream, Stats poll,
-# control-RPC mix, a 64 KB ReadAt served by the decoded-block cache and
-# one that always decodes), one iteration each so they cannot rot between
-# the PRs that read them.
+# control-RPC mix, warm boots over the wire, a 64 KB ReadAt served by the
+# decoded-block cache and one that always decodes), one iteration each so
+# they cannot rot between the PRs that read them.
 rungs:
 	$(GO) test -run '^$$' -bench BenchmarkWarmBoot -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkStormFirstBoot -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkRegisterStream -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkStats -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkControlRPC -benchtime 1x ./internal/daemon/
+	$(GO) test -run '^$$' -bench BenchmarkBootRPC -benchtime 1x ./internal/daemon/
 	$(GO) test -run '^$$' -bench BenchmarkReadAtDecoded -benchtime 1x ./internal/zvol/

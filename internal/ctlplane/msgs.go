@@ -6,18 +6,21 @@ import (
 	"repro/internal/obs"
 )
 
-// Wire message bodies. Each wireproto frame type carries one of these,
-// JSON-encoded: the framing is binary (internal/wireproto), the bodies
-// are self-describing so report structs can grow fields without a
-// protocol version bump. Both internal/wireclient and internal/daemon
-// marshal against these definitions; keeping them in one place is what
+// Wire message bodies. Each wireproto frame type carries one of these.
+// The framing is binary (internal/wireproto); the bodies are JSON, so
+// report structs can grow fields without a protocol version bump, except
+// TBoot's. The boot is the hot path, so its request and report travel as
+// fixed binary bodies (bootbody.go): a field added to either struct needs
+// a codec change and a version bump, and TestBootBodiesCarryEveryField
+// fails until it has one. Both internal/wireclient and internal/daemon
+// encode against these definitions; keeping them in one place is what
 // makes the two ends agree.
 //
-// Frame type ↔ body mapping:
+// Frame type ↔ body mapping (binary bodies marked *):
 //
 //	TInfo        — (no request body)            → Info
 //	TRegister    — RegisterArgs                 → core.RegisterReport
-//	TBoot        — core.BootRequest             → core.BootReport
+//	TBoot        — core.BootRequest*            → core.BootReport*
 //	TSync        — NodeArgs                     → core.SyncReport
 //	THealth      — (none)                       → []core.NodeStatus
 //	TTelemetry   — (none)                       → TelemetryDump

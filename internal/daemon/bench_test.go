@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -12,14 +13,10 @@ import (
 	"repro/internal/wireclient"
 )
 
-// BenchmarkControlRPC is the ledger rung for the control plane's smallest
-// messages: the wire-level control_rpc workload in one process — a
-// daemon over 32 registered images on 8 nodes, two wireclient connections
-// each running a closed loop over the seeded 40/30/20/10 mix of
-// ComputeRx, Health, Info and Stats across loopback TCP. One op is one
-// round trip; µs/op is wall time over both connections' ops, B/op counts
-// client and daemon together.
-func BenchmarkControlRPC(b *testing.B) {
+// rpcRig is the deployment the RPC rungs share: a daemon over 32
+// registered images on 8 nodes, and two wireclient connections to it
+// over loopback TCP.
+func rpcRig(b *testing.B) (ctlplane.Info, []*wireclient.Client) {
 	const images, nodes, conns = 32, 8, 2
 	local, err := ctlplane.NewLocal(ctlplane.Options{Images: images, Nodes: nodes})
 	if err != nil {
@@ -41,15 +38,15 @@ func BenchmarkControlRPC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer c.Close()
+		b.Cleanup(func() { c.Close() })
 		clients[i] = c
 	}
-	mix := make([]int, 4096)
-	rng := rand.New(rand.NewSource(1))
-	for i := range mix {
-		mix[i] = rng.Intn(10)
-	}
+	return info, clients
+}
 
+// closedLoop runs ops 0..b.N-1 split over the connections, each running
+// its share back to back, and reports wall µs per op.
+func closedLoop(b *testing.B, clients []*wireclient.Client, op func(c *wireclient.Client, i int) error) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -57,19 +54,8 @@ func BenchmarkControlRPC(b *testing.B) {
 		wg.Add(1)
 		go func(ci int, c *wireclient.Client) {
 			defer wg.Done()
-			for i := ci; i < b.N; i += conns {
-				var err error
-				switch p := mix[i%len(mix)]; {
-				case p < 4:
-					_, err = c.ComputeRx()
-				case p < 7:
-					_, err = c.Health()
-				case p < 9:
-					_, err = c.Info()
-				default:
-					_, err = c.Stats()
-				}
-				if err != nil {
+			for i := ci; i < b.N; i += len(clients) {
+				if err := op(c, i); err != nil {
 					b.Error(err)
 					return
 				}
@@ -79,6 +65,59 @@ func BenchmarkControlRPC(b *testing.B) {
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/op")
+}
+
+// BenchmarkControlRPC is the ledger rung for the control plane's smallest
+// messages: the wire-level control_rpc workload in one process — the
+// rpcRig deployment, each connection running a closed loop over the
+// seeded 40/30/20/10 mix of ComputeRx, Health, Info and Stats. One op is
+// one round trip; µs/op is wall time over both connections' ops, B/op
+// counts client and daemon together.
+func BenchmarkControlRPC(b *testing.B) {
+	_, clients := rpcRig(b)
+	mix := make([]int, 4096)
+	rng := rand.New(rand.NewSource(1))
+	for i := range mix {
+		mix[i] = rng.Intn(10)
+	}
+	closedLoop(b, clients, func(c *wireclient.Client, i int) error {
+		var err error
+		switch p := mix[i%len(mix)]; {
+		case p < 4:
+			_, err = c.ComputeRx()
+		case p < 7:
+			_, err = c.Health()
+		case p < 9:
+			_, err = c.Info()
+		default:
+			_, err = c.Stats()
+		}
+		return err
+	})
+}
+
+// BenchmarkBootRPC is the ledger rung for the boot round trip: the
+// wire-level warm_boot workload in one process — the rpcRig deployment,
+// each connection running a closed loop of boots over a seeded Zipf-1.2
+// image mix on uniformly drawn nodes, every one of them warm. One op is
+// one boot; µs/op is wall time over both connections' boots, B/op counts
+// client and daemon together.
+func BenchmarkBootRPC(b *testing.B) {
+	info, clients := rpcRig(b)
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(info.Images)-1))
+	mix := make([]core.BootRequest, 4096)
+	for i := range mix {
+		mix[i] = core.BootRequest{Image: info.Images[zipf.Uint64()], Node: info.ComputeNodes[rng.Intn(len(info.ComputeNodes))]}
+	}
+	closedLoop(b, clients, func(c *wireclient.Client, i int) error {
+		req := mix[i%len(mix)]
+		rep, err := c.Boot(context.Background(), req)
+		if err == nil && !rep.Warm {
+			err = fmt.Errorf("boot %s on %s was not warm: %+v", req.Image, req.Node, rep)
+		}
+		return err
+	})
 }
 
 // BenchmarkDaemonBootWaveTracingOverhead is core's

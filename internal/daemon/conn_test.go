@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ctlplane"
+	"repro/internal/obs"
 	"repro/internal/wireproto"
 )
 
@@ -59,12 +61,13 @@ func rawDial(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// request builds request frame id of type typ with args as its body.
+// request builds request frame id of type typ with args as its body,
+// encoded as a client encodes it.
 func request(t *testing.T, typ uint8, id uint64, args any) wireproto.Frame {
 	t.Helper()
 	f := wireproto.Frame{Type: typ, ReqID: id}
 	if args != nil {
-		body, err := json.Marshal(args)
+		body, err := encodeArgs(typ, args)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +78,7 @@ func request(t *testing.T, typ uint8, id uint64, args any) wireproto.Frame {
 
 // spawnedOps is the complement of inlineOps, written out: the frame
 // types that take a context, mutate the deployment, or walk the
-// telemetry registry or the span ring, and so get a goroutine each.
+// telemetry registry or the span ring, and so go to a worker.
 var spawnedOps = map[uint8]bool{
 	wireproto.TRegister: true, wireproto.TBoot: true, wireproto.TSync: true,
 	wireproto.TScrubAll: true, wireproto.TResilverAll: true, wireproto.TWorkload: true, wireproto.TWatch: true,
@@ -144,8 +147,8 @@ func TestReservedFrameTypeIsABadRequest(t *testing.T) {
 }
 
 // A short query sent after a slow boot on the same connection is
-// answered first: the boot runs on its own goroutine and the reader goes
-// on to the next frame.
+// answered first: the boot runs on a worker and the reader goes on to
+// the next frame.
 func TestHealthOvertakesSlowBoot(t *testing.T) {
 	addr, _ := startServer(t, ctlplane.Options{Images: 1, Nodes: 1, BootLatency: 150 * time.Millisecond}, Config{})
 	c := dial(t, addr)
@@ -236,6 +239,98 @@ func TestInlineHandlerPanicIsAnErrorFrame(t *testing.T) {
 		if info, err := c.Info(); err != nil || info.Version != "stub" {
 			t.Fatalf("connection stopped serving after a handler panic: %+v, %v", info, err)
 		}
+	}
+}
+
+// panicWatchSession answers Info and blows up in Watch: a stub for what a
+// bug inside a streaming handler would do to the connection's worker.
+type panicWatchSession struct{ ctlplane.Session }
+
+func (panicWatchSession) Info() (ctlplane.Info, error) { return ctlplane.Info{Version: "stub"}, nil }
+func (panicWatchSession) Watch(context.Context, ctlplane.WatchArgs, func(ctlplane.WatchUpdate) error) error {
+	panic("boom")
+}
+
+// A panic inside a session's Watch is recovered like one in any other
+// handler: the stream ends with an error frame, its dispatch span is
+// failed and annotated, and the daemon and the connection go on serving.
+func TestWatchPanicIsAnErrorFrame(t *testing.T) {
+	tel := obs.New(0)
+	srv := serveSession(t, panicWatchSession{}, Config{Tel: tel})
+	c := dial(t, srv.Addr().String())
+	for i := 0; i < 3; i++ {
+		err := c.Watch(context.Background(), ctlplane.WatchArgs{Count: 1}, func(ctlplane.WatchUpdate) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "panic serving frame") {
+			t.Fatalf("Watch on a panicking session returned %v, want the panic as an error", err)
+		}
+		if info, err := c.Info(); err != nil || info.Version != "stub" {
+			t.Fatalf("connection stopped serving after a watch panic: %+v, %v", info, err)
+		}
+	}
+	failed := tel.FailedRoots()
+	if len(failed) != 3 {
+		t.Fatalf("%d failed dispatch spans, want one per watch", len(failed))
+	}
+	for _, sp := range failed {
+		if sp.Kind() != obs.OpDispatch || sp.Annotation("op.watch") != 1 || sp.Annotation("error") != 1 ||
+			!strings.Contains(sp.Err(), "boom") {
+			t.Fatalf("watch dispatch span %s %q annotations %v, want a failed, error-annotated op.watch",
+				sp.Kind(), sp.Err(), sp.Annotations())
+		}
+	}
+}
+
+// Boots pipelined on one connection run at once on the connection's
+// workers, and the workers end with the connection: after it closes the
+// daemon is back to the goroutines it had before it was opened.
+func TestConnWorkersEndWithConnection(t *testing.T) {
+	const boots, latency = 4, 100 * time.Millisecond
+	addr, _ := startServer(t, ctlplane.Options{Images: 1, Nodes: boots, BootLatency: latency}, Config{})
+	c := dial(t, addr)
+	info, err := c.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Register(context.Background(), info.Images[0], sessionT0); err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	conn := rawDial(t, addr)
+	for round := 0; round < 2; round++ { // the second round runs on the first round's workers
+		var wire []byte
+		for i := 0; i < boots; i++ {
+			req := core.BootRequest{Image: info.Images[0], Node: info.ComputeNodes[i]}
+			wire = wireproto.AppendFrame(wire, request(t, wireproto.TBoot, uint64(round*boots+i+1), req))
+		}
+		start := time.Now()
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < boots; i++ {
+			got, err := wireproto.ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.IsError() || got.Type != wireproto.TBoot {
+				t.Fatalf("round %d reply %d: %s #%d error=%v", round, i, wireproto.TypeName(got.Type), got.ReqID, got.IsError())
+			}
+			if _, err := ctlplane.DecodeBootReport(got.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if took := time.Since(start); took >= 2*latency {
+			t.Fatalf("round %d: %d pipelined %v boots took %v: the workers serialized them", round, boots, latency, took)
+		}
+	}
+
+	conn.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10s after the connection closed, %d before it opened", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -9,15 +9,17 @@
 //
 // Concurrency model: one goroutine per connection reads frames. It serves
 // a short read-only query (a frame type in inlineOps) itself, between two
-// reads, and starts a goroutine for every other request, so a slow boot
-// never delays the frames behind it and clients pipeline by request ID.
-// Whoever produced a reply writes it, under the connection's replyWriter
-// mutex; there is no writer goroutine. Graceful shutdown (SIGTERM in
-// squirreld, or Server.Shutdown) stops accepting connections and reading
-// new frames but lets every in-flight request — boots included — run to
-// completion and write its response before the connections close; only
-// when the Shutdown context expires are request contexts cancelled and
-// connections torn down.
+// reads, and hands every other request to one of the connection's
+// workers: an idle one if one is waiting, else a new one. So a slow boot
+// never delays the frames behind it, clients pipeline by request ID, a
+// connection has at most as many workers as it has had requests in
+// flight at once, and its workers end with it. Whoever produced a reply
+// writes it, under the connection's replyWriter mutex; there is no writer
+// goroutine. Graceful shutdown (SIGTERM in squirreld, or Server.Shutdown)
+// stops accepting connections and reading new frames but lets every
+// in-flight request — boots included — run to completion and write its
+// response before the connections close; only when the Shutdown context
+// expires are request contexts cancelled and connections torn down.
 package daemon
 
 import (
@@ -217,8 +219,7 @@ func (s *Server) rejectBusy(c net.Conn) {
 }
 
 // handleConn runs one connection: handshake, then a read loop that
-// serves short queries itself and hands every other request to a
-// goroutine of its own.
+// serves short queries itself and hands every other request to a worker.
 func (s *Server) handleConn(c net.Conn) {
 	defer func() {
 		_ = c.Close()
@@ -246,7 +247,19 @@ func (s *Server) handleConn(c net.Conn) {
 	_ = c.SetReadDeadline(time.Time{})
 
 	out := &replyWriter{conn: c, fw: wireproto.NewWriter(c)}
+	// Requests that can run long go to this connection's workers. The
+	// reader hands a frame to an idle worker if one is waiting on jobs
+	// and starts another worker if none is, so there are never more
+	// workers than the connection's peak of requests in flight, and a
+	// worker's grown stack serves the requests after its first.
+	jobs := make(chan wireproto.Frame)
 	var pending sync.WaitGroup
+	work := func(f wireproto.Frame) {
+		defer pending.Done()
+		for ok := true; ok; f, ok = <-jobs {
+			s.serve(f, out)
+		}
+	}
 	for {
 		f, err := wireproto.ReadFrame(br)
 		if err != nil {
@@ -262,24 +275,31 @@ func (s *Server) handleConn(c net.Conn) {
 		case inlineOps[f.Type]:
 			out.send(s.dispatch(f))
 		default:
-			pending.Add(1)
-			go func() {
-				defer pending.Done()
-				if f.Type == wireproto.TWatch {
-					s.serveWatch(f, out) // a stream of replies
-					return
-				}
-				out.send(s.dispatch(f))
-			}()
+			select {
+			case jobs <- f:
+			default:
+				pending.Add(1)
+				go work(f)
+			}
 		}
 	}
-	// Drain: every accepted request finishes and writes its reply before
-	// the connection closes.
+	// Drain: idle workers exit, and every accepted request finishes and
+	// writes its reply before the connection closes.
+	close(jobs)
 	pending.Wait()
 }
 
+// serve runs one request on a worker and writes its replies.
+func (s *Server) serve(f wireproto.Frame, out *replyWriter) {
+	if f.Type == wireproto.TWatch {
+		s.serveWatch(f, out) // a stream of replies
+		return
+	}
+	out.send(s.dispatch(f))
+}
+
 // replyWriter puts reply frames on one connection. Whoever produced a
-// reply — the read loop, a request's goroutine, a watch stream — writes it
+// reply — the read loop, a request's worker, a watch stream — writes it
 // under mu: a write deadline, one encode into the connection's buffer, one
 // conn.Write. After a failed write the connection is broken and sends
 // return that error at once; only a stream needs the result (to stop
@@ -345,7 +365,11 @@ func (s *Server) dispatch(f wireproto.Frame) (resp wireproto.Frame) {
 		return errorFrame(f, err)
 	}
 	var payload []byte
-	if result != nil {
+	switch r := result.(type) {
+	case nil:
+	case encoded:
+		payload = r
+	default:
 		payload, err = json.Marshal(result)
 		if err != nil {
 			return errorFrame(f, fmt.Errorf("daemon: encode response: %w", err))
@@ -361,22 +385,9 @@ func (s *Server) dispatch(f wireproto.Frame) (resp wireproto.Frame) {
 // before completing.
 func (s *Server) serveWatch(f wireproto.Frame, out *replyWriter) {
 	sp := s.dispatchSpan(f)
-	args, err := decode[ctlplane.WatchArgs](f.Payload)
-	if err == nil {
-		err = s.sess.Watch(obs.ContextWithSpan(s.ctx, sp), args, func(u ctlplane.WatchUpdate) error {
-			payload, merr := json.Marshal(u)
-			if merr != nil {
-				return fmt.Errorf("daemon: encode watch update: %w", merr)
-			}
-			sp.Annotate("updates", 1)
-			// A failed send ends the watch: nobody is left to stream to.
-			return out.send(wireproto.Frame{
-				Type:    wireproto.TWatch,
-				Flags:   wireproto.FlagResponse | wireproto.FlagStream,
-				ReqID:   f.ReqID,
-				Payload: payload,
-			})
-		})
+	err := s.watch(f, sp, out)
+	if err != nil {
+		sp.Annotate("error", 1)
 	}
 	sp.Fail(err)
 	sp.Finish()
@@ -385,6 +396,35 @@ func (s *Server) serveWatch(f wireproto.Frame, out *replyWriter) {
 		return
 	}
 	out.send(wireproto.Frame{Type: wireproto.TWatch, Flags: wireproto.FlagResponse, ReqID: f.ReqID})
+}
+
+// watch streams f's updates. A panic in the session's Watch is returned
+// as an error, as dispatch does for every other handler, so it ends the
+// stream with an error frame instead of the daemon.
+func (s *Server) watch(f wireproto.Frame, sp *obs.Span, out *replyWriter) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("daemon: panic serving frame type %d: %v", f.Type, r)
+		}
+	}()
+	args, err := decode[ctlplane.WatchArgs](f.Payload)
+	if err != nil {
+		return err
+	}
+	return s.sess.Watch(obs.ContextWithSpan(s.ctx, sp), args, func(u ctlplane.WatchUpdate) error {
+		payload, err := json.Marshal(u)
+		if err != nil {
+			return fmt.Errorf("daemon: encode watch update: %w", err)
+		}
+		sp.Annotate("updates", 1)
+		// A failed send ends the watch: nobody is left to stream to.
+		return out.send(wireproto.Frame{
+			Type:    wireproto.TWatch,
+			Flags:   wireproto.FlagResponse | wireproto.FlagStream,
+			ReqID:   f.ReqID,
+			Payload: payload,
+		})
+	})
 }
 
 // errorFrame wraps err as the error response to frame f, mapping the
@@ -416,12 +456,26 @@ func decode[T any](body []byte) (T, error) {
 	return v, nil
 }
 
+// decodeBoot decodes a TBoot request body, the one body that is not
+// JSON (ctlplane/bootbody.go).
+func decodeBoot(body []byte) (core.BootRequest, error) {
+	a, err := ctlplane.DecodeBootRequest(body)
+	if err != nil {
+		return a, fmt.Errorf("%w: %v", errBadRequest, err)
+	}
+	return a, nil
+}
+
+// encoded is a response body handle has already encoded; dispatch sends
+// it as-is instead of marshalling it to JSON.
+type encoded []byte
+
 // inlineOps is the set of frame types the connection's reader serves
 // itself: ops whose Session method takes no context, mutates nothing and
-// answers in microseconds at any deployment size, where starting a
-// goroutine costs more than the answer. Every other type can run long —
-// it takes a context, mutates, or walks the telemetry registry or the span
-// ring — and gets a goroutine (DESIGN §12).
+// answers in microseconds at any deployment size, where a hand-off to
+// another goroutine costs more than the answer. Every other type can run
+// long — it takes a context, mutates, or walks the telemetry registry or
+// the span ring — and goes to a worker (DESIGN §12).
 // TestEveryFrameTypeIsClassified makes a new frame type choose.
 var inlineOps = [256]bool{
 	wireproto.TInfo: true, wireproto.THealth: true, wireproto.TStats: true,
@@ -440,11 +494,19 @@ func (s *Server) handle(ctx context.Context, t uint8, body []byte) (any, error) 
 		}
 		return s.sess.Register(ctx, a.Image, a.At)
 	case wireproto.TBoot:
-		a, err := decode[core.BootRequest](body)
+		a, err := decodeBoot(body)
 		if err != nil {
 			return nil, err
 		}
-		return s.sess.Boot(ctx, a)
+		rep, err := s.sess.Boot(ctx, a)
+		if err != nil {
+			return nil, err
+		}
+		body, err := ctlplane.AppendBootReport(nil, rep)
+		if err != nil {
+			return nil, fmt.Errorf("daemon: encode response: %w", err)
+		}
+		return encoded(body), nil
 	case wireproto.TSync:
 		a, err := decode[ctlplane.NodeArgs](body)
 		if err != nil {

@@ -73,7 +73,7 @@ func decodeAny[T any](body []byte) (any, error) { return decode[T](body) }
 // handle serves that carries args.
 var requestArgs = map[uint8]func([]byte) (any, error){
 	wireproto.TRegister:    decodeAny[ctlplane.RegisterArgs],
-	wireproto.TBoot:        decodeAny[core.BootRequest],
+	wireproto.TBoot:        func(b []byte) (any, error) { return decodeBoot(b) },
 	wireproto.TSync:        decodeAny[ctlplane.NodeArgs],
 	wireproto.TSetOnline:   decodeAny[ctlplane.OnlineArgs],
 	wireproto.TDropReplica: decodeAny[ctlplane.DropArgs],
@@ -86,6 +86,15 @@ var requestArgs = map[uint8]func([]byte) (any, error){
 	wireproto.TGC:          decodeAny[ctlplane.AtArgs],
 	wireproto.TTraceTree:   decodeAny[ctlplane.TraceTreeArgs],
 	wireproto.TWorkload:    decodeAny[workload.Config],
+}
+
+// encodeArgs encodes a request's args as a client does: TBoot's binary
+// body, JSON for every other type.
+func encodeArgs(typ uint8, args any) ([]byte, error) {
+	if typ == wireproto.TBoot {
+		return ctlplane.AppendBootRequest(nil, args.(core.BootRequest))
+	}
+	return json.Marshal(args)
 }
 
 // bodyless are the frame types handle serves without reading a body.
@@ -104,15 +113,18 @@ func FuzzHandle(f *testing.F) {
 	const fields = `{"Image":"im0","Node":"node01","Up":true,"At":"2014-06-23T00:00:00Z",
 		"Verify":true,"TraceID":77,"Seed":7,"Drop":0.1,"Arrivals":"flash","Boots":100}`
 	for typ, dec := range requestArgs {
-		args, _ := dec([]byte(fields))
-		body, _ := json.Marshal(args)
+		var args any = core.BootRequest{Image: "im0", Node: "node01", Verify: true}
+		if typ != wireproto.TBoot {
+			args, _ = dec([]byte(fields))
+		}
+		body, _ := encodeArgs(typ, args)
 		f.Add(typ, body)
 		f.Add(typ, body[:len(body)/2])
 	}
 	for typ := range bodyless {
 		f.Add(typ, []byte(nil))
 	}
-	f.Add(wireproto.TBoot, []byte(`{"Image":7}`))
+	f.Add(wireproto.TBoot, []byte("\x03\x00im0\x06\x00node01\x80")) // an unknown flag bit
 	f.Add(wireproto.TRegister, []byte(`{"Image":"im0","At":"yesterday"}`))
 	f.Add(wireproto.TWatch, []byte(`{"Every":1000000,"Count":1}`)) // serveWatch's, not handle's
 	f.Add(uint8(200), []byte(`{}`))
@@ -145,10 +157,10 @@ func FuzzHandle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("type %d, decodable body %q: %v", typ, body, err)
 		}
-		// A failed Marshal leaves enc nil, which cannot equal enc2.
-		enc, _ := json.Marshal(want)
+		// A failed encode leaves enc nil, which cannot equal enc2.
+		enc, _ := encodeArgs(typ, want)
 		again, err := dec(enc)
-		if enc2, _ := json.Marshal(again); err != nil || !bytes.Equal(enc, enc2) {
+		if enc2, _ := encodeArgs(typ, again); err != nil || !bytes.Equal(enc, enc2) {
 			t.Fatalf("type %d: re-encode is not canonical: %q then %q (%v)", typ, enc, enc2, err)
 		}
 		if typ != wireproto.TTraceTree && !reflect.DeepEqual(s.got, want) {

@@ -5,11 +5,11 @@
 // The client pipelines: every call is assigned a request ID, written
 // to the shared connection, and parked until the matching response
 // frame arrives, so concurrent callers share one connection without
-// head-of-line blocking on the daemon side (the daemon runs every
-// request that can take long in its own goroutine). Streaming replies
-// (the watch op) ride the same connection: the read loop keeps routing
-// FlagStream frames to their parked consumer until the final non-stream
-// frame closes the exchange.
+// head-of-line blocking on the daemon side (the daemon hands every
+// request that can take long to one of the connection's workers).
+// Streaming replies (the watch op) ride the same connection: the read
+// loop keeps routing FlagStream frames to their parked consumer until the
+// final non-stream frame closes the exchange.
 //
 // Channel ownership: a parked call's channel is written by the read loop
 // alone and is never closed. Connection death is announced on one stop
@@ -317,18 +317,10 @@ func (c *Client) stamp(f *wireproto.Frame, sp *obs.Span) {
 	f.SpanID = sp.SpanID()
 }
 
-// call runs one request/response exchange: marshal args, write the
-// frame, park until the matching response or ctx expiry. A nil out
+// call runs one request/response exchange with JSON bodies: marshal
+// args, run the exchange, unmarshal the response into out. A nil out
 // discards the response body.
 func (c *Client) call(ctx context.Context, typ uint8, args any, out any) error {
-	sp := c.rpcSpan(typ)
-	err := c.exchange(ctx, sp, typ, args, out)
-	sp.Fail(err)
-	sp.Finish()
-	return err
-}
-
-func (c *Client) exchange(ctx context.Context, sp *obs.Span, typ uint8, args any, out any) error {
 	var payload []byte
 	if args != nil {
 		var err error
@@ -336,31 +328,52 @@ func (c *Client) exchange(ctx context.Context, sp *obs.Span, typ uint8, args any
 			return fmt.Errorf("wireclient: encode request: %w", err)
 		}
 	}
+	return c.rpc(ctx, typ, payload, func(body []byte) error {
+		if out == nil || len(body) == 0 {
+			return nil
+		}
+		return json.Unmarshal(body, out)
+	})
+}
+
+// rpc runs one exchange under its rpc.call span: write the request frame,
+// park until the matching response or ctx expiry, and hand the response
+// body to decode.
+func (c *Client) rpc(ctx context.Context, typ uint8, payload []byte, decode func([]byte) error) error {
+	sp := c.rpcSpan(typ)
+	body, err := c.exchange(ctx, sp, typ, payload)
+	if err == nil {
+		if err = decode(body); err != nil {
+			err = fmt.Errorf("wireclient: decode response: %w", err)
+		}
+	}
+	sp.Fail(err)
+	sp.Finish()
+	return err
+}
+
+// exchange writes one request frame and returns the response's body, or
+// the error an error frame carries.
+func (c *Client) exchange(ctx context.Context, sp *obs.Span, typ uint8, payload []byte) ([]byte, error) {
 	id, ch, err := c.register(1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	f := wireproto.Frame{Type: typ, ReqID: id, Payload: payload}
 	c.stamp(&f, sp)
 	if err := c.writeRequest(f); err != nil {
-		return err
+		return nil, err
 	}
 
 	resp, err := c.recv(ctx, ch)
 	if err != nil {
 		c.unregister(id)
-		return err
+		return nil, err
 	}
 	if resp.IsError() {
-		return decodeErrorFrame(resp)
+		return nil, decodeErrorFrame(resp)
 	}
-	if out == nil || len(resp.Payload) == 0 {
-		return nil
-	}
-	if err := json.Unmarshal(resp.Payload, out); err != nil {
-		return fmt.Errorf("wireclient: decode response: %w", err)
-	}
-	return nil
+	return resp.Payload, nil
 }
 
 // recv parks on a registered call's channel until the read loop hands it
@@ -409,10 +422,18 @@ func (c *Client) Register(ctx context.Context, imageID string, at time.Time) (co
 	return out, err
 }
 
-// Boot implements Session.
+// Boot implements Session. Its bodies are the fixed binary ones
+// (ctlplane/bootbody.go), not JSON.
 func (c *Client) Boot(ctx context.Context, req core.BootRequest) (core.BootReport, error) {
+	payload, err := ctlplane.AppendBootRequest(nil, req)
+	if err != nil {
+		return core.BootReport{}, fmt.Errorf("wireclient: encode request: %w", err)
+	}
 	var out core.BootReport
-	err := c.call(ctx, wireproto.TBoot, req, &out)
+	err = c.rpc(ctx, wireproto.TBoot, payload, func(body []byte) (err error) {
+		out, err = ctlplane.DecodeBootReport(body)
+		return err
+	})
 	return out, err
 }
 
