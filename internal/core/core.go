@@ -232,9 +232,9 @@ func New(cfg Config, cl *cluster.Cluster, pfs *cluster.PFS) (*Squirrel, error) {
 	s.faults.Store(cfg.Faults)
 	peerCtr := metrics.NewCounterSet()
 	if s.tel != nil {
-		// One registry: the peer ledger, the fault injector, and every
-		// volume account into the telemetry counter set instead of
-		// bespoke per-subsystem sets.
+		// One registry when traced: the peer ledger, the fault injector
+		// and every volume account into the telemetry counter set (gossip
+		// joins it in buildIndex).
 		peerCtr = s.tel.Counters()
 		cfg.Faults.SetCounters(s.tel.Counters())
 		s.sc.SetCounters(s.tel.Counters())
@@ -261,8 +261,9 @@ func New(cfg Config, cl *cluster.Cluster, pfs *cluster.PFS) (*Squirrel, error) {
 func (s *Squirrel) SCVolume() *zvol.Volume { return s.sc }
 
 // PeerCounters is the peer block exchange's accounting (peer.*,
-// breaker.*): the telemetry registry when tracing is on, the ledger's
-// own set otherwise. The squirrelctl peers dump prints it.
+// breaker.* and boot.corrupt_local): the telemetry registry when
+// tracing is on, the ledger's own set otherwise. The squirrelctl peers
+// dump prints it.
 func (s *Squirrel) PeerCounters() *metrics.CounterSet { return s.ledger.Counters() }
 
 // PeerIndex exists only for the benchmark's traced cold boot

@@ -26,7 +26,7 @@ func lifecycleDeployment(t testing.TB, computeNodes int, plan fault.Plan) (*Squi
 		c.Peer = peer.DefaultPolicy()
 		// Telemetry rides along on every lifecycle scenario: the chaos soak
 		// asserts no traced operation ends in an unrecovered error state.
-		// The ring is sized far beyond any soak's op count — the FailedRoots
+		// The ring is sized far beyond any soak's op count — the failed-roots
 		// gate is only as strong as the ring is deep, so eviction must never
 		// hide a failed root (the always-on default is deliberately small).
 		c.Obs = obs.New(8192)
@@ -350,23 +350,22 @@ func rottedRanges(t *testing.T, sq *Squirrel, nodeID, obj string, refs []zvol.Bl
 // bytes rotten served and the bytes the peer path gave up on.
 func checkRottenHolderFetches(t *testing.T, sq *Squirrel, im *corpus.Image, rotten string, rot []byteRange) (fromRotten, fellBack int64) {
 	t.Helper()
-	boots := sq.Telemetry().RootsOf(obs.OpBoot)
-	sp := boots[len(boots)-1]
-	fetches := sp.ChildrenOf(obs.OpPeerFetch)
+	sp := lastTree(sq.Telemetry(), obs.OpBoot)
+	fetches := childrenOf(sp, obs.OpPeerFetch)
 	ranges := coldFetchRanges(im, 4096)
 	if len(fetches) != len(ranges) {
-		t.Fatalf("%d peerFetch spans for %d fetch ranges:\n%s", len(fetches), len(ranges), obs.RenderTree(sp))
+		t.Fatalf("%d peerFetch spans for %d fetch ranges:\n%s", len(fetches), len(ranges), obs.RenderDump(sp))
 	}
 	for i, r := range ranges {
-		src, hitRot := fetches[i].Node(), false
+		src, hitRot := fetches[i].Node, false
 		for _, bad := range rot {
 			hitRot = hitRot || r.overlaps(bad)
 		}
 		switch {
 		case hitRot && src == rotten:
-			t.Fatalf("range %+v overlaps a rotted block yet %s served it:\n%s", r, rotten, obs.RenderTree(sp))
+			t.Fatalf("range %+v overlaps a rotted block yet %s served it:\n%s", r, rotten, obs.RenderDump(sp))
 		case !hitRot && src == "":
-			t.Fatalf("range %+v is clear of rot yet no peer served it:\n%s", r, obs.RenderTree(sp))
+			t.Fatalf("range %+v is clear of rot yet no peer served it:\n%s", r, obs.RenderDump(sp))
 		case src == rotten:
 			fromRotten += r.n
 		case src == "":
@@ -728,9 +727,15 @@ func TestLifecycleChaosSoak(t *testing.T) {
 	// never fail an operation outright — so no root span may end in an
 	// error state — and every exercised op kind must aggregate.
 	tel := sq.Telemetry()
-	if failed := tel.FailedRoots(); len(failed) != 0 {
+	var failed []*obs.TreeDump
+	for _, d := range tel.Trees() {
+		if d.Err != "" {
+			failed = append(failed, d)
+		}
+	}
+	if len(failed) != 0 {
 		t.Fatalf("seed %d: %d operations ended in an error state; first:\n%s",
-			seed, len(failed), obs.RenderTree(failed[0]))
+			seed, len(failed), obs.RenderDump(failed[0]))
 	}
 	snap := tel.Snapshot()
 	for _, kind := range []string{obs.OpRegister, obs.OpBoot, obs.OpScrub, obs.OpResilver, obs.OpRestart} {

@@ -15,6 +15,28 @@ import (
 	"repro/internal/zvol"
 )
 
+// lastTree dumps the newest ring tree of one kind, or nil.
+func lastTree(tel *obs.Telemetry, kind string) *obs.TreeDump {
+	var last *obs.TreeDump
+	for _, d := range tel.Trees() {
+		if d.Kind == kind {
+			last = d
+		}
+	}
+	return last
+}
+
+// childrenOf lists d's direct children of one kind.
+func childrenOf(d *obs.TreeDump, kind string) []*obs.TreeDump {
+	var out []*obs.TreeDump
+	for _, c := range d.Children {
+		if c.Kind == kind {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // obsScriptDeployment is lifecycleDeployment with tracing switchable,
 // for the traced-vs-untraced boundary test.
 func obsScriptDeployment(t testing.TB, computeNodes int, plan fault.Plan, traced bool) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
@@ -50,41 +72,40 @@ func TestTraceColdBootPeerExchange(t *testing.T) {
 		t.Fatalf("cold boot did not ride the peer exchange: %+v", rep)
 	}
 
-	boots := tel.RootsOf(obs.OpBoot)
-	if len(boots) == 0 {
+	sp := lastTree(tel, obs.OpBoot)
+	if sp == nil {
 		t.Fatal("no boot span recorded")
 	}
-	sp := boots[len(boots)-1]
-	if sp.Node() != cold || sp.Image() != im.ID || sp.Err() != "" {
-		t.Fatalf("boot span wrong: %s", obs.RenderTree(sp))
+	if sp.Node != cold || sp.Image != im.ID || sp.Err != "" {
+		t.Fatalf("boot span wrong: %s", obs.RenderDump(sp))
 	}
 	var peerSpanBytes, indexedPFS int64
 	var peerSpans int
-	for _, c := range sp.ChildrenOf(obs.OpPeerFetch) {
+	for _, c := range childrenOf(sp, obs.OpPeerFetch) {
 		peerSpans++
-		peerSpanBytes += c.Bytes()
-		if c.Node() == "" || c.Node() == cold {
-			t.Fatalf("peerFetch span has bad source %q:\n%s", c.Node(), obs.RenderTree(sp))
+		peerSpanBytes += c.Bytes
+		if c.Node == "" || c.Node == cold {
+			t.Fatalf("peerFetch span has bad source %q:\n%s", c.Node, obs.RenderDump(sp))
 		}
 	}
-	for _, c := range sp.ChildrenOf(obs.OpPFSRead) {
-		indexedPFS += c.Annotation("indexed_bytes")
+	for _, c := range childrenOf(sp, obs.OpPFSRead) {
+		indexedPFS += c.Annots["indexed_bytes"]
 	}
 	if peerSpans == 0 || peerSpanBytes != rep.PeerBytes {
 		t.Fatalf("peerFetch spans %d bytes %d, report says %d:\n%s",
-			peerSpans, peerSpanBytes, rep.PeerBytes, obs.RenderTree(sp))
+			peerSpans, peerSpanBytes, rep.PeerBytes, obs.RenderDump(sp))
 	}
 	if indexedPFS != 0 {
 		t.Fatalf("cold boot read %d indexed bytes from the PFS, want 0:\n%s",
-			indexedPFS, obs.RenderTree(sp))
+			indexedPFS, obs.RenderDump(sp))
 	}
 	// Lane spans must reconcile with the report's byte accounting.
 	var cacheSpanBytes, pfsSpanBytes int64
-	for _, c := range sp.ChildrenOf(obs.OpCacheRead) {
-		cacheSpanBytes += c.Bytes()
+	for _, c := range childrenOf(sp, obs.OpCacheRead) {
+		cacheSpanBytes += c.Bytes
 	}
-	for _, c := range sp.ChildrenOf(obs.OpPFSRead) {
-		pfsSpanBytes += c.Bytes()
+	for _, c := range childrenOf(sp, obs.OpPFSRead) {
+		pfsSpanBytes += c.Bytes
 	}
 	if cacheSpanBytes != rep.CacheBytes || pfsSpanBytes != rep.NetworkBytes {
 		t.Fatalf("lane spans cache=%d pfs=%d, report cache=%d pfs=%d",
@@ -198,7 +219,7 @@ func TestNilTracerLeavesBehaviorIdentical(t *testing.T) {
 	}
 }
 
-// TestTelemetrySnapshotRace hammers Snapshot/Prometheus/JSON/RenderTree
+// TestTelemetrySnapshotRace hammers Snapshot/Prometheus/JSON/RenderDump
 // from one goroutine while registers, boots, and scrub waves run from
 // others. The race detector is the oracle.
 func TestTelemetrySnapshotRace(t *testing.T) {
@@ -223,10 +244,11 @@ func TestTelemetrySnapshotRace(t *testing.T) {
 			snap := tel.Snapshot()
 			_ = snap.Prometheus()
 			_ = snap.JSON()
-			for _, r := range tel.Roots() {
-				_ = obs.RenderTree(r)
+			trees := tel.Trees()
+			for _, d := range trees {
+				_ = obs.RenderDump(d)
 			}
-			_ = tel.SlowestSpan(obs.OpBoot)
+			_, _ = obs.Slowest(trees, obs.OpBoot)
 		}
 	}()
 	var work sync.WaitGroup

@@ -135,7 +135,7 @@ func TestRingSizeNeedsTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tel := l.Squirrel().Telemetry(); tel != nil {
-		t.Fatalf("ObsRingSize without Traced built a Telemetry holding %d roots", len(tel.Roots()))
+		t.Fatalf("ObsRingSize without Traced built a Telemetry holding %d roots", len(tel.Trees()))
 	}
 	l, err = NewLocal(Options{Images: 2, Nodes: 2, ObsRingSize: ring, Traced: true})
 	if err != nil {
@@ -156,7 +156,7 @@ func TestRingSizeNeedsTraced(t *testing.T) {
 		}
 	}
 	ops := len(info.Images) * (1 + len(info.ComputeNodes))
-	if got := len(l.Squirrel().Telemetry().Roots()); got != ring || ops <= ring {
+	if got := len(l.Squirrel().Telemetry().Trees()); got != ring || ops <= ring {
 		t.Fatalf("ring holds %d roots after %d operations, want %d", got, ops, ring)
 	}
 }

@@ -222,11 +222,11 @@ func (l *Local) TraceSlowest(kind string) (string, error) {
 	}
 	// Under a daemon, operations live as children of rpc.dispatch roots,
 	// so the search walks whole trees.
-	sp := tel.SlowestSpan(kind)
-	if sp == nil {
+	_, op := obs.Slowest(tel.Trees(), kind)
+	if op == nil {
 		return "", fmt.Errorf("no completed %q operation in the trace ring (kinds: register, boot, scrub, resilver, sync, gc, restart)", kind)
 	}
-	return obs.RenderTree(sp), nil
+	return obs.RenderDump(op), nil
 }
 
 // Workload implements Session: it runs the workload driver in-process

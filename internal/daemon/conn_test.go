@@ -267,15 +267,20 @@ func TestWatchPanicIsAnErrorFrame(t *testing.T) {
 			t.Fatalf("connection stopped serving after a watch panic: %+v, %v", info, err)
 		}
 	}
-	failed := tel.FailedRoots()
+	var failed []*obs.TreeDump
+	for _, d := range tel.Trees() {
+		if d.Err != "" {
+			failed = append(failed, d)
+		}
+	}
 	if len(failed) != 3 {
 		t.Fatalf("%d failed dispatch spans, want one per watch", len(failed))
 	}
-	for _, sp := range failed {
-		if sp.Kind() != obs.OpDispatch || sp.Annotation("op.watch") != 1 || sp.Annotation("error") != 1 ||
-			!strings.Contains(sp.Err(), "boom") {
+	for _, d := range failed {
+		if d.Kind != obs.OpDispatch || d.Annots["op.watch"] != 1 || d.Annots["error"] != 1 ||
+			!strings.Contains(d.Err, "boom") {
 			t.Fatalf("watch dispatch span %s %q annotations %v, want a failed, error-annotated op.watch",
-				sp.Kind(), sp.Err(), sp.Annotations())
+				d.Kind, d.Err, d.Annots)
 		}
 	}
 }

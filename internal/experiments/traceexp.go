@@ -74,18 +74,24 @@ func FigTrace(s Scale) (Table, error) {
 		{name: "PFS", kind: obs.OpPFSRead},
 	}
 	tel := sq.Telemetry()
-	boots := tel.RootsOf(obs.OpBoot)
-	if len(boots) != len(repo.Images)*nodes {
-		return Table{}, fmt.Errorf("experiments: traced %d boot spans, ran %d boots (ring too small?)",
-			len(boots), len(repo.Images)*nodes)
-	}
-	for _, sp := range boots {
+	var boots int
+	for _, d := range tel.Trees() {
+		if d.Kind != obs.OpBoot {
+			continue
+		}
+		boots++
 		for _, ln := range lanes {
-			for _, c := range sp.ChildrenOf(ln.kind) {
-				ln.bytes += c.Bytes()
-				ln.simSec += c.SimSec()
+			for _, c := range d.Children {
+				if c.Kind == ln.kind {
+					ln.bytes += c.Bytes
+					ln.simSec += c.SimSec
+				}
 			}
 		}
+	}
+	if boots != len(repo.Images)*nodes {
+		return Table{}, fmt.Errorf("experiments: traced %d boot spans, ran %d boots (ring too small?)",
+			boots, len(repo.Images)*nodes)
 	}
 	for _, check := range []struct {
 		ln   *lane
@@ -123,6 +129,6 @@ func FigTrace(s Scale) (Table, error) {
 	}
 	snap := tel.Snapshot()
 	t.Comment = fmt.Sprintf("lane totals verified against BootReport accounting across %d traced boots (%d spans recorded); cache bytes are cheap local reads, so the network lanes dominate time",
-		len(boots), snap.SpansRecorded)
+		boots, snap.SpansRecorded)
 	return t, nil
 }

@@ -173,18 +173,14 @@ func (in *Injector) Counters() *metrics.CounterSet {
 	return in.counters
 }
 
-// SetCounters points the injector's fault accounting at a shared
-// counter registry (the telemetry layer wires every subsystem to one).
-// Call before handing the injector to a deployment. Nil-safe: a nil
-// injector ignores the call; a nil set restores private accounting.
+// SetCounters points the injector's fault accounting at a traced
+// deployment's telemetry counter set; core.New and Squirrel.SetFaults
+// call it. A nil injector ignores the call.
 func (in *Injector) SetCounters(c *metrics.CounterSet) {
 	if in == nil {
 		return
 	}
 	in.mu.Lock()
-	if c == nil {
-		c = metrics.NewCounterSet()
-	}
 	in.counters = c
 	in.mu.Unlock()
 }

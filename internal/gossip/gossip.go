@@ -194,12 +194,9 @@ func (d *Directory) SetInjector(in *fault.Injector) {
 	d.mu.Unlock()
 }
 
-// SetCounters redirects gossip accounting into a shared registry (the
-// telemetry layer wires every subsystem to one).
+// SetCounters redirects gossip accounting into the telemetry counter
+// set of a traced deployment; untraced, gossip keeps its own set.
 func (d *Directory) SetCounters(c *metrics.CounterSet) {
-	if c == nil {
-		c = metrics.NewCounterSet()
-	}
 	d.mu.Lock()
 	d.counters = c
 	d.mu.Unlock()

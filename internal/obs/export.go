@@ -53,7 +53,11 @@ func (t *Telemetry) Snapshot() Snapshot {
 	}
 	snap.Counters = t.counters.Snapshot()
 	snap.SpansRecorded = t.tracer.ring.appended()
-	snap.FailedOps = len(t.FailedRoots())
+	for _, d := range t.Trees() {
+		if d.Err != "" {
+			snap.FailedOps++
+		}
+	}
 	t.mu.Lock()
 	if t.workload != nil {
 		ws := *t.workload

@@ -85,9 +85,14 @@ const DefaultRingSize = 64
 
 // Telemetry is one deployment's observability state: a tracer feeding a
 // registry of per-kind/per-node aggregates, a bounded ring of
-// completed root spans, and the deployment-wide counter set that the
-// fault injector, peer index, and zvol volumes share when observability
-// is enabled (the "one registry" replacing bespoke counter threading).
+// completed root spans, and a counter set. A traced deployment points
+// every subsystem's counters at that one set: the peer ledger, the
+// fault injector, gossip, the zvol volumes and core's own counts.
+// Untraced there is no such set: the exchange counts go to the
+// ledger's own set, core's own counts (life.*, repair.*, admit.*,
+// partition.*, scrub.*, resilver.*) to the set of the injector the
+// operation captured (dropped with no fault plan installed), gossip
+// keeps its own, and volumes drop theirs.
 type Telemetry struct {
 	tracer   *Tracer
 	counters *metrics.CounterSet
@@ -153,68 +158,4 @@ func (t *Telemetry) Counters() *metrics.CounterSet {
 		return nil
 	}
 	return t.counters
-}
-
-// Roots returns the completed root spans currently held by the ring,
-// oldest first. Spans are immutable once completed; the slice is fresh,
-// and a tree stays valid after the ring evicts it for as long as the
-// caller holds it.
-func (t *Telemetry) Roots() []*Span {
-	if t == nil {
-		return nil
-	}
-	return t.tracer.ring.snapshot()
-}
-
-// RootsOf returns the ring's completed root spans of one kind, oldest
-// first.
-func (t *Telemetry) RootsOf(kind string) []*Span {
-	var out []*Span
-	for _, s := range t.Roots() {
-		if s.Kind() == kind {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// FailedRoots returns the ring's root spans that ended in an error
-// state, oldest first.
-func (t *Telemetry) FailedRoots() []*Span {
-	var out []*Span
-	for _, s := range t.Roots() {
-		if s.Err() != "" {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// SlowestSpan picks the operation `squirrelctl trace <kind>` dumps, from
-// anywhere inside the ring's trees: the first failed span of that kind if
-// any failed, otherwise the one with the longest wall duration. Returns
-// nil when the ring holds no such operation. Daemon-dispatched operations
-// live as children of rpc.dispatch roots, so the trace surface searches
-// whole trees, not just roots.
-func (t *Telemetry) SlowestSpan(kind string) *Span {
-	var slowest *Span
-	for _, root := range t.Roots() {
-		root.walk(func(s *Span) bool {
-			if s.Kind() != kind {
-				return true
-			}
-			if s.Err() != "" {
-				slowest = s
-				return false
-			}
-			if slowest == nil || slowest.Err() == "" && s.Wall() > slowest.Wall() {
-				slowest = s
-			}
-			return true
-		})
-		if slowest != nil && slowest.Err() != "" {
-			break
-		}
-	}
-	return slowest
 }

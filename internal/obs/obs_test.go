@@ -3,8 +3,10 @@ package obs
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -38,20 +40,14 @@ func TestNilSafety(t *testing.T) {
 	sp.Annotate("k", 1)
 	sp.Fail(errors.New("boom"))
 	sp.Finish()
-	if sp.Kind() != "" || sp.Node() != "" || sp.Image() != "" || sp.Err() != "" {
-		t.Fatal("nil span accessors must be zero")
+	if DumpTree(sp) != nil {
+		t.Fatal("nil span must dump to nil")
 	}
-	if sp.Bytes() != 0 || sp.SimSec() != 0 || sp.Wall() != 0 || sp.Annotation("k") != 0 {
-		t.Fatal("nil span accessors must be zero")
+	if trees := tel.Trees(); len(trees) != 0 {
+		t.Fatal("nil telemetry must have no trees")
 	}
-	if len(sp.Children()) != 0 || len(sp.Annotations()) != 0 {
-		t.Fatal("nil span collections must be empty")
-	}
-	if roots := tel.Roots(); len(roots) != 0 {
-		t.Fatal("nil telemetry must have no roots")
-	}
-	if tel.SlowestSpan(OpBoot) != nil {
-		t.Fatal("nil telemetry SlowestSpan must be nil")
+	if tree, op := Slowest(tel.Trees(), OpBoot); tree != nil || op != nil {
+		t.Fatal("Slowest over no trees must be nil")
 	}
 	snap := tel.Snapshot()
 	if len(snap.Ops) != 0 || snap.SpansRecorded != 0 {
@@ -60,7 +56,7 @@ func TestNilSafety(t *testing.T) {
 	if snap.JSON() == "" || snap.Prometheus() == "" {
 		t.Fatal("empty snapshot must still render")
 	}
-	if RenderTree(nil) != "" {
+	if RenderDump(nil) != "" {
 		t.Fatal("nil tree renders empty")
 	}
 }
@@ -86,27 +82,27 @@ func TestSpanTreeAndAggregation(t *testing.T) {
 	bad.Fail(errors.New("corrupt block"))
 	bad.Finish()
 
-	roots := tel.Roots()
-	if len(roots) != 2 {
-		t.Fatalf("roots %d want 2", len(roots))
+	trees := tel.Trees()
+	if len(trees) != 2 {
+		t.Fatalf("trees %d want 2", len(trees))
 	}
-	if roots[0].Kind() != OpBoot || roots[1].Kind() != OpScrub {
-		t.Fatalf("root order %q %q", roots[0].Kind(), roots[1].Kind())
+	if trees[0].Kind != OpBoot || trees[1].Kind != OpScrub {
+		t.Fatalf("tree order %q %q", trees[0].Kind, trees[1].Kind)
 	}
-	if got := roots[0].ChildrenOf(OpPeerFetch); len(got) != 1 || got[0].Node() != "node02" || got[0].Bytes() != 4096 {
+	if got := trees[0].Children[0]; got.Kind != OpPeerFetch || got.Node != "node02" || got.Bytes != 4096 {
 		t.Fatalf("peerFetch child wrong: %+v", got)
 	}
-	if roots[0].ChildrenOf(OpPeerFetch)[0].Annotation("attempts") != 2 {
+	if trees[0].Children[0].Annots["attempts"] != 2 {
 		t.Fatal("annotation lost")
 	}
-	if fr := tel.FailedRoots(); len(fr) != 1 || fr[0].Kind() != OpScrub {
-		t.Fatalf("failed roots %v", fr)
+	if trees[0].Err != "" || trees[1].Err != "corrupt block" {
+		t.Fatalf("root errors %q %q", trees[0].Err, trees[1].Err)
 	}
-	if s := tel.SlowestSpan(OpScrub); s == nil || s.Err() == "" {
-		t.Fatal("SlowestSpan must prefer the failed op")
+	if _, op := Slowest(trees, OpScrub); op == nil || op.Err == "" {
+		t.Fatal("Slowest must prefer the failed op")
 	}
-	if tel.SlowestSpan(OpBoot) != roots[0] {
-		t.Fatal("SlowestSpan(boot) must find the boot root")
+	if tree, op := Slowest(trees, OpBoot); tree != trees[0] || op != trees[0] {
+		t.Fatal("Slowest(boot) must find the boot root")
 	}
 
 	snap := tel.Snapshot()
@@ -135,14 +131,14 @@ func TestSpanTreeAndAggregation(t *testing.T) {
 		t.Fatalf("node rollup missing: %+v", snap.Nodes)
 	}
 
-	tree := RenderTree(roots[0])
+	tree := RenderDump(trees[0])
 	for _, want := range []string{"boot node=node01", "  peerFetch node=node02", "attempts=2", "  pfsRead"} {
 		if !strings.Contains(tree, want) {
 			t.Fatalf("tree missing %q:\n%s", want, tree)
 		}
 	}
-	if !strings.Contains(RenderTree(bad), `ERR="corrupt block"`) {
-		t.Fatalf("tree missing error:\n%s", RenderTree(bad))
+	if !strings.Contains(RenderDump(trees[1]), `ERR="corrupt block"`) {
+		t.Fatalf("tree missing error:\n%s", RenderDump(trees[1]))
 	}
 }
 
@@ -162,12 +158,12 @@ func TestFinishIdempotentAndOpHelper(t *testing.T) {
 	child := tr.Op(root, OpScrub, "node00", "")
 	child.Finish()
 	root.Finish()
-	if len(root.ChildrenOf(OpScrub)) != 1 {
+	if d := DumpTree(root); len(d.Children) != 1 || d.Children[0].Kind != OpScrub {
 		t.Fatal("Op must nest under parent")
 	}
 	lone := tr.Op(nil, OpScrub, "node01", "")
 	lone.Finish()
-	if len(tel.RootsOf(OpScrub)) != 1 {
+	if trees := tel.Trees(); len(trees) != 3 || trees[2].Kind != OpScrub {
 		t.Fatal("Op without parent must root")
 	}
 }
@@ -179,15 +175,15 @@ func TestRingWraparound(t *testing.T) {
 		sp := tr.StartOp(OpBoot, fmt.Sprintf("node%02d", i), "")
 		sp.Finish()
 	}
-	roots := tel.Roots()
-	if len(roots) != 4 {
-		t.Fatalf("ring holds %d want 4", len(roots))
+	trees := tel.Trees()
+	if len(trees) != 4 {
+		t.Fatalf("ring holds %d want 4", len(trees))
 	}
 	// Oldest-first: the survivors are the last four appended.
-	for i, s := range roots {
+	for i, d := range trees {
 		want := fmt.Sprintf("node%02d", 6+i)
-		if s.Node() != want {
-			t.Fatalf("slot %d node %q want %q", i, s.Node(), want)
+		if d.Node != want {
+			t.Fatalf("slot %d node %q want %q", i, d.Node, want)
 		}
 	}
 	if got := tel.Snapshot().SpansRecorded; got != 10 {
@@ -227,11 +223,15 @@ func TestPrometheusAndJSON(t *testing.T) {
 }
 
 // TestConcurrentRecordAndSnapshot drives spans from many goroutines
-// while another hammers Snapshot/Prometheus/Roots; the race detector is
-// the oracle.
+// while another hammers Snapshot/Prometheus/Trees and dumps roots still
+// in flight. The race detector is the oracle, and every dumped node that
+// has finished must carry its final byte count: a dump copies each node
+// under one lock, so it never pairs an end time with earlier bytes.
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
+	const workers = 4
 	tel := New(64)
 	tr := tel.Tracer()
+	var live [workers]atomic.Pointer[Span]
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
 	reader.Add(1)
@@ -246,19 +246,31 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 			snap := tel.Snapshot()
 			_ = snap.Prometheus()
 			_ = snap.JSON()
-			for _, r := range tel.Roots() {
-				_ = RenderTree(r)
+			trees := tel.Trees()
+			for w := range live {
+				trees = append(trees, DumpTree(live[w].Load()))
+			}
+			for _, d := range trees {
+				_ = RenderDump(d)
+				d.Find(func(x *TreeDump) bool {
+					if x.End != 0 && x.Bytes != 4096 {
+						t.Errorf("finished %s dumped with %d bytes, want 4096", x.Kind, x.Bytes)
+					}
+					return false
+				})
 			}
 		}
 	}()
-	var workers sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		workers.Add(1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func(w int) {
-			defer workers.Done()
+			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				sp := tr.StartOp(OpBoot, fmt.Sprintf("node%02d", w), "img")
+				live[w].Store(sp)
 				c := sp.Child(OpPeerFetch, "", "img")
+				runtime.Gosched() // let the reader dump c before its bytes land
 				c.AddBytes(4096)
 				c.Finish()
 				sp.AddBytes(4096)
@@ -270,7 +282,7 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 			}
 		}(w)
 	}
-	workers.Wait()
+	wg.Wait()
 	close(stop)
 	reader.Wait()
 	snap := tel.Snapshot()

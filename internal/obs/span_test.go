@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -81,7 +83,7 @@ func TestSnapshotNeverHalfMerged(t *testing.T) {
 }
 
 // TestFinishedSpanHandleSurvivesEviction pins what a caller may assume
-// of a span it still holds: once finished it reads the same forever,
+// of a span it still holds: once finished it dumps the same forever,
 // whatever the ring has evicted since. (A recycling pool broke this: the
 // held boot span read kind="scrub" node="node01" once the ring wrapped.)
 func TestFinishedSpanHandleSurvivesEviction(t *testing.T) {
@@ -97,18 +99,18 @@ func TestFinishedSpanHandleSurvivesEviction(t *testing.T) {
 		sp.Finish()
 	}
 
-	if held.Kind() != "boot" || held.Node() != "node00" {
-		t.Fatalf("held span reads as another operation: kind=%q node=%q", held.Kind(), held.Node())
+	d := DumpTree(held)
+	if d.Kind != "boot" || d.Node != "node00" {
+		t.Fatalf("held span dumps as another operation: kind=%q node=%q", d.Kind, d.Node)
 	}
-	kids := held.Children()
-	if len(kids) != 1 || kids[0].Kind() != "lane" || kids[0].Node() != "node00" {
-		t.Fatalf("held span's children mutated: %d children", len(kids))
+	if len(d.Children) != 1 || d.Children[0].Kind != "lane" || d.Children[0].Node != "node00" {
+		t.Fatalf("held span's children mutated: %d children", len(d.Children))
 	}
 }
 
-// TestExposedTreeSurvivesWraparound is the same contract for trees
-// handed out by Roots: evicted from the ring, they keep their values
-// while new operations churn past them.
+// TestExposedTreeSurvivesWraparound is the same contract for the trees
+// the ring held: evicted, they keep their values while new operations
+// churn past them.
 func TestExposedTreeSurvivesWraparound(t *testing.T) {
 	tel := New(4)
 	tr := tel.Tracer()
@@ -119,7 +121,7 @@ func TestExposedTreeSurvivesWraparound(t *testing.T) {
 		sp.Child("lane", "node00", "im0").Finish()
 		sp.Finish()
 	}
-	pinned := tel.Roots()
+	pinned := tel.tracer.ring.snapshot()
 	if len(pinned) != 4 {
 		t.Fatalf("pinned %d roots, want 4", len(pinned))
 	}
@@ -132,20 +134,22 @@ func TestExposedTreeSurvivesWraparound(t *testing.T) {
 	}
 
 	for i, sp := range pinned {
-		if sp.Kind() != "boot" || sp.Node() != "node00" {
-			t.Fatalf("pinned root %d mutated: kind=%q node=%q", i, sp.Kind(), sp.Node())
+		d := DumpTree(sp)
+		if d.Kind != "boot" || d.Node != "node00" {
+			t.Fatalf("pinned root %d mutated: kind=%q node=%q", i, d.Kind, d.Node)
 		}
-		if got := sp.Bytes(); got != int64(100+i) {
-			t.Fatalf("pinned root %d bytes = %d, want %d", i, got, 100+i)
+		if d.Bytes != int64(100+i) {
+			t.Fatalf("pinned root %d bytes = %d, want %d", i, d.Bytes, 100+i)
 		}
-		kids := sp.Children()
-		if len(kids) != 1 || kids[0].Kind() != "lane" {
-			t.Fatalf("pinned root %d children mutated: %+v", i, kids)
+		if len(d.Children) != 1 || d.Children[0].Kind != "lane" {
+			t.Fatalf("pinned root %d children mutated: %+v", i, d.Children)
 		}
 	}
 	// The current ring must only hold the new generation.
-	for _, sp := range tel.RootsOf("boot") {
-		t.Fatalf("boot root still in ring after wraparound: %v", sp.Kind())
+	for _, d := range tel.Trees() {
+		if d.Kind == "boot" {
+			t.Fatalf("boot root still in ring after wraparound")
+		}
 	}
 }
 
@@ -202,7 +206,7 @@ func TestDumpGraftRender(t *testing.T) {
 		t.Fatal("Graft attached a tree with an unknown parent")
 	}
 
-	if d := dump.FindKind("boot"); d == nil || d.Bytes != 4096 || d.Node != "node03" {
+	if d := dump.Find(func(x *TreeDump) bool { return x.Kind == "boot" }); d == nil || d.Bytes != 4096 || d.Node != "node03" {
 		t.Fatalf("grafted boot not reachable: %+v", d)
 	}
 	rendered := RenderDump(dump)
@@ -223,14 +227,26 @@ func TestDumpGraftRender(t *testing.T) {
 		}
 	}
 
-	// A dump of a purely local tree renders identically to the span
-	// renderer — wire-merged traces read exactly like local ones. The
-	// wall token is normalized: the dump measures via Unix nanos, the
-	// span via the monotonic clock, and they may differ by nanoseconds.
+	// A purely local tree renders in the same line format: depth
+	// indent, kind, fields, sorted annotations.
 	wallTok := regexp.MustCompile(`wall=\S+`)
-	dr := wallTok.ReplaceAllString(RenderDump(DumpTree(session)), "wall=X")
-	tr := wallTok.ReplaceAllString(RenderTree(session), "wall=X")
-	if dr != tr {
-		t.Fatalf("RenderDump diverges from RenderTree:\n%q\n%q", dr, tr)
+	got := wallTok.ReplaceAllString(RenderDump(DumpTree(session)), "wall=X")
+	if want := "ctl.session wall=X\n  rpc.call wall=X op.boot=1\n"; got != want {
+		t.Fatalf("local render = %q, want %q", got, want)
+	}
+}
+
+// TestSpanRecordsOnly pins that *Span is write-only: its exported
+// methods are the recording API plus SpanID (the wire trace context).
+// Every reader works on a TreeDump.
+func TestSpanRecordsOnly(t *testing.T) {
+	want := []string{"AddBytes", "AddSim", "Annotate", "Child", "Fail", "Finish", "SetNode", "SpanID"}
+	typ := reflect.TypeOf(&Span{})
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Span exports %v, want %v", got, want)
 	}
 }

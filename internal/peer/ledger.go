@@ -49,7 +49,8 @@ func NewLedger(p BreakerPolicy, c *metrics.CounterSet) *Ledger {
 
 // Counters exposes the exchange accounting: peer.hit, peer.miss,
 // peer.fallback, peer.busy, peer.fault, peer.bytes, peer.wasted_bytes,
-// peer.crash, breaker.* — what an operator dashboard would scrape.
+// peer.crash, peer.stale, peer.hedge_*, breaker.* and core's
+// boot.corrupt_local — what an operator dashboard would scrape.
 func (l *Ledger) Counters() *metrics.CounterSet { return l.counters }
 
 // Loads snapshots per-node serve load for every node that has ever

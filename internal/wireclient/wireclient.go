@@ -643,36 +643,21 @@ func (c *Client) TraceSlowest(kind string) (string, error) {
 		dump.Graft(t)
 	}
 	// Prune to the interesting branch: the rpc.call whose grafted
-	// dispatch tree contains a failed `kind` span, else the one whose
-	// `kind` span has the longest wall time. Dial attempts stay — retry
-	// history is part of the session's story.
-	var bestRPC, bestOp *obs.TreeDump
+	// dispatch tree holds the span Slowest picks. Dial attempts stay —
+	// retry history is part of the session's story.
+	var dials, rpcs []*obs.TreeDump
 	for _, ch := range dump.Children {
-		if ch.Kind != obs.OpRPC {
-			continue
-		}
-		op := ch.FindKind(kind)
-		if op == nil {
-			continue
-		}
-		if op.Err != "" {
-			bestRPC, bestOp = ch, op
-			break
-		}
-		if bestOp == nil || op.Wall() > bestOp.Wall() {
-			bestRPC, bestOp = ch, op
+		switch ch.Kind {
+		case obs.OpDial:
+			dials = append(dials, ch)
+		case obs.OpRPC:
+			rpcs = append(rpcs, ch)
 		}
 	}
+	bestRPC, _ := obs.Slowest(rpcs, kind)
 	if bestRPC == nil {
 		return "", fmt.Errorf("wireclient: no completed %q operation in this session's trace", kind)
 	}
-	pruned := *dump
-	pruned.Children = nil
-	for _, ch := range dump.Children {
-		if ch.Kind == obs.OpDial {
-			pruned.Children = append(pruned.Children, ch)
-		}
-	}
-	pruned.Children = append(pruned.Children, bestRPC)
-	return obs.RenderDump(&pruned), nil
+	dump.Children = append(dials, bestRPC)
+	return obs.RenderDump(dump), nil
 }

@@ -235,9 +235,14 @@ func TestDriverPublishesWorkloadStats(t *testing.T) {
 		t.Fatalf("prometheus export missing workload gauges")
 	}
 	// The drive is spanned: one workload root with provision + drive children.
-	roots := tel.RootsOf(obs.OpWorkload)
-	if len(roots) != 1 {
-		t.Fatalf("want 1 workload root span, got %d", len(roots))
+	var roots int
+	for _, d := range tel.Trees() {
+		if d.Kind == obs.OpWorkload {
+			roots++
+		}
+	}
+	if roots != 1 {
+		t.Fatalf("want 1 workload root span, got %d", roots)
 	}
 }
 

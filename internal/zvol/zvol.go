@@ -211,8 +211,7 @@ type Volume struct {
 }
 
 // SetCounters points the volume's accounting at a shared counter
-// registry. Nil-safe on both sides: a nil volume ignores the call, and a
-// nil set restores drop-everything accounting.
+// registry. A nil volume ignores the call.
 func (v *Volume) SetCounters(c *metrics.CounterSet) {
 	if v == nil {
 		return
