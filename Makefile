@@ -108,7 +108,8 @@ gate-inflate:
 # The ledger rungs CHANGES.md quotes (warm boots, first boots of a new
 # image stormed 1/8/32 at once, registration stream, Stats poll,
 # control-RPC mix, warm boots over the wire, a 64 KB ReadAt served by the
-# decoded-block cache and one that always decodes), one iteration each so
+# decoded-block cache and one that always decodes, a finished span and
+# its child folded into the telemetry registry), one iteration each so
 # they cannot rot between the PRs that read them.
 rungs:
 	$(GO) test -run '^$$' -bench BenchmarkWarmBoot -benchtime 1x ./internal/core/
@@ -118,3 +119,4 @@ rungs:
 	$(GO) test -run '^$$' -bench BenchmarkControlRPC -benchtime 1x ./internal/daemon/
 	$(GO) test -run '^$$' -bench BenchmarkBootRPC -benchtime 1x ./internal/daemon/
 	$(GO) test -run '^$$' -bench BenchmarkReadAtDecoded -benchtime 1x ./internal/zvol/
+	$(GO) test -run '^$$' -bench BenchmarkRegistryRecord -benchtime 1x ./internal/obs/

@@ -172,7 +172,6 @@ func New(cfg Config, nodes []string, links Links) *Directory {
 		views:    make(map[string]*view, len(nodes)),
 		holdings: make(map[string]map[string]bool, len(nodes)),
 		ring:     NewRing(vnodes),
-		counters: metrics.NewCounterSet(),
 	}
 	sort.Strings(d.members)
 	for _, n := range d.members {
@@ -194,8 +193,8 @@ func (d *Directory) SetInjector(in *fault.Injector) {
 	d.mu.Unlock()
 }
 
-// SetCounters redirects gossip accounting into the telemetry counter
-// set of a traced deployment; untraced, gossip keeps its own set.
+// SetCounters routes gossip accounting into the telemetry counter set
+// of a traced deployment; untraced, the set stays nil and drops it.
 func (d *Directory) SetCounters(c *metrics.CounterSet) {
 	d.mu.Lock()
 	d.counters = c

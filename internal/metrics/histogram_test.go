@@ -1,138 +1,84 @@
 package metrics
 
 import (
-	"sync"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
-func TestHistogramBounds(t *testing.T) {
-	if _, err := NewHistogram(); err == nil {
-		t.Fatal("empty bounds accepted")
-	}
-	if _, err := NewHistogram(10, 5); err == nil {
-		t.Fatal("descending bounds accepted")
-	}
-	if _, err := NewHistogram(5, 5); err == nil {
-		t.Fatal("duplicate bounds accepted")
-	}
-	if _, err := NewHistogram(1, 2, 3); err != nil {
-		t.Fatalf("valid bounds rejected: %v", err)
-	}
-}
-
 func TestHistogramBucketing(t *testing.T) {
-	h := MustHistogram(10, 100, 1000)
-	// Bucket edges are inclusive upper bounds; values past the last bound
-	// land in the overflow bucket, and values below the first bound
-	// (including negatives) land in the first.
-	for _, v := range []int64{-5, 0, 10} { // first bucket
-		h.Observe(v)
-	}
-	h.Observe(11)   // second
-	h.Observe(100)  // second
-	h.Observe(101)  // third
-	h.Observe(1001) // overflow
-	s := h.Snapshot()
-	want := []int64{3, 2, 1, 1}
-	for i, w := range want {
-		if s.Counts[i] != w {
-			t.Fatalf("bucket %d: got %d want %d (%v)", i, s.Counts[i], w, s.Counts)
+	// Below 64 every value is its own bucket.
+	for v := int64(0); v < 64; v++ {
+		if b := bucketOf(v); b != int(v) || midpoint(b) != v {
+			t.Fatalf("bucketOf(%d) = %d, midpoint %d", v, b, midpoint(b))
 		}
 	}
-	if s.Count != 7 {
-		t.Fatalf("count %d want 7", s.Count)
+	// Above, buckets tile the line in order, each holding its own
+	// midpoint and at most 1/32 of its lower bound wide.
+	lo := int64(64)
+	for i := 64; i < nBuckets; i++ {
+		width := int64(1) << (i>>subBits - 1)
+		if bucketOf(lo) != i || bucketOf(lo+width-1) != i || bucketOf(midpoint(i)) != i {
+			t.Fatalf("bucket %d: [%d, %d] maps to %d..%d", i, lo, lo+width-1, bucketOf(lo), bucketOf(lo+width-1))
+		}
+		if width > lo/32 {
+			t.Fatalf("bucket %d at %d is %d wide", i, lo, width)
+		}
+		if i == nBuckets-1 {
+			if lo+width-1 != math.MaxInt64 {
+				t.Fatalf("last bucket ends at %d", lo+width-1)
+			}
+			break
+		}
+		lo += width
 	}
-	if s.Min != -5 || s.Max != 1001 {
-		t.Fatalf("min/max %d/%d want -5/1001", s.Min, s.Max)
-	}
-	if s.Sum != -5+0+10+11+100+101+1001 {
-		t.Fatalf("sum %d", s.Sum)
+	var h Histogram
+	h.Observe(-5) // counts as 0
+	if h.buckets[0] != 1 || h.Max() != 0 || h.Mean() != 0 {
+		t.Fatalf("negative value: bucket0=%d max=%d mean=%v", h.buckets[0], h.Max(), h.Mean())
 	}
 }
 
-func TestHistogramEmptyAndNil(t *testing.T) {
-	var nilH *Histogram
-	nilH.Observe(42) // must not panic
-	s := nilH.Snapshot()
-	if s.Count != 0 || s.Mean() != 0 {
-		t.Fatalf("nil histogram snapshot: %+v", s)
+func TestHistogramEmpty(t *testing.T) {
+	var h Histogram
+	for _, q := range []float64{0.5, 0.99, 1} {
+		if got := h.Quantile(q); got != 0 {
+			t.Fatalf("empty Quantile(%v) = %d", q, got)
+		}
 	}
-	h := MustHistogram(1, 2)
-	s = h.Snapshot()
-	if s.Count != 0 || s.Min != 0 || s.Max != 0 || s.Mean() != 0 {
-		t.Fatalf("empty histogram snapshot: %+v", s)
-	}
-	if h.String() == "" {
-		t.Fatal("empty histogram should still render")
+	if h.Mean() != 0 || h.Max() != 0 {
+		t.Fatalf("empty mean/max %v/%d", h.Mean(), h.Max())
 	}
 }
 
 func TestHistogramSnapshotIsolated(t *testing.T) {
-	h := MustHistogram(10)
+	// A plain copy is the snapshot the registry takes under its lock, so
+	// it must share no state with the original.
+	var h Histogram
 	h.Observe(1)
-	s := h.Snapshot()
-	s.Counts[0] = 99
-	s.Bounds[0] = 99
-	if got := h.Snapshot(); got.Counts[0] != 1 || got.Bounds[0] != 10 {
-		t.Fatalf("snapshot aliases histogram state: %+v", got)
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := MustHistogram(LatencyBuckets()...)
-	var wg sync.WaitGroup
-	const workers, per = 8, 1000
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(int64(w*per + i))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := h.Count(); got != workers*per {
-		t.Fatalf("count %d want %d", got, workers*per)
-	}
-	var total int64
-	for _, c := range h.Snapshot().Counts {
-		total += c
-	}
-	if total != workers*per {
-		t.Fatalf("bucket counts sum to %d want %d", total, workers*per)
+	s := h
+	h.Observe(1000)
+	if s.Quantile(1) != 1 || s.Max() != 1 || s.Mean() != 1 {
+		t.Fatalf("copy follows the original: p100=%d max=%d mean=%v", s.Quantile(1), s.Max(), s.Mean())
 	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := MustHistogram(10, 20, 30, 40)
-	// 100 observations: 50 in ≤10, 40 in ≤20, 5 in ≤30, 4 in ≤40, 1 overflow.
-	for i := 0; i < 50; i++ {
-		h.Observe(5)
+	var h Histogram
+	// 100 exact values: 50×5, 40×15, 5×25, 4×35, 1×60.
+	for v, n := range map[int64]int{5: 50, 15: 40, 25: 5, 35: 4, 60: 1} {
+		for i := 0; i < n; i++ {
+			h.Observe(v)
+		}
 	}
-	for i := 0; i < 40; i++ {
-		h.Observe(15)
-	}
-	for i := 0; i < 5; i++ {
-		h.Observe(25)
-	}
-	for i := 0; i < 4; i++ {
-		h.Observe(35)
-	}
-	h.Observe(99)
 	// Exact rank selection: rank ⌈q·100⌉ against cumulative counts
 	// 50/90/95/99/100.
 	cases := []struct {
 		q    float64
 		want int64
 	}{
-		{0.5, 10},  // rank 50 → first bucket
-		{0.51, 20}, // rank 51 → second bucket
-		{0.9, 20},  // rank 90
-		{0.95, 30}, // rank 95
-		{0.99, 40}, // rank 99
-		{1.0, 99},  // rank 100 → overflow, clamped to Max
+		{0.5, 5}, {0.51, 15}, {0.9, 15}, {0.95, 25}, {0.99, 35}, {1.0, 60},
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.q); got != c.want {
@@ -142,106 +88,69 @@ func TestHistogramQuantile(t *testing.T) {
 	if h.Quantile(0) != 0 {
 		t.Fatal("q=0 should be 0")
 	}
-	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 {
-		t.Fatal("nil histogram quantile should be 0")
-	}
 }
 
 func TestHistogramQuantileClamped(t *testing.T) {
-	// All observations share one bucket: quantiles clamp to [Min, Max]
-	// instead of reporting the loose bucket bound.
-	h := MustHistogram(1000)
-	h.Observe(7)
-	h.Observe(9)
-	if got := h.Quantile(0.5); got != 9 {
-		t.Fatalf("clamped p50 = %d want 9 (max)", got)
+	// All observations share the bucket [992, 1007], midpoint 999:
+	// quantiles clamp to [Min, Max] instead of reporting the midpoint.
+	var hi Histogram
+	hi.Observe(1001)
+	hi.Observe(1003)
+	if got := hi.Quantile(0.5); got != 1001 {
+		t.Fatalf("clamped p50 = %d want 1001 (min)", got)
 	}
-	lo := MustHistogram(1000)
-	lo.Observe(3)
-	if got := lo.Quantile(0.01); got != 3 {
-		t.Fatalf("clamped low quantile = %d want 3", got)
+	var lo Histogram
+	lo.Observe(992)
+	lo.Observe(993)
+	if got := lo.Quantile(0.99); got != 993 {
+		t.Fatalf("clamped p99 = %d want 993 (max)", got)
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := MustHistogram(10, 20)
-	b := MustHistogram(10, 20)
-	a.Observe(5)
-	a.Observe(15)
-	b.Observe(25)
-	b.Observe(3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
+// TestHistogramQuantileProperty checks every reported quantile against
+// the exact sorted quantile on seeded samples of four shapes: within
+// 1/32 of it, and exact for values below 32.
+func TestHistogramQuantileProperty(t *testing.T) {
+	const n = 20000
+	shapes := []struct {
+		name string
+		draw func(r *rand.Rand) int64
+	}{
+		{"small", func(r *rand.Rand) int64 { return r.Int63n(32) }},
+		{"uniform", func(r *rand.Rand) int64 { return r.Int63n(1e9) }},
+		{"exponential", func(r *rand.Rand) int64 { return int64(r.ExpFloat64() * 5e6) }},
+		{"bimodal", func(r *rand.Rand) int64 {
+			if r.Intn(10) < 7 {
+				return int64(max(0, 1e5+r.NormFloat64()*1e4))
+			}
+			return int64(max(0, 2e8+r.NormFloat64()*3e7))
+		}},
+		{"pareto", func(r *rand.Rand) int64 { return int64(1e4 / math.Pow(1-r.Float64(), 1/1.5)) }},
 	}
-	s := a.Snapshot()
-	if s.Count != 4 || s.Sum != 5+15+25+3 {
-		t.Fatalf("merged snapshot %+v", s)
-	}
-	if s.Min != 3 || s.Max != 25 {
-		t.Fatalf("merged min/max %d/%d", s.Min, s.Max)
-	}
-	want := []int64{2, 1, 1}
-	for i, w := range want {
-		if s.Counts[i] != w {
-			t.Fatalf("merged bucket %d = %d want %d", i, s.Counts[i], w)
+	for i, sh := range shapes {
+		r := rand.New(rand.NewSource(int64(i + 1)))
+		var h Histogram
+		vals := make([]int64, n)
+		var sum int64
+		for j := range vals {
+			vals[j] = sh.draw(r)
+			h.Observe(vals[j])
+			sum += vals[j]
 		}
-	}
-	// b is untouched.
-	if b.Count() != 2 {
-		t.Fatalf("merge mutated source: %d", b.Count())
-	}
-	// Quantiles over the merged histogram match re-observation semantics.
-	if got := a.Quantile(0.5); got != 10 {
-		t.Fatalf("merged p50 = %d want 10", got)
-	}
-}
-
-func TestHistogramMergeMismatch(t *testing.T) {
-	a := MustHistogram(10, 20)
-	if err := a.Merge(MustHistogram(10)); err == nil {
-		t.Fatal("bucket-count mismatch accepted")
-	}
-	if err := a.Merge(MustHistogram(10, 30)); err == nil {
-		t.Fatal("bound mismatch accepted")
-	}
-	if a.Count() != 0 {
-		t.Fatal("failed merge mutated destination")
-	}
-}
-
-func TestHistogramMergeNilAndEmpty(t *testing.T) {
-	var nilH *Histogram
-	if err := nilH.Merge(MustHistogram(10)); err != nil {
-		t.Fatal(err)
-	}
-	a := MustHistogram(10)
-	if err := a.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(MustHistogram(10)); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 0 {
-		t.Fatal("empty merges observed something")
-	}
-	// Merging into an empty histogram adopts min/max.
-	b := MustHistogram(10)
-	b.Observe(4)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if s := a.Snapshot(); s.Min != 4 || s.Max != 4 {
-		t.Fatalf("empty-destination merge min/max: %+v", s)
-	}
-}
-
-func TestLatencyBuckets(t *testing.T) {
-	bs := LatencyBuckets()
-	if len(bs) == 0 || bs[0] != 1_000 || bs[len(bs)-1] != 10_000_000_000 {
-		t.Fatalf("latency ladder %v", bs)
-	}
-	if _, err := NewHistogram(bs...); err != nil {
-		t.Fatalf("latency ladder invalid: %v", err)
+		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+		if h.Max() != vals[n-1] || h.Mean() != float64(sum)/n {
+			t.Fatalf("%s: max %d mean %v, want %d %v", sh.name, h.Max(), h.Mean(), vals[n-1], float64(sum)/n)
+		}
+		for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+			exact := vals[int(math.Ceil(q*n))-1]
+			got := h.Quantile(q)
+			if sh.name == "small" && got != exact {
+				t.Fatalf("small q=%v: got %d want exactly %d", q, got, exact)
+			}
+			if math.Abs(float64(got-exact)) > float64(exact)/32 {
+				t.Fatalf("%s q=%v: got %d, exact %d (off %.2f%%)", sh.name, q, got, exact,
+					100*math.Abs(float64(got-exact))/float64(exact))
+			}
+		}
 	}
 }

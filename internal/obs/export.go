@@ -72,17 +72,16 @@ func (t *Telemetry) Snapshot() Snapshot {
 
 	const ms = 1e6 // ns per ms
 	for kind, m := range ops {
-		lat := m.lat.Snapshot()
 		snap.Ops = append(snap.Ops, OpSummary{
 			Kind:   kind,
 			Count:  m.count,
 			Errors: m.errors,
 			Bytes:  m.bytes,
 			SimSec: m.simSec,
-			MeanMs: lat.Mean() / ms,
-			P50Ms:  float64(lat.Quantile(0.50)) / ms,
-			P95Ms:  float64(lat.Quantile(0.95)) / ms,
-			P99Ms:  float64(lat.Quantile(0.99)) / ms,
+			MeanMs: m.lat.Mean() / ms,
+			P50Ms:  float64(m.lat.Quantile(0.50)) / ms,
+			P95Ms:  float64(m.lat.Quantile(0.95)) / ms,
+			P99Ms:  float64(m.lat.Quantile(0.99)) / ms,
 		})
 	}
 	sort.Slice(snap.Ops, func(i, j int) bool { return snap.Ops[i].Kind < snap.Ops[j].Kind })

@@ -64,7 +64,7 @@ type opAgg struct {
 	errors int64
 	bytes  int64
 	simSec float64
-	lat    *metrics.Histogram // wall nanoseconds
+	lat    metrics.Histogram // wall nanoseconds
 }
 
 type nodeAgg struct {
@@ -82,7 +82,7 @@ func (r *Registry) record(kind, node string, bytes int64, simSec float64, wall t
 	r.mu.Lock()
 	op := r.ops[kind]
 	if op == nil {
-		op = &opAgg{lat: metrics.MustHistogram(metrics.LatencyBuckets()...)}
+		op = &opAgg{}
 		r.ops[kind] = op
 	}
 	op.count++
@@ -91,7 +91,7 @@ func (r *Registry) record(kind, node string, bytes int64, simSec float64, wall t
 	if failed {
 		op.errors++
 	}
-	lat := op.lat
+	op.lat.Observe(wall.Nanoseconds())
 	if node != "" {
 		na := r.nodes[node]
 		if na == nil {
@@ -105,13 +105,10 @@ func (r *Registry) record(kind, node string, bytes int64, simSec float64, wall t
 		}
 	}
 	r.mu.Unlock()
-	// The histogram has its own lock; observe outside the registry lock.
-	lat.Observe(wall.Nanoseconds())
 }
 
-// rollups copies the per-op and per-node rollups under the lock, so no
-// span is ever seen half-applied. Each op's latency histogram is shared,
-// not copied: it carries its own lock.
+// rollups copies the per-op and per-node rollups, latency histograms
+// included, under the lock, so no span is ever seen half-applied.
 func (r *Registry) rollups() (map[string]opAgg, map[string]nodeAgg) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

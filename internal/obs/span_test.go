@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSnapshotNeverHalfMerged hammers Snapshot while spans finish
@@ -14,7 +15,10 @@ import (
 // contribution (count, bytes, node rollup) folds in under one lock
 // section, so no snapshot may ever observe a span half-applied. Every
 // span below contributes exactly 1 byte, so in every coherent view
-// bytes == count, per op kind and per node. Run under -race this also
+// bytes == count, per op kind and per node. The latency histogram folds
+// in under the same section: each worker also records a "probe" op whose
+// simulated seconds carry its wall nanoseconds, so in every coherent view
+// the histogram's mean is simSec/count exactly. Run under -race this also
 // exercises ring eviction against snapshot readers.
 func TestSnapshotNeverHalfMerged(t *testing.T) {
 	tel := New(64)
@@ -37,6 +41,8 @@ func TestSnapshotNeverHalfMerged(t *testing.T) {
 				c.AddBytes(1)
 				c.Finish()
 				sp.Finish()
+				wall := int64(1 + (w*perWorker+i)*7919%100000)
+				tr.reg.record("probe", "", 1, float64(wall), time.Duration(wall), false)
 			}
 		}(w)
 	}
@@ -62,6 +68,11 @@ func TestSnapshotNeverHalfMerged(t *testing.T) {
 					if n.Bytes != n.Count {
 						t.Errorf("half-merged node row %s: bytes=%d count=%d", n.Node, n.Bytes, n.Count)
 					}
+				}
+				ops, _ := tr.reg.rollups()
+				if p, ok := ops["probe"]; ok && p.lat.Mean() != p.simSec/float64(p.count) {
+					t.Errorf("probe histogram apart from its row: mean %v ns, row %v ns over %d ops",
+						p.lat.Mean(), p.simSec/float64(p.count), p.count)
 				}
 			}
 		}()

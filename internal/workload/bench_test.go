@@ -51,7 +51,7 @@ func BenchmarkWorkloadTail(b *testing.B) {
 //	go test -run TestWorkloadTail -v ./internal/workload/
 func TestWorkloadTail(t *testing.T) {
 	const (
-		maxP99Ms   = 3000
+		maxP99Ms   = 2400 // ShedMs 2000 + DeviceMs 400: an admitted warm or peer-served boot
 		minPeerHit = 0.90
 	)
 	for _, tc := range tailCases {

@@ -184,8 +184,7 @@ func (d *Driver) drive(ctx context.Context, cfg Config, cold map[int]bool) (Summ
 		slotFree[i] = slotBacking[i*cfg.Slots : (i+1)*cfg.Slots : (i+1)*cfg.Slots]
 	}
 
-	latHist := metrics.MustHistogram(metrics.LatencyBuckets()...)
-	waitHist := metrics.MustHistogram(metrics.LatencyBuckets()...)
+	var latHist, waitHist metrics.Histogram
 	shedSec := cfg.ShedMs / 1e3
 
 	for n := 0; n < cfg.Boots; n++ {
@@ -248,20 +247,19 @@ func (d *Driver) drive(ctx context.Context, cfg Config, cold map[int]bool) (Summ
 		latHist.Observe(int64((wait + svc) * 1e9))
 		waitHist.Observe(int64(wait * 1e9))
 	}
-	fold(&sum, latHist, waitHist)
+	fold(&sum, &latHist, &waitHist)
 	return sum, nil
 }
 
 // fold collapses the histograms into the summary's fixed quantile set.
 func fold(sum *Summary, lat, wait *metrics.Histogram) {
 	const ms = 1e6
-	ls := lat.Snapshot()
-	sum.P50Ms = float64(ls.Quantile(0.50)) / ms
-	sum.P95Ms = float64(ls.Quantile(0.95)) / ms
-	sum.P99Ms = float64(ls.Quantile(0.99)) / ms
-	sum.P999Ms = float64(ls.Quantile(0.999)) / ms
-	sum.MaxMs = float64(ls.Max) / ms
-	sum.MeanMs = ls.Mean() / ms
+	sum.P50Ms = float64(lat.Quantile(0.50)) / ms
+	sum.P95Ms = float64(lat.Quantile(0.95)) / ms
+	sum.P99Ms = float64(lat.Quantile(0.99)) / ms
+	sum.P999Ms = float64(lat.Quantile(0.999)) / ms
+	sum.MaxMs = float64(lat.Max()) / ms
+	sum.MeanMs = lat.Mean() / ms
 	sum.WaitP99Ms = float64(wait.Quantile(0.99)) / ms
 	if sum.Boots > 0 {
 		sum.ShedRate = float64(sum.Shed) / float64(sum.Boots)
