@@ -34,18 +34,17 @@ func daemonShaped(t testing.TB, images, nodes int) (*Squirrel, []*corpus.Image) 
 }
 
 func TestWarmBootAllocatesNoBuffers(t *testing.T) {
-	// A warm boot reads ~200 KB through whole-cluster fetches into the
-	// VM's read buffer, which is pooled: a cluster the read covers whole
-	// is fetched straight into it, and the rare one covered in part
-	// through a pooled cluster buffer. So a boot allocates only
-	// bookkeeping (layout slices, report, overlay), ≈ 0.5 KB — it used to
-	// allocate 334 KB, and the garbage paced the collector. The limit
-	// leaves room for a GC emptying the pools mid-run, after which a read
-	// buffer is allocated again. The warm-up boot also
-	// fills zvol's decoded-block cache, and the four images' blocks fit in
-	// its budget, so every later block read is a hit copied into the read
-	// buffer; a miss would allocate the 64 KB decoded copy the cache
-	// keeps, and show here.
+	// A warm boot reads ~200 KB through whole-cluster visits, and the
+	// chain lends every byte rather than copying it into a buffer: the
+	// local replica lends its blocks to the boot, which only counts them.
+	// So a boot allocates only bookkeeping (layout slices, report,
+	// overlay), ≈ 0.5 KB — it used to allocate 334 KB, and the garbage
+	// paced the collector. The limit leaves room for a GC emptying a pool
+	// mid-run, after which a buffer is allocated again. The warm-up boot
+	// also fills zvol's decoded-block cache, and the four images' blocks
+	// fit in its budget, so every later block read is a hit, the cache's
+	// entry lent as it is; a miss would allocate the 64 KB block that
+	// becomes the entry, and show here.
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
 	}

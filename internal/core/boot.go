@@ -171,34 +171,30 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	}
 
 	rep := BootReport{ImageID: id, NodeID: nodeID, Healed: healed}
-	var gen *corpus.Generator
+	// The VM's reads are checked and counted, never kept: the chain lends
+	// each range's bytes and only Verify looks at them.
+	visit := discard
+	var ver *verifier
 	if req.Verify {
-		gen = corpus.NewGenerator(im)
+		ver = &verifier{gen: corpus.NewGenerator(im)}
+		visit = ver.check
 	}
-	trace := im.BootTrace()
-	var longest int64
-	for _, e := range trace {
-		longest = max(longest, e.Len)
-	}
-	bp := getReadBuf(longest)
-	defer readBufs.Put(bp)
-	for _, e := range trace {
+	for _, e := range im.BootTrace() {
 		if err := ctx.Err(); err != nil {
 			return fail(fmt.Errorf("core: boot %s on %s: %w", id, nodeID, err))
 		}
-		b := (*bp)[:e.Len]
-		if _, err := cow.ReadAt(b, e.Off); err != nil && err != io.EOF {
+		if ver != nil {
+			ver.at = e.Off
+		}
+		if err := cow.Visit(e.Off, e.Len, visit); err != nil && err != io.EOF {
 			return fail(fmt.Errorf("core: boot read at %d: %w", e.Off, err))
 		}
 		rep.ReadBytes += e.Len
-		if req.Verify {
-			want := make([]byte, e.Len)
-			if _, err := gen.ReadAt(want, e.Off); err != nil && err != io.EOF {
-				return fail(err)
-			}
-			if !bytes.Equal(b, want) {
-				return fail(fmt.Errorf("core: boot data mismatch at %d (+%d)", e.Off, e.Len))
-			}
+		if ver != nil && ver.err != nil {
+			return fail(ver.err)
+		}
+		if ver != nil && ver.mismatch {
+			return fail(fmt.Errorf("core: boot data mismatch at %d (+%d)", e.Off, e.Len))
 		}
 	}
 	rep.NetworkBytes = cb.networkBytes
@@ -219,19 +215,25 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	return rep, nil
 }
 
-// readBufs recycles the buffer a boot replays its trace into: the VM's
-// reads are checked and counted, never kept, so the bytes are garbage
-// the moment the boot returns.
-var readBufs sync.Pool // *[]byte
+// discard is a boot's visit when nothing checks the bytes.
+func discard([]byte) {}
 
-// getReadBuf returns a buffer of at least n bytes, contents unspecified;
-// the caller Puts the pointer back into readBufs.
-func getReadBuf(n int64) *[]byte {
-	if bp, _ := readBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= n {
-		return bp
+// verifier is a boot's visit under Verify: it compares each lent piece
+// with the image's true content at the offset it stands for.
+type verifier struct {
+	gen      *corpus.Generator
+	at       int64 // image offset of the next lent byte
+	err      error // the generator's, if it failed
+	mismatch bool
+}
+
+func (v *verifier) check(p []byte) {
+	want := make([]byte, len(p))
+	if _, err := v.gen.ReadAt(want, v.at); err != nil && err != io.EOF {
+		v.err = err
 	}
-	buf := make([]byte, n)
-	return &buf
+	v.mismatch = v.mismatch || !bytes.Equal(p, want)
+	v.at += int64(len(p))
 }
 
 // recordBootLanes summarizes one boot's byte provenance as per-lane
@@ -265,15 +267,18 @@ func (s *Squirrel) recordBootLanes(sp *obs.Span, cb *chainBackend) {
 // chainBackend is the "cache chained to base" layer under the CoW
 // overlay, and the one source ladder a cache object's bytes reach a
 // compute node by, per range: rung zero is the node's own replica
-// (ccv.ReadAt straight into the caller's buffer), rung one the peer
-// exchange, rung two the PFS-hosted base VMI. A boot enters at rung zero
-// (ReadAt); a resilver enters at rung one (readRemote) with a damaged
-// block's range of the object.
+// (lent straight out of ccv.Visit), rung one the peer exchange, rung two
+// the PFS-hosted base VMI, both landing in a pooled buffer that is then
+// lent. A boot enters at rung zero (Lend, one ladder walk); a resilver
+// enters at rung one (readRemote) with a damaged block's range of the
+// object.
 //
 // Every rung verifies per range, as ZFS verifies where it reads: a range
 // overlapping a rotted block of the local replica fails its checksum and
 // continues down the ladder while the intact ranges are still served
-// locally. The rot is left for the next scrub to quarantine.
+// locally. A range is lent once, from one rung: rung zero lends nothing
+// of a range unless every block under it passed. The rot is left for the
+// next scrub to quarantine.
 type chainBackend struct {
 	id      string
 	rawSize int64
@@ -328,33 +333,31 @@ func newChainBackend(s *Squirrel, im *corpus.Image, ccv *zvol.Volume, node *clus
 // Size implements qcow.Backend.
 func (cb *chainBackend) Size() int64 { return cb.rawSize }
 
-// ReadAt implements qcow.Backend: each range inside a cache extent
-// climbs the ladder from rung zero; ranges between extents exist only on
-// the PFS.
+// ReadAt implements qcow.Backend as a copy out of the bytes Lend lends.
 func (cb *chainBackend) ReadAt(p []byte, off int64) (int, error) {
-	total := 0
-	for len(p) > 0 && off < cb.rawSize {
-		n, ext, served := cb.cacheRange(p, off)
-		switch {
-		case served:
-			cb.cacheBytes += n
-		case ext >= 0:
-			if err := cb.readRemote(p[:n], cb.bases[ext]+(off-cb.offs[ext])); err != nil {
-				return total, err
-			}
-		default:
-			if read, err := cb.pfsRead(p[:n], off); err != nil {
-				return total + read, err
+	n := 0
+	err := cb.Lend(off, int64(len(p)), qcow.Window{From: off, To: off + int64(len(p)),
+		Fn: func(b []byte) { n += copy(p[n:], b) }})
+	return n, err
+}
+
+// Lend implements qcow.Lender; it is the one ladder walk. Each range
+// inside a cache extent climbs the ladder from rung zero; ranges between
+// extents exist only on the PFS.
+func (cb *chainBackend) Lend(off, n int64, w qcow.Window) error {
+	for n > 0 && off < cb.rawSize {
+		k, ext, served := cb.localRange(off, n, w)
+		if !served {
+			if err := cb.lendRemote(off, k, ext, w); err != nil {
+				return err
 			}
 		}
-		p = p[n:]
-		off += n
-		total += int(n)
+		off, n = off+k, n-k
 	}
-	if len(p) > 0 {
-		return total, io.EOF
+	if n > 0 {
+		return io.EOF
 	}
-	return total, nil
+	return nil
 }
 
 // extentAt is the one walk of the cache-object layout: the index of the
@@ -365,34 +368,76 @@ func (cb *chainBackend) extentAt(starts []int64, off int64) int {
 	return sort.Search(len(starts), func(i int) bool { return starts[i]+cb.lens[i] > off })
 }
 
-// cacheRange resolves the prefix of p against the cache layout and tries
-// rung zero on it. It returns the prefix length n (clamped to the image
-// size, the containing extent, or the gap up to the next extent), the
-// index of the containing extent (-1 when [off, off+n) lies outside
-// every cache extent), and whether the local replica served the bytes,
-// decoded and verified straight into p. When ext >= 0 but served is
-// false the rest of the ladder serves the range — a checksum failure
-// under it counts boot.corrupt_local; any other read error means the
-// object left the replica mid-boot, equally a miss and never a boot
-// error. When ext < 0 only the PFS holds the bytes.
-func (cb *chainBackend) cacheRange(p []byte, off int64) (n int64, ext int, served bool) {
-	n = min(int64(len(p)), cb.rawSize-off)
+// localRange resolves the prefix of [off, off+n) against the cache
+// layout and tries rung zero on it. It returns the prefix length k
+// (clamped to the image size, the containing extent, or the gap up to the
+// next extent), the index of the containing extent (-1 when [off, off+k)
+// lies outside every cache extent), and whether the local replica served
+// the bytes, decoded, verified and lent to w. When ext >= 0 but served is
+// false nothing was lent and the rest of the ladder serves the range — a
+// checksum failure under it counts boot.corrupt_local; any other read
+// error means the object left the replica mid-boot, equally a miss and
+// never a boot error. When ext < 0 only the PFS holds the bytes.
+func (cb *chainBackend) localRange(off, n int64, w qcow.Window) (k int64, ext int, served bool) {
+	k = min(n, cb.rawSize-off)
 	i := cb.extentAt(cb.offs, off)
 	switch {
 	case i == len(cb.offs):
-		return n, -1, false // past all extents
+		return k, -1, false // past all extents
 	case cb.offs[i] > off:
-		return min(n, cb.offs[i]-off), -1, false // the gap before extent i
+		return min(k, cb.offs[i]-off), -1, false // the gap before extent i
 	}
-	n = min(n, cb.offs[i]+cb.lens[i]-off)
+	k = min(k, cb.offs[i]+cb.lens[i]-off)
 	if cb.ccv == nil {
-		return n, i, false
+		return k, i, false
 	}
-	err := cb.ccv.ReadAt(cb.id, p[:n], cb.bases[i]+(off-cb.offs[i]))
+	at := off
+	err := cb.ccv.Visit(cb.id, cb.bases[i]+(off-cb.offs[i]), k, func(p []byte) { at = w.Put(at, p) })
 	if errors.Is(err, zvol.ErrCorrupt) {
 		cb.ctr.Add("boot.corrupt_local", 1)
 	}
-	return n, i, err == nil
+	if err != nil {
+		return k, i, false
+	}
+	cb.cacheBytes += k
+	return k, i, true
+}
+
+// lendRemote serves [off, off+k), a range localRange resolved to extent
+// ext (-1 for a gap), from off the node: it lands in a buffer from
+// readBufs, which w is then lent. A PFS read cut short lends what it
+// delivered and returns io.EOF.
+func (cb *chainBackend) lendRemote(off, k int64, ext int, w qcow.Window) error {
+	bp := getReadBuf(k)
+	defer readBufs.Put(bp)
+	buf := (*bp)[:k]
+	if ext >= 0 {
+		if err := cb.readRemote(buf, cb.bases[ext]+(off-cb.offs[ext])); err != nil {
+			return err
+		}
+		w.Put(off, buf)
+		return nil
+	}
+	read, err := cb.pfsRead(buf, off)
+	w.Put(off, buf[:read])
+	return err
+}
+
+// readBufs recycles the buffers the remote rungs land a range in: a
+// boot's bytes are lent and never kept, so a buffer is free again once
+// its range has been lent.
+var readBufs sync.Pool // *[]byte
+
+// getReadBuf returns a buffer of at least n bytes, contents unspecified;
+// the caller Puts the pointer back into readBufs. A new buffer holds at
+// least a default cluster, the most a boot asks of one rung at once, so
+// the pool's buffers fit every range.
+func getReadBuf(n int64) *[]byte {
+	if bp, _ := readBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= n {
+		return bp
+	}
+	buf := make([]byte, max(n, qcow.DefaultClusterSize))
+	return &buf
 }
 
 // readRemote fills p with [base, base+len(p)) of the cache object from

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/corpus"
+	"repro/internal/metrics"
+	"repro/internal/qcow"
 	"repro/internal/zvol"
 )
 
@@ -70,6 +72,12 @@ func boundaryBackend(local bool) (*chainBackend, *stubPFS) {
 		cb.ccv = ccv
 	}
 	return cb, pfs
+}
+
+// into is the window over image range [off, off+len(p)) that copies
+// what it is lent into p.
+func into(p []byte, off int64) qcow.Window {
+	return qcow.Window{From: off, To: off + int64(len(p)), Fn: func(b []byte) { p = p[copy(p, b):] }}
 }
 
 func checkContent(t *testing.T, buf []byte, off int64) {
@@ -154,27 +162,30 @@ func TestCacheRangeBoundaries(t *testing.T) {
 		{75, 3, 3, -1, false},    // short read inside trailing gap
 	}
 	for _, c := range cases {
-		n, ext, served := cb.cacheRange(big[:c.p], c.off)
+		n, ext, served := cb.localRange(c.off, int64(c.p), into(big[:c.p], c.off))
 		if n != c.n || ext != c.ext || served != c.served {
-			t.Fatalf("cacheRange(off=%d,len=%d) = (%d,%d,%v), want (%d,%d,%v)",
+			t.Fatalf("localRange(off=%d,len=%d) = (%d,%d,%v), want (%d,%d,%v)",
 				c.off, c.p, n, ext, served, c.n, c.ext, c.served)
+		}
+		if served {
+			checkContent(t, big[:n], c.off)
 		}
 	}
 	// Zero-length request resolves to zero bytes (inside an extent it
 	// still reports the extent, serving nothing).
-	if n, ext, _ := cb.cacheRange(nil, 15); n != 0 || ext != 0 {
-		t.Fatalf("zero-length cacheRange: n=%d ext=%d", n, ext)
+	if n, ext, _ := cb.localRange(15, 0, into(nil, 15)); n != 0 || ext != 0 {
+		t.Fatalf("zero-length localRange: n=%d ext=%d", n, ext)
 	}
 }
 
 func TestCacheRangeWithoutLocalReplica(t *testing.T) {
 	// The same layout with no local replica: ranges inside extents are
 	// reported as peer-servable misses (ext >= 0, served false) and no
-	// bytes are copied.
+	// bytes are lent.
 	cb, _ := boundaryBackend(false)
-	buf := make([]byte, 100)
-	n, ext, served := cb.cacheRange(buf, 10)
-	if n != 10 || ext != 0 || served {
+	lent := 0
+	n, ext, served := cb.localRange(10, 100, qcow.Window{From: 10, To: 110, Fn: func(p []byte) { lent += len(p) }})
+	if n != 10 || ext != 0 || served || lent != 0 {
 		t.Fatalf("cold miss inside extent: (%d,%d,%v)", n, ext, served)
 	}
 	// With no fetcher attached, ReadAt sends everything to the PFS and
@@ -193,9 +204,40 @@ func TestCacheRangeWithoutLocalReplica(t *testing.T) {
 func TestCacheRangeNoExtents(t *testing.T) {
 	pfs := &stubPFS{size: 40}
 	cb := &chainBackend{id: "img", rawSize: 40, node: &cluster.Node{ID: "n"}, pfs: pfs}
-	buf := make([]byte, 64)
-	n, ext, served := cb.cacheRange(buf, 8)
+	n, ext, served := cb.localRange(8, 64, into(make([]byte, 64), 8))
 	if n != 32 || ext != -1 || served { // clamped to RawSize
-		t.Fatalf("extentless cacheRange: (%d,%d,%v)", n, ext, served)
+		t.Fatalf("extentless localRange: (%d,%d,%v)", n, ext, served)
+	}
+}
+
+func TestLendRotPartwayServesRangeOnce(t *testing.T) {
+	// Extent 1 is cache-object bytes [10,30): the tail of 8-byte block 1,
+	// all of block 2 and the head of block 3. Whichever of them rots, the
+	// blocks before it pass their checks first; the reader must still be
+	// lent image range [50,70) exactly once, all of it from the PFS, and
+	// the rot counted once.
+	for _, rot := range []int{1, 2, 3} {
+		cb, pfs := boundaryBackend(true)
+		cb.ctr = metrics.NewCounterSet()
+		if err := cb.ccv.CorruptStoredBlock(cb.id, rot, 0, 0xff); err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		if err := cb.Lend(50, 20, qcow.Window{From: 50, To: 70, Fn: func(p []byte) { got = append(got, p...) }}); err != nil {
+			t.Fatalf("rot in block %d: Lend: %v", rot, err)
+		}
+		if len(got) != 20 {
+			t.Fatalf("rot in block %d: lent %d bytes of a 20-byte range", rot, len(got))
+		}
+		checkContent(t, got, 50)
+		if cb.cacheBytes != 0 || cb.networkBytes != 20 {
+			t.Fatalf("rot in block %d: cache=%d network=%d, want 0/20", rot, cb.cacheBytes, cb.networkBytes)
+		}
+		if len(pfs.calls) != 1 || pfs.calls[0] != (corpus.Extent{Off: 50, Len: 20}) {
+			t.Fatalf("rot in block %d: pfs calls %+v", rot, pfs.calls)
+		}
+		if c := cb.ctr.Get("boot.corrupt_local"); c != 1 {
+			t.Fatalf("rot in block %d: boot.corrupt_local = %d, want 1", rot, c)
+		}
 	}
 }

@@ -243,8 +243,9 @@ func (f *peerFetcher) acquire(tried map[string]bool) (string, func(int64), bool,
 }
 
 // transfer moves one range from src to the reading node, applying the
-// deployment's fault injector. The source decodes (and verifies) only
-// the blocks under the range, straight into dst. NIC counters account
+// deployment's fault injector. The source verifies (and, unless its
+// decode cache holds them, decodes) only the blocks under the range and
+// copies them into dst. NIC counters account
 // exactly the bytes that crossed the fabric: the full range on success
 // and on corruption (damage is detected at the receiver), the delivered
 // prefix on truncation, nothing on a drop or source crash. Every outcome

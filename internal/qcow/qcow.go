@@ -29,6 +29,36 @@ type Backend interface {
 	Size() int64
 }
 
+// A Lender is a Backend that can lend its bytes instead of copying them.
+// Lend reads [off, off+n) exactly as ReadAt would — every byte checked and
+// accounted — and runs w.Fn, in order, on the pieces of it that fall
+// inside w, which lies within [off, off+n). The pieces are lent: w.Fn
+// must neither write them nor keep them past its return. Lend returns an
+// error, io.EOF included, when it could not serve all n bytes.
+type Lender interface {
+	Backend
+	Lend(off, n int64, w Window) error
+}
+
+// A Window is the part [From, To) of a lent byte stream that a reader
+// wants. An overlay fetches whole clusters from below but hands its
+// reader only the bytes it asked for: the window trims each lent piece.
+type Window struct {
+	From, To int64
+	Fn       func(p []byte)
+}
+
+// Put runs w.Fn on the part of p inside the window, where p holds the
+// stream's bytes [at, at+len(p)), and returns at+len(p), where the next
+// piece starts.
+func (w Window) Put(at int64, p []byte) int64 {
+	lo, hi := max(w.From-at, 0), min(w.To-at, int64(len(p)))
+	if lo < hi {
+		w.Fn(p[lo:hi])
+	}
+	return at + int64(len(p))
+}
+
 // Overlay is a read-through (and optionally copy-on-read) image over a
 // backing store. It keeps copied-on-read clusters in memory, which
 // stands in for the compute node's local cache file.
@@ -37,6 +67,7 @@ type Overlay struct {
 	cluster  int64
 	size     int64
 	backing  Backend
+	lender   Lender           // backing, when it can lend; nil otherwise
 	clusters map[int64][]byte // cluster index → cluster payload
 	cor      bool             // copy-on-read: cache clusters fetched from backing
 
@@ -55,7 +86,9 @@ func NewOverlay(backing Backend, clusterSize int64, cor bool) (*Overlay, error) 
 	if backing == nil {
 		return nil, fmt.Errorf("qcow: nil backing")
 	}
+	lender, _ := backing.(Lender)
 	return &Overlay{
+		lender:   lender,
 		cluster:  clusterSize,
 		size:     backing.Size(),
 		backing:  backing,
@@ -67,48 +100,57 @@ func NewOverlay(backing Backend, clusterSize int64, cor bool) (*Overlay, error) 
 // Size implements Backend.
 func (o *Overlay) Size() int64 { return o.size }
 
-// ReadAt implements io.ReaderAt. Reads are resolved cluster by cluster:
-// local clusters are served directly; missing ones are fetched whole from
-// the backing store (and retained when copy-on-read is enabled).
+// ReadAt implements io.ReaderAt as a copy out of the bytes Visit lends.
 func (o *Overlay) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("qcow: negative offset")
-	}
-	total := 0
-	for len(p) > 0 && off < o.size {
-		ci, cOff := off/o.cluster, off%o.cluster
-		n := min(int64(len(p)), o.cluster-cOff, o.size-off)
-		if err := o.readCluster(p[:n], ci, cOff); err != nil {
-			return total, err
-		}
-		p = p[n:]
-		off += n
-		total += int(n)
-	}
-	if len(p) > 0 {
-		return total, io.EOF
-	}
-	return total, nil
+	n := 0
+	err := o.Visit(off, int64(len(p)), func(b []byte) { n += copy(p[n:], b) })
+	return n, err
 }
 
-// readCluster fills p with cluster ci's bytes from cOff on. A cluster the
-// overlay holds (cached by copy-on-read) is copied out. A missing one is
-// fetched whole: straight into p when p is the whole cluster and
-// copy-on-read is off — the backing store sees the very read a staged
-// fetch would make, and the bytes land once, in the caller's buffer —
-// otherwise into a buffer from clusterBufs, which copy-on-read keeps and
-// a plain overlay recycles once p has its part.
-func (o *Overlay) readCluster(p []byte, ci, cOff int64) error {
+// Visit runs fn on bytes [off, off+n) of the image, lent in order. Reads
+// are resolved cluster by cluster: a cluster the overlay holds (cached by
+// copy-on-read) is lent directly; a missing one is fetched whole from the
+// backing store (and retained when copy-on-read is enabled), and only
+// the part the read asked for reaches fn. A Lender backing lends the
+// cluster through, copying nothing; one that can only ReadAt fetches into
+// a buffer from clusterBufs, which copy-on-read keeps and a plain overlay
+// recycles once fn has run. fn must neither write the bytes nor keep
+// them past its return. A read past the image's end lends what there is
+// and returns io.EOF.
+func (o *Overlay) Visit(off, n int64, fn func(p []byte)) error {
+	if off < 0 {
+		return fmt.Errorf("qcow: negative offset")
+	}
+	for n > 0 && off < o.size {
+		k := min(n, o.cluster-off%o.cluster, o.size-off)
+		if err := o.visitCluster(off/o.cluster, Window{From: off, To: off + k, Fn: fn}); err != nil {
+			return err
+		}
+		off, n = off+k, n-k
+	}
+	if n > 0 {
+		return io.EOF
+	}
+	return nil
+}
+
+// visitCluster lends w its part of cluster ci.
+func (o *Overlay) visitCluster(ci int64, w Window) error {
+	start := ci * o.cluster
 	o.mu.RLock()
 	data, ok := o.clusters[ci]
 	o.mu.RUnlock()
 	if ok {
-		copy(p, data[cOff:])
+		w.Put(start, data)
 		return nil
 	}
-	l := min(o.cluster, o.size-ci*o.cluster) // short at EOF
-	if !o.cor && int64(len(p)) == l {
-		return o.fetch(p, ci)
+	l := min(o.cluster, o.size-start) // short at EOF
+	if o.lender != nil && !o.cor {
+		if err := o.lender.Lend(start, l, w); err != nil {
+			return fmt.Errorf("qcow: backing read cluster %d: %w", ci, err)
+		}
+		o.count(l)
+		return nil
 	}
 	// Every buffer has whole-cluster capacity, even for the short tail, so
 	// every one is reusable.
@@ -122,7 +164,7 @@ func (o *Overlay) readCluster(p []byte, ci, cOff int64) error {
 		clusterBufs.Put(bp)
 		return err
 	}
-	copy(p, buf[cOff:])
+	w.Put(start, buf)
 	if !o.cor {
 		clusterBufs.Put(bp)
 		return nil
@@ -139,9 +181,9 @@ func (o *Overlay) readCluster(p []byte, ci, cOff int64) error {
 }
 
 // clusterBufs recycles cluster buffers between fetches, across overlays:
-// a plain overlay fetches a whole cluster for every read that covers it
-// only in part and keeps none of them, which without reuse is the boot
-// path's largest source of garbage.
+// a plain overlay over a backing that can only ReadAt fetches a whole
+// cluster for every read and keeps none of them, which without reuse
+// would be its largest source of garbage.
 var clusterBufs sync.Pool // *[]byte
 
 // fetch reads cluster ci from backing into buf, which is exactly the
@@ -155,8 +197,13 @@ func (o *Overlay) fetch(buf []byte, ci int64) error {
 	if n != len(buf) {
 		return fmt.Errorf("qcow: short backing read: %d of %d", n, len(buf))
 	}
-	o.mu.Lock()
-	o.BackingReads += int64(n)
-	o.mu.Unlock()
+	o.count(int64(n))
 	return nil
+}
+
+// count adds n fetched bytes to BackingReads.
+func (o *Overlay) count(n int64) {
+	o.mu.Lock()
+	o.BackingReads += n
+	o.mu.Unlock()
 }

@@ -186,12 +186,12 @@ func (r *recordingBackend) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func TestOverlayDirectFillMatchesStaged(t *testing.T) {
-	// A plain overlay fetches a cluster that the read covers whole straight
-	// into the caller's buffer and stages one it covers in part. Either
-	// way the reader sees the base's bytes and the backing store sees one
-	// whole-cluster read per touched cluster — the same reads, and the
-	// same BackingReads, whatever the range: exact clusters, runs of them,
-	// unaligned spans, the short last cluster.
+	// A plain overlay over a backing that can only ReadAt stages every
+	// cluster in a pooled buffer, whether the read covers it whole or in
+	// part. Either way the reader sees the base's bytes and the backing
+	// store sees one whole-cluster read per touched cluster — the same
+	// reads, and the same BackingReads, whatever the range: exact
+	// clusters, runs of them, unaligned spans, the short last cluster.
 	const cluster = 4096
 	base := mkBase(11, 9*cluster+1000) // short last cluster
 	size := int64(len(base.Data))
@@ -264,6 +264,93 @@ func TestOverlayDirectFillMatchesStaged(t *testing.T) {
 		}
 		if len(rb.reads) != 1 || ov.BackingReads != cluster {
 			t.Fatalf("copy-on-read fetched %d times (%d bytes), want once", len(rb.reads), ov.BackingReads)
+		}
+	})
+}
+
+// lendingBackend is a memBackend that can lend: it logs every Lend and
+// lends Data itself in pieces of at most piece bytes, failing any Lend
+// that overlaps failAt (when failAt >= 0).
+type lendingBackend struct {
+	*memBackend
+	piece  int64
+	lends  [][2]int64 // (off, n) per Lend
+	failAt int64
+}
+
+func (l *lendingBackend) Lend(off, n int64, w Window) error {
+	l.lends = append(l.lends, [2]int64{off, n})
+	if l.failAt >= off && l.failAt < off+n {
+		return errBackend
+	}
+	for at := off; at < off+n; {
+		at = w.Put(at, l.Data[at:min(at+l.piece, off+n)])
+	}
+	return nil
+}
+
+func TestOverlayLendsThroughALender(t *testing.T) {
+	// Over a backing that lends, Visit asks it for the same whole clusters
+	// a ReadAt backing is asked for, counts them in BackingReads, and
+	// passes on exactly the bytes the read asked for, in order — the
+	// backing's own bytes, copied nowhere. ReadAt is a copy out of them.
+	const cluster = 4096
+	base := mkBase(13, 9*cluster+1000) // short last cluster
+	size := int64(len(base.Data))
+	for _, s := range []struct{ off, n int64 }{
+		{0, cluster}, {cluster - 1, 2}, {100, 3 * cluster}, {8*cluster + 5, cluster + 995}, {0, size},
+	} {
+		lb := &lendingBackend{memBackend: base, piece: 1000, failAt: -1}
+		ov, err := NewOverlay(lb, cluster, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := s.off
+		err = ov.Visit(s.off, s.n, func(p []byte) {
+			if &p[0] != &base.Data[at] {
+				t.Fatalf("[%d,+%d): the piece at %d is not the backing's own bytes", s.off, s.n, at)
+			}
+			at += int64(len(p))
+		})
+		if err != nil || at != s.off+s.n {
+			t.Fatalf("[%d,+%d): lent %d bytes, %v", s.off, s.n, at-s.off, err)
+		}
+		var want [][2]int64
+		var wantBytes int64
+		for ci := s.off / cluster; ci*cluster < s.off+s.n; ci++ {
+			l := min(cluster, size-ci*cluster)
+			want = append(want, [2]int64{ci * cluster, l})
+			wantBytes += l
+		}
+		if !slices.Equal(lb.lends, want) || ov.BackingReads != wantBytes {
+			t.Fatalf("[%d,+%d): lends %v (%d bytes), want whole clusters %v (%d bytes)",
+				s.off, s.n, lb.lends, ov.BackingReads, want, wantBytes)
+		}
+		got := make([]byte, s.n)
+		if n, err := ov.ReadAt(got, s.off); err != nil || int64(n) != s.n || !bytes.Equal(got, base.Data[s.off:s.off+s.n]) {
+			t.Fatalf("[%d,+%d): ReadAt %d bytes, %v", s.off, s.n, n, err)
+		}
+	}
+
+	t.Run("backend error", func(t *testing.T) {
+		// A failed Lend is the read's error, counted nowhere; the clusters
+		// before it were delivered.
+		lb := &lendingBackend{memBackend: base, piece: cluster, failAt: 2*cluster + 5}
+		ov, _ := NewOverlay(lb, cluster, false)
+		got := make([]byte, 4*cluster)
+		n, err := ov.ReadAt(got, 0)
+		if !errors.Is(err, errBackend) || n != 2*cluster || ov.BackingReads != 2*cluster {
+			t.Fatalf("read over a failing cluster: %d bytes (%d counted), %v", n, ov.BackingReads, err)
+		}
+	})
+
+	t.Run("past the end", func(t *testing.T) {
+		lb := &lendingBackend{memBackend: base, piece: cluster, failAt: -1}
+		ov, _ := NewOverlay(lb, cluster, false)
+		lent := int64(0)
+		err := ov.Visit(size-10, 30, func(p []byte) { lent += int64(len(p)) })
+		if err != io.EOF || lent != 10 {
+			t.Fatalf("read across the end: %d bytes lent, %v", lent, err)
 		}
 	})
 }

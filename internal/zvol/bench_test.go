@@ -91,11 +91,31 @@ func BenchmarkVolume(b *testing.B) {
 // the LRU always evicts the block read next and every read decodes. The
 // cache has no off switch, and miss is the floor it would have measured.
 func BenchmarkReadAtDecoded(b *testing.B) {
-	const bs = 64 << 10
+	p := make([]byte, decodedBenchBlock)
+	benchDecoded(b, "miss", func(v *Volume, off int64) error { return v.ReadAt("o", p, off) })
+}
+
+// BenchmarkVisitDecoded is BenchmarkReadAtDecoded's twin for the read a
+// boot makes, a 64 KB Visit: hot lends the cache's entry (checks, no
+// copy), cold decodes every block into a fresh entry and lends that.
+func BenchmarkVisitDecoded(b *testing.B) {
+	benchDecoded(b, "cold", func(v *Volume, off int64) error {
+		return v.Visit("o", off, decodedBenchBlock, func([]byte) {})
+	})
+}
+
+// decodedBenchBlock is the block size and read size of the decoded rungs.
+const decodedBenchBlock = 64 << 10
+
+// benchDecoded runs read over a one-block object ("hot") and over one of
+// a block more than the decode budget holds, read in order (the name
+// given as cold).
+func benchDecoded(b *testing.B, cold string, read func(v *Volume, off int64) error) {
+	const bs = decodedBenchBlock
 	for _, c := range []struct {
 		name   string
 		blocks int
-	}{{"hot", 1}, {"miss", decodeBudget/bs + 1}} {
+	}{{"hot", 1}, {cold, decodeBudget/bs + 1}} {
 		b.Run(c.name, func(b *testing.B) {
 			v, err := New(DefaultConfig())
 			if err != nil {
@@ -109,12 +129,11 @@ func BenchmarkReadAtDecoded(b *testing.B) {
 			if _, err := v.WriteObject("o", bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
-			p := make([]byte, bs)
 			b.SetBytes(bs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := v.ReadAt("o", p, int64(i%c.blocks)*bs); err != nil {
+				if err := read(v, int64(i%c.blocks)*bs); err != nil {
 					b.Fatal(err)
 				}
 			}

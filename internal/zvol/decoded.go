@@ -1,7 +1,7 @@
 // The decoded-block cache: what the host page cache over ZFS's ARC gives
 // the paper's reads, a recently inflated block served again without
 // inflating it. It sits after every check a read makes (see
-// readBlockInto), so it replaces a decode and nothing else.
+// lendBlock), so it replaces a decode and nothing else.
 package zvol
 
 import (
@@ -46,12 +46,19 @@ type decodeCache struct {
 	bytes   int                     // Σ len(data) over the filled entries, ≤ decodeBudget
 	entries map[*byte]*decodedBlock // payload key → entry, filled or in flight
 	lru     list.List               // of the filled *decodedBlock, most recently used first
+
+	// watch, when set (only ever by a test), sees each entry under mu as
+	// it is filled and again as it is evicted.
+	watch func(e *decodedBlock, evicting bool)
 }
 
 // decodedBlock is one cache entry. While its fill is in flight el and
 // data are nil and done is open; the filler sets data, closes done, and
-// never writes data again. An evicted entry's data is dropped, not
-// reused, because a reader may still be copying from it outside the lock.
+// never writes data again. A hit lends data itself, so nobody writes it
+// after the fill: an evicted entry's data is dropped, never reused,
+// because a reader may still hold it outside the lock — a visit holds
+// the blocks of its range until the last one has passed, and a later
+// block's fill can evict an earlier one's entry meanwhile.
 type decodedBlock struct {
 	key      *byte
 	physHash block.Hash // the checksum the payload had when data was decoded
@@ -95,10 +102,10 @@ func (c *decodeCache) get(key *byte, physHash block.Hash, logLen int32) (data []
 	return e.data, nil
 }
 
-// finish ends e's fill. With data (which the cache then owns) the entry
-// joins the LRU, evicting least recently used entries to stay within the
-// budget; with nil, the decode failed and the entry is removed. Either
-// way its waiters are released.
+// finish ends e's fill. With data (which the cache then owns, and which
+// nobody writes again) the entry joins the LRU, evicting least recently
+// used entries to stay within the budget; with nil, the decode failed and
+// the entry is removed. Either way its waiters are released.
 func (c *decodeCache) finish(e *decodedBlock, data []byte) {
 	c.mu.Lock()
 	if data == nil {
@@ -108,10 +115,16 @@ func (c *decodeCache) finish(e *decodedBlock, data []byte) {
 			old := c.lru.Remove(c.lru.Back()).(*decodedBlock)
 			delete(c.entries, old.key)
 			c.bytes -= len(old.data)
+			if c.watch != nil {
+				c.watch(old, true)
+			}
 		}
 		e.data = data
 		e.el = c.lru.PushFront(e)
 		c.bytes += len(data)
+		if c.watch != nil {
+			c.watch(e, false)
+		}
 	}
 	c.mu.Unlock()
 	close(e.done)

@@ -503,3 +503,110 @@ func TestDecodedCacheFailedFillWaitersDecode(t *testing.T) {
 		t.Fatal("the failed fill left its entry behind")
 	}
 }
+
+func TestDecodedEntryNeverWrittenAfterFinish(t *testing.T) {
+	// A hit lends the cache's entry itself, so an entry must never be
+	// written once its fill has finished. Visitors lend ranges of an
+	// object holding more distinct 64 KB blocks than the budget, half of
+	// them straddling two blocks, from many goroutines, checking every lent
+	// byte; churners meanwhile read the object front to back, forcing
+	// fills and evictions. A watch on a fresh cache hashes each entry as it
+	// is filled and again as it is evicted (or, for the entries still
+	// cached, at the end), and the two must match. Run
+	// under -race, any write to a lent entry is also a reported race.
+	const bs = 64 << 10
+	n := decodeBudget/bs + 8
+	v, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	for i := 0; i < n; i++ {
+		data = append(data, mkData(int64(2000+i), bs)...)
+	}
+	if _, err := v.WriteObject("o", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	sums := make(map[*decodedBlock]block.Hash) // under watched.mu, like the watch
+	var filled, evicted int
+	var rewritten []string
+	watched := &decodeCache{entries: make(map[*byte]*decodedBlock)}
+	watched.watch = func(e *decodedBlock, evicting bool) {
+		sum := block.Checksum(e.data)
+		if !evicting {
+			sums[e] = sum
+			filled++
+			return
+		}
+		evicted++
+		if sums[e] != sum {
+			rewritten = append(rewritten, fmt.Sprintf("entry %p: %x at fill, %x at eviction", e, sums[e], sum))
+		}
+		delete(sums, e)
+	}
+	old := decoded
+	decoded = watched
+	defer func() { decoded = old }()
+
+	const visitors, visits, churners, passes = 6, 150, 2, 2
+	var wg sync.WaitGroup
+	errs := make(chan error, visitors+churners)
+	for g := 0; g < visitors; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < visits; i++ {
+				off, size := int64(rng.Intn(n))*bs, int64(bs)
+				if i%2 == 1 && off+bs < int64(len(data)) {
+					off += bs / 2 // straddle two blocks
+				}
+				at := off
+				err := v.Visit("o", off, size, func(p []byte) {
+					if !bytes.Equal(p, data[at:at+int64(len(p))]) {
+						errs <- fmt.Errorf("visit at %d lent wrong bytes at %d", off, at)
+					}
+					at += int64(len(p))
+				})
+				if err != nil || at != off+size {
+					errs <- fmt.Errorf("visit at %d: lent %d bytes, %v", off, at-off, err)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	for g := 0; g < churners; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := make([]byte, bs)
+			for pass := 0; pass < passes; pass++ {
+				for i := 0; i < n; i++ {
+					if err := v.ReadAt("o", p, int64(i)*bs); err != nil || !bytes.Equal(p, data[i*bs:(i+1)*bs]) {
+						errs <- fmt.Errorf("churn read of block %d: %v", i, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	watched.mu.Lock()
+	defer watched.mu.Unlock()
+	for e, sum := range sums { // the entries still cached
+		if block.Checksum(e.data) != sum {
+			rewritten = append(rewritten, fmt.Sprintf("cached entry %p", e))
+		}
+	}
+	if len(rewritten) > 0 {
+		t.Fatalf("%d entries changed after their fill: %s", len(rewritten), rewritten[0])
+	}
+	if filled <= n || evicted == 0 {
+		t.Fatalf("%d fills and %d evictions; the run must refill and evict entries", filled, evicted)
+	}
+	t.Logf("%d fills, %d evictions", filled, evicted)
+}

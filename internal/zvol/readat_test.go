@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/compress"
@@ -521,5 +522,40 @@ func TestReadAtNeverServesABitRottedBlock(t *testing.T) {
 				t.Fatalf("every flip undone, yet the block reads back wrong: %v", err)
 			}
 		})
+	}
+}
+
+func TestVisitLendsALongHoleInPieces(t *testing.T) {
+	// A received stream may carry a hole longer than any block size (the
+	// receiver checks a hole's length against nothing but its object's
+	// size). Reading it must not allocate the hole: it is lent in pieces
+	// of the shared zero block, every byte zero.
+	v, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hole = int64(3*len(zeroBlock) + 5)
+	st := &Stream{ToSnap: "s1", Created: time.Unix(0, 0), Upserts: []StreamObject{{
+		Name: "sparse", Size: hole, Ptrs: []StreamPtr{{Zero: true, LogLen: int32(hole), Payload: -1}},
+	}}}
+	if err := v.Receive(st); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct{ off, n int64 }{{0, hole}, {7, 2 * int64(len(zeroBlock))}, {hole - 3, 3}} {
+		lent, pieces := int64(0), 0
+		err := v.Visit("sparse", r.off, r.n, func(p []byte) {
+			if len(p) > len(zeroBlock) || !bytes.Equal(p, zeroBlock[:len(p)]) || &p[0] != &zeroBlock[0] {
+				t.Fatalf("[%d,+%d): a %d-byte piece that is not the zero block", r.off, r.n, len(p))
+			}
+			lent += int64(len(p))
+			pieces++
+		})
+		if err != nil || lent != r.n {
+			t.Fatalf("[%d,+%d): lent %d bytes in %d pieces, %v", r.off, r.n, lent, pieces, err)
+		}
+	}
+	got := make([]byte, 64)
+	if err := v.ReadAt("sparse", got, hole-64); err != nil || !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatalf("ReadAt across the hole's end: %v", err)
 	}
 }

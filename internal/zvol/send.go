@@ -146,7 +146,7 @@ func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 				if idx, unknown := ship[p.hash]; unknown {
 					if idx < 0 {
 						data := make([]byte, p.logLen)
-						if err := v.readBlockInto(p, data, nil); err != nil { // each block once: caching would only churn
+						if err := v.readBlockInto(p, data); err != nil { // each block once: caching would only churn
 							return nil, fmt.Errorf("zvol: send %s: %w", obj.Name, err)
 						}
 						st.Blocks = append(st.Blocks, data)

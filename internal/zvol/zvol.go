@@ -42,21 +42,24 @@
 // for itself (Receive: hashes now, stored forms at the block write).
 //
 // Reads are whole-object (ReadObject, ReadObjectAt, ReadBlock) or by
-// range (ReadAt, which decodes only the blocks a range touches — what the
-// paper's boot path asks of its volume). Both are built on one primitive,
-// readBlockInto, which verifies a block (stored length, the stored
-// payload's CRC32C, an exact-length codec decode) while decoding it into
-// the caller's memory, so no read path allocates per block and none can
-// return a byte that skipped a check. As in ZFS, SHA-256 is the dedup
-// key, computed once at write: a read never recomputes it, and Scrub
-// alone checks the decoded bytes against it (see scrub.go). What a read
-// does not repeat is the inflate: once a compressed block has passed its
-// checks, its decode may be copied from the process's one decoded-block
-// cache, keyed by the stored payload so that every replica aliasing it
-// shares the entry (see decoded.go). The cache is sized to hold a warm
-// deployment's working set and fills each entry once, concurrent readers
-// of a block waiting for the one decode, so a block is inflated once per
-// process for as long as it stays cached. Scrub and Send always decode.
+// range, touching only the blocks the range covers — what the paper's
+// boot path asks of its volume: Visit lends the range's bytes, ReadAt
+// copies them out. All are one walk over one block read, lendBlock, which
+// verifies a block (stored length, the stored payload's CRC32C, an
+// exact-length codec decode) and then lends its decoded bytes instead of
+// copying them, as ZFS's dmu_buf_hold hands a reader a held ARC buffer,
+// so none can return a byte that skipped a check. Visit lends nothing of
+// a range until every block under it has passed. As in ZFS, SHA-256 is
+// the dedup key, computed once at write: a read never recomputes it, and
+// Scrub alone checks the decoded bytes against it (see scrub.go). What a
+// read does not repeat is the inflate: once a compressed block has passed
+// its checks, the bytes lent are the process's one decoded-block cache's
+// entry for it, keyed by the stored payload so that every replica
+// aliasing it shares the entry (see decoded.go). The cache is sized to
+// hold a warm deployment's working set and fills each entry once, with
+// the block a miss decodes, concurrent readers of a block waiting for the
+// one decode, so a block is inflated once per process for as long as it
+// stays cached. Scrub and Send decode every block from the disk.
 package zvol
 
 import (
@@ -456,12 +459,13 @@ func (v *Volume) ReadObject(name string) ([]byte, error) {
 }
 
 // ReadAt fills p with bytes [off, off+len(p)) of the named live object,
-// decoding only the blocks the range touches. The range must lie inside
-// the object: a request outside it (or for an unknown object) is an error
-// and leaves p untouched. Every block that contributes a byte is
-// verified exactly as a whole-object read verifies it, so a rotted block
-// fails the ranges that overlap it with ErrCorrupt — p's contents are
-// then unspecified — while ranges clear of it are served.
+// decoding only the blocks the range touches: a copy out of the bytes
+// Visit would lend. The range must lie inside the object: a request
+// outside it (or for an unknown object) is an error and leaves p
+// untouched. Every block that contributes a byte is verified exactly as a
+// whole-object read verifies it, so a rotted block fails the ranges that
+// overlap it with ErrCorrupt — p's contents are then unspecified — while
+// ranges clear of it are served.
 func (v *Volume) ReadAt(name string, p []byte, off int64) error {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -469,32 +473,61 @@ func (v *Volume) ReadAt(name string, p []byte, off int64) error {
 	if err != nil {
 		return err
 	}
-	return v.readRange(obj, p, off)
+	return v.walk(obj, off, int64(len(p)), func(b []byte) { p = p[copy(p, b):] })
+}
+
+// Visit runs fn on bytes [off, off+n) of the named live object, lent
+// block by block in order: on a decoded-block cache hit the cache's entry
+// itself, on a miss the block just decoded (which becomes the entry), for
+// a raw block its stored payload, for a hole a shared zero block. Nothing
+// is copied. fn runs under the volume's read lock, so it must not write
+// to the volume, and only once every block the range touches has passed
+// its checks, so it sees the whole range or, when any block fails, none
+// of it: a caller that re-serves a failed range from elsewhere never
+// delivers a byte twice. The bytes are lent: fn must neither write them
+// nor keep them past its return. The range rules are ReadAt's.
+func (v *Volume) Visit(name string, off, n int64, fn func(p []byte)) error {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	obj, err := v.objectLocked(name)
+	if err != nil {
+		return err
+	}
+	var held [4][]byte // a range no wider than a block touches at most two
+	lent := held[:0]
+	if err := v.walk(obj, off, n, func(p []byte) { lent = append(lent, p) }); err != nil {
+		return err
+	}
+	for _, p := range lent {
+		fn(p)
+	}
+	return nil
 }
 
 // materialize reconstructs an object's bytes. Caller holds v.mu.
 func (v *Volume) materialize(obj *Object) ([]byte, error) {
 	out := make([]byte, obj.Size)
-	if err := v.readRange(obj, out, 0); err != nil {
+	p := out
+	if err := v.walk(obj, 0, obj.Size, func(b []byte) { p = p[copy(p, b):] }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// readRange is the one object read loop: whole blocks inside the range
-// decode straight into p, a block the range only partly covers decodes
-// into one scratch block and the covered part is copied out, holes are
-// cleared. Block extents come from walking the pointer list rather than
-// dividing by the block size, because a received object keeps its
-// sender's block lengths. Caller holds v.mu.
-func (v *Volume) readRange(obj *Object, p []byte, off int64) error {
-	if off < 0 || int64(len(p)) > obj.Size-off {
+// walk is the one object read loop: for each block [off, off+n) touches,
+// in order, it lends fn the covered part of the block's bytes (lendBlock,
+// or zeroBlock for a hole), and stops at the first block that fails its
+// checks. Block extents come
+// from walking the pointer list rather than dividing by the block size,
+// because a received object keeps its sender's block lengths. Caller
+// holds v.mu.
+func (v *Volume) walk(obj *Object, off, n int64, fn func(p []byte)) error {
+	if off < 0 || n < 0 || n > obj.Size-off {
 		return fmt.Errorf("zvol: read [%d,+%d) outside object %s of %d bytes",
-			off, len(p), obj.Name, obj.Size)
+			off, n, obj.Name, obj.Size)
 	}
-	var scratch []byte
 	start := int64(0) // object offset of block i
-	for i := 0; len(p) > 0; i++ {
+	for i := 0; n > 0; i++ {
 		bp := obj.ptrs[i]
 		end := start + int64(bp.logLen)
 		if end <= off {
@@ -502,85 +535,110 @@ func (v *Volume) readRange(obj *Object, p []byte, off int64) error {
 			continue
 		}
 		lo := off - start // first wanted byte within the block
-		n := min(int64(len(p)), int64(bp.logLen)-lo)
-		var err error
-		switch {
-		case bp.zero:
-			clear(p[:n])
-		case n == int64(bp.logLen):
-			err = v.readBlockInto(bp, p[:n], decoded)
-		default:
-			if len(scratch) < int(bp.logLen) {
-				scratch = make([]byte, max(int(v.cfg.BlockSize), int(bp.logLen)))
+		k := min(n, int64(bp.logLen)-lo)
+		if bp.zero {
+			for z := k; z > 0; z -= int64(len(zeroBlock)) {
+				fn(zeroBlock[:min(z, int64(len(zeroBlock)))])
 			}
-			if err = v.readBlockInto(bp, scratch[:bp.logLen], decoded); err == nil {
-				copy(p[:n], scratch[lo:])
+		} else {
+			b, err := v.lendBlock(bp)
+			if err != nil {
+				return fmt.Errorf("zvol: object %s block %d: %w", obj.Name, i, err)
 			}
+			fn(b[lo : lo+k])
 		}
-		if err != nil {
-			return fmt.Errorf("zvol: object %s block %d: %w", obj.Name, i, err)
-		}
-		p, off, start = p[n:], off+n, end
+		off, n, start = off+k, n-k, end
 	}
 	return nil
 }
 
-// readBlockInto fetches, checksum-verifies and decodes one stored block
-// into dst, which must be exactly p.logLen bytes. It is the volume's only
-// block-read primitive, one path for every codec and for raw blocks: the
-// stored payload must be physLen bytes long and match physHash (CRC32C),
-// then decode without error to exactly logLen bytes (for gzip that
-// includes its own CRC32/ISIZE trailer; a raw payload decodes by copy).
-// The logical SHA-256 is not recomputed: an intact payload decodes to
-// the bytes it was encoded from, and Scrub is where the pointer's
-// logical hash is checked end to end. Any failure surfaces as ErrCorrupt
-// instead of corrupt bytes, so damage can never be served to a boot or a
-// peer; dst's contents are then unspecified. Caller holds v.mu from the
-// lookup that produced p, so p's extent cannot be freed and reused
-// under the read.
-//
-// With a cache, a compressed block that passed both checks is copied from
-// the cache's decode of this very payload when it holds one, or when
-// another reader's decode of it is in flight, once that ends; otherwise it
-// is decoded and entered. A nil cache (Scrub, Send) always decodes. Raw
-// blocks are never cached: their decode is already a copy.
-func (v *Volume) readBlockInto(p blockPtr, dst []byte, cache *decodeCache) error {
+// zeroBlock is every hole's content, lent read-only: as large as the
+// largest block size, so a hole costs no allocation (a longer one, which
+// only a forged stream could carry, is lent in pieces).
+var zeroBlock [block.Size1024K]byte
+
+// checkedPayload fetches block p's stored payload and checks it: it must
+// be physLen bytes long and match physHash (CRC32C). It is the check
+// every block read makes before it decodes, and the only one a decode
+// cache hit repeats. Caller holds v.mu from the lookup that produced p,
+// so p's extent cannot be freed and reused, nor rot or be repaired in
+// place, under the read.
+func (v *Volume) checkedPayload(p blockPtr) ([]byte, error) {
 	payload, err := v.store.Read(p.addr)
+	if err != nil {
+		return nil, err
+	}
+	if int32(len(payload)) != p.physLen {
+		return nil, fmt.Errorf("%w: %d bytes stored, pointer says %d", ErrCorrupt, len(payload), p.physLen)
+	}
+	if block.Checksum(payload) != p.physHash {
+		return nil, ErrCorrupt
+	}
+	return payload, nil
+}
+
+// readBlockInto fetches, checksum-verifies and decodes one stored block
+// into dst, which must be exactly p.logLen bytes, without the
+// decoded-block cache: Scrub and Send read each block from the disk. The
+// stored payload must pass checkedPayload, then decode without error to
+// exactly logLen bytes (for gzip that includes its own CRC32/ISIZE
+// trailer; a raw payload decodes by copy). The logical SHA-256 is not
+// recomputed: an intact payload decodes to the bytes it was encoded
+// from, and Scrub is where the pointer's logical hash is checked end to
+// end. Any failure surfaces as ErrCorrupt instead of corrupt bytes, so
+// damage can never be served to a boot or a peer; dst's contents are
+// then unspecified. Caller holds v.mu.
+func (v *Volume) readBlockInto(p blockPtr, dst []byte) error {
+	payload, err := v.checkedPayload(p)
 	if err != nil {
 		return err
 	}
-	if int32(len(payload)) != p.physLen {
-		return fmt.Errorf("%w: %d bytes stored, pointer says %d", ErrCorrupt, len(payload), p.physLen)
-	}
-	if block.Checksum(payload) != p.physHash {
-		return ErrCorrupt
-	}
 	codec := v.codec
 	if !p.compressed {
-		codec, cache = compress.Null{}, nil
+		codec = compress.Null{}
 	}
-	var fill *decodedBlock
-	if cache != nil {
-		var data []byte
-		if data, fill = cache.get(&payload[0], p.physHash, p.logLen); data != nil {
-			v.counters.Add("zvol.decode.hit", 1)
-			copy(dst, data)
-			return nil
-		}
-		v.counters.Add("zvol.decode.miss", 1)
-	}
-	err = codec.DecompressInto(dst, payload)
-	if fill != nil {
-		var data []byte
-		if err == nil {
-			data = bytes.Clone(dst)
-		}
-		cache.finish(fill, data)
-	}
-	if err != nil {
+	if err := codec.DecompressInto(dst, payload); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return nil
+}
+
+// lendBlock is the block read every object read makes: it returns stored
+// block p's logLen decoded bytes, lent, after readBlockInto's checks. A
+// raw block is its checked payload, whose decode would be a copy of it. A compressed block is the decoded-block cache's entry for
+// this very payload when it holds one, or when another reader's decode of
+// it is in flight, once that ends; otherwise it is decoded into a fresh
+// block, which becomes the entry. The returned bytes must not be written;
+// a raw payload is valid only while the caller holds v.mu. Caller holds
+// v.mu.
+func (v *Volume) lendBlock(p blockPtr) ([]byte, error) {
+	payload, err := v.checkedPayload(p)
+	if err != nil {
+		return nil, err
+	}
+	if !p.compressed {
+		if int32(len(payload)) != p.logLen {
+			return nil, fmt.Errorf("%w: raw payload of %d bytes, block is %d", ErrCorrupt, len(payload), p.logLen)
+		}
+		return payload, nil
+	}
+	data, fill := decoded.get(&payload[0], p.physHash, p.logLen)
+	if data != nil {
+		v.counters.Add("zvol.decode.hit", 1)
+		return data, nil
+	}
+	v.counters.Add("zvol.decode.miss", 1)
+	data = make([]byte, p.logLen)
+	if err := v.codec.DecompressInto(data, payload); err != nil {
+		if fill != nil {
+			decoded.finish(fill, nil)
+		}
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if fill != nil {
+		decoded.finish(fill, data)
+	}
+	return data, nil
 }
 
 // ReadBlock returns the idx-th logical block of the named object along
@@ -597,14 +655,14 @@ func (v *Volume) ReadBlock(name string, idx int) (data []byte, addr uint64, zero
 		return nil, 0, false, fmt.Errorf("zvol: block %d out of range for %s", idx, name)
 	}
 	p := obj.ptrs[idx]
-	data = make([]byte, p.logLen)
 	if p.zero {
-		return data, 0, true, nil
+		return make([]byte, p.logLen), 0, true, nil
 	}
-	if err := v.readBlockInto(p, data, decoded); err != nil {
+	b, err := v.lendBlock(p)
+	if err != nil {
 		return nil, p.addr, false, err
 	}
-	return data, p.addr, false, nil
+	return bytes.Clone(b), p.addr, false, nil
 }
 
 // DeleteObject removes an object from the live table. Its blocks remain
