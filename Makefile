@@ -105,14 +105,16 @@ gate-gossip-scale:
 gate-inflate:
 	$(GO) test -run '^$$' -bench BenchmarkInflateCorpus -benchtime 1x ./internal/compress/
 
-# The ledger rungs CHANGES.md quotes (warm boots, first boots of a new
-# image stormed 1/8/32 at once, registration stream, Stats poll,
-# control-RPC mix, warm boots over the wire, a 64 KB ReadAt and a 64 KB
-# Visit, each served by the decoded-block cache and always decoding, a
-# finished span and its child folded into the telemetry registry), one
-# iteration each so they cannot rot between the PRs that read them.
+# The ledger rungs CHANGES.md quotes (warm boots, peer-served cold
+# boots, first boots of a new image stormed 1/8/32 at once,
+# registration stream, Stats poll, control-RPC mix, warm boots over the
+# wire, a 64 KB ReadAt and a 64 KB Visit, each served by the
+# decoded-block cache and always decoding, a finished span and its
+# child folded into the telemetry registry), one iteration each so they
+# cannot rot between the PRs that read them.
 rungs:
 	$(GO) test -run '^$$' -bench BenchmarkWarmBoot -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkColdBoot$$' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkStormFirstBoot -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkRegisterStream -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkStats -benchtime 1x ./internal/core/

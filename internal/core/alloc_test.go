@@ -4,34 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
-
-	"repro/internal/cluster"
-	"repro/internal/corpus"
 )
-
-// daemonShaped is a deployment of the shape squirreld serves and the
-// wire-level benchmark drives: paper-default 64 KB blocks and clusters,
-// gzip6, the daemon's corpus scaling.
-func daemonShaped(t testing.TB, images, nodes int) (*Squirrel, []*corpus.Image) {
-	t.Helper()
-	cl, err := cluster.New(cluster.GigE, 4, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq, err := New(DefaultConfig(), cl, pfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo, err := corpus.New(corpus.DefaultSpec().Scale(float64(images)/607, 0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sq, repo.Images[:images]
-}
 
 func TestWarmBootAllocatesNoBuffers(t *testing.T) {
 	// A warm boot reads ~200 KB through whole-cluster visits, and the
@@ -48,7 +21,8 @@ func TestWarmBootAllocatesNoBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
 	}
-	sq, ims := daemonShaped(t, 4, 2)
+	sq, _, repo, _ := testDeployment(t, 2, daemonCorpus(4))
+	ims := repo.Images[:4]
 	for i, im := range ims {
 		mustRegister(t, sq, im, day(i))
 	}

@@ -8,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/peer"
 )
 
 // BenchmarkBootWaveTracingOverhead measures what span recording costs on
@@ -37,7 +35,11 @@ func BenchmarkBootWaveTracingOverhead(b *testing.B) {
 	var spent [2]time.Duration // untraced, traced
 	var wave [2]func()
 	for side := range wave {
-		sq, cl, repo := obsScriptDeployment(b, 8, fault.Plan{Seed: 7}, side == 1)
+		opts := []option{withPeers, withFaults(fault.Plan{Seed: 7})}
+		if side == 1 {
+			opts = append(opts, withTracing(0))
+		}
+		sq, cl, repo, _ := testDeployment(b, 8, opts...)
 		for i := 0; i < images; i++ {
 			mustRegister(b, sq, repo.Images[i], day(i))
 		}
@@ -87,7 +89,8 @@ func BenchmarkWarmBoot(b *testing.B) {
 // and its boot sequence.
 func warmBootMix(t testing.TB) (*Squirrel, []BootRequest) {
 	const images, nodes, boots = 32, 8, 1000
-	sq, ims := daemonShaped(t, images, nodes)
+	sq, _, repo, _ := testDeployment(t, nodes, daemonCorpus(images))
+	ims := repo.Images[:images]
 	for i, im := range ims {
 		mustRegister(t, sq, im, day(i))
 	}
@@ -176,24 +179,7 @@ func bootPayloads(t testing.TB, sq *Squirrel, im *corpus.Image, node string, int
 // spreads each boot's fetches over several sources. This is the ledger
 // rung for the source-side range read.
 func BenchmarkColdBoot(b *testing.B) {
-	cl, err := cluster.New(cluster.GigE, 4, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pfs, err := cluster.NewPFS(cl, 2, 2, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Peer = peer.DefaultPolicy()
-	sq, err := New(cfg, cl, pfs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	repo, err := corpus.New(corpus.DefaultSpec().Scale(4.0/607, 0.25))
-	if err != nil {
-		b.Fatal(err)
-	}
+	sq, _, repo, _ := testDeployment(b, 5, daemonCorpus(4), withPeers)
 	im := repo.Images[0]
 	mustRegister(b, sq, im, day(0))
 	if err := sq.DropReplica("node00", im.ID); err != nil {
@@ -230,7 +216,8 @@ func BenchmarkRegisterStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sq, ims := daemonShaped(b, images, nodes)
+		sq, _, repo, _ := testDeployment(b, nodes, daemonCorpus(images))
+		ims := repo.Images[:images]
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
@@ -277,7 +264,8 @@ var statsSink DeploymentStats
 // and the ratio was ≈ 90); one that reads running totals stays near 1.
 func BenchmarkStats(b *testing.B) {
 	const small, large, nodes, calls = 32, 320, 8, 256
-	sq, ims := daemonShaped(b, large, nodes)
+	sq, _, repo, _ := testDeployment(b, nodes, daemonCorpus(large))
+	ims := repo.Images[:large]
 	registered := 0
 	registerTo := func(n int) {
 		for ; registered < n; registered++ {

@@ -7,15 +7,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/corpus"
 	"repro/internal/fault"
 )
-
-// chaosDeployment builds a deployment with a fault injector wired in.
-func chaosDeployment(t testing.TB, computeNodes int, plan fault.Plan) (*Squirrel, *cluster.Cluster, *corpus.Repository, *fault.Injector) {
-	return deploymentWith(t, computeNodes, func(c *Config) { c.Faults = seeded(t, plan) })
-}
 
 // TestChaosSoakConvergence is the acceptance soak: a seeded fault plan
 // with ≥20% multicast loss, stream corruption/truncation, and two
@@ -28,7 +21,7 @@ func TestChaosSoakConvergence(t *testing.T) {
 		Seed: 1337, Drop: 0.25, Truncate: 0.08, Corrupt: 0.15,
 		Crash: 0.06, MaxCrashes: 2,
 	}
-	sq, cl, repo, inj := chaosDeployment(t, 10, plan)
+	sq, cl, repo, inj := testDeployment(t, 10, withFaults(plan))
 
 	const regs = 12
 	var faults, retries int
@@ -99,7 +92,7 @@ func TestChaosSoakConvergence(t *testing.T) {
 // still succeeds, every replica is marked lagging, and the next boot on a
 // lagging node heals it via full re-replication.
 func TestRegisterDegradesToLagging(t *testing.T) {
-	sq, _, repo, _ := chaosDeployment(t, 4, fault.Plan{Seed: 2, Drop: 1})
+	sq, _, repo, _ := testDeployment(t, 4, withFaults(fault.Plan{Seed: 2, Drop: 1}))
 	rep, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)})
 	if err != nil {
 		t.Fatalf("total loss must not fail the registration: %v", err)
@@ -141,7 +134,7 @@ func TestRegisterDegradesToLagging(t *testing.T) {
 // TestCrashMarksNodeOfflineAndLagging: a mid-transfer crash takes the
 // node down; after restart its first boot heals it.
 func TestCrashMarksNodeOfflineAndLagging(t *testing.T) {
-	sq, _, repo, inj := chaosDeployment(t, 3, fault.Plan{Seed: 3, Crash: 1, MaxCrashes: 1})
+	sq, _, repo, inj := testDeployment(t, 3, withFaults(fault.Plan{Seed: 3, Crash: 1, MaxCrashes: 1}))
 	rep, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +165,7 @@ func TestCrashMarksNodeOfflineAndLagging(t *testing.T) {
 // cache object is written rolls the scVolume back so a retry starts
 // clean instead of hitting duplicate-object state.
 func TestRegisterRollbackOnStorageFailure(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	// Sabotage: occupy the snapshot name the next registration will take.
 	colliding := fmt.Sprintf("cVol@%06d-%s", 1, im.ID)
@@ -204,7 +197,7 @@ func TestRegisterRollbackOnStorageFailure(t *testing.T) {
 // TestRegisterClearsLeftoverObject: a stale cache object from a crashed
 // earlier attempt (written but never registered) must not break a retry.
 func TestRegisterClearsLeftoverObject(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	if _, err := sq.SCVolume().WriteObject(im.ID, im.CacheReader()); err != nil {
 		t.Fatal(err)
@@ -221,7 +214,7 @@ func TestRegisterClearsLeftoverObject(t *testing.T) {
 // TestSyncNewbornNode: a node that was offline from before the first
 // registration has no local snapshot and must full-replicate.
 func TestSyncNewbornNode(t *testing.T) {
-	sq, _, repo := deployment(t, 3)
+	sq, _, repo, _ := testDeployment(t, 3)
 	sq.SetOnline("node02", false) // offline from birth
 	a, b := repo.Images[0], repo.Images[1]
 	mustRegister(t, sq, a, day(0))
@@ -249,7 +242,7 @@ func TestSyncNewbornNode(t *testing.T) {
 // TestSyncRacesConcurrentRegister: SyncNode looping against a stream of
 // registrations must stay race-free (run under -race) and converge.
 func TestSyncRacesConcurrentRegister(t *testing.T) {
-	sq, _, repo := deployment(t, 3)
+	sq, _, repo, _ := testDeployment(t, 3)
 	mustRegister(t, sq, repo.Images[0], day(0))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -286,7 +279,7 @@ func TestSyncRacesConcurrentRegister(t *testing.T) {
 // TestConcurrentOperations exercises Register/Boot/SyncNode/SetOnline/
 // Stats from many goroutines at once; the race detector is the oracle.
 func TestConcurrentOperations(t *testing.T) {
-	sq, cl, repo := deployment(t, 4)
+	sq, cl, repo, _ := testDeployment(t, 4)
 	mustRegister(t, sq, repo.Images[0], day(0))
 	var wg sync.WaitGroup
 	for i := 1; i <= 4; i++ {

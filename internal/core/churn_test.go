@@ -70,10 +70,8 @@ func TestGossipChurnSoak(t *testing.T) {
 	for _, seed := range []int64{1337, 31337, 777} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			plan := fault.Plan{Seed: seed, GossipDrop: 0.25}
-			sq, cl, repo := resilienceDeployment(t, 8, plan, func(cfg *Config) {
-				cfg.Index = IndexGossip
-				cfg.Gossip = gossip.Config{Seed: seed, TTL: ttlRounds, Fanout: 2, Owners: 2}
-			})
+			sq, cl, repo, _ := testDeployment(t, 8, withPeers, withFaults(plan),
+				withIndex(IndexGossip), withGossip(gossip.Config{Seed: seed, TTL: ttlRounds, Fanout: 2, Owners: 2}))
 			bg := context.Background()
 			rounds := func(n int) {
 				t.Helper()
@@ -219,10 +217,8 @@ func TestGossipChurnSoak(t *testing.T) {
 // run keeps breakers and serve slots on the same peer.Ledger.
 func TestGossipIndexBootParity(t *testing.T) {
 	boot := func(mode IndexMode) BootReport {
-		sq, _, repo := resilienceDeployment(t, 6, fault.Plan{Seed: 7}, func(cfg *Config) {
-			cfg.Index = mode
-			cfg.Gossip = gossip.Config{Seed: 7}
-		})
+		sq, _, repo, _ := testDeployment(t, 6, withPeers, withFaults(fault.Plan{Seed: 7}),
+			withIndex(mode), withGossip(gossip.Config{Seed: 7}))
 		im := repo.Images[0]
 		mustRegister(t, sq, im, day(0))
 		if err := sq.DropReplica("node03", im.ID); err != nil {
@@ -255,10 +251,8 @@ func TestGossipIndexBootParity(t *testing.T) {
 // peer-served. (When leases expired on time.Now, the TTL below was one
 // nanosecond and the boot read every byte from the PFS.)
 func TestGossipLeaseOutlivesWallTime(t *testing.T) {
-	sq, _, repo := resilienceDeployment(t, 6, fault.Plan{Seed: 7}, func(cfg *Config) {
-		cfg.Index = IndexGossip
-		cfg.Gossip = gossip.Config{Seed: 7, TTL: 1}
-	})
+	sq, _, repo, _ := testDeployment(t, 6, withPeers, withFaults(fault.Plan{Seed: 7}),
+		withIndex(IndexGossip), withGossip(gossip.Config{Seed: 7, TTL: 1}))
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	time.Sleep(5 * time.Millisecond)

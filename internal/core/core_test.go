@@ -9,6 +9,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/fault"
+	"repro/internal/gossip"
+	"repro/internal/obs"
+	"repro/internal/peer"
 )
 
 // bg is the context used by tests that don't exercise cancellation.
@@ -18,12 +21,28 @@ var t0 = time.Date(2014, 6, 23, 0, 0, 0, 0, time.UTC)
 
 func day(n int) time.Time { return t0.Add(time.Duration(n) * 24 * time.Hour) }
 
-// deploymentWith builds a small cluster + PFS + Squirrel + corpus; tweak
-// (nil for none) adjusts the config before New. The injector returned is
-// whatever tweak put in cfg.Faults.
-func deploymentWith(t testing.TB, computeNodes int, tweak func(*Config)) (*Squirrel, *cluster.Cluster, *corpus.Repository, *fault.Injector) {
+// testDeployment builds the one deployment shape every core test runs
+// on: nodes compute nodes and 4 storage nodes on one GigE fabric, a PFS
+// striped 2 wide with 2 replicas, a Squirrel and its corpus. opts apply
+// in order; the injector returned is the one they installed, if any.
+//
+// By default the corpus is corpus.TestSpec()'s, which is tiny (16 KB
+// caches, CacheAlign 4 KB), so the deployment scales down with it: 4 KB
+// clusters and 4 KB volume blocks. Warm boots stay network-free
+// whenever ClusterSize divides the corpus's CacheAlign, which
+// DefaultConfig also satisfies at full scale (64 KB / 64 KB).
+func testDeployment(t testing.TB, nodes int, opts ...option) (*Squirrel, *cluster.Cluster, *corpus.Repository, *fault.Injector) {
 	t.Helper()
-	cl, err := cluster.New(cluster.GigE, 4, computeNodes)
+	s := setup{Config: DefaultConfig(), corpus: corpus.TestSpec()}
+	s.ClusterSize = 4096
+	s.Volume.BlockSize = 4096
+	for _, o := range opts {
+		o(&s)
+	}
+	if s.plan != nil {
+		s.Faults = seeded(t, *s.plan)
+	}
+	cl, err := cluster.New(cluster.GigE, 4, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,32 +50,62 @@ func deploymentWith(t testing.TB, computeNodes int, tweak func(*Config)) (*Squir
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The test corpus is tiny (16 KB caches, CacheAlign 4 KB), so the
-	// deployment scales down with it: 4 KB clusters and 4 KB volume
-	// blocks. Warm boots stay network-free whenever ClusterSize divides
-	// the corpus's CacheAlign, which DefaultConfig also satisfies at full
-	// scale (64 KB / 64 KB).
-	cfg := DefaultConfig()
-	cfg.ClusterSize = 4096
-	cfg.Volume.BlockSize = 4096
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	sq, err := New(cfg, cl, pfs)
+	sq, err := New(s.Config, cl, pfs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := corpus.New(corpus.TestSpec())
+	repo, err := corpus.New(s.corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sq, cl, repo, cfg.Faults
+	return sq, cl, repo, s.Faults
 }
 
-// deployment is deploymentWith and no tweak.
-func deployment(t testing.TB, computeNodes int) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	sq, cl, repo, _ := deploymentWith(t, computeNodes, nil)
-	return sq, cl, repo
+// setup is what an option adjusts: the Config, whose fields it sets by
+// name, and the two inputs that are not Config fields.
+type setup struct {
+	Config
+	corpus corpus.Spec
+	plan   *fault.Plan // seeded into Config.Faults once every option ran
+}
+
+// option adjusts a test deployment before it is built.
+type option func(*setup)
+
+// withPeers turns the peer block exchange on at its default policy.
+func withPeers(s *setup) { s.Peer = peer.DefaultPolicy() }
+
+// withFaults installs the injector of a seeded fault plan.
+func withFaults(plan fault.Plan) option { return func(s *setup) { s.plan = &plan } }
+
+// withTracing traces every operation into a ring of the last ring roots
+// (obs's default size when ring is 0).
+func withTracing(ring int) option { return func(s *setup) { s.Obs = obs.New(ring) } }
+
+func withIndex(mode IndexMode) option { return func(s *setup) { s.Index = mode } }
+
+func withGossip(gc gossip.Config) option { return func(s *setup) { s.Gossip = gc } }
+
+func withBootLatency(d time.Duration) option { return func(s *setup) { s.BootLatency = d } }
+
+// withHedge goes after withPeers, which replaces the whole peer policy.
+func withHedge(on bool) option { return func(s *setup) { s.Peer.Hedge = on } }
+
+// paperGeometry keeps DefaultConfig's 64 KB clusters and volume blocks.
+func paperGeometry(s *setup) {
+	d := DefaultConfig()
+	s.ClusterSize, s.Volume.BlockSize = d.ClusterSize, d.Volume.BlockSize
+}
+
+// daemonCorpus is the shape squirreld serves and the wire-level
+// benchmark drives: the daemon's corpus scaling for images images (the
+// corpus holds more; a test uses its first images) at the paper's
+// geometry.
+func daemonCorpus(images int) option {
+	return func(s *setup) {
+		s.corpus = corpus.DefaultSpec().Scale(float64(images)/607, 0.25)
+		paperGeometry(s)
+	}
 }
 
 // mustRegister registers im at time at, failing the test on any error.
@@ -78,7 +127,7 @@ func seeded(t testing.TB, plan fault.Plan) *fault.Injector {
 }
 
 func TestRegisterPropagatesToAllNodes(t *testing.T) {
-	sq, cl, repo := deployment(t, 4)
+	sq, cl, repo, _ := testDeployment(t, 4)
 	im := repo.Images[0]
 	rep, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)})
 	if err != nil {
@@ -110,7 +159,7 @@ func TestRegisterPropagatesToAllNodes(t *testing.T) {
 func TestSecondRegistrationDiffIsSmall(t *testing.T) {
 	// High cache cross-similarity must make the second same-release diff
 	// much smaller than the first (§5.3's O(10 MB) vs O(100 MB) point).
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	var a, b *corpus.Image
 	for i, x := range repo.Images {
 		if x.Misaligned() {
@@ -143,7 +192,7 @@ func TestSecondRegistrationDiffIsSmall(t *testing.T) {
 }
 
 func TestWarmBootZeroNetwork(t *testing.T) {
-	sq, cl, repo := deployment(t, 2)
+	sq, cl, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	cl.ResetCounters() // discard registration traffic; Fig 18 counts boots
@@ -168,7 +217,7 @@ func TestWarmBootZeroNetwork(t *testing.T) {
 func TestColdBootUsesNetwork(t *testing.T) {
 	// A node whose replica lacks the cache (offline during registration)
 	// boots over the network, with correct data.
-	sq, cl, repo := deployment(t, 2)
+	sq, cl, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	sq.SetOnline("node01", false)
 	mustRegister(t, sq, im, day(0))
@@ -189,7 +238,7 @@ func TestColdBootUsesNetwork(t *testing.T) {
 }
 
 func TestBootErrors(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	if _, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00", Verify: false}); !errors.Is(err, ErrUnknownImage) {
 		t.Fatalf("unregistered boot: %v", err)
@@ -208,7 +257,7 @@ func TestBootErrors(t *testing.T) {
 }
 
 func TestDeregisterPropagatesWithNextSnapshot(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	a, b := repo.Images[0], repo.Images[1]
 	sq.Register(context.Background(), RegisterRequest{Image: a, At: day(0)})
 	if err := sq.Deregister(a.ID); err != nil {
@@ -232,7 +281,7 @@ func TestDeregisterPropagatesWithNextSnapshot(t *testing.T) {
 }
 
 func TestOfflineNodeIncrementalSync(t *testing.T) {
-	sq, _, repo := deployment(t, 3)
+	sq, _, repo, _ := testDeployment(t, 3)
 	a, b := repo.Images[0], repo.Images[1]
 	sq.Register(context.Background(), RegisterRequest{Image: a, At: day(0)})
 	sq.SetOnline("node02", false)
@@ -261,7 +310,7 @@ func TestOfflineNodeIncrementalSync(t *testing.T) {
 }
 
 func TestLongOfflineNodeFullResync(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	a, b, c := repo.Images[0], repo.Images[1], repo.Images[2]
 	sq.Register(context.Background(), RegisterRequest{Image: a, At: day(0)})
 	sq.SetOnline("node01", false)
@@ -296,12 +345,12 @@ func TestLongOfflineNodeFullResync(t *testing.T) {
 
 func TestBrandNewNodeSync(t *testing.T) {
 	// A node with an empty replica and no snapshots does a full sync.
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)})
 	// Simulate a fresh node by wiping node01's replica state via full
 	// sync of a node that never received anything: node01 was online, so
 	// instead test SyncNode on a node that is behind from birth.
-	sq2, _, _ := deployment(t, 1)
+	sq2, _, _, _ := testDeployment(t, 1)
 	rep, err := sq2.SyncNode(bg, "node00")
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +364,7 @@ func TestBrandNewNodeSync(t *testing.T) {
 }
 
 func TestGarbageCollectCountsAndRegisteredList(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)})
 	sq.Register(context.Background(), RegisterRequest{Image: repo.Images[1], At: day(1)})
 	if got := sq.Registered(); len(got) != 2 {
@@ -331,21 +380,16 @@ func TestGarbageCollectCountsAndRegisteredList(t *testing.T) {
 
 func TestRegistrationUnderPropagationSchemes(t *testing.T) {
 	for _, p := range []Propagation{Multicast, UnicastFanout, Pipeline} {
-		cl, _ := cluster.New(cluster.GigE, 4, 3)
-		pfs, _ := cluster.NewPFS(cl, 2, 2, 0)
-		cfg := DefaultConfig()
-		cfg.Propagation = p
-		sq, err := New(cfg, cl, pfs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repo, _ := corpus.New(corpus.TestSpec())
+		sq, cl, repo, _ := testDeployment(t, 3, paperGeometry, func(s *setup) { s.Propagation = p })
 		rep, err := sq.Register(context.Background(), RegisterRequest{Image: repo.Images[0], At: day(0)})
 		if err != nil {
 			t.Fatalf("propagation %v: %v", p, err)
 		}
 		for _, n := range cl.Compute {
-			ccv, _ := sq.CCVolume(n.ID)
+			ccv, err := sq.CCVolume(n.ID)
+			if err != nil {
+				t.Fatalf("propagation %v: %v", p, err)
+			}
 			if !ccv.HasObject(repo.Images[0].ID) {
 				t.Fatalf("propagation %v: replica missing", p)
 			}

@@ -31,8 +31,8 @@ func stagedDelivery(t *testing.T, kind fault.Kind) (*Squirrel, *cluster.Cluster,
 	case fault.Torn:
 		plan.Torn = 1
 	}
-	sq, cl, repo := resilienceDeployment(t, 1, fault.Plan{Seed: 7}, func(cfg *Config) {
-		cfg.Repair.MaxAttempts = 1
+	sq, cl, repo, _ := testDeployment(t, 1, withPeers, withFaults(fault.Plan{Seed: 7}), func(s *setup) {
+		s.Repair.MaxAttempts = 1
 	})
 	mustRegister(t, sq, repo.Images[0], day(0))
 	setFaults(sq, plan, t)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/gossip"
@@ -18,20 +17,15 @@ import (
 	"repro/internal/zvol"
 )
 
-// lifecycleDeployment is chaosDeployment with the peer exchange enabled:
-// the resilver's source ladder and the withdrawal invariant need it.
-func lifecycleDeployment(t testing.TB, computeNodes int, plan fault.Plan) (*Squirrel, *cluster.Cluster, *corpus.Repository, *fault.Injector) {
-	return deploymentWith(t, computeNodes, func(c *Config) {
-		c.Faults = seeded(t, plan)
-		c.Peer = peer.DefaultPolicy()
-		// Telemetry rides along on every lifecycle scenario: the chaos soak
-		// asserts no traced operation ends in an unrecovered error state.
-		// The ring is sized far beyond any soak's op count — the failed-roots
-		// gate is only as strong as the ring is deep, so eviction must never
-		// hide a failed root (the always-on default is deliberately small).
-		c.Obs = obs.New(8192)
-	})
-}
+// soakRing sizes the telemetry ring every lifecycle scenario traces
+// into, next to a seeded fault plan and the peer exchange (the
+// resilver's source ladder and the withdrawal invariant need it): the
+// chaos soak asserts no traced operation ends in an unrecovered error
+// state. The ring is sized far beyond any soak's op count — the
+// failed-roots gate is only as strong as the ring is deep, so eviction
+// must never hide a failed root (the always-on default is deliberately
+// small).
+const soakRing = 8192
 
 func nodeStatus(t *testing.T, sq *Squirrel, nodeID string) NodeStatus {
 	t.Helper()
@@ -45,7 +39,7 @@ func nodeStatus(t *testing.T, sq *Squirrel, nodeID string) NodeStatus {
 }
 
 func TestCrashRestartLifecycle(t *testing.T) {
-	sq, _, repo, _ := lifecycleDeployment(t, 3, fault.Plan{Seed: 1})
+	sq, _, repo, _ := testDeployment(t, 3, withPeers, withFaults(fault.Plan{Seed: 1}), withTracing(soakRing))
 	for i := 0; i < 2; i++ {
 		mustRegister(t, sq, repo.Images[i], day(i))
 	}
@@ -100,7 +94,7 @@ func TestCrashRestartLifecycle(t *testing.T) {
 func TestTornRegistrationRollsBackOnRestart(t *testing.T) {
 	// Bring the deployment up clean, then make the fabric tear exactly one
 	// apply (Torn shares the crash budget).
-	sq, _, repo, _ := lifecycleDeployment(t, 3, fault.Plan{Seed: 4})
+	sq, _, repo, _ := testDeployment(t, 3, withPeers, withFaults(fault.Plan{Seed: 4}), withTracing(soakRing))
 	mustRegister(t, sq, repo.Images[0], day(0))
 	firstSnap := sq.SCVolume().LatestSnapshot().Name
 	setFaults(sq, fault.Plan{Seed: 4, Torn: 1, MaxCrashes: 1}, t)
@@ -152,7 +146,7 @@ func TestTornRegistrationRollsBackOnRestart(t *testing.T) {
 func TestInjectRotIsDeterministicAndScrubDetectsAll(t *testing.T) {
 	plan := fault.Plan{Seed: 42, Rot: 0.4}
 	mk := func() (*Squirrel, []zvol.BlockRef) {
-		sq, _, repo, _ := lifecycleDeployment(t, 3, plan)
+		sq, _, repo, _ := testDeployment(t, 3, withPeers, withFaults(plan), withTracing(soakRing))
 		for i := 0; i < 3; i++ {
 			mustRegister(t, sq, repo.Images[i], day(i))
 		}
@@ -209,7 +203,7 @@ func TestInjectRotIsDeterministicAndScrubDetectsAll(t *testing.T) {
 }
 
 func TestResilverPrefersPeersOverPFS(t *testing.T) {
-	sq, cl, repo, _ := lifecycleDeployment(t, 4, fault.Plan{Seed: 7, Rot: 0.4})
+	sq, cl, repo, _ := testDeployment(t, 4, withPeers, withFaults(fault.Plan{Seed: 7, Rot: 0.4}), withTracing(soakRing))
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	refs, err := sq.InjectRot("node02")
@@ -252,7 +246,7 @@ func TestResilverFallsBackToPFSWhenNoHealthyPeer(t *testing.T) {
 	// Two compute nodes, both rotten: the first resilver has no healthy
 	// peer and must repair from the PFS; the second then has a healthy
 	// peer again and must prefer it.
-	sq, _, repo, _ := lifecycleDeployment(t, 2, fault.Plan{Seed: 11, Rot: 0.6})
+	sq, _, repo, _ := testDeployment(t, 2, withPeers, withFaults(fault.Plan{Seed: 11, Rot: 0.6}), withTracing(soakRing))
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	for _, n := range []string{"node00", "node01"} {
@@ -381,7 +375,7 @@ func TestRottenPeerNeverServesBadBytes(t *testing.T) {
 	// its checksum at the source and falls back to the PFS, the holder's
 	// intact blocks are still served, and the verified boot proves not one
 	// corrupt byte reached the VM.
-	sq, _, repo, _ := lifecycleDeployment(t, 2, fault.Plan{Seed: 13, Rot: 0.5})
+	sq, _, repo, _ := testDeployment(t, 2, withPeers, withFaults(fault.Plan{Seed: 13, Rot: 0.5}), withTracing(soakRing))
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	refs, err := sq.InjectRot("node01")
@@ -419,9 +413,8 @@ func TestRottenRangeFailsOverToCleanHolder(t *testing.T) {
 	// the rotten holder is retried on the clean one within the same fetch,
 	// so the peer exchange serves the whole boot, and each failed serve
 	// feeds the rotten holder's circuit breaker.
-	sq, _, repo := resilienceDeployment(t, 3, fault.Plan{Seed: 13, Rot: 0.5}, func(cfg *Config) {
-		cfg.Peer.Breaker = peer.BreakerPolicy{Threshold: 1}
-		cfg.Obs = obs.New(64)
+	sq, _, repo, _ := testDeployment(t, 3, withPeers, withFaults(fault.Plan{Seed: 13, Rot: 0.5}), withTracing(64), func(s *setup) {
+		s.Peer.Breaker = peer.BreakerPolicy{Threshold: 1}
 	})
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
@@ -464,8 +457,8 @@ func TestLocalRotFallsThroughPerRange(t *testing.T) {
 	// decoded-block cache, which must not serve a block that rotted since.
 	for _, peers := range []bool{true, false} {
 		t.Run(map[bool]string{true: "peer", false: "pfs"}[peers], func(t *testing.T) {
-			sq, _, repo := resilienceDeployment(t, 2, fault.Plan{Seed: 13, Rot: 0.5}, func(cfg *Config) {
-				cfg.Peer.Enabled = peers
+			sq, _, repo, _ := testDeployment(t, 2, withPeers, withFaults(fault.Plan{Seed: 13, Rot: 0.5}), func(s *setup) {
+				s.Peer.Enabled = peers
 			})
 			im := repo.Images[0]
 			mustRegister(t, sq, im, day(0))
@@ -524,10 +517,8 @@ func TestResilverRespectsPartition(t *testing.T) {
 	// Once the cut heals the same call repairs everything from peers.
 	for _, mode := range []IndexMode{IndexCentral, IndexGossip} {
 		t.Run(mode.String(), func(t *testing.T) {
-			sq, cl, repo := resilienceDeployment(t, 4, fault.Plan{Seed: 7, Rot: 0.4}, func(cfg *Config) {
-				cfg.Index = mode
-				cfg.Gossip = gossip.Config{Seed: 7}
-			})
+			sq, cl, repo, _ := testDeployment(t, 4, withPeers, withFaults(fault.Plan{Seed: 7, Rot: 0.4}),
+				withIndex(mode), withGossip(gossip.Config{Seed: 7}))
 			spread := func() {
 				t.Helper()
 				if mode == IndexGossip {
@@ -592,7 +583,7 @@ func TestResilverRespectsPartition(t *testing.T) {
 }
 
 func TestBootAutoResilversDamagedNode(t *testing.T) {
-	sq, _, repo, _ := lifecycleDeployment(t, 3, fault.Plan{Seed: 17, Rot: 0.4})
+	sq, _, repo, _ := testDeployment(t, 3, withPeers, withFaults(fault.Plan{Seed: 17, Rot: 0.4}), withTracing(soakRing))
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	refs, err := sq.InjectRot("node01")
@@ -639,7 +630,7 @@ func TestLifecycleChaosSoak(t *testing.T) {
 		Seed: seed, Drop: 0.15, Truncate: 0.05, Corrupt: 0.08,
 		Crash: 0.04, Torn: 0.06, MaxCrashes: 3, Rot: 0.03,
 	}
-	sq, cl, repo, inj := lifecycleDeployment(t, 8, plan)
+	sq, cl, repo, inj := testDeployment(t, 8, withPeers, withFaults(plan), withTracing(soakRing))
 
 	const regs = 8
 	for i := 0; i < regs; i++ {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/peer"
 	"repro/internal/zvol"
 )
 
@@ -37,26 +36,13 @@ func childrenOf(d *obs.TreeDump, kind string) []*obs.TreeDump {
 	return out
 }
 
-// obsScriptDeployment is lifecycleDeployment with tracing switchable,
-// for the traced-vs-untraced boundary test.
-func obsScriptDeployment(t testing.TB, computeNodes int, plan fault.Plan, traced bool) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	sq, cl, repo, _ := deploymentWith(t, computeNodes, func(c *Config) {
-		c.Faults = seeded(t, plan)
-		c.Peer = peer.DefaultPolicy()
-		if traced {
-			c.Obs = obs.New(0)
-		}
-	})
-	return sq, cl, repo
-}
-
 // TestTraceColdBootPeerExchange is the trace-based acceptance check: a
 // cold boot under the peer exchange must show a peerFetch span that
 // served bytes, and its pfsRead lane must carry zero indexed bytes —
 // every range inside the cache extents came from peers, the PFS saw
 // only the gaps.
 func TestTraceColdBootPeerExchange(t *testing.T) {
-	sq, cl, repo, _ := lifecycleDeployment(t, 6, fault.Plan{Seed: 1})
+	sq, cl, repo, _ := testDeployment(t, 6, withPeers, withFaults(fault.Plan{Seed: 1}), withTracing(soakRing))
 	tel := sq.Telemetry()
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
@@ -204,8 +190,8 @@ func TestNilTracerLeavesBehaviorIdentical(t *testing.T) {
 		Seed: 4242, Drop: 0.2, Truncate: 0.05, Corrupt: 0.1,
 		Crash: 0.04, Torn: 0.05, MaxCrashes: 2, Rot: 0.04,
 	}
-	sqT, clT, repoT := obsScriptDeployment(t, 6, plan, true)
-	sqU, clU, repoU := obsScriptDeployment(t, 6, plan, false)
+	sqT, clT, repoT, _ := testDeployment(t, 6, withPeers, withFaults(plan), withTracing(0))
+	sqU, clU, repoU, _ := testDeployment(t, 6, withPeers, withFaults(plan))
 	traced := runLifecycleScript(t, sqT, clT, repoT)
 	untraced := runLifecycleScript(t, sqU, clU, repoU)
 	if !reflect.DeepEqual(traced, untraced) {
@@ -224,7 +210,7 @@ func TestNilTracerLeavesBehaviorIdentical(t *testing.T) {
 // others. The race detector is the oracle.
 func TestTelemetrySnapshotRace(t *testing.T) {
 	plan := fault.Plan{Seed: 99, Drop: 0.1, Corrupt: 0.05}
-	sq, cl, repo, _ := lifecycleDeployment(t, 6, plan)
+	sq, cl, repo, _ := testDeployment(t, 6, withPeers, withFaults(plan), withTracing(soakRing))
 	tel := sq.Telemetry()
 	// Seed a couple of images so boots have something to read.
 	for i := 0; i < 2; i++ {
@@ -289,7 +275,7 @@ func TestTelemetrySnapshotRace(t *testing.T) {
 // -traced` runs — still counts core's own lifecycle and partition events
 // into its telemetry.
 func TestTracedDeploymentCountsWithoutFaultPlan(t *testing.T) {
-	sq, cl, _, _ := deploymentWith(t, 4, func(c *Config) { c.Obs = obs.New(0) })
+	sq, cl, _, _ := testDeployment(t, 4, withTracing(0))
 	node := cl.Compute[1].ID
 	if err := sq.CrashNode(node, day(0)); err != nil {
 		t.Fatal(err)

@@ -10,16 +10,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compress"
-	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/peer"
 )
-
-// peerDeployment is deployment with the peer block exchange enabled.
-func peerDeployment(t testing.TB, computeNodes int) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	sq, cl, repo, _ := deploymentWith(t, computeNodes, func(c *Config) { c.Peer = peer.DefaultPolicy() })
-	return sq, cl, repo
-}
 
 // indexHolds reports whether node announces obj in the configured
 // index's operator view.
@@ -36,7 +29,7 @@ func storageTx(cl *cluster.Cluster) int64 {
 }
 
 func TestPeerServesColdBootMiss(t *testing.T) {
-	sq, cl, repo := peerDeployment(t, 4)
+	sq, cl, repo, _ := testDeployment(t, 4, withPeers)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	if !indexHolds(sq, im.ID, "node03") {
@@ -108,10 +101,7 @@ func TestPeerOffloadsConcurrentColdBoots(t *testing.T) {
 	// majority of miss bytes off the storage nodes.
 	const nodes, images, holders = 8, 3, 2
 	run := func(enabled bool) (peerSum, pfsSum, tx int64) {
-		sq, cl, repo, _ := deploymentWith(t, nodes, func(c *Config) {
-			c.Peer = peer.DefaultPolicy()
-			c.Peer.Enabled = enabled
-		})
+		sq, cl, repo, _ := testDeployment(t, nodes, withPeers, func(s *setup) { s.Peer.Enabled = enabled })
 		for i := 0; i < images; i++ {
 			mustRegister(t, sq, repo.Images[i], day(i))
 		}
@@ -216,8 +206,8 @@ func TestColdBootDecodesEachRangeOnce(t *testing.T) {
 	// inflates the cache object exactly once in total — not once per
 	// source.
 	codec := countedGzip()
-	sq, _, repo := resilienceDeployment(t, 5, fault.Plan{Seed: 1}, func(cfg *Config) {
-		cfg.Volume.Codec = codec.Name()
+	sq, _, repo, _ := testDeployment(t, 5, withPeers, withFaults(fault.Plan{Seed: 1}), func(s *setup) {
+		s.Volume.Codec = codec.Name()
 	})
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
@@ -280,7 +270,7 @@ func TestPeerFetchFaultFailoverDeterministic(t *testing.T) {
 	// transferred byte is accounted, and the whole run replays
 	// identically from the seed.
 	boot := func() (BootReport, map[string]int64, int64) {
-		sq, cl, repo := peerDeployment(t, 4)
+		sq, cl, repo, _ := testDeployment(t, 4, withPeers)
 		im := repo.Images[0]
 		mustRegister(t, sq, im, day(0))
 		if err := sq.DropReplica("node03", im.ID); err != nil {
@@ -323,7 +313,7 @@ func TestPeerFetchFaultFailoverDeterministic(t *testing.T) {
 }
 
 func TestPeerSourceCrashFailsOverToPFS(t *testing.T) {
-	sq, _, repo := peerDeployment(t, 4)
+	sq, _, repo, _ := testDeployment(t, 4, withPeers)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	if err := sq.DropReplica("node03", im.ID); err != nil {
@@ -370,7 +360,7 @@ func TestPeerSourceCrashFailsOverToPFS(t *testing.T) {
 }
 
 func TestPeerNeverPicksIneligibleSources(t *testing.T) {
-	sq, cl, repo := peerDeployment(t, 4)
+	sq, cl, repo, _ := testDeployment(t, 4, withPeers)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	// Strip all but one replica; take that sole holder offline. The cold
@@ -404,7 +394,7 @@ func TestPeerNeverPicksIneligibleSources(t *testing.T) {
 }
 
 func TestPeerIndexMaintenance(t *testing.T) {
-	sq, _, repo := peerDeployment(t, 4)
+	sq, _, repo, _ := testDeployment(t, 4, withPeers)
 	ix := sq.idx
 	a, b := repo.Images[0], repo.Images[1]
 	mustRegister(t, sq, a, day(0))
@@ -452,7 +442,7 @@ func TestPeerIndexMaintenance(t *testing.T) {
 // TestPeerIndexFacadeIsOneMethod: PeerIndex is a view kept for one
 // benchmark call, not a second way into the exchange.
 func TestPeerIndexFacadeIsOneMethod(t *testing.T) {
-	sq, _, _ := peerDeployment(t, 2)
+	sq, _, _, _ := testDeployment(t, 2, withPeers)
 	if n := reflect.TypeOf(sq.PeerIndex()).NumMethod(); n != 1 {
 		t.Fatalf("PeerIndex has %d methods, want 1", n)
 	}
@@ -464,10 +454,7 @@ func TestPeerIndexFacadeIsOneMethod(t *testing.T) {
 func TestPeerIndexFacadeResolvesConfiguredIndex(t *testing.T) {
 	for _, mode := range []IndexMode{IndexCentral, IndexGossip} {
 		t.Run(mode.String(), func(t *testing.T) {
-			sq, _, repo, _ := deploymentWith(t, 4, func(c *Config) {
-				c.Peer = peer.DefaultPolicy()
-				c.Index = mode
-			})
+			sq, _, repo, _ := testDeployment(t, 4, withPeers, withIndex(mode))
 			im := repo.Images[0]
 			mustRegister(t, sq, im, day(0))
 			for round := 0; mode == IndexGossip && len(sq.IndexHolders(im.ID, "")) == 0; round++ {

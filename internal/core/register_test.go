@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/gossip"
 )
@@ -20,8 +21,8 @@ func TestRegistrationCompressesEachNewBlockOnce(t *testing.T) {
 	// re-replication. And however a replica got a block, it holds the
 	// scVolume's copy of the payload, not one of its own.
 	codec := countedGzip()
-	sq, cl, repo := resilienceDeployment(t, 4, fault.Plan{Seed: 1}, func(cfg *Config) {
-		cfg.Volume.Codec = codec.Name()
+	sq, cl, repo, _ := testDeployment(t, 4, withPeers, withFaults(fault.Plan{Seed: 1}), func(s *setup) {
+		s.Volume.Codec = codec.Name()
 	})
 	bg := context.Background()
 	start := codec.compressed.Load()
@@ -151,22 +152,18 @@ func TestIncrementalAnnouncementsMatchReconciliation(t *testing.T) {
 	for _, mode := range []IndexMode{IndexCentral, IndexGossip} {
 		for _, seed := range []int64{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/seed%d", mode, seed), func(t *testing.T) {
-				build := func() (*Squirrel, []string) {
+				build := func() (*Squirrel, []string, []*corpus.Image) {
 					// No round runs, so no lease expires mid-test.
-					sq, cl, _ := resilienceDeployment(t, 5, fault.Plan{Seed: seed, Rot: 0.05}, func(cfg *Config) {
-						cfg.Index = mode
-						cfg.Gossip = gossip.Config{Seed: seed}
-					})
+					sq, cl, repo, _ := testDeployment(t, 5, withPeers, withFaults(fault.Plan{Seed: seed, Rot: 0.05}),
+						withIndex(mode), withGossip(gossip.Config{Seed: seed}))
 					var ids []string
 					for _, n := range cl.Compute {
 						ids = append(ids, n.ID)
 					}
-					return sq, ids
+					return sq, ids, repo.Images[:12]
 				}
-				inc, nodes := build()
-				full, _ := build()
-				_, _, repo := resilienceDeployment(t, 1, fault.Plan{}, nil)
-				ims := repo.Images[:12]
+				inc, nodes, ims := build()
+				full, _, _ := build()
 
 				bg := context.Background()
 				rng := rand.New(rand.NewSource(seed))

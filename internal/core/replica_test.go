@@ -9,7 +9,7 @@ import (
 )
 
 func TestEveryNodeTakingMethodRejectsUnknownNode(t *testing.T) {
-	sq, _, repo := peerDeployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2, withPeers)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	type observed struct {
@@ -51,7 +51,7 @@ func TestOfflineReplicaNotReannounced(t *testing.T) {
 	// caller, must keep it out of the index. (Central index only: a gossip
 	// lookup keeps serving a crashed holder's lease until its TTL whether
 	// or not anything re-announces it, so that arm would prove nothing.)
-	sq, _, repo := peerDeployment(t, 4)
+	sq, _, repo, _ := testDeployment(t, 4, withPeers)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	if err := sq.CrashNode("node01", day(0)); err != nil {
@@ -79,7 +79,7 @@ func TestBootNotBlockedByOtherNodesGC(t *testing.T) {
 	// Snapshot GC on a replica can wait on its volume; it must do so
 	// holding that node's lock only, never state — every boot in the
 	// deployment reads state.
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	// WriteObject reads under the volume's lock: node00's volume stays

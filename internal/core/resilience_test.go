@@ -10,25 +10,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/peer"
 )
-
-// resilienceDeployment builds a peer-enabled, fault-seeded deployment
-// whose config the caller can mutate before construction.
-func resilienceDeployment(t testing.TB, computeNodes int, plan fault.Plan,
-	mutate func(*Config)) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	sq, cl, repo, _ := deploymentWith(t, computeNodes, func(c *Config) {
-		c.Peer = peer.DefaultPolicy()
-		c.Faults = seeded(t, plan)
-		if mutate != nil {
-			mutate(c)
-		}
-	})
-	return sq, cl, repo
-}
 
 // waitGoroutines waits for the goroutine count to drain back to at most
 // base (with slack for runtime helpers), failing the test otherwise.
@@ -52,7 +37,7 @@ func waitGoroutines(t *testing.T, base int) {
 // SyncNode, every node converges with zero lagging replicas.
 func TestPartitionSoak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	sq, cl, repo := resilienceDeployment(t, 6, fault.Plan{Seed: 31}, nil)
+	sq, cl, repo, _ := testDeployment(t, 6, withPeers, withFaults(fault.Plan{Seed: 31}))
 	im0, im1 := repo.Images[0], repo.Images[1]
 	mustRegister(t, sq, im0, day(0))
 
@@ -187,9 +172,7 @@ func TestPartitionSoak(t *testing.T) {
 func hedgeDeployment(t *testing.T, images int) (*Squirrel, []*corpus.Image, []string) {
 	t.Helper()
 	plan := fault.Plan{Seed: 99, Slow: 0.6, SlowSec: 0.05}
-	sq, cl, repo := resilienceDeployment(t, 3*images, plan, func(cfg *Config) {
-		cfg.Peer.Hedge = true
-	})
+	sq, cl, repo, _ := testDeployment(t, 3*images, withPeers, withFaults(plan), withHedge(true))
 	if len(repo.Images) < images {
 		t.Fatalf("corpus too small: %d images", len(repo.Images))
 	}
@@ -280,8 +263,8 @@ func TestHedgeDeterminismSerialVsParallel(t *testing.T) {
 // and fall straight back to the PFS, and once the faults clear a probe
 // serve closes the breakers and peer serving resumes.
 func TestBreakerDegradesBootToPFS(t *testing.T) {
-	sq, _, repo := resilienceDeployment(t, 4, fault.Plan{Seed: 3}, func(cfg *Config) {
-		cfg.Peer.Breaker = peer.DefaultBreakerPolicy()
+	sq, _, repo, _ := testDeployment(t, 4, withPeers, withFaults(fault.Plan{Seed: 3}), func(s *setup) {
+		s.Peer.Breaker = peer.DefaultBreakerPolicy()
 	})
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
@@ -339,9 +322,8 @@ func TestBreakerDegradesBootToPFS(t *testing.T) {
 // rest shed immediately with ErrOverloaded, and the gate drains clean.
 func TestBootAdmissionShedsOverload(t *testing.T) {
 	base := runtime.NumGoroutine()
-	sq, _, repo := resilienceDeployment(t, 2, fault.Plan{Seed: 1}, func(cfg *Config) {
-		cfg.Admission = AdmissionPolicy{MaxInFlight: 1, MaxQueue: 1}
-		cfg.BootLatency = 30 * time.Millisecond
+	sq, _, repo, _ := testDeployment(t, 2, withPeers, withFaults(fault.Plan{Seed: 1}), withBootLatency(30*time.Millisecond), func(s *setup) {
+		s.Admission = AdmissionPolicy{MaxInFlight: 1, MaxQueue: 1}
 	})
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
@@ -392,9 +374,8 @@ func TestBootAdmissionShedsOverload(t *testing.T) {
 // must return ErrOverloaded (and the context error) within its
 // deadline, not block until the slot frees.
 func TestBootAdmissionDeadlineWhileQueued(t *testing.T) {
-	sq, _, repo := resilienceDeployment(t, 2, fault.Plan{Seed: 1}, func(cfg *Config) {
-		cfg.Admission = AdmissionPolicy{MaxInFlight: 1, MaxQueue: 4}
-		cfg.BootLatency = 80 * time.Millisecond
+	sq, _, repo, _ := testDeployment(t, 2, withPeers, withFaults(fault.Plan{Seed: 1}), withBootLatency(80*time.Millisecond), func(s *setup) {
+		s.Admission = AdmissionPolicy{MaxInFlight: 1, MaxQueue: 4}
 	})
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
@@ -443,9 +424,7 @@ func TestBootAdmissionDeadlineWhileQueued(t *testing.T) {
 // transfer time for every byte that moved plus the stall time slow
 // serves cost.
 func slowPeerBooter(tb testing.TB, hedge bool) func(i int) (BootReport, float64) {
-	sq, cl, repo := resilienceDeployment(tb, 4, fault.Plan{Seed: 1}, func(cfg *Config) {
-		cfg.Peer.Hedge = hedge
-	})
+	sq, cl, repo, _ := testDeployment(tb, 4, withPeers, withFaults(fault.Plan{Seed: 1}), withHedge(hedge))
 	im := repo.Images[0]
 	if _, err := sq.Register(context.Background(), RegisterRequest{Image: im, At: day(0)}); err != nil {
 		tb.Fatal(err)

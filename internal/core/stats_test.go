@@ -5,7 +5,7 @@ import (
 )
 
 func TestDeploymentStats(t *testing.T) {
-	sq, _, repo := deployment(t, 3)
+	sq, _, repo, _ := testDeployment(t, 3)
 	ds := sq.Stats()
 	if ds.ComputeNodes != 3 || ds.OnlineNodes != 3 || ds.RegisteredImages != 0 {
 		t.Fatalf("empty deployment stats: %+v", ds)

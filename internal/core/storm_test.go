@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/corpus"
 	"repro/internal/fault"
 )
 
@@ -43,19 +41,11 @@ func registerAt(ctx context.Context, procs int, sq *Squirrel, req RegisterReques
 	return sq.Register(ctx, req)
 }
 
-// bootStormDeployment is the benchmark fixture: a fault-free deployment
-// whose boots carry a simulated device wait, so throughput is I/O-bound
-// the way a real storm is.
-func bootStormDeployment(b *testing.B, computeNodes int, latency time.Duration) (*Squirrel, *cluster.Cluster, *corpus.Repository) {
-	sq, cl, repo, _ := deploymentWith(b, computeNodes, func(c *Config) { c.BootLatency = latency })
-	return sq, cl, repo
-}
-
 // TestSentinelErrors pins the errors.Is contract of the public API: the
 // unknown-image, unknown-node, and offline-node failure modes must be
 // distinguishable across Boot, Register, Deregister, and SyncNode.
 func TestSentinelErrors(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	if _, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node00"}); !errors.Is(err, ErrUnknownImage) {
 		t.Fatalf("boot of unregistered image: want ErrUnknownImage, got %v", err)
@@ -92,8 +82,8 @@ func TestParallelLegsMatchSerial(t *testing.T) {
 		Seed: 4242, Drop: 0.2, Truncate: 0.05, Corrupt: 0.1,
 		Crash: 0.04, Torn: 0.05, MaxCrashes: 2,
 	}
-	serial, _, repoS, _ := chaosDeployment(t, 6, plan)
-	parallel, _, repoP, _ := chaosDeployment(t, 6, plan)
+	serial, _, repoS, _ := testDeployment(t, 6, withFaults(plan))
+	parallel, _, repoP, _ := testDeployment(t, 6, withFaults(plan))
 	for i := 0; i < 4; i++ {
 		repS, errS := registerAt(context.Background(), 1, serial, RegisterRequest{Image: repoS.Images[i], At: day(i)})
 		repP, errP := registerAt(context.Background(), 8, parallel, RegisterRequest{Image: repoP.Images[i], At: day(i)})
@@ -114,7 +104,7 @@ func TestParallelLegsMatchSerial(t *testing.T) {
 // boots of the same image; every boot must be warm and correct (the
 // replica chain is read-shared, never mutated by a boot).
 func TestConcurrentSameNodeBoots(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	var wg sync.WaitGroup
@@ -139,7 +129,7 @@ func TestConcurrentSameNodeBoots(t *testing.T) {
 // image: exactly one must win, the other must fail with ErrRegistered,
 // and the winner's snapshot must reach every node.
 func TestConcurrentRegisterSameImage(t *testing.T) {
-	sq, cl, repo := deployment(t, 4)
+	sq, cl, repo, _ := testDeployment(t, 4)
 	im := repo.Images[0]
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -173,7 +163,7 @@ func TestConcurrentRegisterSameImage(t *testing.T) {
 // already-cancelled context: nothing may be committed, and a retry must
 // succeed from clean state.
 func TestRegisterCancelledBeforeCommit(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -193,7 +183,7 @@ func TestRegisterCancelledBeforeCommit(t *testing.T) {
 // deterministic): the commit stands, the image is registered, skipped
 // nodes are marked lagging, and SyncNode heals them.
 func TestRegisterCancelledMidPropagation(t *testing.T) {
-	sq, cl, repo, _ := chaosDeployment(t, 4, fault.Plan{Seed: 1})
+	sq, cl, repo, _ := testDeployment(t, 4, withFaults(fault.Plan{Seed: 1}))
 	im := repo.Images[0]
 	// Err call sites on this path: one at entry, one pre-propagation
 	// inside the commit section, then one per leg. k=3 lets the first
@@ -233,7 +223,7 @@ func TestRegisterCancelledMidPropagation(t *testing.T) {
 // replay; the boot must abort with the context error and leave no
 // deployment state behind.
 func TestBootCancelledMidReplay(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	im := repo.Images[0]
 	mustRegister(t, sq, im, day(0))
 	// One Err call at entry, one per trace entry: k=2 cancels at the
@@ -252,7 +242,7 @@ func TestBootCancelledMidReplay(t *testing.T) {
 // Scrub, Resilver, and SyncNode must refuse an already-cancelled
 // context without touching any replica.
 func TestMaintenanceCancellation(t *testing.T) {
-	sq, _, repo := deployment(t, 2)
+	sq, _, repo, _ := testDeployment(t, 2)
 	mustRegister(t, sq, repo.Images[0], day(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -280,7 +270,7 @@ func TestMaintenanceCancellation(t *testing.T) {
 // convergence loop is the oracle for liveness.
 func TestConcurrentRegisterAndBootInterleaving(t *testing.T) {
 	plan := fault.Plan{Seed: 7, Drop: 0.1, Corrupt: 0.05, MaxCrashes: 1, Crash: 0.02}
-	sq, cl, repo, _ := chaosDeployment(t, 4, plan)
+	sq, cl, repo, _ := testDeployment(t, 4, withFaults(plan))
 	mustRegister(t, sq, repo.Images[0], day(0))
 	var wg sync.WaitGroup
 	for i := 1; i <= 4; i++ {
@@ -350,7 +340,7 @@ func BenchmarkBootStorm(b *testing.B) {
 	nsPerOp := make(map[int]float64) // workers → ns/op of the sub-benchmark's last (longest) run
 	for _, workers := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprint(workers), func(b *testing.B) {
-			sq, cl, repo := bootStormDeployment(b, 16, time.Millisecond)
+			sq, cl, repo, _ := testDeployment(b, 16, withBootLatency(time.Millisecond))
 			im := repo.Images[0]
 			mustRegister(b, sq, im, day(0))
 			// One warm-up boot per node so the storm measures steady state.
@@ -411,8 +401,8 @@ func BenchmarkStormFirstBoot(b *testing.B) {
 			var decodes, blocks int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				sq, ims := daemonShaped(b, 1, 1)
-				im := ims[0]
+				sq, _, repo, _ := testDeployment(b, 1, daemonCorpus(1))
+				im := repo.Images[0]
 				mustRegister(b, sq, im, day(0))
 				ctr := decodeCounted(sq)
 				payloads := map[uint64]int32{}
