@@ -267,11 +267,11 @@ func (s *Squirrel) recordBootLanes(sp *obs.Span, cb *chainBackend) {
 // chainBackend is the "cache chained to base" layer under the CoW
 // overlay, and the one source ladder a cache object's bytes reach a
 // compute node by, per range: rung zero is the node's own replica
-// (lent straight out of ccv.Visit), rung one the peer exchange, rung two
-// the PFS-hosted base VMI, both landing in a pooled buffer that is then
-// lent. A boot enters at rung zero (Lend, one ladder walk); a resilver
-// enters at rung one (readRemote) with a damaged block's range of the
-// object.
+// (lent straight out of ccv.Visit), rung one the peer exchange (lent
+// straight out of the source replica's Visit), rung two the PFS-hosted
+// base VMI, landing in a pooled buffer that is then lent. A boot enters
+// at rung zero (Lend, one ladder walk); a resilver enters at rung one
+// (readRemote) with a damaged block's range of the object.
 //
 // Every rung verifies per range, as ZFS verifies where it reads: a range
 // overlapping a rotted block of the local replica fails its checksum and
@@ -318,7 +318,9 @@ func newChainBackend(s *Squirrel, im *corpus.Image, ccv *zvol.Volume, node *clus
 		cb.offs[i], cb.bases[i], cb.lens[i] = e.Off, size, e.Len
 		size += e.Len
 	}
-	if ccv != nil {
+	// HasObject first: on a node without the replica (every cold boot)
+	// Object would build a not-found error only to have it dropped.
+	if ccv != nil && ccv.HasObject(im.ID) {
 		if obj, err := ccv.Object(im.ID); err == nil {
 			if obj.Size != size {
 				return nil, fmt.Errorf("core: cache object %s is %d bytes, extents say %d",
@@ -404,28 +406,26 @@ func (cb *chainBackend) localRange(off, n int64, w qcow.Window) (k int64, ext in
 }
 
 // lendRemote serves [off, off+k), a range localRange resolved to extent
-// ext (-1 for a gap), from off the node: it lands in a buffer from
-// readBufs, which w is then lent. A PFS read cut short lends what it
-// delivered and returns io.EOF.
+// ext (-1 for a gap), from off the node: an extent's range climbs the
+// rest of the ladder (readRemote); a gap lands in a buffer from readBufs,
+// which w is then lent. A PFS read cut short lends what it delivered and
+// returns io.EOF.
 func (cb *chainBackend) lendRemote(off, k int64, ext int, w qcow.Window) error {
+	if ext >= 0 {
+		at := off
+		return cb.readRemote(cb.bases[ext]+(off-cb.offs[ext]), k, func(p []byte) { at = w.Put(at, p) })
+	}
 	bp := getReadBuf(k)
 	defer readBufs.Put(bp)
 	buf := (*bp)[:k]
-	if ext >= 0 {
-		if err := cb.readRemote(buf, cb.bases[ext]+(off-cb.offs[ext])); err != nil {
-			return err
-		}
-		w.Put(off, buf)
-		return nil
-	}
 	read, err := cb.pfsRead(buf, off)
 	w.Put(off, buf[:read])
 	return err
 }
 
-// readBufs recycles the buffers the remote rungs land a range in: a
-// boot's bytes are lent and never kept, so a buffer is free again once
-// its range has been lent.
+// readBufs recycles the buffers the PFS rung lands a range in: the
+// bytes are lent and never kept, so a buffer is free again once its
+// range has been lent.
 var readBufs sync.Pool // *[]byte
 
 // getReadBuf returns a buffer of at least n bytes, contents unspecified;
@@ -440,28 +440,34 @@ func getReadBuf(n int64) *[]byte {
 	return &buf
 }
 
-// readRemote fills p with [base, base+len(p)) of the cache object from
-// off the node: the peer exchange, then the PFS, each covered extent
-// slice mapping linearly back to an image range (a boot's range lies in
-// one extent; a resilvered block may span several).
-func (cb *chainBackend) readRemote(p []byte, base int64) error {
-	if cb.fetch != nil && cb.fetch.fetch(p, base) {
-		cb.peerBytes += int64(len(p))
+// readRemote lends fn [base, base+n) of the cache object from off the
+// node, in order and once: the peer exchange lends a source replica's own
+// bytes; failing that, the PFS fills a buffer from readBufs, each covered
+// extent slice mapping linearly back to an image range (a boot's range
+// lies in one extent; a resilvered block may span several), and fn is
+// lent the buffer. On an error fn was lent nothing.
+func (cb *chainBackend) readRemote(base, n int64, fn func(p []byte)) error {
+	if cb.fetch != nil && cb.fetch.fetch(base, n, fn) {
+		cb.peerBytes += n
 		return nil
 	}
-	for len(p) > 0 {
-		i := cb.extentAt(cb.bases, base)
+	bp := getReadBuf(n)
+	defer readBufs.Put(bp)
+	buf := (*bp)[:n]
+	for p, at := buf, base; len(p) > 0; {
+		i := cb.extentAt(cb.bases, at)
 		if i == len(cb.bases) {
-			return fmt.Errorf("core: offset %d is outside cache object %s", base, cb.id)
+			return fmt.Errorf("core: offset %d is outside cache object %s", at, cb.id)
 		}
-		d := base - cb.bases[i]
-		n := min(int64(len(p)), cb.lens[i]-d)
-		if _, err := cb.pfsRead(p[:n], cb.offs[i]+d); err != nil {
+		d := at - cb.bases[i]
+		k := min(int64(len(p)), cb.lens[i]-d)
+		if _, err := cb.pfsRead(p[:k], cb.offs[i]+d); err != nil {
 			return err
 		}
-		cb.pfsIndexed += n
-		p, base = p[n:], base+n
+		cb.pfsIndexed += k
+		p, at = p[k:], at+k
 	}
+	fn(buf)
 	return nil
 }
 

@@ -421,7 +421,9 @@ func (s *Squirrel) readDamagedBlock(cb *chainBackend, infos []zvol.BlockInfo, id
 	}
 	data = make([]byte, infos[idx].LogLen)
 	moved, peer := cb.fetch.moved+cb.networkBytes, cb.peerBytes
-	err := cb.readRemote(data, int64(idx)*int64(s.cfg.Volume.BlockSize))
+	rest := data
+	err := cb.readRemote(int64(idx)*int64(s.cfg.Volume.BlockSize), int64(len(data)),
+		func(p []byte) { rest = rest[copy(rest, p):] })
 	rep.XferSec += s.cl.Fabric.TransferSec(cb.fetch.moved + cb.networkBytes - moved)
 	if err != nil {
 		return nil, false

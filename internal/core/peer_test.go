@@ -7,11 +7,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/compress"
 	"repro/internal/fault"
 	"repro/internal/peer"
+	"repro/internal/qcow"
 )
 
 // indexHolds reports whether node announces obj in the configured
@@ -255,6 +257,86 @@ func TestColdBootDecodesEachRangeOnce(t *testing.T) {
 	}
 }
 
+func TestPeerRungLendsTheSourcesBytes(t *testing.T) {
+	// On a node without the replica the ladder's peer rung lends the
+	// reader the source replica's own bytes — the very pieces the source's
+	// Visit of the range lends (decode-cache entries, stored payloads) —
+	// not a copy of them, and covers the window exactly once. The range
+	// spans several blocks, so more than one piece is lent.
+	sq, _, repo, _ := testDeployment(t, 4, withPeers)
+	im := repo.Images[0]
+	mustRegister(t, sq, im, day(0))
+	if err := sq.DropReplica("node03", im.ID); err != nil {
+		t.Fatal(err)
+	}
+	r := sq.replicas["node03"]
+	cb, err := newChainBackend(sq, im, sq.ccVolume(r), r.node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb.ccv != nil {
+		t.Fatal("node03 still holds the replica")
+	}
+	cb.fetch = sq.newPeerFetcher(context.Background(), nil, "peerfetch", im.ID, r.node)
+	ext := 0
+	for i := range cb.lens {
+		if cb.lens[i] > cb.lens[ext] {
+			ext = i
+		}
+	}
+	off, n := cb.offs[ext], min(cb.lens[ext], 3*int64(sq.cfg.Volume.BlockSize))
+	if n <= int64(sq.cfg.Volume.BlockSize) {
+		t.Fatalf("the longest cache extent is %d bytes: no range spans two blocks", cb.lens[ext])
+	}
+	var lent [][]byte
+	if err := cb.Lend(off, n, qcow.Window{From: off, To: off + n, Fn: func(p []byte) { lent = append(lent, p) }}); err != nil {
+		t.Fatal(err)
+	}
+	if cb.peerBytes != n || cb.networkBytes != 0 || cb.cacheBytes != 0 {
+		t.Fatalf("peer %d, pfs %d, cache %d bytes; want the %d-byte range from peers",
+			cb.peerBytes, cb.networkBytes, cb.cacheBytes, n)
+	}
+	src := cb.fetch.topSource()
+	var want [][]byte
+	if err := sq.ccVolume(sq.replicas[src]).Visit(im.ID, cb.bases[ext], n, func(p []byte) { want = append(want, p) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 2 || len(lent) != len(want) {
+		t.Fatalf("lent %d pieces, %s's Visit lends %d", len(lent), src, len(want))
+	}
+	var covered int64
+	for i, p := range lent {
+		if len(p) != len(want[i]) || unsafe.SliceData(p) != unsafe.SliceData(want[i]) {
+			t.Fatalf("piece %d (%d bytes) is not %s's own bytes (%d bytes): a copy", i, len(p), src, len(want[i]))
+		}
+		covered += int64(len(p))
+	}
+	if covered != n {
+		t.Fatalf("lent %d bytes of a %d-byte window", covered, n)
+	}
+
+	// A faulted attempt lends nothing: under a lossy plan every range is
+	// lent exactly once when some attempt succeeds, and not at all when
+	// the fetch gives up (the window would hide a second lending).
+	setFaults(sq, fault.Plan{Seed: 42, Drop: 0.5, Truncate: 0.2, Corrupt: 0.15}, t)
+	f := sq.newPeerFetcher(context.Background(), nil, "peerfetch", im.ID, r.node)
+	faulted := sq.PeerCounters().Get("peer.fault")
+	for i := range cb.lens {
+		var lent int64
+		ok := f.fetch(cb.bases[i], cb.lens[i], func(p []byte) { lent += int64(len(p)) })
+		want := int64(0)
+		if ok {
+			want = cb.lens[i]
+		}
+		if lent != want {
+			t.Fatalf("extent %d: fetch %v lent %d bytes, want %d", i, ok, lent, want)
+		}
+	}
+	if sq.PeerCounters().Get("peer.fault") == faulted {
+		t.Fatal("the lossy plan faulted no attempt")
+	}
+}
+
 // setFaults swaps the deployment's injector after registration so tests
 // can fault only the peer-fetch path.
 func setFaults(sq *Squirrel, plan fault.Plan, t testing.TB) *fault.Injector {
@@ -287,6 +369,13 @@ func TestPeerFetchFaultFailoverDeterministic(t *testing.T) {
 	rep, ctr, rx := boot()
 	if ctr["peer.fault"] == 0 {
 		t.Fatalf("plan injected no faults: %v", ctr)
+	}
+	// The seed's outcome, pinned: lending the source's bytes instead of
+	// copying them must not shift a fault draw or a byte of accounting.
+	if rx != 32247 || ctr["peer.fault"] != 6 || ctr["peer.wasted_bytes"] != 15863 ||
+		ctr["peer.hit"] != 2 || ctr["peer.fallback"] != 2 {
+		t.Fatalf("seed 42 moved: rx %d, peer.fault %d, peer.wasted_bytes %d, peer.hit %d, peer.fallback %d; want 32247, 6, 15863, 2, 2",
+			rx, ctr["peer.fault"], ctr["peer.wasted_bytes"], ctr["peer.hit"], ctr["peer.fallback"])
 	}
 	if rep.PeerBytes == 0 || ctr["peer.hit"] == 0 {
 		t.Fatalf("no ranges survived the lossy exchange: %+v %v", rep, ctr)

@@ -16,10 +16,11 @@ import (
 // neighboring compute nodes. For every range it asks the content index
 // for holders, picks the least-loaded eligible source (never the reading
 // node itself, never offline, lagging, damaged or unreachable nodes,
-// never a node with all serve slots busy), transfers the range over
-// cluster unicast with exact NIC byte accounting, and on a fault fails
-// over to the next candidate. When the attempt budget is spent the
-// caller falls back to the PFS, so a read always completes.
+// never a node with all serve slots busy), lends the reader the range
+// straight out of that replica, accounting it to cluster unicast with
+// exact NIC bytes, and on a fault fails over to the next candidate. When
+// the attempt budget is spent the caller falls back to the PFS, so a
+// read always completes.
 //
 // With Policy.Hedge set, a transfer whose source draws a slow serve is
 // cloned to the next-best holder after the hedge threshold: first byte
@@ -78,11 +79,11 @@ func (f *peerFetcher) target(object string) {
 	f.op = f.kind + ":" + object + ":" + f.bootNode.ID
 }
 
-// fetch fills dst from a peer replica's cache object at [base,
-// base+len(dst)), trying up to peer.DefaultMaxAttempts candidate
-// sources. It returns false when no peer could serve the range — the
-// caller then reads the PFS.
-func (f *peerFetcher) fetch(dst []byte, base int64) bool {
+// fetch lends fn bytes [base, base+n) of a peer replica's cache object,
+// in order and from one source, trying up to peer.DefaultMaxAttempts
+// candidate sources. It returns false when no peer could serve the
+// range — fn was then lent nothing, and the caller reads the PFS.
+func (f *peerFetcher) fetch(base, n int64, fn func(p []byte)) bool {
 	ctr := f.s.ledger.Counters()
 	fsp := f.sp.Child(obs.OpPeerFetch, "", f.imageID)
 	f.fetchNo++
@@ -105,16 +106,16 @@ func (f *peerFetcher) fetch(dst []byte, base int64) bool {
 		}
 		tried[src] = true
 		fsp.Annotate("attempts", 1)
-		if winner, ok := f.transferHedged(fsp, tried, src, release, dst, base); ok {
+		if winner, ok := f.transferHedged(fsp, tried, src, release, base, n, fn); ok {
 			ctr.Add("peer.hit", 1)
-			ctr.Add("peer.bytes", int64(len(dst)))
+			ctr.Add("peer.bytes", n)
 			if f.served == nil {
 				f.served = make(map[string]int64)
 			}
-			f.served[winner] += int64(len(dst))
+			f.served[winner] += n
 			fsp.SetNode(winner)
-			fsp.AddBytes(int64(len(dst)))
-			fsp.AddSim(f.s.cl.Fabric.TransferSec(int64(len(dst))))
+			fsp.AddBytes(n)
+			fsp.AddSim(f.s.cl.Fabric.TransferSec(n))
 			fsp.Finish()
 			return true
 		}
@@ -133,7 +134,7 @@ func (f *peerFetcher) fetch(dst []byte, base int64) bool {
 // which one wins under identical fault draws — is deterministic no
 // matter how many boots run concurrently.
 func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
-	src string, release func(int64), dst []byte, base int64) (string, bool) {
+	src string, release func(int64), base, n int64, fn func(p []byte)) (string, bool) {
 	ctr := f.s.ledger.Counters()
 	slow := f.faults.SlowServe(f.op, src, f.fetchNo)
 	stall := func() {
@@ -146,7 +147,7 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 			// slow-peer benchmark compares the hedged path against.
 			stall()
 		}
-		return src, f.transfer(src, dst, base, release)
+		return src, f.transfer(src, base, n, fn, release)
 	}
 	// The primary stalled past the hedge threshold: clone the fetch to
 	// the next-best holder. No second holder means nothing to race —
@@ -154,7 +155,7 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 	h, hrel, ok, _ := f.acquire(tried)
 	if !ok {
 		stall()
-		return src, f.transfer(src, dst, base, release)
+		return src, f.transfer(src, base, n, fn, release)
 	}
 	tried[h] = true
 	f.hedgesFired++
@@ -173,9 +174,11 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 		stall()
 	}
 	// The losing leg is cancelled through the boot's context plumbing
-	// before it moves a payload byte; releasing its serve slot is
-	// idempotent (sync.Once), so a leg promoted after the leader faults
-	// releases cleanly even though the watcher fires too.
+	// before it moves a payload byte, and a leg that faults lends fn
+	// nothing, so the reader is lent the range once, by the winner.
+	// Releasing a leg's serve slot is idempotent (sync.Once), so a leg
+	// promoted after the leader faults releases cleanly even though the
+	// watcher fires too.
 	hctx, cancel := context.WithCancel(f.ctx)
 	loserDone := make(chan struct{})
 	go func() {
@@ -195,7 +198,7 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 		}
 		return node, true
 	}
-	if f.transfer(first, dst, base, firstRel) {
+	if f.transfer(first, base, n, fn, firstRel) {
 		return win(first)
 	}
 	if !hslow {
@@ -203,7 +206,7 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 		// stalled primary, so its stall is paid after all.
 		stall()
 	}
-	if f.transfer(second, dst, base, secondRel) {
+	if f.transfer(second, base, n, fn, secondRel) {
 		return win(second)
 	}
 	cancel()
@@ -242,15 +245,18 @@ func (f *peerFetcher) acquire(tried map[string]bool) (string, func(int64), bool,
 		func(id string) bool { return !eligible[id] })
 }
 
-// transfer moves one range from src to the reading node, applying the
-// deployment's fault injector. The source verifies (and, unless its
-// decode cache holds them, decodes) only the blocks under the range and
-// copies them into dst. NIC counters account
-// exactly the bytes that crossed the fabric: the full range on success
-// and on corruption (damage is detected at the receiver), the delivered
-// prefix on truncation, nothing on a drop or source crash. Every outcome
-// feeds src's circuit breaker; on failure dst's contents are unspecified.
-func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(int64)) bool {
+// transfer lends fn one range of src's replica through the source's
+// Visit, applying the deployment's fault injector. Visit verifies (and,
+// unless its decode cache holds them, decodes) every block under the
+// range before it lends any, so the attempt's fault is drawn at the first
+// lent piece: after the source range passed its checks, before a byte
+// reaches the reader. Only a fault-free attempt lends fn anything; a
+// faulted one only counts what crossed the fabric. NIC counters account
+// exactly those bytes: the full range on success and on corruption
+// (damage is detected at the receiver), the delivered prefix on
+// truncation, nothing on a drop or source crash. Every outcome feeds
+// src's circuit breaker.
+func (f *peerFetcher) transfer(src string, base, n int64, fn func(p []byte), release func(int64)) bool {
 	s, r := f.s, f.s.replicas[src]
 	ctr := s.ledger.Counters()
 	done := func(served int64, ok bool) bool {
@@ -260,7 +266,18 @@ func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(
 		}
 		return ok
 	}
-	if err := s.ccVolume(r).ReadAt(f.imageID, dst, base); err != nil {
+	drawn, kind, got := false, fault.None, 0
+	err := s.ccVolume(r).Visit(f.imageID, base, n, func(p []byte) {
+		if !drawn {
+			f.seq++
+			kind, got = f.faults.Deliver(f.op, src, f.seq, int(n))
+			drawn = true
+		}
+		if kind == fault.None {
+			fn(p)
+		}
+	})
+	if err != nil {
 		// The source cannot serve this range: its replica vanished between
 		// index lookup and read (dropped or deregistered concurrently), or
 		// a block under the range failed its checksum there (latent rot —
@@ -268,31 +285,30 @@ func (f *peerFetcher) transfer(src string, dst []byte, base int64, release func(
 		ctr.Add("peer.stale", 1)
 		return done(0, false)
 	}
-	f.seq++
-	kind, got := f.faults.Strike(f.op, src, f.seq, dst)
 	if kind != fault.None {
 		ctr.Add("peer.fault", 1)
 	}
 	if kind == fault.Crash || kind == fault.Torn {
 		// The source dies mid-serve (for a one-way peer read a torn apply
 		// and a plain crash are the same event): it drops offline, its
-		// announcements are withdrawn, and its next boot heals it.
+		// announcements are withdrawn, and its next boot heals it. Visit
+		// has returned, so the source volume's read lock is not held.
 		s.nodeDown(r, time.Time{}, true)
 		ctr.Add("peer.crash", 1)
 		return done(0, false)
 	}
-	if n := int64(len(got)); n > 0 {
-		r.node.Send(n)
-		f.bootNode.Recv(n)
-		f.moved += n
+	if got > 0 {
+		r.node.Send(int64(got))
+		f.bootNode.Recv(int64(got))
+		f.moved += int64(got)
 	}
 	if kind != fault.None {
 		// Truncated or corrupted transfers moved bytes but deliver no
 		// usable data (per-block checksums reject them at the receiver).
-		ctr.Add("peer.wasted_bytes", int64(len(got)))
+		ctr.Add("peer.wasted_bytes", int64(got))
 		return done(0, false)
 	}
-	return done(int64(len(dst)), true)
+	return done(n, true)
 }
 
 // topSource is the peer that served the most bytes this boot, breaking

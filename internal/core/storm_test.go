@@ -125,6 +125,77 @@ func TestConcurrentSameNodeBoots(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPeerLendWhileSourceCacheChurns races Verify-ed cold boots, each
+// lent its ranges straight out of node00's replica, against warm boots on
+// node00 whose working set (48 images, 5.1 MiB of decoded blocks)
+// outgrows zvol's 4 MiB decoded-block cache, so the entries a cold boot
+// is being lent are evicted and refilled around it. Every cold boot must
+// still be served whole by the peer and byte-exact; under the race
+// detector a lent entry that is written after its fill, or reused once
+// evicted, shows as a race.
+func TestPeerLendWhileSourceCacheChurns(t *testing.T) {
+	const images, rounds = 48, 3
+	sq, _, repo, _ := testDeployment(t, 3, daemonCorpus(images), withPeers)
+	ims := repo.Images[:images]
+	for i, im := range ims {
+		mustRegister(t, sq, im, day(i))
+	}
+	cold, coldNodes := ims[:2], []string{"node01", "node02"}
+	for _, im := range cold {
+		for _, node := range coldNodes {
+			if err := sq.DropReplica(node, im.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	payloads := map[uint64]int32{}
+	for _, im := range ims {
+		bootPayloads(t, sq, im, "node00", payloads)
+	}
+	ctr := decodeCounted(sq)
+	var wg sync.WaitGroup
+	for _, node := range coldNodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, im := range cold {
+					rep, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: node, Verify: true})
+					if err != nil {
+						t.Errorf("cold boot %s on %s: %v", im.ID, node, err)
+						return
+					}
+					if rep.PeerBytes != im.CacheSize() || rep.PeerFallbacks != 0 || rep.PeerNode != "node00" {
+						t.Errorf("cold boot %s on %s not served whole by node00: %+v", im.ID, node, rep)
+					}
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for j := range ims {
+					im := ims[(j+g*images/2)%images]
+					rep, err := sq.Boot(bg, BootRequest{Image: im.ID, Node: "node00"})
+					if err != nil || !rep.Warm {
+						t.Errorf("warm boot %s on node00: %+v, %v", im.ID, rep, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// More decodes than distinct blocks: some entry was evicted and
+	// decoded again while the cold boots ran.
+	if misses := ctr.Get("zvol.decode.miss"); misses <= int64(len(payloads)) {
+		t.Fatalf("%d decodes of %d distinct blocks: the decoded-block cache never churned", misses, len(payloads))
+	}
+}
+
 // TestConcurrentRegisterSameImage races two registrations of the same
 // image: exactly one must win, the other must fail with ErrRegistered,
 // and the winner's snapshot must reach every node.

@@ -296,8 +296,32 @@ func (in *Injector) Note(k Kind) {
 	in.counters.Add("fault."+k.String(), 1)
 }
 
-// Strike decides the fault for one transfer attempt and applies it to the
-// wire bytes, returning the bytes the destination actually sees:
+// Deliver decides the fault for one transfer attempt of n bytes and
+// returns how many of them reach the destination, without touching the
+// bytes themselves — for a reader that only counts what a fault cost:
+//
+//	None, Torn, Corrupt   n (Corrupt's arrive mangled)
+//	Drop, Crash           0
+//	Truncate              fewer than n (0 when n is 0)
+//
+// It makes Strike's one Decide call, so it spends the crash budget
+// exactly as Strike does, and it cuts a truncation where Strike cuts it.
+func (in *Injector) Deliver(op, dst string, attempt, n int) (Kind, int) {
+	k := in.Decide(op, dst, attempt)
+	switch k {
+	case Drop, Crash:
+		return k, 0
+	case Truncate:
+		if n == 0 {
+			return k, 0
+		}
+		return k, int(in.roll(op, dst, attempt, 1) % uint64(n))
+	}
+	return k, n
+}
+
+// Strike is Deliver applied to the wire bytes, returning the bytes the
+// destination actually sees:
 //
 //	None, Torn      wire unchanged (same slice); Torn dies during apply
 //	Drop, Crash     nil — nothing arrives
@@ -308,20 +332,17 @@ func (in *Injector) Note(k Kind) {
 // the input slice, so one encoded stream can be shared across
 // destinations.
 func (in *Injector) Strike(op, dst string, attempt int, wire []byte) (Kind, []byte) {
-	k := in.Decide(op, dst, attempt)
+	k, got := in.Deliver(op, dst, attempt, len(wire))
 	switch k {
 	case None, Torn:
 		return k, wire
 	case Drop, Crash:
 		return k, nil
-	}
-	r := in.roll(op, dst, attempt, 1)
-	switch k {
 	case Truncate:
 		if len(wire) == 0 {
 			return k, nil
 		}
-		cut := make([]byte, int(r%uint64(len(wire))))
+		cut := make([]byte, got)
 		copy(cut, wire)
 		return k, cut
 	default: // Corrupt
@@ -330,7 +351,7 @@ func (in *Injector) Strike(op, dst string, attempt int, wire []byte) (Kind, []by
 		}
 		bad := make([]byte, len(wire))
 		copy(bad, wire)
-		flips := 1 + int(r%7)
+		flips := 1 + int(in.roll(op, dst, attempt, 1)%7)
 		for i := 0; i < flips; i++ {
 			off := in.roll(op, dst, attempt, 2+i) % uint64(len(bad))
 			bad[off] ^= byte(1 + in.roll(op, dst, attempt, 100+i)%255)

@@ -168,6 +168,50 @@ func TestCrashBudget(t *testing.T) {
 	}
 }
 
+func TestDeliverAgreesWithStrike(t *testing.T) {
+	// Deliver is Strike without the bytes: over every kind, crash budget
+	// spent and not, and every length (empty included), the two agree on
+	// the kind and on how many bytes arrive, and they draw the crash
+	// budget down in the same steps.
+	for seed := int64(1); seed <= 4; seed++ {
+		p := Plan{Seed: seed, Drop: 0.15, Truncate: 0.2, Corrupt: 0.15, Crash: 0.1, Torn: 0.1, MaxCrashes: 6}
+		a, b := mustNew(t, p), mustNew(t, p)
+		seen := make(map[Kind]int)
+		for op := 0; op < 4; op++ {
+			for attempt := 1; attempt <= 6; attempt++ {
+				for _, n := range []int{0, 1, 7, 4096} {
+					o, d := fmt.Sprintf("peerfetch:img%d:node01", op), fmt.Sprintf("node0%d", n%5)
+					ks, got := a.Strike(o, d, attempt, bytes.Repeat([]byte{0xa5}, n))
+					kd, m := b.Deliver(o, d, attempt, n)
+					if ks != kd || len(got) != m {
+						t.Fatalf("seed %d (%s,%s,%d) n=%d: Strike %v/%d bytes, Deliver %v/%d",
+							seed, o, d, attempt, n, ks, len(got), kd, m)
+					}
+					if a.Crashes() != b.Crashes() {
+						t.Fatalf("seed %d (%s,%s,%d) n=%d: crash budget %d vs %d",
+							seed, o, d, attempt, n, a.Crashes(), b.Crashes())
+					}
+					seen[kd]++
+				}
+			}
+		}
+		for _, k := range []Kind{None, Drop, Truncate, Corrupt, Crash, Torn} {
+			if seen[k] == 0 {
+				t.Fatalf("seed %d: the sweep never drew %v: %v", seed, k, seen)
+			}
+		}
+		ca, cb := a.Counters().Snapshot(), b.Counters().Snapshot()
+		if ca["fault.crash_degraded"] == 0 || len(ca) != len(cb) {
+			t.Fatalf("seed %d: counters %v vs %v", seed, ca, cb)
+		}
+		for k, v := range ca {
+			if cb[k] != v {
+				t.Fatalf("seed %d: counter %s: Strike %d, Deliver %d", seed, k, v, cb[k])
+			}
+		}
+	}
+}
+
 func TestTruncateEmptyWire(t *testing.T) {
 	in := mustNew(t, Plan{Seed: 5, Truncate: 1})
 	if _, got := in.Strike("op", "n0", 0, nil); got != nil {
