@@ -108,8 +108,8 @@ gate-inflate:
 # The ledger rungs CHANGES.md quotes (warm boots, peer-served cold
 # boots, first boots of a new image stormed 1/8/32 at once,
 # registration stream, Stats poll, control-RPC mix, warm boots over the
-# wire, a 64 KB ReadAt and a 64 KB Visit, each served by the
-# decoded-block cache and always decoding, a finished span and its
+# wire, a 64 KB Visit served by the decoded-block cache and always
+# decoding, a finished span and its
 # child folded into the telemetry registry), one iteration each so they
 # cannot rot between the PRs that read them.
 rungs:
@@ -120,6 +120,5 @@ rungs:
 	$(GO) test -run '^$$' -bench BenchmarkStats -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkControlRPC -benchtime 1x ./internal/daemon/
 	$(GO) test -run '^$$' -bench BenchmarkBootRPC -benchtime 1x ./internal/daemon/
-	$(GO) test -run '^$$' -bench BenchmarkReadAtDecoded -benchtime 1x ./internal/zvol/
 	$(GO) test -run '^$$' -bench BenchmarkVisitDecoded -benchtime 1x ./internal/zvol/
 	$(GO) test -run '^$$' -bench BenchmarkRegistryRecord -benchtime 1x ./internal/obs/

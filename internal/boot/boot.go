@@ -7,10 +7,11 @@
 //	warm caches - zfs   boot working set in a deduplicated, compressed
 //	                    cVolume at a given block size
 //
-// A boot replays the image's boot trace. Like QCOW2, the CoW layer turns
-// every request into whole-cluster fetches from the layer below; the host
-// page cache absorbs re-reads and converts cluster over-fetch into the
-// "free prefetching" speedup of §4.2.3. The cVolume path additionally
+// A boot reads each extent of the image's boot working set once, whole,
+// in offset order. Like QCOW2, the CoW layer turns every request into
+// whole-cluster fetches from the layer below; the host page cache
+// absorbs re-reads and converts cluster over-fetch into the "free
+// prefetching" speedup of §4.2.3. The cVolume path additionally
 // pays a dedup-table lookup and decompression per record, reads records
 // at their post-dedup (scattered) physical addresses, and re-reads whole
 // records when the record size exceeds the cluster size — the mechanism
@@ -94,7 +95,7 @@ func clusterRequests(off, n, cluster, size int64) []request {
 }
 
 // BootBaselineLocal boots from the base VMI stored flat on the local
-// disk ("qcow2 - xfs"): trace reads round to clusters in image space.
+// disk ("qcow2 - xfs"): the boot's reads round to clusters in image space.
 func (s *Sim) BootBaselineLocal(im *corpus.Image) Result {
 	return s.bootFlat(im, identityMap{size: im.RawSize()}, false)
 }
@@ -109,7 +110,7 @@ func (s *Sim) BootColdCacheLocal(im *corpus.Image) Result {
 // BootWarmCacheXFS boots from a warm cache stored as a compact flat file
 // on the local file system ("warm caches - xfs").
 func (s *Sim) BootWarmCacheXFS(im *corpus.Image) Result {
-	return s.bootFlat(im, newExtentMap(im), false)
+	return s.bootFlat(im, extentMap{im.Layout()}, false)
 }
 
 // offsetMap translates image-space offsets into the address space of the
@@ -126,53 +127,29 @@ type identityMap struct{ size int64 }
 func (m identityMap) translate(off, n int64) []request { return []request{{off, n}} }
 func (m identityMap) size2() int64                     { return m.size }
 
-// extentMap maps image offsets to the compact cache file layout (extents
-// sorted by image offset, concatenated).
-type extentMap struct {
-	exts  []corpus.Extent // sorted by Off
-	bases []int64         // stored-space start of each extent
-	total int64
-}
+// extentMap maps image offsets to the compact cache file: a view of the
+// image's cache-object layout, built once by corpus.
+type extentMap struct{ *corpus.Layout }
 
-func newExtentMap(im *corpus.Image) *extentMap {
-	sorted := im.CacheExtentsSorted()
-	m := &extentMap{}
-	for _, e := range sorted {
-		m.exts = append(m.exts, corpus.Extent{Off: e.Off, Len: e.Len})
-		m.bases = append(m.bases, m.total)
-		m.total += e.Len
-	}
-	return m
-}
+func (m extentMap) size2() int64 { return m.Size }
 
-func (m *extentMap) size2() int64 { return m.total }
-
-func (m *extentMap) translate(off, n int64) []request {
+func (m extentMap) translate(off, n int64) []request {
 	var out []request
-	for i, e := range m.exts {
-		if e.Off+e.Len <= off || e.Off >= off+n {
-			continue
-		}
-		lo := off
-		if e.Off > lo {
-			lo = e.Off
-		}
-		hi := off + n
-		if e.Off+e.Len < hi {
-			hi = e.Off + e.Len
-		}
-		out = append(out, request{off: m.bases[i] + (lo - e.Off), n: hi - lo})
+	for i := m.Find(off); i < len(m.Ext) && m.Ext[i].Off < off+n; i++ {
+		e := m.Ext[i]
+		lo, hi := max(off, e.Off), min(off+n, e.Off+e.Len)
+		out = append(out, request{off: m.Base[i] + (lo - e.Off), n: hi - lo})
 	}
 	return out
 }
 
-// bootFlat replays the trace against a flat file on the local disk.
+// bootFlat replays the boot's reads against a flat file on the local disk.
 func (s *Sim) bootFlat(im *corpus.Image, m offsetMap, copyOnRead bool) Result {
 	d := disk.New(s.cfg.Disk)
 	pc := disk.NewPageCache(s.cfg.PageCache)
 	var res Result
 	const dev = 1
-	for _, e := range im.BootTrace() {
+	for _, e := range im.Layout().Ext {
 		for _, tr := range m.translate(e.Off, e.Len) {
 			for _, rq := range clusterRequests(tr.off, tr.n, s.cfg.ClusterSize, m.size2()) {
 				misses := pc.Access(dev, rq.off, rq.n)
@@ -207,13 +184,13 @@ func (s *Sim) BootWarmCacheZVol(im *corpus.Image, vol *zvol.Volume, objName stri
 		codec = "null"
 	}
 	ddtEntries := vol.DDTStats().Entries
-	m := newExtentMap(im)
+	m := extentMap{im.Layout()}
 
 	d := disk.New(s.cfg.Disk)
 	pc := disk.NewPageCache(s.cfg.PageCache)
 	var res Result
 	const dev = 2
-	for _, e := range im.BootTrace() {
+	for _, e := range im.Layout().Ext {
 		for _, tr := range m.translate(e.Off, e.Len) {
 			for _, rq := range clusterRequests(tr.off, tr.n, s.cfg.ClusterSize, m.size2()) {
 				misses := pc.Access(dev, rq.off, rq.n)

@@ -10,8 +10,8 @@ func TestWarmBootAllocatesNoBuffers(t *testing.T) {
 	// A warm boot reads ~200 KB through whole-cluster visits, and the
 	// chain lends every byte rather than copying it into a buffer: the
 	// local replica lends its blocks to the boot, which only counts them.
-	// So a boot allocates only bookkeeping (layout slices, report,
-	// overlay), ≈ 0.5 KB — it used to allocate 334 KB, and the garbage
+	// So a boot allocates only bookkeeping (its chain backend and
+	// overlay), ≈ 0.25 KB — it used to allocate 334 KB, and the garbage
 	// paced the collector. The limit leaves room for a GC emptying a pool
 	// mid-run, after which a buffer is allocated again. The warm-up boot
 	// also fills zvol's decoded-block cache, and the four images' blocks
@@ -21,20 +21,7 @@ func TestWarmBootAllocatesNoBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
 	}
-	sq, _, repo, _ := testDeployment(t, 2, daemonCorpus(4))
-	ims := repo.Images[:4]
-	for i, im := range ims {
-		mustRegister(t, sq, im, day(i))
-	}
-	boot := func() {
-		for _, im := range ims {
-			rep, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00"})
-			if err != nil || !rep.Warm {
-				t.Fatalf("boot %s: %+v, %v", im.ID, rep, err)
-			}
-		}
-	}
-	boot() // warm the pools
+	boot, images := warmBoots(t)
 	const runs = 8
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -42,11 +29,32 @@ func TestWarmBootAllocatesNoBuffers(t *testing.T) {
 		boot()
 	}
 	runtime.ReadMemStats(&after)
-	perBoot := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*len(ims))
+	perBoot := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*images)
 	if limit := 32.0 * 1024; perBoot > limit {
 		t.Fatalf("a warm boot allocated %.0f bytes, limit %.0f", perBoot, limit)
 	}
 	t.Logf("a warm boot allocates %.0f bytes", perBoot)
+}
+
+// warmBoots registers four images of the daemon's corpus and returns a
+// round that boots each of them warm on node00, having run one round to
+// warm the pools and zvol's decoded-block cache.
+func warmBoots(t *testing.T) (round func(), images int) {
+	sq, _, repo, _ := testDeployment(t, 2, daemonCorpus(4))
+	ims := repo.Images[:4]
+	for i, im := range ims {
+		mustRegister(t, sq, im, day(i))
+	}
+	round = func() {
+		for _, im := range ims {
+			rep, err := sq.Boot(context.Background(), BootRequest{Image: im.ID, Node: "node00"})
+			if err != nil || !rep.Warm {
+				t.Fatalf("boot %s: %+v, %v", im.ID, rep, err)
+			}
+		}
+	}
+	round()
+	return round, len(ims)
 }
 
 func TestWarmWorkingSetFitsDecodeBudget(t *testing.T) {
@@ -84,4 +92,19 @@ func TestWarmWorkingSetFitsDecodeBudget(t *testing.T) {
 		t.Fatalf("the second pass decoded %d blocks: the mix's working set is %d distinct payloads, %.2f MiB decoded, over zvol's decode budget",
 			again, len(payloads), mib)
 	}
+}
+
+func TestWarmBootAllocationCount(t *testing.T) {
+	// A warm boot allocates its chain backend and its overlay, and
+	// nothing else: the cache-object layout is the image's, built once by
+	// corpus, and an overlay without copy-on-read makes no cluster table.
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	boot, images := warmBoots(t)
+	perBoot := testing.AllocsPerRun(50, boot) / float64(images)
+	if want := 2.0; perBoot > want {
+		t.Fatalf("a warm boot made %.2f allocations, want %.0f", perBoot, want)
+	}
+	t.Logf("a warm boot makes %.2f allocations", perBoot)
 }

@@ -150,24 +150,23 @@ func bootPayloads(t testing.TB, sq *Squirrel, im *corpus.Image, node string, int
 	}
 	c, size := sq.cfg.ClusterSize, im.RawSize()
 	clusters := map[int64]bool{}
-	for _, e := range im.BootTrace() {
+	lay := im.Layout()
+	for _, e := range lay.Ext {
 		for ci := e.Off / c; ci*c < min(e.Off+e.Len, size); ci++ {
 			clusters[ci] = true
 		}
 	}
 	for ci := range clusters {
 		lo, hi := ci*c, min((ci+1)*c, size)
-		var base int64 // cache-object offset of extent x
-		for _, x := range im.CacheExtentsSorted() {
-			if a, z := max(lo, x.Off), min(hi, x.Off+x.Len); a < z {
-				from, to := base+a-x.Off, base+z-x.Off
-				for i := sort.Search(len(ends), func(i int) bool { return ends[i] > from }); i < len(infos) && ends[i]-int64(infos[i].LogLen) < to; i++ {
-					if infos[i].Compressed {
-						into[infos[i].Addr] = infos[i].LogLen
-					}
+		for x := lay.Find(lo); x < len(lay.Ext) && lay.Ext[x].Off < hi; x++ {
+			e := lay.Ext[x]
+			a, z := max(lo, e.Off), min(hi, e.Off+e.Len)
+			from, to := lay.Base[x]+a-e.Off, lay.Base[x]+z-e.Off
+			for i := sort.Search(len(ends), func(i int) bool { return ends[i] > from }); i < len(infos) && ends[i]-int64(infos[i].LogLen) < to; i++ {
+				if infos[i].Compressed {
+					into[infos[i].Addr] = infos[i].LogLen
 				}
 			}
-			base += x.Len
 		}
 	}
 }

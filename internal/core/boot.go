@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -59,9 +58,10 @@ type BootReport struct {
 
 // Boot starts a VM (§3.3, Fig 7): an empty CoW overlay is chained onto
 // the VMI cache in the local ccVolume, which recurses to the PFS-hosted
-// base VMI only for ranges the cache does not hold. The boot trace is
-// replayed through the chain with real data, and the report accounts
-// where every byte came from.
+// base VMI only for ranges the cache does not hold. The boot reads each
+// extent of the image's boot working set once, whole, in offset order,
+// through the chain with real data, and the report accounts where every
+// byte came from.
 //
 // Booting on a lagging node (one that exhausted its registration repair
 // budget, or crashed mid-transfer and came back) first heals it through
@@ -70,7 +70,7 @@ type BootReport struct {
 // Boots run fully concurrently: two boots contend only when they land
 // on the same node (its replica lock during healing, its cache chain)
 // or consult the same peer index entries. A cancelled context aborts
-// the trace replay between reads and returns the context error; no
+// the boot between reads and returns the context error; no
 // deployment state is left half-changed.
 func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error) {
 	id, nodeID := req.Image, req.Node
@@ -179,7 +179,7 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 		ver = &verifier{gen: corpus.NewGenerator(im)}
 		visit = ver.check
 	}
-	for _, e := range im.BootTrace() {
+	for _, e := range im.Layout().Ext {
 		if err := ctx.Err(); err != nil {
 			return fail(fmt.Errorf("core: boot %s on %s: %w", id, nodeID, err))
 		}
@@ -288,11 +288,9 @@ type chainBackend struct {
 	fetch   *peerFetcher        // rung one; nil unless the peer exchange is enabled
 	ctr     *metrics.CounterSet // nil-safe
 
-	// The cache-object layout: extent i is image range [offs[i],
-	// offs[i]+lens[i]) and cache-object range [bases[i], bases[i]+lens[i]),
-	// extents concatenated in offset order. Identical on every replica, so
-	// it also maps peer fetches and PFS reads of a cache-object range.
-	offs, bases, lens []int64
+	// The image's cache-object layout. Identical on every replica, so it
+	// also maps peer fetches and PFS reads of a cache-object range.
+	lay corpus.Layout
 
 	networkBytes int64 // pulled from the PFS
 	cacheBytes   int64 // served from the local replica
@@ -305,26 +303,19 @@ type pfsReader interface {
 	ReadAt(client *cluster.Node, name string, buf []byte, off int64) (int, error)
 }
 
-// newChainBackend lays out im's cache object for node; ccv (nil to skip
-// rung zero) is kept only if it holds the object.
+// newChainBackend is the source ladder of im's cache object for node;
+// ccv (nil to skip rung zero) is kept only if it holds the object.
 func newChainBackend(s *Squirrel, im *corpus.Image, ccv *zvol.Volume, node *cluster.Node) (*chainBackend, error) {
-	exts := im.CacheExtentsSorted()
 	cb := &chainBackend{
-		id: im.ID, rawSize: im.RawSize(), node: node, pfs: s.pfs, ctr: s.ledger.Counters(),
-		offs: make([]int64, len(exts)), bases: make([]int64, len(exts)), lens: make([]int64, len(exts)),
-	}
-	var size int64
-	for i, e := range exts {
-		cb.offs[i], cb.bases[i], cb.lens[i] = e.Off, size, e.Len
-		size += e.Len
+		id: im.ID, rawSize: im.RawSize(), node: node, pfs: s.pfs, ctr: s.ledger.Counters(), lay: *im.Layout(),
 	}
 	// HasObject first: on a node without the replica (every cold boot)
 	// Object would build a not-found error only to have it dropped.
 	if ccv != nil && ccv.HasObject(im.ID) {
 		if obj, err := ccv.Object(im.ID); err == nil {
-			if obj.Size != size {
+			if obj.Size != cb.lay.Size {
 				return nil, fmt.Errorf("core: cache object %s is %d bytes, extents say %d",
-					im.ID, obj.Size, size)
+					im.ID, obj.Size, cb.lay.Size)
 			}
 			cb.ccv = ccv
 		}
@@ -362,14 +353,6 @@ func (cb *chainBackend) Lend(off, n int64, w qcow.Window) error {
 	return nil
 }
 
-// extentAt is the one walk of the cache-object layout: the index of the
-// first extent ending after off, where starts holds the extents' starts
-// in the space off lives in — cb.offs for an image offset, cb.bases for
-// a cache-object offset. len(starts) when off lies past every extent.
-func (cb *chainBackend) extentAt(starts []int64, off int64) int {
-	return sort.Search(len(starts), func(i int) bool { return starts[i]+cb.lens[i] > off })
-}
-
 // localRange resolves the prefix of [off, off+n) against the cache
 // layout and tries rung zero on it. It returns the prefix length k
 // (clamped to the image size, the containing extent, or the gap up to the
@@ -382,19 +365,20 @@ func (cb *chainBackend) extentAt(starts []int64, off int64) int {
 // never a boot error. When ext < 0 only the PFS holds the bytes.
 func (cb *chainBackend) localRange(off, n int64, w qcow.Window) (k int64, ext int, served bool) {
 	k = min(n, cb.rawSize-off)
-	i := cb.extentAt(cb.offs, off)
-	switch {
-	case i == len(cb.offs):
+	i := cb.lay.Find(off)
+	if i == len(cb.lay.Ext) {
 		return k, -1, false // past all extents
-	case cb.offs[i] > off:
-		return min(k, cb.offs[i]-off), -1, false // the gap before extent i
 	}
-	k = min(k, cb.offs[i]+cb.lens[i]-off)
+	e := cb.lay.Ext[i]
+	if e.Off > off {
+		return min(k, e.Off-off), -1, false // the gap before extent i
+	}
+	k = min(k, e.Off+e.Len-off)
 	if cb.ccv == nil {
 		return k, i, false
 	}
 	at := off
-	err := cb.ccv.Visit(cb.id, cb.bases[i]+(off-cb.offs[i]), k, func(p []byte) { at = w.Put(at, p) })
+	err := cb.ccv.Visit(cb.id, cb.lay.Base[i]+(off-e.Off), k, func(p []byte) { at = w.Put(at, p) })
 	if errors.Is(err, zvol.ErrCorrupt) {
 		cb.ctr.Add("boot.corrupt_local", 1)
 	}
@@ -413,7 +397,7 @@ func (cb *chainBackend) localRange(off, n int64, w qcow.Window) (k int64, ext in
 func (cb *chainBackend) lendRemote(off, k int64, ext int, w qcow.Window) error {
 	if ext >= 0 {
 		at := off
-		return cb.readRemote(cb.bases[ext]+(off-cb.offs[ext]), k, func(p []byte) { at = w.Put(at, p) })
+		return cb.readRemote(cb.lay.Base[ext]+(off-cb.lay.Ext[ext].Off), k, func(p []byte) { at = w.Put(at, p) })
 	}
 	bp := getReadBuf(k)
 	defer readBufs.Put(bp)
@@ -455,13 +439,13 @@ func (cb *chainBackend) readRemote(base, n int64, fn func(p []byte)) error {
 	defer readBufs.Put(bp)
 	buf := (*bp)[:n]
 	for p, at := buf, base; len(p) > 0; {
-		i := cb.extentAt(cb.bases, at)
-		if i == len(cb.bases) {
+		i := cb.lay.FindBase(at)
+		if i == len(cb.lay.Ext) {
 			return fmt.Errorf("core: offset %d is outside cache object %s", at, cb.id)
 		}
-		d := at - cb.bases[i]
-		k := min(int64(len(p)), cb.lens[i]-d)
-		if _, err := cb.pfsRead(p[:k], cb.offs[i]+d); err != nil {
+		d := at - cb.lay.Base[i]
+		k := min(int64(len(p)), cb.lay.Ext[i].Len-d)
+		if _, err := cb.pfsRead(p[:k], cb.lay.Ext[i].Off+d); err != nil {
 			return err
 		}
 		cb.pfsIndexed += k

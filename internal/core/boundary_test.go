@@ -49,14 +49,12 @@ func boundaryBackend(local bool) (*chainBackend, *stubPFS) {
 		rawSize: 80,
 		node:    &cluster.Node{ID: "nodeXX"},
 		pfs:     pfs,
-		offs:    []int64{10, 50},
-		bases:   []int64{0, 10},
-		lens:    []int64{10, 20},
+		lay:     corpus.NewLayout([]corpus.Extent{{Off: 10, Len: 10}, {Off: 50, Len: 20}}),
 	}
 	if local {
 		var data []byte
-		for i, off := range cb.offs {
-			for o := off; o < off+cb.lens[i]; o++ {
+		for _, e := range cb.lay.Ext {
+			for o := e.Off; o < e.Off+e.Len; o++ {
 				data = append(data, byte(o))
 			}
 		}

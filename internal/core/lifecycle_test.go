@@ -286,22 +286,20 @@ type byteRange struct{ off, n int64 }
 func (r byteRange) overlaps(o byteRange) bool { return r.off < o.off+o.n && o.off < r.off+r.n }
 
 // coldFetchRanges lists, in issue order, the cache-object range of every
-// peer fetch a cold boot of im makes: the boot replays its trace, the
-// overlay faults in each cluster under a read whole, and the chain
+// peer fetch a cold boot of im makes: the boot reads each cache extent
+// once, in offset order, the overlay faults in each cluster under a read whole, and the chain
 // backend asks the peer exchange for every piece of a cluster that lies
 // inside a cache extent. One peerFetch span is recorded per entry.
 func coldFetchRanges(im *corpus.Image, cluster int64) []byteRange {
-	exts := im.CacheExtentsSorted()
+	lay := im.Layout()
 	var out []byteRange
-	for _, e := range im.BootTrace() {
+	for _, e := range lay.Ext {
 		for lo := e.Off - e.Off%cluster; lo < e.Off+e.Len; lo += cluster {
 			hi := min(lo+cluster, im.RawSize())
-			base := int64(0)
-			for _, x := range exts {
-				if a, b := max(lo, x.Off), min(hi, x.Off+x.Len); a < b {
-					out = append(out, byteRange{base + a - x.Off, b - a})
-				}
-				base += x.Len
+			for i := lay.Find(lo); i < len(lay.Ext) && lay.Ext[i].Off < hi; i++ {
+				x := lay.Ext[i]
+				a, b := max(lo, x.Off), min(hi, x.Off+x.Len)
+				out = append(out, byteRange{lay.Base[i] + a - x.Off, b - a})
 			}
 		}
 	}

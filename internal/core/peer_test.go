@@ -278,15 +278,16 @@ func TestPeerRungLendsTheSourcesBytes(t *testing.T) {
 		t.Fatal("node03 still holds the replica")
 	}
 	cb.fetch = sq.newPeerFetcher(context.Background(), nil, "peerfetch", im.ID, r.node)
+	lay := im.Layout()
 	ext := 0
-	for i := range cb.lens {
-		if cb.lens[i] > cb.lens[ext] {
+	for i, e := range lay.Ext {
+		if e.Len > lay.Ext[ext].Len {
 			ext = i
 		}
 	}
-	off, n := cb.offs[ext], min(cb.lens[ext], 3*int64(sq.cfg.Volume.BlockSize))
+	off, n := lay.Ext[ext].Off, min(lay.Ext[ext].Len, 3*int64(sq.cfg.Volume.BlockSize))
 	if n <= int64(sq.cfg.Volume.BlockSize) {
-		t.Fatalf("the longest cache extent is %d bytes: no range spans two blocks", cb.lens[ext])
+		t.Fatalf("the longest cache extent is %d bytes: no range spans two blocks", lay.Ext[ext].Len)
 	}
 	var lent [][]byte
 	if err := cb.Lend(off, n, qcow.Window{From: off, To: off + n, Fn: func(p []byte) { lent = append(lent, p) }}); err != nil {
@@ -298,7 +299,7 @@ func TestPeerRungLendsTheSourcesBytes(t *testing.T) {
 	}
 	src := cb.fetch.topSource()
 	var want [][]byte
-	if err := sq.ccVolume(sq.replicas[src]).Visit(im.ID, cb.bases[ext], n, func(p []byte) { want = append(want, p) }); err != nil {
+	if err := sq.ccVolume(sq.replicas[src]).Visit(im.ID, lay.Base[ext], n, func(p []byte) { want = append(want, p) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(want) < 2 || len(lent) != len(want) {
@@ -321,12 +322,12 @@ func TestPeerRungLendsTheSourcesBytes(t *testing.T) {
 	setFaults(sq, fault.Plan{Seed: 42, Drop: 0.5, Truncate: 0.2, Corrupt: 0.15}, t)
 	f := sq.newPeerFetcher(context.Background(), nil, "peerfetch", im.ID, r.node)
 	faulted := sq.PeerCounters().Get("peer.fault")
-	for i := range cb.lens {
+	for i, e := range lay.Ext {
 		var lent int64
-		ok := f.fetch(cb.bases[i], cb.lens[i], func(p []byte) { lent += int64(len(p)) })
+		ok := f.fetch(lay.Base[i], e.Len, func(p []byte) { lent += int64(len(p)) })
 		want := int64(0)
 		if ok {
-			want = cb.lens[i]
+			want = e.Len
 		}
 		if lent != want {
 			t.Fatalf("extent %d: fetch %v lent %d bytes, want %d", i, ok, lent, want)

@@ -312,7 +312,7 @@ func buildImage(spec Spec, distro string, release int, idx int) *Image {
 	}
 	chunkLen := alignTo(bootLen/int64(nChunks), spec.CacheAlign)
 	basePiece := alignUp(baseLen / int64(nChunks))
-	var bootExts []extentRef
+	var bootExts []Extent
 	var bootOff, baseOff int64
 	for k := 0; bootOff < bootLen; k++ {
 		l := chunkLen
@@ -320,7 +320,7 @@ func buildImage(spec Spec, distro string, release int, idx int) *Image {
 			l = bootLen - bootOff
 		}
 		pad()
-		bootExts = append(bootExts, extentRef{Off: off, Len: l})
+		bootExts = append(bootExts, Extent{Off: off, Len: l})
 		// Shared boot pool, very sparse edits (kernels and init binaries
 		// rarely differ across images of one release).
 		add(segment{kind: segPool, length: l, pool: bootPool, poolOff: bootOff,
@@ -335,7 +335,7 @@ func buildImage(spec Spec, distro string, release int, idx int) *Image {
 	}
 	// Early-boot per-image configuration (hostname, keys, fstab).
 	pad()
-	uniqExt := extentRef{Off: off, Len: uniqBootLen}
+	uniqExt := Extent{Off: off, Len: uniqBootLen}
 	add(segment{kind: segPool, length: uniqBootLen, pool: uPool, poolOff: userOff})
 	userOff += uniqBootLen
 	// Rest of the OS base, if the interleave did not consume it.
@@ -368,7 +368,7 @@ func buildImage(spec Spec, distro string, release int, idx int) *Image {
 	im.recipe = segs
 	im.rawSize = off
 	im.nonzero = off - zeroLen
-	im.cacheExt, im.trace = buildCacheExtents(spec, im, rng, bootExts, uniqExt, cacheLen)
+	im.layout = NewLayout(buildCacheExtents(spec, im, rng, bootExts, uniqExt, cacheLen))
 	return im
 }
 
@@ -385,7 +385,7 @@ const pkgCatalogSize = 512
 
 // pkgExtent returns the pool range of package rank in a catalog: packages
 // are laid out back to back with per-package sizes of 16 KB – 512 KB.
-func pkgExtent(p poolID, rank int) extentRef {
+func pkgExtent(p poolID, rank int) Extent {
 	var off int64
 	var l int64
 	for r := 0; r <= rank; r++ {
@@ -395,7 +395,7 @@ func pkgExtent(p poolID, rank int) extentRef {
 			off += l
 		}
 	}
-	return extentRef{Off: off, Len: l}
+	return Extent{Off: off, Len: l}
 }
 
 // pickZipf maps a uniform u to a rank in [0, n) with quadratic skew
@@ -408,20 +408,17 @@ func pickZipf(u float64, n int) int {
 	return r
 }
 
-// buildCacheExtents derives the boot working set and the boot read
-// trace. Raw boot reads cover the whole boot region and early-boot
-// config plus a scattering of base and package reads (init scripts,
-// shared libraries, service binaries). Because the first boot populates
-// the cache by copy-on-read at QCOW2 cluster granularity, the cache
-// itself is the cluster-aligned, merged superset of those reads — which
-// is also what guarantees warm boots never leave the cache.
-//
-// The returned trace is in issue order: mostly ascending with
-// deterministic swaps, like a real boot's partially parallel service
-// startup. The trace exactly tiles the cache extents.
-func buildCacheExtents(spec Spec, im *Image, rng xorshift, bootExts []extentRef, uniqExt extentRef, cacheLen int64) (cache, trace []extentRef) {
+// buildCacheExtents derives the boot working set. Raw boot reads cover
+// the whole boot region and early-boot config plus a scattering of base
+// and package reads (init scripts, shared libraries, service binaries).
+// Because the first boot populates the cache by copy-on-read at QCOW2
+// cluster granularity, the cache itself is the cluster-aligned, merged
+// superset of those reads — which is also what guarantees warm boots
+// never leave the cache. The extents come back disjoint and sorted by
+// offset; a boot reads each of them once, whole, in that order.
+func buildCacheExtents(spec Spec, im *Image, rng xorshift, bootExts []Extent, uniqExt Extent, cacheLen int64) (cache []Extent) {
 	align := spec.CacheAlign
-	raw := append([]extentRef{}, bootExts...)
+	raw := append([]Extent{}, bootExts...)
 	raw = append(raw, uniqExt)
 	var bootTotal int64
 	for _, e := range bootExts {
@@ -434,21 +431,20 @@ func buildCacheExtents(spec Spec, im *Image, rng xorshift, bootExts []extentRef,
 	sampled := cacheLen - bootTotal - uniqExt.Len
 	sampleStart := uniqExt.Off + uniqExt.Len
 	region := im.nonzero - sampleStart
-	r := rng // copy; deterministic continuation
 	for got := int64(0); got < sampled && region > align; {
-		l := int64(16<<10) + int64(r.next()%uint64(48<<10))
+		l := int64(16<<10) + int64(rng.next()%uint64(48<<10))
 		if got+l > sampled {
 			l = sampled - got
 		}
 		// Popularity-biased offsets (u³ skew): boots of different images
 		// touch largely the same init scripts and shared libraries, so
 		// sampled reads cluster at the popular low offsets.
-		u := r.float()
+		u := rng.float()
 		off := sampleStart + int64(u*u*u*float64(region))
 		if off+l > sampleStart+region {
 			off = sampleStart + region - l
 		}
-		raw = append(raw, extentRef{Off: off, Len: l})
+		raw = append(raw, Extent{Off: off, Len: l})
 		got += l
 	}
 	// Round every read out to the CoR granularity, clip to the nonzero
@@ -459,7 +455,7 @@ func buildCacheExtents(spec Spec, im *Image, rng xorshift, bootExts []extentRef,
 		if hi > im.nonzero {
 			hi = im.nonzero
 		}
-		raw[i] = extentRef{Off: lo, Len: hi - lo}
+		raw[i] = Extent{Off: lo, Len: hi - lo}
 	}
 	sort.Slice(raw, func(i, j int) bool { return raw[i].Off < raw[j].Off })
 	for _, e := range raw {
@@ -474,26 +470,5 @@ func buildCacheExtents(spec Spec, im *Image, rng xorshift, bootExts []extentRef,
 		}
 		cache = append(cache, e)
 	}
-	// Trace: tile the cache extents with 16–64 KB reads (clipped to the
-	// CoR granularity when it is finer), then partially shuffle.
-	for _, e := range cache {
-		pos := e.Off
-		for pos < e.Off+e.Len {
-			l := int64(16<<10) + int64(r.next()%uint64(48<<10))
-			if l > align*16 {
-				l = align * 16
-			}
-			if rem := e.Off + e.Len - pos; l > rem {
-				l = rem
-			}
-			trace = append(trace, extentRef{Off: pos, Len: l})
-			pos += l
-		}
-	}
-	for i := 0; i+1 < len(trace); i += 2 {
-		if r.next()%4 == 0 {
-			trace[i], trace[i+1] = trace[i+1], trace[i]
-		}
-	}
-	return cache, trace
+	return cache
 }

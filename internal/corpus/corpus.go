@@ -166,13 +166,7 @@ type Image struct {
 	recipe     []segment
 	rawSize    int64 // logical size including the sparse tail
 	nonzero    int64
-	cacheExt   []extentRef // boot working set: disjoint, sorted, aligned
-	trace      []extentRef // boot-time reads in issue order
-}
-
-// extentRef is one boot-time read: offset and length within the image.
-type extentRef struct {
-	Off, Len int64
+	layout     Layout // boot working set: disjoint, sorted, aligned extents
 }
 
 // Repository is a fully constructed corpus.
@@ -285,10 +279,4 @@ func (im *Image) NonzeroSize() int64 { return im.nonzero }
 func (im *Image) Misaligned() bool { return im.misaligned }
 
 // CacheSize is the size of the image's boot working set in bytes.
-func (im *Image) CacheSize() int64 {
-	var n int64
-	for _, e := range im.cacheExt {
-		n += e.Len
-	}
-	return n
-}
+func (im *Image) CacheSize() int64 { return im.layout.Size }

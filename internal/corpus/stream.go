@@ -137,17 +137,15 @@ func (r *imageReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// CacheReader returns a reader over the image's boot working set: the
-// concatenation of its boot-trace extents sorted by offset (the layout a
-// copy-on-read cache ends up with).
+// CacheReader returns a reader over the image's boot working set laid
+// out as its cache object (see Layout).
 func (im *Image) CacheReader() io.Reader {
-	exts := im.CacheExtentsSorted()
-	return &cacheReader{g: NewGenerator(im), exts: exts}
+	return &cacheReader{g: NewGenerator(im), exts: im.layout.Ext}
 }
 
 type cacheReader struct {
 	g    *Generator
-	exts []extentRef
+	exts []Extent
 	i    int
 	rel  int64
 }
@@ -174,29 +172,64 @@ func (r *cacheReader) Read(p []byte) (int, error) {
 	return 0, io.EOF
 }
 
-// BootTrace returns the image's boot-time reads in issue order: offsets
-// and lengths within the image. The boot simulator replays this trace.
-func (im *Image) BootTrace() []Extent {
-	out := make([]Extent, len(im.cacheExt))
-	for i, e := range im.cacheExt {
-		out[i] = Extent{Off: e.Off, Len: e.Len}
-	}
-	return out
-}
-
-// CacheExtentsSorted returns the boot working set extents sorted by
-// offset (cache layout order rather than read order).
-func (im *Image) CacheExtentsSorted() []extentRef {
-	exts := make([]extentRef, len(im.cacheExt))
-	copy(exts, im.cacheExt)
-	sort.Slice(exts, func(i, j int) bool { return exts[i].Off < exts[j].Off })
-	return exts
-}
-
-// Extent is a public (offset, length) pair within an image.
+// Extent is an (offset, length) pair within an image.
 type Extent struct {
 	Off, Len int64
 }
+
+// Layout is an image's cache object: its boot working set's extents, in
+// offset order, concatenated — the compact file a copy-on-read first
+// boot leaves behind (the paper's "cache chained to base", Fig 7).
+// Extent i is image range [Ext[i].Off, +Ext[i].Len) and cache-object
+// range [Base[i], +Ext[i].Len); Size is the object's length. The layout
+// is the same on every replica, so it is the one map between image
+// offsets and cache-object offsets. It is built once per image and is
+// read-only: no caller may write to its slices.
+type Layout struct {
+	Ext  []Extent
+	Base []int64
+	Size int64
+}
+
+// NewLayout lays out exts, which must be non-empty, disjoint and sorted
+// by offset, as one cache object. The layout keeps exts.
+func NewLayout(exts []Extent) Layout {
+	l := Layout{Ext: exts, Base: make([]int64, len(exts))}
+	for i, e := range exts {
+		l.Base[i] = l.Size
+		l.Size += e.Len
+	}
+	return l
+}
+
+// Find returns the index of the first extent ending after image offset
+// off: len(l.Ext) when off lies past every extent, and an extent that
+// starts after off when off lies in the gap before it.
+func (l *Layout) Find(off int64) int {
+	return sort.Search(len(l.Ext), func(i int) bool { return l.Ext[i].Off+l.Ext[i].Len > off })
+}
+
+// FindBase returns the index of the extent holding cache-object offset
+// base, or len(l.Ext) when base lies at or past l.Size.
+func (l *Layout) FindBase(base int64) int {
+	return sort.Search(len(l.Base), func(i int) bool { return l.Base[i]+l.Ext[i].Len > base })
+}
+
+// Layout returns the image's cache-object layout, read-only.
+func (im *Image) Layout() *Layout { return &im.layout }
+
+// BootTrace returns what a boot reads: every cache extent once, whole,
+// in offset order — the layout's extents, read-only. The module's own
+// boots read im.Layout(); BootTrace stays because the benchmark module
+// (bench/) calls it.
+func (im *Image) BootTrace() []Extent { return im.layout.Ext }
+
+// CacheExtentsSorted returns the boot working set's extents in offset
+// order (cache layout order): the layout's extents, read-only and
+// already sorted. The module's own callers read im.Layout();
+// CacheExtentsSorted stays because the benchmark module (bench/) calls
+// it.
+func (im *Image) CacheExtentsSorted() []Extent { return im.layout.Ext }
 
 // Blocks iterates the image's full content in blocks of size bs, calling
 // fn(index, data, zero). Blocks entirely inside zero segments are

@@ -87,14 +87,11 @@ func NewOverlay(backing Backend, clusterSize int64, cor bool) (*Overlay, error) 
 		return nil, fmt.Errorf("qcow: nil backing")
 	}
 	lender, _ := backing.(Lender)
-	return &Overlay{
-		lender:   lender,
-		cluster:  clusterSize,
-		size:     backing.Size(),
-		backing:  backing,
-		clusters: make(map[int64][]byte),
-		cor:      cor,
-	}, nil
+	o := &Overlay{lender: lender, cluster: clusterSize, size: backing.Size(), backing: backing, cor: cor}
+	if cor {
+		o.clusters = make(map[int64][]byte) // without copy-on-read it stays nil, never written
+	}
+	return o, nil
 }
 
 // Size implements Backend.

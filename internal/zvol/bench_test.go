@@ -50,11 +50,10 @@ func benchVolume(b *testing.B, cfgName string, cfg Config) {
 			}
 		}
 	})
-	// Range reads, the peer exchange's source-side read. readat walks the
-	// object in aligned 64 KB ranges (whole blocks decode straight into
-	// the caller's buffer); readat-4K-unaligned asks for 4 KB ranges 1234
-	// bytes past a 4 KB boundary (the covering block decodes into scratch),
-	// so its MB/s is delivered bytes, not decoded bytes.
+	// Range reads: a Visit, copied out into the caller's buffer. readat
+	// walks the object in aligned 64 KB ranges; readat-4K-unaligned asks
+	// for 4 KB ranges 1234 bytes past a 4 KB boundary (the covering block
+	// is decoded whole), so its MB/s is delivered bytes, not decoded bytes.
 	for _, rr := range []struct {
 		name        string
 		size, shift int64
@@ -68,7 +67,7 @@ func benchVolume(b *testing.B, cfgName string, cfg Config) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				off := int64(i)*7%slots*rr.size + rr.shift
-				if err := v.ReadAt("o", p, off); err != nil {
+				if err := visitCopy(b, v, "o", p, off); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -84,38 +83,19 @@ func BenchmarkVolume(b *testing.B) {
 	benchVolume(b, "dedup+gzip6/4K", Config{BlockSize: block.Size4K, Codec: "gzip6", Dedup: true})
 }
 
-// BenchmarkReadAtDecoded times a whole-block 64 KB ReadAt on the paper's
-// configuration at both ends of the decoded-block cache: hot reads one
-// block, so every read after the first is a hit (checks and a copy);
-// miss cycles in order over one block more than the budget holds, so
-// the LRU always evicts the block read next and every read decodes. The
-// cache has no off switch, and miss is the floor it would have measured.
-func BenchmarkReadAtDecoded(b *testing.B) {
-	p := make([]byte, decodedBenchBlock)
-	benchDecoded(b, "miss", func(v *Volume, off int64) error { return v.ReadAt("o", p, off) })
-}
-
-// BenchmarkVisitDecoded is BenchmarkReadAtDecoded's twin for the read a
-// boot makes, a 64 KB Visit: hot lends the cache's entry (checks, no
-// copy), cold decodes every block into a fresh entry and lends that.
+// BenchmarkVisitDecoded times a whole-block 64 KB Visit, the read a boot
+// makes, on the paper's configuration at both ends of the decoded-block
+// cache: hot visits one block, so every visit after the first lends the
+// cache's entry (checks, no copy); cold cycles in order over one block
+// more than the budget holds, so the LRU always evicts the block visited
+// next and every visit decodes into a fresh entry and lends that. The
+// cache has no off switch, and cold is the floor it would have measured.
 func BenchmarkVisitDecoded(b *testing.B) {
-	benchDecoded(b, "cold", func(v *Volume, off int64) error {
-		return v.Visit("o", off, decodedBenchBlock, func([]byte) {})
-	})
-}
-
-// decodedBenchBlock is the block size and read size of the decoded rungs.
-const decodedBenchBlock = 64 << 10
-
-// benchDecoded runs read over a one-block object ("hot") and over one of
-// a block more than the decode budget holds, read in order (the name
-// given as cold).
-func benchDecoded(b *testing.B, cold string, read func(v *Volume, off int64) error) {
-	const bs = decodedBenchBlock
+	const bs = 64 << 10
 	for _, c := range []struct {
 		name   string
 		blocks int
-	}{{"hot", 1}, {cold, decodeBudget/bs + 1}} {
+	}{{"hot", 1}, {"cold", decodeBudget/bs + 1}} {
 		b.Run(c.name, func(b *testing.B) {
 			v, err := New(DefaultConfig())
 			if err != nil {
@@ -133,7 +113,7 @@ func benchDecoded(b *testing.B, cold string, read func(v *Volume, off int64) err
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := read(v, int64(i%c.blocks)*bs); err != nil {
+				if err := v.Visit("o", int64(i%c.blocks)*bs, bs, func([]byte) {}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -54,7 +54,7 @@ func TestDecodedCacheNeverHidesRot(t *testing.T) {
 	// The sender and its replicas hold one payload per block, so they share
 	// one decode: a replica's first read of what the sender read is all hits.
 	ctr := counted(replicas[1])
-	if err := replicas[1].ReadAt("base", make([]byte, len(want)), 0); err != nil {
+	if err := visitCopy(t, replicas[1], "base", make([]byte, len(want)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if hit, miss := decodeCounts(ctr); hit == 0 || miss != 0 {
@@ -90,7 +90,7 @@ func TestDecodedCacheNeverHidesRot(t *testing.T) {
 			ctr := counted(c.v)
 			got := make([]byte, len(want))
 			for i := 0; i < 2; i++ { // the second read is served by the cache
-				if err := c.v.ReadAt("base", got, 0); err != nil || !bytes.Equal(got, want) {
+				if err := visitCopy(t, c.v, "base", got, 0); err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("read %d before the rot: %v", i, err)
 				}
 			}
@@ -100,11 +100,11 @@ func TestDecodedCacheNeverHidesRot(t *testing.T) {
 			if err := c.v.CorruptStoredBlock("base", idx, 3, 0x10); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.v.ReadAt("base", got[:100], int64(idx*bs+50)); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("ReadAt over the rotted block under a hot cache: %v", err)
+			if err := visitCopy(t, c.v, "base", got[:100], int64(idx*bs+50)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Visit over the rotted block under a hot cache: %v", err)
 			}
-			if err := c.v.ReadAt("base", got, 0); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("whole ReadAt over the rotted block under a hot cache: %v", err)
+			if err := visitCopy(t, c.v, "base", got, 0); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("whole Visit over the rotted block under a hot cache: %v", err)
 			}
 			hit, miss := decodeCounts(ctr)
 			rep := c.v.Scrub()
@@ -115,14 +115,14 @@ func TestDecodedCacheNeverHidesRot(t *testing.T) {
 				t.Fatalf("scrub under a hot cache: %+v", rep)
 			}
 			for _, other := range []*Volume{src, replicas[1]} {
-				if err := other.ReadAt("base", got, 0); err != nil || !bytes.Equal(got, want) {
+				if err := visitCopy(t, other, "base", got, 0); err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("a volume sharing the payload read the rot: %v", err)
 				}
 			}
 			if err := c.v.RepairBlock("base", idx, intact); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.v.ReadAt("base", got, 0); err != nil || !bytes.Equal(got, want) {
+			if err := visitCopy(t, c.v, "base", got, 0); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("read after the repair: %v", err)
 			}
 		})
@@ -150,7 +150,7 @@ func TestDecodedCacheKeyIsThePayload(t *testing.T) {
 	read := func(t *testing.T, v *Volume, name string, c byte) {
 		t.Helper()
 		got := make([]byte, 4096)
-		if err := v.ReadAt(name, got, 0); err != nil || !bytes.Equal(got, blockOf(c)) {
+		if err := visitCopy(t, v, name, got, 0); err != nil || !bytes.Equal(got, blockOf(c)) {
 			t.Fatalf("%s read back wrong: %v", name, err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestDecodedCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	read := func(i int) bool {
 		t.Helper()
 		hit, _ := decodeCounts(ctr)
-		if err := v.ReadAt("o", p, int64(i*bs)); err != nil || !bytes.Equal(p, data[i*bs:(i+1)*bs]) {
+		if err := visitCopy(t, v, "o", p, int64(i*bs)); err != nil || !bytes.Equal(p, data[i*bs:(i+1)*bs]) {
 			t.Fatalf("block %d read back wrong: %v", i, err)
 		}
 		after, _ := decodeCounts(ctr)
@@ -324,12 +324,12 @@ func TestDecodedCacheConcurrentRotRepairAndReuse(t *testing.T) {
 				r := rng.Intn(nReplicas)
 				off := rng.Int63n(int64(len(want)))
 				p := make([]byte, rng.Int63n(min(int64(len(want))-off, 3*bs)+1))
-				err := replicas[r].ReadAt("base", p, off)
+				err := visitCopy(t, replicas[r], "base", p, off)
 				overRot := len(p) > 0 && off < int64(rotIdx+1)*bs && off+int64(len(p)) > int64(rotIdx)*bs
 				switch {
 				case errors.Is(err, ErrCorrupt) && r == 0 && overRot:
 				case err != nil || !bytes.Equal(p, want[off:off+int64(len(p))]):
-					t.Errorf("replica %d ReadAt base [%d,+%d): %v", r, off, len(p), err)
+					t.Errorf("replica %d Visit base [%d,+%d): %v", r, off, len(p), err)
 					return
 				}
 				name := fmt.Sprintf("churn%d", rng.Intn(2))
@@ -417,7 +417,7 @@ func stormOneBlock(t *testing.T, v *Volume, addr uint64, n int, want []byte) (er
 		go func(i int) {
 			defer wg.Done()
 			got := make([]byte, len(want))
-			if errs[i] = v.ReadAt("o", got, 0); errs[i] == nil && !bytes.Equal(got, want) {
+			if errs[i] = visitCopy(t, v, "o", got, 0); errs[i] == nil && !bytes.Equal(got, want) {
 				t.Errorf("reader %d read back wrong bytes", i)
 			}
 		}(i)
@@ -582,7 +582,7 @@ func TestDecodedEntryNeverWrittenAfterFinish(t *testing.T) {
 			p := make([]byte, bs)
 			for pass := 0; pass < passes; pass++ {
 				for i := 0; i < n; i++ {
-					if err := v.ReadAt("o", p, int64(i)*bs); err != nil || !bytes.Equal(p, data[i*bs:(i+1)*bs]) {
+					if err := visitCopy(t, v, "o", p, int64(i)*bs); err != nil || !bytes.Equal(p, data[i*bs:(i+1)*bs]) {
 						errs <- fmt.Errorf("churn read of block %d: %v", i, err)
 						return
 					}

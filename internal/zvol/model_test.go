@@ -274,7 +274,7 @@ func sortedNames(objs map[string]*refObject) []string {
 
 // checkState compares what v lists, serves and accounts with the model:
 // the live table, one random range of one live object read through
-// ReadAt, every snapshot's listing, one snapshot read in full
+// Visit, every snapshot's listing, one snapshot read in full
 // (and a miss on a name it does not list), every total Stats reports, and
 // the held list's own invariants.
 func (r *refVolume) checkState(t *testing.T, rng *rand.Rand, v *Volume, when string) {
@@ -291,7 +291,7 @@ func (r *refVolume) checkState(t *testing.T, rng *rand.Rand, v *Volume, when str
 		want := r.live[name].data
 		off := rng.Intn(len(want) + 1)
 		p := make([]byte, rng.Intn(len(want)-off+1))
-		if err := v.ReadAt(name, p, int64(off)); err != nil || !bytes.Equal(p, want[off:off+len(p)]) {
+		if err := visitCopy(t, v, name, p, int64(off)); err != nil || !bytes.Equal(p, want[off:off+len(p)]) {
 			t.Fatalf("%s: range [%d,+%d) of %s diverged (err %v)", when, off, len(p), name, err)
 		}
 	}

@@ -45,6 +45,21 @@ const fill = 0xEE // what a range buffer holds before the read
 
 func filled(n int) []byte { return bytes.Repeat([]byte{fill}, n) }
 
+// visitCopy reads bytes [off, off+len(p)) of the named object into p
+// through Visit, the range read a boot and a peer source make, copying
+// out what it lends. A range that fails is lent nothing, so p is then
+// untouched; visitCopy reports it to t if a failed Visit ran fn.
+func visitCopy(t testing.TB, v *Volume, name string, p []byte, off int64) error {
+	t.Helper()
+	lent := false
+	q := p
+	err := v.Visit(name, off, int64(len(p)), func(b []byte) { lent, q = true, q[copy(q, b):] })
+	if err != nil && lent {
+		t.Errorf("Visit [%d,+%d) of %s lent bytes, then failed: %v", off, len(p), name, err)
+	}
+	return err
+}
+
 func TestReadAtMatchesReadObject(t *testing.T) {
 	for _, codec := range compress.Names() {
 		for _, bs := range []block.Size{block.Size4K, block.Size64K} {
@@ -98,28 +113,28 @@ func TestReadAtMatchesReadObject(t *testing.T) {
 				for _, r := range ranges {
 					off, n := r[0], r[1]
 					p := filled(int(n))
-					if err := v.ReadAt("o", p, off); err != nil {
-						t.Fatalf("ReadAt [%d,+%d): %v", off, n, err)
+					if err := visitCopy(t, v, "o", p, off); err != nil {
+						t.Fatalf("Visit [%d,+%d): %v", off, n, err)
 					}
 					if !bytes.Equal(p, want[off:off+n]) {
-						t.Fatalf("ReadAt [%d,+%d) differs from ReadObject", off, n)
+						t.Fatalf("Visit [%d,+%d) differs from ReadObject", off, n)
 					}
 				}
 
 				// Outside the object (or no such object): an error, p untouched.
 				for _, r := range [][2]int64{{-1, 1}, {-1, 0}, {size, 1}, {size + 1, 0}, {size - 1, 2}, {0, size + 1}} {
 					p := filled(int(r[1]))
-					err := v.ReadAt("o", p, r[0])
+					err := visitCopy(t, v, "o", p, r[0])
 					if err == nil || errors.Is(err, ErrCorrupt) {
-						t.Fatalf("ReadAt [%d,+%d) of a %d-byte object: %v", r[0], r[1], size, err)
+						t.Fatalf("Visit [%d,+%d) of a %d-byte object: %v", r[0], r[1], size, err)
 					}
 					if !bytes.Equal(p, filled(len(p))) {
-						t.Fatalf("failed ReadAt [%d,+%d) wrote to p", r[0], r[1])
+						t.Fatalf("failed Visit [%d,+%d) wrote to p", r[0], r[1])
 					}
 				}
 				p := filled(8)
-				if err := v.ReadAt("nope", p, 0); !errors.Is(err, ErrNotFound) || !bytes.Equal(p, filled(8)) {
-					t.Fatalf("ReadAt of an unknown object: %v", err)
+				if err := visitCopy(t, v, "nope", p, 0); !errors.Is(err, ErrNotFound) || !bytes.Equal(p, filled(8)) {
+					t.Fatalf("Visit of an unknown object: %v", err)
 				}
 			})
 		}
@@ -167,12 +182,12 @@ func TestReadAtVerifiesPerRange(t *testing.T) {
 				touches = touches || rotted[int(i)]
 			}
 			p := filled(int(n))
-			err := v.ReadAt("o", p, off)
+			err := visitCopy(t, v, "o", p, off)
 			switch {
 			case touches && !errors.Is(err, ErrCorrupt):
-				t.Fatalf("ReadAt [%d,+%d) touches a rotted block: %v", off, n, err)
+				t.Fatalf("Visit [%d,+%d) touches a rotted block: %v", off, n, err)
 			case !touches && (err != nil || !bytes.Equal(p, want[off:off+n])):
-				t.Fatalf("ReadAt [%d,+%d) is clear of rot yet failed or differs: %v", off, n, err)
+				t.Fatalf("Visit [%d,+%d) is clear of rot yet failed or differs: %v", off, n, err)
 			}
 		}
 	}
@@ -207,8 +222,8 @@ func TestRawBlockRotIsCaughtByThePayloadChecksum(t *testing.T) {
 		if _, _, _, err := v.ReadBlock("o", 1); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: ReadBlock of a rotted raw block: %v", codec, err)
 		}
-		if err := v.ReadAt("o", make([]byte, 10), 4096+12); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: ReadAt inside a rotted raw block: %v", codec, err)
+		if err := visitCopy(t, v, "o", make([]byte, 10), 4096+12); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Visit inside a rotted raw block: %v", codec, err)
 		}
 		if _, err := v.ReadObject("o"); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: ReadObject over a rotted raw block: %v", codec, err)
@@ -279,8 +294,8 @@ func TestReadChecksTheStoredLength(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "pointer says") {
 				t.Fatalf("%s, physLen off by %d: ReadBlock returned %v", kind, d, err)
 			}
-			if err := v.ReadAt("o", make([]byte, 100), int64(i)*4096+7); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s, physLen off by %d: ReadAt returned %v", kind, d, err)
+			if err := visitCopy(t, v, "o", make([]byte, 100), int64(i)*4096+7); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s, physLen off by %d: Visit returned %v", kind, d, err)
 			}
 			if rep := v.Scrub(); rep.CorruptBlocks != 1 {
 				t.Fatalf("%s, physLen off by %d: scrub %+v", kind, d, rep)
@@ -309,8 +324,8 @@ func TestReadAtConcurrent(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				off := rng.Int63n(int64(len(want)))
 				p := make([]byte, rng.Int63n(min(int64(len(want))-off, 3*4096)+1))
-				if err := v.ReadAt("o", p, off); err != nil || !bytes.Equal(p, want[off:off+int64(len(p))]) {
-					t.Errorf("reader %d: ReadAt [%d,+%d): err %v", g, off, len(p), err)
+				if err := visitCopy(t, v, "o", p, off); err != nil || !bytes.Equal(p, want[off:off+int64(len(p))]) {
+					t.Errorf("reader %d: Visit [%d,+%d): err %v", g, off, len(p), err)
 					return
 				}
 			}
@@ -367,7 +382,7 @@ func TestReadNeverRacesDeleteObject(t *testing.T) {
 					return
 				default:
 				}
-				err := v.ReadAt("o", p, 0)
+				err := visitCopy(t, v, "o", p, 0)
 				if errors.Is(err, ErrNotFound) {
 					continue
 				}
@@ -429,7 +444,7 @@ func TestReadAtNeverServesABitRottedBlock(t *testing.T) {
 	// 256 bytes (codec header, first tokens or code lengths) and of its
 	// last 8 (gzip's trailer), of a seeded sample of 256 body bits, and a
 	// seeded burst of 32 bits — made in the store, must surface from
-	// ReadAt as ErrCorrupt, whole-block and part-block reads alike, never
+	// Visit as ErrCorrupt, whole-block and part-block reads alike, never
 	// as data. This is what lets a read skip the logical re-hash.
 	repo, err := corpus.New(corpus.DefaultSpec().Scale(32.0/607, 0.25))
 	if err != nil {
@@ -510,15 +525,15 @@ func TestReadAtNeverServesABitRottedBlock(t *testing.T) {
 			whole, part := make([]byte, len(c.data)), make([]byte, 1000)
 			for _, bits := range rots {
 				flip(bits)
-				if err := v.ReadAt("o", whole, 0); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("payload bits %v flipped: whole-block ReadAt returned %v, want ErrCorrupt", bits, err)
+				if err := visitCopy(t, v, "o", whole, 0); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("payload bits %v flipped: whole-block Visit returned %v, want ErrCorrupt", bits, err)
 				}
-				if err := v.ReadAt("o", part, 4321); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("payload bits %v flipped: part-block ReadAt returned %v, want ErrCorrupt", bits, err)
+				if err := visitCopy(t, v, "o", part, 4321); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("payload bits %v flipped: part-block Visit returned %v, want ErrCorrupt", bits, err)
 				}
 				flip(bits)
 			}
-			if err := v.ReadAt("o", whole, 0); err != nil || !bytes.Equal(whole, c.data) {
+			if err := visitCopy(t, v, "o", whole, 0); err != nil || !bytes.Equal(whole, c.data) {
 				t.Fatalf("every flip undone, yet the block reads back wrong: %v", err)
 			}
 		})
@@ -555,7 +570,7 @@ func TestVisitLendsALongHoleInPieces(t *testing.T) {
 		}
 	}
 	got := make([]byte, 64)
-	if err := v.ReadAt("sparse", got, hole-64); err != nil || !bytes.Equal(got, make([]byte, 64)) {
-		t.Fatalf("ReadAt across the hole's end: %v", err)
+	if err := visitCopy(t, v, "sparse", got, hole-64); err != nil || !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatalf("Visit across the hole's end: %v", err)
 	}
 }

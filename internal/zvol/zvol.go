@@ -43,12 +43,12 @@
 //
 // Reads are whole-object (ReadObject, ReadObjectAt, ReadBlock) or by
 // range, touching only the blocks the range covers — what the paper's
-// boot path asks of its volume: Visit lends the range's bytes, ReadAt
-// copies them out. All are one walk over one block read, lendBlock, which
-// verifies a block (stored length, the stored payload's CRC32C, an
-// exact-length codec decode) and then lends its decoded bytes instead of
-// copying them, as ZFS's dmu_buf_hold hands a reader a held ARC buffer,
-// so none can return a byte that skipped a check. Visit lends nothing of
+// boot path asks of its volume: Visit lends the range's bytes. All are
+// one walk over one block read, lendBlock, which verifies a block
+// (stored length, the stored payload's CRC32C, an exact-length codec
+// decode) and then lends its decoded bytes instead of copying them, as
+// ZFS's dmu_buf_hold hands a reader a held ARC buffer, so none can
+// return a byte that skipped a check. Visit lends nothing of
 // a range until every block under it has passed. As in ZFS, SHA-256 is
 // the dedup key, computed once at write: a read never recomputes it, and
 // Scrub alone checks the decoded bytes against it (see scrub.go). What a
@@ -458,34 +458,20 @@ func (v *Volume) ReadObject(name string) ([]byte, error) {
 	return v.materialize(obj)
 }
 
-// ReadAt fills p with bytes [off, off+len(p)) of the named live object,
-// decoding only the blocks the range touches: a copy out of the bytes
-// Visit would lend. The range must lie inside the object: a request
-// outside it (or for an unknown object) is an error and leaves p
-// untouched. Every block that contributes a byte is verified exactly as a
-// whole-object read verifies it, so a rotted block fails the ranges that
-// overlap it with ErrCorrupt — p's contents are then unspecified — while
-// ranges clear of it are served.
-func (v *Volume) ReadAt(name string, p []byte, off int64) error {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	obj, err := v.objectLocked(name)
-	if err != nil {
-		return err
-	}
-	return v.walk(obj, off, int64(len(p)), func(b []byte) { p = p[copy(p, b):] })
-}
-
 // Visit runs fn on bytes [off, off+n) of the named live object, lent
 // block by block in order: on a decoded-block cache hit the cache's entry
 // itself, on a miss the block just decoded (which becomes the entry), for
 // a raw block its stored payload, for a hole a shared zero block. Nothing
-// is copied. fn runs under the volume's read lock, so it must not write
-// to the volume, and only once every block the range touches has passed
-// its checks, so it sees the whole range or, when any block fails, none
-// of it: a caller that re-serves a failed range from elsewhere never
-// delivers a byte twice. The bytes are lent: fn must neither write them
-// nor keep them past its return. The range rules are ReadAt's.
+// is copied, and only the blocks the range touches are read. fn runs
+// under the volume's read lock, so it must not write to the volume, and
+// only once every block the range touches has passed its checks, exactly
+// as a whole-object read checks them, so it sees the whole range or,
+// when any block fails, none of it: a rotted block fails the ranges that
+// overlap it with ErrCorrupt while ranges clear of it are served, and a
+// caller that re-serves a failed range from elsewhere never delivers a
+// byte twice. The range must lie inside the object: one outside it, or
+// an unknown object, is an error and fn never runs. The bytes are lent:
+// fn must neither write them nor keep them past its return.
 func (v *Volume) Visit(name string, off, n int64, fn func(p []byte)) error {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
