@@ -65,8 +65,8 @@ loc:
 	@printf 'bench/ Go:                  '; find ./bench -name '*.go' | xargs cat | wc -l
 
 # Short fuzz burst over the decoders that take bytes from elsewhere — the
-# wire protocol, the control-plane request bodies and the binary boot
-# request and report (off a socket), the
+# wire protocol, the control-plane request bodies, the binary boot
+# request and report and the binary health reply (off a socket), the
 # snapshot stream format (off the registration multicast) and the block
 # codecs (off a disk that can rot). Each target also replays its seed
 # corpus during plain `make test`.
@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz FuzzHandle -fuzztime 10s ./internal/daemon/
 	$(GO) test -fuzz FuzzBootRequest -fuzztime 5s ./internal/ctlplane/
 	$(GO) test -fuzz FuzzBootReport -fuzztime 5s ./internal/ctlplane/
+	$(GO) test -fuzz FuzzHealthReply -fuzztime 5s ./internal/ctlplane/
 	$(GO) test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/zvol/
 	$(GO) test -fuzz FuzzDecompressInto -fuzztime 10s ./internal/compress/
 	$(GO) test -fuzz FuzzInflate -fuzztime 10s ./internal/compress/

@@ -35,14 +35,20 @@ const (
 	reportHealed = 1 << 1
 )
 
-// errBadBody marks a TBoot body that does not decode or encode.
-var errBadBody = errors.New("ctlplane: bad boot body")
+// errBadBody marks a binary body (TBoot's request or report, THealth's
+// reply) that does not decode or encode; badBody wraps it with the name
+// of the body that failed.
+var errBadBody = errors.New("ctlplane: bad body")
+
+func badBody(body string, err error) error {
+	return fmt.Errorf("%w: %s: %v", errBadBody, body, err)
+}
 
 // AppendBootRequest appends r's TBoot request body to dst.
 func AppendBootRequest(dst []byte, r core.BootRequest) ([]byte, error) {
 	dst, err := appendStrings(dst, r.Image, r.Node)
 	if err != nil {
-		return nil, err
+		return nil, badBody("boot request", err)
 	}
 	var flags byte
 	if r.Verify {
@@ -62,7 +68,7 @@ func DecodeBootRequest(b []byte) (core.BootRequest, error) {
 	r.Node = d.str()
 	flags := d.flags(bootVerify | bootSkipCache)
 	if err := d.done(); err != nil {
-		return core.BootRequest{}, fmt.Errorf("%w: request: %v", errBadBody, err)
+		return core.BootRequest{}, badBody("boot request", err)
 	}
 	r.Verify = flags&bootVerify != 0
 	r.SkipCache = flags&bootSkipCache != 0
@@ -73,7 +79,7 @@ func DecodeBootRequest(b []byte) (core.BootRequest, error) {
 func AppendBootReport(dst []byte, r core.BootReport) ([]byte, error) {
 	dst, err := appendStrings(dst, r.ImageID, r.NodeID, r.PeerNode)
 	if err != nil {
-		return nil, err
+		return nil, badBody("boot report", err)
 	}
 	var flags byte
 	if r.Warm {
@@ -110,7 +116,7 @@ func DecodeBootReport(b []byte) (core.BootReport, error) {
 	r.BreakerTrips = int(d.i64())
 	r.PeerStallSec = math.Float64frombits(uint64(d.i64()))
 	if err := d.done(); err != nil {
-		return core.BootReport{}, fmt.Errorf("%w: report: %v", errBadBody, err)
+		return core.BootReport{}, badBody("boot report", err)
 	}
 	r.Warm = flags&reportWarm != 0
 	r.Healed = flags&reportHealed != 0
@@ -121,7 +127,7 @@ func DecodeBootReport(b []byte) (core.BootReport, error) {
 func appendStrings(dst []byte, ss ...string) ([]byte, error) {
 	for _, s := range ss {
 		if len(s) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: a %d-byte string does not fit a u16 length", errBadBody, len(s))
+			return nil, fmt.Errorf("a %d-byte string does not fit a u16 length", len(s))
 		}
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
 		dst = append(dst, s...)
@@ -155,6 +161,14 @@ func (d *bodyDecoder) str() string {
 		return ""
 	}
 	return string(d.take(int(binary.LittleEndian.Uint16(p))))
+}
+
+func (d *bodyDecoder) u32() uint32 {
+	p := d.take(4)
+	if p == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(p)
 }
 
 func (d *bodyDecoder) i64() int64 {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -14,7 +15,9 @@ import (
 // fillDistinct sets every exported field of *p to a non-zero value no
 // other field of it shares (bools can only be true), and fails on a field
 // kind it does not know how to fill, so a new field cannot hide as zero.
-func fillDistinct(t *testing.T, p any) {
+// Values also differ between calls with different rows. A time carries
+// nanoseconds and a zone east of UTC by a non-whole hour.
+func fillDistinct(t *testing.T, p any, row int) {
 	t.Helper()
 	v := reflect.ValueOf(p).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -22,15 +25,19 @@ func fillDistinct(t *testing.T, p any) {
 		if !sf.IsExported() {
 			continue
 		}
-		switch f.Kind() {
-		case reflect.String:
-			f.SetString(fmt.Sprintf("%s-%d", strings.ToLower(sf.Name), i))
-		case reflect.Bool:
+		n := 100*row + i + 1
+		switch {
+		case f.Type() == reflect.TypeOf(time.Time{}):
+			zone := time.FixedZone("", 5*3600+30*60)
+			f.Set(reflect.ValueOf(time.Date(2014, 6, 23, 9, n%60, 0, 123456789+n, zone)))
+		case f.Kind() == reflect.String:
+			f.SetString(fmt.Sprintf("%s-%d", strings.ToLower(sf.Name), n))
+		case f.Kind() == reflect.Bool:
 			f.SetBool(true)
-		case reflect.Int, reflect.Int64:
-			f.SetInt(int64(i+1)<<40 | int64(i+1)) // both halves of the i64 carry bits
-		case reflect.Float64:
-			f.SetFloat(float64(i) + 0.125)
+		case f.Kind() == reflect.Int, f.Kind() == reflect.Int64:
+			f.SetInt(int64(n)<<40 | int64(n)) // both halves of the i64 carry bits
+		case f.Kind() == reflect.Float64:
+			f.SetFloat(float64(n) + 0.125)
 		default:
 			t.Fatalf("%s.%s: kind %s has no filler here, and no boot body encoding", v.Type().Name(), sf.Name, f.Kind())
 		}
@@ -43,7 +50,7 @@ func fillDistinct(t *testing.T, p any) {
 // free, the binary ones do not.
 func TestBootBodiesCarryEveryField(t *testing.T) {
 	var req core.BootRequest
-	fillDistinct(t, &req)
+	fillDistinct(t, &req, 0)
 	enc, err := AppendBootRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +60,7 @@ func TestBootBodiesCarryEveryField(t *testing.T) {
 	}
 
 	var rep core.BootReport
-	fillDistinct(t, &rep)
+	fillDistinct(t, &rep, 0)
 	if enc, err = AppendBootReport(nil, rep); err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +87,8 @@ func TestBootBodiesRejectMalformed(t *testing.T) {
 			t.Fatalf("%s: the full body does not decode: %v", name, err)
 		}
 		for n := 0; n < len(d.body); n++ {
-			if err := d.decode(d.body[:n]); !errors.Is(err, errBadBody) {
-				t.Errorf("%s truncated to %d of %d bytes: %v, want errBadBody", name, n, len(d.body), err)
+			if err := d.decode(d.body[:n]); !errors.Is(err, errBadBody) || !strings.Contains(err.Error(), "boot "+name) {
+				t.Errorf("%s truncated to %d of %d bytes: %v, want errBadBody naming the boot %s", name, n, len(d.body), err, name)
 			}
 		}
 		if err := d.decode(append(bytes.Clone(d.body), 0)); !errors.Is(err, errBadBody) {

@@ -9,12 +9,15 @@ import (
 // Wire message bodies. Each wireproto frame type carries one of these.
 // The framing is binary (internal/wireproto); the bodies are JSON, so
 // report structs can grow fields without a protocol version bump, except
-// TBoot's. The boot is the hot path, so its request and report travel as
-// fixed binary bodies (bootbody.go): a field added to either struct needs
-// a codec change and a version bump, and TestBootBodiesCarryEveryField
-// fails until it has one. Both internal/wireclient and internal/daemon
-// encode against these definitions; keeping them in one place is what
-// makes the two ends agree.
+// TBoot's and the THealth reply. The boot is the hot path, so its request
+// and report travel as fixed binary bodies (bootbody.go); Health is the
+// monitoring poll that cost most to encode and decode, so its reply does
+// too (healthbody.go). A field added to one of those structs needs a
+// codec change and a version bump, and TestBootBodiesCarryEveryField or
+// TestHealthBodyCarriesEveryField fails until it has one. Both
+// internal/wireclient and internal/daemon encode against these
+// definitions; keeping them in one place is what makes the two ends
+// agree.
 //
 // Frame type ↔ body mapping (binary bodies marked *):
 //
@@ -22,7 +25,7 @@ import (
 //	TRegister    — RegisterArgs                 → core.RegisterReport
 //	TBoot        — core.BootRequest*            → core.BootReport*
 //	TSync        — NodeArgs                     → core.SyncReport
-//	THealth      — (none)                       → []core.NodeStatus
+//	THealth      — (none)                       → []core.NodeStatus*
 //	TTelemetry   — (none)                       → TelemetryDump
 //	TPeers       — (none)                       → PeersReply
 //	TStats       — (none)                       → core.DeploymentStats

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,28 +73,42 @@ func closedLoop(b *testing.B, clients []*wireclient.Client, op func(c *wireclien
 // rpcRig deployment, each connection running a closed loop over the
 // seeded 40/30/20/10 mix of ComputeRx, Health, Info and Stats. One op is
 // one round trip; µs/op is wall time over both connections' ops, B/op
-// counts client and daemon together.
+// counts client and daemon together. computerx-us, health-us, info-us and
+// stats-us are each kind's mean round trip, so a profile is not needed
+// to see which op leads.
 func BenchmarkControlRPC(b *testing.B) {
 	_, clients := rpcRig(b)
+	kinds := [...]string{"computerx-us", "health-us", "info-us", "stats-us"}
+	weights := [10]int{0, 0, 0, 0, 1, 1, 1, 2, 2, 3} // 40/30/20/10
 	mix := make([]int, 4096)
 	rng := rand.New(rand.NewSource(1))
 	for i := range mix {
-		mix[i] = rng.Intn(10)
+		mix[i] = weights[rng.Intn(10)]
 	}
+	var spent, calls [len(kinds)]atomic.Int64
 	closedLoop(b, clients, func(c *wireclient.Client, i int) error {
 		var err error
-		switch p := mix[i%len(mix)]; {
-		case p < 4:
+		k := mix[i%len(mix)]
+		start := time.Now()
+		switch k {
+		case 0:
 			_, err = c.ComputeRx()
-		case p < 7:
+		case 1:
 			_, err = c.Health()
-		case p < 9:
+		case 2:
 			_, err = c.Info()
 		default:
 			_, err = c.Stats()
 		}
+		spent[k].Add(int64(time.Since(start)))
+		calls[k].Add(1)
 		return err
 	})
+	for k, name := range kinds {
+		if n := calls[k].Load(); n > 0 {
+			b.ReportMetric(float64(spent[k].Load())/float64(n)/1e3, name)
+		}
+	}
 }
 
 // BenchmarkBootRPC is the ledger rung for the boot round trip: the

@@ -202,11 +202,10 @@ func TestPipelinedShortQueriesKeepOrder(t *testing.T) {
 				wireproto.TypeName(got.Type), got.ReqID, got.Flags, wireproto.TypeName(typ), 100+i)
 		}
 		// The body is the one this request's type answers with.
-		var health []core.NodeStatus
 		var info ctlplane.Info
 		switch typ {
 		case wireproto.THealth:
-			if err := json.Unmarshal(got.Payload, &health); err != nil || len(health) != 2 {
+			if health, err := ctlplane.DecodeHealthReply(got.Payload); err != nil || len(health) != 2 {
 				t.Fatalf("reply %d: health body %q (err %v) does not describe 2 nodes", i, got.Payload, err)
 			}
 		case wireproto.TInfo:

@@ -456,8 +456,8 @@ func decode[T any](body []byte) (T, error) {
 	return v, nil
 }
 
-// decodeBoot decodes a TBoot request body, the one body that is not
-// JSON (ctlplane/bootbody.go).
+// decodeBoot decodes a TBoot request body, the one request body that is
+// not JSON (ctlplane/bootbody.go).
 func decodeBoot(body []byte) (core.BootRequest, error) {
 	a, err := ctlplane.DecodeBootRequest(body)
 	if err != nil {
@@ -514,7 +514,15 @@ func (s *Server) handle(ctx context.Context, t uint8, body []byte) (any, error) 
 		}
 		return s.sess.SyncNode(ctx, a.Node)
 	case wireproto.THealth:
-		return s.sess.Health()
+		st, err := s.sess.Health()
+		if err != nil {
+			return nil, err
+		}
+		body, err := ctlplane.AppendHealthReply(nil, st)
+		if err != nil {
+			return nil, fmt.Errorf("daemon: encode response: %w", err)
+		}
+		return encoded(body), nil
 	case wireproto.TTelemetry:
 		return s.sess.Telemetry()
 	case wireproto.TPeers:

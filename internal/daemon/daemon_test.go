@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -14,9 +15,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ctlplane"
+	"repro/internal/fault"
 	"repro/internal/wireclient"
 	"repro/internal/wireproto"
 	"repro/internal/workload"
+	"repro/internal/zvol"
 )
 
 // startServer brings up a daemon over a fresh deployment built from opts
@@ -58,12 +61,19 @@ type scenarioResult struct {
 	Stats     core.DeploymentStats
 	Health    []core.NodeStatus
 	GC        int
+
+	Crashed  []core.NodeStatus // Health while a node is down
+	Recovery core.RecoveryReport
+	Rotted   int
+	Scrub    map[string]zvol.ScrubReport
+	Scrubbed []core.NodeStatus // Health after the scrub found the rot
 }
 
 // runScenario drives one seeded end-to-end script — registrations with
 // a node offline mid-wave, catch-up sync, a dropped replica forcing a
-// peer-served cold boot, a boot wave, stats/health, GC — identically
-// against any Session.
+// peer-served cold boot, a boot wave, stats/health, GC, then a crash
+// and restart and a rotted node scrubbed, with health read in the middle
+// of each — identically against any Session.
 func runScenario(t *testing.T, sess ctlplane.Session) scenarioResult {
 	t.Helper()
 	ctx := context.Background()
@@ -124,68 +134,88 @@ func runScenario(t *testing.T, sess ctlplane.Session) scenarioResult {
 	if res.GC, err = sess.GarbageCollect(sessionT0.Add(30 * 24 * time.Hour)); err != nil {
 		t.Fatal(err)
 	}
+
+	crashed, rotted := info.ComputeNodes[2], info.ComputeNodes[3]
+	if err := sess.CrashNode(crashed, sessionT0.Add(31*24*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashed, err = sess.Health(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovery, err = sess.RestartNode(crashed, sessionT0.Add(31*24*time.Hour+time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.SetFaults(fault.Plan{Seed: 99, Rot: 0.4}); err != nil {
+		t.Fatal(err)
+	}
+	if res.Rotted, err = sess.InjectRot(rotted); err != nil {
+		t.Fatal(err)
+	}
+	if res.Scrub, err = sess.ScrubAll(ctx, sessionT0.Add(32*24*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if res.Scrubbed, err = sess.Health(); err != nil {
+		t.Fatal(err)
+	}
 	return res
+}
+
+// nodeStatus is node's row of a health table.
+func nodeStatus(t *testing.T, health []core.NodeStatus, node string) core.NodeStatus {
+	t.Helper()
+	for _, st := range health {
+		if st.NodeID == node {
+			return st
+		}
+	}
+	t.Fatalf("no health row for %s in %+v", node, health)
+	return core.NodeStatus{}
 }
 
 // TestDaemonEquivalence is the acceptance proof: the same seeded
 // scenario produces identical reports whether the Session is the
 // in-process Local or a wireclient talking to a live daemon — every
-// RegisterReport and BootReport field, plus sync, stats, health, and
-// NIC accounting, survives the wire byte-for-byte.
+// RegisterReport and BootReport field, plus sync, stats, health, NIC
+// accounting, recovery and scrub, survives the wire byte-for-byte. It
+// runs under both index modes; the gossip mode gives Health its view
+// gauges. Neither side runs gossip rounds (squirreld's ticker is in
+// cmd/squirreld), so both sides see the same views.
 func TestDaemonEquivalence(t *testing.T) {
-	opts := ctlplane.Options{Images: 4, Nodes: 4, Peers: true}
+	for _, index := range []string{"", "gossip"} {
+		t.Run("index="+cmp.Or(index, "central"), func(t *testing.T) {
+			opts := ctlplane.Options{Images: 4, Nodes: 4, Peers: true, Index: index}
 
-	local, err := ctlplane.NewLocal(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runScenario(t, local)
+			local, err := ctlplane.NewLocal(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := runScenario(t, local)
 
-	addr, _ := startServer(t, opts, Config{})
-	got := runScenario(t, dial(t, addr))
+			addr, _ := startServer(t, opts, Config{})
+			got := runScenario(t, dial(t, addr))
 
-	if !reflect.DeepEqual(want.Registers, got.Registers) {
-		t.Errorf("RegisterReports diverge:\nin-process: %+v\ndaemon:     %+v", want.Registers, got.Registers)
-	}
-	if !reflect.DeepEqual(want.Boots, got.Boots) {
-		t.Errorf("BootReports diverge:\nin-process: %+v\ndaemon:     %+v", want.Boots, got.Boots)
-	}
-	if !reflect.DeepEqual(want.Sync, got.Sync) {
-		t.Errorf("SyncReport diverges: %+v vs %+v", want.Sync, got.Sync)
-	}
-	if want.Rx != got.Rx {
-		t.Errorf("compute RX diverges: %d vs %d", want.Rx, got.Rx)
-	}
-	if !reflect.DeepEqual(want.Stats, got.Stats) {
-		t.Errorf("DeploymentStats diverge:\nin-process: %+v\ndaemon:     %+v", want.Stats, got.Stats)
-	}
-	if !statusesEqual(want.Health, got.Health) {
-		t.Errorf("Health diverges:\nin-process: %+v\ndaemon:     %+v", want.Health, got.Health)
-	}
-	if want.GC != got.GC {
-		t.Errorf("GC count diverges: %d vs %d", want.GC, got.GC)
-	}
-}
+			w, g := reflect.ValueOf(want), reflect.ValueOf(got)
+			for i := 0; i < w.NumField(); i++ {
+				if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+					t.Errorf("%s diverges:\nin-process: %+v\ndaemon:     %+v", w.Type().Field(i).Name, w.Field(i), g.Field(i))
+				}
+			}
 
-// statusesEqual compares health tables with time.Time equality
-// semantics (JSON round-trips drop the monotonic clock reading, which
-// reflect.DeepEqual would treat as a difference).
-func statusesEqual(a, b []core.NodeStatus) bool {
-	if len(a) != len(b) {
-		return false
+			// The scenario reached the states whose fields only show in
+			// those states.
+			info, _ := local.Info()
+			if st := nodeStatus(t, want.Crashed, info.ComputeNodes[2]); st.State != core.StateDown || st.DownSince.IsZero() {
+				t.Errorf("crashed node reads %+v, want down with a DownSince", st)
+			}
+			st := nodeStatus(t, want.Scrubbed, info.ComputeNodes[3])
+			if st.State != core.StateResilvering || st.CorruptBlocks == 0 || st.LastScrub.IsZero() || want.Rotted == 0 {
+				t.Errorf("rotted node reads %+v after %d blocks rotted, want resilvering with corrupt blocks and a LastScrub", st, want.Rotted)
+			}
+			if leases := nodeStatus(t, want.Health, info.ComputeNodes[0]).ViewLeases; (index == "gossip") != (leases > 0) {
+				t.Errorf("index %q: node carries %d view leases", index, leases)
+			}
+		})
 	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if !x.LastScrub.Equal(y.LastScrub) || !x.DownSince.Equal(y.DownSince) {
-			return false
-		}
-		x.LastScrub, y.LastScrub = time.Time{}, time.Time{}
-		x.DownSince, y.DownSince = time.Time{}, time.Time{}
-		if !reflect.DeepEqual(x, y) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestWireSentinels proves the errors.Is family — and therefore

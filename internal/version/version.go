@@ -10,8 +10,8 @@ import (
 )
 
 // Build is the human-facing release string. Bump it with behavioral
-// releases; bump wireproto.Version only when the framing itself
-// changes incompatibly.
+// releases; bump wireproto.Version only when the framing or the body
+// format of an existing frame type changes incompatibly.
 const Build = "0.7.0"
 
 // String renders the canonical version line both binaries print for

@@ -506,10 +506,14 @@ func (c *Client) Stats() (core.DeploymentStats, error) {
 	return out, err
 }
 
-// Health implements Session.
+// Health implements Session. Its reply is the fixed binary body
+// (ctlplane/healthbody.go), not JSON.
 func (c *Client) Health() ([]core.NodeStatus, error) {
 	var out []core.NodeStatus
-	err := c.call(bg(), wireproto.THealth, nil, &out)
+	err := c.rpc(bg(), wireproto.THealth, nil, func(body []byte) (err error) {
+		out, err = ctlplane.DecodeHealthReply(body)
+		return err
+	})
 	return out, err
 }
 
