@@ -117,6 +117,16 @@ func BenchmarkControlRPC(b *testing.B) {
 // image mix on uniformly drawn nodes, every one of them warm. One op is
 // one boot; µs/op is wall time over both connections' boots, B/op counts
 // client and daemon together.
+//
+// Client and daemon share this one process's Ps, so the in-process RPC
+// rungs cannot see a change to which goroutine a side wakes per round
+// trip. Letting each wireclient call read its own reply, instead of a
+// read-loop goroutine handing it over, took the two-process warm_boot
+// from 36.6k to 40.7k ops/s (seed 1) and 36.4k to 39.1k (seed 3), 10
+// of 10 pairs each, while these rungs read, over 4 interleaved runs on
+// 2 Xeon vCPUs: this one 17.3–21.8 → 17.6–22.2 µs/op with 2
+// connections and 41.3–55.1 → 46.0–53.5 with 1; BenchmarkControlRPC
+// 16.8–23.1 → 16.7–20.5. Judge client-side scheduling with bench/run.sh.
 func BenchmarkBootRPC(b *testing.B) {
 	info, clients := rpcRig(b)
 	rng := rand.New(rand.NewSource(1))

@@ -7,17 +7,32 @@
 // frame arrives, so concurrent callers share one connection without
 // head-of-line blocking on the daemon side (the daemon hands every
 // request that can take long to one of the connection's workers).
-// Streaming replies (the watch op) ride the same connection: the read
-// loop keeps routing FlagStream frames to their parked consumer until the
-// final non-stream frame closes the exchange.
+// Streaming replies (the watch op) ride the same connection: FlagStream
+// frames keep their exchange registered until the final non-stream
+// frame closes it.
 //
-// Channel ownership: a parked call's channel is written by the read loop
-// alone and is never closed. Connection death is announced on one stop
-// channel, done, closed exactly once by fail; the read loop selects its
-// hand-off against done, and every consumer (a unary call, a watch, the
-// drainer of an abandoned watch) selects on its channel, done and its
-// context — so Close during a stream whose consumer is slower than the
-// daemon cannot race a send against a close.
+// Who reads the socket: a waiting call, not a goroutine of the client's
+// own. The connection has one read token, a one-slot channel full at
+// dial. A waiting call selects on its reply channel, the token, its
+// context and done; the call that takes the token reads frames until
+// its own arrives, routes every other one to its parked caller by
+// request ID, and puts the token back. With one call in flight, which
+// is the common case, the reply wakes its caller directly, and an idle
+// Client runs no goroutine at all. The one goroutine the client starts
+// reads the rest of an abandoned watch: the daemon stops a stream only
+// at its end or on a failed write, so its frames must keep being read.
+//
+// Channel ownership: a parked call's channel is written only by the
+// token's holder, under mu, and is never closed. A holder never waits
+// on a consumer: a stream element that finds its channel full joins the
+// stream's queue, which its consumer empties after the channel.
+// Connection death is announced on one stop channel, done, closed
+// exactly once by fail, and every waiter selects on it.
+//
+// Cancellation is exact: a holder whose context can expire waits for a
+// frame's first byte before reading it, and only that wait is cut short
+// (by a past read deadline), so a call that gives up never leaves a
+// frame half read for the next holder.
 //
 // Dial retries refused connections and busy handshakes with exponential
 // backoff — the daemon may still be starting; a protocol version
@@ -40,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -107,11 +123,19 @@ type Client struct {
 	wmu sync.Mutex        // serializes frame writes
 	fw  *wireproto.Writer // one reused buffer, one conn.Write per request
 
+	// reader is the read token (see the package comment): full at dial,
+	// and whoever holds it is the only reader of br.
+	reader chan struct{}
+	br     *bufio.Reader
+
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan wireproto.Frame
-	err     error         // terminal connection error; set once, with done
-	done    chan struct{} // closed by fail when the connection dies
+	// queued holds, oldest first, a stream's elements that arrived while
+	// its channel was full; the channel's own frames are older still.
+	queued map[uint64][]wireproto.Frame
+	err    error         // terminal connection error; set once, with done
+	done   chan struct{} // closed by fail when the connection dies
 }
 
 var _ ctlplane.Session = (*Client)(nil)
@@ -165,7 +189,7 @@ func Dial(opts Options) (*Client, error) {
 // errBusy marks a HelloBusy rejection — transient, retried by Dial.
 var errBusy = errors.New("wireclient: daemon busy")
 
-// handshake runs the hello exchange and brings up the read loop.
+// handshake runs the hello exchange and builds the Client.
 func handshake(conn net.Conn, opts Options) (*Client, error) {
 	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := wireproto.WriteHello(conn); err != nil {
@@ -198,42 +222,14 @@ func handshake(conn net.Conn, opts Options) (*Client, error) {
 		opts:    opts,
 		conn:    conn,
 		fw:      wireproto.NewWriter(conn),
+		reader:  make(chan struct{}, 1),
+		br:      bufio.NewReader(conn),
 		pending: make(map[uint64]chan wireproto.Frame),
+		queued:  make(map[uint64][]wireproto.Frame),
 		done:    make(chan struct{}),
 	}
-	go c.readLoop()
+	c.reader <- struct{}{}
 	return c, nil
-}
-
-// readLoop routes response frames to their parked callers until the
-// connection dies. A FlagStream frame leaves its pending entry
-// registered — more elements follow — and the exchange is unregistered
-// by its final non-stream frame. Frames with no pending entry (responses
-// whose caller gave up) are discarded. A hand-off can block only on a
-// stream whose consumer is behind; it gives up when the connection is
-// failed under it.
-func (c *Client) readLoop() {
-	br := bufio.NewReader(c.conn)
-	for {
-		f, err := wireproto.ReadFrame(br)
-		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[f.ReqID]
-		if ok && !f.IsStream() {
-			delete(c.pending, f.ReqID)
-		}
-		c.mu.Unlock()
-		if ok {
-			select {
-			case ch <- f:
-			case <-c.done:
-				return
-			}
-		}
-	}
 }
 
 // fail marks the connection dead and unparks every pending call. Only
@@ -257,8 +253,8 @@ func (c *Client) Close() error {
 }
 
 // register parks a fresh request ID. bufcap sizes the response channel:
-// 1 for unary calls, larger for streams so the read loop rarely blocks
-// on a briefly busy consumer.
+// 1 for unary calls, larger for streams so their elements rarely need
+// the queue.
 func (c *Client) register(bufcap int) (uint64, chan wireproto.Frame, error) {
 	ch := make(chan wireproto.Frame, bufcap)
 	c.mu.Lock()
@@ -273,10 +269,11 @@ func (c *Client) register(bufcap int) (uint64, chan wireproto.Frame, error) {
 }
 
 // unregister forgets a parked request whose caller is leaving; a late
-// response to it is discarded by the read loop.
+// response to it finds no pending entry and is discarded.
 func (c *Client) unregister(id uint64) {
 	c.mu.Lock()
 	delete(c.pending, id)
+	delete(c.queued, id)
 	c.mu.Unlock()
 }
 
@@ -288,8 +285,9 @@ func (c *Client) writeRequest(f wireproto.Frame) error {
 	c.wmu.Unlock()
 	if err != nil {
 		c.unregister(f.ReqID)
-		c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-		return fmt.Errorf("wireclient: write: %w", err)
+		err = fmt.Errorf("%w: write: %v", ErrClosed, err)
+		c.fail(err)
+		return err
 	}
 	return nil
 }
@@ -365,7 +363,7 @@ func (c *Client) exchange(ctx context.Context, sp *obs.Span, typ uint8, payload 
 		return nil, err
 	}
 
-	resp, err := c.recv(ctx, ch)
+	resp, err := c.recv(ctx, id, ch)
 	if err != nil {
 		c.unregister(id)
 		return nil, err
@@ -376,24 +374,139 @@ func (c *Client) exchange(ctx context.Context, sp *obs.Span, typ uint8, payload 
 	return resp.Payload, nil
 }
 
-// recv parks on a registered call's channel until the read loop hands it
-// a frame, ctx expires, or the connection dies. A frame handed over
-// before the connection died is still delivered: a daemon that replies
-// and then closes (a drain) has answered.
-func (c *Client) recv(ctx context.Context, ch <-chan wireproto.Frame) (wireproto.Frame, error) {
+// recv waits for call id's next frame: another call holding the read
+// token routes it to ch, or this call takes the token and reads the
+// socket itself. It gives up when ctx expires or the connection dies. A
+// frame routed before the connection died is still delivered: a daemon
+// that replies and then closes (a drain) has answered.
+func (c *Client) recv(ctx context.Context, id uint64, ch chan wireproto.Frame) (wireproto.Frame, error) {
+	if f, ok := c.take(id, ch); ok {
+		return f, nil
+	}
 	select {
 	case f := <-ch:
 		return f, nil
+	case <-c.reader:
+		return c.lead(ctx, id, ch)
 	case <-ctx.Done():
 		return wireproto.Frame{}, ctx.Err()
 	case <-c.done:
-		select {
-		case f := <-ch:
+		if f, ok := c.take(id, ch); ok {
 			return f, nil
-		default:
-			return wireproto.Frame{}, c.err // set before done closed, never again
+		}
+		return wireproto.Frame{}, c.err // set before done closed, never again
+	}
+}
+
+// lead runs while call id holds the read token, and puts it back on
+// return. It reads frames until id's own arrives, routing every other
+// one to its caller. Only the token's holder routes, and it never
+// routes to itself, so once take finds nothing, nothing is queued for
+// id ahead of the frames this loop reads.
+func (c *Client) lead(ctx context.Context, id uint64, ch chan wireproto.Frame) (wireproto.Frame, error) {
+	defer func() { c.reader <- struct{}{} }()
+	if f, ok := c.take(id, ch); ok { // routed by an earlier holder
+		return f, nil
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return wireproto.Frame{}, err
+		}
+		f, err := c.readFrame(ctx)
+		if err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+				return wireproto.Frame{}, ctxErr // nothing of the next frame was consumed
+			}
+			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
+			return wireproto.Frame{}, c.err
+		}
+		if c.route(f, id) {
+			return f, nil
 		}
 	}
+}
+
+// route hands a frame the holder of call id has read to the call it
+// answers, and reports whether that call is id itself. A FlagStream
+// frame leaves its call registered — more elements follow — and any
+// other frame unregisters it; a frame whose caller gave up is
+// discarded. It never blocks: an element for a stream whose channel is
+// full, or whose queue is not yet empty, joins the queue.
+func (c *Client) route(f wireproto.Frame, id uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ch := c.pending[f.ReqID]
+	if ch != nil && !f.IsStream() {
+		delete(c.pending, f.ReqID)
+	}
+	if f.ReqID == id || ch == nil {
+		return f.ReqID == id
+	}
+	q := c.queued[f.ReqID]
+	if len(q) == 0 {
+		select {
+		case ch <- f:
+			return false
+		default:
+		}
+	}
+	c.queued[f.ReqID] = append(q, f)
+	return false
+}
+
+// take returns call id's oldest routed frame, if there is one: the
+// channel's frames first, then the queue's.
+func (c *Client) take(id uint64, ch chan wireproto.Frame) (wireproto.Frame, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case f := <-ch:
+		return f, true
+	default:
+	}
+	q := c.queued[id]
+	if len(q) == 0 {
+		return wireproto.Frame{}, false
+	}
+	f := q[0]
+	if len(q) == 1 {
+		delete(c.queued, id)
+	} else {
+		q[0] = wireproto.Frame{}
+		c.queued[id] = q[1:]
+	}
+	return f, true
+}
+
+// readFrame reads the holder's next frame. Under a ctx that can expire
+// it first waits for the frame's first byte, so an expiry can cut only
+// that wait short; a ctx that never expires pays nothing.
+func (c *Client) readFrame(ctx context.Context) (wireproto.Frame, error) {
+	if ctx.Done() != nil && c.br.Buffered() == 0 {
+		if err := c.awaitByte(ctx); err != nil {
+			return wireproto.Frame{}, err
+		}
+	}
+	return wireproto.ReadFrame(c.br)
+}
+
+// awaitByte peeks one byte; ctx's expiry sets a past read deadline that
+// ends the peek with os.ErrDeadlineExceeded. If the expiry callback
+// started, the deadline is cleared once it is done, so no later read
+// inherits it.
+func (c *Client) awaitByte(ctx context.Context) error {
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		// Fails only on a closed conn, which the peek then reports.
+		_ = c.conn.SetReadDeadline(time.Unix(1, 0))
+		close(fired)
+	})
+	_, err := c.br.Peek(1)
+	if !stop() {
+		<-fired
+		_ = c.conn.SetReadDeadline(time.Time{}) // as above: a closed conn fails the next read
+	}
+	return err
 }
 
 // decodeErrorFrame rebuilds the error an error frame carries.
@@ -554,8 +667,8 @@ func (c *Client) ComputeRx() (int64, error) {
 
 // Watch implements Session: it opens a TWatch stream and invokes fn for
 // every WatchUpdate element until the daemon's final frame, fn errors,
-// or ctx is cancelled. On early exit the remaining stream frames are
-// drained in the background so the shared read loop never stalls.
+// or ctx is cancelled. On early exit a goroutine reads the rest of the
+// stream and discards it.
 func (c *Client) Watch(ctx context.Context, args ctlplane.WatchArgs, fn func(ctlplane.WatchUpdate) error) error {
 	if args.Count < 1 {
 		return fmt.Errorf("wireclient: watch needs Count >= 1")
@@ -581,28 +694,24 @@ func (c *Client) watchStream(ctx context.Context, sp *obs.Span, args ctlplane.Wa
 	if err := c.writeRequest(f); err != nil {
 		return err
 	}
-	// abandon hands the rest of the stream to a background drainer: the
-	// pending entry stays registered (the read loop still needs a live
-	// consumer) until the final non-stream frame unregisters it, or the
-	// connection dies.
+	// abandon reads the rest of the stream in the background, taking the
+	// read token like any call: the daemon stops a watch only at its end
+	// or on a failed write, so frames nobody reads would fill the socket
+	// until the daemon's write times out and it breaks the connection.
 	abandon := func() {
 		go func() {
 			for {
-				select {
-				case f := <-ch:
-					if !f.IsStream() {
-						return
-					}
-				case <-c.done:
+				f, err := c.recv(context.Background(), id, ch)
+				if err != nil || !f.IsStream() {
 					return
 				}
 			}
 		}()
 	}
 	for {
-		f, err := c.recv(ctx, ch)
+		f, err := c.recv(ctx, id, ch)
 		if err != nil {
-			abandon() // exits at once if the connection is what died
+			abandon() // ends at once if the connection is what died
 			return err
 		}
 		if f.IsError() {

@@ -4,11 +4,14 @@
 # (telemetry runs the full scenario, so one run covers register, boot,
 # health drama, and telemetry scrape — a second run against the same
 # long-lived daemon would hit ErrRegistered by design), then SIGTERM
-# and assert a clean drain. The TWatch stream over the wire is pinned
-# by squirrelctl's daemon-mode watch golden test instead. A second
-# daemon runs the gossip index with its round ticker on, and one
-# `squirrelctl peers` run must see rounds advance and a cold boot
-# served entirely by peers.
+# and assert a clean drain. A second daemon serves one `squirrelctl
+# watch` run (watch also runs the full scenario, so it needs images
+# nobody registered yet): the TWatch stream's frames and the scenario's
+# unary replies share one connection and are read by the calls waiting
+# on it, across two processes (squirrelctl's daemon-mode watch golden
+# pins the same in one process). A third daemon runs the gossip index
+# with its round ticker on, and one `squirrelctl peers` run must see
+# rounds advance and a cold boot served entirely by peers.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -73,6 +76,18 @@ code=$?
 set -e
 [ "$code" -eq 6 ] || { echo "expected exit 6 for connect failure, got $code"; exit 1; }
 
+# A fresh daemon for the watch run: its scenario registers every image.
+wlog="$bin/squirreld-watch.log"
+"$bin/squirreld" -addr 127.0.0.1:0 -traced 2>"$wlog" &
+wdaemon=$!
+pids+=("$wdaemon")
+waddr="$(logged_addr "$wlog" "$wdaemon" "$ctl_expr")"
+echo "watch squirreld bound $waddr"
+wout="$("$bin/squirrelctl" watch -addr "$waddr" -n 2 -interval 10ms)"
+echo "$wout"
+grep -q 'boots done' <<<"$wout"
+[ "$(grep -c '^watch #' <<<"$wout")" -eq 2 ] || { echo "watch did not stream 2 updates"; exit 1; }
+
 # The gossip daemon's ticker runs rounds (the only thing that ages a
 # lease) while the scenario registers and boots; live holders re-lease
 # every round, so the cold boot still reads nothing from the PFS.
@@ -87,7 +102,8 @@ echo "$gout"
 grep -q 'index source: gossip (round [1-9]' <<<"$gout" || { echo "gossip daemon ran no rounds"; exit 1; }
 grep -q 'COLD (0 PFS bytes' <<<"$gout" || { echo "gossip cold boot not peer-served"; exit 1; }
 
-kill -TERM "$daemon" "$gdaemon"
+kill -TERM "$daemon" "$wdaemon" "$gdaemon"
 wait "$daemon"
+wait "$wdaemon"
 wait "$gdaemon"
 echo "daemon smoke OK: clean SIGTERM drain"
