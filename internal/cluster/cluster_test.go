@@ -44,7 +44,7 @@ func TestUnicastFanoutCostsMore(t *testing.T) {
 	wire := make([]byte, 1<<20)
 	_, mSec := c.MulticastStream("op", c.Storage[0], c.Compute, wire, nil)
 	c.ResetCounters()
-	_, uSec := c.UnicastStream("op", c.Storage[0], c.Compute, wire, nil)
+	_, uSec := c.UnicastStream("op", c.Storage[0], c.Compute, StreamOf(wire), nil)
 	if c.Storage[0].TxBytes() != 8<<20 {
 		t.Fatalf("fanout tx %d, want 8 MB", c.Storage[0].TxBytes())
 	}
@@ -55,7 +55,7 @@ func TestUnicastFanoutCostsMore(t *testing.T) {
 
 func TestPipelineAccounting(t *testing.T) {
 	c := mkCluster(t, 1, 4)
-	c.PipelineStream("op", c.Storage[0], c.Compute, make([]byte, 500), nil)
+	c.PipelineStream("op", c.Storage[0], c.Compute, StreamOf(make([]byte, 500)), nil)
 	for i, n := range c.Compute {
 		if n.RxBytes() != 500 {
 			t.Fatalf("node %d rx %d", i, n.RxBytes())

@@ -69,8 +69,8 @@ func TestStreamsAcrossCutDeliverPartitionFaults(t *testing.T) {
 			t.Fatalf("%s across the cut got %v, want partition", dv.Node.ID, dv.Fault)
 		case cutOff && (dv.Wire != nil || dv.Node.RxBytes() != 0):
 			t.Fatalf("%s received bytes across the cut", dv.Node.ID)
-		case !cutOff && (dv.Fault != fault.None || int64(len(dv.Wire)) != 4096):
-			t.Fatalf("%s on the majority side got %v/%d bytes", dv.Node.ID, dv.Fault, len(dv.Wire))
+		case !cutOff && (dv.Fault != fault.None || dv.Arrived != 4096):
+			t.Fatalf("%s on the majority side got %v/%d bytes", dv.Node.ID, dv.Fault, dv.Arrived)
 		}
 	}
 	if got := inj.Counters().Get("fault.partition"); got != 2 {
@@ -78,7 +78,7 @@ func TestStreamsAcrossCutDeliverPartitionFaults(t *testing.T) {
 	}
 	// The pipeline never forwards from a cut member.
 	c.ResetCounters()
-	deliv, _ = c.PipelineStream("op2", c.Storage[0], c.Compute, wire, inj)
+	deliv, _ = c.PipelineStream("op2", c.Storage[0], c.Compute, StreamOf(wire), inj)
 	for _, dv := range deliv {
 		if dv.Fault == fault.Partition && dv.Node.TxBytes() != 0 {
 			t.Fatalf("cut node %s forwarded downstream", dv.Node.ID)

@@ -24,7 +24,7 @@ func TestMulticastStreamCleanMatchesMulticast(t *testing.T) {
 		t.Fatalf("%d deliveries", len(deliv))
 	}
 	for _, d := range deliv {
-		if d.Fault != fault.None || !bytes.Equal(d.Wire, wire) {
+		if d.Fault != fault.None || d.Wire != nil || d.Arrived != int64(len(wire)) {
 			t.Fatalf("clean delivery mangled: %+v", d.Fault)
 		}
 		if d.Node.RxBytes() != 1000 {
@@ -42,7 +42,7 @@ func TestMulticastStreamCleanMatchesMulticast(t *testing.T) {
 func TestUnicastStreamSerializesOnUplink(t *testing.T) {
 	c := testCluster(t, 4)
 	wire := bytes.Repeat([]byte{1}, 500)
-	_, sec := c.UnicastStream("op", c.Storage[0], c.Compute, wire, nil)
+	_, sec := c.UnicastStream("op", c.Storage[0], c.Compute, StreamOf(wire), nil)
 	if c.Storage[0].TxBytes() != 2000 {
 		t.Fatalf("fanout source sent %d, want 4 copies", c.Storage[0].TxBytes())
 	}
@@ -54,7 +54,7 @@ func TestUnicastStreamSerializesOnUplink(t *testing.T) {
 func TestPipelineStreamForwards(t *testing.T) {
 	c := testCluster(t, 3)
 	wire := bytes.Repeat([]byte{1}, 700)
-	c.PipelineStream("op", c.Storage[0], c.Compute, wire, nil)
+	c.PipelineStream("op", c.Storage[0], c.Compute, StreamOf(wire), nil)
 	// Every non-last chain member retransmits.
 	if c.Compute[0].TxBytes() != 700 || c.Compute[1].TxBytes() != 700 {
 		t.Fatal("pipeline members must forward")
@@ -73,7 +73,7 @@ func TestStreamsUnderTotalLoss(t *testing.T) {
 	wire := bytes.Repeat([]byte{1}, 1000)
 	deliv, _ := c.MulticastStream("op", c.Storage[0], c.Compute, wire, inj)
 	for _, d := range deliv {
-		if d.Fault != fault.Drop || d.Wire != nil {
+		if d.Fault != fault.Drop || d.Wire != nil || d.Arrived != 0 {
 			t.Fatalf("delivery under total loss: %+v", d.Fault)
 		}
 		if d.Node.RxBytes() != 0 {
@@ -98,7 +98,7 @@ func TestTruncatedDeliveryAccountsPartialBytes(t *testing.T) {
 	if d.Fault != fault.Truncate || len(d.Wire) >= len(wire) {
 		t.Fatalf("want truncation, got %v len %d", d.Fault, len(d.Wire))
 	}
-	if d.Node.RxBytes() != int64(len(d.Wire)) {
+	if d.Node.RxBytes() != int64(len(d.Wire)) || d.Arrived != int64(len(d.Wire)) {
 		t.Fatalf("rx %d != delivered %d", d.Node.RxBytes(), len(d.Wire))
 	}
 }
@@ -111,5 +111,49 @@ func TestUnicastPointToPoint(t *testing.T) {
 	}
 	if want := GigE.TransferSec(300); sec != want {
 		t.Fatalf("sec %v want %v", sec, want)
+	}
+}
+
+func TestOnlyADamagedDeliveryReadsTheStreamsBytes(t *testing.T) {
+	// A stream's bytes are asked for by a Truncate or Corrupt verdict
+	// alone: a clean, dropped or crashed delivery — or one across a cut —
+	// charges the stream's size and never calls Bytes.
+	wire := bytes.Repeat([]byte{7}, 2048)
+	for _, tc := range []struct {
+		plan  fault.Plan
+		reads bool
+	}{
+		{fault.Plan{Seed: 1}, false},
+		{fault.Plan{Seed: 1, Drop: 1}, false},
+		{fault.Plan{Seed: 1, Crash: 1, MaxCrashes: 8}, false},
+		{fault.Plan{Seed: 1, Torn: 1, MaxCrashes: 8}, false},
+		{fault.Plan{Seed: 1, Truncate: 1}, true},
+		{fault.Plan{Seed: 1, Corrupt: 1}, true},
+	} {
+		inj, err := fault.New(tc.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := testCluster(t, 3)
+		c.Partition([]string{"node02"})
+		reads := 0
+		st := Stream{Size: int64(len(wire)), Bytes: func() []byte { reads++; return wire }}
+		for _, scheme := range []func(string, *Node, []*Node, Stream, *fault.Injector) ([]Delivery, float64){
+			c.Multicast, c.UnicastStream, c.PipelineStream,
+		} {
+			deliv, _ := scheme("op", c.Storage[0], c.Compute, st, inj)
+			for _, d := range deliv {
+				if damaged := d.Fault.Damages(); damaged != (d.Wire != nil) {
+					t.Fatalf("plan %+v: %s delivery carries %d bytes", tc.plan, d.Fault, len(d.Wire))
+				}
+			}
+		}
+		want := 0
+		if tc.reads {
+			want = 6
+		}
+		if reads != want {
+			t.Fatalf("plan %+v: Bytes called %d times, want %d (two reachable legs, three schemes)", tc.plan, reads, want)
+		}
 	}
 }

@@ -205,17 +205,23 @@ func BenchmarkColdBoot(b *testing.B) {
 // registrations in corpus order. It reports the mean registration, the
 // bytes one allocates, how much slower the last 64 of a round are than
 // the first 64 — the drift a per-registration cost that grows with the
-// snapshot count shows up as — and the heap the deployment keeps alive
-// once the round is over, which is where metadata that grows with
-// history ends up.
+// snapshot count shows up as — the heap the deployment keeps alive once
+// the round is over, which is where metadata that grows with history
+// ends up, and the bytes the codec inflates per registration, which a
+// fault-free round ships none of (0: the stream carries stored payloads,
+// and only a damaged delivery encodes it).
 func BenchmarkRegisterStream(b *testing.B) {
 	const images, nodes, edge = 320, 8, 64
 	var first, last, total time.Duration
 	var allocated, live uint64
+	codec := countedGzip()
+	decoded := codec.decoded.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sq, _, repo, _ := testDeployment(b, nodes, daemonCorpus(images))
+		sq, _, repo, _ := testDeployment(b, nodes, daemonCorpus(images), func(s *setup) {
+			s.Volume.Codec = codec.Name()
+		})
 		ims := repo.Images[:images]
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -249,6 +255,7 @@ func BenchmarkRegisterStream(b *testing.B) {
 	b.ReportMetric(float64(allocated)/regs, "B/registration")
 	b.ReportMetric(float64(last)/float64(first), "last64/first64")
 	b.ReportMetric(float64(live)/float64(b.N)/1e6, "live-heap-MB")
+	b.ReportMetric(float64(codec.decoded.Load()-decoded)/regs, "decoded-B/registration")
 }
 
 // statsSink keeps the compiler from dropping BenchmarkStats' calls.

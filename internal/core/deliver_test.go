@@ -92,9 +92,9 @@ func TestDeliveryStepIsTheSameAtEveryAttempt(t *testing.T) {
 		{kind: fault.Partition, lagging: true},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
-			// Attempt 0: the verdict cluster.MulticastStream pre-draws.
+			// Attempt 0: the verdict cluster.Multicast pre-draws.
 			sq0, cl0, sh0, leg0 := stagedDelivery(t, tc.kind)
-			deliv, _ := cl0.MulticastStream(sh0.op, cl0.Storage[0], []*cluster.Node{leg0.r.node}, sh0.wire, sh0.inj)
+			deliv, _ := cl0.Multicast(sh0.op, cl0.Storage[0], []*cluster.Node{leg0.r.node}, sh0.wire, sh0.inj)
 			if deliv[0].Fault != tc.kind {
 				t.Fatalf("attempt 0 drew %s", deliv[0].Fault)
 			}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -137,8 +138,8 @@ func (s *Squirrel) Register(ctx context.Context, req RegisterRequest) (RegisterR
 }
 
 // commit is the storage-side half of a registration: publish the base
-// VMI, first-boot the image into the scVolume, snapshot, send, encode and
-// prepare the diff, and queue one leg per destination. It runs under
+// VMI, first-boot the image into the scVolume, snapshot, send and prepare
+// the diff, and queue one leg per destination. It runs under
 // commitMu, so the snapshot sequence, the scVolume's snapshot chain and
 // the per-node apply order advance atomically. An error — or a
 // cancellation, which can still land here because nothing has left the
@@ -193,37 +194,29 @@ func (s *Squirrel) commit(ctx context.Context, im *corpus.Image, at time.Time) (
 	}
 	snapTaken = true
 	stream, err := s.sc.Send(prev, snapName)
-	if err != nil {
-		return
-	}
-	// Encode once: the wire stream is both the multicast payload and the
-	// unit fault injection mutates.
-	// The buffer is given its exact final size: growing by doubling would
-	// allocate about as much again as the cache itself.
-	wireSize := stream.WireSize()
-	wireBuf := bytes.NewBuffer(make([]byte, 0, wireSize))
-	n, err := stream.Encode(wireBuf)
-	if err == nil && n != wireSize {
-		err = fmt.Errorf("core: register %s: stream encoded to %d bytes, its lengths say %d", im.ID, n, wireSize)
-	}
 	if err == nil && ctx.Err() != nil {
 		err = fmt.Errorf("core: register %s: %w", im.ID, ctx.Err())
 	}
 	if err != nil {
 		return
 	}
-	// Prepare the stream once: per-payload hashing and compression are
-	// paid here instead of once per replica, and every clean leg's
-	// receive collapses to map updates that alias these stored bytes
-	// (zvol/prepared.go). Only a delivery the fabric damaged is decoded
-	// from its wire bytes and prepared again by its receiver.
+	// The stream ships the scVolume's stored payloads, and Prepare hands
+	// them on as they are: every clean leg's receive collapses to map
+	// updates that alias these stored bytes (zvol/prepared.go). The wire
+	// form is charged by its size and encoded only for a delivery the
+	// fabric damaged — once per registration, however many are — which
+	// its receiver decodes and prepares for itself.
+	inj := s.injector()
 	sh = &shipment{op: "register:" + snapName, snap: snapName, at: at,
-		wire: wireBuf.Bytes(), prep: s.sc.Prepare(stream), inj: s.injector()}
+		wire: cluster.Stream{Size: stream.WireSize(), Bytes: sync.OnceValue(func() []byte {
+			return s.encodeWire(stream, inj)
+		})},
+		prep: s.sc.Prepare(stream), inj: inj}
 	rep = RegisterReport{
 		ImageID:    im.ID,
 		Snapshot:   snapName,
 		CacheBytes: obj.Size,
-		DiffBytes:  int64(len(sh.wire)),
+		DiffBytes:  sh.wire.Size,
 	}
 	// Propagate to every online, in-sync node. Lagging nodes are skipped:
 	// they lack the previous snapshot, so the incremental stream cannot
@@ -246,6 +239,22 @@ func (s *Squirrel) commit(ctx context.Context, im *corpus.Image, at time.Time) (
 	return sh, legs, rep, nil
 }
 
+// encodeWire returns a registration stream's wire bytes, for the
+// deliveries a fault damaged. The buffer is given its exact final size:
+// growing by doubling would allocate about as much again as the stream.
+// Encode fails only if a lent payload no longer inflates, which its
+// CRC32C check at Send rules out short of a codec fault; then the
+// damaged deliveries get no bytes, decode to nothing and are retried like
+// any loss, and register.encode_failed counts it.
+func (s *Squirrel) encodeWire(st *zvol.Stream, inj *fault.Injector) []byte {
+	buf := bytes.NewBuffer(make([]byte, 0, st.WireSize()))
+	if n, err := st.Encode(buf); err != nil || n != st.WireSize() {
+		s.counters(inj).Add("register.encode_failed", 1)
+		return nil
+	}
+	return buf.Bytes()
+}
+
 // register is the Register body: commit, then the one-to-many transfer,
 // the parallel apply phase, the serial repair phase, and the merge.
 // Caller holds the image lock.
@@ -266,7 +275,8 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 	// The one-to-many transfer draws every leg's attempt-0 fault verdict
 	// serially in destination order (the only order-sensitive injector
 	// state is the shared crash budget), so the parallel apply phase
-	// below starts from pre-decided outcomes.
+	// below starts from pre-decided outcomes — and damaged bytes, which
+	// are what first asks for the wire form.
 	var deliv []cluster.Delivery
 	switch s.cfg.Propagation {
 	case UnicastFanout:
@@ -274,7 +284,7 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 	case Pipeline:
 		deliv, rep.XferSec = s.cl.PipelineStream(sh.op, src, dsts, sh.wire, inj)
 	default:
-		deliv, rep.XferSec = s.cl.MulticastStream(sh.op, src, dsts, sh.wire, inj)
+		deliv, rep.XferSec = s.cl.Multicast(sh.op, src, dsts, sh.wire, inj)
 	}
 
 	// ---- Apply phase (parallel): each leg locks only its own node and
@@ -299,7 +309,7 @@ func (s *Squirrel) register(ctx context.Context, sp *obs.Span, im *corpus.Image,
 		leg.r.mu.Unlock()
 		if !leg.needRepair {
 			if leg.synced {
-				leg.sp.AddBytes(int64(len(sh.wire)))
+				leg.sp.AddBytes(sh.wire.Size)
 			}
 			leg.finish()
 		}
@@ -414,18 +424,21 @@ type shipment struct {
 	op   string    // fault-draw key: "register:<snapshot>"
 	snap string    // the snapshot the stream creates
 	at   time.Time // registration time; stamps a dying replica's downtime
-	// wire is the encoded stream — what the fabric carries and a fault
-	// mutates; prep the same stream in stored form — what a replica is
-	// handed when its copy of wire arrived intact.
-	wire []byte
+	// wire is the stream as the fabric carries it — its size, which every
+	// transfer charges, and its encoding, which only a fault that damages
+	// a delivery reads (made once, on the first such fault); prep the
+	// same stream in stored form — what a replica is handed when its
+	// delivery arrived intact.
+	wire cluster.Stream
 	prep *zvol.PreparedStream
 	inj  *fault.Injector
 }
 
 // deliver is the one delivery step of a registration: it is handed the
-// verdict drawn for one (replica, attempt) — the fault that struck and
-// the bytes that got through — and acts on it, the same way for the
-// one-to-many leg (attempt 0, verdict pre-drawn by cluster.*Stream) and
+// verdict drawn for one (replica, attempt) — the fault that struck and,
+// when it damaged them, the bytes that got through — and acts on it, the
+// same way for the one-to-many leg (attempt 0, verdict pre-drawn by the
+// cluster's transfer) and
 // for every unicast repair (attempts 1..N, verdict drawn by repair). It
 // reports whether the leg is settled — leg says how — or the attempt was
 // lost or rejected and another is due. sp is the attempt's span: the
@@ -547,14 +560,13 @@ func (s *Squirrel) repair(sh *shipment, leg *legResult) {
 		rsp.AddSim(backoff.Seconds())
 		backoff *= 2
 		s.counters(sh.inj).Add("repair.retries", 1)
-		kind, got := sh.inj.Strike(sh.op, node.ID, attempt, sh.wire)
+		kind, n, got := sh.wire.Deliver(sh.inj, sh.op, node.ID, attempt)
 		// A replica that dies on this attempt is charged no transfer;
 		// otherwise the source retransmits in full and the replica takes
-		// whatever got through.
+		// whatever got through, which a drop is nothing of.
 		if kind != fault.Crash && kind != fault.Torn {
-			src.Send(int64(len(sh.wire)))
-			if got != nil {
-				n := int64(len(got))
+			src.Send(sh.wire.Size)
+			if kind != fault.Drop {
 				sec := s.cl.Fabric.TransferSec(n)
 				node.Recv(n)
 				leg.repairBytes += n

@@ -120,6 +120,109 @@ func TestRegistrationCompressesEachNewBlockOnce(t *testing.T) {
 	compressedOnce("healed", all...)
 }
 
+func TestRegistrationInflatesNothing(t *testing.T) {
+	// A registration ships what the scVolume stores: Send lends the
+	// stored payloads, Prepare hands them on, every clean leg aliases
+	// them, and nothing inflates a block — nor does an incremental or a
+	// full SyncNode. Only a delivery a fault damages needs the wire form:
+	// a registration with any damaged delivery encodes its stream exactly
+	// once, inflating each compressed block it ships once, however many
+	// of its legs and repair attempts are damaged.
+	codec := countedGzip()
+	sq, cl, repo, _ := testDeployment(t, 4, withPeers, withFaults(fault.Plan{Seed: 1}), func(s *setup) {
+		s.Volume.Codec = codec.Name()
+	})
+	all := make([]string, len(cl.Compute))
+	for i, n := range cl.Compute {
+		all[i] = n.ID
+	}
+	next, prev := 0, ""
+	// register registers the next image and returns its report and the
+	// bytes the codec inflated meanwhile.
+	register := func() (RegisterReport, int64) {
+		t.Helper()
+		before := codec.decoded.Load()
+		rep, err := sq.Register(bg, RegisterRequest{Image: repo.Images[next], At: day(next)})
+		if err != nil {
+			t.Fatalf("register %s: %v", repo.Images[next].ID, err)
+		}
+		next++
+		return rep, codec.decoded.Load() - before
+	}
+	syncNode := func(id string, want SyncMode) int64 {
+		t.Helper()
+		before := codec.decoded.Load()
+		rep, err := sq.SyncNode(bg, id)
+		if err != nil || rep.Mode != want {
+			t.Fatalf("sync %s: %+v, %v; want mode %s", id, rep, err, want)
+		}
+		return codec.decoded.Load() - before
+	}
+
+	for next < 6 {
+		if rep, got := register(); got != 0 || rep.Nodes != len(all) {
+			t.Fatalf("clean registration %s inflated %d bytes (%d nodes)", rep.ImageID, got, rep.Nodes)
+		}
+	}
+	sq.SetOnline(all[0], false)
+	register()
+	register()
+	sq.SetOnline(all[0], true)
+	if got := syncNode(all[0], SyncIncremental); got != 0 {
+		t.Fatalf("incremental sync inflated %d bytes", got)
+	}
+	sq.SetOnline(all[1], false)
+	register()
+	if sq.GarbageCollect(day(next+30)) == 0 {
+		t.Fatal("retention destroyed nothing")
+	}
+	sq.SetOnline(all[1], true)
+	if got := syncNode(all[1], SyncFull); got != 0 {
+		t.Fatalf("full sync inflated %d bytes", got)
+	}
+
+	// Damaging faults only: every fault a report counts damaged bytes.
+	setFaults(sq, fault.Plan{Seed: 3, Truncate: 0.3, Corrupt: 0.3}, t)
+	prev = sq.SCVolume().LatestSnapshot().Name
+	damaged, many := 0, 0
+	for k := 0; k < 10; k++ {
+		rep, got := register()
+		// What one encode inflates: the stream's compressed blocks. The
+		// test sends the stream again to find them, which inflates nothing.
+		st, err := sq.SCVolume().Send(prev, rep.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev = rep.Snapshot
+		var once int64
+		for _, pb := range sq.SCVolume().Prepare(st).Blocks {
+			if pb.Compressed {
+				once += int64(pb.LogLen)
+			}
+		}
+		want := int64(0)
+		if rep.Faults > 0 {
+			want = once
+		}
+		if got != want {
+			t.Fatalf("registration %s with %d damaged deliveries inflated %d bytes, one encode is %d",
+				rep.ImageID, rep.Faults, got, once)
+		}
+		if rep.Faults > 0 && once > 0 {
+			damaged++
+			if rep.Faults > 1 {
+				many++
+			}
+		}
+		for _, id := range sq.Lagging() {
+			syncNode(id, SyncIncremental)
+		}
+	}
+	if damaged < 3 || many == 0 {
+		t.Fatalf("%d registrations with damaged deliveries, %d with several: too few to measure", damaged, many)
+	}
+}
+
 // reconcile does for every node that may advertise — and, with
 // syncedOnly, is in step with the scVolume — what a registration used to
 // do for each replica it synced: a full SetHoldings reconciliation of

@@ -296,9 +296,16 @@ func (in *Injector) Note(k Kind) {
 	in.counters.Add("fault."+k.String(), 1)
 }
 
+// Damages reports whether bytes of kind k arrive other than they were
+// sent — truncated or corrupted — so a receiver must be handed the
+// damaged bytes (Damage) rather than the stream that was sent.
+func (k Kind) Damages() bool { return k == Truncate || k == Corrupt }
+
 // Deliver decides the fault for one transfer attempt of n bytes and
 // returns how many of them reach the destination, without touching the
-// bytes themselves — for a reader that only counts what a fault cost:
+// bytes themselves — for a reader that only counts what a fault cost,
+// or that holds the bytes only in a form it must encode, and so asks
+// for them (Damage) only when the verdict Damages:
 //
 //	None, Torn, Corrupt   n (Corrupt's arrive mangled)
 //	Drop, Crash           0
@@ -332,23 +339,34 @@ func (in *Injector) Deliver(op, dst string, attempt, n int) (Kind, int) {
 // the input slice, so one encoded stream can be shared across
 // destinations.
 func (in *Injector) Strike(op, dst string, attempt int, wire []byte) (Kind, []byte) {
-	k, got := in.Deliver(op, dst, attempt, len(wire))
-	switch k {
-	case None, Torn:
-		return k, wire
-	case Drop, Crash:
+	k, n := in.Deliver(op, dst, attempt, len(wire))
+	switch {
+	case k == Drop || k == Crash:
 		return k, nil
-	case Truncate:
+	case k.Damages():
+		return k, in.Damage(op, dst, attempt, k, n, wire)
+	}
+	return k, wire
+}
+
+// Damage is the bytes step of a verdict that Damages: given the kind and
+// arrived count Deliver returned for (op, dst, attempt) and the wire
+// bytes that were sent, it returns what reaches the destination — for
+// Truncate a strict prefix copy of n bytes, for Corrupt a same-length
+// copy with a few bytes flipped (wire itself when empty). It draws no
+// verdict and spends no crash budget, so calling it or not never moves
+// another draw; the flips are deterministic in (seed, op, dst, attempt),
+// and the result never aliases wire. Any other kind returns wire.
+func (in *Injector) Damage(op, dst string, attempt int, k Kind, n int, wire []byte) []byte {
+	switch {
+	case k == Truncate:
 		if len(wire) == 0 {
-			return k, nil
+			return nil
 		}
-		cut := make([]byte, got)
+		cut := make([]byte, n)
 		copy(cut, wire)
-		return k, cut
-	default: // Corrupt
-		if len(wire) == 0 {
-			return k, wire
-		}
+		return cut
+	case k == Corrupt && len(wire) > 0:
 		bad := make([]byte, len(wire))
 		copy(bad, wire)
 		flips := 1 + int(in.roll(op, dst, attempt, 1)%7)
@@ -356,6 +374,7 @@ func (in *Injector) Strike(op, dst string, attempt int, wire []byte) (Kind, []by
 			off := in.roll(op, dst, attempt, 2+i) % uint64(len(bad))
 			bad[off] ^= byte(1 + in.roll(op, dst, attempt, 100+i)%255)
 		}
-		return k, bad
+		return bad
 	}
+	return wire
 }

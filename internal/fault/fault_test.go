@@ -172,24 +172,46 @@ func TestDeliverAgreesWithStrike(t *testing.T) {
 	// Deliver is Strike without the bytes: over every kind, crash budget
 	// spent and not, and every length (empty included), the two agree on
 	// the kind and on how many bytes arrive, and they draw the crash
-	// budget down in the same steps.
+	// budget down in the same steps. The lazy form — Deliver, then Damage
+	// over bytes encoded on demand — draws the same verdicts, asks for the
+	// bytes only when the verdict Damages (Truncate, Corrupt), and then
+	// hands over exactly Strike's bytes.
 	for seed := int64(1); seed <= 4; seed++ {
 		p := Plan{Seed: seed, Drop: 0.15, Truncate: 0.2, Corrupt: 0.15, Crash: 0.1, Torn: 0.1, MaxCrashes: 6}
-		a, b := mustNew(t, p), mustNew(t, p)
+		a, b, c := mustNew(t, p), mustNew(t, p), mustNew(t, p)
 		seen := make(map[Kind]int)
 		for op := 0; op < 4; op++ {
 			for attempt := 1; attempt <= 6; attempt++ {
 				for _, n := range []int{0, 1, 7, 4096} {
 					o, d := fmt.Sprintf("peerfetch:img%d:node01", op), fmt.Sprintf("node0%d", n%5)
-					ks, got := a.Strike(o, d, attempt, bytes.Repeat([]byte{0xa5}, n))
+					wire := bytes.Repeat([]byte{0xa5}, n)
+					ks, got := a.Strike(o, d, attempt, wire)
 					kd, m := b.Deliver(o, d, attempt, n)
 					if ks != kd || len(got) != m {
 						t.Fatalf("seed %d (%s,%s,%d) n=%d: Strike %v/%d bytes, Deliver %v/%d",
 							seed, o, d, attempt, n, ks, len(got), kd, m)
 					}
-					if a.Crashes() != b.Crashes() {
-						t.Fatalf("seed %d (%s,%s,%d) n=%d: crash budget %d vs %d",
-							seed, o, d, attempt, n, a.Crashes(), b.Crashes())
+					encoded := 0
+					encode := func() []byte { encoded++; return bytes.Clone(wire) }
+					kl, ml := c.Deliver(o, d, attempt, n)
+					var lazy []byte
+					if kl.Damages() {
+						lazy = c.Damage(o, d, attempt, kl, ml, encode())
+					}
+					wantEncodes := 0
+					if kl == Truncate || kl == Corrupt {
+						wantEncodes = 1
+					}
+					if kl != ks || ml != m || encoded != wantEncodes {
+						t.Fatalf("seed %d (%s,%s,%d) n=%d: lazy form %v/%d bytes, %d encodes; Strike %v/%d",
+							seed, o, d, attempt, n, kl, ml, encoded, ks, len(got))
+					}
+					if kl.Damages() && !bytes.Equal(lazy, got) {
+						t.Fatalf("seed %d (%s,%s,%d) n=%d: the lazy form damaged the bytes unlike Strike", seed, o, d, attempt, n)
+					}
+					if a.Crashes() != b.Crashes() || a.Crashes() != c.Crashes() {
+						t.Fatalf("seed %d (%s,%s,%d) n=%d: crash budget %d vs %d vs %d",
+							seed, o, d, attempt, n, a.Crashes(), b.Crashes(), c.Crashes())
 					}
 					seen[kd]++
 				}
@@ -200,13 +222,13 @@ func TestDeliverAgreesWithStrike(t *testing.T) {
 				t.Fatalf("seed %d: the sweep never drew %v: %v", seed, k, seen)
 			}
 		}
-		ca, cb := a.Counters().Snapshot(), b.Counters().Snapshot()
-		if ca["fault.crash_degraded"] == 0 || len(ca) != len(cb) {
-			t.Fatalf("seed %d: counters %v vs %v", seed, ca, cb)
+		ca, cb, cc := a.Counters().Snapshot(), b.Counters().Snapshot(), c.Counters().Snapshot()
+		if ca["fault.crash_degraded"] == 0 || len(ca) != len(cb) || len(ca) != len(cc) {
+			t.Fatalf("seed %d: counters %v vs %v vs %v", seed, ca, cb, cc)
 		}
 		for k, v := range ca {
-			if cb[k] != v {
-				t.Fatalf("seed %d: counter %s: Strike %d, Deliver %d", seed, k, v, cb[k])
+			if cb[k] != v || cc[k] != v {
+				t.Fatalf("seed %d: counter %s: Strike %d, Deliver %d, lazy %d", seed, k, v, cb[k], cc[k])
 			}
 		}
 	}

@@ -14,9 +14,11 @@ import (
 
 // Closing the client while a watch's consumer is slower than the stream
 // used to panic the whole process with "send on closed channel": fail
-// closed the stream's channel from the receiving side while the read loop
-// was blocked sending into its full buffer. The channel is now never
-// closed; the read loop and the consumer both watch one stop channel.
+// closed the stream's channel from the receiving side while the client's
+// socket reader was blocked sending into its full buffer. The channel is
+// now never closed: whoever holds the read token spills what a full
+// channel cannot take into the stream's queue instead of waiting, and the
+// consumer and every waiter watch one stop channel.
 func TestCloseDuringSlowWatch(t *testing.T) {
 	addr, _ := startDaemon(t, ctlplane.Options{Images: 2, Nodes: 2, Traced: true}, "127.0.0.1:0")
 	c, err := wireclient.Dial(wireclient.Options{Addr: addr})
@@ -37,7 +39,7 @@ func TestCloseDuringSlowWatch(t *testing.T) {
 			})
 	}()
 	<-first
-	time.Sleep(60 * time.Millisecond) // let the read loop block on the full buffer
+	time.Sleep(60 * time.Millisecond) // let the stream's buffer fill and its queue grow
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

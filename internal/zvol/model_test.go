@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"sort"
@@ -413,8 +414,16 @@ func (r *refVolume) checkSends(t *testing.T, v *Volume, when string) {
 				t.Fatalf("%s: send %q→%s ships the wrong blocks of %s", when, fromName, to.name, o.name)
 			}
 		}
-		if len(st.Blocks) != shipped {
-			t.Fatalf("%s: send %q→%s ships %d blocks, model %d", when, fromName, to.name, len(st.Blocks), shipped)
+		if n, _ := st.shipped(); n != shipped || len(st.Blocks) != 0 {
+			t.Fatalf("%s: send %q→%s ships %d blocks (%d logical), model %d", when, fromName, to.name, n, len(st.Blocks), shipped)
+		}
+		for h, i := range payload {
+			if i >= 0 && st.sent[i].Hash != h {
+				t.Fatalf("%s: send %q→%s ships block %d under the wrong hash", when, fromName, to.name, i)
+			}
+		}
+		if n, err := st.Encode(io.Discard); err != nil || n != st.WireSize() {
+			t.Fatalf("%s: send %q→%s encodes to %d bytes (%v), WireSize says %d", when, fromName, to.name, n, err, st.WireSize())
 		}
 	}
 	for i, to := range r.snaps {

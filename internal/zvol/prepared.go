@@ -1,6 +1,7 @@
 package zvol
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/block"
@@ -18,9 +19,10 @@ import (
 // prepared stream pays the CPU once and lets every receiver alias the
 // same immutable stored payload via store.AllocShared; per-receiver work
 // collapses to DDT/object-table map updates. And "once" includes the
-// sender: a payload the preparing volume already stores is lent out, not
-// encoded again, so a registration's codec work is the scVolume's one
-// gzip per new block (see Prepare).
+// sender: Send lends its stored payloads out as they are, with the
+// hashes and checksums their block pointers hold, so a registration's
+// only per-block codec work is the scVolume's one gzip per new block
+// (see Prepare).
 //
 // A prepared stream is also the only thing a volume applies: Receive
 // prepares a raw stream for itself (hashStream) and takes the same path.
@@ -30,7 +32,12 @@ import (
 // addresses.
 type PreparedStream struct {
 	Stream *Stream
-	Blocks []PreparedBlock // parallel to Stream.Blocks
+	Blocks []PreparedBlock // one per shipped block, in stream order
+
+	// raw is each shipped block's logical bytes when a receiver prepared
+	// the stream for itself: a block write encodes the stored form from
+	// them. nil for a stream its sender prepared.
+	raw [][]byte
 }
 
 // PreparedBlock is the precomputed stored form of one shipped payload.
@@ -46,38 +53,59 @@ type PreparedBlock struct {
 
 // hashStream is the half of preparation every receive needs: one
 // PreparedBlock per shipped payload carrying its content hash and length,
-// no stored form yet. It is all a receiver does to prepare a raw stream
-// for itself (receive), and where Prepare starts.
-func hashStream(st *Stream) *PreparedStream {
-	ps := &PreparedStream{Stream: st, Blocks: make([]PreparedBlock, len(st.Blocks))}
-	for i, data := range st.Blocks {
+// no stored form yet, over the logical bytes the stream ships (decoded
+// from a Send-built stream's stored payloads). It is all a receiver does
+// to prepare a stream for itself (Receive), and where Prepare starts on a
+// stream DecodeStream built.
+func hashStream(st *Stream) (*PreparedStream, error) {
+	ps := &PreparedStream{Stream: st, raw: st.Blocks}
+	if st.sent != nil {
+		err := st.eachBlock(func(data []byte) error {
+			ps.raw = append(ps.raw, bytes.Clone(data)) // eachBlock reuses its buffer
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	ps.Blocks = make([]PreparedBlock, len(ps.raw))
+	for i, data := range ps.raw {
 		ps.Blocks[i] = PreparedBlock{Hash: block.HashOf(data), LogLen: int32(len(data))}
 	}
-	return ps
+	return ps, nil
 }
 
-// Prepare hashes every shipped payload of st exactly once and finds its
-// stored form. The raw block is always hashed — that digest is what a
-// receiver's stream verification compares with the stream's pointer —
-// and the DDT is then asked before the codec, as writeBlockLocked asks
-// it: a block this volume already stores (every block of a stream it
-// sent itself) is not compressed a second time. Its stored payload is checked
-// against the entry's PhysHash and lent out through store.Share, so the
-// sender and all receivers hold one copy of the bytes, each behind its
-// own copy-on-write slot. Only a block the volume does not hold, holds
-// at another length, or holds rotted is encoded afresh (per the codec
-// and minimum-gain rule) — a rotted payload is never shipped.
+// Prepare returns st with every shipped payload in its stored form.
 //
-// The receiver volumes must share this volume's Config — in Squirrel they
+// A stream Send built carries that form already — the sender's stored
+// payloads, lent, each checked against its pointer's CRC32C as Send lent
+// it, with the pointer's hash, so Prepare hands it out as it is: no
+// hash, no DDT probe, no checksum, no codec.
+//
+// A stream DecodeStream built carries logical bytes. Each is hashed once
+// — that digest is what a receiver's stream verification compares with
+// the stream's pointer — and the DDT is then asked before the codec, as
+// writeBlockLocked asks it: a block this volume already stores is not
+// compressed a second time. Its stored payload is checked against the
+// entry's PhysHash and lent out through store.Share, so the sender and
+// all receivers hold one copy of the bytes, each behind its own
+// copy-on-write slot. Only a block the volume does not hold, holds at
+// another length, or holds rotted is encoded afresh (per the codec and
+// minimum-gain rule) — a rotted payload is never shipped.
+//
+// The receiver volumes must share the sender's Config — in Squirrel they
 // always do: the scVolume and every ccVolume are created from one
 // cfg.Volume.
 func (v *Volume) Prepare(st *Stream) *PreparedStream {
+	if st.sent != nil {
+		return &PreparedStream{Stream: st, Blocks: st.sent}
+	}
+	ps, _ := hashStream(st) // logical bytes as they are: nothing to decode, nothing to fail
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	ps := hashStream(st)
 	for i := range ps.Blocks {
 		if pb := &ps.Blocks[i]; !v.lendStoredLocked(pb) {
-			pb.Payload, pb.Compressed, pb.PhysHash = v.encode(st.Blocks[i])
+			pb.Payload, pb.Compressed, pb.PhysHash = v.encode(ps.raw[i])
 		}
 	}
 	return ps
@@ -91,11 +119,8 @@ func (v *Volume) lendStoredLocked(pb *PreparedBlock) bool {
 	if e == nil || e.LogLen != pb.LogLen {
 		return false
 	}
-	payload, err := v.store.Read(e.Addr)
-	if err != nil || int32(len(payload)) != e.PhysLen || block.Checksum(payload) != e.PhysHash {
-		return false
-	}
-	if _, err := v.store.Share(e.Addr); err != nil { // lends the slice just checked
+	payload, err := v.lendPayloadLocked(blockPtr{addr: e.Addr, physLen: e.PhysLen, physHash: e.PhysHash})
+	if err != nil {
 		return false
 	}
 	pb.Payload, pb.Compressed, pb.PhysHash = payload, e.Compressed, e.PhysHash

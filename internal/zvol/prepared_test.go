@@ -266,17 +266,18 @@ func countedPair(t *testing.T) (*compressCounter, *Volume, *Stream) {
 
 func TestPrepareCompressesNothingTheSenderStores(t *testing.T) {
 	// Every block of a stream the volume sent itself is in its DDT and
-	// its store: Prepare lends those payloads out and never calls the
-	// codec, and each unique block was compressed exactly once, when it
-	// was written.
+	// its store: Send lends those payloads out, Prepare hands them on and
+	// never calls the codec, and each unique block was compressed exactly
+	// once, when it was written.
 	codec, src, st := countedPair(t)
 	start := codec.calls.Load()
 	ps := src.Prepare(st)
+	shipped, _ := st.shipped()
 	if got := codec.calls.Load() - start; got != 0 {
-		t.Fatalf("Prepare compressed %d of %d shipped blocks; the sender stores every one", got, len(st.Blocks))
+		t.Fatalf("Prepare compressed %d of %d shipped blocks; the sender stores every one", got, shipped)
 	}
-	if got, want := src.StoreStats().Shared, int64(len(st.Blocks)); got != want {
-		t.Fatalf("sender lent %d payloads, the stream ships %d", got, want)
+	if got, want := src.StoreStats().Shared, int64(shipped); got != want || len(ps.Blocks) != shipped {
+		t.Fatalf("sender lent %d payloads, the stream ships %d (%d prepared)", got, want, len(ps.Blocks))
 	}
 	src.mu.RLock()
 	for i, pb := range ps.Blocks {
@@ -387,51 +388,126 @@ func TestPrepareIsolatesRotBetweenSenderAndReplicas(t *testing.T) {
 }
 
 func TestPrepareNeverShipsARottedPayload(t *testing.T) {
-	// The stream is cut while the sender is intact; one stored payload
-	// rots before Prepare runs. Prepare checks the stored bytes against
-	// the entry's PhysHash (CRC32C), finds them bad, and encodes that one
-	// block afresh from the (verified) raw bytes of the stream.
-	codec, src, st := countedPair(t)
-	infos, err := src.BlockInfos("other")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rotted := -1
-	for i, bi := range infos {
-		if !bi.Zero {
-			rotted = i
-			break
+	firstStored := func(t *testing.T, v *Volume, name string) int {
+		t.Helper()
+		infos, err := v.BlockInfos(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := src.CorruptStoredBlock("other", rotted, 0, 0xFF); err != nil {
-		t.Fatal(err)
-	}
-	start := codec.calls.Load()
-	ps := src.Prepare(st)
-	if got := codec.calls.Load() - start; got != 1 {
-		t.Fatalf("Prepare compressed %d blocks, want exactly the rotted one", got)
-	}
-	for i, pb := range ps.Blocks {
-		if block.Checksum(pb.Payload) != pb.PhysHash {
-			t.Fatalf("prepared block %d carries a payload that fails its own checksum", i)
+		for i, bi := range infos {
+			if !bi.Zero {
+				return i
+			}
 		}
+		t.Fatalf("%s has no stored block", name)
+		return -1
 	}
-	dst, err := New(src.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.ReceivePrepared(ps); err != nil {
-		t.Fatal(err)
-	}
-	if rep := dst.Scrub(); !rep.Clean() {
-		t.Fatalf("the sender's rot reached the replica: %+v", rep.Damaged)
-	}
-	plain, err := New(src.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Receive(st); err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalReplicas(t, plain, dst)
+	t.Run("rot before Send", func(t *testing.T) {
+		// Send checks every payload it lends against its pointer's
+		// CRC32C: a rotted block fails the stream, it is never shipped.
+		_, src, _ := countedPair(t)
+		if err := src.CorruptStoredBlock("other", firstStored(t, src, "other"), 0, 0xFF); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Snapshot("s2", day(1)); err != nil {
+			t.Fatal(err)
+		}
+		for _, from := range []string{"", "s1"} {
+			if _, err := src.Send(from, "s2"); from == "" && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("full send over a rotted block: %v", err)
+			} else if from != "" && err != nil {
+				t.Fatalf("incremental send ships nothing rotted, yet failed: %v", err)
+			}
+		}
+	})
+	t.Run("rot after Send", func(t *testing.T) {
+		// The stream is cut while the sender is intact; one of its stored
+		// payloads then rots. The sender's slot is copy-on-write since
+		// Send lent it, so the rot lands on a private copy: the lent
+		// bytes stay intact, Prepare compresses nothing, and every
+		// replica reads the bytes that were written.
+		codec, src, st := countedPair(t)
+		want, err := src.ReadObject("other")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lent := make([][]byte, len(st.sent))
+		for i, pb := range st.sent {
+			lent[i] = bytes.Clone(pb.Payload)
+		}
+		if err := src.CorruptStoredBlock("other", firstStored(t, src, "other"), 0, 0xFF); err != nil {
+			t.Fatal(err)
+		}
+		if src.Scrub().Clean() {
+			t.Fatal("rot on the sender vanished")
+		}
+		start := codec.calls.Load()
+		ps := src.Prepare(st)
+		if got := codec.calls.Load() - start; got != 0 {
+			t.Fatalf("Prepare compressed %d blocks", got)
+		}
+		for i, pb := range ps.Blocks {
+			if !bytes.Equal(pb.Payload, lent[i]) || block.Checksum(pb.Payload) != pb.PhysHash {
+				t.Fatalf("prepared block %d: the sender's rot reached the lent payload", i)
+			}
+		}
+		plain, err := New(src.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Receive(st); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			dst, err := New(src.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.ReceivePrepared(ps); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := dst.ReadObject("other"); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("replica %d does not read the written bytes (%v)", i, err)
+			}
+			assertIdenticalReplicas(t, plain, dst) // scrubs dst clean
+		}
+	})
+	t.Run("rot before Prepare of a decoded stream", func(t *testing.T) {
+		// A stream decoded off a wire carries logical bytes, and Prepare
+		// lends what the volume stores of them: it checks each stored
+		// payload against its DDT entry's PhysHash, finds the rotted one
+		// bad, and encodes that one block afresh from the stream's bytes.
+		codec, src, st := countedPair(t)
+		var wire bytes.Buffer
+		if _, err := st.Encode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeStream(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.CorruptStoredBlock("other", firstStored(t, src, "other"), 0, 0xFF); err != nil {
+			t.Fatal(err)
+		}
+		start := codec.calls.Load()
+		ps := src.Prepare(decoded)
+		if got := codec.calls.Load() - start; got != 1 {
+			t.Fatalf("Prepare compressed %d blocks, want exactly the rotted one", got)
+		}
+		dst, err := New(src.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.ReceivePrepared(ps); err != nil {
+			t.Fatal(err)
+		}
+		plain, err := New(src.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Receive(decoded); err != nil {
+			t.Fatal(err)
+		}
+		assertIdenticalReplicas(t, plain, dst) // scrubs dst clean
+	})
 }

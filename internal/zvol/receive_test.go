@@ -55,33 +55,61 @@ func sendStream(t *testing.T) (*Stream, *Volume) {
 }
 
 func TestReceiveRejectsCorruptPayload(t *testing.T) {
-	st, dst := sendStream(t)
-	if len(st.Blocks) == 0 {
-		t.Fatal("stream shipped no payloads")
-	}
-	before := snapshotState(t, dst)
-	st.Blocks[0][0] ^= 0xFF // in-memory corruption the wire CRC never sees
-	err := dst.Receive(st)
-	if !errors.Is(err, ErrBadStream) {
-		t.Fatalf("corrupt payload: %v", err)
-	}
-	if !sameState(before, snapshotState(t, dst)) {
-		t.Fatal("failed receive mutated the replica")
-	}
-	// Un-corrupt and the very same stream applies cleanly.
-	st.Blocks[0][0] ^= 0xFF
-	if err := dst.Receive(st); err != nil {
+	// In-memory corruption the wire CRC never sees, in both forms a
+	// stream reaches Receive in: a logical block of the stream decoded
+	// off the wire, and a stored payload the Send-built stream lends —
+	// swapped for a damaged copy, since the lent slice is the sender's.
+	sent, dst := sendStream(t)
+	var wire bytes.Buffer
+	if _, err := sent.Encode(&wire); err != nil {
 		t.Fatal(err)
 	}
-	if !dst.HasObject("img") {
-		t.Fatal("repaired receive missing object")
+	decoded, err := DecodeStream(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded.Blocks) == 0 || len(sent.sent) == 0 {
+		t.Fatal("stream shipped no payloads")
+	}
+	intact := sent.sent[0].Payload
+	damaged := bytes.Clone(intact)
+	damaged[0] ^= 0xFF
+	for _, c := range []struct {
+		form         string
+		st           *Stream
+		rot, restore func()
+	}{
+		{"decoded", decoded, func() { decoded.Blocks[0][0] ^= 0xFF }, func() { decoded.Blocks[0][0] ^= 0xFF }},
+		{"sent", sent, func() { sent.sent[0].Payload = damaged }, func() { sent.sent[0].Payload = intact }},
+	} {
+		dst, err := New(dst.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := snapshotState(t, dst)
+		c.rot()
+		if err := dst.Receive(c.st); !errors.Is(err, ErrBadStream) {
+			t.Fatalf("%s: corrupt payload: %v", c.form, err)
+		}
+		if !sameState(before, snapshotState(t, dst)) {
+			t.Fatalf("%s: failed receive mutated the replica", c.form)
+		}
+		// Un-corrupt and the very same stream applies cleanly.
+		c.restore()
+		if err := dst.Receive(c.st); err != nil {
+			t.Fatalf("%s: %v", c.form, err)
+		}
+		if !dst.HasObject("img") {
+			t.Fatalf("%s: repaired receive missing object", c.form)
+		}
 	}
 }
 
 func TestReceiveRejectsPayloadIndexOutOfRange(t *testing.T) {
 	st, dst := sendStream(t)
 	before := snapshotState(t, dst)
-	st.Upserts[0].Ptrs[0].Payload = len(st.Blocks) + 5
+	n, _ := st.shipped()
+	st.Upserts[0].Ptrs[0].Payload = n + 5
 	if err := dst.Receive(st); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("bad index: %v", err)
 	}
@@ -185,8 +213,8 @@ func TestReceiveReplaceReleasesAfterUpserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inc.Blocks) != 0 {
-		t.Fatalf("incremental shipped %d payloads, want hash-only", len(inc.Blocks))
+	if n, _ := inc.shipped(); n != 0 {
+		t.Fatalf("incremental shipped %d payloads, want hash-only", n)
 	}
 	if err := dst.Receive(inc); err != nil {
 		t.Fatal(err)

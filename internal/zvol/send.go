@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/compress"
 )
 
 // Stream is an incremental (or full) snapshot send stream, the unit
@@ -27,13 +28,25 @@ type Stream struct {
 	// Blocks carries raw (uncompressed) payloads of new-born blocks keyed
 	// implicitly by their position; object records reference them by
 	// index. Hash-only references (negative index) denote blocks the
-	// receiver is assumed to hold already.
+	// receiver is assumed to hold already. It is what DecodeStream fills
+	// in; a stream Send built leaves it empty and ships sent instead.
 	Blocks [][]byte
+
+	// sent is a Send-built stream's shipped blocks in their stored form,
+	// parallel to what Blocks would hold: the sender's stored payloads,
+	// lent (store.Share), with the hash, length, compression flag and
+	// physical checksum of the block pointer they were read through, and
+	// codec the sender's, which decodes them. Nothing inflates them unless
+	// the logical bytes are asked for — by Encode, or by a Receive that
+	// verifies them itself (see eachBlock).
+	sent  []PreparedBlock
+	codec compress.Codec
 }
 
 // StreamObject describes one object in a stream: for each logical block
-// either an index into Stream.Blocks (payload shipped) or -1 with a hash
-// the receiver must already know, or a hole.
+// either an index among the shipped blocks (Stream.Blocks, or a sent
+// stream's stored forms) or -1 with a hash the receiver must already
+// know, or a hole.
 type StreamObject struct {
 	Name string
 	Size int64
@@ -44,18 +57,17 @@ type StreamObject struct {
 type StreamPtr struct {
 	Zero    bool
 	LogLen  int32
-	Payload int // index into Stream.Blocks, or -1
+	Payload int // index among the shipped blocks, or -1
 	Hash    [32]byte
 }
 
 // SizeBytes returns the on-wire size of the stream: shipped payloads plus
 // a small fixed header per object and per pointer. This is the number
 // Squirrel's network accounting charges for registration propagation.
+// Payloads count at their logical length, whatever form they are held in.
 func (st *Stream) SizeBytes() int64 {
-	var n int64 = 64 // stream header
-	for _, b := range st.Blocks {
-		n += int64(len(b))
-	}
+	_, n := st.shipped()
+	n += 64 // stream header
 	for _, o := range st.Upserts {
 		n += 64 + int64(len(o.Name)) + int64(len(o.Ptrs))*40
 	}
@@ -63,6 +75,49 @@ func (st *Stream) SizeBytes() int64 {
 		n += int64(len(d)) + 8
 	}
 	return n
+}
+
+// shipped returns how many blocks the stream ships and their logical
+// bytes: the lengths of Blocks, or the lengths a Send-built stream's
+// block pointers record.
+func (st *Stream) shipped() (count int, size int64) {
+	for _, b := range st.Blocks {
+		size += int64(len(b))
+	}
+	for _, pb := range st.sent {
+		size += int64(pb.LogLen)
+	}
+	return len(st.Blocks) + len(st.sent), size
+}
+
+// eachBlock hands fn each shipped block's logical bytes in order: a
+// Blocks entry as it is, a sent block raw as its stored payload and
+// compressed decoded through the stream's codec into one scratch buffer,
+// reused, so fn must not keep what it is handed. It is the only place a
+// Send-built stream's payloads are inflated.
+func (st *Stream) eachBlock(fn func(data []byte) error) error {
+	for _, b := range st.Blocks {
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+	var buf []byte
+	for i, pb := range st.sent {
+		data := pb.Payload
+		if pb.Compressed {
+			if cap(buf) < int(pb.LogLen) {
+				buf = make([]byte, pb.LogLen)
+			}
+			data = buf[:pb.LogLen]
+			if err := st.codec.DecompressInto(data, pb.Payload); err != nil {
+				return fmt.Errorf("%w: sent block %d: %v", ErrCorrupt, i, err)
+			}
+		}
+		if err := fn(data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Send produces a stream that transforms a replica holding fromSnap into
@@ -76,6 +131,13 @@ func (st *Stream) SizeBytes() int64 {
 // Upserts, and so the shipped blocks, go in birth order and deletes in the
 // birth order of what they remove: one commit always encodes to the same
 // bytes. fromSnap must not be the later of the two.
+//
+// A shipped block travels as it is stored, as `zfs send -c` ships it:
+// its payload is checked (length and CRC32C, checkedPayload) and lent
+// through store.Share, never inflated, so a rotted block fails Send with
+// ErrCorrupt and an intact one costs no codec work. The stream carries
+// each block's stored form (Prepare hands it out as it is); Encode
+// inflates the payloads only when the wire bytes are asked for.
 func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -105,7 +167,7 @@ func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 	// that bring back a name from lists already: objects are immutable, so
 	// same name ⇒ same content, and the name is neither sent nor deleted.
 	var upserts []*Object
-	ship := map[block.Hash]int{} // block hash → index in st.Blocks, -1 until read; the blocks from does not reference
+	ship := map[block.Hash]int{} // block hash → index in st.sent, -1 until lent; the blocks from does not reference
 	for _, o := range v.held[len(origin):v.bornThroughLocked(to.txg)] {
 		if !to.lists(o) {
 			continue
@@ -136,7 +198,7 @@ func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 			}
 		}
 	}
-	st := &Stream{FromSnap: fromSnap, ToSnap: toSnap, Created: to.Created}
+	st := &Stream{FromSnap: fromSnap, ToSnap: toSnap, Created: to.Created, codec: v.codec}
 	for _, obj := range upserts {
 		so := StreamObject{Name: obj.Name, Size: obj.Size, Ptrs: make([]StreamPtr, 0, len(obj.ptrs))}
 		for _, p := range obj.ptrs {
@@ -145,12 +207,13 @@ func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 				sp.Hash = p.hash
 				if idx, unknown := ship[p.hash]; unknown {
 					if idx < 0 {
-						data := make([]byte, p.logLen)
-						if err := v.readBlockInto(p, data); err != nil { // each block once: caching would only churn
+						payload, err := v.lendPayloadLocked(p)
+						if err != nil {
 							return nil, fmt.Errorf("zvol: send %s: %w", obj.Name, err)
 						}
-						st.Blocks = append(st.Blocks, data)
-						idx = len(st.Blocks) - 1
+						st.sent = append(st.sent, PreparedBlock{Hash: p.hash, Payload: payload,
+							LogLen: p.logLen, Compressed: p.compressed, PhysHash: p.physHash})
+						idx = len(st.sent) - 1
 						ship[p.hash] = idx
 					}
 					sp.Payload = idx
@@ -185,16 +248,23 @@ func (v *Volume) Send(fromSnap, toSnap string) (*Stream, error) {
 // the journal open; Recover rolls the volume back to its exact
 // pre-receive state. A volume with an open journal refuses further
 // receives until recovered.
-func (v *Volume) Receive(st *Stream) error { return v.receive(hashStream(st), false) }
+func (v *Volume) Receive(st *Stream) error {
+	ps, err := hashStream(st)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBadStream, err)
+	}
+	return v.receive(ps, false)
+}
 
 // receive is the one apply path, behind Receive and ReceivePrepared:
 // verify, journal, stage, commit, always over a prepared stream. A raw
 // stream (decoded off a wire, nothing about it trusted) was prepared by
 // this receiver for itself — every shipped block hashed, which is what
 // verification compares with the stream's pointers; its blocks' stored
-// forms are left for writeBlockLocked to produce, after the DDT has been
-// asked, once verification has passed. arrived says the stream came
-// prepared by its sender, which only the accounting cares about.
+// forms are left for writeBlockLocked to produce from ps.raw, after the
+// DDT has been asked, once verification has passed. arrived says the
+// stream came prepared by its sender, which only the accounting cares
+// about.
 func (v *Volume) receive(ps *PreparedStream, arrived bool) error {
 	st := ps.Stream
 	v.mu.Lock()
@@ -233,7 +303,11 @@ func (v *Volume) receive(ps *PreparedStream, arrived bool) error {
 				v.zeroBytes += int64(sp.LogLen)
 				rec.zeros += int64(sp.LogLen)
 			case sp.Payload >= 0:
-				ptr = v.writeBlockLocked(&ps.Blocks[sp.Payload], st.Blocks[sp.Payload])
+				var data []byte // read only when the block has no stored form yet, which verification proved raw holds
+				if sp.Payload < len(ps.raw) {
+					data = ps.raw[sp.Payload]
+				}
+				ptr = v.writeBlockLocked(&ps.Blocks[sp.Payload], data)
 			default:
 				ptr, _ = v.refStoredLocked(sp.Hash, sp.LogLen) // verified resolvable
 			}
@@ -289,11 +363,12 @@ func (st *Stream) ApplySteps() int { return len(st.Upserts) + len(st.Deletes) }
 // verifyStreamLocked checks a prepared stream end to end without touching
 // the volume. Everything receive's apply phase relies on is proven here:
 // ancestry and snapshot-name freshness, one prepared block per shipped
-// payload, payload indexes in range, shipped payloads matching their
-// declared length and — by the hash their preparer computed, sender or
-// this receiver alike — their pointer's content hash, object sizes
-// consistent with their pointers, and every hash-only reference present
-// in the local DDT.
+// payload, each with a stored form or the logical bytes to make one,
+// payload indexes in range, shipped payloads matching their declared
+// length and — by the hash their preparer computed, sender or this
+// receiver alike — their pointer's content hash, object sizes consistent
+// with their pointers, and every hash-only reference present in the
+// local DDT.
 func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
 	st := ps.Stream
 	if st.FromSnap != "" && v.snapByName[st.FromSnap] == nil {
@@ -305,9 +380,9 @@ func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
 	if !v.cfg.Dedup {
 		return fmt.Errorf("zvol: receive requires a dedup volume")
 	}
-	if len(ps.Blocks) != len(st.Blocks) {
+	if n, _ := st.shipped(); len(ps.Blocks) != n {
 		return fmt.Errorf("%w: prepared stream carries %d blocks, stream %d",
-			ErrBadStream, len(ps.Blocks), len(st.Blocks))
+			ErrBadStream, len(ps.Blocks), n)
 	}
 	for _, so := range st.Upserts {
 		var size int64
@@ -316,16 +391,20 @@ func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
 			switch {
 			case sp.Zero:
 			case sp.Payload >= 0:
-				if sp.Payload >= len(st.Blocks) {
+				if sp.Payload >= len(ps.Blocks) {
 					return fmt.Errorf("%w: %s payload index %d out of range",
 						ErrBadStream, so.Name, sp.Payload)
 				}
-				if int32(len(st.Blocks[sp.Payload])) != sp.LogLen {
+				if n := ps.Blocks[sp.Payload].LogLen; n != sp.LogLen {
 					return fmt.Errorf("%w: %s block %d is %d bytes, pointer says %d",
-						ErrBadStream, so.Name, sp.Payload, len(st.Blocks[sp.Payload]), sp.LogLen)
+						ErrBadStream, so.Name, sp.Payload, n, sp.LogLen)
 				}
 				if ps.Blocks[sp.Payload].Hash != block.Hash(sp.Hash) {
 					return fmt.Errorf("%w: %s block %d checksum mismatch",
+						ErrBadStream, so.Name, sp.Payload)
+				}
+				if ps.Blocks[sp.Payload].Payload == nil && sp.Payload >= len(ps.raw) {
+					return fmt.Errorf("%w: %s block %d has neither a stored form nor its bytes",
 						ErrBadStream, so.Name, sp.Payload)
 				}
 			default:

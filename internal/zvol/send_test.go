@@ -69,8 +69,8 @@ func TestIncrementalSendShipsOnlyNewBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inc.Blocks) != 1 {
-		t.Fatalf("incremental stream shipped %d blocks, want 1", len(inc.Blocks))
+	if n, _ := inc.shipped(); n != 1 {
+		t.Fatalf("incremental stream shipped %d blocks, want 1", n)
 	}
 	if inc.SizeBytes() >= full.SizeBytes() {
 		t.Fatal("incremental must be smaller than full")
@@ -185,9 +185,12 @@ func TestStreamSizeAccounting(t *testing.T) {
 	src.WriteObject("a", bytes.NewReader(mkData(40, 50*1024)))
 	src.Snapshot("s1", day(0))
 	st, _ := src.Send("", "s1")
-	var payload int64
-	for _, b := range st.Blocks {
-		payload += int64(len(b))
+	var payload int64 // the shipped blocks' logical bytes, as their pointers record them
+	for _, pb := range st.sent {
+		payload += int64(pb.LogLen)
+	}
+	if payload == 0 {
+		t.Fatal("stream shipped no payloads")
 	}
 	if st.SizeBytes() <= payload {
 		t.Fatal("stream size must include metadata overhead")

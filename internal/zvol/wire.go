@@ -46,9 +46,11 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 }
 
 // WireSize returns exactly how many bytes Encode writes, computed from
-// the stream's lengths alone, so a caller can give the wire buffer its
-// final size up front. (SizeBytes is the coarser figure the network
-// accounting charges; this one follows the format above field by field.)
+// the stream's lengths alone — a Send-built stream's from its block
+// pointers' logical lengths, nothing inflated — so a caller can charge a
+// transfer, or give the wire buffer its final size, without encoding.
+// (SizeBytes is the coarser figure the network accounting charges; this
+// one follows the format above field by field.)
 func (st *Stream) WireSize() int64 {
 	str := func(s string) int64 { return 4 + int64(len(s)) }
 	n := int64(len(wireMagic)) + 2 + str(st.FromSnap) + str(st.ToSnap) + 8
@@ -56,10 +58,8 @@ func (st *Stream) WireSize() int64 {
 	for _, d := range st.Deletes {
 		n += str(d)
 	}
-	n += 4
-	for _, b := range st.Blocks {
-		n += 4 + int64(len(b))
-	}
+	count, size := st.shipped()
+	n += 4 + 4*int64(count) + size
 	n += 4
 	for _, o := range st.Upserts {
 		n += str(o.Name) + 8 + 4 + int64(len(o.Ptrs))*(1+4+4+32)
@@ -68,7 +68,10 @@ func (st *Stream) WireSize() int64 {
 }
 
 // Encode writes the stream in wire format. The returned byte count is the
-// exact on-wire size.
+// exact on-wire size. The wire carries logical blocks: a Send-built
+// stream's stored payloads are inflated through the sender's codec as
+// they are written, so its bytes are those of the same stream decoded
+// off a wire.
 func (st *Stream) Encode(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	cw := &crcWriter{w: bw}
@@ -112,16 +115,19 @@ func (st *Stream) Encode(w io.Writer) (int64, error) {
 			return cw.n, err
 		}
 	}
-	if err := write(uint32(len(st.Blocks))); err != nil {
+	count, _ := st.shipped()
+	if err := write(uint32(count)); err != nil {
 		return cw.n, err
 	}
-	for _, b := range st.Blocks {
+	err := st.eachBlock(func(b []byte) error {
 		if err := write(uint32(len(b))); err != nil {
-			return cw.n, err
+			return err
 		}
-		if _, err := cw.Write(b); err != nil {
-			return cw.n, err
-		}
+		_, err := cw.Write(b)
+		return err
+	})
+	if err != nil {
+		return cw.n, err
 	}
 	if err := write(uint32(len(st.Upserts))); err != nil {
 		return cw.n, err

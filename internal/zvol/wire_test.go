@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -66,11 +68,17 @@ func TestWireRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Deletes, st.Deletes) {
 		t.Fatalf("deletes %v != %v", got.Deletes, st.Deletes)
 	}
-	if len(got.Blocks) != len(st.Blocks) {
-		t.Fatalf("blocks %d != %d", len(got.Blocks), len(st.Blocks))
+	// The sent stream ships stored payloads; the wire carries them
+	// inflated, the logical bytes the sender wrote.
+	var want [][]byte
+	if err := st.eachBlock(func(b []byte) error { want = append(want, bytes.Clone(b)); return nil }); err != nil {
+		t.Fatal(err)
 	}
-	for i := range st.Blocks {
-		if !bytes.Equal(got.Blocks[i], st.Blocks[i]) {
+	if len(got.Blocks) != len(want) || len(want) == 0 {
+		t.Fatalf("blocks %d != %d", len(got.Blocks), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got.Blocks[i], want[i]) || block.HashOf(want[i]) != st.sent[i].Hash {
 			t.Fatalf("block %d differs", i)
 		}
 	}
@@ -162,6 +170,74 @@ func TestWireRejectsGarbage(t *testing.T) {
 	}
 }
 
+func TestSentStreamWireBytesArePinned(t *testing.T) {
+	// testdata/send_{full,incremental}.golden hold what Encode wrote for
+	// these two sends when Send still inflated every shipped block into
+	// the stream. Send now ships the stored payloads and Encode inflates
+	// them as it writes: the wire bytes, and so DiffBytes and every
+	// figure that charges them, must not move. The sends carry every
+	// record kind: blocks stored compressed and raw (a short last block
+	// among them), a hash-only reference, a hole and a delete.
+	src, err := New(cfg(4096, "gzip6", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := mkData(60, 24*1024)
+	noise := make([]byte, 8*1024) // incompressible: stored raw
+	rand.New(rand.NewSource(61)).Read(noise)
+	for _, w := range []struct {
+		name string
+		data []byte
+		snap string
+	}{
+		{"a", base, ""},
+		{"noise", noise[1000:], "s1"},
+		{"b", append(base[:8192:8192], make([]byte, 4096)...), ""},
+		{"c", append(mkData(62, 8*1024), noise[:1000]...), ""},
+	} {
+		if _, err := src.WriteObject(w.name, bytes.NewReader(w.data)); err != nil {
+			t.Fatal(err)
+		}
+		if w.snap != "" {
+			if _, err := src.Snapshot(w.snap, day(0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := src.DeleteObject("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Snapshot("s2", day(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ golden, from string }{{"send_full", ""}, {"send_incremental", "s1"}} {
+		st, err := src.Send(c.from, "s2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[bool]int{}
+		for _, pb := range st.sent {
+			kinds[pb.Compressed]++
+		}
+		if kinds[true] == 0 || kinds[false] == 0 {
+			t.Fatalf("%s ships %d compressed and %d raw blocks, want both kinds", c.golden, kinds[true], kinds[false])
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		n, err := st.Encode(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) || n != st.WireSize() || n != int64(len(want)) {
+			t.Fatalf("%s: Encode wrote %d bytes (WireSize %d), the pinned stream is %d; equal: %v",
+				c.golden, n, st.WireSize(), len(want), bytes.Equal(got.Bytes(), want))
+		}
+	}
+}
+
 // seedStream is a real incremental Send carrying every record kind — a
 // delete, shipped blocks, a hash-only reference and a hole — kept under
 // a KB so the fuzzer's mutations and minimization stay fast.
@@ -181,7 +257,7 @@ func seedStream(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := st.Upserts[0].Ptrs; len(st.Deletes) != 1 || len(st.Blocks) != 1 || b[0].Payload != -1 || !b[1].Zero {
+	if b := st.Upserts[0].Ptrs; len(st.Deletes) != 1 || len(st.sent) != 1 || b[0].Payload != -1 || !b[1].Zero {
 		t.Fatalf("seed stream lacks a record kind: %+v", st)
 	}
 	var sent bytes.Buffer

@@ -28,18 +28,22 @@
 // Who owns a payload. The store owns the bytes at an address: a copy of
 // the caller's data when a block is stored raw, the codec's fresh output
 // itself when it is stored compressed. A registration's payloads exist
-// once across the deployment: Prepare lends the sender's stored slices
-// out (store.Share) and prepared receivers alias them
-// (store.AllocShared), every slot involved copy-on-write, so a payload is
-// copied exactly when one side rots or repairs its own (see prepared.go).
+// once across the deployment: Send lends the sender's stored slices out
+// (store.Share) and prepared receivers alias them (store.AllocShared),
+// every slot involved copy-on-write, so a payload is copied exactly when
+// one side rots or repairs its own (see prepared.go).
 //
 // How a block gets in. There is one block write (writeBlockLocked: ask
 // the DDT, else place the stored form) under WriteObject and under the
 // one stream apply path (receive: verify, journal, stage, commit). A
-// stream always reaches that path prepared — by its sender (Prepare +
-// ReceivePrepared: hashes and stored forms computed once for all
-// receivers) or, for a raw stream decoded off a wire, by the receiver
-// for itself (Receive: hashes now, stored forms at the block write).
+// stream always reaches that path prepared — by its sender (Send ships
+// stored forms, which Prepare hands out as they are and ReceivePrepared
+// aliases: nothing is hashed, inflated or compressed on the way) or, for
+// a raw stream decoded off a wire, by the receiver for itself (Receive:
+// hashes now, stored forms at the block write). A sent stream's logical
+// bytes exist only when asked for: Encode inflates its payloads as it
+// writes them, which a registration does only for a delivery a fault
+// damaged.
 //
 // Reads are whole-object (ReadObject, ReadObjectAt, ReadBlock) or by
 // range, touching only the blocks the range covers — what the paper's
@@ -59,7 +63,8 @@
 // hold a warm deployment's working set and fills each entry once, with
 // the block a miss decodes, concurrent readers of a block waiting for the
 // one decode, so a block is inflated once per process for as long as it
-// stays cached. Scrub and Send decode every block from the disk.
+// stays cached. Scrub decodes every block from the disk; Send decodes
+// none, it lends each checked payload as it is stored.
 package zvol
 
 import (
@@ -565,7 +570,7 @@ func (v *Volume) checkedPayload(p blockPtr) ([]byte, error) {
 
 // readBlockInto fetches, checksum-verifies and decodes one stored block
 // into dst, which must be exactly p.logLen bytes, without the
-// decoded-block cache: Scrub and Send read each block from the disk. The
+// decoded-block cache: Scrub reads each block from the disk. The
 // stored payload must pass checkedPayload, then decode without error to
 // exactly logLen bytes (for gzip that includes its own CRC32/ISIZE
 // trailer; a raw payload decodes by copy). The logical SHA-256 is not
@@ -587,6 +592,18 @@ func (v *Volume) readBlockInto(p blockPtr, dst []byte) error {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return nil
+}
+
+// lendPayloadLocked is Send's block read: block p's stored payload,
+// checked as every read checks it (checkedPayload: length and CRC32C) and
+// then lent through store.Share instead of decoded. The slot turns
+// copy-on-write, so the sender's later rot or repair of it never reaches
+// the lent bytes. Caller holds v.mu.
+func (v *Volume) lendPayloadLocked(p blockPtr) ([]byte, error) {
+	if _, err := v.checkedPayload(p); err != nil {
+		return nil, err
+	}
+	return v.store.Share(p.addr)
 }
 
 // lendBlock is the block read every object read makes: it returns stored
