@@ -97,8 +97,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // keep one checksum type.
 func Checksum(data []byte) Hash {
 	var h Hash
-	binary.BigEndian.PutUint32(h[:4], crc32.Checksum(data, castagnoli))
+	binary.BigEndian.PutUint32(h[:4], CRC32C(data))
 	return h
+}
+
+// CRC32C is data's CRC32C: the number Checksum holds.
+func CRC32C(data []byte) uint32 {
+	return crc32.Checksum(data, castagnoli)
+}
+
+// CRC32COf is the number a Checksum h holds (h's other bytes are zero).
+func CRC32COf(h Hash) uint32 {
+	return binary.BigEndian.Uint32(h[:4])
 }
 
 // String returns a short hex prefix, enough for logs and debugging.

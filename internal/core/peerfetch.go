@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -45,11 +46,15 @@ type peerFetcher struct {
 	op       string
 	sp       *obs.Span // the owning boot/resilver span; each fetch records a peerFetch child
 
-	seq       int              // transfer attempts so far (fault lane)
-	fetchNo   int              // fetches so far (slow-serve lane)
-	served    map[string]int64 // bytes served per source
-	moved     int64            // bytes that crossed the fabric, delivered or wasted
-	fallbacks int              // misses the peer path gave up on
+	seq       int           // transfer attempts so far (fault lane)
+	fetchNo   int           // fetches so far (slow-serve lane)
+	tried     []string      // sources the current fetch has tried, primaries and hedge legs: in triedBuf
+	served    []sourceBytes // bytes served per source, in first-served order: in servedBuf unless more sources served
+	moved     int64         // bytes that crossed the fabric, delivered or wasted
+	fallbacks int           // misses the peer path gave up on
+
+	triedBuf  [2 * peer.DefaultMaxAttempts]string // a primary and a hedge leg per attempt
+	servedBuf [4]sourceBytes
 
 	hedgesFired int     // slow serves that cloned a second leg
 	hedgesWon   int     // hedge legs that delivered the range
@@ -87,9 +92,9 @@ func (f *peerFetcher) fetch(base, n int64, fn func(p []byte)) bool {
 	ctr := f.s.ledger.Counters()
 	fsp := f.sp.Child(obs.OpPeerFetch, "", f.imageID)
 	f.fetchNo++
-	tried := make(map[string]bool)
+	f.tried = f.triedBuf[:0]
 	for attempt := 0; attempt < peer.DefaultMaxAttempts; attempt++ {
-		src, release, ok, busy := f.acquire(tried)
+		src, release, ok, busy := f.acquire()
 		if !ok {
 			if busy {
 				ctr.Add("peer.busy", 1)
@@ -104,15 +109,12 @@ func (f *peerFetcher) fetch(base, n int64, fn func(p []byte)) bool {
 			}
 			break
 		}
-		tried[src] = true
+		f.tried = append(f.tried, src)
 		fsp.Annotate("attempts", 1)
-		if winner, ok := f.transferHedged(fsp, tried, src, release, base, n, fn); ok {
+		if winner, ok := f.transferHedged(fsp, src, release, base, n, fn); ok {
 			ctr.Add("peer.hit", 1)
 			ctr.Add("peer.bytes", n)
-			if f.served == nil {
-				f.served = make(map[string]int64)
-			}
-			f.served[winner] += n
+			f.serve(winner, n)
 			fsp.SetNode(winner)
 			fsp.AddBytes(n)
 			fsp.AddSim(f.s.cl.Fabric.TransferSec(n))
@@ -133,8 +135,8 @@ func (f *peerFetcher) fetch(base, n int64, fn func(p []byte)) bool {
 // function of (op, source, fetchNo), so which leg leads — and therefore
 // which one wins under identical fault draws — is deterministic no
 // matter how many boots run concurrently.
-func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
-	src string, release func(int64), base, n int64, fn func(p []byte)) (string, bool) {
+func (f *peerFetcher) transferHedged(fsp *obs.Span, src string, release func(int64),
+	base, n int64, fn func(p []byte)) (string, bool) {
 	ctr := f.s.ledger.Counters()
 	slow := f.faults.SlowServe(f.op, src, f.fetchNo)
 	stall := func() {
@@ -152,12 +154,12 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 	// The primary stalled past the hedge threshold: clone the fetch to
 	// the next-best holder. No second holder means nothing to race —
 	// absorb the stall like an unhedged fetch.
-	h, hrel, ok, _ := f.acquire(tried)
+	h, hrel, ok, _ := f.acquire()
 	if !ok {
 		stall()
 		return src, f.transfer(src, base, n, fn, release)
 	}
-	tried[h] = true
+	f.tried = append(f.tried, h)
 	f.hedgesFired++
 	ctr.Add("peer.hedge_fired", 1)
 	fsp.Annotate("hedged", 1)
@@ -224,25 +226,27 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, tried map[string]bool,
 // order one-way (state before ledger lock, never the reverse).
 // The eligibility filter is also what makes gossip staleness safe: a
 // lease whose holder crashed a moment ago resolves here, fails the
-// online check, and is never fetched from.
-func (f *peerFetcher) acquire(tried map[string]bool) (string, func(int64), bool, bool) {
+// online check, and is never fetched from. Holders this fetch has tried
+// are not eligible either. The ledger is handed the eligible holders in
+// the index's sorted order, filtered in place: the one slice the lookup
+// allocated.
+func (f *peerFetcher) acquire() (string, func(int64), bool, bool) {
 	s := f.s
 	holders := s.idx.Holders(f.imageID, f.bootNode.ID)
+	eligible := holders[:0]
 	s.state.RLock()
-	eligible := make(map[string]bool)
 	for _, id := range holders {
 		r := s.replicas[id]
-		if r == nil || tried[id] || id == f.bootNode.ID || !r.online || r.lagging ||
+		if r == nil || slices.Contains(f.tried, id) || id == f.bootNode.ID || !r.online || r.lagging ||
 			len(r.damaged) > 0 || !s.cl.Reachable(f.bootNode.ID, id) {
 			continue
 		}
 		if r.ccv.HasObject(f.imageID) {
-			eligible[id] = true
+			eligible = append(eligible, id)
 		}
 	}
 	s.state.RUnlock()
-	return s.ledger.Acquire(holders, f.policy.MaxServeSlots,
-		func(id string) bool { return !eligible[id] })
+	return s.ledger.Acquire(eligible, f.policy.MaxServeSlots, nil)
 }
 
 // transfer lends fn one range of src's replica through the source's
@@ -311,13 +315,33 @@ func (f *peerFetcher) transfer(src string, base, n int64, fn func(p []byte), rel
 	return done(n, true)
 }
 
+// sourceBytes is what one source served a reader.
+type sourceBytes struct {
+	node  string
+	bytes int64
+}
+
+// serve adds n bytes to what node served.
+func (f *peerFetcher) serve(node string, n int64) {
+	for i := range f.served {
+		if f.served[i].node == node {
+			f.served[i].bytes += n
+			return
+		}
+	}
+	if f.served == nil {
+		f.served = f.servedBuf[:0]
+	}
+	f.served = append(f.served, sourceBytes{node, n})
+}
+
 // topSource is the peer that served the most bytes this boot, breaking
 // ties by node ID for determinism.
 func (f *peerFetcher) topSource() string {
 	top, topBytes := "", int64(0)
-	for id, b := range f.served {
-		if b > topBytes || (b == topBytes && top != "" && id < top) {
-			top, topBytes = id, b
+	for _, sb := range f.served {
+		if sb.bytes > topBytes || (sb.bytes == topBytes && top != "" && sb.node < top) {
+			top, topBytes = sb.node, sb.bytes
 		}
 	}
 	return top

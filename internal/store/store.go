@@ -15,9 +15,20 @@
 // through AllocShared, or lent out through Share — and nobody may write
 // it: Corrupt and Rewrite first replace it with a private copy, which is
 // the only time a shared payload is copied.
+//
+// Checksum verdicts. The store keeps no checksums of its own — a block
+// pointer above it holds the one a payload must match — but it does know
+// exactly when a payload's bytes change: only place, Corrupt, Rewrite and
+// Free write a slot, all under the write lock. So each slot remembers the
+// checksum its bytes were last seen to pass (ReadChecked), and every one
+// of those writes forgets it: a payload nobody has written since its last
+// check is not hashed again, and one that has been written always is
+// (TestReadCheckedVerdictLifecycle; under -race,
+// TestReadCheckedVerdictNeverOutlivesItsBytes).
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -26,14 +37,25 @@ import (
 // allocation is append-first with first-fit reuse of freed extents.
 type Store struct {
 	mu     sync.RWMutex
-	blocks map[uint64][]byte
-	shared map[uint64]struct{} // addresses whose payload is aliased by, or aliases, a slice in other stores
-	next   uint64              // bump allocation pointer (bytes)
-	free   []extent            // freed extents eligible for reuse, release-ordered (Free appends): first-fit walks them in that order, and deterministic placement depends on it
-	used   int64               // Σ len of the payloads in blocks; place and Free keep it (Rewrite and Corrupt preserve lengths)
+	slots  map[uint64]slot
+	next   uint64   // bump allocation pointer (bytes)
+	free   []extent // freed extents eligible for reuse, release-ordered (Free appends): first-fit walks them in that order, and deterministic placement depends on it
+	used   int64    // Σ len of the payloads in slots; place and Free keep it (Rewrite and Corrupt preserve lengths)
+	shared int64    // slots marked shared
+	writes uint64   // payload writes so far (place, Corrupt, Rewrite, Free): a verdict is recorded only if none landed while it was computed
 
 	allocs int64
 	frees  int64
+}
+
+// slot is one stored payload.
+type slot struct {
+	b []byte
+	// sum is the checksum b was last seen to pass, valid while checked:
+	// ReadChecked sets it, and every write to the slot clears checked.
+	sum     uint32
+	checked bool
+	shared  bool // b is aliased by, or aliases, a slice in other stores
 }
 
 type extent struct {
@@ -43,7 +65,7 @@ type extent struct {
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{blocks: make(map[uint64][]byte)}
+	return &Store{slots: make(map[uint64]slot)}
 }
 
 // Alloc stores a copy of payload and returns its disk address. Freed
@@ -84,12 +106,16 @@ func (s *Store) AllocShared(payload []byte) uint64 {
 func (s *Store) Share(addr uint64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.blocks[addr]
+	sl, ok := s.slots[addr]
 	if !ok {
 		return nil, fmt.Errorf("store: share of unallocated address %d", addr)
 	}
-	s.markSharedLocked(addr)
-	return b, nil
+	if !sl.shared {
+		sl.shared = true
+		s.shared++
+		s.slots[addr] = sl
+	}
+	return sl.b, nil
 }
 
 func (s *Store) place(payload []byte, shared bool) uint64 {
@@ -116,33 +142,28 @@ func (s *Store) place(payload []byte, shared bool) uint64 {
 		addr = s.next
 		s.next += uint64(need)
 	}
-	s.blocks[addr] = payload
+	s.slots[addr] = slot{b: payload, shared: shared}
 	s.used += int64(len(payload))
 	if shared {
-		s.markSharedLocked(addr)
+		s.shared++
 	}
+	s.writes++
 	return addr
 }
 
-func (s *Store) markSharedLocked(addr uint64) {
-	if s.shared == nil {
-		s.shared = make(map[uint64]struct{})
+// writableLocked readies slot sl to be written in place: a private copy
+// of its payload if it aliases a shared slice, and no verdict, since the
+// write is about to change its bytes. The caller holds s.mu, writes the
+// returned slot's b, and stores the slot back.
+func (s *Store) writableLocked(sl slot) slot {
+	if sl.shared {
+		sl.b = bytes.Clone(sl.b)
+		sl.shared = false
+		s.shared--
 	}
-	s.shared[addr] = struct{}{}
-}
-
-// unshareLocked gives addr a private copy of its payload if it currently
-// aliases a shared slice. Callers must hold s.mu and must re-read the
-// payload from s.blocks afterwards.
-func (s *Store) unshareLocked(addr uint64) {
-	if _, ok := s.shared[addr]; !ok {
-		return
-	}
-	b := s.blocks[addr]
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	s.blocks[addr] = cp
-	delete(s.shared, addr)
+	sl.checked = false
+	s.writes++
+	return sl
 }
 
 // Read returns the payload at addr. The returned slice must not be
@@ -150,31 +171,72 @@ func (s *Store) unshareLocked(addr uint64) {
 func (s *Store) Read(addr uint64) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	b, ok := s.blocks[addr]
+	sl, ok := s.slots[addr]
 	if !ok {
 		return nil, fmt.Errorf("store: read of unallocated address %d", addr)
 	}
-	return b, nil
+	return sl.b, nil
+}
+
+// ReadChecked is Read that also reports whether the payload passes
+// sum(payload) == want. The slot remembers the last want it passed, so a
+// payload that passed want and has not been written since is not hashed
+// again; one that was written (placed, rotted, repaired or freed and
+// reused) is hashed on its next check. A failure is never remembered.
+// sum must be the same function on every call (a verdict records want,
+// not how it was computed), and must not call the store.
+//
+// The hash runs under the read lock, so no write can change the bytes
+// under it; the verdict is recorded under the write lock afterwards, and
+// only if no write has landed in between, so a verdict never outlives the
+// bytes it was computed on.
+func (s *Store) ReadChecked(addr uint64, want uint32, sum func([]byte) uint32) (payload []byte, ok bool, err error) {
+	s.mu.RLock()
+	sl, found := s.slots[addr]
+	if !found {
+		s.mu.RUnlock()
+		return nil, false, fmt.Errorf("store: read of unallocated address %d", addr)
+	}
+	if sl.checked && sl.sum == want {
+		s.mu.RUnlock()
+		return sl.b, true, nil
+	}
+	writes := s.writes
+	ok = sum(sl.b) == want
+	s.mu.RUnlock()
+	if ok {
+		s.mu.Lock()
+		if s.writes == writes { // then the slot is still there, its bytes those just hashed
+			cur := s.slots[addr] // Share may have marked it since
+			cur.sum, cur.checked = want, true
+			s.slots[addr] = cur
+		}
+		s.mu.Unlock()
+	}
+	return sl.b, ok, nil
 }
 
 // Corrupt flips one byte of the payload at addr in place — the at-rest
 // bit-rot hook. The store itself keeps no checksums (the cVolume's block
-// pointers do), so the damage is latent until a scrub walks the volume.
+// pointers do), so the damage is latent until a read or a scrub checks
+// the payload; the slot forgets its verdict, so the next ReadChecked
+// hashes the rotted bytes.
 func (s *Store) Corrupt(addr uint64, off int64, xor byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.blocks[addr]
+	sl, ok := s.slots[addr]
 	if !ok {
 		return fmt.Errorf("store: corrupt of unallocated address %d", addr)
 	}
-	if off < 0 || off >= int64(len(b)) {
-		return fmt.Errorf("store: corrupt offset %d outside payload of %d bytes", off, len(b))
+	if off < 0 || off >= int64(len(sl.b)) {
+		return fmt.Errorf("store: corrupt offset %d outside payload of %d bytes", off, len(sl.b))
 	}
 	if xor == 0 {
 		return fmt.Errorf("store: zero XOR mask would not corrupt")
 	}
-	s.unshareLocked(addr)
-	s.blocks[addr][off] ^= xor
+	sl = s.writableLocked(sl)
+	sl.b[off] ^= xor
+	s.slots[addr] = sl
 	return nil
 }
 
@@ -182,19 +244,21 @@ func (s *Store) Corrupt(addr uint64, off int64, xor byte) error {
 // resilver hook that heals a rotted block in place without disturbing the
 // volume's physical layout. Length-changing rewrites are refused: repair
 // data is re-encoded exactly as the original was, so a size mismatch
-// means the repair data is wrong.
+// means the repair data is wrong. The slot forgets its verdict: the
+// repaired bytes are hashed on their next check.
 func (s *Store) Rewrite(addr uint64, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.blocks[addr]
+	sl, ok := s.slots[addr]
 	if !ok {
 		return fmt.Errorf("store: rewrite of unallocated address %d", addr)
 	}
-	if len(b) != len(payload) {
-		return fmt.Errorf("store: rewrite length %d != stored %d", len(payload), len(b))
+	if len(sl.b) != len(payload) {
+		return fmt.Errorf("store: rewrite length %d != stored %d", len(payload), len(sl.b))
 	}
-	s.unshareLocked(addr)
-	copy(s.blocks[addr], payload)
+	sl = s.writableLocked(sl)
+	copy(sl.b, payload)
+	s.slots[addr] = sl
 	return nil
 }
 
@@ -202,13 +266,16 @@ func (s *Store) Rewrite(addr uint64, payload []byte) error {
 func (s *Store) Free(addr uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.blocks[addr]
+	sl, ok := s.slots[addr]
 	if !ok {
 		return fmt.Errorf("store: free of unallocated address %d", addr)
 	}
-	delete(s.blocks, addr)
-	delete(s.shared, addr)
-	size := int64(len(b))
+	delete(s.slots, addr)
+	if sl.shared {
+		s.shared--
+	}
+	s.writes++
+	size := int64(len(sl.b))
 	s.used -= size
 	if size == 0 {
 		size = 1
@@ -235,12 +302,12 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return Stats{
-		Blocks:     int64(len(s.blocks)),
+		Blocks:     int64(len(s.slots)),
 		UsedBytes:  s.used,
 		SpanBytes:  int64(s.next),
 		Allocs:     s.allocs,
 		Frees:      s.frees,
 		FreeChunks: int64(len(s.free)),
-		Shared:     int64(len(s.shared)),
+		Shared:     s.shared,
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"sync"
 	"testing"
@@ -321,23 +322,26 @@ func TestAllocOwnedTakesTheSlice(t *testing.T) {
 	}
 }
 
-// usedByWalk is Stats().UsedBytes the way it was computed before the
-// running total: the sum of every stored payload's length.
-func usedByWalk(s *Store) int64 {
+// usedByWalk is Stats().UsedBytes and Stats().Shared the way they were
+// computed before the running totals: the sum of every stored payload's
+// length, and the count of shared slots.
+func usedByWalk(s *Store) (used, shared int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var n int64
-	for _, b := range s.blocks {
-		n += int64(len(b))
+	for _, sl := range s.slots {
+		used += int64(len(sl.b))
+		if sl.shared {
+			shared++
+		}
 	}
-	return n
+	return used, shared
 }
 
 // A seeded random schedule of every operation that stores, lends, writes
 // or frees a payload — all three allocation forms, Share, Rewrite,
 // Corrupt (both copy a shared slot first) and Free, with empty payloads
-// and extent reuse in the mix — keeps UsedBytes equal to the walk after
-// every step and at zero once everything is freed.
+// and extent reuse in the mix — keeps UsedBytes and Shared equal to the
+// walk after every step and at zero once everything is freed.
 func TestUsedBytesMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := New()
@@ -345,8 +349,10 @@ func TestUsedBytesMatchesWalk(t *testing.T) {
 	check := func(op string, step int) {
 		t.Helper()
 		st := s.Stats()
-		if want := usedByWalk(s); st.UsedBytes != want {
-			t.Fatalf("step %d (%s): UsedBytes %d, walk %d", step, op, st.UsedBytes, want)
+		used, shared := usedByWalk(s)
+		if st.UsedBytes != used || st.Shared != shared {
+			t.Fatalf("step %d (%s): UsedBytes %d, Shared %d; walk %d, %d",
+				step, op, st.UsedBytes, st.Shared, used, shared)
 		}
 		if st.Blocks != int64(len(live)) {
 			t.Fatalf("step %d (%s): %d blocks, %d live", step, op, st.Blocks, len(live))
@@ -410,4 +416,151 @@ func TestUsedBytesMatchesWalk(t *testing.T) {
 	if st := s.Stats(); st.UsedBytes != 0 || st.Shared != 0 {
 		t.Fatalf("teardown left %+v", st)
 	}
+}
+
+// crc32c is the checksum the verdict tests check payloads against.
+func crc32c(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+
+// A slot's verdict lives exactly as long as its bytes: a repeat check of
+// an unwritten payload hashes nothing, and after each write to the slot
+// — Corrupt, Rewrite, Free and reuse of the address, Corrupt of a shared
+// slot — the next check hashes and passes or fails as the bytes say.
+// A failed check is never remembered, and a check against another
+// checksum does not count as a verdict for it.
+func TestReadCheckedVerdictLifecycle(t *testing.T) {
+	var hashed int
+	sum := func(b []byte) uint32 { hashed += len(b); return crc32c(b) }
+	check := func(t *testing.T, s *Store, addr uint64, want uint32, pass bool, hashes int) {
+		t.Helper()
+		hashed = 0
+		_, ok, err := s.ReadChecked(addr, want, sum)
+		if err != nil || ok != pass || hashed != hashes {
+			t.Fatalf("ReadChecked: ok %v, hashed %d bytes, %v; want ok %v, %d bytes", ok, hashed, err, pass, hashes)
+		}
+	}
+	payload := []byte("a stored payload of some length")
+	good, n := crc32c(payload), len(payload)
+
+	s := New()
+	a := s.Alloc(payload)
+	check(t, s, a, good, true, n)
+	check(t, s, a, good, true, 0)
+	check(t, s, a, good+1, false, n) // another checksum is hashed, and fails
+	check(t, s, a, good, true, 0)    // without costing the verdict
+
+	if err := s.Corrupt(a, 3, 0x20); err != nil {
+		t.Fatal(err)
+	}
+	check(t, s, a, good, false, n)
+	check(t, s, a, good, false, n) // a failure is not remembered
+	if err := s.Rewrite(a, payload); err != nil {
+		t.Fatal(err)
+	}
+	check(t, s, a, good, true, n)
+	check(t, s, a, good, true, 0)
+
+	// Share keeps the verdict (it writes no byte); the lender's Corrupt
+	// copies first and clears only the lender's, and the borrower's own
+	// slot is hashed once and then passes as before.
+	lent, err := s.Share(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, s, a, good, true, 0)
+	b := New()
+	ba := b.AllocShared(lent)
+	check(t, b, ba, good, true, n)
+	if err := s.Corrupt(a, 0, 0x01); err != nil {
+		t.Fatal(err)
+	}
+	check(t, s, a, good, false, n)
+	check(t, b, ba, good, true, 0)
+	if err := b.Corrupt(ba, 0, 0x01); err != nil { // the borrower's copy-on-write
+		t.Fatal(err)
+	}
+	check(t, b, ba, good, false, n)
+	if err := s.Rewrite(a, payload); err != nil {
+		t.Fatal(err)
+	}
+	check(t, s, a, good, true, n)
+
+	// Free and reuse of the same address with the same bytes: the new
+	// slot has no verdict of the old one's.
+	if err := s.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.ReadChecked(a, good, sum); err == nil {
+		t.Fatal("ReadChecked of a freed address must fail")
+	}
+	if again := s.Alloc(payload); again != a {
+		t.Fatalf("the freed extent at %d was not reused: %d", a, again)
+	}
+	check(t, s, a, good, true, n)
+	check(t, s, a, good, true, 0)
+}
+
+// Readers check payloads while a writer rots, repairs, frees and
+// re-places them. Every time the writer holds the lock, each slot with a
+// verdict hashes to it: a verdict computed on bytes a write then changed
+// is never recorded. Run under -race.
+func TestReadCheckedVerdictNeverOutlivesItsBytes(t *testing.T) {
+	s := New()
+	payloads := make([][]byte, 8)
+	addrs := make([]uint64, len(payloads))
+	sums := make([]uint32, len(payloads))
+	for i := range payloads {
+		payloads[i] = bytes.Repeat([]byte{byte(i + 1)}, 4096)
+		addrs[i], sums[i] = s.Alloc(payloads[i]), crc32c(payloads[i])
+	}
+	invariant := func(step int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for addr, sl := range s.slots {
+			if sl.checked && crc32c(sl.b) != sl.sum {
+				t.Fatalf("step %d: the slot at %d keeps a verdict its bytes fail", step, addr)
+			}
+		}
+	}
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := rng.Intn(len(addrs))
+				s.ReadChecked(addrs[i], sums[i], crc32c) // the bytes are not read: a write may change them in place
+			}
+		}(g)
+	}
+	rng := rand.New(rand.NewSource(99))
+	for step := 0; step < 3000; step++ {
+		i := rng.Intn(len(addrs))
+		switch step % 3 {
+		case 0:
+			if err := s.Corrupt(addrs[i], int64(rng.Intn(4096)), 0x80); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			if err := s.Rewrite(addrs[i], payloads[i]); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := s.Free(addrs[i]); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Alloc(payloads[i]); got != addrs[i] {
+				t.Fatalf("the freed extent at %d was not reused: %d", addrs[i], got)
+			}
+		}
+		invariant(step)
+	}
+	close(done)
+	readers.Wait()
 }

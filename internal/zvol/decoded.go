@@ -1,7 +1,11 @@
 // The decoded-block cache: what the host page cache over ZFS's ARC gives
 // the paper's reads, a recently inflated block served again without
 // inflating it. It sits after every check a read makes (see
-// lendBlock), so it replaces a decode and nothing else.
+// lendBlock), so it replaces a decode and nothing else. The CRC32C in
+// front of it is the store's verdict on the payload (checkedPayload):
+// hashed once per write of the slot, so every rot or repair is hashed
+// again before the lookup (TestChecksumVerdictLifecycle,
+// TestDecodedCacheNeverHidesRot).
 package zvol
 
 import (
@@ -40,7 +44,9 @@ var decoded = &decodeCache{entries: make(map[*byte]*decodedBlock)}
 // re-allocated store extent holds a different slice, a new key, and needs
 // no invalidation. A shared payload that rots is copy-on-written by
 // store.Corrupt, a new key too; an owned one rots in place, under the same
-// key, which is why the CRC32C is checked before the lookup.
+// key, which is why the CRC32C is checked before the lookup — and why
+// store.Corrupt clears the slot's checksum verdict, so that check hashes
+// the rotted bytes rather than remembering the intact ones.
 type decodeCache struct {
 	mu      sync.Mutex
 	bytes   int                     // Σ len(data) over the filled entries, ≤ decodeBudget

@@ -55,8 +55,7 @@ type PreparedBlock struct {
 // PreparedBlock per shipped payload carrying its content hash and length,
 // no stored form yet, over the logical bytes the stream ships (decoded
 // from a Send-built stream's stored payloads). It is all a receiver does
-// to prepare a stream for itself (Receive), and where Prepare starts on a
-// stream DecodeStream built.
+// to prepare a stream for itself (Receive).
 func hashStream(st *Stream) (*PreparedStream, error) {
 	ps := &PreparedStream{Stream: st, raw: st.Blocks}
 	if st.sent != nil {
@@ -75,56 +74,20 @@ func hashStream(st *Stream) (*PreparedStream, error) {
 	return ps, nil
 }
 
-// Prepare returns st with every shipped payload in its stored form.
-//
-// A stream Send built carries that form already — the sender's stored
+// Prepare returns st, which v.Send built, with every shipped payload in
+// its stored form. A sent stream carries that form already — v's stored
 // payloads, lent, each checked against its pointer's CRC32C as Send lent
-// it, with the pointer's hash, so Prepare hands it out as it is: no
-// hash, no DDT probe, no checksum, no codec.
-//
-// A stream DecodeStream built carries logical bytes. Each is hashed once
-// — that digest is what a receiver's stream verification compares with
-// the stream's pointer — and the DDT is then asked before the codec, as
-// writeBlockLocked asks it: a block this volume already stores is not
-// compressed a second time. Its stored payload is checked against the
-// entry's PhysHash and lent out through store.Share, so the sender and
-// all receivers hold one copy of the bytes, each behind its own
-// copy-on-write slot. Only a block the volume does not hold, holds at
-// another length, or holds rotted is encoded afresh (per the codec and
-// minimum-gain rule) — a rotted payload is never shipped.
+// it, with the pointer's hash — so Prepare hands it out as it is: no
+// hash, no DDT probe, no checksum, no codec. A stream any other way
+// built (DecodeStream's, off a wire) carries no stored forms: prepared
+// here it ships none, and a receiver refuses it with ErrBadStream unless
+// it ships no block at all. Receive is how such a stream is applied.
 //
 // The receiver volumes must share the sender's Config — in Squirrel they
 // always do: the scVolume and every ccVolume are created from one
 // cfg.Volume.
 func (v *Volume) Prepare(st *Stream) *PreparedStream {
-	if st.sent != nil {
-		return &PreparedStream{Stream: st, Blocks: st.sent}
-	}
-	ps, _ := hashStream(st) // logical bytes as they are: nothing to decode, nothing to fail
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for i := range ps.Blocks {
-		if pb := &ps.Blocks[i]; !v.lendStoredLocked(pb) {
-			pb.Payload, pb.Compressed, pb.PhysHash = v.encode(ps.raw[i])
-		}
-	}
-	return ps
-}
-
-// lendStoredLocked completes pb from this volume's own stored copy of
-// the block, when it holds an intact one. Caller holds v.mu, which keeps
-// the slot from being freed or rewritten between the check and the loan.
-func (v *Volume) lendStoredLocked(pb *PreparedBlock) bool {
-	e := v.ddt.Lookup(pb.Hash) // nil without dedup: the table stays empty
-	if e == nil || e.LogLen != pb.LogLen {
-		return false
-	}
-	payload, err := v.lendPayloadLocked(blockPtr{addr: e.Addr, physLen: e.PhysLen, physHash: e.PhysHash})
-	if err != nil {
-		return false
-	}
-	pb.Payload, pb.Compressed, pb.PhysHash = payload, e.Compressed, e.PhysHash
-	return true
+	return &PreparedStream{Stream: st, Blocks: st.sent}
 }
 
 // ReceivePrepared applies a prepared stream. It is Receive(ps.Stream) —

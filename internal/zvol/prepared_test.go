@@ -472,42 +472,34 @@ func TestPrepareNeverShipsARottedPayload(t *testing.T) {
 			assertIdenticalReplicas(t, plain, dst) // scrubs dst clean
 		}
 	})
-	t.Run("rot before Prepare of a decoded stream", func(t *testing.T) {
-		// A stream decoded off a wire carries logical bytes, and Prepare
-		// lends what the volume stores of them: it checks each stored
-		// payload against its DDT entry's PhysHash, finds the rotted one
-		// bad, and encodes that one block afresh from the stream's bytes.
-		codec, src, st := countedPair(t)
-		var wire bytes.Buffer
-		if _, err := st.Encode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := DecodeStream(&wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := src.CorruptStoredBlock("other", firstStored(t, src, "other"), 0, 0xFF); err != nil {
-			t.Fatal(err)
-		}
-		start := codec.calls.Load()
-		ps := src.Prepare(decoded)
-		if got := codec.calls.Load() - start; got != 1 {
-			t.Fatalf("Prepare compressed %d blocks, want exactly the rotted one", got)
-		}
-		dst, err := New(src.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.ReceivePrepared(ps); err != nil {
-			t.Fatal(err)
-		}
-		plain, err := New(src.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := plain.Receive(decoded); err != nil {
-			t.Fatal(err)
-		}
-		assertIdenticalReplicas(t, plain, dst) // scrubs dst clean
-	})
+}
+
+func TestPrepareOfADecodedStreamIsRefused(t *testing.T) {
+	// A stream decoded off a wire carries logical bytes, not its sender's
+	// stored forms: Prepare ships none of them, a receiver refuses the
+	// result with ErrBadStream and is left untouched, and Receive applies
+	// the same stream.
+	_, src, st := countedPair(t)
+	var wire bytes.Buffer
+	if _, err := st.Encode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeStream(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(src.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ReceivePrepared(src.Prepare(decoded)); !errors.Is(err, ErrBadStream) {
+		t.Fatalf("ReceivePrepared of a prepared decoded stream: %v, want ErrBadStream", err)
+	}
+	if objs := dst.Objects(); len(objs) != 0 {
+		t.Fatalf("a refused stream left objects %v", objs)
+	}
+	if err := dst.Receive(decoded); err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalReplicas(t, src, dst)
 }

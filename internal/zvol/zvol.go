@@ -64,7 +64,10 @@
 // the block a miss decodes, concurrent readers of a block waiting for the
 // one decode, so a block is inflated once per process for as long as it
 // stays cached. Scrub decodes every block from the disk; Send decodes
-// none, it lends each checked payload as it is stored.
+// none, it lends each checked payload as it is stored. Nor does a read
+// repeat the CRC32C of a payload nobody has written since it passed:
+// the store remembers each slot's verdict until the next write to it
+// (checkedPayload); Scrub alone hashes every payload on every pass.
 package zvol
 
 import (
@@ -114,10 +117,11 @@ type blockPtr struct {
 	compressed bool
 	// physHash is block.Checksum (CRC32C) of the stored payload bytes
 	// themselves (the possibly-compressed on-disk form), like a ZFS
-	// blkptr's checksum. It is the one checksum a read computes, so even
-	// a flip in a codec header byte that decodes to the same content is
-	// caught. hash is the SHA-256 of the logical content: it drives
-	// dedup, and only Scrub and RepairBlock compute it again.
+	// blkptr's checksum. It is the one checksum a read computes (once
+	// per write of the payload: see checkedPayload), so even a flip in a
+	// codec header byte that decodes to the same content is caught. hash
+	// is the SHA-256 of the logical content: it drives dedup, and only
+	// Scrub and RepairBlock compute it again.
 	physHash block.Hash
 }
 
@@ -548,39 +552,62 @@ func (v *Volume) walk(obj *Object, off, n int64, fn func(p []byte)) error {
 // only a forged stream could carry, is lent in pieces).
 var zeroBlock [block.Size1024K]byte
 
+// checksum is the CRC32C a read verifies a stored payload with
+// (block.CRC32C); a test counts the bytes hashed through it.
+var checksum = block.CRC32C
+
 // checkedPayload fetches block p's stored payload and checks it: it must
 // be physLen bytes long and match physHash (CRC32C). It is the check
 // every block read makes before it decodes, and the only one a decode
-// cache hit repeats. Caller holds v.mu from the lookup that produced p,
-// so p's extent cannot be freed and reused, nor rot or be repaired in
-// place, under the read.
+// cache hit repeats — but the hash runs once per write of the payload,
+// not once per read: the store remembers the checksum a slot last passed
+// and forgets it on every write to the slot (store.ReadChecked), so a
+// payload that passed and has not been placed, rotted, repaired or freed
+// since is not hashed again (TestChecksumVerdictLifecycle counts the
+// bytes hashed; TestChecksumVerdictUnderConcurrentRotAndRepair races
+// reads against rot and repair). Caller holds v.mu from the lookup that
+// produced p, so p's extent cannot be freed and reused, nor rot or be
+// repaired in place, under the read.
 func (v *Volume) checkedPayload(p blockPtr) ([]byte, error) {
-	payload, err := v.store.Read(p.addr)
+	payload, intact, err := v.store.ReadChecked(p.addr, block.CRC32COf(p.physHash), checksum)
+	if err == nil {
+		err = payloadErr(p, payload, intact)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if int32(len(payload)) != p.physLen {
-		return nil, fmt.Errorf("%w: %d bytes stored, pointer says %d", ErrCorrupt, len(payload), p.physLen)
-	}
-	if block.Checksum(payload) != p.physHash {
-		return nil, ErrCorrupt
 	}
 	return payload, nil
 }
 
+// payloadErr is the verdict on block p's stored payload, given whether
+// its CRC32C matched: a wrong length fails first.
+func payloadErr(p blockPtr, payload []byte, intact bool) error {
+	if int32(len(payload)) != p.physLen {
+		return fmt.Errorf("%w: %d bytes stored, pointer says %d", ErrCorrupt, len(payload), p.physLen)
+	}
+	if !intact {
+		return ErrCorrupt
+	}
+	return nil
+}
+
 // readBlockInto fetches, checksum-verifies and decodes one stored block
 // into dst, which must be exactly p.logLen bytes, without the
-// decoded-block cache: Scrub reads each block from the disk. The
-// stored payload must pass checkedPayload, then decode without error to
-// exactly logLen bytes (for gzip that includes its own CRC32/ISIZE
-// trailer; a raw payload decodes by copy). The logical SHA-256 is not
-// recomputed: an intact payload decodes to the bytes it was encoded
-// from, and Scrub is where the pointer's logical hash is checked end to
-// end. Any failure surfaces as ErrCorrupt instead of corrupt bytes, so
-// damage can never be served to a boot or a peer; dst's contents are
-// then unspecified. Caller holds v.mu.
+// decoded-block cache or the store's verdict: Scrub is the at-rest audit,
+// so it reads each block from the disk and hashes every payload on every
+// pass. The stored payload must pass checkedPayload's checks, then decode
+// without error to exactly logLen bytes (for gzip that includes its own
+// CRC32/ISIZE trailer; a raw payload decodes by copy). The logical
+// SHA-256 is not recomputed: an intact payload decodes to the bytes it
+// was encoded from, and Scrub is where the pointer's logical hash is
+// checked end to end. Any failure surfaces as ErrCorrupt instead of
+// corrupt bytes, so damage can never be served to a boot or a peer; dst's
+// contents are then unspecified. Caller holds v.mu.
 func (v *Volume) readBlockInto(p blockPtr, dst []byte) error {
-	payload, err := v.checkedPayload(p)
+	payload, err := v.store.Read(p.addr)
+	if err == nil {
+		err = payloadErr(p, payload, checksum(payload) == block.CRC32COf(p.physHash))
+	}
 	if err != nil {
 		return err
 	}
@@ -595,7 +622,8 @@ func (v *Volume) readBlockInto(p blockPtr, dst []byte) error {
 }
 
 // lendPayloadLocked is Send's block read: block p's stored payload,
-// checked as every read checks it (checkedPayload: length and CRC32C) and
+// checked as every read checks it (checkedPayload: length and CRC32C,
+// the latter hashed only if the slot was written since it last passed) and
 // then lent through store.Share instead of decoded. The slot turns
 // copy-on-write, so the sender's later rot or repair of it never reaches
 // the lent bytes. Caller holds v.mu.
@@ -607,8 +635,10 @@ func (v *Volume) lendPayloadLocked(p blockPtr) ([]byte, error) {
 }
 
 // lendBlock is the block read every object read makes: it returns stored
-// block p's logLen decoded bytes, lent, after readBlockInto's checks. A
-// raw block is its checked payload, whose decode would be a copy of it. A compressed block is the decoded-block cache's entry for
+// block p's logLen decoded bytes, lent, after checkedPayload's checks (a
+// payload unwritten since it last passed is not hashed again) and an
+// exact-length decode. A raw block is its checked payload, whose decode
+// would be a copy of it. A compressed block is the decoded-block cache's entry for
 // this very payload when it holds one, or when another reader's decode of
 // it is in flight, once that ends; otherwise it is decoded into a fresh
 // block, which becomes the entry. The returned bytes must not be written;
