@@ -39,8 +39,8 @@ func TestWarmBootAllocatesNoBuffers(t *testing.T) {
 // warmBoots registers four images of the daemon's corpus and returns a
 // round that boots each of them warm on node00, having run one round to
 // warm the pools and zvol's decoded-block cache.
-func warmBoots(t *testing.T) (round func(), images int) {
-	sq, _, repo, _ := testDeployment(t, 2, daemonCorpus(4))
+func warmBoots(t *testing.T, opts ...option) (round func(), images int) {
+	sq, _, repo, _ := testDeployment(t, 2, append(opts, daemonCorpus(4))...)
 	ims := repo.Images[:4]
 	for i, im := range ims {
 		mustRegister(t, sq, im, day(i))
@@ -98,13 +98,22 @@ func TestWarmBootAllocationCount(t *testing.T) {
 	// A warm boot allocates its chain backend and its overlay, and
 	// nothing else: the cache-object layout is the image's, built once by
 	// corpus, and an overlay without copy-on-read makes no cluster table.
+	// With the peer exchange on it allocates no more: the peer fetcher is
+	// built at a boot's first remote range, and a warm boot reads none.
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	boot, images := warmBoots(t)
-	perBoot := testing.AllocsPerRun(50, boot) / float64(images)
-	if want := 2.0; perBoot > want {
-		t.Fatalf("a warm boot made %.2f allocations, want %.0f", perBoot, want)
+	for _, mode := range []struct {
+		name string
+		opts []option
+	}{{"local", nil}, {"peers", []option{withPeers}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			boot, images := warmBoots(t, mode.opts...)
+			perBoot := testing.AllocsPerRun(50, boot) / float64(images)
+			if want := 2.0; perBoot > want {
+				t.Fatalf("a warm boot made %.2f allocations, want %.0f", perBoot, want)
+			}
+			t.Logf("a warm boot makes %.2f allocations", perBoot)
+		})
 	}
-	t.Logf("a warm boot makes %.2f allocations", perBoot)
 }

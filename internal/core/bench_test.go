@@ -76,20 +76,32 @@ func BenchmarkBootWaveTracingOverhead(b *testing.B) {
 // replica, so the figure is the local read path — store, checksum,
 // decode, CoW chain — and a CPU profile of it
 // (-cpuprofile, -benchtime 15x) attributes that path layer by layer.
+// "local" is the wire warm_boot's deployment; "peers" runs the same mix
+// with the peer exchange on, as the cold_boot daemon's warm boots do, so
+// a cost the exchange adds to a boot that never leaves its node shows as
+// the difference.
 func BenchmarkWarmBoot(b *testing.B) {
-	sq, seq := warmBootMix(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bootAllWarm(b, sq, seq)
+	for _, mode := range []struct {
+		name string
+		opts []option
+	}{{"local", nil}, {"peers", []option{withPeers}}} {
+		b.Run(mode.name, func(b *testing.B) {
+			sq, seq := warmBootMix(b, mode.opts...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bootAllWarm(b, sq, seq)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(seq)), "us/boot")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(seq)), "us/boot")
 }
 
 // warmBootMix is BenchmarkWarmBoot's deployment, every image registered,
 // and its boot sequence.
-func warmBootMix(t testing.TB) (*Squirrel, []BootRequest) {
+func warmBootMix(t testing.TB, opts ...option) (*Squirrel, []BootRequest) {
 	const images, nodes, boots = 32, 8, 1000
-	sq, _, repo, _ := testDeployment(t, nodes, daemonCorpus(images))
+	sq, _, repo, _ := testDeployment(t, nodes, append(opts, daemonCorpus(images))...)
 	ims := repo.Images[:images]
 	for i, im := range ims {
 		mustRegister(t, sq, im, day(i))

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/disk"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/qcow"
@@ -74,8 +75,13 @@ type BootReport struct {
 // deployment state is left half-changed.
 func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error) {
 	id, nodeID := req.Image, req.Node
-	if err := ctx.Err(); err != nil {
-		return BootReport{}, fmt.Errorf("core: boot %s on %s: %w", id, nodeID, err)
+	// Cancellation is polled on Done, not Err: a cancelCtx's Err takes its
+	// mutex, and every boot the daemon serves shares one server context.
+	// A context without a Done channel (never cancelled, or a test's) is
+	// asked through Err.
+	done := ctx.Done()
+	if cancelled(ctx, done) {
+		return BootReport{}, fmt.Errorf("core: boot %s on %s: %w", id, nodeID, ctx.Err())
 	}
 	s.state.RLock()
 	im, ok := s.images[id]
@@ -154,9 +160,10 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	}
 	// A range the local replica cannot serve (no replica, or rot under
 	// the range) may be served by the peer exchange before falling back to
-	// the PFS — unless the caching layer is bypassed outright.
+	// the PFS — unless the caching layer is bypassed outright. The fetcher
+	// is built at the first such range, so a warm boot builds none.
 	if !req.SkipCache && s.cfg.Peer.Enabled {
-		cb.fetch = s.newPeerFetcher(ctx, sp, "peerfetch", im.ID, r.node)
+		cb.peers = peerStart{s: s, ctx: ctx, sp: sp, faults: s.injector()}
 	}
 	cow, err := qcow.NewOverlay(cb, s.cfg.ClusterSize, false)
 	if err != nil {
@@ -180,8 +187,8 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 		visit = ver.check
 	}
 	for _, e := range im.Layout().Ext {
-		if err := ctx.Err(); err != nil {
-			return fail(fmt.Errorf("core: boot %s on %s: %w", id, nodeID, err))
+		if cancelled(ctx, done) {
+			return fail(fmt.Errorf("core: boot %s on %s: %w", id, nodeID, ctx.Err()))
 		}
 		if ver != nil {
 			ver.at = e.Off
@@ -213,6 +220,20 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 	sp.AddBytes(rep.ReadBytes)
 	sp.Finish()
 	return rep, nil
+}
+
+// cancelled reports whether ctx is cancelled; done is ctx.Done(), which
+// the caller reads once.
+func cancelled(ctx context.Context, done <-chan struct{}) bool {
+	if done == nil {
+		return ctx.Err() != nil
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // discard is a boot's visit when nothing checks the bytes.
@@ -285,17 +306,30 @@ type chainBackend struct {
 	node    *cluster.Node
 	pfs     pfsReader
 	ccv     *zvol.Volume        // rung zero; nil when the node holds no replica or the caller skips it
-	fetch   *peerFetcher        // rung one; nil unless the peer exchange is enabled
+	fetch   *peerFetcher        // rung one; nil until built, and always nil unless the peer exchange is enabled
+	peers   peerStart           // what a boot's rung one is built from; zero when the boot has none
 	ctr     *metrics.CounterSet // nil-safe
 
-	// The image's cache-object layout. Identical on every replica, so it
-	// also maps peer fetches and PFS reads of a cache-object range.
-	lay corpus.Layout
+	// The image's cache-object layout, shared with the image and never
+	// written. Identical on every replica, so it also maps peer fetches
+	// and PFS reads of a cache-object range.
+	lay *corpus.Layout
 
 	networkBytes int64 // pulled from the PFS
 	cacheBytes   int64 // served from the local replica
 	peerBytes    int64 // served by neighboring compute nodes
 	pfsIndexed   int64 // PFS bytes inside cache extents (peer-servable ranges that fell through)
+}
+
+// peerStart is what a boot captures at its start to build its rung one
+// at its first remote range: the boot's context and span, and the fault
+// injector in force when it started. s is nil when the boot has no rung
+// one.
+type peerStart struct {
+	s      *Squirrel
+	ctx    context.Context
+	sp     *obs.Span
+	faults *fault.Injector
 }
 
 // pfsReader is the slice of the PFS API the backend needs.
@@ -307,7 +341,7 @@ type pfsReader interface {
 // ccv (nil to skip rung zero) is kept only if it holds the object.
 func newChainBackend(s *Squirrel, im *corpus.Image, ccv *zvol.Volume, node *cluster.Node) (*chainBackend, error) {
 	cb := &chainBackend{
-		id: im.ID, rawSize: im.RawSize(), node: node, pfs: s.pfs, ctr: s.ledger.Counters(), lay: *im.Layout(),
+		id: im.ID, rawSize: im.RawSize(), node: node, pfs: s.pfs, ctr: s.ledger.Counters(), lay: im.Layout(),
 	}
 	// HasObject first: on a node without the replica (every cold boot)
 	// Object would build a not-found error only to have it dropped.
@@ -431,6 +465,9 @@ func getReadBuf(n int64) *[]byte {
 // lies in one extent; a resilvered block may span several), and fn is
 // lent the buffer. On an error fn was lent nothing.
 func (cb *chainBackend) readRemote(base, n int64, fn func(p []byte)) error {
+	if p := cb.peers; cb.fetch == nil && p.s != nil {
+		cb.fetch = p.s.newPeerFetcher(p.ctx, p.sp, "peerfetch", cb.id, cb.node, p.faults)
+	}
 	if cb.fetch != nil && cb.fetch.fetch(base, n, fn) {
 		cb.peerBytes += n
 		return nil

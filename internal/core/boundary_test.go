@@ -44,12 +44,13 @@ func (p *stubPFS) ReadAt(client *cluster.Node, name string, buf []byte, off int6
 // serves, stored in 8-byte blocks so ranges cross and split blocks.
 func boundaryBackend(local bool) (*chainBackend, *stubPFS) {
 	pfs := &stubPFS{size: 80}
+	lay := corpus.NewLayout([]corpus.Extent{{Off: 10, Len: 10}, {Off: 50, Len: 20}})
 	cb := &chainBackend{
 		id:      "img",
 		rawSize: 80,
 		node:    &cluster.Node{ID: "nodeXX"},
 		pfs:     pfs,
-		lay:     corpus.NewLayout([]corpus.Extent{{Off: 10, Len: 10}, {Off: 50, Len: 20}}),
+		lay:     &lay,
 	}
 	if local {
 		var data []byte
@@ -201,7 +202,7 @@ func TestCacheRangeWithoutLocalReplica(t *testing.T) {
 
 func TestCacheRangeNoExtents(t *testing.T) {
 	pfs := &stubPFS{size: 40}
-	cb := &chainBackend{id: "img", rawSize: 40, node: &cluster.Node{ID: "n"}, pfs: pfs}
+	cb := &chainBackend{id: "img", rawSize: 40, node: &cluster.Node{ID: "n"}, pfs: pfs, lay: &corpus.Layout{}}
 	n, ext, served := cb.localRange(8, 64, into(make([]byte, 64), 8))
 	if n != 32 || ext != -1 || served { // clamped to RawSize
 		t.Fatalf("extentless localRange: (%d,%d,%v)", n, ext, served)

@@ -71,9 +71,9 @@ type contentIndex interface {
 	// WithdrawObject purges obj everywhere (deregistration).
 	WithdrawObject(obj string)
 	// Holders resolves obj's advertised holders as seen from node
-	// `from` ("" = operator view), sorted, in a fresh slice the caller
-	// owns. Central is exact; gossip is the first reachable ring owner's
-	// lease view.
+	// `from` ("" = operator view), sorted. The caller reads the slice and
+	// never writes it: central hands out its own stored slice. Central
+	// is exact; gossip is the first reachable ring owner's lease view.
 	Holders(obj, from string) []string
 	// AnnouncedBy counts the objects node currently advertises.
 	AnnouncedBy(node string) int

@@ -348,7 +348,7 @@ func (s *Squirrel) resilver(ctx context.Context, sp *obs.Span, r *replica, at ti
 	// One fetcher for the pass: a repair read is a peer read like a boot's
 	// (eligibility, serve slots, breakers, partitions), its faults drawn
 	// under "resilver:<object>:<node>".
-	f := s.newPeerFetcher(ctx, sp, "resilver", "", r.node)
+	f := s.newPeerFetcher(ctx, sp, "resilver", "", r.node, inj)
 	var cb *chainBackend
 	var infos []zvol.BlockInfo // the replica's block layout of cb's object
 	for _, ref := range scrub.Damaged {

@@ -277,7 +277,7 @@ func TestPeerRungLendsTheSourcesBytes(t *testing.T) {
 	if cb.ccv != nil {
 		t.Fatal("node03 still holds the replica")
 	}
-	cb.fetch = sq.newPeerFetcher(context.Background(), nil, "peerfetch", im.ID, r.node)
+	cb.fetch = sq.newPeerFetcher(context.Background(), nil, "peerfetch", im.ID, r.node, sq.injector())
 	lay := im.Layout()
 	ext := 0
 	for i, e := range lay.Ext {
@@ -320,7 +320,7 @@ func TestPeerRungLendsTheSourcesBytes(t *testing.T) {
 	// lent exactly once when some attempt succeeds, and not at all when
 	// the fetch gives up (the window would hide a second lending).
 	setFaults(sq, fault.Plan{Seed: 42, Drop: 0.5, Truncate: 0.2, Corrupt: 0.15}, t)
-	f := sq.newPeerFetcher(context.Background(), nil, "peerfetch", im.ID, r.node)
+	f := sq.newPeerFetcher(context.Background(), nil, "peerfetch", im.ID, r.node, sq.injector())
 	faulted := sq.PeerCounters().Get("peer.fault")
 	for i, e := range lay.Ext {
 		var lent int64

@@ -50,11 +50,16 @@ type peerFetcher struct {
 	fetchNo   int           // fetches so far (slow-serve lane)
 	tried     []string      // sources the current fetch has tried, primaries and hedge legs: in triedBuf
 	served    []sourceBytes // bytes served per source, in first-served order: in servedBuf unless more sources served
+	eligible  []string      // the last lookup's eligible holders: in eligibleBuf unless more were eligible
 	moved     int64         // bytes that crossed the fabric, delivered or wasted
 	fallbacks int           // misses the peer path gave up on
 
-	triedBuf  [2 * peer.DefaultMaxAttempts]string // a primary and a hedge leg per attempt
-	servedBuf [4]sourceBytes
+	// legs are the serve slots of the transfer in flight: the primary
+	// and, while it is hedged, the hedge leg.
+	legs        [2]peer.Serve
+	triedBuf    [2 * peer.DefaultMaxAttempts]string // a primary and a hedge leg per attempt
+	servedBuf   [4]sourceBytes
+	eligibleBuf [8]string
 
 	hedgesFired int     // slow serves that cloned a second leg
 	hedgesWon   int     // hedge legs that delivered the range
@@ -62,14 +67,16 @@ type peerFetcher struct {
 	stallSec    float64 // simulated stall time slow serves cost this boot
 }
 
-func (s *Squirrel) newPeerFetcher(ctx context.Context, sp *obs.Span, kind, object string, node *cluster.Node) *peerFetcher {
+// newPeerFetcher builds a fetcher for one reader; faults is the injector
+// the reader captured at its start.
+func (s *Squirrel) newPeerFetcher(ctx context.Context, sp *obs.Span, kind, object string, node *cluster.Node, faults *fault.Injector) *peerFetcher {
 	f := &peerFetcher{
 		s:        s,
 		ctx:      ctx,
 		kind:     kind,
 		bootNode: node,
 		policy:   s.cfg.Peer,
-		faults:   s.injector(),
+		faults:   faults,
 		sp:       sp,
 	}
 	f.target(object)
@@ -94,7 +101,8 @@ func (f *peerFetcher) fetch(base, n int64, fn func(p []byte)) bool {
 	f.fetchNo++
 	f.tried = f.triedBuf[:0]
 	for attempt := 0; attempt < peer.DefaultMaxAttempts; attempt++ {
-		src, release, ok, busy := f.acquire()
+		primary := &f.legs[0]
+		ok, busy := f.acquire(primary)
 		if !ok {
 			if busy {
 				ctr.Add("peer.busy", 1)
@@ -109,9 +117,9 @@ func (f *peerFetcher) fetch(base, n int64, fn func(p []byte)) bool {
 			}
 			break
 		}
-		f.tried = append(f.tried, src)
+		f.tried = append(f.tried, primary.Node)
 		fsp.Annotate("attempts", 1)
-		if winner, ok := f.transferHedged(fsp, src, release, base, n, fn); ok {
+		if winner, ok := f.transferHedged(fsp, primary, base, n, fn); ok {
 			ctr.Add("peer.hit", 1)
 			ctr.Add("peer.bytes", n)
 			f.serve(winner, n)
@@ -135,9 +143,10 @@ func (f *peerFetcher) fetch(base, n int64, fn func(p []byte)) bool {
 // function of (op, source, fetchNo), so which leg leads — and therefore
 // which one wins under identical fault draws — is deterministic no
 // matter how many boots run concurrently.
-func (f *peerFetcher) transferHedged(fsp *obs.Span, src string, release func(int64),
+func (f *peerFetcher) transferHedged(fsp *obs.Span, primary *peer.Serve,
 	base, n int64, fn func(p []byte)) (string, bool) {
 	ctr := f.s.ledger.Counters()
+	src := primary.Node
 	slow := f.faults.SlowServe(f.op, src, f.fetchNo)
 	stall := func() {
 		f.stallSec += f.faults.Plan().SlowSec
@@ -149,16 +158,17 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, src string, release func(int
 			// slow-peer benchmark compares the hedged path against.
 			stall()
 		}
-		return src, f.transfer(src, base, n, fn, release)
+		return src, f.transfer(primary, base, n, fn)
 	}
 	// The primary stalled past the hedge threshold: clone the fetch to
 	// the next-best holder. No second holder means nothing to race —
 	// absorb the stall like an unhedged fetch.
-	h, hrel, ok, _ := f.acquire()
-	if !ok {
+	hedge := &f.legs[1]
+	if ok, _ := f.acquire(hedge); !ok {
 		stall()
-		return src, f.transfer(src, base, n, fn, release)
+		return src, f.transfer(primary, base, n, fn)
 	}
+	h := hedge.Node
 	f.tried = append(f.tried, h)
 	f.hedgesFired++
 	ctr.Add("peer.hedge_fired", 1)
@@ -167,31 +177,29 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, src string, release func(int
 	// First byte wins: the un-stalled leg leads; if the hedge leg drew a
 	// slow serve too, the primary keeps the lead (its stall started
 	// first) and the stall is paid either way.
-	first, firstRel := h, hrel
-	second, secondRel := src, release
+	first, second := hedge, primary
 	hslow := f.faults.SlowServe(f.op, h, f.fetchNo)
 	if hslow {
-		first, firstRel = src, release
-		second, secondRel = h, hrel
+		first, second = primary, hedge
 		stall()
 	}
 	// The losing leg is cancelled through the boot's context plumbing
 	// before it moves a payload byte, and a leg that faults lends fn
 	// nothing, so the reader is lent the range once, by the winner.
-	// Releasing a leg's serve slot is idempotent (sync.Once), so a leg
-	// promoted after the leader faults releases cleanly even though the
-	// watcher fires too.
+	// Giving a leg's serve slot back is idempotent (the ledger clears the
+	// Serve), so a leg promoted after the leader faults releases cleanly
+	// even though the watcher fires too.
 	hctx, cancel := context.WithCancel(f.ctx)
 	loserDone := make(chan struct{})
 	go func() {
 		<-hctx.Done()
-		secondRel(0)
+		f.s.ledger.Cancel(second)
 		close(loserDone)
 	}()
 	win := func(node string) (string, bool) {
 		cancel()
 		<-loserDone
-		if node == first {
+		if node == first.Node {
 			ctr.Add("peer.hedge_cancelled", 1)
 		}
 		if node == h {
@@ -200,16 +208,16 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, src string, release func(int
 		}
 		return node, true
 	}
-	if f.transfer(first, base, n, fn, firstRel) {
-		return win(first)
+	if f.transfer(first, base, n, fn) {
+		return win(first.Node)
 	}
 	if !hslow {
 		// The fast hedge leg faulted; the transfer falls back to the
 		// stalled primary, so its stall is paid after all.
 		stall()
 	}
-	if f.transfer(second, base, n, fn, secondRel) {
-		return win(second)
+	if f.transfer(second, base, n, fn) {
+		return win(second.Node)
 	}
 	cancel()
 	<-loserDone
@@ -228,12 +236,15 @@ func (f *peerFetcher) transferHedged(fsp *obs.Span, src string, release func(int
 // lease whose holder crashed a moment ago resolves here, fails the
 // online check, and is never fetched from. Holders this fetch has tried
 // are not eligible either. The ledger is handed the eligible holders in
-// the index's sorted order, filtered in place: the one slice the lookup
-// allocated.
-func (f *peerFetcher) acquire() (string, func(int64), bool, bool) {
+// the index's sorted order, filtered into the fetcher's own buffer (the
+// index's slice is shared), and reserves the slot into sv.
+func (f *peerFetcher) acquire(sv *peer.Serve) (ok, busy bool) {
 	s := f.s
 	holders := s.idx.Holders(f.imageID, f.bootNode.ID)
-	eligible := holders[:0]
+	if f.eligible == nil {
+		f.eligible = f.eligibleBuf[:0]
+	}
+	eligible := f.eligible[:0]
 	s.state.RLock()
 	for _, id := range holders {
 		r := s.replicas[id]
@@ -246,7 +257,8 @@ func (f *peerFetcher) acquire() (string, func(int64), bool, bool) {
 		}
 	}
 	s.state.RUnlock()
-	return s.ledger.Acquire(eligible, f.policy.MaxServeSlots, nil)
+	f.eligible = eligible
+	return s.ledger.Reserve(sv, eligible, f.policy.MaxServeSlots, nil)
 }
 
 // transfer lends fn one range of src's replica through the source's
@@ -259,13 +271,14 @@ func (f *peerFetcher) acquire() (string, func(int64), bool, bool) {
 // exactly those bytes: the full range on success and on corruption
 // (damage is detected at the receiver), the delivered prefix on
 // truncation, nothing on a drop or source crash. Every outcome feeds
-// src's circuit breaker.
-func (f *peerFetcher) transfer(src string, base, n int64, fn func(p []byte), release func(int64)) bool {
+// src's circuit breaker, in the same ledger call that gives sv's slot
+// back.
+func (f *peerFetcher) transfer(sv *peer.Serve, base, n int64, fn func(p []byte)) bool {
+	src := sv.Node
 	s, r := f.s, f.s.replicas[src]
 	ctr := s.ledger.Counters()
 	done := func(served int64, ok bool) bool {
-		release(served)
-		if s.ledger.RecordServe(src, ok) {
+		if s.ledger.Finish(sv, served, ok) {
 			f.trips++
 		}
 		return ok

@@ -76,39 +76,53 @@ func request(t *testing.T, typ uint8, id uint64, args any) wireproto.Frame {
 	return f
 }
 
-// spawnedOps is the complement of inlineOps, written out: the frame
-// types that take a context, mutate the deployment, or walk the
-// telemetry registry or the span ring, and so go to a worker.
-var spawnedOps = map[uint8]bool{
-	wireproto.TRegister: true, wireproto.TBoot: true, wireproto.TSync: true,
-	wireproto.TScrubAll: true, wireproto.TResilverAll: true, wireproto.TWorkload: true, wireproto.TWatch: true,
-	wireproto.TSetOnline: true, wireproto.TDropReplica: true, wireproto.TCrash: true, wireproto.TRestart: true,
-	wireproto.TRot: true, wireproto.TSetFaults: true, wireproto.TGC: true, wireproto.TNetReset: true,
-	wireproto.TTelemetry: true, wireproto.TTraceTree: true,
-}
+// markedOps are the frame types the reader serves under its serving mark,
+// written out: those that take a context, mutate the deployment, or walk
+// the telemetry registry or the span ring, and so may outlive the
+// hand-off budget. ownGoroutineOps are the streams, served on a goroutine
+// of their own.
+var (
+	markedOps = map[uint8]bool{
+		wireproto.TRegister: true, wireproto.TBoot: true, wireproto.TSync: true,
+		wireproto.TScrubAll: true, wireproto.TResilverAll: true, wireproto.TWorkload: true,
+		wireproto.TSetOnline: true, wireproto.TDropReplica: true, wireproto.TCrash: true, wireproto.TRestart: true,
+		wireproto.TRot: true, wireproto.TSetFaults: true, wireproto.TGC: true, wireproto.TNetReset: true,
+		wireproto.TTelemetry: true, wireproto.TTraceTree: true,
+	}
+	ownGoroutineOps = map[uint8]bool{wireproto.TWatch: true}
+)
 
 // TestEveryFrameTypeIsClassified walks the frame types: each one this
-// build names is deliberately either inline (daemon.go's inlineOps) or
-// spawned (the list above) — exactly one of the two — so a new frame type
-// cannot fall into a serving mode by default, and nothing that is not a
-// frame type is in either set.
+// build names is deliberately a query the reader serves unmarked
+// (daemon.go's inlineOps), a request the reader serves under its mark and
+// hands the socket on from (markedOps above), or a stream on its own
+// goroutine (ownGoroutineOps above, which the read loop names) — exactly
+// one of the three — so a new frame type cannot fall into a serving mode
+// by default, and nothing that is not a frame type is in any set.
 func TestEveryFrameTypeIsClassified(t *testing.T) {
 	named := 0
 	for i := 0; i < 256; i++ {
 		typ := uint8(i)
 		name := wireproto.TypeName(typ)
 		if name == fmt.Sprintf("type%d", typ) {
-			if inlineOps[typ] || spawnedOps[typ] {
+			if inlineOps[typ] || markedOps[typ] || ownGoroutineOps[typ] {
 				t.Errorf("frame type %d is classified but is not a frame type", typ)
 			}
 			continue
 		}
 		named++
-		switch {
-		case inlineOps[typ] && spawnedOps[typ]:
-			t.Errorf("frame type %s is both inline and spawned", name)
-		case !inlineOps[typ] && !spawnedOps[typ]:
-			t.Errorf("frame type %s is neither inline nor spawned: add it to inlineOps in daemon.go or to spawnedOps here", name)
+		modes := 0
+		for _, in := range []bool{inlineOps[typ], markedOps[typ], ownGoroutineOps[typ]} {
+			if in {
+				modes++
+			}
+		}
+		switch modes {
+		case 0:
+			t.Errorf("frame type %s is not classified: add it to inlineOps in daemon.go, or to markedOps or ownGoroutineOps here", name)
+		case 1:
+		default:
+			t.Errorf("frame type %s is in %d of inlineOps, markedOps and ownGoroutineOps", name, modes)
 		}
 	}
 	if want := int(wireproto.TWorkload) - 1; named != want {
@@ -335,6 +349,170 @@ func TestConnWorkersEndWithConnection(t *testing.T) {
 			t.Fatalf("%d goroutines 10s after the connection closed, %d before it opened", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// slowBootServer serves a deployment of nodes compute nodes whose boots
+// each wait latency, with one image registered in process (so no
+// registration has passed through a reader), and returns the server and
+// the deployment's Info.
+func slowBootServer(t *testing.T, nodes int, latency time.Duration) (*Server, ctlplane.Info) {
+	t.Helper()
+	local, err := ctlplane.NewLocal(ctlplane.Options{Images: 1, Nodes: nodes, BootLatency: latency})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := local.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.Register(context.Background(), info.Images[0], sessionT0); err != nil {
+		t.Fatal(err)
+	}
+	return serveSession(t, local, Config{}), info
+}
+
+// A boot that outlives the hand-off budget loses the socket: a Health
+// written after it, in a separate write, is read by a new reader and
+// answered while the boot is still running. A reader that served every
+// request itself would read the Health only after the boot's reply.
+func TestSlowRequestHandsOffTheSocket(t *testing.T) {
+	const latency = 150 * time.Millisecond
+	srv, info := slowBootServer(t, 1, latency)
+	conn := rawDial(t, srv.Addr().String())
+	start := time.Now()
+	boot := request(t, wireproto.TBoot, 1, core.BootRequest{Image: info.Images[0], Node: info.ComputeNodes[0]})
+	if err := wireproto.WriteFrame(conn, boot); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if err := wireproto.WriteFrame(conn, request(t, wireproto.THealth, 2, nil)); err != nil {
+		t.Fatal(err)
+	}
+	var at [2]time.Duration
+	for i, want := range []uint8{wireproto.THealth, wireproto.TBoot} {
+		got, err := wireproto.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Type != want || got.ReqID != uint64(2-i) || got.IsError() {
+			t.Fatalf("reply %d is %s #%d (error=%v), want %s #%d", i,
+				wireproto.TypeName(got.Type), got.ReqID, got.IsError(), wireproto.TypeName(want), 2-i)
+		}
+		at[i] = time.Since(start)
+	}
+	if at[1]-at[0] < latency/3 {
+		t.Fatalf("Health answered at %v and the %v boot at %v: the Health waited for the boot", at[0], latency, at[1])
+	}
+	if n := srv.handOffs.Load(); n != 1 {
+		t.Fatalf("%d hand-offs, want the boot's one", n)
+	}
+}
+
+// A slow request with no frame behind it keeps the socket: a closed loop
+// of boots that each outlive the budget runs on the connection's one
+// reader, whose stack has grown to the boot path, and starts no reader.
+func TestSlowRequestWithNothingBehindKeepsTheReader(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the monitor peeks at the socket's receive queue only on Linux")
+	}
+	const boots = 20
+	srv, info := slowBootServer(t, 1, 3*handOffBudget)
+	c := dial(t, srv.Addr().String())
+	req := core.BootRequest{Image: info.Images[0], Node: info.ComputeNodes[0]}
+	for i := 0; i < boots; i++ {
+		if _, err := c.Boot(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := srv.handOffs.Load(); n != 0 {
+		t.Fatalf("%d boots of %v, one at a time, made %d hand-offs, want 0", boots, 3*handOffBudget, n)
+	}
+}
+
+// waitGoroutines waits until at most want goroutines run, failing after 10 s.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 10 s, want at most %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// Boots that take exactly the hand-off budget end as the monitor looks,
+// so the monitor's hand-off and the finishing reader race on the state
+// word round after round. Whoever wins, every frame gets exactly one
+// reply, the connection keeps serving, and once it closes every reader
+// it had has ended.
+func TestHandOffRaceStress(t *testing.T) {
+	const rounds, boots = 200, 3
+	srv, info := slowBootServer(t, boots, handOffBudget)
+	conn := rawDial(t, srv.Addr().String())
+	// The handshake put the monitor and this connection's reader in place.
+	baseline := runtime.NumGoroutine()
+	id := uint64(0)
+	for round := 0; round < rounds; round++ {
+		var wire []byte
+		want := map[uint64]uint8{}
+		for i := 0; i < boots; i++ {
+			id++
+			req := core.BootRequest{Image: info.Images[0], Node: info.ComputeNodes[i]}
+			wire = wireproto.AppendFrame(wire, request(t, wireproto.TBoot, id, req))
+			want[id] = wireproto.TBoot
+			if i == 0 {
+				id++
+				wire = wireproto.AppendFrame(wire, request(t, wireproto.THealth, id, nil))
+				want[id] = wireproto.THealth
+			}
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		for len(want) > 0 {
+			got, err := wireproto.ReadFrame(conn)
+			if err != nil {
+				t.Fatalf("round %d: %v with %d replies outstanding", round, err, len(want))
+			}
+			typ, ok := want[got.ReqID]
+			if !ok || got.Type != typ || got.IsError() {
+				t.Fatalf("round %d: unexpected reply %s #%d (error=%v): a duplicate, or not a request of this round",
+					round, wireproto.TypeName(got.Type), got.ReqID, got.IsError())
+			}
+			delete(want, got.ReqID)
+		}
+	}
+	t.Logf("%d hand-offs over %d rounds", srv.handOffs.Load(), rounds)
+	conn.Close()
+	waitGoroutines(t, baseline-1) // less the closed connection's reader
+}
+
+// A closed loop of fast boots on one connection runs on its one reader:
+// a boot that ends inside the budget starts no goroutine and wakes none,
+// so the monitor hands nothing off and is woken at most when a pause
+// longer than its look let it park. Hand-offs and wake sends are the only
+// goroutine starts and channel sends the serving path has, and the bound
+// is far below one per boot even under the race detector.
+func TestFastBootsStayOnTheReader(t *testing.T) {
+	const boots = 1000
+	srv, info := slowBootServer(t, 1, 0)
+	c := dial(t, srv.Addr().String())
+	req := core.BootRequest{Image: info.Images[0], Node: info.ComputeNodes[0]}
+	if _, err := c.Boot(context.Background(), req); err != nil { // wakes the monitor, fills the caches
+		t.Fatal(err)
+	}
+	handOffs, wakes := srv.handOffs.Load(), srv.wakes.Load()
+	for i := 0; i < boots; i++ {
+		if rep, err := c.Boot(context.Background(), req); err != nil || !rep.Warm {
+			t.Fatalf("boot %d: %+v, %v", i, rep, err)
+		}
+	}
+	handOffs, wakes = srv.handOffs.Load()-handOffs, srv.wakes.Load()-wakes
+	t.Logf("%d warm boots: %d hand-offs, %d monitor wakes", boots, handOffs, wakes)
+	if limit := int64(boots / 50); handOffs > limit || wakes > limit {
+		t.Fatalf("%d warm boots made %d hand-offs and %d monitor wakes, limit %d each", boots, handOffs, wakes, limit)
 	}
 }
 

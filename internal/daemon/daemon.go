@@ -7,19 +7,32 @@
 // graceful-shutdown tests can drive a real listening server inside
 // `go test -race`.
 //
-// Concurrency model: one goroutine per connection reads frames. It serves
-// a short read-only query (a frame type in inlineOps) itself, between two
-// reads, and hands every other request to one of the connection's
-// workers: an idle one if one is waiting, else a new one. So a slow boot
-// never delays the frames behind it, clients pipeline by request ID, a
-// connection has at most as many workers as it has had requests in
-// flight at once, and its workers end with it. Whoever produced a reply
-// writes it, under the connection's replyWriter mutex; there is no writer
-// goroutine. Graceful shutdown (SIGTERM in squirreld, or Server.Shutdown)
-// stops accepting connections and reading new frames but lets every
-// in-flight request — boots included — run to completion and write its
-// response before the connections close; only when the Shutdown context
-// expires are request contexts cancelled and connections torn down.
+// Concurrency model: one goroutine at a time reads a connection's frames,
+// and it serves what it reads itself, between two reads: a warm boot
+// costs about a microsecond, and handing it to another goroutine would
+// cost more than the boot. A short read-only query (a frame type in
+// inlineOps) is served and answered, and that is all. Any other request
+// except a watch may block — a -boot-latency wait, healing, an admission
+// queue, a registration — so the reader marks the connection's state word
+// with the request's start before serving it and clears the mark by CAS
+// after writing the reply. The server's one monitor goroutine wakes every
+// handOffBudget while some reader is serving and parks otherwise; a
+// request it finds marked for longer than the budget, with a frame
+// waiting behind it, loses the socket: the monitor swaps the mark for
+// handedOff and starts a new reader on the connection, and the old
+// goroutine, whose CAS then fails, writes its reply and exits. So a slow
+// request delays the frames behind it by about the budget, clients
+// pipeline by request ID and get replies out of order, and a fast request
+// wakes no goroutine, arms no timer and sends on no channel. A watch streams on a goroutine of its own. Whoever
+// produced a reply writes it, under the connection's replyWriter mutex;
+// there is no writer goroutine, and the last goroutine done with a
+// connection — its reader, a request an earlier reader still serves, a
+// watch — closes it. Graceful shutdown (SIGTERM in squirreld, or
+// Server.Shutdown) stops accepting connections and reading new frames but
+// lets every in-flight request — boots included — run to completion and
+// write its response before the connections close; only when the
+// Shutdown context expires are request contexts cancelled and
+// connections torn down.
 package daemon
 
 import (
@@ -68,6 +81,13 @@ const (
 	writeTimeout            = 30 * time.Second
 )
 
+// handOffBudget is how long a reader may serve one request before its
+// connection gets a new reader, and how often the monitor looks while
+// any reader is serving. It is a fixed cost of the design, not a knob:
+// long against a warm boot (≈ 1 µs of work) and its round trip (≈ 20 µs),
+// short against anything that waits.
+const handOffBudget = time.Millisecond
+
 // errBadRequest marks undecodable bodies and unknown frame types; it
 // travels as CodeBadRequest.
 var errBadRequest = errors.New("daemon: bad request")
@@ -85,10 +105,45 @@ type Server struct {
 
 	mu       sync.Mutex
 	ln       net.Listener
-	conns    map[net.Conn]struct{}
+	conns    map[*conn]struct{}
 	draining atomic.Bool
 	connWG   sync.WaitGroup
+
+	// The hand-off monitor. epoch is the origin of the readers' serving
+	// stamps. parked is set while the monitor waits on wake for a reader
+	// to start serving; the reader that clears it sends the one wake.
+	epoch  time.Time
+	parked atomic.Bool
+	wake   chan struct{}
+	// handOffs and wakes count monitor hand-offs and wake sends, for the
+	// tests that pin what a fast request costs.
+	handOffs, wakes atomic.Int64
 }
+
+// conn is one served connection.
+type conn struct {
+	nc  net.Conn
+	br  *bufio.Reader // owned by the connection's current reader
+	out *replyWriter
+	// state is the current reader's serving mark: start<<2 | buffered<<1
+	// | 1 while it serves a request that may block, start in ns since the
+	// server's epoch and buffered set when the reader's buffer already
+	// held bytes of a later frame; even once that request is answered;
+	// handedOff after the monitor gave the socket to a new reader. The
+	// reader stores the mark and clears it by CAS, and the monitor hands
+	// off by CAS, so exactly one of the two wins a request that ends as
+	// the budget runs out.
+	state atomic.Int64
+	// refs counts the goroutines still using the connection: its reader,
+	// requests former readers still serve, watches. Dropping it to zero
+	// closes the connection.
+	refs atomic.Int32
+	seen int64 // the state the monitor saw last; only the monitor touches it
+}
+
+// handedOff is the state word of a connection whose reader was handed
+// the socket by the monitor and has not yet served a request.
+const handedOff = -2
 
 // New builds a Server over sess. Call Listen then Serve.
 func New(sess ctlplane.Session, cfg Config) *Server {
@@ -96,7 +151,8 @@ func New(sess ctlplane.Session, cfg Config) *Server {
 		cfg.MaxConns = DefaultMaxConns
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{cfg: cfg, sess: sess, ctx: ctx, cancel: cancel, conns: make(map[net.Conn]struct{})}
+	return &Server{cfg: cfg, sess: sess, ctx: ctx, cancel: cancel, conns: make(map[*conn]struct{}),
+		epoch: time.Now(), wake: make(chan struct{}, 1)}
 }
 
 // Listen binds the configured address. Split from Serve so callers can
@@ -134,8 +190,17 @@ func (s *Server) Serve() error {
 	if ln == nil {
 		return fmt.Errorf("daemon: Serve before Listen")
 	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		s.monitor(stop)
+		close(stopped)
+	}()
+	defer func() {
+		close(stop)
+		<-stopped
+	}()
 	for {
-		c, err := ln.Accept()
+		nc, err := ln.Accept()
 		if err != nil {
 			if s.draining.Load() {
 				s.connWG.Wait()
@@ -144,11 +209,13 @@ func (s *Server) Serve() error {
 			return fmt.Errorf("daemon: accept: %w", err)
 		}
 		busy := false
+		c := &conn{nc: nc}
+		c.refs.Store(1) // the first reader's
 		s.mu.Lock()
 		switch {
 		case s.draining.Load():
 			s.mu.Unlock()
-			_ = c.Close()
+			_ = nc.Close()
 			continue
 		case len(s.conns) >= s.cfg.MaxConns:
 			busy = true
@@ -158,7 +225,7 @@ func (s *Server) Serve() error {
 		}
 		s.mu.Unlock()
 		if busy {
-			go s.rejectBusy(c)
+			go s.rejectBusy(nc)
 			continue
 		}
 		go s.handleConn(c)
@@ -180,7 +247,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for c := range s.conns {
 		// Nudge the read loops: the pending ReadFrame fails with a
 		// deadline error and the loop stops pulling new requests.
-		_ = c.SetReadDeadline(time.Now())
+		_ = c.nc.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
 	if !already {
@@ -198,7 +265,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.cancel()
 		s.mu.Lock()
 		for c := range s.conns {
-			_ = c.Close()
+			_ = c.nc.Close()
 		}
 		s.mu.Unlock()
 		<-done
@@ -218,88 +285,204 @@ func (s *Server) rejectBusy(c net.Conn) {
 		fmt.Sprintf("squirreld at connection limit (%d); retry", s.cfg.MaxConns))
 }
 
-// handleConn runs one connection: handshake, then a read loop that
-// serves short queries itself and hands every other request to a worker.
-func (s *Server) handleConn(c net.Conn) {
-	defer func() {
-		_ = c.Close()
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		s.connWG.Done()
-	}()
-
-	br := bufio.NewReader(c)
-	_ = c.SetReadDeadline(time.Now().Add(DefaultHandshakeTimeout))
-	ver, err := wireproto.ReadHello(br)
-	if err != nil {
+// handleConn runs one connection: handshake, then the first reader.
+func (s *Server) handleConn(c *conn) {
+	if !s.handshake(c) {
+		s.drop(c)
 		return
+	}
+	c.out = &replyWriter{conn: c.nc, fw: wireproto.NewWriter(c.nc)}
+	s.readLoop(c)
+}
+
+// handshake runs the hello exchange on a fresh connection.
+func (s *Server) handshake(c *conn) bool {
+	c.br = bufio.NewReader(c.nc)
+	_ = c.nc.SetReadDeadline(time.Now().Add(DefaultHandshakeTimeout))
+	ver, err := wireproto.ReadHello(c.br)
+	if err != nil {
+		return false
 	}
 	if ver != wireproto.Version {
-		_ = wireproto.WriteHelloReply(c, wireproto.HelloVersionMismatch,
+		_ = wireproto.WriteHelloReply(c.nc, wireproto.HelloVersionMismatch,
 			fmt.Sprintf("protocol version mismatch: server %s speaks v%d, client sent v%d",
 				version.Build, wireproto.Version, ver))
-		return
+		return false
 	}
-	if err := wireproto.WriteHelloReply(c, wireproto.HelloOK, ""); err != nil {
-		return
+	if err := wireproto.WriteHelloReply(c.nc, wireproto.HelloOK, ""); err != nil {
+		return false
 	}
-	_ = c.SetReadDeadline(time.Time{})
+	_ = c.nc.SetReadDeadline(time.Time{})
+	return true
+}
 
-	out := &replyWriter{conn: c, fw: wireproto.NewWriter(c)}
-	// Requests that can run long go to this connection's workers. The
-	// reader hands a frame to an idle worker if one is waiting on jobs
-	// and starts another worker if none is, so there are never more
-	// workers than the connection's peak of requests in flight, and a
-	// worker's grown stack serves the requests after its first.
-	jobs := make(chan wireproto.Frame)
-	var pending sync.WaitGroup
-	work := func(f wireproto.Frame) {
-		defer pending.Done()
-		for ok := true; ok; f, ok = <-jobs {
-			s.serve(f, out)
-		}
-	}
+// readLoop is a connection's reader: it reads frames and serves them
+// until the stream ends, the drain nudge fails its read, or the monitor
+// hands the socket to a new reader while this one serves.
+func (s *Server) readLoop(c *conn) {
+	defer s.drop(c)
 	for {
-		f, err := wireproto.ReadFrame(br)
+		f, err := wireproto.ReadFrame(c.br)
 		if err != nil {
 			// EOF, the shutdown nudge, or a framing violation — in every
 			// case the stream is done taking requests. A framing error is
 			// unrecoverable by construction (the byte stream is out of
 			// sync), so closing is the only safe answer.
-			break
+			return
 		}
 		switch {
 		case s.draining.Load():
-			out.send(errorFrame(f, ctlplane.ErrDraining))
+			c.out.send(errorFrame(f, ctlplane.ErrDraining))
 		case inlineOps[f.Type]:
-			out.send(s.dispatch(f))
+			c.out.send(s.dispatch(f))
+		case f.Type == wireproto.TWatch: // a stream of replies
+			c.refs.Add(1)
+			go func() {
+				defer s.drop(c)
+				s.serveWatch(f, c.out)
+			}()
 		default:
-			select {
-			case jobs <- f:
-			default:
-				pending.Add(1)
-				go work(f)
+			if !s.serveMarked(c, f) {
+				return // the connection has a new reader
 			}
 		}
 	}
-	// Drain: idle workers exit, and every accepted request finishes and
-	// writes its reply before the connection closes.
-	close(jobs)
-	pending.Wait()
 }
 
-// serve runs one request on a worker and writes its replies.
-func (s *Server) serve(f wireproto.Frame, out *replyWriter) {
-	if f.Type == wireproto.TWatch {
-		s.serveWatch(f, out) // a stream of replies
+// serveMarked serves a request that may block and writes its reply, under
+// the connection's serving mark. It reports whether this goroutine is
+// still the connection's reader: false when the monitor handed the socket
+// on meanwhile. The fast path is two atomic writes and a load.
+func (s *Server) serveMarked(c *conn, f wireproto.Frame) bool {
+	mark := int64(time.Since(s.epoch))<<2 | 1
+	if c.br.Buffered() > 0 {
+		mark |= 2
+	}
+	c.state.Store(mark)
+	if s.parked.Load() {
+		s.wakeMonitor()
+	}
+	c.out.send(s.dispatch(f))
+	return c.state.CompareAndSwap(mark, mark&^1)
+}
+
+// wakeMonitor wakes the parked monitor; of the readers that find it
+// parked, the one that clears parked sends the wake.
+func (s *Server) wakeMonitor() {
+	if s.parked.CompareAndSwap(true, false) {
+		s.wakes.Add(1)
+		s.wake <- struct{}{}
+	}
+}
+
+// monitor hands the socket of a connection whose reader has served one
+// request for longer than handOffBudget, with a frame waiting behind it,
+// to a new reader. Nothing waiting, nothing is delayed: a closed loop of
+// slow requests (a registration stream) keeps its one reader, whose stack
+// has grown to the request path, and a frame that arrives later is seen
+// at the next look. The monitor looks every budget while some
+// connection's state word moved since its last look, and otherwise parks
+// until a reader marks a request.
+func (s *Server) monitor(stop <-chan struct{}) {
+	var conns []*conn
+	tick := time.NewTimer(handOffBudget)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+		case <-stop:
+			return
+		}
+		conns = s.snapshot(conns[:0])
+		now := int64(time.Since(s.epoch))
+		active := false
+		for _, c := range conns {
+			v := c.state.Load()
+			if v != c.seen {
+				c.seen, active = v, true
+			}
+			if v&1 == 1 {
+				active = true
+				if now-(v>>2) >= int64(handOffBudget) && (v&2 != 0 || framesWaiting(c.nc)) {
+					s.handOff(c, v)
+				}
+			}
+		}
+		if !active {
+			// Park. A reader marks its request before it loads parked, and
+			// the monitor sets parked before it looks again, so either the
+			// reader sees parked and wakes the monitor, or the look below
+			// finds the mark — and then exactly one of the two clears
+			// parked, so the wake is sent only when the monitor waits.
+			s.parked.Store(true)
+			conns = s.snapshot(conns[:0])
+			if !anyMarked(conns) || !s.parked.CompareAndSwap(true, false) {
+				select {
+				case <-s.wake:
+				case <-stop:
+					return
+				}
+			}
+		}
+		clear(conns) // drop closed connections between looks
+		tick.Reset(handOffBudget)
+	}
+}
+
+// snapshot appends the served connections to buf.
+func (s *Server) snapshot(buf []*conn) []*conn {
+	s.mu.Lock()
+	for c := range s.conns {
+		buf = append(buf, c)
+	}
+	s.mu.Unlock()
+	return buf
+}
+
+func anyMarked(conns []*conn) bool {
+	for _, c := range conns {
+		if c.state.Load()&1 == 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// handOff gives c's socket to a new reader if its reader is still serving
+// the request it marked with mark. The new reader's reference is taken
+// first, so the connection cannot close between the swap and its start.
+func (s *Server) handOff(c *conn, mark int64) {
+	for {
+		r := c.refs.Load()
+		if r == 0 {
+			return // closed: nothing left to read
+		}
+		if c.refs.CompareAndSwap(r, r+1) {
+			break
+		}
+	}
+	if !c.state.CompareAndSwap(mark, handedOff) {
+		s.drop(c) // the request finished first
 		return
 	}
-	out.send(s.dispatch(f))
+	s.handOffs.Add(1)
+	go s.readLoop(c)
+}
+
+// drop releases one goroutine's use of c; the last closes it.
+func (s *Server) drop(c *conn) {
+	if c.refs.Add(-1) > 0 {
+		return
+	}
+	_ = c.nc.Close()
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+	s.connWG.Done()
 }
 
 // replyWriter puts reply frames on one connection. Whoever produced a
-// reply — the read loop, a request's worker, a watch stream — writes it
+// reply — the reader, a former reader, a watch stream — writes it
 // under mu: a write deadline, one encode into the connection's buffer, one
 // conn.Write. After a failed write the connection is broken and sends
 // return that error at once; only a stream needs the result (to stop
@@ -359,7 +542,11 @@ func (s *Server) dispatch(f wireproto.Frame) (resp wireproto.Frame) {
 		// ring and a TraceSlowest fetch will find it.
 		sp.Finish()
 	}()
-	result, err := s.handle(obs.ContextWithSpan(s.ctx, sp), f.Type, f.Payload)
+	ctx := s.ctx
+	if sp != nil {
+		ctx = obs.ContextWithSpan(ctx, sp)
+	}
+	result, err := s.handle(ctx, f.Type, f.Payload)
 	if err != nil {
 		sp.Fail(err)
 		return errorFrame(f, err)
@@ -471,12 +658,14 @@ func decodeBoot(body []byte) (core.BootRequest, error) {
 type encoded []byte
 
 // inlineOps is the set of frame types the connection's reader serves
-// itself: ops whose Session method takes no context, mutates nothing and
-// answers in microseconds at any deployment size, where a hand-off to
-// another goroutine costs more than the answer. Every other type can run
-// long — it takes a context, mutates, or walks the telemetry registry or
-// the span ring — and goes to a worker (DESIGN §12).
-// TestEveryFrameTypeIsClassified makes a new frame type choose.
+// without a serving mark: ops whose Session method takes no context,
+// mutates nothing and answers in microseconds at any deployment size, so
+// they can never hold the reader past the budget. Every other type but
+// TWatch can run long — it takes a context, mutates, or walks the
+// telemetry registry or the span ring — and is served under the mark, so
+// the monitor can hand the socket on (DESIGN §12); TWatch streams on a
+// goroutine of its own. TestEveryFrameTypeIsClassified makes a new frame
+// type choose.
 var inlineOps = [256]bool{
 	wireproto.TInfo: true, wireproto.THealth: true, wireproto.TStats: true,
 	wireproto.TNetRx: true, wireproto.TPeers: true,

@@ -3,7 +3,7 @@ package peer
 // Per-peer circuit breakers. A holder that keeps failing serves (cut
 // behind a partition, crashed mid-serve, persistently flaky fabric) stops
 // being selected after Threshold consecutive failures: its breaker opens
-// and Ledger.Acquire skips it right after the caller's exclusions, so a
+// and Ledger.Reserve skips it right after the caller's exclusions, so a
 // booting node degrades straight to the PFS instead of burning its
 // attempt budget on a dead peer. After Cooldown skipped selections the
 // breaker moves to half-open and lets one probe through; a successful
@@ -92,15 +92,13 @@ func (l *Ledger) BreakerState(node string) string {
 	return b.state.String()
 }
 
-// RecordServe feeds one serve outcome into node's breaker and returns
+// recordLocked feeds one serve outcome into node's breaker and returns
 // whether this very outcome tripped it open. Success closes a half-open
 // (or open) breaker and clears the failure streak; failure extends the
 // streak, trips a closed breaker at Threshold, and sends a failed
 // half-open probe straight back to open. No-op while breakers are
 // disabled.
-func (l *Ledger) RecordServe(node string, ok bool) (tripped bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+func (l *Ledger) recordLocked(node string, ok bool) (tripped bool) {
 	if !l.bpol.Enabled() {
 		return false
 	}

@@ -6,10 +6,16 @@ import (
 	"repro/internal/metrics"
 )
 
+// record feeds one serve outcome to node's breaker, as Finish does for
+// a serve whose slot is already back.
+func record(ix *Ledger, node string, ok bool) (tripped bool) {
+	return ix.Finish(&Serve{Node: node}, 0, ok)
+}
+
 // failServes records n consecutive failed serves against node.
 func failServes(ix *Ledger, node string, n int) (tripped bool) {
 	for i := 0; i < n; i++ {
-		if ix.RecordServe(node, false) {
+		if record(ix, node, false) {
 			tripped = true
 		}
 	}
@@ -28,7 +34,7 @@ func TestBreakerTripSkipProbeRecover(t *testing.T) {
 		t.Fatal("breaker tripped below threshold")
 	}
 	// Third consecutive failure trips it.
-	if !ix.RecordServe("node00", false) {
+	if !record(ix, "node00", false) {
 		t.Fatal("threshold failure did not trip")
 	}
 	if st := ix.BreakerState("node00"); st != "open" {
@@ -60,7 +66,7 @@ func TestBreakerTripSkipProbeRecover(t *testing.T) {
 
 	// Half-open: node00 is a candidate again (least-loaded wins as usual).
 	// A failed probe reopens; a successful one closes.
-	if ix.RecordServe("node00", false) {
+	if record(ix, "node00", false) {
 		t.Fatal("failed probe counted as a fresh trip")
 	}
 	if st := ix.BreakerState("node00"); st != "open" {
@@ -77,7 +83,7 @@ func TestBreakerTripSkipProbeRecover(t *testing.T) {
 		}
 		release(0)
 	}
-	ix.RecordServe("node00", true)
+	record(ix, "node00", true)
 	if st := ix.BreakerState("node00"); st != "closed" {
 		t.Fatalf("successful probe left breaker %q, want closed", st)
 	}
@@ -93,7 +99,7 @@ func TestBreakerTripSkipProbeRecover(t *testing.T) {
 func TestBreakerOpenHoldersSkippedNotBusy(t *testing.T) {
 	ix := NewLedger(BreakerPolicy{Threshold: 1, Cooldown: 100}, metrics.NewCounterSet())
 	img := []string{"node00"}
-	ix.RecordServe("node00", false) // trips immediately
+	record(ix, "node00", false) // trips immediately
 	// The only holder is breaker-open: no candidate, and NOT busy — the
 	// caller should fall straight back to the PFS, not retry.
 	src, _, ok, busy := ix.Acquire(img, 4, nil)
@@ -143,7 +149,7 @@ func TestAcquireAllBusyUnderExclusion(t *testing.T) {
 	}
 	// Same with a breaker-open holder in the mix: still busy=true, the
 	// open holder neither serves nor flips the verdict to a plain miss.
-	ix.RecordServe("node00", false)
+	record(ix, "node00", false)
 	if _, _, ok, busy := ix.Acquire(img, 1, nil); ok || !busy {
 		t.Fatalf("with open breaker: ok=%v busy=%v, want busy miss", ok, busy)
 	}

@@ -66,25 +66,34 @@ func (l *Ledger) Loads() []NodeLoad {
 	return out
 }
 
-// Acquire picks the best source among holders and reserves one serve
-// slot on it. Candidates are the holders minus those the caller excludes
-// (the booting node, offline/lagging nodes, already-tried sources),
-// minus holders whose circuit breaker is open, minus nodes at maxSlots
-// in-flight serves. A caller-excluded holder is skipped before its
-// breaker is consulted, so ineligible nodes never tick an open
+// Serve is one reserved serve slot: the node Reserve chose and that
+// node's load. The caller owns the value — a fetcher keeps one per leg —
+// and gives the slot back with Finish or Cancel; whichever comes first
+// releases it, and the later calls find it released and change nothing.
+type Serve struct {
+	Node string
+	ld   *load // nil once the slot is back; read and written under Ledger.mu
+}
+
+// Reserve picks the best source among holders and reserves one serve
+// slot on it, into sv. Candidates are the holders minus those the caller
+// excludes (the booting node, offline/lagging nodes, already-tried
+// sources), minus holders whose circuit breaker is open, minus nodes at
+// maxSlots in-flight serves. A caller-excluded holder is skipped before
+// its breaker is consulted, so ineligible nodes never tick an open
 // breaker's cooldown. "Best" is least-loaded: fewest active serves, then
 // fewest served bytes, then lexical node ID — deterministic for
 // identical load states.
 //
-// The returned release function MUST be called exactly once: with the
-// bytes actually served on success, or 0 on a failed transfer. ok is
-// false when no candidate exists; busy additionally distinguishes
-// "holders exist but all are at capacity" from "no eligible holder" —
-// excluded and breaker-open holders never count as busy.
-func (l *Ledger) Acquire(holders []string, maxSlots int, exclude func(node string) bool) (src string, release func(served int64), ok, busy bool) {
+// ok is false when no candidate exists, and sv is left as it was; busy
+// additionally distinguishes "holders exist but all are at capacity"
+// from "no eligible holder" — excluded and breaker-open holders never
+// count as busy.
+func (l *Ledger) Reserve(sv *Serve, holders []string, maxSlots int, exclude func(node string) bool) (ok, busy bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var best *load
+	src := ""
 	for _, node := range holders {
 		if exclude != nil && exclude(node) {
 			continue
@@ -92,7 +101,7 @@ func (l *Ledger) Acquire(holders []string, maxSlots int, exclude func(node strin
 		// An open breaker skips its node; each skip counts against the
 		// cooldown, and the selection that exhausts it becomes the
 		// half-open probe and is let through. Breakers exist only while
-		// the policy is enabled (RecordServe creates them).
+		// the policy is enabled (Finish creates them).
 		if b := l.breakers[node]; b != nil && b.state == breakerOpen {
 			if b.cool--; b.cool > 0 {
 				l.counters.Add("breaker.skip", 1)
@@ -115,22 +124,59 @@ func (l *Ledger) Acquire(holders []string, maxSlots int, exclude func(node strin
 		}
 	}
 	if best == nil {
-		return "", nil, false, busy
+		return false, busy
 	}
 	best.active++
-	var once sync.Once
-	release = func(served int64) {
-		once.Do(func() {
-			l.mu.Lock()
-			best.active--
-			if served > 0 {
-				best.reads++
-				best.bytes += served
-			}
-			l.mu.Unlock()
-		})
+	*sv = Serve{Node: src, ld: best}
+	return true, false
+}
+
+// Finish gives sv's slot back — counting served bytes against its node
+// when served > 0 — and feeds the serve's outcome to the node's breaker,
+// under one lock. It reports whether this outcome tripped the breaker
+// open. The outcome is recorded even when the slot is already back (a
+// hedge leg a watcher cancelled, then ran).
+func (l *Ledger) Finish(sv *Serve, served int64, ok bool) (tripped bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.releaseLocked(sv, served)
+	return l.recordLocked(sv.Node, ok)
+}
+
+// Cancel gives sv's slot back without an outcome: a hedge leg that lost
+// the race. A no-op once the slot is back.
+func (l *Ledger) Cancel(sv *Serve) {
+	l.mu.Lock()
+	l.releaseLocked(sv, 0)
+	l.mu.Unlock()
+}
+
+func (l *Ledger) releaseLocked(sv *Serve, served int64) {
+	if sv.ld == nil {
+		return
 	}
-	return src, release, true, false
+	sv.ld.active--
+	if served > 0 {
+		sv.ld.reads++
+		sv.ld.bytes += served
+	}
+	sv.ld = nil
+}
+
+// Acquire is Reserve for a caller that keeps no Serve of its own: the
+// returned release function gives the slot back, with the bytes actually
+// served on success or 0 on a failed transfer. Calls after the first are
+// no-ops.
+func (l *Ledger) Acquire(holders []string, maxSlots int, exclude func(node string) bool) (src string, release func(served int64), ok, busy bool) {
+	sv := new(Serve)
+	if ok, busy = l.Reserve(sv, holders, maxSlots, exclude); !ok {
+		return "", nil, false, busy
+	}
+	return sv.Node, func(served int64) {
+		l.mu.Lock()
+		l.releaseLocked(sv, served)
+		l.mu.Unlock()
+	}, true, false
 }
 
 // less orders candidate (an, al) before the current best (bn, bl).

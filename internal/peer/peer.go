@@ -26,7 +26,7 @@
 package peer
 
 import (
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -77,8 +77,11 @@ func (p Policy) Normalize() Policy {
 // holders may serve is the Ledger's question. One Directory belongs to
 // one deployment.
 type Directory struct {
-	mu      sync.Mutex
-	holders map[string]map[string]struct{} // objID → nodeID set
+	mu sync.Mutex
+	// holders is objID → the announcing node IDs, sorted. A stored slice
+	// is never written again: announce and withdraw store a new one, so
+	// Holders hands out the slice itself.
+	holders map[string][]string
 	// held is the inverse of holders, nodeID → objID set, kept in step
 	// with it so the per-node operations (SetHoldings, WithdrawNode,
 	// AnnouncedBy) cost what that node announces, not the whole index.
@@ -88,7 +91,7 @@ type Directory struct {
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
 	return &Directory{
-		holders: make(map[string]map[string]struct{}),
+		holders: make(map[string][]string),
 		held:    make(map[string]map[string]struct{}),
 	}
 }
@@ -101,7 +104,10 @@ func (d *Directory) Announce(obj, node string) {
 }
 
 func (d *Directory) announceLocked(obj, node string) {
-	link(d.holders, obj, node)
+	hs := d.holders[obj]
+	if i, found := slices.BinarySearch(hs, node); !found {
+		d.holders[obj] = slices.Insert(slices.Clip(hs), i, node) // a new slice: hs has no room
+	}
 	link(d.held, node, obj)
 }
 
@@ -113,8 +119,22 @@ func (d *Directory) Withdraw(obj, node string) {
 }
 
 func (d *Directory) withdrawLocked(obj, node string) {
-	unlink(d.holders, obj, node)
+	d.dropHolderLocked(obj, node)
 	unlink(d.held, node, obj)
+}
+
+// dropHolderLocked stores obj's holders without node, as a new slice,
+// and drops obj once nobody holds it.
+func (d *Directory) dropHolderLocked(obj, node string) {
+	hs := d.holders[obj]
+	i, found := slices.BinarySearch(hs, node)
+	switch {
+	case !found:
+	case len(hs) == 1:
+		delete(d.holders, obj)
+	default:
+		d.holders[obj] = slices.Delete(slices.Clone(hs), i, i+1)
+	}
 }
 
 // link adds b to a's set in m; unlink removes it, dropping a set that
@@ -143,7 +163,7 @@ func unlink(m map[string]map[string]struct{}, a, b string) {
 func (d *Directory) WithdrawNode(node string) {
 	d.mu.Lock()
 	for obj := range d.held[node] {
-		unlink(d.holders, obj, node)
+		d.dropHolderLocked(obj, node)
 	}
 	delete(d.held, node)
 	d.mu.Unlock()
@@ -152,7 +172,7 @@ func (d *Directory) WithdrawNode(node string) {
 // WithdrawObject removes obj from the index entirely (deregistration).
 func (d *Directory) WithdrawObject(obj string) {
 	d.mu.Lock()
-	for node := range d.holders[obj] {
+	for _, node := range d.holders[obj] {
 		unlink(d.held, node, obj)
 	}
 	delete(d.holders, obj)
@@ -180,17 +200,13 @@ func (d *Directory) SetHoldings(node string, objs []string) {
 	d.mu.Unlock()
 }
 
-// Holders returns the nodes currently announcing obj, sorted.
+// Holders returns the nodes currently announcing obj, sorted. The slice
+// is shared with the directory and with every other caller: read it, never
+// write it. A later announce or withdraw leaves it as it is.
 func (d *Directory) Holders(obj string) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	set := d.holders[obj]
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return d.holders[obj]
 }
 
 // AnnouncedBy returns how many objects node currently announces. Zero

@@ -40,6 +40,25 @@ func TestAnnounceWithdraw(t *testing.T) {
 	ix.Withdraw("ghost", "node09")
 }
 
+// Holders hands out the directory's own slice, so no later announce or
+// withdraw may write into one it handed out.
+func TestHoldersSliceIsNeverWritten(t *testing.T) {
+	ix := NewDirectory()
+	ix.Announce("img-a", "node01")
+	ix.Announce("img-a", "node03")
+	got := ix.Holders("img-a")
+	ix.Announce("img-a", "node00")
+	ix.Announce("img-a", "node02")
+	ix.Withdraw("img-a", "node01")
+	ix.WithdrawNode("node03")
+	if !reflect.DeepEqual(got, []string{"node01", "node03"}) {
+		t.Fatalf("a handed-out holder slice changed to %v", got)
+	}
+	if now := ix.Holders("img-a"); !reflect.DeepEqual(now, []string{"node00", "node02"}) {
+		t.Fatalf("holders after the changes: %v", now)
+	}
+}
+
 func TestWithdrawNodeAndObject(t *testing.T) {
 	ix := NewDirectory()
 	for _, obj := range []string{"a", "b", "c"} {
@@ -183,9 +202,9 @@ func TestIndexConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				obj := fmt.Sprintf("img-%d", i%10)
 				dir.Announce(obj, node)
-				if src, rel, ok, _ := led.Acquire(dir.Holders(obj), 2, nil); ok {
-					led.RecordServe(src, i%3 != 0)
-					rel(64)
+				var sv Serve
+				if ok, _ := led.Reserve(&sv, dir.Holders(obj), 2, nil); ok {
+					led.Finish(&sv, 64, i%3 != 0)
 				}
 				if i%3 == 0 {
 					dir.Withdraw(obj, node)
