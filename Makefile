@@ -66,7 +66,8 @@ loc:
 
 # Short fuzz burst over the decoders that take bytes from elsewhere — the
 # wire protocol, the control-plane request bodies, the binary boot
-# request and report and the binary health reply (off a socket), the
+# request and report and the binary health, info and stats replies (off
+# a socket), the
 # snapshot stream format (off the registration multicast) and the block
 # codecs (off a disk that can rot). Each target also replays its seed
 # corpus during plain `make test`.
@@ -78,6 +79,8 @@ fuzz:
 	$(GO) test -fuzz FuzzBootRequest -fuzztime 5s ./internal/ctlplane/
 	$(GO) test -fuzz FuzzBootReport -fuzztime 5s ./internal/ctlplane/
 	$(GO) test -fuzz FuzzHealthReply -fuzztime 5s ./internal/ctlplane/
+	$(GO) test -fuzz FuzzInfoReply -fuzztime 5s ./internal/ctlplane/
+	$(GO) test -fuzz FuzzStatsReply -fuzztime 5s ./internal/ctlplane/
 	$(GO) test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/zvol/
 	$(GO) test -fuzz FuzzDecompressInto -fuzztime 10s ./internal/compress/
 	$(GO) test -fuzz FuzzInflate -fuzztime 10s ./internal/compress/
@@ -111,7 +114,8 @@ gate-inflate:
 # registration stream, Stats poll, control-RPC mix, warm boots over the
 # wire, a 64 KB Visit served by the decoded-block cache and always
 # decoding, a finished span and its
-# child folded into the telemetry registry), one iteration each so they
+# child folded into the telemetry registry, one encode and decode of
+# each binary control-plane body), one iteration each so they
 # cannot rot between the PRs that read them.
 rungs:
 	$(GO) test -run '^$$' -bench BenchmarkWarmBoot -benchtime 1x ./internal/core/
@@ -123,3 +127,4 @@ rungs:
 	$(GO) test -run '^$$' -bench BenchmarkBootRPC -benchtime 1x ./internal/daemon/
 	$(GO) test -run '^$$' -bench BenchmarkVisitDecoded -benchtime 1x ./internal/zvol/
 	$(GO) test -run '^$$' -bench BenchmarkRegistryRecord -benchtime 1x ./internal/obs/
+	$(GO) test -run '^$$' -bench BenchmarkBodies -benchtime 1x ./internal/ctlplane/

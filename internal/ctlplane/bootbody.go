@@ -140,6 +140,9 @@ func appendStrings(dst []byte, ss ...string) ([]byte, error) {
 type bodyDecoder struct {
 	b   []byte
 	err error
+	// s, when set, is string(b) as the decode began: str returns
+	// substrings of it rather than converting each string on its own.
+	s string
 }
 
 func (d *bodyDecoder) take(n int) []byte {
@@ -160,7 +163,12 @@ func (d *bodyDecoder) str() string {
 	if p == nil {
 		return ""
 	}
-	return string(d.take(int(binary.LittleEndian.Uint16(p))))
+	n := int(binary.LittleEndian.Uint16(p))
+	if p = d.take(n); p == nil || d.s == "" {
+		return string(p)
+	}
+	end := len(d.s) - len(d.b)
+	return d.s[end-n : end]
 }
 
 func (d *bodyDecoder) u32() uint32 {

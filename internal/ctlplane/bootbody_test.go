@@ -16,7 +16,9 @@ import (
 // other field of it shares (bools can only be true), and fails on a field
 // kind it does not know how to fill, so a new field cannot hide as zero.
 // Values also differ between calls with different rows. A time carries
-// nanoseconds and a zone east of UTC by a non-whole hour.
+// nanoseconds and a zone east of UTC by a non-whole hour. A nested
+// struct is filled the same way, as a row of its own; a slice gets two
+// elements, each filled as a row of its own.
 func fillDistinct(t *testing.T, p any, row int) {
 	t.Helper()
 	v := reflect.ValueOf(p).Elem()
@@ -26,21 +28,36 @@ func fillDistinct(t *testing.T, p any, row int) {
 			continue
 		}
 		n := 100*row + i + 1
-		switch {
-		case f.Type() == reflect.TypeOf(time.Time{}):
-			zone := time.FixedZone("", 5*3600+30*60)
-			f.Set(reflect.ValueOf(time.Date(2014, 6, 23, 9, n%60, 0, 123456789+n, zone)))
-		case f.Kind() == reflect.String:
-			f.SetString(fmt.Sprintf("%s-%d", strings.ToLower(sf.Name), n))
-		case f.Kind() == reflect.Bool:
-			f.SetBool(true)
-		case f.Kind() == reflect.Int, f.Kind() == reflect.Int64:
-			f.SetInt(int64(n)<<40 | int64(n)) // both halves of the i64 carry bits
-		case f.Kind() == reflect.Float64:
-			f.SetFloat(float64(n) + 0.125)
-		default:
-			t.Fatalf("%s.%s: kind %s has no filler here, and no boot body encoding", v.Type().Name(), sf.Name, f.Kind())
+		if f.Kind() == reflect.Slice {
+			f.Set(reflect.MakeSlice(f.Type(), 2, 2))
+			for k := 0; k < 2; k++ {
+				fillValue(t, f.Index(k), sf.Name, 100*n+k)
+			}
+			continue
 		}
+		fillValue(t, f, sf.Name, n)
+	}
+}
+
+// fillValue sets f, named name, to a non-zero value derived from n.
+func fillValue(t *testing.T, f reflect.Value, name string, n int) {
+	t.Helper()
+	switch {
+	case f.Type() == reflect.TypeOf(time.Time{}):
+		zone := time.FixedZone("", 5*3600+30*60)
+		f.Set(reflect.ValueOf(time.Date(2014, 6, 23, 9, n%60, 0, 123456789+n, zone)))
+	case f.Kind() == reflect.Struct:
+		fillDistinct(t, f.Addr().Interface(), n)
+	case f.Kind() == reflect.String:
+		f.SetString(fmt.Sprintf("%s-%d", strings.ToLower(name), n))
+	case f.Kind() == reflect.Bool:
+		f.SetBool(true)
+	case f.Kind() == reflect.Int, f.Kind() == reflect.Int64:
+		f.SetInt(int64(n)<<40 | int64(n)) // both halves of the i64 carry bits
+	case f.Kind() == reflect.Float64:
+		f.SetFloat(float64(n) + 0.125)
+	default:
+		t.Fatalf("%s: kind %s has no filler here, and no binary body encoding", name, f.Kind())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -25,7 +26,8 @@ import (
 // MarshalBinary, which keeps the zone offset as RFC 3339 JSON did; a zero
 // length is the zero time.Time, which a node that was never scrubbed or
 // is not down reports. The decoder refuses a row count the remaining
-// bytes cannot hold before it allocates the rows, and, as the TBoot
+// bytes cannot hold before it allocates the rows, takes every string out
+// of one string(body) conversion (ctlbody.go), and, as the TBoot
 // decoders do, unknown flag bits, trailing bytes and any time that
 // MarshalBinary would not have written, so a body that decodes
 // re-encodes byte-identically. TestHealthBodyCarriesEveryField fails
@@ -40,10 +42,17 @@ const (
 	// minHealthRow is the smallest row: four empty strings, the flags
 	// byte, three i64s and two zero times.
 	minHealthRow = 4*2 + 1 + 3*8 + 2*1
+	// maxTimeLen is the most bytes time.Time.MarshalBinary writes.
+	maxTimeLen = 16
 )
 
 // AppendHealthReply appends rows' THealth response body to dst.
 func AppendHealthReply(dst []byte, rows []core.NodeStatus) ([]byte, error) {
+	size := 4
+	for _, r := range rows {
+		size += minHealthRow + len(r.NodeID) + len(r.State) + len(r.Snapshot) + len(r.Breaker) + 2*maxTimeLen
+	}
+	dst = slices.Grow(dst, size)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rows)))
 	for _, r := range rows {
 		var err error
@@ -78,11 +87,8 @@ func AppendHealthReply(dst []byte, rows []core.NodeStatus) ([]byte, error) {
 
 // DecodeHealthReply decodes a THealth response body.
 func DecodeHealthReply(b []byte) ([]core.NodeStatus, error) {
-	d := bodyDecoder{b: b}
-	n := d.u32()
-	if d.err == nil && uint64(n) > uint64(len(d.b)/minHealthRow) {
-		d.err = fmt.Errorf("%d rows cannot fit in %d bytes", n, len(d.b))
-	}
+	d := bodyDecoder{b: b, s: string(b)}
+	n := d.count(minHealthRow)
 	if d.err != nil {
 		return nil, badBody("health reply", d.err)
 	}

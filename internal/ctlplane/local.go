@@ -114,8 +114,10 @@ func (l *Local) Squirrel() *core.Squirrel { return l.sq }
 // Info implements Session.
 func (l *Local) Info() (Info, error) {
 	info := Info{
-		Version:    version.String(),
-		CacheBytes: l.repo.CacheBytes(),
+		Version:      version.String(),
+		Images:       make([]string, 0, len(l.repo.Images)),
+		ComputeNodes: make([]string, 0, len(l.cl.Compute)),
+		CacheBytes:   l.repo.CacheBytes(),
 	}
 	for _, im := range l.repo.Images {
 		info.Images = append(info.Images, im.ID)

@@ -9,26 +9,27 @@ import (
 // Wire message bodies. Each wireproto frame type carries one of these.
 // The framing is binary (internal/wireproto); the bodies are JSON, so
 // report structs can grow fields without a protocol version bump, except
-// TBoot's and the THealth reply. The boot is the hot path, so its request
-// and report travel as fixed binary bodies (bootbody.go); Health is the
-// monitoring poll that cost most to encode and decode, so its reply does
-// too (healthbody.go). A field added to one of those structs needs a
-// codec change and a version bump, and TestBootBodiesCarryEveryField or
-// TestHealthBodyCarriesEveryField fails until it has one. Both
+// TBoot's and the monitoring poll's replies. The boot is the hot path,
+// so its request and report travel as fixed binary bodies (bootbody.go);
+// the Health, Info, Stats and ComputeRx replies are what a deployment is
+// polled with all the time, so they do too (healthbody.go, ctlbody.go).
+// A field added to one of those structs needs a codec change and a
+// version bump, and its Test*CarriesEveryField fails until it has one.
+// The JSON bodies left are the rare, unmeasured ops'. Both
 // internal/wireclient and internal/daemon encode against these
 // definitions; keeping them in one place is what makes the two ends
 // agree.
 //
 // Frame type ↔ body mapping (binary bodies marked *):
 //
-//	TInfo        — (no request body)            → Info
+//	TInfo        — (no request body)            → Info*
 //	TRegister    — RegisterArgs                 → core.RegisterReport
 //	TBoot        — core.BootRequest*            → core.BootReport*
 //	TSync        — NodeArgs                     → core.SyncReport
 //	THealth      — (none)                       → []core.NodeStatus*
 //	TTelemetry   — (none)                       → TelemetryDump
 //	TPeers       — (none)                       → PeersReply
-//	TStats       — (none)                       → core.DeploymentStats
+//	TStats       — (none)                       → core.DeploymentStats*
 //	TSetOnline   — OnlineArgs                   → (none)
 //	TDropReplica — DropArgs                     → (none)
 //	TCrash       — NodeAtArgs                   → (none)
@@ -39,7 +40,7 @@ import (
 //	TResilverAll — AtArgs                       → []core.ResilverReport
 //	TGC          — AtArgs                       → CountReply
 //	TNetReset    — (none)                       → (none)
-//	TNetRx       — (none)                       → BytesReply
+//	TNetRx       — (none)                       → int64*
 //	TWatch       — WatchArgs                    → WatchUpdate stream frames
 //	                                              (FlagStream), then an
 //	                                              empty final response
@@ -87,10 +88,6 @@ type (
 	// CountReply is a bare count (GC).
 	CountReply struct {
 		N int
-	}
-	// BytesReply is a bare byte count (NIC totals).
-	BytesReply struct {
-		Bytes int64
 	}
 
 	// WatchArgs shapes a streaming telemetry watch: one WatchUpdate per

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -216,14 +215,13 @@ func TestPipelinedShortQueriesKeepOrder(t *testing.T) {
 				wireproto.TypeName(got.Type), got.ReqID, got.Flags, wireproto.TypeName(typ), 100+i)
 		}
 		// The body is the one this request's type answers with.
-		var info ctlplane.Info
 		switch typ {
 		case wireproto.THealth:
 			if health, err := ctlplane.DecodeHealthReply(got.Payload); err != nil || len(health) != 2 {
 				t.Fatalf("reply %d: health body %q (err %v) does not describe 2 nodes", i, got.Payload, err)
 			}
 		case wireproto.TInfo:
-			if err := json.Unmarshal(got.Payload, &info); err != nil || len(info.Images) != 2 {
+			if info, err := ctlplane.DecodeInfoReply(got.Payload); err != nil || len(info.Images) != 2 {
 				t.Fatalf("reply %d: info body %q (err %v) does not list 2 images", i, got.Payload, err)
 			}
 		}

@@ -657,6 +657,14 @@ func decodeBoot(body []byte) (core.BootRequest, error) {
 // it as-is instead of marshalling it to JSON.
 type encoded []byte
 
+// encodedReply is the handle result for a binary body's encoder output.
+func encodedReply(body []byte, err error) (any, error) {
+	if err != nil {
+		return nil, fmt.Errorf("daemon: encode response: %w", err)
+	}
+	return encoded(body), nil
+}
+
 // inlineOps is the set of frame types the connection's reader serves
 // without a serving mark: ops whose Session method takes no context,
 // mutates nothing and answers in microseconds at any deployment size, so
@@ -675,7 +683,11 @@ var inlineOps = [256]bool{
 func (s *Server) handle(ctx context.Context, t uint8, body []byte) (any, error) {
 	switch t {
 	case wireproto.TInfo:
-		return s.sess.Info()
+		info, err := s.sess.Info()
+		if err != nil {
+			return nil, err
+		}
+		return encodedReply(ctlplane.AppendInfoReply(nil, info))
 	case wireproto.TRegister:
 		a, err := decode[ctlplane.RegisterArgs](body)
 		if err != nil {
@@ -691,11 +703,7 @@ func (s *Server) handle(ctx context.Context, t uint8, body []byte) (any, error) 
 		if err != nil {
 			return nil, err
 		}
-		body, err := ctlplane.AppendBootReport(nil, rep)
-		if err != nil {
-			return nil, fmt.Errorf("daemon: encode response: %w", err)
-		}
-		return encoded(body), nil
+		return encodedReply(ctlplane.AppendBootReport(nil, rep))
 	case wireproto.TSync:
 		a, err := decode[ctlplane.NodeArgs](body)
 		if err != nil {
@@ -707,11 +715,7 @@ func (s *Server) handle(ctx context.Context, t uint8, body []byte) (any, error) 
 		if err != nil {
 			return nil, err
 		}
-		body, err := ctlplane.AppendHealthReply(nil, st)
-		if err != nil {
-			return nil, fmt.Errorf("daemon: encode response: %w", err)
-		}
-		return encoded(body), nil
+		return encodedReply(ctlplane.AppendHealthReply(nil, st))
 	case wireproto.TTelemetry:
 		return s.sess.Telemetry()
 	case wireproto.TPeers:
@@ -721,7 +725,11 @@ func (s *Server) handle(ctx context.Context, t uint8, body []byte) (any, error) 
 		}
 		return ctlplane.PeersReply{Counters: ctr}, nil
 	case wireproto.TStats:
-		return s.sess.Stats()
+		st, err := s.sess.Stats()
+		if err != nil {
+			return nil, err
+		}
+		return encodedReply(ctlplane.AppendStatsReply(nil, st))
 	case wireproto.TSetOnline:
 		a, err := decode[ctlplane.OnlineArgs](body)
 		if err != nil {
@@ -806,7 +814,7 @@ func (s *Server) handle(ctx context.Context, t uint8, body []byte) (any, error) 
 		if err != nil {
 			return nil, err
 		}
-		return ctlplane.BytesReply{Bytes: n}, nil
+		return encoded(ctlplane.AppendNetRxReply(nil, n)), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown frame type %d", errBadRequest, t)
 	}

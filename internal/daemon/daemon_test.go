@@ -54,6 +54,7 @@ var sessionT0 = time.Date(2014, 6, 23, 9, 0, 0, 0, time.UTC)
 // scenarioResult is everything the scripted scenario observes through a
 // Session — the material the equivalence test diffs across transports.
 type scenarioResult struct {
+	Info      ctlplane.Info
 	Registers []core.RegisterReport
 	Sync      core.SyncReport
 	Boots     []core.BootReport
@@ -70,11 +71,12 @@ type scenarioResult struct {
 }
 
 // runScenario drives one seeded end-to-end script — registrations with
-// a node offline mid-wave, catch-up sync, a dropped replica forcing a
-// peer-served cold boot, a boot wave, stats/health, GC, then a crash
-// and restart and a rotted node scrubbed, with health read in the middle
-// of each — identically against any Session.
-func runScenario(t *testing.T, sess ctlplane.Session) scenarioResult {
+// a node offline mid-wave, catch-up sync, rounds (the deployment's own
+// clock, which no Session method advances), a dropped replica forcing a
+// peer-served cold boot, a boot wave, stats/health, GC, then a crash and
+// restart and a rotted node scrubbed, with health read in the middle of
+// each — identically against any Session.
+func runScenario(t *testing.T, sess ctlplane.Session, rounds func()) scenarioResult {
 	t.Helper()
 	ctx := context.Background()
 	info, err := sess.Info()
@@ -84,7 +86,7 @@ func runScenario(t *testing.T, sess ctlplane.Session) scenarioResult {
 	if len(info.Images) == 0 || len(info.ComputeNodes) < 2 {
 		t.Fatalf("degenerate deployment: %+v", info)
 	}
-	var res scenarioResult
+	res := scenarioResult{Info: info}
 	offline := info.ComputeNodes[1]
 	for i, id := range info.Images {
 		if i == len(info.Images)/2 {
@@ -104,6 +106,7 @@ func runScenario(t *testing.T, sess ctlplane.Session) scenarioResult {
 	if res.Sync, err = sess.SyncNode(ctx, offline); err != nil {
 		t.Fatal(err)
 	}
+	rounds()
 	if err := sess.DropReplica(info.ComputeNodes[0], info.Images[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +175,30 @@ func nodeStatus(t *testing.T, health []core.NodeStatus, node string) core.NodeSt
 	return core.NodeStatus{}
 }
 
+// gossipRounds runs two gossip rounds on local's deployment when it runs
+// the gossip index, so Stats carries a round count; central mode has no
+// rounds.
+func gossipRounds(t *testing.T, local *ctlplane.Local, index string) func() {
+	return func() {
+		if index != "gossip" {
+			return
+		}
+		if _, err := local.Squirrel().GossipTicks(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDaemonEquivalence is the acceptance proof: the same seeded
 // scenario produces identical reports whether the Session is the
-// in-process Local or a wireclient talking to a live daemon — every
-// RegisterReport and BootReport field, plus sync, stats, health, NIC
-// accounting, recovery and scrub, survives the wire byte-for-byte. It
-// runs under both index modes; the gossip mode gives Health its view
-// gauges. Neither side runs gossip rounds (squirreld's ticker is in
-// cmd/squirreld), so both sides see the same views.
+// in-process Local or a wireclient talking to a live daemon — info,
+// every RegisterReport and BootReport field, plus sync, stats (peer
+// loads and gossip gauges included), health, NIC accounting, recovery
+// and scrub, survives the wire byte-for-byte. It runs under both index
+// modes; the gossip mode gives Health its view gauges and Stats its
+// round count. Both sides run the same gossip rounds at the same point
+// of the scenario (squirreld's ticker is in cmd/squirreld and not
+// running here), so both sides see the same views.
 func TestDaemonEquivalence(t *testing.T) {
 	for _, index := range []string{"", "gossip"} {
 		t.Run("index="+cmp.Or(index, "central"), func(t *testing.T) {
@@ -189,10 +208,14 @@ func TestDaemonEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := runScenario(t, local)
+			want := runScenario(t, local, gossipRounds(t, local, index))
 
-			addr, _ := startServer(t, opts, Config{})
-			got := runScenario(t, dial(t, addr))
+			served, err := ctlplane.NewLocal(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := serveSession(t, served, Config{})
+			got := runScenario(t, dial(t, srv.Addr().String()), gossipRounds(t, served, index))
 
 			w, g := reflect.ValueOf(want), reflect.ValueOf(got)
 			for i := 0; i < w.NumField(); i++ {
@@ -203,16 +226,22 @@ func TestDaemonEquivalence(t *testing.T) {
 
 			// The scenario reached the states whose fields only show in
 			// those states.
-			info, _ := local.Info()
-			if st := nodeStatus(t, want.Crashed, info.ComputeNodes[2]); st.State != core.StateDown || st.DownSince.IsZero() {
+			nodes := want.Info.ComputeNodes
+			if st := nodeStatus(t, want.Crashed, nodes[2]); st.State != core.StateDown || st.DownSince.IsZero() {
 				t.Errorf("crashed node reads %+v, want down with a DownSince", st)
 			}
-			st := nodeStatus(t, want.Scrubbed, info.ComputeNodes[3])
+			st := nodeStatus(t, want.Scrubbed, nodes[3])
 			if st.State != core.StateResilvering || st.CorruptBlocks == 0 || st.LastScrub.IsZero() || want.Rotted == 0 {
 				t.Errorf("rotted node reads %+v after %d blocks rotted, want resilvering with corrupt blocks and a LastScrub", st, want.Rotted)
 			}
-			if leases := nodeStatus(t, want.Health, info.ComputeNodes[0]).ViewLeases; (index == "gossip") != (leases > 0) {
+			if leases := nodeStatus(t, want.Health, nodes[0]).ViewLeases; (index == "gossip") != (leases > 0) {
 				t.Errorf("index %q: node carries %d view leases", index, leases)
+			}
+			if len(want.Stats.PeerLoads) == 0 {
+				t.Errorf("stats carry no peer loads after a peer-served cold boot: %+v", want.Stats)
+			}
+			if round := want.Stats.GossipRound; (index == "gossip") != (round > 0) {
+				t.Errorf("index %q: stats read gossip round %d", index, round)
 			}
 		})
 	}

@@ -40,6 +40,15 @@ func scriptedDaemon(t *testing.T, serve func(net.Conn)) string {
 	return ln.Addr().String()
 }
 
+// infoBody is the TInfo reply body a daemon naming itself version sends.
+func infoBody(version string) []byte {
+	body, err := ctlplane.AppendInfoReply(nil, ctlplane.Info{Version: version})
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
 // settledGoroutines is runtime.NumGoroutine once it has held still for
 // 10 ms (at most 1 s), so goroutines already on their way out — an
 // earlier test's, or the dialer's connect watcher — are not counted.
@@ -73,7 +82,7 @@ func TestLeaderCancelKeepsStreamInSync(t *testing.T) {
 		}
 		fw := wireproto.NewWriter(conn)
 		_ = fw.WriteFrame(wireproto.Frame{Type: first.Type, ReqID: first.ReqID, Payload: []byte(`{"Version":"late"}`)})
-		_ = fw.WriteFrame(wireproto.Frame{Type: second.Type, ReqID: second.ReqID, Payload: []byte(`{"Version":"second"}`)})
+		_ = fw.WriteFrame(wireproto.Frame{Type: second.Type, ReqID: second.ReqID, Payload: infoBody("second")})
 		_, _ = wireproto.ReadFrame(conn) // parks until the client closes
 	})
 	c, err := wireclient.Dial(wireclient.Options{Addr: addr})
@@ -152,7 +161,7 @@ func TestFollowerReplyRoutedByLeader(t *testing.T) {
 		case <-routed:
 		case <-time.After(2 * time.Second):
 		}
-		_ = fw.WriteFrame(wireproto.Frame{Type: first.Type, ReqID: first.ReqID, Payload: []byte(`{"Version":"first"}`)})
+		_ = fw.WriteFrame(wireproto.Frame{Type: first.Type, ReqID: first.ReqID, Payload: infoBody("first")})
 		_, _ = wireproto.ReadFrame(conn) // parks until the client closes
 	})
 	c, err := wireclient.Dial(wireclient.Options{Addr: addr})
@@ -263,7 +272,7 @@ func TestAbandonedWatchIsReadToItsEnd(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = fw.WriteFrame(wireproto.Frame{Type: r.Type, Flags: wireproto.FlagResponse, ReqID: r.ReqID, Payload: []byte(`{"Version":"after"}`)})
+		_ = fw.WriteFrame(wireproto.Frame{Type: r.Type, Flags: wireproto.FlagResponse, ReqID: r.ReqID, Payload: infoBody("after")})
 		_, _ = wireproto.ReadFrame(conn) // parks until the client closes
 	})
 	c, err := wireclient.Dial(wireclient.Options{Addr: addr})

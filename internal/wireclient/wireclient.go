@@ -317,7 +317,9 @@ func (c *Client) stamp(f *wireproto.Frame, sp *obs.Span) {
 
 // call runs one request/response exchange with JSON bodies: marshal
 // args, run the exchange, unmarshal the response into out. A nil out
-// discards the response body.
+// discards the response body. Only the rare, unmeasured ops take it
+// (registration, scrub, telemetry and the like); the boot and the
+// monitoring poll's replies are binary and go through rpc (Boot, poll).
 func (c *Client) call(ctx context.Context, typ uint8, args any, out any) error {
 	var payload []byte
 	if args != nil {
@@ -521,11 +523,20 @@ func decodeErrorFrame(f wireproto.Frame) error {
 // bg is the context for Session methods that have no caller context.
 func bg() context.Context { return context.Background() }
 
+// poll runs one bodyless request whose reply is a fixed binary body
+// (ctlplane/healthbody.go, ctlbody.go), not JSON, and decodes it.
+func poll[T any](c *Client, typ uint8, decode func([]byte) (T, error)) (T, error) {
+	var out T
+	err := c.rpc(bg(), typ, nil, func(body []byte) (err error) {
+		out, err = decode(body)
+		return err
+	})
+	return out, err
+}
+
 // Info implements Session.
 func (c *Client) Info() (ctlplane.Info, error) {
-	var out ctlplane.Info
-	err := c.call(bg(), wireproto.TInfo, nil, &out)
-	return out, err
+	return poll(c, wireproto.TInfo, ctlplane.DecodeInfoReply)
 }
 
 // Register implements Session.
@@ -614,20 +625,12 @@ func (c *Client) GarbageCollect(at time.Time) (int, error) {
 
 // Stats implements Session.
 func (c *Client) Stats() (core.DeploymentStats, error) {
-	var out core.DeploymentStats
-	err := c.call(bg(), wireproto.TStats, nil, &out)
-	return out, err
+	return poll(c, wireproto.TStats, ctlplane.DecodeStatsReply)
 }
 
-// Health implements Session. Its reply is the fixed binary body
-// (ctlplane/healthbody.go), not JSON.
+// Health implements Session.
 func (c *Client) Health() ([]core.NodeStatus, error) {
-	var out []core.NodeStatus
-	err := c.rpc(bg(), wireproto.THealth, nil, func(body []byte) (err error) {
-		out, err = ctlplane.DecodeHealthReply(body)
-		return err
-	})
-	return out, err
+	return poll(c, wireproto.THealth, ctlplane.DecodeHealthReply)
 }
 
 // PeerCounters implements Session.
@@ -660,9 +663,7 @@ func (c *Client) ResetNetCounters() error {
 
 // ComputeRx implements Session.
 func (c *Client) ComputeRx() (int64, error) {
-	var out ctlplane.BytesReply
-	err := c.call(bg(), wireproto.TNetRx, nil, &out)
-	return out.Bytes, err
+	return poll(c, wireproto.TNetRx, ctlplane.DecodeNetRxReply)
 }
 
 // Watch implements Session: it opens a TWatch stream and invokes fn for

@@ -57,14 +57,14 @@ func TestHelloWireLayout(t *testing.T) {
 	if err := WriteHello(&hello); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := hello.String(), "SQCP\x04\x00\x00\x00"; got != want {
+	if got, want := hello.String(), "SQCP\x05\x00\x00\x00"; got != want {
 		t.Fatalf("hello bytes %q, want %q", got, want)
 	}
 	var reply bytes.Buffer
 	if err := WriteHelloReply(&reply, HelloBusy, "hi"); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := reply.String(), "SQCP\x04\x00\x02\x02\x00\x00\x00hi"; got != want {
+	if got, want := reply.String(), "SQCP\x05\x00\x02\x02\x00\x00\x00hi"; got != want {
 		t.Fatalf("reply bytes %q, want %q", got, want)
 	}
 	for _, foreign := range []string{"SQCP\x01\x00\x00\x00", "SQCP\x2b\x00\x00\x00"} {

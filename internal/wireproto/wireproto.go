@@ -63,7 +63,7 @@ const Magic = "SQCP"
 // Version is the protocol version this build speaks, and the only one
 // it accepts from a peer. It changes when the framing or the body format
 // of an existing frame type changes.
-const Version uint16 = 4
+const Version uint16 = 5
 
 // Size bounds. A control-plane payload is a few KB of JSON (telemetry
 // snapshots are the largest); MaxPayload leaves generous headroom while
