@@ -3,10 +3,11 @@
 // the same script runs either against an in-process deployment (Local)
 // or against a live squirreld over TCP (internal/wireclient.Client).
 //
-// The package also owns the wire message schemas (msgs.go) and the
-// mapping between the core sentinel-error family and wireproto's
-// numeric codes (errors.go), so both endpoints of the protocol agree on
-// what travels inside the frames that internal/wireproto moves.
+// The package also owns the wire message schemas (msgs.go), each frame
+// type's body codecs (ops.go) and the mapping between the core
+// sentinel-error family and wireproto's numeric codes (errors.go), so
+// both endpoints of the protocol agree on what travels inside the frames
+// that internal/wireproto moves.
 package ctlplane
 
 import (

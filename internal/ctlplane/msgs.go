@@ -6,48 +6,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Wire message bodies. Each wireproto frame type carries one of these.
-// The framing is binary (internal/wireproto); the bodies are JSON, so
-// report structs can grow fields without a protocol version bump, except
-// TBoot's and the monitoring poll's replies. The boot is the hot path,
-// so its request and report travel as fixed binary bodies (bootbody.go);
-// the Health, Info, Stats and ComputeRx replies are what a deployment is
-// polled with all the time, so they do too (healthbody.go, ctlbody.go).
-// A field added to one of those structs needs a codec change and a
-// version bump, and its Test*CarriesEveryField fails until it has one.
-// The JSON bodies left are the rare, unmeasured ops'. Both
-// internal/wireclient and internal/daemon encode against these
-// definitions; keeping them in one place is what makes the two ends
-// agree.
-//
-// Frame type ↔ body mapping (binary bodies marked *):
-//
-//	TInfo        — (no request body)            → Info*
-//	TRegister    — RegisterArgs                 → core.RegisterReport
-//	TBoot        — core.BootRequest*            → core.BootReport*
-//	TSync        — NodeArgs                     → core.SyncReport
-//	THealth      — (none)                       → []core.NodeStatus*
-//	TTelemetry   — (none)                       → TelemetryDump
-//	TPeers       — (none)                       → PeersReply
-//	TStats       — (none)                       → core.DeploymentStats*
-//	TSetOnline   — OnlineArgs                   → (none)
-//	TDropReplica — DropArgs                     → (none)
-//	TCrash       — NodeAtArgs                   → (none)
-//	TRestart     — NodeAtArgs                   → core.RecoveryReport
-//	TRot         — NodeArgs                     → RotReply
-//	TSetFaults   — fault.Plan                   → (none)
-//	TScrubAll    — AtArgs                       → map[string]zvol.ScrubReport
-//	TResilverAll — AtArgs                       → []core.ResilverReport
-//	TGC          — AtArgs                       → CountReply
-//	TNetReset    — (none)                       → (none)
-//	TNetRx       — (none)                       → int64*
-//	TWatch       — WatchArgs                    → WatchUpdate stream frames
-//	                                              (FlagStream), then an
-//	                                              empty final response
-//	TTraceTree   — TraceTreeArgs                → TraceTreeReply
-//	TWorkload    — workload.Config              → workload.Summary
-//
-// Type 18 is reserved (a retired trace op; type numbers are wire format).
+// Wire message bodies: the args and replies of the frame types that
+// have no Session type of their own. Which frame type carries which body,
+// and whether that body is JSON, binary or empty, is declared once, in
+// ops.go; internal/wireclient and internal/daemon both encode through
+// those declarations, which is what makes the two ends agree.
 type (
 	// RegisterArgs asks for one registration by corpus image ID.
 	RegisterArgs struct {

@@ -66,7 +66,7 @@ func request(t *testing.T, typ uint8, id uint64, args any) wireproto.Frame {
 	t.Helper()
 	f := wireproto.Frame{Type: typ, ReqID: id}
 	if args != nil {
-		body, err := encodeArgs(typ, args)
+		body, err := codecs[typ].encode(args)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +97,12 @@ var (
 // hands the socket on from (markedOps above), or a stream on its own
 // goroutine (ownGoroutineOps above, which the read loop names) — exactly
 // one of the three — so a new frame type cannot fall into a serving mode
-// by default, and nothing that is not a frame type is in any set.
+// by default, and nothing that is not a frame type is in any set. Every
+// named type but TWatch, whose stream serveWatch serves, has a handler in
+// the server's table; TWatch, the reserved type and unnamed types have
+// none.
 func TestEveryFrameTypeIsClassified(t *testing.T) {
+	srv := New(&stub{}, Config{})
 	named := 0
 	for i := 0; i < 256; i++ {
 		typ := uint8(i)
@@ -107,9 +111,15 @@ func TestEveryFrameTypeIsClassified(t *testing.T) {
 			if inlineOps[typ] || markedOps[typ] || ownGoroutineOps[typ] {
 				t.Errorf("frame type %d is classified but is not a frame type", typ)
 			}
+			if srv.handlers[typ] != nil {
+				t.Errorf("frame type %d has a handler but is not a frame type", typ)
+			}
 			continue
 		}
 		named++
+		if has := srv.handlers[typ] != nil; has != (typ != wireproto.TWatch) {
+			t.Errorf("frame type %s: has a handler = %v, want %v", name, has, !has)
+		}
 		modes := 0
 		for _, in := range []bool{inlineOps[typ], markedOps[typ], ownGoroutineOps[typ]} {
 			if in {

@@ -15,7 +15,7 @@
 // except a watch may block — a -boot-latency wait, healing, an admission
 // queue, a registration — so the reader marks the connection's state word
 // with the request's start before serving it and clears the mark by CAS
-// after writing the reply. The server's one monitor goroutine wakes every
+// before writing the reply. The server's one monitor goroutine wakes every
 // handOffBudget while some reader is serving and parks otherwise; a
 // request it finds marked for longer than the budget, with a frame
 // waiting behind it, loses the socket: the monitor swaps the mark for
@@ -38,7 +38,6 @@ package daemon
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -52,7 +51,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/version"
 	"repro/internal/wireproto"
-	"repro/internal/workload"
+	"repro/internal/zvol"
 )
 
 // Config shapes one Server.
@@ -96,6 +95,8 @@ var errBadRequest = errors.New("daemon: bad request")
 type Server struct {
 	cfg  Config
 	sess ctlplane.Session
+	// handlers serves each frame type but TWatch; route fills it in New.
+	handlers [256]handler
 
 	// ctx is the base context of every request; cancel fires only on
 	// forced (deadline-expired) shutdown, so a graceful drain lets
@@ -151,8 +152,10 @@ func New(sess ctlplane.Session, cfg Config) *Server {
 		cfg.MaxConns = DefaultMaxConns
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{cfg: cfg, sess: sess, ctx: ctx, cancel: cancel, conns: make(map[*conn]struct{}),
+	s := &Server{cfg: cfg, sess: sess, ctx: ctx, cancel: cancel, conns: make(map[*conn]struct{}),
 		epoch: time.Now(), wake: make(chan struct{}, 1)}
+	s.route()
+	return s
 }
 
 // Listen binds the configured address. Split from Serve so callers can
@@ -349,10 +352,14 @@ func (s *Server) readLoop(c *conn) {
 	}
 }
 
-// serveMarked serves a request that may block and writes its reply, under
-// the connection's serving mark. It reports whether this goroutine is
-// still the connection's reader: false when the monitor handed the socket
-// on meanwhile. The fast path is two atomic writes and a load.
+// serveMarked serves a request that may block under the connection's
+// serving mark, clears the mark, then writes the reply. It reports whether
+// this goroutine is still the connection's reader: false when the monitor
+// handed the socket on meanwhile. The mark is cleared before the reply is
+// written: once the client has the reply its next frame may arrive, and a
+// mark still standing would have the monitor hand that frame to a new
+// reader while this one is done. The fast path is two atomic writes and a
+// load.
 func (s *Server) serveMarked(c *conn, f wireproto.Frame) bool {
 	mark := int64(time.Since(s.epoch))<<2 | 1
 	if c.br.Buffered() > 0 {
@@ -362,8 +369,10 @@ func (s *Server) serveMarked(c *conn, f wireproto.Frame) bool {
 	if s.parked.Load() {
 		s.wakeMonitor()
 	}
-	c.out.send(s.dispatch(f))
-	return c.state.CompareAndSwap(mark, mark&^1)
+	resp := s.dispatch(f)
+	reader := c.state.CompareAndSwap(mark, mark&^1)
+	c.out.send(resp)
+	return reader
 }
 
 // wakeMonitor wakes the parked monitor; of the readers that find it
@@ -546,21 +555,10 @@ func (s *Server) dispatch(f wireproto.Frame) (resp wireproto.Frame) {
 	if sp != nil {
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}
-	result, err := s.handle(ctx, f.Type, f.Payload)
+	payload, err := s.handle(ctx, f.Type, f.Payload)
 	if err != nil {
 		sp.Fail(err)
 		return errorFrame(f, err)
-	}
-	var payload []byte
-	switch r := result.(type) {
-	case nil:
-	case encoded:
-		payload = r
-	default:
-		payload, err = json.Marshal(result)
-		if err != nil {
-			return errorFrame(f, fmt.Errorf("daemon: encode response: %w", err))
-		}
 	}
 	return wireproto.Frame{Type: f.Type, Flags: wireproto.FlagResponse, ReqID: f.ReqID, Payload: payload}
 }
@@ -594,12 +592,12 @@ func (s *Server) watch(f wireproto.Frame, sp *obs.Span, out *replyWriter) (err e
 			err = fmt.Errorf("daemon: panic serving frame type %d: %v", f.Type, r)
 		}
 	}()
-	args, err := decode[ctlplane.WatchArgs](f.Payload)
+	args, err := ctlplane.OpWatch.DecodeReq(f.Payload)
 	if err != nil {
-		return err
+		return badRequest(err)
 	}
 	return s.sess.Watch(obs.ContextWithSpan(s.ctx, sp), args, func(u ctlplane.WatchUpdate) error {
-		payload, err := json.Marshal(u)
+		payload, err := ctlplane.OpWatch.AppendResp(nil, u)
 		if err != nil {
 			return fmt.Errorf("daemon: encode watch update: %w", err)
 		}
@@ -630,41 +628,6 @@ func errorFrame(f wireproto.Frame, err error) wireproto.Frame {
 	}
 }
 
-// decode unmarshals a request body; an empty body decodes to the zero
-// args so bodyless frames stay cheap.
-func decode[T any](body []byte) (T, error) {
-	var v T
-	if len(body) == 0 {
-		return v, nil
-	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		return v, fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	return v, nil
-}
-
-// decodeBoot decodes a TBoot request body, the one request body that is
-// not JSON (ctlplane/bootbody.go).
-func decodeBoot(body []byte) (core.BootRequest, error) {
-	a, err := ctlplane.DecodeBootRequest(body)
-	if err != nil {
-		return a, fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	return a, nil
-}
-
-// encoded is a response body handle has already encoded; dispatch sends
-// it as-is instead of marshalling it to JSON.
-type encoded []byte
-
-// encodedReply is the handle result for a binary body's encoder output.
-func encodedReply(body []byte, err error) (any, error) {
-	if err != nil {
-		return nil, fmt.Errorf("daemon: encode response: %w", err)
-	}
-	return encoded(body), nil
-}
-
 // inlineOps is the set of frame types the connection's reader serves
 // without a serving mark: ops whose Session method takes no context,
 // mutates nothing and answers in microseconds at any deployment size, so
@@ -679,145 +642,95 @@ var inlineOps = [256]bool{
 	wireproto.TNetRx: true, wireproto.TPeers: true,
 }
 
-// handle maps one frame type onto the session call it names.
-func (s *Server) handle(ctx context.Context, t uint8, body []byte) (any, error) {
-	switch t {
-	case wireproto.TInfo:
-		info, err := s.sess.Info()
+// handler serves one request body and returns the reply's body.
+type handler func(ctx context.Context, body []byte) ([]byte, error)
+
+// serve installs op's handler in h: decode the request with op's codec,
+// call fn, encode the reply with op's codec.
+func serve[Req, Resp any](h *[256]handler, op ctlplane.Op[Req, Resp], fn func(context.Context, Req) (Resp, error)) {
+	h[op.Type] = func(ctx context.Context, body []byte) ([]byte, error) {
+		req, err := op.DecodeReq(body)
+		if err != nil {
+			return nil, badRequest(err)
+		}
+		resp, err := fn(ctx, req)
 		if err != nil {
 			return nil, err
 		}
-		return encodedReply(ctlplane.AppendInfoReply(nil, info))
-	case wireproto.TRegister:
-		a, err := decode[ctlplane.RegisterArgs](body)
+		out, err := op.AppendResp(nil, resp)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("daemon: encode response: %w", err)
 		}
-		return s.sess.Register(ctx, a.Image, a.At)
-	case wireproto.TBoot:
-		a, err := decodeBoot(body)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := s.sess.Boot(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		return encodedReply(ctlplane.AppendBootReport(nil, rep))
-	case wireproto.TSync:
-		a, err := decode[ctlplane.NodeArgs](body)
-		if err != nil {
-			return nil, err
-		}
-		return s.sess.SyncNode(ctx, a.Node)
-	case wireproto.THealth:
-		st, err := s.sess.Health()
-		if err != nil {
-			return nil, err
-		}
-		return encodedReply(ctlplane.AppendHealthReply(nil, st))
-	case wireproto.TTelemetry:
-		return s.sess.Telemetry()
-	case wireproto.TPeers:
-		ctr, err := s.sess.PeerCounters()
-		if err != nil {
-			return nil, err
-		}
-		return ctlplane.PeersReply{Counters: ctr}, nil
-	case wireproto.TStats:
-		st, err := s.sess.Stats()
-		if err != nil {
-			return nil, err
-		}
-		return encodedReply(ctlplane.AppendStatsReply(nil, st))
-	case wireproto.TSetOnline:
-		a, err := decode[ctlplane.OnlineArgs](body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.sess.SetOnline(a.Node, a.Up)
-	case wireproto.TDropReplica:
-		a, err := decode[ctlplane.DropArgs](body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.sess.DropReplica(a.Node, a.Image)
-	case wireproto.TCrash:
-		a, err := decode[ctlplane.NodeAtArgs](body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.sess.CrashNode(a.Node, a.At)
-	case wireproto.TRestart:
-		a, err := decode[ctlplane.NodeAtArgs](body)
-		if err != nil {
-			return nil, err
-		}
-		return s.sess.RestartNode(a.Node, a.At)
-	case wireproto.TRot:
-		a, err := decode[ctlplane.NodeArgs](body)
-		if err != nil {
-			return nil, err
-		}
-		n, err := s.sess.InjectRot(a.Node)
-		if err != nil {
-			return nil, err
-		}
-		return ctlplane.RotReply{Blocks: n}, nil
-	case wireproto.TSetFaults:
-		a, err := decode[fault.Plan](body)
-		if err != nil {
-			return nil, err
-		}
-		return nil, s.sess.SetFaults(a)
-	case wireproto.TScrubAll:
-		a, err := decode[ctlplane.AtArgs](body)
-		if err != nil {
-			return nil, err
-		}
-		return s.sess.ScrubAll(ctx, a.At)
-	case wireproto.TResilverAll:
-		a, err := decode[ctlplane.AtArgs](body)
-		if err != nil {
-			return nil, err
-		}
-		return s.sess.ResilverAll(ctx, a.At)
-	case wireproto.TGC:
-		a, err := decode[ctlplane.AtArgs](body)
-		if err != nil {
-			return nil, err
-		}
-		n, err := s.sess.GarbageCollect(a.At)
-		if err != nil {
-			return nil, err
-		}
-		return ctlplane.CountReply{N: n}, nil
-	case wireproto.TTraceTree:
-		a, err := decode[ctlplane.TraceTreeArgs](body)
-		if err != nil {
-			return nil, err
-		}
+		return out, nil
+	}
+}
+
+func badRequest(err error) error { return fmt.Errorf("%w: %v", errBadRequest, err) }
+
+// route fills s.handlers: each frame type onto the session call it
+// names. TWatch has none; its stream is serveWatch's.
+func (s *Server) route() {
+	h, sess := &s.handlers, s.sess
+	type none = ctlplane.None
+	serve(h, ctlplane.OpInfo, func(context.Context, none) (ctlplane.Info, error) { return sess.Info() })
+	serve(h, ctlplane.OpRegister, func(ctx context.Context, a ctlplane.RegisterArgs) (core.RegisterReport, error) {
+		return sess.Register(ctx, a.Image, a.At)
+	})
+	serve(h, ctlplane.OpBoot, sess.Boot)
+	serve(h, ctlplane.OpSync, func(ctx context.Context, a ctlplane.NodeArgs) (core.SyncReport, error) {
+		return sess.SyncNode(ctx, a.Node)
+	})
+	serve(h, ctlplane.OpHealth, func(context.Context, none) ([]core.NodeStatus, error) { return sess.Health() })
+	serve(h, ctlplane.OpTelemetry, func(context.Context, none) (ctlplane.TelemetryDump, error) { return sess.Telemetry() })
+	serve(h, ctlplane.OpPeers, func(context.Context, none) (ctlplane.PeersReply, error) {
+		ctr, err := sess.PeerCounters()
+		return ctlplane.PeersReply{Counters: ctr}, err
+	})
+	serve(h, ctlplane.OpStats, func(context.Context, none) (core.DeploymentStats, error) { return sess.Stats() })
+	serve(h, ctlplane.OpSetOnline, func(_ context.Context, a ctlplane.OnlineArgs) (none, error) {
+		return none{}, sess.SetOnline(a.Node, a.Up)
+	})
+	serve(h, ctlplane.OpDropReplica, func(_ context.Context, a ctlplane.DropArgs) (none, error) {
+		return none{}, sess.DropReplica(a.Node, a.Image)
+	})
+	serve(h, ctlplane.OpCrash, func(_ context.Context, a ctlplane.NodeAtArgs) (none, error) {
+		return none{}, sess.CrashNode(a.Node, a.At)
+	})
+	serve(h, ctlplane.OpRestart, func(_ context.Context, a ctlplane.NodeAtArgs) (core.RecoveryReport, error) {
+		return sess.RestartNode(a.Node, a.At)
+	})
+	serve(h, ctlplane.OpRot, func(_ context.Context, a ctlplane.NodeArgs) (ctlplane.RotReply, error) {
+		n, err := sess.InjectRot(a.Node)
+		return ctlplane.RotReply{Blocks: n}, err
+	})
+	serve(h, ctlplane.OpSetFaults, func(_ context.Context, p fault.Plan) (none, error) { return none{}, sess.SetFaults(p) })
+	serve(h, ctlplane.OpScrubAll, func(ctx context.Context, a ctlplane.AtArgs) (map[string]zvol.ScrubReport, error) {
+		return sess.ScrubAll(ctx, a.At)
+	})
+	serve(h, ctlplane.OpResilverAll, func(ctx context.Context, a ctlplane.AtArgs) ([]core.ResilverReport, error) {
+		return sess.ResilverAll(ctx, a.At)
+	})
+	serve(h, ctlplane.OpGC, func(_ context.Context, a ctlplane.AtArgs) (ctlplane.CountReply, error) {
+		n, err := sess.GarbageCollect(a.At)
+		return ctlplane.CountReply{N: n}, err
+	})
+	serve(h, ctlplane.OpTraceTree, func(_ context.Context, a ctlplane.TraceTreeArgs) (ctlplane.TraceTreeReply, error) {
 		if s.cfg.Tel == nil {
-			return nil, fmt.Errorf("daemon: telemetry disabled on this deployment (start with tracing)")
+			return ctlplane.TraceTreeReply{}, fmt.Errorf("daemon: telemetry disabled on this deployment (start with tracing)")
 		}
 		return ctlplane.TraceTreeReply{Trees: s.cfg.Tel.RemoteDumps(a.TraceID)}, nil
-	case wireproto.TWorkload:
-		a, err := decode[workload.Config](body)
-		if err != nil {
-			return nil, err
-		}
-		return s.sess.Workload(ctx, a)
-	case wireproto.TNetReset:
-		return nil, s.sess.ResetNetCounters()
-	case wireproto.TNetRx:
-		n, err := s.sess.ComputeRx()
-		if err != nil {
-			return nil, err
-		}
-		return encoded(ctlplane.AppendNetRxReply(nil, n)), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown frame type %d", errBadRequest, t)
+	})
+	serve(h, ctlplane.OpWorkload, sess.Workload)
+	serve(h, ctlplane.OpNetReset, func(context.Context, none) (none, error) { return none{}, sess.ResetNetCounters() })
+	serve(h, ctlplane.OpNetRx, func(context.Context, none) (int64, error) { return sess.ComputeRx() })
+}
+
+// handle serves one request body of frame type t.
+func (s *Server) handle(ctx context.Context, t uint8, body []byte) ([]byte, error) {
+	if h := s.handlers[t]; h != nil {
+		return h(ctx, body)
 	}
+	return nil, fmt.Errorf("%w: unknown frame type %d", errBadRequest, t)
 }
 
 func (s *Server) logf(format string, args ...any) {

@@ -3,7 +3,6 @@ package daemon
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -67,40 +66,42 @@ func (s *stub) Workload(_ context.Context, cfg workload.Config) (workload.Summar
 	return workload.Summary{}, s.rec(cfg)
 }
 
-func decodeAny[T any](body []byte) (any, error) { return decode[T](body) }
-
-// requestArgs decodes a request body as handle does, for each frame type
-// handle serves that carries args.
-var requestArgs = map[uint8]func([]byte) (any, error){
-	wireproto.TRegister:    decodeAny[ctlplane.RegisterArgs],
-	wireproto.TBoot:        func(b []byte) (any, error) { return decodeBoot(b) },
-	wireproto.TSync:        decodeAny[ctlplane.NodeArgs],
-	wireproto.TSetOnline:   decodeAny[ctlplane.OnlineArgs],
-	wireproto.TDropReplica: decodeAny[ctlplane.DropArgs],
-	wireproto.TCrash:       decodeAny[ctlplane.NodeAtArgs],
-	wireproto.TRestart:     decodeAny[ctlplane.NodeAtArgs],
-	wireproto.TRot:         decodeAny[ctlplane.NodeArgs],
-	wireproto.TSetFaults:   decodeAny[fault.Plan],
-	wireproto.TScrubAll:    decodeAny[ctlplane.AtArgs],
-	wireproto.TResilverAll: decodeAny[ctlplane.AtArgs],
-	wireproto.TGC:          decodeAny[ctlplane.AtArgs],
-	wireproto.TTraceTree:   decodeAny[ctlplane.TraceTreeArgs],
-	wireproto.TWorkload:    decodeAny[workload.Config],
+// codec is one frame type's request codec with the args' type erased, as
+// its ctlplane.Op declares it.
+type codec struct {
+	typ      uint8
+	bodyless bool // the request is ctlplane.None
+	decode   func([]byte) (any, error)
+	encode   func(any) ([]byte, error)
 }
 
-// encodeArgs encodes a request's args as a client does: TBoot's binary
-// body, JSON for every other type.
-func encodeArgs(typ uint8, args any) ([]byte, error) {
-	if typ == wireproto.TBoot {
-		return ctlplane.AppendBootRequest(nil, args.(core.BootRequest))
+func codecOf[Req, Resp any](op ctlplane.Op[Req, Resp]) codec {
+	_, bodyless := any(*new(Req)).(ctlplane.None)
+	return codec{
+		typ:      op.Type,
+		bodyless: bodyless,
+		decode:   func(b []byte) (any, error) { return op.DecodeReq(b) },
+		encode:   func(args any) ([]byte, error) { return op.AppendReq(nil, args.(Req)) },
 	}
-	return json.Marshal(args)
 }
 
-// bodyless are the frame types handle serves without reading a body.
-var bodyless = map[uint8]bool{
-	wireproto.TInfo: true, wireproto.THealth: true, wireproto.TTelemetry: true, wireproto.TPeers: true,
-	wireproto.TStats: true, wireproto.TNetReset: true, wireproto.TNetRx: true,
+// codecs holds every frame type's request codec, TWatch's included
+// (handle serves every type but TWatch).
+var codecs = map[uint8]codec{}
+
+func init() {
+	for _, c := range []codec{
+		codecOf(ctlplane.OpInfo), codecOf(ctlplane.OpRegister), codecOf(ctlplane.OpBoot),
+		codecOf(ctlplane.OpSync), codecOf(ctlplane.OpHealth), codecOf(ctlplane.OpTelemetry),
+		codecOf(ctlplane.OpPeers), codecOf(ctlplane.OpStats), codecOf(ctlplane.OpSetOnline),
+		codecOf(ctlplane.OpDropReplica), codecOf(ctlplane.OpCrash), codecOf(ctlplane.OpRestart),
+		codecOf(ctlplane.OpRot), codecOf(ctlplane.OpSetFaults), codecOf(ctlplane.OpScrubAll),
+		codecOf(ctlplane.OpResilverAll), codecOf(ctlplane.OpGC), codecOf(ctlplane.OpNetReset),
+		codecOf(ctlplane.OpNetRx), codecOf(ctlplane.OpWatch), codecOf(ctlplane.OpTraceTree),
+		codecOf(ctlplane.OpWorkload),
+	} {
+		codecs[c.typ] = c
+	}
 }
 
 // FuzzHandle drives handle with arbitrary (frame type, body) pairs over a
@@ -112,17 +113,21 @@ func FuzzHandle(f *testing.F) {
 	// that swapped args show, then the body truncated.
 	const fields = `{"Image":"im0","Node":"node01","Up":true,"At":"2014-06-23T00:00:00Z",
 		"Verify":true,"TraceID":77,"Seed":7,"Drop":0.1,"Arrivals":"flash","Boots":100}`
-	for typ, dec := range requestArgs {
+	for typ, c := range codecs {
+		switch {
+		case c.bodyless:
+			f.Add(typ, []byte(nil))
+			continue
+		case typ == wireproto.TWatch:
+			continue // served by serveWatch, not handle; seeded below
+		}
 		var args any = core.BootRequest{Image: "im0", Node: "node01", Verify: true}
 		if typ != wireproto.TBoot {
-			args, _ = dec([]byte(fields))
+			args, _ = c.decode([]byte(fields))
 		}
-		body, _ := encodeArgs(typ, args)
+		body, _ := c.encode(args)
 		f.Add(typ, body)
 		f.Add(typ, body[:len(body)/2])
-	}
-	for typ := range bodyless {
-		f.Add(typ, []byte(nil))
 	}
 	f.Add(wireproto.TBoot, []byte("\x03\x00im0\x06\x00node01\x80")) // an unknown flag bit
 	f.Add(wireproto.TRegister, []byte(`{"Image":"im0","At":"yesterday"}`))
@@ -133,7 +138,9 @@ func FuzzHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, typ uint8, body []byte) {
 		s := &stub{}
 		_, err := New(s, Config{Tel: tel}).handle(context.Background(), typ, body)
-		if bodyless[typ] {
+		c, served := codecs[typ]
+		served = served && typ != wireproto.TWatch
+		if served && c.bodyless {
 			if err != nil {
 				t.Fatalf("bodyless type %d: %v", typ, err)
 			}
@@ -141,9 +148,8 @@ func FuzzHandle(f *testing.F) {
 		}
 		var want any
 		derr := errBadRequest // an unknown type
-		dec := requestArgs[typ]
-		if dec != nil {
-			want, derr = dec(body)
+		if served {
+			want, derr = c.decode(body)
 		}
 		if derr != nil {
 			if !errors.Is(err, errBadRequest) {
@@ -158,9 +164,9 @@ func FuzzHandle(f *testing.F) {
 			t.Fatalf("type %d, decodable body %q: %v", typ, body, err)
 		}
 		// A failed encode leaves enc nil, which cannot equal enc2.
-		enc, _ := encodeArgs(typ, want)
-		again, err := dec(enc)
-		if enc2, _ := encodeArgs(typ, again); err != nil || !bytes.Equal(enc, enc2) {
+		enc, _ := c.encode(want)
+		again, err := c.decode(enc)
+		if enc2, _ := c.encode(again); err != nil || !bytes.Equal(enc, enc2) {
 			t.Fatalf("type %d: re-encode is not canonical: %q then %q (%v)", typ, enc, enc2, err)
 		}
 		if typ != wireproto.TTraceTree && !reflect.DeepEqual(s.got, want) {

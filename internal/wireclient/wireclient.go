@@ -5,8 +5,11 @@
 // The client pipelines: every call is assigned a request ID, written
 // to the shared connection, and parked until the matching response
 // frame arrives, so concurrent callers share one connection without
-// head-of-line blocking on the daemon side (the daemon hands every
-// request that can take long to one of the connection's workers).
+// head-of-line blocking on the daemon side (the daemon serves each
+// request on the connection's reader, and a request still running after
+// its hand-off budget with a frame behind it gets the connection a new
+// reader). Every method is one exchange of a ctlplane.Op, whose codecs
+// choose each body's format.
 // Streaming replies (the watch op) ride the same connection: FlagStream
 // frames keep their exchange registered until the final non-stream
 // frame closes it.
@@ -51,7 +54,6 @@ package wireclient
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -315,41 +317,25 @@ func (c *Client) stamp(f *wireproto.Frame, sp *obs.Span) {
 	f.SpanID = sp.SpanID()
 }
 
-// call runs one request/response exchange with JSON bodies: marshal
-// args, run the exchange, unmarshal the response into out. A nil out
-// discards the response body. Only the rare, unmeasured ops take it
-// (registration, scrub, telemetry and the like); the boot and the
-// monitoring poll's replies are binary and go through rpc (Boot, poll).
-func (c *Client) call(ctx context.Context, typ uint8, args any, out any) error {
-	var payload []byte
-	if args != nil {
-		var err error
-		if payload, err = json.Marshal(args); err != nil {
-			return fmt.Errorf("wireclient: encode request: %w", err)
-		}
+// do runs one exchange of op under its rpc.call span: encode req, write
+// the request frame, park until the matching response or ctx expiry, and
+// decode the reply.
+func do[Req, Resp any](c *Client, ctx context.Context, op ctlplane.Op[Req, Resp], req Req) (Resp, error) {
+	var out Resp
+	payload, err := op.AppendReq(nil, req)
+	if err != nil {
+		return out, fmt.Errorf("wireclient: encode request: %w", err)
 	}
-	return c.rpc(ctx, typ, payload, func(body []byte) error {
-		if out == nil || len(body) == 0 {
-			return nil
-		}
-		return json.Unmarshal(body, out)
-	})
-}
-
-// rpc runs one exchange under its rpc.call span: write the request frame,
-// park until the matching response or ctx expiry, and hand the response
-// body to decode.
-func (c *Client) rpc(ctx context.Context, typ uint8, payload []byte, decode func([]byte) error) error {
-	sp := c.rpcSpan(typ)
-	body, err := c.exchange(ctx, sp, typ, payload)
+	sp := c.rpcSpan(op.Type)
+	body, err := c.exchange(ctx, sp, op.Type, payload)
 	if err == nil {
-		if err = decode(body); err != nil {
+		if out, err = op.DecodeResp(body); err != nil {
 			err = fmt.Errorf("wireclient: decode response: %w", err)
 		}
 	}
 	sp.Fail(err)
 	sp.Finish()
-	return err
+	return out, err
 }
 
 // exchange writes one request frame and returns the response's body, or
@@ -523,147 +509,117 @@ func decodeErrorFrame(f wireproto.Frame) error {
 // bg is the context for Session methods that have no caller context.
 func bg() context.Context { return context.Background() }
 
-// poll runs one bodyless request whose reply is a fixed binary body
-// (ctlplane/healthbody.go, ctlbody.go), not JSON, and decodes it.
-func poll[T any](c *Client, typ uint8, decode func([]byte) (T, error)) (T, error) {
-	var out T
-	err := c.rpc(bg(), typ, nil, func(body []byte) (err error) {
-		out, err = decode(body)
-		return err
-	})
-	return out, err
-}
+// none is the empty body of a bodyless request or a reply-less op.
+type none = ctlplane.None
 
 // Info implements Session.
 func (c *Client) Info() (ctlplane.Info, error) {
-	return poll(c, wireproto.TInfo, ctlplane.DecodeInfoReply)
+	return do(c, bg(), ctlplane.OpInfo, none{})
 }
 
 // Register implements Session.
 func (c *Client) Register(ctx context.Context, imageID string, at time.Time) (core.RegisterReport, error) {
-	var out core.RegisterReport
-	err := c.call(ctx, wireproto.TRegister, ctlplane.RegisterArgs{Image: imageID, At: at}, &out)
-	return out, err
+	return do(c, ctx, ctlplane.OpRegister, ctlplane.RegisterArgs{Image: imageID, At: at})
 }
 
-// Boot implements Session. Its bodies are the fixed binary ones
-// (ctlplane/bootbody.go), not JSON.
+// Boot implements Session.
 func (c *Client) Boot(ctx context.Context, req core.BootRequest) (core.BootReport, error) {
-	payload, err := ctlplane.AppendBootRequest(nil, req)
-	if err != nil {
-		return core.BootReport{}, fmt.Errorf("wireclient: encode request: %w", err)
-	}
-	var out core.BootReport
-	err = c.rpc(ctx, wireproto.TBoot, payload, func(body []byte) (err error) {
-		out, err = ctlplane.DecodeBootReport(body)
-		return err
-	})
-	return out, err
+	return do(c, ctx, ctlplane.OpBoot, req)
 }
 
 // SyncNode implements Session.
 func (c *Client) SyncNode(ctx context.Context, nodeID string) (core.SyncReport, error) {
-	var out core.SyncReport
-	err := c.call(ctx, wireproto.TSync, ctlplane.NodeArgs{Node: nodeID}, &out)
-	return out, err
+	return do(c, ctx, ctlplane.OpSync, ctlplane.NodeArgs{Node: nodeID})
 }
 
 // SetOnline implements Session.
 func (c *Client) SetOnline(nodeID string, up bool) error {
-	return c.call(bg(), wireproto.TSetOnline, ctlplane.OnlineArgs{Node: nodeID, Up: up}, nil)
+	_, err := do(c, bg(), ctlplane.OpSetOnline, ctlplane.OnlineArgs{Node: nodeID, Up: up})
+	return err
 }
 
 // DropReplica implements Session.
 func (c *Client) DropReplica(nodeID, imageID string) error {
-	return c.call(bg(), wireproto.TDropReplica, ctlplane.DropArgs{Node: nodeID, Image: imageID}, nil)
+	_, err := do(c, bg(), ctlplane.OpDropReplica, ctlplane.DropArgs{Node: nodeID, Image: imageID})
+	return err
 }
 
 // CrashNode implements Session.
 func (c *Client) CrashNode(nodeID string, at time.Time) error {
-	return c.call(bg(), wireproto.TCrash, ctlplane.NodeAtArgs{Node: nodeID, At: at}, nil)
+	_, err := do(c, bg(), ctlplane.OpCrash, ctlplane.NodeAtArgs{Node: nodeID, At: at})
+	return err
 }
 
 // RestartNode implements Session.
 func (c *Client) RestartNode(nodeID string, at time.Time) (core.RecoveryReport, error) {
-	var out core.RecoveryReport
-	err := c.call(bg(), wireproto.TRestart, ctlplane.NodeAtArgs{Node: nodeID, At: at}, &out)
-	return out, err
+	return do(c, bg(), ctlplane.OpRestart, ctlplane.NodeAtArgs{Node: nodeID, At: at})
 }
 
 // InjectRot implements Session.
 func (c *Client) InjectRot(nodeID string) (int, error) {
-	var out ctlplane.RotReply
-	err := c.call(bg(), wireproto.TRot, ctlplane.NodeArgs{Node: nodeID}, &out)
+	out, err := do(c, bg(), ctlplane.OpRot, ctlplane.NodeArgs{Node: nodeID})
 	return out.Blocks, err
 }
 
 // SetFaults implements Session.
 func (c *Client) SetFaults(plan fault.Plan) error {
-	return c.call(bg(), wireproto.TSetFaults, plan, nil)
+	_, err := do(c, bg(), ctlplane.OpSetFaults, plan)
+	return err
 }
 
 // ScrubAll implements Session.
 func (c *Client) ScrubAll(ctx context.Context, at time.Time) (map[string]zvol.ScrubReport, error) {
-	var out map[string]zvol.ScrubReport
-	err := c.call(ctx, wireproto.TScrubAll, ctlplane.AtArgs{At: at}, &out)
-	return out, err
+	return do(c, ctx, ctlplane.OpScrubAll, ctlplane.AtArgs{At: at})
 }
 
 // ResilverAll implements Session.
 func (c *Client) ResilverAll(ctx context.Context, at time.Time) ([]core.ResilverReport, error) {
-	var out []core.ResilverReport
-	err := c.call(ctx, wireproto.TResilverAll, ctlplane.AtArgs{At: at}, &out)
-	return out, err
+	return do(c, ctx, ctlplane.OpResilverAll, ctlplane.AtArgs{At: at})
 }
 
 // GarbageCollect implements Session.
 func (c *Client) GarbageCollect(at time.Time) (int, error) {
-	var out ctlplane.CountReply
-	err := c.call(bg(), wireproto.TGC, ctlplane.AtArgs{At: at}, &out)
+	out, err := do(c, bg(), ctlplane.OpGC, ctlplane.AtArgs{At: at})
 	return out.N, err
 }
 
 // Stats implements Session.
 func (c *Client) Stats() (core.DeploymentStats, error) {
-	return poll(c, wireproto.TStats, ctlplane.DecodeStatsReply)
+	return do(c, bg(), ctlplane.OpStats, none{})
 }
 
 // Health implements Session.
 func (c *Client) Health() ([]core.NodeStatus, error) {
-	return poll(c, wireproto.THealth, ctlplane.DecodeHealthReply)
+	return do(c, bg(), ctlplane.OpHealth, none{})
 }
 
 // PeerCounters implements Session.
 func (c *Client) PeerCounters() (string, error) {
-	var out ctlplane.PeersReply
-	err := c.call(bg(), wireproto.TPeers, nil, &out)
+	out, err := do(c, bg(), ctlplane.OpPeers, none{})
 	return out.Counters, err
 }
 
 // Telemetry implements Session.
 func (c *Client) Telemetry() (ctlplane.TelemetryDump, error) {
-	var out ctlplane.TelemetryDump
-	err := c.call(bg(), wireproto.TTelemetry, nil, &out)
-	return out, err
+	return do(c, bg(), ctlplane.OpTelemetry, none{})
 }
 
 // Workload implements Session: the scenario runs on the daemon, next to
 // the deployment; only the args and the fixed-size summary cross the
 // wire.
 func (c *Client) Workload(ctx context.Context, cfg workload.Config) (workload.Summary, error) {
-	var out workload.Summary
-	err := c.call(ctx, wireproto.TWorkload, cfg, &out)
-	return out, err
+	return do(c, ctx, ctlplane.OpWorkload, cfg)
 }
 
 // ResetNetCounters implements Session.
 func (c *Client) ResetNetCounters() error {
-	return c.call(bg(), wireproto.TNetReset, nil, nil)
+	_, err := do(c, bg(), ctlplane.OpNetReset, none{})
+	return err
 }
 
 // ComputeRx implements Session.
 func (c *Client) ComputeRx() (int64, error) {
-	return poll(c, wireproto.TNetRx, ctlplane.DecodeNetRxReply)
+	return do(c, bg(), ctlplane.OpNetRx, none{})
 }
 
 // Watch implements Session: it opens a TWatch stream and invokes fn for
@@ -682,7 +638,7 @@ func (c *Client) Watch(ctx context.Context, args ctlplane.WatchArgs, fn func(ctl
 }
 
 func (c *Client) watchStream(ctx context.Context, sp *obs.Span, args ctlplane.WatchArgs, fn func(ctlplane.WatchUpdate) error) error {
-	payload, err := json.Marshal(args)
+	payload, err := ctlplane.OpWatch.AppendReq(nil, args)
 	if err != nil {
 		return fmt.Errorf("wireclient: encode request: %w", err)
 	}
@@ -722,8 +678,8 @@ func (c *Client) watchStream(ctx context.Context, sp *obs.Span, args ctlplane.Wa
 			// Final frame: the stream completed.
 			return nil
 		}
-		var u ctlplane.WatchUpdate
-		if err := json.Unmarshal(f.Payload, &u); err != nil {
+		u, err := ctlplane.OpWatch.DecodeResp(f.Payload)
+		if err != nil {
 			abandon()
 			return fmt.Errorf("wireclient: decode watch update: %w", err)
 		}
@@ -747,8 +703,7 @@ func (c *Client) TraceSlowest(kind string) (string, error) {
 	if c.tel == nil || c.session == nil {
 		return "", fmt.Errorf("wireclient: client-side tracing disabled (set Options.Obs)")
 	}
-	var reply ctlplane.TraceTreeReply
-	err := c.call(bg(), wireproto.TTraceTree, ctlplane.TraceTreeArgs{TraceID: c.session.SpanID()}, &reply)
+	reply, err := do(c, bg(), ctlplane.OpTraceTree, ctlplane.TraceTreeArgs{TraceID: c.session.SpanID()})
 	if err != nil {
 		return "", err
 	}
