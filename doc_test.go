@@ -79,3 +79,72 @@ func TestDocCitations(t *testing.T) {
 		}
 	}
 }
+
+var (
+	fuzzDecl = regexp.MustCompile(`(?m)^func (Fuzz[A-Z][A-Za-z0-9_]*)\(\w+ \*testing\.F\)`)
+	fuzzRun  = regexp.MustCompile(`-fuzz (\S+) .*?(\./\S+?)/?$`)
+	makeFuzz = regexp.MustCompile(`(?m)^fuzz:.*\n((?:\t.*\n)*)`)
+)
+
+// TestMakeFuzzRunsEveryFuzzer keeps the Makefile's fuzz target, which CI
+// runs, in step with the fuzzers: it runs every func Fuzz… this module
+// declares, against the package that declares it, and names no fuzzer
+// that none declares. go test -fuzz passes when its package has no
+// fuzzer of that name, so a stale line would fuzz nothing unnoticed.
+func TestMakeFuzzRunsEveryFuzzer(t *testing.T) {
+	declared := map[string]bool{} // "./dir FuzzName"
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." {
+			if strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // another module: bench/
+			}
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzDecl.FindAllSubmatch(src, -1) {
+			declared["./"+filepath.ToSlash(filepath.Dir(path))+" "+string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := makeFuzz.FindSubmatch(mk)
+	if target == nil {
+		t.Fatal("the Makefile has no fuzz target")
+	}
+	run := map[string]bool{}
+	for _, line := range strings.Split(string(target[1]), "\n") {
+		if m := fuzzRun.FindStringSubmatch(line); m != nil {
+			run[m[2]+" "+m[1]] = true
+		}
+	}
+	for f := range declared {
+		if !run[f] {
+			t.Errorf("make fuzz does not run %s", f)
+		}
+	}
+	for f := range run {
+		if !declared[f] {
+			t.Errorf("make fuzz runs %s, which that package does not declare", f)
+		}
+	}
+	if len(declared) == 0 {
+		t.Error("found no fuzzers")
+	}
+}

@@ -16,7 +16,7 @@ import (
 // place a body's format is chosen.
 //
 // The boot's bodies and the monitoring poll's replies are fixed binary
-// (bootbody.go, healthbody.go, ctlbody.go): the boot is the hot path, and
+// (body.go, one layout per body): the boot is the hot path, and
 // Health, Info, Stats and ComputeRx are what a deployment is polled with
 // all the time. A field added to one of those structs needs a codec
 // change and a wireproto.Version bump, and its Test*CarriesEveryField
@@ -58,7 +58,7 @@ var (
 	OpResilverAll = op(wireproto.TResilverAll, js[AtArgs](), js[[]core.ResilverReport]())
 	OpGC          = op(wireproto.TGC, js[AtArgs](), js[CountReply]())
 	OpNetReset    = op(wireproto.TNetReset, none, none)
-	OpNetRx       = op(wireproto.TNetRx, none, bin(appendNetRx, DecodeNetRxReply))
+	OpNetRx       = op(wireproto.TNetRx, none, bin(AppendNetRxReply, DecodeNetRxReply))
 	OpWatch       = op(wireproto.TWatch, js[WatchArgs](), js[WatchUpdate]())
 	OpTraceTree   = op(wireproto.TTraceTree, js[TraceTreeArgs](), js[TraceTreeReply]())
 	OpWorkload    = op(wireproto.TWorkload, js[workload.Config](), js[workload.Summary]())
@@ -106,5 +106,3 @@ func js[T any]() codec[T] {
 		},
 	}
 }
-
-func appendNetRx(dst []byte, n int64) ([]byte, error) { return AppendNetRxReply(dst, n), nil }

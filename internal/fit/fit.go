@@ -142,55 +142,60 @@ func (HoerlFitter) Fit(xs, ys []float64) (Curve, error) {
 		return nil, ErrBadDomain
 	}
 	// Normal equations AᵀA p = Aᵀy for p = (ln a, ln b, c).
-	var ata [3][3]float64
-	var aty [3]float64
+	a := augmented(3)
 	for r := range rows {
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 3; j++ {
-				ata[i][j] += rows[r][i] * rows[r][j]
+				a[i][j] += rows[r][i] * rows[r][j]
 			}
-			aty[i] += rows[r][i] * rhs[r]
+			a[i][3] += rows[r][i] * rhs[r]
 		}
 	}
-	p, err := solve3(ata, aty)
+	p, err := solve(a)
 	if err != nil {
 		return nil, err
 	}
 	return Hoerl{A: math.Exp(p[0]), B: math.Exp(p[1]), C: p[2]}, nil
 }
 
-// solve3 solves a 3×3 system by Gaussian elimination with partial
-// pivoting.
-func solve3(m [3][3]float64, b [3]float64) ([3]float64, error) {
-	var a [3][4]float64
-	for i := 0; i < 3; i++ {
-		copy(a[i][:3], m[i][:])
-		a[i][3] = b[i]
+// augmented returns an n×(n+1) zero matrix: a linear system's
+// coefficients, with its right-hand side as the last column.
+func augmented(n int) [][]float64 {
+	a := make([][]float64, n)
+	for i := range a {
+		a[i] = make([]float64, n+1)
 	}
-	for col := 0; col < 3; col++ {
+	return a
+}
+
+// solve solves the n×n system whose augmented matrix is a, by
+// Gaussian elimination with partial pivoting. It overwrites a.
+func solve(a [][]float64) ([]float64, error) {
+	n := len(a)
+	for col := 0; col < n; col++ {
 		piv := col
-		for r := col + 1; r < 3; r++ {
+		for r := col + 1; r < n; r++ {
 			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
 				piv = r
 			}
 		}
 		if math.Abs(a[piv][col]) < 1e-12 {
-			return [3]float64{}, ErrSingular
+			return nil, ErrSingular
 		}
 		a[col], a[piv] = a[piv], a[col]
-		for r := 0; r < 3; r++ {
+		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
 			f := a[r][col] / a[col][col]
-			for c := col; c < 4; c++ {
+			for c := col; c <= n; c++ {
 				a[r][c] -= f * a[col][c]
 			}
 		}
 	}
-	var x [3]float64
-	for i := 0; i < 3; i++ {
-		x[i] = a[i][3] / a[i][i]
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = a[i][n] / a[i][i]
 	}
 	return x, nil
 }
@@ -289,29 +294,28 @@ func (f MMFFitter) Fit(xs, ys []float64) (Curve, error) {
 			jt[k] = col
 		}
 		// Normal equations (JᵀJ + λ·diag) δ = -Jᵀr.
-		var jtj [4][4]float64
-		var jtr [4]float64
+		a := augmented(4)
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
 				var s float64
 				for r := range cur {
 					s += jt[i][r] * jt[j][r]
 				}
-				jtj[i][j] = s
+				a[i][j] = s
 			}
 			var s float64
 			for r := range cur {
 				s += jt[i][r] * cur[r]
 			}
-			jtr[i] = -s
+			a[i][4] = -s
 		}
 		for i := 0; i < 4; i++ {
-			jtj[i][i] *= 1 + lambda
-			if jtj[i][i] == 0 {
-				jtj[i][i] = lambda
+			a[i][i] *= 1 + lambda
+			if a[i][i] == 0 {
+				a[i][i] = lambda
 			}
 		}
-		delta, err := solve4(jtj, jtr)
+		delta, err := solve(a)
 		if err != nil {
 			lambda *= 10
 			if lambda > 1e12 {
@@ -346,42 +350,6 @@ func (f MMFFitter) Fit(xs, ys []float64) (Curve, error) {
 		return nil, ErrNoConverge
 	}
 	return MMF{p[0], p[1], p[2], p[3]}, nil
-}
-
-// solve4 solves a 4×4 system by Gaussian elimination with partial
-// pivoting.
-func solve4(m [4][4]float64, b [4]float64) ([4]float64, error) {
-	var a [4][5]float64
-	for i := 0; i < 4; i++ {
-		copy(a[i][:4], m[i][:])
-		a[i][4] = b[i]
-	}
-	for col := 0; col < 4; col++ {
-		piv := col
-		for r := col + 1; r < 4; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(a[piv][col]) < 1e-12 {
-			return [4]float64{}, ErrSingular
-		}
-		a[col], a[piv] = a[piv], a[col]
-		for r := 0; r < 4; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r][col] / a[col][col]
-			for c := col; c < 5; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-		}
-	}
-	var x [4]float64
-	for i := 0; i < 4; i++ {
-		x[i] = a[i][4] / a[i][i]
-	}
-	return x, nil
 }
 
 // ---------------------------------------------------------------------------
