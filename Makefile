@@ -68,9 +68,9 @@ loc:
 # wire protocol, the control-plane request bodies, the binary boot
 # request and report and the binary health, info and stats replies (off
 # a socket), the
-# snapshot stream format (off the registration multicast) and the block
-# codecs (off a disk that can rot). Each target also replays its seed
-# corpus during plain `make test`.
+# snapshot stream format (off the registration multicast), decoded and
+# then received, and the block codecs (off a disk that can rot). Each
+# target also replays its seed corpus during plain `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 20s ./internal/wireproto/
 	$(GO) test -fuzz FuzzReadHelloReply -fuzztime 5s ./internal/wireproto/
@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz FuzzInfoReply -fuzztime 5s ./internal/ctlplane/
 	$(GO) test -fuzz FuzzStatsReply -fuzztime 5s ./internal/ctlplane/
 	$(GO) test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/zvol/
+	$(GO) test -fuzz FuzzReceiveStream -fuzztime 10s ./internal/zvol/
 	$(GO) test -fuzz FuzzDecompressInto -fuzztime 10s ./internal/compress/
 	$(GO) test -fuzz FuzzInflate -fuzztime 10s ./internal/compress/
 
@@ -115,8 +116,9 @@ gate-inflate:
 # wire, a 64 KB Visit served by the decoded-block cache and always
 # decoding, a finished span and its
 # child folded into the telemetry registry, one encode and decode of
-# each binary control-plane body), one iteration each so they
-# cannot rot between the PRs that read them.
+# each binary control-plane body, one encode and one decode of a
+# snapshot stream), one iteration each so they cannot rot between the
+# PRs that read them.
 rungs:
 	$(GO) test -run '^$$' -bench BenchmarkWarmBoot -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkColdBoot$$' -benchtime 1x ./internal/core/
@@ -128,3 +130,5 @@ rungs:
 	$(GO) test -run '^$$' -bench BenchmarkVisitDecoded -benchtime 1x ./internal/zvol/
 	$(GO) test -run '^$$' -bench BenchmarkRegistryRecord -benchtime 1x ./internal/obs/
 	$(GO) test -run '^$$' -bench BenchmarkBodies -benchtime 1x ./internal/ctlplane/
+	$(GO) test -run '^$$' -bench BenchmarkWireEncode -benchtime 1x ./internal/zvol/
+	$(GO) test -run '^$$' -bench BenchmarkWireDecode -benchtime 1x ./internal/zvol/

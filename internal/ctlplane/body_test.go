@@ -471,10 +471,11 @@ func FuzzStatsReply(f *testing.F) {
 }
 
 // BenchmarkBodies is the codec rung: one encode and one decode of each
-// binary body per op, into a reused buffer as neither end does (both
-// append to nil), so allocs/op are the decode's. The info sample is the
-// size of BenchmarkControlRPC's (32 images, 8 nodes); the stats sample
-// carries two peer-load rows.
+// binary body per op. The plain sub-benchmark encodes into nil, as both
+// wire ends do, so its allocs/op are the encode's one and the decode's;
+// /reused appends to one buffer kept across ops, the decode's alone. The
+// info sample is the size of BenchmarkControlRPC's (32 images, 8 nodes);
+// the stats sample carries two peer-load rows.
 func BenchmarkBodies(b *testing.B) {
 	req := core.BootRequest{Image: "debian-r07", Node: "node03", Verify: true}
 	rep := core.BootReport{ImageID: "debian-r07", NodeID: "node03", Warm: true, CacheBytes: 3 << 20, ReadBytes: 3 << 20}
@@ -499,22 +500,32 @@ func BenchmarkBodies(b *testing.B) {
 			func(b []byte) error { _, err := DecodeNetRxReply(b); return err }},
 	}
 	for _, body := range bodies {
-		b.Run(body.name, func(b *testing.B) {
-			buf, err := body.encode(nil)
-			if err != nil {
-				b.Fatal(err)
+		for _, reuse := range []bool{false, true} {
+			name := body.name
+			if reuse {
+				name += "/reused"
 			}
-			b.ReportAllocs()
-			b.SetBytes(int64(len(buf)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if buf, err = body.encode(buf[:0]); err != nil {
+			b.Run(name, func(b *testing.B) {
+				buf, err := body.encode(nil)
+				if err != nil {
 					b.Fatal(err)
 				}
-				if err = body.decode(buf); err != nil {
-					b.Fatal(err)
+				b.ReportAllocs()
+				b.SetBytes(int64(len(buf)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst := buf[:0]
+					if !reuse {
+						dst = nil
+					}
+					if buf, err = body.encode(dst); err != nil {
+						b.Fatal(err)
+					}
+					if err = body.decode(buf); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

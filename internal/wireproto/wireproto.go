@@ -1,11 +1,10 @@
 // Package wireproto frames Squirrel's control plane for the wire.
 //
 // squirreld and its clients speak a versioned, length-prefixed binary
-// protocol over TCP, reusing the encode/decode discipline of the
-// snapshot stream codec in internal/zvol/wire.go: a magic-tagged
-// handshake, fixed little-endian headers, hard bounds on every decoded
-// length, and a CRC32 (Castagnoli) trailer so a corrupt frame is an
-// error, never a panic or an unbounded allocation.
+// protocol over TCP: a magic-tagged handshake, fixed little-endian
+// headers, hard bounds on every decoded length, and a CRC32 (Castagnoli)
+// trailer so a corrupt frame is an error, never a panic or an unbounded
+// allocation.
 //
 // Connection life cycle:
 //

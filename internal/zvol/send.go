@@ -367,8 +367,9 @@ func (st *Stream) ApplySteps() int { return len(st.Upserts) + len(st.Deletes) }
 // payload indexes in range, shipped payloads matching their declared
 // length and — by the hash their preparer computed, sender or this
 // receiver alike — their pointer's content hash, object sizes consistent
-// with their pointers, and every hash-only reference present in the
-// local DDT.
+// with their pointers, every pointer at least one byte long, and every
+// hash-only reference present in the local DDT at the length its entry
+// records (reads and Scrub size their buffers by a pointer's length).
 func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
 	st := ps.Stream
 	if st.FromSnap != "" && v.snapByName[st.FromSnap] == nil {
@@ -387,6 +388,9 @@ func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
 	for _, so := range st.Upserts {
 		var size int64
 		for _, sp := range so.Ptrs {
+			if sp.LogLen <= 0 {
+				return fmt.Errorf("%w: %s pointer of %d bytes", ErrBadStream, so.Name, sp.LogLen)
+			}
 			size += int64(sp.LogLen)
 			switch {
 			case sp.Zero:
@@ -408,9 +412,9 @@ func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
 						ErrBadStream, so.Name, sp.Payload)
 				}
 			default:
-				if v.ddt.Lookup(sp.Hash) == nil {
-					return fmt.Errorf("%w: %s references unknown block %x",
-						ErrBadStream, so.Name, sp.Hash[:8])
+				if e := v.ddt.Lookup(sp.Hash); e == nil || e.LogLen != sp.LogLen {
+					return fmt.Errorf("%w: %s references no known %d-byte block %x",
+						ErrBadStream, so.Name, sp.LogLen, sp.Hash[:8])
 				}
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // Wire format for snapshot streams. Squirrel multicasts streams across
 // the data center (§3.2), so they need a byte encoding: a magic-tagged
 // header, length-prefixed sections, and a trailing CRC32 over everything,
-// mirroring `zfs send`'s stream + checksum design.
+// mirroring `zfs send`'s stream + checksum design. Little-endian:
 //
 //	magic "SQRL" | version u16
 //	fromSnap, toSnap: u32-len strings | created unix-nano i64
@@ -24,25 +24,58 @@ import (
 //	  object: name string | size i64 | u32 nptrs ×
 //	          (flags u8 | logLen i32 | payload i32 | hash [32]byte)
 //	crc32 (Castagnoli) over all preceding bytes
+//
+// streamLayout is the one description of it: a wireCoder walks that
+// layout to size a stream (WireSize), to encode it and to decode it.
 const (
-	wireMagic   = "SQRL"
+	wireMagic   = 0x4c525153 // "SQRL" read as a little-endian u32
 	wireVersion = 1
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// crcWriter tees writes through a CRC.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-	n   int64
-}
+// The bounds on decoded counts and lengths, so a corrupt or malicious
+// stream cannot trigger huge allocations; Encode refuses a stream that
+// breaks them too. A shipped block is logical data, so it is never
+// longer than the largest block size a volume accepts.
+const (
+	maxWireName  = 4096
+	maxWireCount = 16 << 20
+	maxWireBlock = uint32(block.Size1024K)
+)
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, crcTable, p[:n])
-	cw.n += int64(n)
-	return n, err
+// streamLayout names every field of the format in wire order.
+func streamLayout(c *wireCoder, st *Stream) {
+	magic, version := uint32(wireMagic), uint16(wireVersion)
+	c.u32(&magic)
+	c.u16(&version)
+	if magic != wireMagic || version != wireVersion {
+		c.fail(fmt.Errorf("zvol: wire magic %#x version %d, want a version %d stream", magic, version, wireVersion))
+	}
+	c.str(&st.FromSnap)
+	c.str(&st.ToSnap)
+	c.time(&st.Created)
+	for i, n := 0, c.count(len(st.Deletes), maxWireCount); c.more(i, n); i++ {
+		c.str(entry(c, &st.Deletes, i))
+	}
+	blocks := c.blocks(st)
+	for i, n := 0, c.count(len(st.Upserts), maxWireCount); c.more(i, n); i++ {
+		o := entry(c, &st.Upserts, i)
+		c.str(&o.Name)
+		c.i64(&o.Size)
+		for j, m := 0, c.count(len(o.Ptrs), maxWireCount); c.more(j, m); j++ {
+			p := entry(c, &o.Ptrs, j)
+			c.bit(&p.Zero)
+			c.i32(&p.LogLen)
+			c.index(&p.Payload, blocks)
+			c.raw(p.Hash[:])
+		}
+	}
+	got, want := c.crc, c.crc // the trailer: the CRC of every byte before it
+	c.u32(&got)
+	if got != want {
+		c.fail(fmt.Errorf("zvol: wire checksum mismatch: %08x != %08x", got, want))
+	}
 }
 
 // WireSize returns exactly how many bytes Encode writes, computed from
@@ -50,21 +83,11 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // pointers' logical lengths, nothing inflated — so a caller can charge a
 // transfer, or give the wire buffer its final size, without encoding.
 // (SizeBytes is the coarser figure the network accounting charges; this
-// one follows the format above field by field.)
+// one follows the layout field by field.)
 func (st *Stream) WireSize() int64 {
-	str := func(s string) int64 { return 4 + int64(len(s)) }
-	n := int64(len(wireMagic)) + 2 + str(st.FromSnap) + str(st.ToSnap) + 8
-	n += 4
-	for _, d := range st.Deletes {
-		n += str(d)
-	}
-	count, size := st.shipped()
-	n += 4 + 4*int64(count) + size
-	n += 4
-	for _, o := range st.Upserts {
-		n += str(o.Name) + 8 + 4 + int64(len(o.Ptrs))*(1+4+4+32)
-	}
-	return n + 4 // trailing CRC
+	var c wireCoder
+	streamLayout(&c, st)
+	return c.n
 }
 
 // Encode writes the stream in wire format. The returned byte count is the
@@ -73,263 +96,233 @@ func (st *Stream) WireSize() int64 {
 // they are written, so its bytes are those of the same stream decoded
 // off a wire.
 func (st *Stream) Encode(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-
-	write := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
+	c := wireCoder{w: bufio.NewWriterSize(w, maxWireName)}
+	if streamLayout(&c, st); c.err == nil {
+		c.err = c.w.Flush()
 	}
-	writeStr := func(s string) error {
-		if err := write(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := cw.Write([]byte(s))
-		return err
-	}
-
-	if _, err := cw.Write([]byte(wireMagic)); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint16(wireVersion)); err != nil {
-		return cw.n, err
-	}
-	if err := writeStr(st.FromSnap); err != nil {
-		return cw.n, err
-	}
-	if err := writeStr(st.ToSnap); err != nil {
-		return cw.n, err
-	}
-	if err := write(st.Created.UnixNano()); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(len(st.Deletes))); err != nil {
-		return cw.n, err
-	}
-	for _, d := range st.Deletes {
-		if err := writeStr(d); err != nil {
-			return cw.n, err
-		}
-	}
-	count, _ := st.shipped()
-	if err := write(uint32(count)); err != nil {
-		return cw.n, err
-	}
-	err := st.eachBlock(func(b []byte) error {
-		if err := write(uint32(len(b))); err != nil {
-			return err
-		}
-		_, err := cw.Write(b)
-		return err
-	})
-	if err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(len(st.Upserts))); err != nil {
-		return cw.n, err
-	}
-	for _, o := range st.Upserts {
-		if err := writeStr(o.Name); err != nil {
-			return cw.n, err
-		}
-		if err := write(o.Size, uint32(len(o.Ptrs))); err != nil {
-			return cw.n, err
-		}
-		for _, p := range o.Ptrs {
-			var flags uint8
-			if p.Zero {
-				flags |= 1
-			}
-			if err := write(flags, p.LogLen, int32(p.Payload)); err != nil {
-				return cw.n, err
-			}
-			if _, err := cw.Write(p.Hash[:]); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-	// Trailer: CRC over everything written so far.
-	crc := cw.crc
-	if err := binary.Write(bw, binary.LittleEndian, crc); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n + 4, nil
+	return c.n, c.err
 }
-
-// crcReader tees reads through a CRC.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, crcTable, p[:n])
-	return n, err
-}
-
-// maxWireStrings bounds decoded counts and lengths so a corrupt or
-// malicious stream cannot trigger huge allocations. A shipped block is
-// logical data, so it is never longer than the largest block size a
-// volume accepts.
-const (
-	maxWireName  = 4096
-	maxWireCount = 16 << 20
-	maxWireBlock = uint32(block.Size1024K)
-)
 
 // DecodeStream parses a wire-format stream, verifying the trailing CRC.
 // Memory is bounded by the input: every count and length is checked
-// against its bound before anything is allocated for it, so no
-// allocation runs more than one block ahead of the bytes read. The
-// stream it accepts re-encodes to exactly the bytes it read, a prefix of
-// its input: bytes after the trailer are ignored (FuzzDecodeStream holds
-// it to both).
+// against its bound before anything is allocated for it, and decoded
+// lists grow one entry at a time, so no allocation runs more than one
+// block ahead of the bytes read. The stream it accepts re-encodes to
+// exactly the bytes it read, a prefix of its input: bytes after the
+// trailer are ignored (FuzzDecodeStream holds it to both).
 func DecodeStream(r io.Reader) (*Stream, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-	read := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	readStr := func(max uint32) (string, error) {
-		var n uint32
-		if err := read(&n); err != nil {
-			return "", err
-		}
-		if n > max {
-			return "", fmt.Errorf("zvol: wire string length %d exceeds %d", n, max)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(cr, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("zvol: wire magic: %w", err)
-	}
-	if string(magic) != wireMagic {
-		return nil, fmt.Errorf("zvol: bad wire magic %q", magic)
-	}
-	var version uint16
-	if err := read(&version); err != nil {
-		return nil, err
-	}
-	if version != wireVersion {
-		return nil, fmt.Errorf("zvol: unsupported wire version %d", version)
-	}
 	st := &Stream{}
-	var err error
-	if st.FromSnap, err = readStr(maxWireName); err != nil {
-		return nil, err
-	}
-	if st.ToSnap, err = readStr(maxWireName); err != nil {
-		return nil, err
-	}
-	var createdNano int64
-	if err := read(&createdNano); err != nil {
-		return nil, err
-	}
-	st.Created = time.Unix(0, createdNano).UTC()
-
-	var nDel uint32
-	if err := read(&nDel); err != nil {
-		return nil, err
-	}
-	if nDel > maxWireCount {
-		return nil, fmt.Errorf("zvol: wire delete count %d", nDel)
-	}
-	for i := uint32(0); i < nDel; i++ {
-		d, err := readStr(maxWireName)
-		if err != nil {
-			return nil, err
-		}
-		st.Deletes = append(st.Deletes, d)
-	}
-	var nBlocks uint32
-	if err := read(&nBlocks); err != nil {
-		return nil, err
-	}
-	if nBlocks > maxWireCount {
-		return nil, fmt.Errorf("zvol: wire block count %d", nBlocks)
-	}
-	for i := uint32(0); i < nBlocks; i++ {
-		var l uint32
-		if err := read(&l); err != nil {
-			return nil, err
-		}
-		if l > maxWireBlock {
-			return nil, fmt.Errorf("zvol: wire block length %d", l)
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(cr, b); err != nil {
-			return nil, err
-		}
-		st.Blocks = append(st.Blocks, b)
-	}
-	var nUp uint32
-	if err := read(&nUp); err != nil {
-		return nil, err
-	}
-	if nUp > maxWireCount {
-		return nil, fmt.Errorf("zvol: wire upsert count %d", nUp)
-	}
-	for i := uint32(0); i < nUp; i++ {
-		var o StreamObject
-		if o.Name, err = readStr(maxWireName); err != nil {
-			return nil, err
-		}
-		var nPtrs uint32
-		if err := read(&o.Size, &nPtrs); err != nil {
-			return nil, err
-		}
-		if nPtrs > maxWireCount {
-			return nil, fmt.Errorf("zvol: wire ptr count %d", nPtrs)
-		}
-		for j := uint32(0); j < nPtrs; j++ {
-			var p StreamPtr
-			var flags uint8
-			var payload int32
-			if err := read(&flags, &p.LogLen, &payload); err != nil {
-				return nil, err
-			}
-			if _, err := io.ReadFull(cr, p.Hash[:]); err != nil {
-				return nil, err
-			}
-			if flags&^1 != 0 { // Encode sets no other bit: refuse what it cannot have written
-				return nil, fmt.Errorf("zvol: wire pointer flags %#x", flags)
-			}
-			p.Zero = flags&1 != 0
-			p.Payload = int(payload)
-			if p.Payload >= 0 && p.Payload >= len(st.Blocks) {
-				return nil, fmt.Errorf("zvol: wire payload index %d out of range", p.Payload)
-			}
-			o.Ptrs = append(o.Ptrs, p)
-		}
-		st.Upserts = append(st.Upserts, o)
-	}
-	// Verify the trailer. The CRC bytes themselves must not be folded
-	// into the running CRC, so read them from the underlying reader.
-	want := cr.crc
-	var got uint32
-	if err := binary.Read(cr.r, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("zvol: wire trailer: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("zvol: wire checksum mismatch: %08x != %08x", got, want)
+	c := wireCoder{r: bufio.NewReaderSize(r, maxWireName)}
+	if streamLayout(&c, st); c.err != nil {
+		return nil, c.err
 	}
 	return st, nil
+}
+
+// wireCoder walks streamLayout once, n counting the bytes it moves. The
+// zero coder sizes: it only counts. One with w encodes, writing each
+// field to w, and one with r decodes, reading each from r, both through
+// crc. The first error sticks and makes every later field a no-op, so a
+// decode stops reading, and allocating, at its first refusal. Fields
+// move by value or through heap memory (the stream's, bufio's), never
+// through the coder itself, so it stays on its caller's stack: WireSize
+// allocates nothing.
+type wireCoder struct {
+	n   int64
+	crc uint32
+	err error
+	w   *bufio.Writer
+	r   *bufio.Reader
+}
+
+func (c *wireCoder) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// more says whether a list walk goes on to entry i of n: not past an error.
+func (c *wireCoder) more(i, n int) bool { return i < n && c.err == nil }
+
+// entry returns &(*s)[i], growing *s by one zero entry first if decoding.
+func entry[T any](c *wireCoder, s *[]T, i int) *T {
+	if c.r != nil {
+		var zero T
+		*s = append(*s, zero)
+	}
+	return &(*s)[i]
+}
+
+// setDecoded stores v in *p when decoding. Fields are written only
+// then: Encode may run on a stream other goroutines read.
+func setDecoded[T any](c *wireCoder, p *T, v T) {
+	if c.r != nil {
+		*p = v
+	}
+}
+
+// put writes b through the CRC.
+func (c *wireCoder) put(b []byte) {
+	c.crc = crc32.Update(c.crc, crcTable, b)
+	c.n += int64(len(b))
+	if _, err := c.w.Write(b); err != nil {
+		c.fail(err)
+	}
+}
+
+// room returns the writer's spare buffer, empty, flushed first if it
+// has less than n bytes of room, for a field to be appended to and put.
+func (c *wireCoder) room(n int) []byte {
+	if c.w.Available() < n {
+		if err := c.w.Flush(); err != nil {
+			c.fail(err)
+		}
+	}
+	return c.w.AvailableBuffer()
+}
+
+// peek returns the next n bytes, at most the reader's size, through the
+// CRC, for the caller to use and then Discard, which cannot fail on
+// bytes Peek returned.
+func (c *wireCoder) peek(n int) []byte {
+	b, err := c.r.Peek(n)
+	if err != nil {
+		c.truncated(err)
+	}
+	c.crc = crc32.Update(c.crc, crcTable, b)
+	c.n += int64(len(b))
+	return b
+}
+
+func (c *wireCoder) truncated(err error) {
+	c.fail(fmt.Errorf("zvol: wire stream truncated at byte %d: %w", c.n, err))
+}
+
+// word moves the low size bytes of v and returns the value a decode
+// read, v itself otherwise.
+func (c *wireCoder) word(size int, v uint64) uint64 {
+	switch {
+	case c.err != nil:
+	case c.w != nil:
+		c.put(binary.LittleEndian.AppendUint64(c.room(8), v)[:size])
+	case c.r != nil:
+		var le [8]byte
+		c.r.Discard(copy(le[:], c.peek(size)))
+		v = binary.LittleEndian.Uint64(le[:])
+	default:
+		c.n += int64(size)
+	}
+	return v
+}
+
+func (c *wireCoder) u8(p *uint8)   { setDecoded(c, p, uint8(c.word(1, uint64(*p)))) }
+func (c *wireCoder) u16(p *uint16) { setDecoded(c, p, uint16(c.word(2, uint64(*p)))) }
+func (c *wireCoder) u32(p *uint32) { setDecoded(c, p, uint32(c.word(4, uint64(*p)))) }
+func (c *wireCoder) i32(p *int32)  { setDecoded(c, p, int32(c.word(4, uint64(*p)))) }
+func (c *wireCoder) i64(p *int64)  { setDecoded(c, p, int64(c.word(8, uint64(*p)))) }
+
+// count moves a u32 count or length, refused over max, and returns it.
+func (c *wireCoder) count(n int, max uint32) int {
+	v := uint32(n)
+	if c.u32(&v); v > max {
+		c.fail(fmt.Errorf("zvol: wire count or length %d exceeds %d", v, max))
+		return 0
+	}
+	return int(v)
+}
+
+// str moves a u32-length string of at most maxWireName bytes.
+func (c *wireCoder) str(p *string) {
+	n := c.count(len(*p), maxWireName)
+	switch {
+	case c.err != nil:
+	case c.w != nil:
+		c.put(append(c.room(n), *p...))
+	case c.r != nil:
+		b := c.peek(n)
+		*p = string(b)
+		c.r.Discard(len(b))
+	default:
+		c.n += int64(n)
+	}
+}
+
+// raw moves len(b) bytes, into b when decoding.
+func (c *wireCoder) raw(b []byte) {
+	switch {
+	case c.err != nil:
+	case c.w != nil:
+		c.put(b)
+	case c.r != nil:
+		if _, err := io.ReadFull(c.r, b); err != nil {
+			c.truncated(err)
+		}
+		c.crc = crc32.Update(c.crc, crcTable, b)
+		c.n += int64(len(b))
+	default:
+		c.n += int64(len(b))
+	}
+}
+
+// blob moves a u32-length byte string of at most maxWireBlock bytes, which
+// a decode allocates only once the length has passed that bound.
+func (c *wireCoder) blob(p *[]byte) {
+	if n := c.count(len(*p), maxWireBlock); c.r != nil && c.err == nil {
+		*p = make([]byte, n)
+	}
+	c.raw(*p)
+}
+
+// bit moves *p as a flags byte whose bit 0 is *p; any other bit is
+// refused, as Encode cannot have set it.
+func (c *wireCoder) bit(p *bool) {
+	var flags uint8
+	if *p {
+		flags = 1
+	}
+	if c.u8(&flags); flags&^1 != 0 {
+		c.fail(fmt.Errorf("zvol: wire pointer flags %#x", flags))
+	}
+	setDecoded(c, p, flags == 1)
+}
+
+// index moves *p as an i32: a shipped block's index, refused at or past
+// blocks, or negative for a hash-only reference.
+func (c *wireCoder) index(p *int, blocks int) {
+	v := int32(*p)
+	if c.i32(&v); v >= 0 && int(v) >= blocks {
+		c.fail(fmt.Errorf("zvol: wire payload index %d out of range", v))
+	}
+	setDecoded(c, p, int(v))
+}
+
+// time moves *p as unix nanoseconds, decoded in UTC.
+func (c *wireCoder) time(p *time.Time) {
+	ns := p.UnixNano()
+	c.i64(&ns)
+	setDecoded(c, p, time.Unix(0, ns).UTC())
+}
+
+// blocks moves the shipped blocks, u32 count × blob, and returns their
+// count. An encode writes the logical bytes eachBlock hands out, a
+// decode reads each into Blocks, and sizing takes their lengths from
+// shipped, inflating nothing.
+func (c *wireCoder) blocks(st *Stream) int {
+	count, size := st.shipped()
+	n := c.count(count, maxWireCount)
+	switch {
+	case c.err != nil:
+	case c.w != nil:
+		c.fail(st.eachBlock(func(b []byte) error {
+			c.blob(&b)
+			return c.err
+		}))
+	case c.r != nil:
+		for i := 0; c.more(i, n); i++ {
+			c.blob(entry(c, &st.Blocks, i))
+		}
+	default:
+		c.n += 4*int64(n) + size
+	}
+	return n
 }

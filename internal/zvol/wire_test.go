@@ -3,6 +3,7 @@ package zvol
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
 	"math"
@@ -84,6 +85,15 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Upserts, st.Upserts) {
 		t.Fatal("upserts differ")
+	}
+}
+
+// WireSize walks the same layout as Encode, in a coder that stays on
+// its stack: it runs once per registration and allocates nothing.
+func TestWireSizeAllocatesNothing(t *testing.T) {
+	st := mkStream(t)
+	if got := testing.AllocsPerRun(100, func() { st.WireSize() }); got != 0 {
+		t.Fatalf("WireSize made %.0f allocations, want 0", got)
 	}
 }
 
@@ -238,10 +248,9 @@ func TestSentStreamWireBytesArePinned(t *testing.T) {
 	}
 }
 
-// seedStream is a real incremental Send carrying every record kind — a
-// delete, shipped blocks, a hash-only reference and a hole — kept under
-// a KB so the fuzzer's mutations and minimization stay fast.
-func seedStream(t testing.TB) []byte {
+// seedSource is the volume behind seedStream: s1 holds object a, and s2
+// adds b (a's first block, then a hole) and c and deletes a.
+func seedSource(t testing.TB) *Volume {
 	src, err := New(cfg(block.Size1K, "gzip6", true))
 	if err != nil {
 		t.Fatal(err)
@@ -253,18 +262,89 @@ func seedStream(t testing.TB) []byte {
 	src.WriteObject("c", bytes.NewReader(mkData(51, 300)))
 	src.DeleteObject("a")
 	src.Snapshot("s2", day(1))
-	st, err := src.Send("s1", "s2")
+	return src
+}
+
+// encoded is what Encode writes for st.
+func encoded(t testing.TB, st *Stream) []byte {
+	var wire bytes.Buffer
+	if _, err := st.Encode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	return wire.Bytes()
+}
+
+// seedStream is a real incremental Send carrying every record kind — a
+// delete, shipped blocks, a hash-only reference and a hole — kept under
+// a KB so the fuzzer's mutations and minimization stay fast.
+func seedStream(t testing.TB) []byte {
+	st, err := seedSource(t).Send("s1", "s2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b := st.Upserts[0].Ptrs; len(st.Deletes) != 1 || len(st.sent) != 1 || b[0].Payload != -1 || !b[1].Zero {
 		t.Fatalf("seed stream lacks a record kind: %+v", st)
 	}
-	var sent bytes.Buffer
-	if _, err := st.Encode(&sent); err != nil {
+	return encoded(t, st)
+}
+
+// seedReceiver is a new volume holding s1, seedStream's origin,
+// received in full from src, a seedSource.
+func seedReceiver(t testing.TB, src *Volume) *Volume {
+	dst, err := New(cfg(block.Size1K, "gzip6", true))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return sent.Bytes()
+	st, err := src.Send("", "s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Receive(st); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// lyingStreams are seedStream with its hash-only pointer (object b's
+// first, a 1 KB block s1 holds) claiming another length, and the hole
+// after it grown by what the pointer lost, so b's size still sums. Each
+// is sealed with a valid CRC. A receiver that took the negative length
+// planted a pointer Scrub panicked on; one that took the halved length
+// planted a block every read and Scrub called corrupt.
+func lyingStreams(t testing.TB) map[string][]byte {
+	out := map[string][]byte{}
+	for name, logLen := range map[string]int32{"negative": -100, "halved": 512} {
+		st, err := DecodeStream(bytes.NewReader(seedStream(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := st.Upserts[0].Ptrs
+		p[1].LogLen += p[0].LogLen - logLen
+		p[0].LogLen = logLen
+		out[name] = encoded(t, st)
+	}
+	return out
+}
+
+func TestReceiveRefusesPointersWhoseLengthsLie(t *testing.T) {
+	src := seedSource(t)
+	for name, wire := range lyingStreams(t) {
+		st, err := DecodeStream(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dst := seedReceiver(t, src)
+		before := snapshotState(t, dst)
+		if err := dst.Receive(st); !errors.Is(err, ErrBadStream) {
+			t.Fatalf("%s: Receive = %v, want ErrBadStream", name, err)
+		}
+		if !sameState(before, snapshotState(t, dst)) {
+			t.Fatalf("%s: a refused receive changed the volume", name)
+		}
+		if rep := dst.Scrub(); rep.CorruptBlocks+rep.MissingBlocks != 0 {
+			t.Fatalf("%s: Scrub after the refusal: %+v", name, rep)
+		}
+	}
 }
 
 // claimBlock is the start of a stream whose one block claims n bytes:
@@ -339,6 +419,47 @@ func FuzzDecodeStream(f *testing.F) {
 				t.Fatalf("accepted stream re-encodes to %d bytes (WireSize %d) that are not a prefix of the %d-byte input",
 					n, st.WireSize(), len(in))
 			}
+		}
+	})
+}
+
+// FuzzReceiveStream carries FuzzDecodeStream's inputs past the decoder
+// into Receive, on a volume holding the seed's origin: a stream Receive
+// refuses leaves the volume as it was, and one it accepts leaves every
+// object readable without a panic and Scrub able to run. The seeds are
+// seedStream and lyingStreams; each input is also tried sealed with its
+// own CRC, as FuzzDecodeStream does.
+//
+// Run with `go test -fuzz FuzzReceiveStream ./internal/zvol/`.
+func FuzzReceiveStream(f *testing.F) {
+	src := seedSource(f)
+	f.Add(seedStream(f))
+	for _, lie := range lyingStreams(f) {
+		f.Add(lie)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sealed := binary.LittleEndian.AppendUint32(bytes.Clone(data), crc32.Checksum(data, crcTable))
+		for _, in := range [][]byte{data, sealed} {
+			st, err := DecodeStream(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			dst := seedReceiver(t, src)
+			before := snapshotState(t, dst)
+			if err := dst.Receive(st); err != nil {
+				if !sameState(before, snapshotState(t, dst)) {
+					t.Fatalf("Receive refused the stream (%v) and changed the volume", err)
+				}
+				continue
+			}
+			for _, name := range dst.Objects() {
+				// A hole may claim gigabytes, which reading it would allocate.
+				if o, err := dst.Object(name); err == nil && o.Size <= 1<<20 {
+					dst.ReadObject(name)
+				}
+			}
+			dst.Scrub()
 		}
 	})
 }
