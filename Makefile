@@ -117,8 +117,8 @@ gate-inflate:
 # decoding, a finished span and its
 # child folded into the telemetry registry, one encode and decode of
 # each binary control-plane body, one encode and one decode of a
-# snapshot stream), one iteration each so they cannot rot between the
-# PRs that read them.
+# snapshot stream, a write of 1, 2 and 4 never-seen 64 KB blocks), one
+# iteration each so they cannot rot between the PRs that read them.
 rungs:
 	$(GO) test -run '^$$' -bench BenchmarkWarmBoot -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkColdBoot$$' -benchtime 1x ./internal/core/
@@ -132,3 +132,4 @@ rungs:
 	$(GO) test -run '^$$' -bench BenchmarkBodies -benchtime 1x ./internal/ctlplane/
 	$(GO) test -run '^$$' -bench BenchmarkWireEncode -benchtime 1x ./internal/zvol/
 	$(GO) test -run '^$$' -bench BenchmarkWireDecode -benchtime 1x ./internal/zvol/
+	$(GO) test -run '^$$' -bench BenchmarkWriteObject -benchtime 1x ./internal/zvol/

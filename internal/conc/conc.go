@@ -1,10 +1,12 @@
 // Package conc holds the small concurrency primitives the deployment
-// core builds its fan-out on: a bounded parallel for-loop. Squirrel's
-// hot paths (Register propagation to N replicas, boot storms) want "do
-// these n independent things on up to w goroutines" without each call
-// site reinventing worker pools; the propagation legs of a single
-// registration are independent of each other by construction, so a
-// plain index-sharded loop is all the structure needed.
+// core builds its fan-out on: a bounded parallel for-loop, over indices
+// known up front (ForEach) or found while it runs (Stream). Squirrel's
+// hot paths (Register propagation to N replicas, boot storms, the
+// compression of a write's new blocks) want "do these n independent
+// things on up to w goroutines" without each call site reinventing
+// worker pools; the propagation legs of a single registration are
+// independent of each other by construction, so a plain index-sharded
+// loop is all the structure needed.
 package conc
 
 import (
@@ -48,4 +50,64 @@ func ForEach(n, workers int, fn func(i int)) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// Stream is ForEach for indices found while the loop runs: the caller
+// hands each index to Add as it finds it and goes on with its own work,
+// while helper goroutines run fn on the indices added so far; Wait runs
+// on the calling goroutine whatever no helper has taken, then waits for
+// the helpers. Add starts one helper with each index until there are
+// workers−1 (workers <= 0 means GOMAXPROCS), so with one worker every
+// call runs in Wait, in Add order, on the calling goroutine. At most limit
+// indices may be added between two Waits; after Wait the Stream is ready
+// for the next batch, and no goroutine of it is left running. A Stream
+// is used by one goroutine.
+type Stream struct {
+	fn      func(i int)
+	limit   int
+	helpers int      // the most helpers a batch starts
+	started int      // helpers started in this batch
+	jobs    chan int // this batch's queue; nil before its first Add
+	wg      sync.WaitGroup
+}
+
+// NewStream returns an empty Stream running fn on up to workers
+// goroutines, the caller's included.
+func NewStream(limit, workers int, fn func(i int)) *Stream {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &Stream{fn: fn, limit: limit, helpers: max(0, min(workers, limit)-1)}
+}
+
+// Add queues i for fn.
+func (s *Stream) Add(i int) {
+	if s.jobs == nil {
+		s.jobs = make(chan int, s.limit) // sized to the Adds a batch may make: Add never blocks
+	}
+	if s.started < s.helpers {
+		s.started++
+		s.wg.Add(1)
+		go func(jobs <-chan int) {
+			defer s.wg.Done()
+			for i := range jobs {
+				s.fn(i)
+			}
+		}(s.jobs)
+	}
+	s.jobs <- i
+}
+
+// Wait returns once fn has run on every index added since the last Wait,
+// running those no helper has taken itself.
+func (s *Stream) Wait() {
+	if s.jobs == nil {
+		return
+	}
+	close(s.jobs)
+	for i := range s.jobs {
+		s.fn(i)
+	}
+	s.wg.Wait()
+	s.jobs, s.started = nil, 0
 }

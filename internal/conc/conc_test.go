@@ -2,8 +2,10 @@ package conc
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversEveryIndex(t *testing.T) {
@@ -60,5 +62,71 @@ func TestForEachParallelism(t *testing.T) {
 	})
 	if met.Load() != 2 {
 		t.Fatalf("expected both legs to run, got %d", met.Load())
+	}
+}
+
+func TestStreamCoversEveryIndexPerBatch(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 2, 3, 7, 64} {
+		const limit = 16
+		var hits [limit]atomic.Int32
+		s := NewStream(limit, workers, func(i int) { hits[i].Add(1) })
+		for batch := 1; batch <= 3; batch++ {
+			for i := 0; i < limit; i += batch { // batches of 16, 8 and 6 indices
+				s.Add(i)
+			}
+			s.Wait()
+			for i := range hits {
+				want := int32(0)
+				if i%batch == 0 {
+					want = 1
+				}
+				if got := hits[i].Swap(0); got != want {
+					t.Fatalf("workers=%d batch %d: index %d ran %d times, want %d", workers, batch, i, got, want)
+				}
+			}
+		}
+		s.Wait() // a Wait with nothing added returns at once
+	}
+}
+
+// TestStreamSerialOrder: with one worker nothing runs until Wait, which
+// runs every index in Add order on the calling goroutine.
+func TestStreamSerialOrder(t *testing.T) {
+	var order []int
+	s := NewStream(5, 1, func(i int) { order = append(order, i) })
+	for _, i := range []int{3, 1, 4, 0, 2} {
+		s.Add(i)
+	}
+	if len(order) != 0 {
+		t.Fatalf("ran %v before Wait", order)
+	}
+	s.Wait()
+	if want := []int{3, 1, 4, 0, 2}; !slices.Equal(order, want) {
+		t.Fatalf("serial stream ran %v, want %v", order, want)
+	}
+}
+
+// TestStreamHelperOverlapsTheCaller: an index added is taken by a helper
+// while the caller goes on, and no helper outlives Wait.
+func TestStreamHelperOverlapsTheCaller(t *testing.T) {
+	settled := runtime.NumGoroutine()
+	started := make(chan struct{})
+	s := NewStream(2, 2, func(i int) {
+		if i == 0 {
+			close(started)
+		}
+	})
+	s.Add(0)
+	select {
+	case <-started: // the helper took index 0 before the caller waited
+	case <-time.After(10 * time.Second):
+		t.Fatal("no helper ran the added index")
+	}
+	s.Add(1)
+	s.Wait()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > settled; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Wait, %d before", runtime.NumGoroutine(), settled)
+		}
 	}
 }

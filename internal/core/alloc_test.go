@@ -117,3 +117,24 @@ func TestWarmBootAllocationCount(t *testing.T) {
 		})
 	}
 }
+
+func TestCleanLegCheckAllocatesNothing(t *testing.T) {
+	// Every clean propagation leg asks replicaCaughtUp whether its
+	// replica already holds the snapshot it carries, and the answer is
+	// almost always no. Asking must not build the error a failed lookup
+	// once formatted: a registration asks it once per replica.
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	sq, _, repo, _ := testDeployment(t, 2)
+	mustRegister(t, sq, repo.Images[0], day(0))
+	r := sq.replicas["node01"]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if sq.replicaCaughtUp(r, "cVol@000999-none") {
+		t.Fatal("a replica without the snapshot reads as caught up")
+	}
+	if got := testing.AllocsPerRun(100, func() { sq.replicaCaughtUp(r, "cVol@000999-none") }); got != 0 {
+		t.Fatalf("replicaCaughtUp on a replica without the snapshot made %.1f allocations, want 0", got)
+	}
+}

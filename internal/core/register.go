@@ -411,7 +411,7 @@ func snapSeqOf(name string) int {
 // chaos runs byte-identical. Caller holds the node lock.
 func (s *Squirrel) replicaCaughtUp(r *replica, snapName string) bool {
 	ccv := s.ccVolume(r)
-	if _, err := ccv.FindSnapshot(snapName); err == nil {
+	if ccv.HasSnapshot(snapName) {
 		return true
 	}
 	latest := ccv.LatestSnapshot()

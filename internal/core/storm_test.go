@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/fault"
+	"repro/internal/zvol"
 )
 
 // countdownCtx is a context whose Err flips to context.Canceled after k
@@ -76,7 +78,10 @@ func TestSentinelErrors(t *testing.T) {
 // (GOMAXPROCS 1), one on a worker per leg (GOMAXPROCS 8, 6 legs) — and
 // requires byte-identical reports. All order-dependent fault draws
 // happen outside the parallel phase, so worker scheduling must not be
-// observable.
+// observable. The scVolume's write compresses its new blocks on a
+// helper per extra P (none at GOMAXPROCS 1), so after each registration
+// every volume must also place every image's blocks alike — addresses,
+// lengths, compressed flags — and report the same Stats.
 func TestParallelLegsMatchSerial(t *testing.T) {
 	plan := fault.Plan{
 		Seed: 4242, Drop: 0.2, Truncate: 0.05, Corrupt: 0.1,
@@ -93,11 +98,52 @@ func TestParallelLegsMatchSerial(t *testing.T) {
 		if !reflect.DeepEqual(repS, repP) {
 			t.Fatalf("register %d diverged:\nserial:   %+v\nparallel: %+v", i, repS, repP)
 		}
+		lS, lP := volumeLayouts(t, serial, repoS.Images[:i+1]), volumeLayouts(t, parallel, repoP.Images[:i+1])
+		for vol, want := range lS {
+			if got := lP[vol]; !reflect.DeepEqual(want, got) {
+				t.Fatalf("register %d: %s diverged:\nserial:   %+v\nparallel: %+v", i, vol, want, got)
+			}
+		}
 	}
 	hS, hP := serial.Health(), parallel.Health()
 	if !reflect.DeepEqual(hS, hP) {
 		t.Fatalf("health diverged:\nserial:   %+v\nparallel: %+v", hS, hP)
 	}
+}
+
+// volumeLayout is what a volume holds of a set of images: each one's
+// block placement (or the error asking for it) and the volume's Stats.
+type volumeLayout struct {
+	Blocks map[string]any
+	Stats  zvol.Stats
+}
+
+// volumeLayouts is volumeLayout of ims on sq's scVolume and on every
+// node's replica, keyed "sc" and by node ID.
+func volumeLayouts(t *testing.T, sq *Squirrel, ims []*corpus.Image) map[string]volumeLayout {
+	t.Helper()
+	vols := map[string]*zvol.Volume{"sc": sq.SCVolume()}
+	for id := range sq.replicas {
+		ccv, err := sq.CCVolume(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vols[id] = ccv
+	}
+	out := map[string]volumeLayout{}
+	for name, v := range vols {
+		l := volumeLayout{Blocks: map[string]any{}, Stats: v.Stats()}
+		for _, im := range ims {
+			infos, err := v.BlockInfos(im.ID)
+			if err != nil {
+				l.Blocks[im.ID] = err.Error()
+				continue
+			}
+			l.Blocks[im.ID] = infos
+		}
+		out[name] = l
+	}
+	return out
 }
 
 // TestConcurrentSameNodeBoots hammers one node with concurrent verified

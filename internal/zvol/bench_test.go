@@ -83,6 +83,49 @@ func BenchmarkVolume(b *testing.B) {
 	benchVolume(b, "dedup+gzip6/4K", Config{BlockSize: block.Size4K, Codec: "gzip6", Dedup: true})
 }
 
+// BenchmarkWriteObject is the write-path rung: one WriteObject of an
+// object of 1, 2 or 4 never-seen 64 KB blocks on the paper's
+// configuration, the writes a registration makes (each adds 1–4 new
+// blocks). Every block is a DDT miss, so each one is compressed;
+// BenchmarkVolume's write rewrites one payload, so after its first
+// iteration every block is a DDT hit and it times no compression. The
+// object is deleted after each write, untimed, so the volume stays
+// small. Reports µs per object.
+func BenchmarkWriteObject(b *testing.B) {
+	const bs = 64 << 10
+	for _, blocks := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("%d-new", blocks), func(b *testing.B) {
+			v, err := New(DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := make([]byte, 0, blocks*bs)
+			for k := 0; k < blocks; k++ {
+				data = append(data, benchPayload(bs)...)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for k := 0; k < blocks; k++ {
+					copy(data[k*bs:], fmt.Sprintf("object %d block %d", i, k)) // never seen: every block a miss
+				}
+				b.StartTimer()
+				if _, err := v.WriteObject("o", bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := v.DeleteObject("o"); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/object")
+		})
+	}
+}
+
 // BenchmarkVisitDecoded times a whole-block 64 KB Visit, the read a boot
 // makes, on the paper's configuration at both ends of the decoded-block
 // cache: hot visits one block, so every visit after the first lends the

@@ -540,37 +540,32 @@ func TestReadAtNeverServesABitRottedBlock(t *testing.T) {
 	}
 }
 
-func TestVisitLendsALongHoleInPieces(t *testing.T) {
-	// A received stream may carry a hole longer than any block size (the
-	// receiver checks a hole's length against nothing but its object's
-	// size). Reading it must not allocate the hole: it is lent in pieces
-	// of the shared zero block, every byte zero.
+func TestVisitLendsTheLongestHoleWhole(t *testing.T) {
+	// A received hole is at most the largest block size long (Receive
+	// refuses a longer one: TestReceiveRefusesPointersWhoseLengthsLie).
+	// Reading the longest one must not allocate it: any range of it is
+	// lent as one piece of the shared zero block.
 	v, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const hole = int64(3*len(zeroBlock) + 5)
+	const hole = int64(len(zeroBlock))
 	st := &Stream{ToSnap: "s1", Created: time.Unix(0, 0), Upserts: []StreamObject{{
 		Name: "sparse", Size: hole, Ptrs: []StreamPtr{{Zero: true, LogLen: int32(hole), Payload: -1}},
 	}}}
 	if err := v.Receive(st); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []struct{ off, n int64 }{{0, hole}, {7, 2 * int64(len(zeroBlock))}, {hole - 3, 3}} {
-		lent, pieces := int64(0), 0
+	for _, r := range []struct{ off, n int64 }{{0, hole}, {7, hole - 7}, {hole - 3, 3}} {
+		pieces := 0
 		err := v.Visit("sparse", r.off, r.n, func(p []byte) {
-			if len(p) > len(zeroBlock) || !bytes.Equal(p, zeroBlock[:len(p)]) || &p[0] != &zeroBlock[0] {
+			if int64(len(p)) != r.n || &p[0] != &zeroBlock[0] || !bytes.Equal(p, zeroBlock[:len(p)]) {
 				t.Fatalf("[%d,+%d): a %d-byte piece that is not the zero block", r.off, r.n, len(p))
 			}
-			lent += int64(len(p))
 			pieces++
 		})
-		if err != nil || lent != r.n {
-			t.Fatalf("[%d,+%d): lent %d bytes in %d pieces, %v", r.off, r.n, lent, pieces, err)
+		if err != nil || pieces != 1 {
+			t.Fatalf("[%d,+%d): lent in %d pieces, %v", r.off, r.n, pieces, err)
 		}
-	}
-	got := make([]byte, 64)
-	if err := visitCopy(t, v, "sparse", got, hole-64); err != nil || !bytes.Equal(got, make([]byte, 64)) {
-		t.Fatalf("Visit across the hole's end: %v", err)
 	}
 }

@@ -307,7 +307,7 @@ func (v *Volume) receive(ps *PreparedStream, arrived bool) error {
 				if sp.Payload < len(ps.raw) {
 					data = ps.raw[sp.Payload]
 				}
-				ptr = v.writeBlockLocked(&ps.Blocks[sp.Payload], data)
+				ptr = v.writeBlockLocked(&ps.Blocks[sp.Payload], data, nil)
 			default:
 				ptr, _ = v.refStoredLocked(sp.Hash, sp.LogLen) // verified resolvable
 			}
@@ -367,7 +367,8 @@ func (st *Stream) ApplySteps() int { return len(st.Upserts) + len(st.Deletes) }
 // payload indexes in range, shipped payloads matching their declared
 // length and — by the hash their preparer computed, sender or this
 // receiver alike — their pointer's content hash, object sizes consistent
-// with their pointers, every pointer at least one byte long, and every
+// with their pointers, every pointer at least one byte long and no longer
+// than the largest block size (what a writer makes), and every
 // hash-only reference present in the local DDT at the length its entry
 // records (reads and Scrub size their buffers by a pointer's length).
 func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
@@ -388,7 +389,7 @@ func (v *Volume) verifyStreamLocked(ps *PreparedStream) error {
 	for _, so := range st.Upserts {
 		var size int64
 		for _, sp := range so.Ptrs {
-			if sp.LogLen <= 0 {
+			if sp.LogLen <= 0 || sp.LogLen > int32(block.Size1024K) {
 				return fmt.Errorf("%w: %s pointer of %d bytes", ErrBadStream, so.Name, sp.LogLen)
 			}
 			size += int64(sp.LogLen)

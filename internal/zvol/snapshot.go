@@ -70,14 +70,13 @@ func (v *Volume) destroySnapLocked(i int) {
 	v.held = slices.Delete(v.held, keep, hi)
 }
 
-// FindSnapshot returns the snapshot named name.
-func (v *Volume) FindSnapshot(name string) (*Snapshot, error) {
+// HasSnapshot reports whether the volume holds a snapshot named name.
+// It allocates nothing: a registration asks it of every replica, and
+// the answer is usually no.
+func (v *Volume) HasSnapshot(name string) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if s := v.snapByName[name]; s != nil {
-		return s, nil
-	}
-	return nil, fmt.Errorf("%w: snapshot %s", ErrNotFound, name)
+	return v.snapByName[name] != nil
 }
 
 // Snapshots lists snapshots in creation order.

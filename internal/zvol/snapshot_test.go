@@ -127,11 +127,11 @@ func TestLatestSnapshot(t *testing.T) {
 	if got := v.LatestSnapshot(); got.Name != "s2" {
 		t.Fatalf("latest %s want s2", got.Name)
 	}
-	if _, err := v.FindSnapshot("s1"); err != nil {
-		t.Fatal(err)
+	if !v.HasSnapshot("s1") {
+		t.Fatal("s1 not found")
 	}
-	if _, err := v.FindSnapshot("zz"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("missing snapshot must error")
+	if v.HasSnapshot("zz") {
+		t.Fatal("missing snapshot found")
 	}
 }
 

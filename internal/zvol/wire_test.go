@@ -305,25 +305,44 @@ func seedReceiver(t testing.TB, src *Volume) *Volume {
 	return dst
 }
 
-// lyingStreams are seedStream with its hash-only pointer (object b's
-// first, a 1 KB block s1 holds) claiming another length, and the hole
-// after it grown by what the pointer lost, so b's size still sums. Each
-// is sealed with a valid CRC. A receiver that took the negative length
-// planted a pointer Scrub panicked on; one that took the halved length
-// planted a block every read and Scrub called corrupt.
+// lyingStreams are seedStream with a pointer whose length lies, each
+// sealed with a valid CRC. In "negative" and "halved", object b's
+// hash-only pointer (a 1 KB block s1 holds) claims −100 or 512 bytes,
+// and the hole after it is grown by what the pointer lost, so b's size
+// still sums: a receiver that took the negative length planted a pointer
+// Scrub panicked on, one that took the halved length planted a block
+// every read and Scrub called corrupt. In "huge-holes", b gains four
+// holes of math.MaxInt32 bytes, longer than any block a writer makes,
+// and its size grows to match: a receiver that took it held an 8 GiB
+// object that ReadObject would allocate whole.
 func lyingStreams(t testing.TB) map[string][]byte {
 	out := map[string][]byte{}
-	for name, logLen := range map[string]int32{"negative": -100, "halved": 512} {
+	for name, lie := range map[string]func(b *StreamObject){
+		"negative": func(b *StreamObject) { shrinkRef(b, -100) },
+		"halved":   func(b *StreamObject) { shrinkRef(b, 512) },
+		"huge-holes": func(b *StreamObject) {
+			for range 4 {
+				b.Ptrs = append(b.Ptrs, StreamPtr{Zero: true, LogLen: math.MaxInt32, Payload: -1})
+				b.Size += math.MaxInt32
+			}
+		},
+	} {
 		st, err := DecodeStream(bytes.NewReader(seedStream(t)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := st.Upserts[0].Ptrs
-		p[1].LogLen += p[0].LogLen - logLen
-		p[0].LogLen = logLen
+		lie(&st.Upserts[0])
 		out[name] = encoded(t, st)
 	}
 	return out
+}
+
+// shrinkRef makes b's first pointer claim logLen bytes and grows the
+// hole after it by the difference.
+func shrinkRef(b *StreamObject, logLen int32) {
+	p := b.Ptrs
+	p[1].LogLen += p[0].LogLen - logLen
+	p[0].LogLen = logLen
 }
 
 func TestReceiveRefusesPointersWhoseLengthsLie(t *testing.T) {

@@ -35,7 +35,9 @@
 //
 // How a block gets in. There is one block write (writeBlockLocked: ask
 // the DDT, else place the stored form) under WriteObject and under the
-// one stream apply path (receive: verify, journal, stage, commit). A
+// one stream apply path (receive: verify, journal, stage, commit).
+// WriteObject compresses its new blocks concurrently, ahead of that
+// write, and still places every block in stream order. A
 // stream always reaches that path prepared — by its sender (Send ships
 // stored forms, which Prepare hands out as they are and ReceivePrepared
 // aliases: nothing is hashed, inflated or compressed on the way) or, for
@@ -75,6 +77,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -82,6 +85,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/compress"
+	"repro/internal/conc"
 	"repro/internal/dedup"
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -205,6 +209,12 @@ type Volume struct {
 	// chunker splits WriteObject's input; kept across calls (under mu) so
 	// its block-sized buffer is allocated once per volume.
 	chunker *block.Chunker
+	// writes recycles WriteObject's read-ahead (*objectWrite) and so its
+	// miss buffers, at most GOMAXPROCS blocks: dropped after every write,
+	// they doubled a registration's garbage, and the extra collections
+	// showed as resident memory. Unlike the chunker's buffer, the pool's
+	// contents go at the second collection that finds them unused.
+	writes sync.Pool
 
 	logicalWritten int64 // bytes accepted by WriteObject (incl. zeros)
 	zeroBytes      int64 // bytes suppressed as holes
@@ -289,6 +299,18 @@ var (
 // WriteObject stores the stream r as a new object. Writing over an
 // existing name is refused; delete first (Squirrel objects — VMI caches —
 // are immutable once registered).
+//
+// The write is a bounded pipeline under the volume lock, as ZFS
+// compresses a transaction group's blocks on its write-issue threads and
+// places each by its pointer: the calling goroutine reads each block,
+// checks it for zeros, hashes it and asks the DDT, in stream order; a
+// block the DDT does not hold, and that repeats no earlier miss of the
+// window, goes at once to a compress helper (conc.Stream, one per extra
+// P) while the caller reads on. At the end of each window of writeWindow
+// blocks the caller encodes whatever is still queued, waits for the
+// helpers, and places the window's blocks in stream order through
+// writeBlockLocked, so addresses, DDT entries and stored bytes are the
+// same at any GOMAXPROCS. A failed read leaves the volume as it was.
 func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -304,27 +326,148 @@ func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 	}
 	v.chunker.Reset(r)
 	defer v.chunker.Reset(nil) // do not pin the caller's reader
-	obj := &Object{Name: name}
-	err := v.chunker.ForEach(func(c block.Chunk) error {
-		obj.Size += int64(len(c.Data))
-		v.logicalWritten += int64(len(c.Data))
-		if c.Zero {
-			v.zeroBytes += int64(len(c.Data))
-			obj.ptrs = append(obj.ptrs, blockPtr{zero: true, logLen: int32(len(c.Data))})
-			return nil
-		}
-		pb := PreparedBlock{Hash: block.HashOf(c.Data), LogLen: int32(len(c.Data))}
-		obj.ptrs = append(obj.ptrs, v.writeBlockLocked(&pb, c.Data))
-		return nil
-	})
+	w, _ := v.writes.Get().(*objectWrite)
+	if w == nil {
+		w = &objectWrite{v: v}
+	}
+	defer v.writes.Put(w)
+	obj, err := w.run(name)
 	if err != nil {
-		// Roll back partially written blocks so the volume stays
-		// consistent.
-		v.releasePtrsLocked(obj.ptrs)
 		return nil, err
 	}
 	v.addObjectLocked(obj)
 	return obj, nil
+}
+
+// run is one WriteObject of the chunker's stream as object name: the
+// read-ahead, window by window, then the running totals. On a failed read
+// it rolls back the windows already placed. w is left empty either way,
+// holding only its miss buffers. Caller holds v.mu.
+func (w *objectWrite) run(name string) (*Object, error) {
+	v := w.v
+	w.obj, w.zeros = &Object{Name: name}, 0
+	w.workers = runtime.GOMAXPROCS(0)
+	w.encoders = conc.NewStream(writeWindow, w.workers, w.encodeOne)
+	defer func() { w.obj, w.encoders = nil, nil }()
+	if err := v.chunker.ForEach(w.read); err != nil {
+		w.encoders.Wait() // no helper outlives the write
+		w.win, w.n, w.filled = [writeWindow]pendingBlock{}, 0, 0
+		v.releasePtrsLocked(w.obj.ptrs)
+		return nil, err
+	}
+	w.place()
+	v.logicalWritten += w.obj.Size
+	v.zeroBytes += w.zeros
+	return w.obj, nil
+}
+
+// writeWindow is how many blocks WriteObject reads ahead of the last one
+// it placed: the misses among them compress concurrently. 16 blocks is
+// 1 MiB at the paper's 64 KB, more than the new blocks of a registration
+// (1–4), so a registration's misses share one window.
+const writeWindow = 16
+
+// objectWrite is one WriteObject's read-ahead: the blocks read since the
+// last placement, the stream their encodes run on, and one miss buffer
+// per worker (the chunker reuses its own buffer, so a queued miss is
+// copied into one of these until its encode has run). Between writes it
+// rests in Volume.writes with only its buffers: at most GOMAXPROCS
+// blocks, however many misses a write has.
+type objectWrite struct {
+	v        *Volume
+	obj      *Object
+	zeros    int64 // hole bytes among the blocks read
+	win      [writeWindow]pendingBlock
+	n        int // blocks in win
+	encoders *conc.Stream
+	workers  int      // the encoders' goroutines, the caller's included
+	bufs     [][]byte // miss buffers, at most workers
+	filled   int      // bufs holding a miss whose encode may not have run
+}
+
+// pendingBlock is one block read and not yet placed.
+type pendingBlock struct {
+	pb     PreparedBlock // content hash and length
+	zero   bool
+	queued bool       // a miss handed to the encoders
+	data   []byte     // a queued miss's bytes (a miss buffer), until its encode has run
+	enc    storedForm // encode(data), once it has run
+}
+
+// encodeOne is one compress job: the stored form of the window's block i.
+func (w *objectWrite) encodeOne(i int) {
+	p := &w.win[i]
+	p.enc = w.v.encode(p.data)
+}
+
+// read classifies one chunk in stream order and, once the window is
+// full, places it. A miss needs a free buffer: when every one holds a
+// miss, the caller first finishes the queued encodes (running those no
+// helper has taken), so a write holds no more blocks in flight than it
+// has workers.
+func (w *objectWrite) read(c block.Chunk) error {
+	v := w.v
+	w.obj.Size += int64(len(c.Data))
+	p := &w.win[w.n]
+	*p = pendingBlock{pb: PreparedBlock{LogLen: int32(len(c.Data))}, zero: c.Zero}
+	if c.Zero {
+		w.zeros += int64(len(c.Data))
+	} else {
+		p.pb.Hash = block.HashOf(c.Data)
+		if v.ddt.Lookup(p.pb.Hash) == nil && !w.queuedIn(p.pb.Hash) {
+			if w.filled == len(w.bufs) {
+				if len(w.bufs) < w.workers {
+					w.bufs = append(w.bufs, make([]byte, v.cfg.BlockSize))
+				} else {
+					w.encoders.Wait()
+					w.filled = 0
+				}
+			}
+			p.data = w.bufs[w.filled][:copy(w.bufs[w.filled], c.Data)]
+			p.queued = true
+			w.filled++
+			w.encoders.Add(w.n)
+		}
+	}
+	if w.n++; w.n == writeWindow {
+		w.place()
+	}
+	return nil
+}
+
+// queuedIn reports whether the window already queued a miss hashing to
+// h, which the DDT will hold by the time this block is placed. Without
+// dedup nothing is shared, so every block is its own miss.
+func (w *objectWrite) queuedIn(h block.Hash) bool {
+	if !w.v.cfg.Dedup {
+		return false
+	}
+	for i := range w.win[:w.n] { // by index: a helper may be writing a block's enc
+		if p := &w.win[i]; p.queued && p.pb.Hash == h {
+			return true
+		}
+	}
+	return false
+}
+
+// place finishes the window: every queued encode done, then each block
+// placed in stream order.
+func (w *objectWrite) place() {
+	w.encoders.Wait()
+	for i := range w.win[:w.n] {
+		p := &w.win[i]
+		ptr := blockPtr{zero: true, logLen: p.pb.LogLen}
+		if !p.zero {
+			var enc *storedForm
+			if p.queued {
+				enc = &p.enc
+			}
+			ptr = w.v.writeBlockLocked(&p.pb, nil, enc)
+		}
+		w.obj.ptrs = append(w.obj.ptrs, ptr)
+		*p = pendingBlock{} // hold no payload past its placement
+	}
+	w.n, w.filled = 0, 0
 }
 
 // addObjectLocked is an object's birth: stamped with the open transaction
@@ -372,42 +515,60 @@ func (v *Volume) refStoredLocked(h block.Hash, logLen int32) (ptr blockPtr, ok b
 // carries the block's content hash and, when the block arrived in a
 // sender-prepared stream, its stored form. The DDT is asked before
 // anything else; a block it does not hold is placed from the prepared
-// stored form (aliased, not copied) when there is one, and otherwise
-// encoded here from data — the logical bytes, which only that last case
-// reads. Caller holds v.mu.
-func (v *Volume) writeBlockLocked(pb *PreparedBlock, data []byte) blockPtr {
+// stored form (aliased, not copied) when there is one, and otherwise from
+// encode's result for the block's logical bytes: enc when the caller ran
+// encode ahead of time (WriteObject's helpers), else encode(data) here —
+// the one case that reads data. Caller holds v.mu.
+func (v *Volume) writeBlockLocked(pb *PreparedBlock, data []byte, enc *storedForm) blockPtr {
 	if ptr, ok := v.refStoredLocked(pb.Hash, pb.LogLen); ok {
 		return ptr
 	}
-	payload, isCompressed, physHash := pb.Payload, pb.Compressed, pb.PhysHash
+	e := storedForm{payload: pb.Payload, compressed: pb.Compressed, physHash: pb.PhysHash}
 	var addr uint64
-	if payload != nil {
-		addr = v.store.AllocShared(payload) // other volumes hold the slice too
-	} else if payload, isCompressed, physHash = v.encode(data); isCompressed {
-		addr = v.store.AllocOwned(payload) // the codec's fresh output: nothing else holds it
+	if e.payload != nil {
+		addr = v.store.AllocShared(e.payload) // other volumes hold the slice too
 	} else {
-		addr = v.store.Alloc(payload) // payload is the caller's data: copy
+		if enc == nil {
+			e = v.encode(data)
+		} else {
+			e = *enc
+		}
+		addr = v.store.AllocOwned(e.payload) // encode's fresh output: nothing else holds it
 	}
-	ptr := blockPtr{hash: pb.Hash, addr: addr, physLen: int32(len(payload)),
-		logLen: pb.LogLen, compressed: isCompressed, physHash: physHash}
+	ptr := blockPtr{hash: pb.Hash, addr: addr, physLen: int32(len(e.payload)),
+		logLen: pb.LogLen, compressed: e.compressed, physHash: e.physHash}
 	if v.cfg.Dedup {
-		v.ddt.Reference(pb.Hash, addr, ptr.physLen, ptr.logLen, isCompressed, physHash)
+		v.ddt.Reference(pb.Hash, addr, ptr.physLen, ptr.logLen, e.compressed, e.physHash)
 	}
 	return ptr
 }
 
+// storedForm is a nonzero block's stored form and its checksum, as
+// encode makes it.
+type storedForm struct {
+	payload    []byte
+	compressed bool
+	physHash   block.Hash
+}
+
 // encode returns the stored form of a nonzero block and its checksum:
-// compressed when the codec saves more than the minimum gain, the data
-// itself otherwise.
-func (v *Volume) encode(data []byte) (payload []byte, compressed bool, physHash block.Hash) {
-	payload = data
+// compressed when the codec saves more than the minimum gain, a copy of
+// the data otherwise. The payload is fresh either way, so data may be
+// reused once encode returns. It reads only the volume's fixed
+// configuration, so WriteObject's helpers run it concurrently.
+func (v *Volume) encode(data []byte) storedForm {
+	var e storedForm
 	if v.codec.Name() != "null" {
 		comp := v.codec.Compress(data)
 		if gain := 1 - float64(len(comp))/float64(len(data)); gain > minCompressGain {
-			payload, compressed = comp, true
+			e.payload, e.compressed = comp, true
 		}
 	}
-	return payload, compressed, block.Checksum(payload)
+	if !e.compressed {
+		e.payload = bytes.Clone(data)
+	}
+	e.physHash = block.Checksum(e.payload)
+	return e
 }
 
 // retireLocked is the death of obj, which the caller has taken off the
@@ -532,9 +693,7 @@ func (v *Volume) walk(obj *Object, off, n int64, fn func(p []byte)) error {
 		lo := off - start // first wanted byte within the block
 		k := min(n, int64(bp.logLen)-lo)
 		if bp.zero {
-			for z := k; z > 0; z -= int64(len(zeroBlock)) {
-				fn(zeroBlock[:min(z, int64(len(zeroBlock)))])
-			}
+			fn(zeroBlock[:k])
 		} else {
 			b, err := v.lendBlock(bp)
 			if err != nil {
@@ -548,8 +707,8 @@ func (v *Volume) walk(obj *Object, off, n int64, fn func(p []byte)) error {
 }
 
 // zeroBlock is every hole's content, lent read-only: as large as the
-// largest block size, so a hole costs no allocation (a longer one, which
-// only a forged stream could carry, is lent in pieces).
+// largest block size, which no pointer exceeds (Receive refuses a longer
+// one), so a hole costs no allocation.
 var zeroBlock [block.Size1024K]byte
 
 // checksum is the CRC32C a read verifies a stored payload with

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 )
@@ -267,5 +270,81 @@ func TestWriteFailureRollsBack(t *testing.T) {
 	st := v.Stats()
 	if st.Objects != 0 || st.DataBytes != 0 || st.UniqueBlocks != 0 {
 		t.Fatalf("failed write leaked state: %+v", st)
+	}
+	// The reader fails while new blocks are queued for the compress
+	// helpers: in the first window (six read, every one queued) and in
+	// the second (the first window's blocks already placed). The volume
+	// must be as it was, and no helper left running.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, blocks := range []int{6, writeWindow + 6} {
+		v, _ := New(cfg(block.Size4K, "gzip6", true))
+		if _, err := v.WriteObject("kept", bytes.NewReader(mkData(1, 8*4096))); err != nil {
+			t.Fatal(err)
+		}
+		state, stats, settled := snapshotState(t, v), v.Stats(), runtime.NumGoroutine()
+		r := io.MultiReader(bytes.NewReader(distinctBlocks(blocks, 4096)), &errReader{})
+		if _, err := v.WriteObject("bad", r); err == nil {
+			t.Fatalf("%d blocks: expected write failure", blocks)
+		}
+		if !sameState(state, snapshotState(t, v)) || v.Stats() != stats {
+			t.Fatalf("%d blocks: failed write changed the volume: %+v, was %+v", blocks, v.Stats(), stats)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > settled; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d blocks: %d goroutines after the failed write, %d before", blocks, runtime.NumGoroutine(), settled)
+			}
+		}
+	}
+}
+
+// distinctBlocks is n blocks of size bytes, no two alike and none zero.
+func distinctBlocks(n, size int) []byte {
+	var out []byte
+	for k := 0; k < n; k++ {
+		b := mkData(int64(100+k), size)
+		b[0] = 1
+		out = append(out, b...)
+	}
+	return out
+}
+
+// TestWriteRepeatInWindowAndShortTail writes one window holding a block
+// twice, then a hole and a short tail. The repeat is compressed once and
+// placed as a reference to the first copy; without dedup it is a block of
+// its own. Either way the layout and Stats are those of the serial write
+// (GOMAXPROCS 1, no helper), and the object reads back whole.
+func TestWriteRepeatInWindowAndShortTail(t *testing.T) {
+	const bs = 4096
+	blocks := distinctBlocks(3, bs)
+	a, b, c := blocks[:bs], blocks[bs:2*bs], blocks[2*bs:]
+	data := slices.Concat(a, b, a, c, make([]byte, bs), c[:100])
+	for _, dedup := range []bool{true, false} {
+		write := func(procs int) (*Volume, []BlockInfo) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			v, _ := New(cfg(bs, "gzip6", dedup))
+			if _, err := v.WriteObject("o", bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+			infos, err := v.BlockInfos("o")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v, infos
+		}
+		serial, want := write(1)
+		v, got := write(4)
+		if !slices.Equal(got, want) || v.Stats() != serial.Stats() {
+			t.Fatalf("dedup=%v: parallel write placed %+v (%+v), serial %+v (%+v)",
+				dedup, got, v.Stats(), want, serial.Stats())
+		}
+		if len(got) != 6 || !got[4].Zero || got[5].LogLen != 100 || (got[2].Addr == got[0].Addr) != dedup {
+			t.Fatalf("dedup=%v: layout %+v", dedup, got)
+		}
+		if unique, want := v.Stats().UniqueBlocks, int64(4); dedup && unique != want {
+			t.Fatalf("%d unique blocks, want %d", unique, want)
+		}
+		if back, err := v.ReadObject("o"); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("dedup=%v: read back %d bytes, %v", dedup, len(back), err)
+		}
 	}
 }
